@@ -31,9 +31,9 @@ fn bench_simulator(c: &mut Criterion) {
                     let mut system = System::new(system_cfg.clone(), BugConfig::none(), 11);
                     bench.iter(|| {
                         // Note: under extreme contention a rare iteration can
-                        // exceed its cycle budget (see DESIGN.md, known
-                        // limitations); the bench measures throughput and does
-                        // not assert on the outcome.
+                        // exceed its cycle budget (ROADMAP.md, silent-baseline
+                        // item); the bench measures throughput and does not
+                        // assert on the outcome.
                         let outcome = system.run_iteration(program);
                         outcome.cycles
                     });

@@ -3,7 +3,7 @@
 //! The `benches/` directory contains Criterion micro-benchmarks of the
 //! framework's own costs (checker, crossover, simulator throughput, coverage
 //! fitness, litmus end-to-end), and `src/bin/` contains one binary per table
-//! or figure of the paper's evaluation (see DESIGN.md for the index).
+//! or figure of the paper's evaluation (README.md has the index).
 
 #![forbid(unsafe_code)]
 

@@ -60,7 +60,7 @@ use mcversi_mcm::{Address, FenceKind};
 use mcversi_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Load-queue squashes (the invalidation "Peekaboo" repair).
 static SQUASHES: telemetry::Counter = telemetry::Counter::new("sim.core.squashes");
@@ -146,6 +146,34 @@ pub struct CoreTickOutput {
     pub requests: Vec<CoreRequest>,
     /// Architecturally performed operations for the observer.
     pub observed: Vec<ObservedOp>,
+    /// `true` if the core is finished, or if this tick received nothing,
+    /// produced nothing, changed nothing in the core *and* ran its issue
+    /// stage (was not held back by the issue-jitter draw).  Until something
+    /// arrives or [`CoreModel::next_delay_expiry`] comes, every further tick
+    /// then does the same again: one jitter draw and, when the draw lets the
+    /// issue stage run, the same stall counts
+    /// ([`CoreModel::replay_stalls`]).
+    pub quiescent: bool,
+}
+
+/// Why a waiting load may not issue this cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stall {
+    Fence,
+    Coherence,
+    Dep,
+}
+
+impl Stall {
+    const ALL: [Stall; 3] = [Stall::Fence, Stall::Coherence, Stall::Dep];
+
+    fn counter(self) -> &'static telemetry::Counter {
+        match self {
+            Stall::Fence => &STALL_FENCE,
+            Stall::Coherence => &STALL_COHERENCE,
+            Stall::Dep => &STALL_DEP,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +225,12 @@ pub struct CoreModel {
     /// store-ordering fence retires; committed stores carry it into the
     /// store buffer.
     store_epoch: u32,
-    finished_reported: bool,
+    /// Load stalls counted by the last issue stage that ran, per [`Stall`].
+    stalls: [u32; Stall::ALL.len()],
+    /// Scratch of the issue stage (the window as it was when the stage
+    /// started, and the requests it decided on), kept to reuse the buffers.
+    issue_window: Vec<(usize, InflightOp)>,
+    issue_requests: Vec<(usize, CoreReqKind, Address)>,
 }
 
 impl CoreModel {
@@ -219,8 +252,23 @@ impl CoreModel {
             issue_jitter: cfg.issue_jitter,
             squashes: 0,
             store_epoch: 0,
-            finished_reported: false,
+            stalls: [0; Stall::ALL.len()],
+            issue_window: Vec::new(),
+            issue_requests: Vec::new(),
         }
+    }
+
+    /// Returns the core to the state [`CoreModel::new`] left it in, ready to
+    /// execute the same thread program again.
+    pub fn reset(&mut self) {
+        self.next_fetch = 0;
+        self.window.clear();
+        self.store_buffer.clear();
+        self.outstanding_store = None;
+        self.next_tag = 1;
+        self.squashes = 0;
+        self.store_epoch = 0;
+        self.stalls = [0; Stall::ALL.len()];
     }
 
     /// The core's index.
@@ -451,15 +499,15 @@ impl CoreModel {
 
     // ---- 4. Issue ----
 
-    /// Returns `true` if a waiting load at window position `pos` must stall
-    /// (may not issue this cycle), given the snapshot of the window.
+    /// Returns why a waiting load at window position `pos` must stall (may
+    /// not issue this cycle), if it must, given the snapshot of the window.
     fn load_blocked(
         &self,
         window: &[(usize, InflightOp)],
         pos: usize,
         op: &InflightOp,
         bugs: &BugConfig,
-    ) -> bool {
+    ) -> Option<Stall> {
         let older = window.iter().filter(|(p, _)| *p < pos);
         if !self.is_relaxed() {
             // Strong core: loads never issue past an incomplete fence or
@@ -475,8 +523,7 @@ impl CoreModel {
                     TestOpKind::Fence { .. } | TestOpKind::ReadModifyWrite { .. }
                 ) && o.state != OpState::Done
             }) {
-                STALL_FENCE.incr();
-                return true;
+                return Some(Stall::Fence);
             }
             // An address-dependent read waits for the previous load.
             if matches!(op.op.kind, TestOpKind::ReadAddrDp)
@@ -485,10 +532,9 @@ impl CoreModel {
                     .iter()
                     .any(|(p, o)| *p < pos && o.is_load() && o.state != OpState::Done)
             {
-                STALL_DEP.incr();
-                return true;
+                return Some(Stall::Dep);
             }
-            return false;
+            return None;
         }
         // Relaxed core: loads issue and perform past older loads and stores
         // to different addresses; only genuinely ordering constructs stall
@@ -497,24 +543,23 @@ impl CoreModel {
             if o.state == OpState::Done {
                 continue;
             }
-            let blocking: Option<&telemetry::Counter> = match o.op.kind {
+            let blocking = match o.op.kind {
                 // Only fence flavours that order later loads stall them; the
                 // Fence+no-acquire bug drops exactly the acquire stall.
                 TestOpKind::Fence { kind } => (fence_orders_later_loads(kind)
                     && !(kind == FenceKind::Acquire && bugs.has(Bug::FenceNoAcquire)))
-                .then_some(&STALL_FENCE),
+                .then_some(Stall::Fence),
                 // Locked RMWs keep their full-fence semantics.
-                TestOpKind::ReadModifyWrite { .. } => Some(&STALL_FENCE),
+                TestOpKind::ReadModifyWrite { .. } => Some(Stall::Fence),
                 // Same-address ordering (coherence / po-loc) is preserved by
                 // stalling, since the relaxed core has no squash to repair it.
                 TestOpKind::Read | TestOpKind::ReadAddrDp => {
-                    (o.op.addr == op.op.addr).then_some(&STALL_COHERENCE)
+                    (o.op.addr == op.op.addr).then_some(Stall::Coherence)
                 }
                 _ => None,
             };
-            if let Some(cause) = blocking {
-                cause.incr();
-                return true;
+            if blocking.is_some() {
+                return blocking;
             }
         }
         // Dependency-carrying loads stall on their source load; the
@@ -526,10 +571,9 @@ impl CoreModel {
                 .iter()
                 .any(|(p, o)| *p < pos && o.is_load() && o.state != OpState::Done)
         {
-            STALL_DEP.incr();
-            return true;
+            return Some(Stall::Dep);
         }
-        false
+        None
     }
 
     /// Returns `true` once every program-order-older read-like operation has
@@ -541,29 +585,29 @@ impl CoreModel {
             .all(|(p, o)| *p >= pos || !o.is_read_like() || o.state == OpState::Done)
     }
 
+    /// The issue stage.  Returns `true` if it ran (was not held back by the
+    /// jitter draw) and left every window slot in the state it found it in.
     fn issue(
         &mut self,
         cycle: Cycle,
         bugs: &BugConfig,
         out: &mut CoreTickOutput,
         rng: &mut StdRng,
-    ) {
-        if self.issue_jitter > 0 && rng.gen_range(0u32..65536) < self.issue_jitter as u32 {
-            return;
+    ) -> bool {
+        if !self.jitter_lets_issue(rng) {
+            return false;
         }
+        self.stalls = [0; Stall::ALL.len()];
         let mut issued = 0usize;
         let issue_width = 4usize;
         let sb_empty = self.store_buffer.is_empty() && self.outstanding_store.is_none();
         // Collected requests are appended after the loop to appease borrowing.
-        let mut new_requests: Vec<(usize, CoreReqKind, Address)> = Vec::new();
+        let mut new_requests = std::mem::take(&mut self.issue_requests);
 
         // Pass 1: decide which window slots issue this cycle.
-        let window_snapshot: Vec<(usize, InflightOp)> = self
-            .window
-            .iter()
-            .enumerate()
-            .map(|(pos, op)| (pos, *op))
-            .collect();
+        let mut window_snapshot = std::mem::take(&mut self.issue_window);
+        window_snapshot.clear();
+        window_snapshot.extend(self.window.iter().enumerate().map(|(pos, op)| (pos, *op)));
         for (pos, op) in &window_snapshot {
             if issued >= issue_width {
                 break;
@@ -573,7 +617,9 @@ impl CoreModel {
             }
             match op.op.kind {
                 TestOpKind::Read | TestOpKind::ReadAddrDp => {
-                    if self.load_blocked(&window_snapshot, *pos, op, bugs) {
+                    if let Some(stall) = self.load_blocked(&window_snapshot, *pos, op, bugs) {
+                        stall.counter().incr();
+                        self.stalls[stall as usize] += 1;
                         continue;
                     }
                     if let Some(value) = self.forwarded_value(op.op.addr, op.idx) {
@@ -660,11 +706,53 @@ impl CoreModel {
             }
         }
         ISSUED_REQUESTS.add(new_requests.len() as u64);
-        for (pos, kind, addr) in new_requests {
+        for (pos, kind, addr) in new_requests.drain(..) {
             let tag = self.alloc_tag();
             self.window[pos].state = OpState::Issued { tag };
             out.requests.push(CoreRequest { tag, addr, kind });
         }
+        let idle = window_snapshot
+            .iter()
+            .zip(&self.window)
+            .all(|((_, before), now)| before.state == now.state);
+        self.issue_window = window_snapshot;
+        self.issue_requests = new_requests;
+        idle
+    }
+
+    /// The per-cycle issue-jitter draw: `false` holds the issue stage back
+    /// for one cycle.  Draws nothing when jitter is off.
+    pub fn jitter_lets_issue(&self, rng: &mut StdRng) -> bool {
+        self.issue_jitter == 0 || rng.gen_range(0u32..65536) >= self.issue_jitter as u32
+    }
+
+    /// Counts the load stalls of `ticks` further ticks of a [quiescent] core
+    /// whose jitter draw let the issue stage run: each such tick stalls the
+    /// same loads for the same reasons as the last one that ran, and does
+    /// nothing else.
+    ///
+    /// [quiescent]: CoreTickOutput::quiescent
+    pub fn replay_stalls(&self, ticks: u64) {
+        for stall in Stall::ALL {
+            let stalled = self.stalls[stall as usize];
+            if stalled > 0 {
+                stall.counter().add(stalled as u64 * ticks);
+            }
+        }
+    }
+
+    /// The earliest cycle at which a waiting `Delay` op completes, if any:
+    /// the one thing that ends a [quiescent] core's wait from the inside.
+    ///
+    /// [quiescent]: CoreTickOutput::quiescent
+    pub fn next_delay_expiry(&self) -> Option<Cycle> {
+        self.window
+            .iter()
+            .filter(|o| {
+                o.state == OpState::Waiting && matches!(o.op.kind, TestOpKind::Delay { .. })
+            })
+            .map(|o| o.ready_at)
+            .min()
     }
 
     // ---- 5. Retire ----
@@ -835,7 +923,7 @@ impl CoreModel {
     ) -> CoreTickOutput {
         let mut out = CoreTickOutput::default();
         if self.is_finished() {
-            self.finished_reported = true;
+            out.quiescent = true;
             return out;
         }
         // Notices are processed before responses so that a self-invalidation
@@ -844,10 +932,20 @@ impl CoreModel {
         // point).
         self.process_notices(notices, bugs);
         self.process_responses(responses, &mut out);
+        let fetched = self.next_fetch;
         self.fetch(cycle);
-        self.issue(cycle, bugs, &mut out, rng);
+        let issue_idle = self.issue(cycle, bugs, &mut out, rng);
+        // Retirement (and the early store commit) only ever shrinks the window.
+        let in_window = self.window.len();
         self.retire(&mut out);
         self.drain_store_buffer(bugs, &mut out, rng);
+        out.quiescent = issue_idle
+            && responses.is_empty()
+            && notices.is_empty()
+            && self.next_fetch == fetched
+            && self.window.len() == in_window
+            && out.requests.is_empty()
+            && out.observed.is_empty();
         out
     }
 
@@ -862,12 +960,9 @@ pub fn cores_for_program(
     program: &crate::program::TestProgram,
     cfg: &SystemConfig,
 ) -> Vec<CoreModel> {
-    let mut map: BTreeMap<usize, ThreadProgram> = BTreeMap::new();
-    for (t, ops) in program.threads().iter().enumerate() {
-        map.insert(t, ops.clone());
-    }
+    let threads = program.threads();
     (0..cfg.num_cores)
-        .map(|c| CoreModel::new(c, map.get(&c).cloned().unwrap_or_default(), cfg))
+        .map(|c| CoreModel::new(c, threads.get(c).cloned().unwrap_or_default(), cfg))
         .collect()
 }
 
@@ -1274,6 +1369,74 @@ mod tests {
             .iter()
             .any(|o| matches!(o, ObservedOp::Fence { poi: 1 })));
         assert!(core.is_finished());
+    }
+
+    #[test]
+    fn a_tick_that_changes_nothing_is_quiescent_until_a_delay_expires() {
+        let cfg = cfg();
+        let mut rng = rng();
+        let bugs = BugConfig::none();
+        let program = vec![TestOp::delay(5), TestOp::read(Address(0x100))];
+        let mut core = CoreModel::new(0, program.clone(), &cfg);
+        let out = core.tick(1, &bugs, &[], &[], &mut rng);
+        assert_eq!(out.requests.len(), 1, "the load issues past the delay");
+        assert!(!out.quiescent);
+        assert_eq!(core.next_delay_expiry(), Some(6));
+        for cycle in 2..6 {
+            let out = core.tick(cycle, &bugs, &[], &[], &mut rng);
+            assert!(out.quiescent, "cycle {cycle}: nothing to do but wait");
+            assert!(out.requests.is_empty() && out.observed.is_empty());
+        }
+        let out = core.tick(6, &bugs, &[], &[], &mut rng);
+        assert!(!out.quiescent, "the delay expired and retired");
+        assert_eq!(core.next_delay_expiry(), None);
+        assert!(core.tick(7, &bugs, &[], &[], &mut rng).quiescent);
+        let response = CoreResponse {
+            tag: 1,
+            kind: CoreRespKind::LoadDone { value: 0 },
+        };
+        assert!(!core.tick(8, &bugs, &[response], &[], &mut rng).quiescent);
+        assert!(core.is_finished());
+        assert!(core.tick(9, &bugs, &[], &[], &mut rng).quiescent);
+
+        // A core held back by its jitter draw is not quiescent: the issue
+        // stage it skipped might have done something.
+        let mut jittery = cfg;
+        jittery.issue_jitter = u16::MAX;
+        let mut core = CoreModel::new(0, program, &jittery);
+        core.tick(1, &bugs, &[], &[], &mut rng);
+        let held = (2..40)
+            .filter(|&cycle| !core.tick(cycle, &bugs, &[], &[], &mut rng).quiescent)
+            .count();
+        assert!(held > 30, "only {held} of 38 ticks were held back");
+    }
+
+    #[test]
+    fn reset_returns_a_core_to_its_initial_state() {
+        let cfg = cfg();
+        let bugs = BugConfig::none();
+        let program = vec![
+            TestOp::write(Address(0x100), 1),
+            TestOp::read(Address(0x200)),
+        ];
+        let run = |core: &mut CoreModel| {
+            let mut rng = rng();
+            (1..4)
+                .map(|cycle| {
+                    let out = core.tick(cycle, &bugs, &[], &[], &mut rng);
+                    (out.requests, out.observed, out.quiescent)
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut core = CoreModel::new(0, program, &cfg);
+        let first = run(&mut core);
+        core.reset();
+        assert!(!core.is_finished());
+        assert_eq!(
+            run(&mut core),
+            first,
+            "same tags, same requests, same order"
+        );
     }
 
     // ---- Relaxed pipeline ----

@@ -7,6 +7,7 @@
 
 use crate::config::SystemConfig;
 use crate::msg::{Msg, MsgPayload};
+use crate::protocol::{earliest_release, release_due};
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
@@ -94,9 +95,24 @@ impl MemoryController {
         self.inbox.is_empty() && self.pending.is_empty()
     }
 
-    /// Advances the controller by one cycle, returning response messages.
-    pub fn tick<R: Rng>(&mut self, cycle: Cycle, cfg: &SystemConfig, rng: &mut R) -> Vec<Msg> {
+    /// The earliest cycle at which a pending read response is released.
+    pub fn next_release(&self) -> Option<Cycle> {
+        earliest_release(&self.pending)
+    }
+
+    /// Advances the controller by one cycle, appending the response messages
+    /// that are due to `out`.  Returns whether it made progress (accepted a
+    /// request or released a response); a tick that did not has changed
+    /// nothing and drawn nothing from `rng`.
+    pub fn tick<R: Rng>(
+        &mut self,
+        cycle: Cycle,
+        cfg: &SystemConfig,
+        rng: &mut R,
+        out: &mut Vec<Msg>,
+    ) -> bool {
         // Accept new requests.
+        let mut progress = !self.inbox.is_empty();
         while let Some(msg) = self.inbox.pop_front() {
             match msg.payload {
                 MsgPayload::MemRead { line } => {
@@ -120,17 +136,8 @@ impl MemoryController {
             }
         }
         // Emit responses that are due.
-        let mut out = Vec::new();
-        let mut remaining = Vec::with_capacity(self.pending.len());
-        for (ready, msg) in self.pending.drain(..) {
-            if ready <= cycle {
-                out.push(msg);
-            } else {
-                remaining.push((ready, msg));
-            }
-        }
-        self.pending = remaining;
-        out
+        progress |= release_due(&mut self.pending, cycle, out);
+        progress
     }
 }
 
@@ -168,11 +175,21 @@ mod tests {
             },
         ));
         // Not served before the minimum latency.
-        let out = mem.tick(0, &cfg, &mut rng);
+        let mut out = Vec::new();
+        assert!(
+            mem.tick(0, &cfg, &mut rng, &mut out),
+            "accepting is progress"
+        );
         assert!(out.is_empty());
         assert!(!mem.is_idle());
+        let due = mem.next_release().expect("one response pending");
+        assert!((cfg.latency.mem_min..=cfg.latency.mem_max).contains(&due));
+        assert!(
+            !mem.tick(due - 1, &cfg, &mut rng, &mut out),
+            "nothing due yet"
+        );
         // Served by the maximum latency.
-        let out = mem.tick(cfg.latency.mem_max, &cfg, &mut rng);
+        assert!(mem.tick(cfg.latency.mem_max, &cfg, &mut rng, &mut out));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dst, l2);
         match &out[0].payload {
@@ -199,7 +216,7 @@ mod tests {
                 data,
             },
         ));
-        mem.tick(0, &cfg, &mut rng);
+        mem.tick(0, &cfg, &mut rng, &mut Vec::new());
         assert_eq!(mem.peek_line(LineAddr(0x2000)).word(0), 7);
         assert_eq!(mem.writes_served(), 1);
     }

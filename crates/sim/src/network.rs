@@ -14,10 +14,10 @@
 
 use crate::config::SystemConfig;
 use crate::msg::{Msg, VirtualNetwork};
-use crate::types::{Cycle, NodeId};
+use crate::types::Cycle;
 use mcversi_telemetry as telemetry;
 use rand::Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Messages injected on the request virtual network.
 static NET_REQUEST: telemetry::Counter = telemetry::Counter::new("sim.net.msg.request");
@@ -26,20 +26,39 @@ static NET_FORWARD: telemetry::Counter = telemetry::Counter::new("sim.net.msg.fo
 /// Messages injected on the response virtual network.
 static NET_RESPONSE: telemetry::Counter = telemetry::Counter::new("sim.net.msg.response");
 
-type ChannelKey = (NodeId, NodeId, VirtualNetwork);
+/// Virtual networks per (source, destination) pair.
+const VNETS: usize = 3;
 
 /// The mesh interconnect.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Network {
-    channels: BTreeMap<ChannelKey, VecDeque<(Cycle, Msg)>>,
+    nodes: usize,
+    /// One FIFO per (source, destination, virtual network), at index
+    /// `(src * nodes + dst) * VNETS + vnet`: ascending index order is the
+    /// delivery order within a cycle.
+    channels: Vec<VecDeque<(Cycle, Msg)>>,
+    /// The earliest head-of-channel delivery time (`None` when empty), kept
+    /// up to date so the per-cycle "anything due?" question costs one compare.
+    earliest: Option<Cycle>,
     in_flight: usize,
     total_sent: u64,
 }
 
 impl Network {
-    /// Creates an empty network.
-    pub fn new() -> Self {
-        Network::default()
+    /// Creates an empty network connecting the nodes of `cfg`.
+    pub fn new(cfg: &SystemConfig) -> Self {
+        let nodes = cfg.num_nodes();
+        Network {
+            nodes,
+            channels: vec![VecDeque::new(); nodes * nodes * VNETS],
+            earliest: None,
+            in_flight: 0,
+            total_sent: 0,
+        }
+    }
+
+    fn channel_index(&self, msg: &Msg, vnet: VirtualNetwork) -> usize {
+        (msg.src.index() * self.nodes + msg.dst.index()) * VNETS + vnet as usize
     }
 
     /// Number of messages currently in flight.
@@ -77,20 +96,20 @@ impl Network {
         // IS_I race reachable without allowing a stale invalidation to arrive
         // after the data its transaction produced.
         if vnet == VirtualNetwork::Response {
-            if let Some(&(last_fwd, _)) = self
-                .channels
-                .get(&(msg.src, msg.dst, VirtualNetwork::Forward))
-                .and_then(|q| q.back())
-            {
+            let forward = self.channel_index(&msg, VirtualNetwork::Forward);
+            if let Some(&(last_fwd, _)) = self.channels[forward].back() {
                 deliver_at = deliver_at.max(last_fwd);
             }
         }
-        let key = (msg.src, msg.dst, vnet);
-        let queue = self.channels.entry(key).or_default();
+        let index = self.channel_index(&msg, vnet);
+        let queue = &mut self.channels[index];
         if let Some(&(last, _)) = queue.back() {
             deliver_at = deliver_at.max(last);
         }
         queue.push_back((deliver_at, msg));
+        // A message joining a non-empty channel is no earlier than its head,
+        // so the minimum over heads only ever moves when it is undercut.
+        self.earliest = Some(self.earliest.map_or(deliver_at, |e| e.min(deliver_at)));
         self.in_flight += 1;
         self.total_sent += 1;
         match vnet {
@@ -100,36 +119,40 @@ impl Network {
         }
     }
 
-    /// Removes and returns every message whose delivery time has been reached,
-    /// preserving per-channel FIFO order.
-    pub fn deliver_due(&mut self, now: Cycle) -> Vec<Msg> {
-        let mut out = Vec::new();
-        for queue in self.channels.values_mut() {
+    /// Removes every message whose delivery time has been reached and appends
+    /// it to `out`, in ascending (source, destination, virtual network)
+    /// channel order and FIFO within a channel.
+    pub fn deliver_due(&mut self, now: Cycle, out: &mut Vec<Msg>) {
+        if self.earliest.is_none_or(|earliest| earliest > now) {
+            return;
+        }
+        let mut earliest: Option<Cycle> = None;
+        for queue in &mut self.channels {
             while let Some(&(ready, _)) = queue.front() {
-                if ready <= now {
-                    let (_, msg) = queue.pop_front().expect("front exists");
-                    out.push(msg);
-                    self.in_flight -= 1;
-                } else {
+                if ready > now {
+                    earliest = Some(earliest.map_or(ready, |e| e.min(ready)));
                     break;
                 }
+                let (_, msg) = queue.pop_front().expect("front exists");
+                out.push(msg);
+                self.in_flight -= 1;
             }
         }
-        out
+        self.earliest = earliest;
     }
 
-    /// The earliest pending delivery time, if any (used to fast-forward the
-    /// clock when all components are otherwise idle).
+    /// The earliest pending delivery time, if any (the network's deadline
+    /// when the system fast-forwards over cycles in which nothing happens).
     pub fn next_delivery(&self) -> Option<Cycle> {
-        self.channels
-            .values()
-            .filter_map(|q| q.front().map(|&(t, _)| t))
-            .min()
+        self.earliest
     }
 
     /// Drops all in-flight messages (used by the host-assisted hard reset).
     pub fn clear(&mut self) {
-        self.channels.clear();
+        if self.in_flight > 0 {
+            self.channels.iter_mut().for_each(VecDeque::clear);
+        }
+        self.earliest = None;
         self.in_flight = 0;
     }
 }
@@ -138,7 +161,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::msg::MsgPayload;
-    use crate::types::LineAddr;
+    use crate::types::{LineAddr, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -148,6 +171,12 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    fn deliver(net: &mut Network, now: Cycle) -> Vec<Msg> {
+        let mut out = Vec::new();
+        net.deliver_due(now, &mut out);
+        out
     }
 
     fn gets(src: u32, dst: u32, line: u64) -> Msg {
@@ -164,16 +193,16 @@ mod tests {
     fn messages_are_delivered_after_latency() {
         let cfg = cfg();
         let mut rng = rng();
-        let mut net = Network::new();
+        let mut net = Network::new(&cfg);
         net.send(gets(0, 8, 0x40), 100, &cfg, &mut rng);
         assert_eq!(net.in_flight(), 1);
-        assert!(net.deliver_due(100).is_empty(), "not instantaneous");
+        assert!(deliver(&mut net, 100).is_empty(), "not instantaneous");
         // Worst case latency: 1 + hops*link + jitter.
         let worst = 100
             + 1
             + cfg.mesh_hops(NodeId(0), NodeId(8)) * cfg.latency.link_hop
             + cfg.latency.network_jitter;
-        let delivered = net.deliver_due(worst);
+        let delivered = deliver(&mut net, worst);
         assert_eq!(delivered.len(), 1);
         assert!(net.is_empty());
     }
@@ -182,13 +211,13 @@ mod tests {
     fn fifo_per_channel() {
         let cfg = cfg();
         let mut rng = rng();
-        let mut net = Network::new();
+        let mut net = Network::new(&cfg);
         // Many messages on the same channel: delivery order must match send
         // order even though jitter varies.
         for i in 0..50u64 {
             net.send(gets(0, 8, 0x40 * (i + 1)), i, &cfg, &mut rng);
         }
-        let delivered = net.deliver_due(10_000);
+        let delivered = deliver(&mut net, 10_000);
         assert_eq!(delivered.len(), 50);
         for (i, msg) in delivered.iter().enumerate() {
             assert_eq!(msg.payload.line(), LineAddr(0x40 * (i as u64 + 1)));
@@ -198,7 +227,7 @@ mod tests {
     #[test]
     fn different_vnets_can_reorder() {
         let cfg = cfg();
-        let mut net = Network::new();
+        let mut net = Network::new(&cfg);
         // Deterministically construct reordering by zeroing jitter and using
         // payloads on different vnets with different send times such that the
         // later-sent forward arrives earlier than the earlier-sent response
@@ -215,7 +244,7 @@ mod tests {
         };
         net.send(Msg::new(NodeId(8), NodeId(0), data), 0, &cfg, &mut rng);
         net.send(Msg::new(NodeId(8), NodeId(0), inv), 0, &cfg, &mut rng);
-        let delivered = net.deliver_due(10_000);
+        let delivered = deliver(&mut net, 10_000);
         assert_eq!(delivered.len(), 2);
     }
 
@@ -223,7 +252,7 @@ mod tests {
     fn next_delivery_and_clear() {
         let cfg = cfg();
         let mut rng = rng();
-        let mut net = Network::new();
+        let mut net = Network::new(&cfg);
         assert_eq!(net.next_delivery(), None);
         net.send(gets(0, 8, 0x40), 7, &cfg, &mut rng);
         let next = net.next_delivery().expect("one message pending");
@@ -234,14 +263,58 @@ mod tests {
     }
 
     #[test]
+    fn next_delivery_tracks_the_earliest_head_and_channel_order_is_kept() {
+        let cfg = cfg();
+        let mut rng = rng();
+        let mut net = Network::new(&cfg);
+        // Three channels, sent from the highest (src, dst) pair down.
+        for (src, dst) in [(9, 1), (8, 3), (8, 0), (8, 0)] {
+            net.send(gets(src, dst, 0x40), 10, &cfg, &mut rng);
+        }
+        let heads: Vec<Cycle> = net
+            .channels
+            .iter()
+            .filter_map(|q| q.front().map(|&(t, _)| t))
+            .collect();
+        assert_eq!(net.next_delivery(), heads.iter().copied().min());
+        // Deliver only what is due at the earliest time: the cache moves on
+        // to the earliest remaining head (or to None).
+        let first = net.next_delivery().expect("pending");
+        let delivered = deliver(&mut net, first);
+        assert!(!delivered.is_empty());
+        let remaining = net
+            .channels
+            .iter()
+            .filter_map(|q| q.front().map(|&(t, _)| t))
+            .min();
+        assert_eq!(net.next_delivery(), remaining);
+        assert!(remaining.is_none_or(|t| t > first));
+        // Everything else comes out in ascending (src, dst) order, FIFO within.
+        let rest = deliver(&mut net, 10_000);
+        let mut all = delivered;
+        all.extend(rest);
+        assert_eq!(all.len(), 4);
+        assert_eq!(net.next_delivery(), None);
+        let mut net = Network::new(&cfg);
+        for (src, dst) in [(9, 1), (8, 3), (8, 0)] {
+            net.send(gets(src, dst, 0x40), 10, &cfg, &mut rng);
+        }
+        let order: Vec<(u32, u32)> = deliver(&mut net, 10_000)
+            .iter()
+            .map(|m| (m.src.0, m.dst.0))
+            .collect();
+        assert_eq!(order, [(8, 0), (8, 3), (9, 1)]);
+    }
+
+    #[test]
     fn statistics_count_sends() {
         let cfg = cfg();
         let mut rng = rng();
-        let mut net = Network::new();
+        let mut net = Network::new(&cfg);
         for i in 0..10 {
             net.send(gets(0, 8, 0x40 + i * 64), 0, &cfg, &mut rng);
         }
-        net.deliver_due(10_000);
+        deliver(&mut net, 10_000);
         assert_eq!(net.total_sent(), 10);
         assert!(net.is_empty());
     }

@@ -24,7 +24,8 @@ use crate::config::SystemConfig;
 use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload};
 use crate::protocol::{
-    CoreReqKind, CoreRequest, CoreRespKind, CoreResponse, L1Controller, L1Output, TickCtx,
+    earliest_release, release_due, CoreReqKind, CoreRequest, CoreRespKind, CoreResponse,
+    L1Controller, L1Output, TickCtx,
 };
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
@@ -308,7 +309,7 @@ impl MesiL1 {
             }
             (CoreReqKind::Load, None) => {
                 ctx.coverage.record(Transition::l1("I", "Load"));
-                L1_MISSES.incr();
+                ctx.count_on_stall_path(&L1_MISSES);
                 if !self.make_room(out, ctx, line) {
                     return false;
                 }
@@ -349,7 +350,7 @@ impl MesiL1 {
             }
             (CoreReqKind::Store { .. }, Some(L1State::Shared)) => {
                 ctx.coverage.record(Transition::l1("S", "Store"));
-                L1_MISSES.incr();
+                ctx.count_on_stall_path(&L1_MISSES);
                 let mut mshr = Mshr::new(Transient::SM);
                 mshr.pending.push(PendingOp {
                     tag: req.tag,
@@ -366,7 +367,7 @@ impl MesiL1 {
             }
             (CoreReqKind::Store { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Store"));
-                L1_MISSES.incr();
+                ctx.count_on_stall_path(&L1_MISSES);
                 if !self.make_room(out, ctx, line) {
                     return false;
                 }
@@ -399,7 +400,7 @@ impl MesiL1 {
             }
             (CoreReqKind::Rmw { .. }, Some(L1State::Shared)) => {
                 ctx.coverage.record(Transition::l1("S", "Rmw"));
-                L1_MISSES.incr();
+                ctx.count_on_stall_path(&L1_MISSES);
                 let mut mshr = Mshr::new(Transient::SM);
                 mshr.pending.push(PendingOp {
                     tag: req.tag,
@@ -416,7 +417,7 @@ impl MesiL1 {
             }
             (CoreReqKind::Rmw { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Rmw"));
-                L1_MISSES.incr();
+                ctx.count_on_stall_path(&L1_MISSES);
                 if !self.make_room(out, ctx, line) {
                     return false;
                 }
@@ -813,16 +814,17 @@ impl L1Controller for MesiL1 {
         self.msg_inbox.push_back(msg);
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) -> L1Output {
-        let mut out = L1Output::default();
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool {
+        let emitted = (out.to_network.len(), out.lq_notices.len());
 
         // Protocol messages are never stalled.
+        let mut progress = !self.msg_inbox.is_empty();
         while let Some(msg) = self.msg_inbox.pop_front() {
             let line = msg.payload.line();
             if self.mshrs.contains_key(&line) {
-                self.handle_msg_transient(&mut out, ctx, msg);
+                self.handle_msg_transient(out, ctx, msg);
             } else {
-                self.handle_msg_stable(&mut out, ctx, msg);
+                self.handle_msg_stable(out, ctx, msg);
             }
         }
 
@@ -833,24 +835,23 @@ impl L1Controller for MesiL1 {
             let Some(req) = self.core_requests.front().copied() else {
                 break;
             };
-            if self.process_core_request(&mut out, ctx, req) {
+            if self.process_core_request(out, ctx, req) {
                 self.core_requests.pop_front();
                 budget -= 1;
+                progress = true;
             } else {
                 break;
             }
         }
 
         // Release responses whose hit latency has elapsed.
-        let cycle = ctx.cycle;
-        let (ready, waiting): (Vec<_>, Vec<_>) = self
-            .ready_responses
-            .drain(..)
-            .partition(|&(t, _)| t <= cycle);
-        self.ready_responses = waiting;
-        out.responses.extend(ready.into_iter().map(|(_, r)| r));
+        progress |= release_due(&mut self.ready_responses, ctx.cycle, &mut out.responses);
 
-        out
+        progress || emitted != (out.to_network.len(), out.lq_notices.len())
+    }
+
+    fn next_release(&self) -> Option<Cycle> {
+        earliest_release(&self.ready_responses)
     }
 
     fn is_idle(&self) -> bool {
@@ -884,6 +885,7 @@ mod tests {
         coverage: CoverageRecorder,
         rng: StdRng,
         errors: Vec<ProtocolError>,
+        stall_path_counts: Vec<&'static mcversi_telemetry::Counter>,
         cycle: Cycle,
     }
 
@@ -895,6 +897,7 @@ mod tests {
                 coverage: CoverageRecorder::new(),
                 rng: StdRng::seed_from_u64(7),
                 errors: Vec::new(),
+                stall_path_counts: Vec::new(),
                 cycle: 0,
             }
         }
@@ -908,8 +911,11 @@ mod tests {
                 coverage: &mut self.coverage,
                 rng: &mut self.rng,
                 errors: &mut self.errors,
+                stall_path_counts: &mut self.stall_path_counts,
             };
-            l1.tick(&mut ctx)
+            let mut out = L1Output::default();
+            l1.tick(&mut ctx, &mut out);
+            out
         }
 
         /// Ticks until the given predicate yields a value or `max` cycles pass.

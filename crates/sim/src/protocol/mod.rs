@@ -23,6 +23,7 @@ use crate::msg::Msg;
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr};
 use mcversi_mcm::Address;
+use mcversi_telemetry as telemetry;
 use rand::rngs::StdRng;
 use std::fmt;
 
@@ -94,7 +95,8 @@ pub enum CoreRespKind {
     FenceDone,
 }
 
-/// Everything an L1 produces in one cycle.
+/// Everything an L1 produces in one cycle.  The system owns one per L1 and
+/// reuses it: [`L1Controller::tick`] appends, the system drains.
 #[derive(Debug, Default)]
 pub struct L1Output {
     /// Messages to inject into the network.
@@ -122,6 +124,41 @@ pub struct TickCtx<'a> {
     pub rng: &'a mut StdRng,
     /// Sink for protocol errors (invalid transitions).
     pub errors: &'a mut Vec<ProtocolError>,
+    /// Per-cycle log behind [`TickCtx::count_on_stall_path`].
+    pub stall_path_counts: &'a mut Vec<&'static telemetry::Counter>,
+}
+
+impl TickCtx<'_> {
+    /// Bumps a telemetry counter that sits on a path a stalled request
+    /// re-takes every cycle it is retried, and logs it for this cycle so the
+    /// system can replay it for fast-forwarded cycles (see the inertness
+    /// contract on [`L1Controller::tick`]).
+    pub fn count_on_stall_path(&mut self, counter: &'static telemetry::Counter) {
+        counter.incr();
+        self.stall_path_counts.push(counter);
+    }
+}
+
+/// Moves every entry of `pending` whose release time has come into `out`,
+/// in place and keeping the order on both sides.  Returns `true` if any
+/// entry was due.
+pub(crate) fn release_due<T>(
+    pending: &mut Vec<(Cycle, T)>,
+    cycle: Cycle,
+    out: &mut Vec<T>,
+) -> bool {
+    let before = out.len();
+    out.extend(
+        pending
+            .extract_if(.., |&mut (ready, _)| ready <= cycle)
+            .map(|(_, item)| item),
+    );
+    out.len() != before
+}
+
+/// The earliest release time among `pending`, if any.
+pub(crate) fn earliest_release<T>(pending: &[(Cycle, T)]) -> Option<Cycle> {
+    pending.iter().map(|&(ready, _)| ready).min()
 }
 
 /// A private L1 cache controller.
@@ -132,8 +169,22 @@ pub trait L1Controller: fmt::Debug {
     /// Queues an incoming protocol message.
     fn push_msg(&mut self, msg: Msg);
 
-    /// Advances the controller by one cycle.
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) -> L1Output;
+    /// Advances the controller by one cycle, appending what it produces to
+    /// `out`.  Returns whether it made *progress*: consumed a message,
+    /// accepted a core request, released a response or emitted anything.
+    ///
+    /// The inertness contract: a tick that returns `false` has left the
+    /// controller exactly as it found it — except for coverage records, which
+    /// go through [`TickCtx::coverage`]'s per-cycle log, and telemetry
+    /// counters, which must go through [`TickCtx::count_on_stall_path`] — and
+    /// has drawn nothing from the RNG.  Repeating it with the same (empty)
+    /// inputs therefore does the same again until
+    /// [`next_release`](Self::next_release) comes, which is what lets the
+    /// system fast-forward.
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool;
+
+    /// The earliest cycle at which a held-back core response is released.
+    fn next_release(&self) -> Option<Cycle>;
 
     /// Returns `true` when no transactions, queued requests or queued messages
     /// are outstanding.
@@ -149,8 +200,14 @@ pub trait L2Controller: fmt::Debug {
     /// Queues an incoming protocol message.
     fn push_msg(&mut self, msg: Msg);
 
-    /// Advances the controller by one cycle.
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) -> Vec<Msg>;
+    /// Advances the controller by one cycle, appending the messages it
+    /// injects into the network to `out`.  Returns whether it made progress
+    /// (consumed a response, accepted a request, queued or released a
+    /// message), under the same inertness contract as [`L1Controller::tick`].
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> bool;
+
+    /// The earliest cycle at which a delayed outgoing message is released.
+    fn next_release(&self) -> Option<Cycle>;
 
     /// Returns `true` when no transactions or queued messages are outstanding.
     fn is_idle(&self) -> bool;
@@ -181,5 +238,19 @@ mod tests {
         assert!(out.to_network.is_empty());
         assert!(out.responses.is_empty());
         assert!(out.lq_notices.is_empty());
+    }
+
+    #[test]
+    fn release_due_keeps_order_on_both_sides() {
+        let mut pending = vec![(5, 'a'), (2, 'b'), (9, 'c'), (3, 'd'), (5, 'e')];
+        let mut out = vec!['z'];
+        assert!(!release_due(&mut pending, 1, &mut out));
+        assert_eq!(earliest_release(&pending), Some(2));
+        assert!(release_due(&mut pending, 5, &mut out));
+        assert_eq!(out, vec!['z', 'a', 'b', 'd', 'e']);
+        assert_eq!(pending, vec![(9, 'c')]);
+        assert_eq!(earliest_release(&pending), Some(9));
+        assert!(release_due(&mut pending, 9, &mut out));
+        assert_eq!(earliest_release(&pending), None);
     }
 }

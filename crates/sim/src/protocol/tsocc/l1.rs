@@ -18,7 +18,8 @@ use crate::config::SystemConfig;
 use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload, TsInfo};
 use crate::protocol::{
-    CoreReqKind, CoreRequest, CoreRespKind, CoreResponse, L1Controller, L1Output, TickCtx,
+    earliest_release, release_due, CoreReqKind, CoreRequest, CoreRespKind, CoreResponse,
+    L1Controller, L1Output, TickCtx,
 };
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
@@ -366,7 +367,7 @@ impl TsoCcL1 {
                 if expired {
                     // The staleness budget is exhausted: re-fetch.
                     ctx.coverage.record(Transition::l1("S", "Expired"));
-                    L1_MISSES.incr();
+                    ctx.count_on_stall_path(&L1_MISSES);
                     self.cache.remove(line);
                     out.lq_notices.push(line);
                     let mut mshr = Mshr::new(Transient::IS);
@@ -396,7 +397,7 @@ impl TsoCcL1 {
             }
             (CoreReqKind::Load, None) => {
                 ctx.coverage.record(Transition::l1("I", "Load"));
-                L1_MISSES.incr();
+                ctx.count_on_stall_path(&L1_MISSES);
                 if !self.make_room(out, ctx, line) {
                     return false;
                 }
@@ -428,7 +429,7 @@ impl TsoCcL1 {
                 // The stale Shared copy is dropped; exclusive ownership is
                 // requested.  Dropping the copy is a loss of read permission.
                 ctx.coverage.record(Transition::l1("S", "Store"));
-                L1_MISSES.incr();
+                ctx.count_on_stall_path(&L1_MISSES);
                 self.cache.remove(line);
                 out.lq_notices.push(line);
                 let mut mshr = Mshr::new(Transient::IM);
@@ -443,7 +444,7 @@ impl TsoCcL1 {
             }
             (CoreReqKind::Store { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Store"));
-                L1_MISSES.incr();
+                ctx.count_on_stall_path(&L1_MISSES);
                 if !self.make_room(out, ctx, line) {
                     return false;
                 }
@@ -478,7 +479,7 @@ impl TsoCcL1 {
                         // (The Shared copy, if any, was just self-invalidated.)
                         ctx.coverage
                             .record(Transition::l1(st.map_or("I", |s| s.name()), "Rmw"));
-                        L1_MISSES.incr();
+                        ctx.count_on_stall_path(&L1_MISSES);
                         if !self.make_room(out, ctx, line) {
                             return false;
                         }
@@ -835,31 +836,31 @@ impl L1Controller for TsoCcL1 {
         self.msg_inbox.push_back(msg);
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) -> L1Output {
-        let mut out = L1Output::default();
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool {
+        let emitted = (out.to_network.len(), out.lq_notices.len());
+        let mut progress = !self.msg_inbox.is_empty();
         while let Some(msg) = self.msg_inbox.pop_front() {
-            self.handle_msg(&mut out, ctx, msg);
+            self.handle_msg(out, ctx, msg);
         }
         let mut budget = 8usize;
         while budget > 0 {
             let Some(req) = self.core_requests.front().copied() else {
                 break;
             };
-            if self.process_core_request(&mut out, ctx, req) {
+            if self.process_core_request(out, ctx, req) {
                 self.core_requests.pop_front();
                 budget -= 1;
+                progress = true;
             } else {
                 break;
             }
         }
-        let cycle = ctx.cycle;
-        let (ready, waiting): (Vec<_>, Vec<_>) = self
-            .ready_responses
-            .drain(..)
-            .partition(|&(t, _)| t <= cycle);
-        self.ready_responses = waiting;
-        out.responses.extend(ready.into_iter().map(|(_, r)| r));
-        out
+        progress |= release_due(&mut self.ready_responses, ctx.cycle, &mut out.responses);
+        progress || emitted != (out.to_network.len(), out.lq_notices.len())
+    }
+
+    fn next_release(&self) -> Option<Cycle> {
+        earliest_release(&self.ready_responses)
     }
 
     fn is_idle(&self) -> bool {
@@ -896,6 +897,7 @@ mod tests {
         coverage: CoverageRecorder,
         rng: StdRng,
         errors: Vec<ProtocolError>,
+        stall_path_counts: Vec<&'static mcversi_telemetry::Counter>,
         cycle: Cycle,
     }
 
@@ -907,6 +909,7 @@ mod tests {
                 coverage: CoverageRecorder::new(),
                 rng: StdRng::seed_from_u64(5),
                 errors: Vec::new(),
+                stall_path_counts: Vec::new(),
                 cycle: 0,
             }
         }
@@ -920,8 +923,11 @@ mod tests {
                 coverage: &mut self.coverage,
                 rng: &mut self.rng,
                 errors: &mut self.errors,
+                stall_path_counts: &mut self.stall_path_counts,
             };
-            l1.tick(&mut ctx)
+            let mut out = L1Output::default();
+            l1.tick(&mut ctx, &mut out);
+            out
         }
 
         fn tick_until<T>(

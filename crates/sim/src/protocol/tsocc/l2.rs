@@ -12,7 +12,7 @@ use crate::cache::CacheArray;
 use crate::config::SystemConfig;
 use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload, TsInfo};
-use crate::protocol::{L2Controller, TickCtx};
+use crate::protocol::{earliest_release, release_due, L2Controller, TickCtx};
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
 use rand::Rng;
@@ -474,27 +474,38 @@ impl L2Controller for TsoCcL2 {
         }
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) -> Vec<Msg> {
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> bool {
+        let queued = self.pending_out.len();
+        // Responses first: they unblock transactions and are never stalled.
+        let mut progress = !self.responses.is_empty();
         while let Some(msg) = self.responses.pop_front() {
             self.process_response(ctx, msg);
         }
+        // Requests: head-of-line blocking per bank.  The head is taken out
+        // while it is processed and put back if it must stall, so a blocked
+        // request costs no copy of its payload.
         let mut budget = 8usize;
         while budget > 0 {
-            let Some(msg) = self.requests.front().cloned() else {
+            let Some(msg) = self.requests.pop_front() else {
                 break;
             };
             if self.process_request(ctx, &msg) {
-                self.requests.pop_front();
                 budget -= 1;
+                progress = true;
             } else {
+                self.requests.push_front(msg);
                 break;
             }
         }
-        let cycle = ctx.cycle;
-        let (ready, waiting): (Vec<_>, Vec<_>) =
-            self.pending_out.drain(..).partition(|&(t, _)| t <= cycle);
-        self.pending_out = waiting;
-        ready.into_iter().map(|(_, m)| m).collect()
+        // A stalled request may still have started an eviction.
+        progress |= self.pending_out.len() != queued;
+        // Release delayed outgoing messages.
+        progress |= release_due(&mut self.pending_out, ctx.cycle, out);
+        progress
+    }
+
+    fn next_release(&self) -> Option<Cycle> {
+        earliest_release(&self.pending_out)
     }
 
     fn is_idle(&self) -> bool {
@@ -529,6 +540,7 @@ mod tests {
         coverage: CoverageRecorder,
         rng: StdRng,
         errors: Vec<ProtocolError>,
+        stall_path_counts: Vec<&'static mcversi_telemetry::Counter>,
         cycle: Cycle,
     }
 
@@ -540,23 +552,29 @@ mod tests {
                 coverage: CoverageRecorder::new(),
                 rng: StdRng::seed_from_u64(11),
                 errors: Vec::new(),
+                stall_path_counts: Vec::new(),
                 cycle: 0,
             }
+        }
+
+        fn tick(&mut self, l2: &mut TsoCcL2, out: &mut Vec<Msg>) -> bool {
+            self.cycle += 1;
+            let mut ctx = TickCtx {
+                cycle: self.cycle,
+                cfg: &self.cfg,
+                bugs: &self.bugs,
+                coverage: &mut self.coverage,
+                rng: &mut self.rng,
+                errors: &mut self.errors,
+                stall_path_counts: &mut self.stall_path_counts,
+            };
+            l2.tick(&mut ctx, out)
         }
 
         fn run(&mut self, l2: &mut TsoCcL2, cycles: u64) -> Vec<Msg> {
             let mut out = Vec::new();
             for _ in 0..cycles {
-                self.cycle += 1;
-                let mut ctx = TickCtx {
-                    cycle: self.cycle,
-                    cfg: &self.cfg,
-                    bugs: &self.bugs,
-                    coverage: &mut self.coverage,
-                    rng: &mut self.rng,
-                    errors: &mut self.errors,
-                };
-                out.extend(l2.tick(&mut ctx));
+                self.tick(l2, &mut out);
             }
             out
         }
@@ -742,6 +760,58 @@ mod tests {
                     && m.dst == h.cfg.node_of_l1(2))
         );
         assert!(h.errors.is_empty());
+    }
+
+    #[test]
+    fn a_stalled_tick_is_inert_but_starting_an_eviction_is_progress() {
+        let mut h = Harness::new();
+        let mut l2 = TsoCcL2::new(0, &h.cfg);
+        let stride = h.cfg.l2_sets() as u64 * h.cfg.line_bytes * h.cfg.l2_banks as u64;
+        let line = |i: u64| LineAddr(0x1000 + i * stride);
+        for i in 0..h.cfg.l2_ways as u64 {
+            l2.push_msg(msg_from_l1(&h, 0, MsgPayload::GetX { line: line(i) }));
+            h.run(&mut l2, 50);
+            l2.push_msg(Msg::new(
+                h.cfg.node_of_memory(),
+                h.cfg.node_of_l2(0),
+                MsgPayload::MemData {
+                    line: line(i),
+                    data: LineData::zeroed(64),
+                },
+            ));
+            h.run(&mut l2, 200);
+        }
+        let np_gets = Transition::l2("NP", "GetS");
+        let replacement = Transition::l2("EX", "Replacement");
+        let recorded = |h: &Harness| (h.coverage.count(np_gets), h.coverage.count(replacement));
+        let before = recorded(&h);
+        // The set is full of owned lines: the request stalls, but the recall
+        // it queues for the victim is a state change.
+        let extra = line(h.cfg.l2_ways as u64);
+        l2.push_msg(msg_from_l1(&h, 1, MsgPayload::GetS { line: extra }));
+        let mut out = Vec::new();
+        assert!(h.tick(&mut l2, &mut out), "queued a recall");
+        assert_eq!(recorded(&h), (before.0 + 1, before.1 + 1));
+        let release = l2.next_release().expect("the recall is waiting");
+        // Until the recall is released every tick retries the request,
+        // records the same transition and changes nothing.
+        while h.cycle + 1 < release {
+            let retried = recorded(&h);
+            assert!(!h.tick(&mut l2, &mut out), "cycle {}", h.cycle);
+            assert_eq!(recorded(&h), (retried.0 + 1, retried.1));
+            assert_eq!(l2.next_release(), Some(release));
+            assert!(out.is_empty());
+        }
+        assert!(h.tick(&mut l2, &mut out), "released the recall");
+        assert!(matches!(
+            out[..],
+            [Msg {
+                payload: MsgPayload::Recall { .. },
+                ..
+            }]
+        ));
+        assert_eq!(l2.next_release(), None);
+        assert!(!h.tick(&mut l2, &mut out), "still waiting for the owner");
     }
 
     #[test]

@@ -10,6 +10,16 @@
 //! test memory re-zeroed, while simulation-persistent state (RNG, coverage
 //! counts, TSO-CC timestamps) is retained so consecutive executions of the
 //! same test are perturbed differently (§5.1).
+//!
+//! Most simulated cycles are *inert*: every message is in flight or waiting
+//! out a latency, and every core and controller re-evaluates the same blocked
+//! head-of-line work with the same result.  After each executed cycle the
+//! loop therefore asks whether anything happened at all, and if not jumps to
+//! just before the earliest cycle at which something can, replaying the few
+//! effects the skipped cycles would have had so that outcomes, coverage
+//! counts, the RNG stream and telemetry counters are exactly those of the
+//! cycle-by-cycle run (`ARCHITECTURE.md`, "The simulation loop and the
+//! inertness contract").
 
 use crate::bugs::BugConfig;
 use crate::config::{ProtocolKind, SystemConfig};
@@ -20,7 +30,7 @@ use crate::msg::Msg;
 use crate::network::Network;
 use crate::observer::ExecObserver;
 use crate::program::TestProgram;
-use crate::protocol::{mesi, tsocc, L1Controller, L2Controller, TickCtx};
+use crate::protocol::{mesi, tsocc, L1Controller, L1Output, L2Controller, TickCtx};
 use crate::types::{Cycle, LineAddr};
 use mcversi_mcm::execution::CandidateExecution;
 use mcversi_telemetry as telemetry;
@@ -34,8 +44,14 @@ use std::fmt;
 static PHASE_SIMULATE: telemetry::Timer = telemetry::Timer::new("phase.simulate");
 /// Phase timer: assembling the candidate execution from the observer.
 static PHASE_OBSERVE: telemetry::Timer = telemetry::Timer::new("phase.observe");
-/// Simulated cycles per iteration (distribution).
+/// Simulated cycles per iteration (distribution), skipped ones included.
 static ITERATION_CYCLES: telemetry::Histogram = telemetry::Histogram::new("sim.iteration.cycles");
+/// Fast-forward jumps taken (each skips one run of inert cycles).
+static FF_SEGMENTS: telemetry::Counter = telemetry::Counter::new("sim.ff.segments");
+/// Simulated cycles skipped (and replayed) rather than executed.
+static FF_SKIPPED_CYCLES: telemetry::Counter = telemetry::Counter::new("sim.ff.skipped_cycles");
+/// Length of each fast-forward jump in cycles (distribution).
+static FF_SKIP_LEN: telemetry::Histogram = telemetry::Histogram::new("sim.ff.skip_len");
 
 /// A protocol-level error detected by the simulator's monitor (the analogue of
 /// Ruby aborting on an invalid transition).
@@ -135,9 +151,29 @@ pub struct System {
     cycle: Cycle,
     total_instructions: u64,
     coverage_universe: Vec<Transition>,
-    /// Observer cache: the static event set of a program is reused across
-    /// the iterations of a test-run (see [`ExecObserver::reset`]).
-    observer_cache: Option<(TestProgram, ExecObserver)>,
+    /// What was built for the last program run, reused when the same program
+    /// runs again (the common case: every iteration of a test-run).
+    program_cache: Option<ProgramState>,
+    /// Per-cycle buffers, owned here so executed cycles reuse them.
+    msgs: Vec<Msg>,
+    l1_outs: Vec<L1Output>,
+    stall_path_counts: Vec<&'static telemetry::Counter>,
+    issuing_ticks: Vec<u64>,
+    /// Whether inert cycles are skipped and replayed rather than executed.
+    /// Always on; only the lockstep tests of this module turn it off, to
+    /// obtain the cycle-by-cycle reference.
+    fast_forward: bool,
+}
+
+/// Everything derived from a test program alone.  Validating the program and
+/// building this costs a clone of every thread and the observer's static
+/// event set, so it is kept alongside a copy of the program: reuse then costs
+/// one comparison and a reset.
+#[derive(Debug)]
+struct ProgramState {
+    program: TestProgram,
+    observer: ExecObserver,
+    cores: Vec<CoreModel>,
 }
 
 impl System {
@@ -170,13 +206,18 @@ impl System {
             l1s,
             l2s,
             memory,
-            network: Network::new(),
+            network: Network::new(&cfg),
             coverage: CoverageRecorder::new(),
             rng: StdRng::seed_from_u64(seed),
             cycle: 0,
             total_instructions: 0,
             coverage_universe,
-            observer_cache: None,
+            program_cache: None,
+            msgs: Vec::new(),
+            l1_outs: (0..cfg.num_cores).map(|_| L1Output::default()).collect(),
+            stall_path_counts: Vec::new(),
+            issuing_ticks: Vec::new(),
+            fast_forward: true,
             cfg,
         }
     }
@@ -231,25 +272,191 @@ impl System {
         self.memory.reset();
     }
 
-    fn route(&mut self, msgs: Vec<Msg>) {
-        for msg in msgs {
-            self.network.send(msg, self.cycle, &self.cfg, &mut self.rng);
+    /// The state derived from `program`: the cached one, reset, if `program`
+    /// is the program of the last iteration, otherwise built afresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a program that was not just run and has more threads than
+    /// the system has cores, or whose written values are not unique and
+    /// non-zero.
+    fn program_state_for(&mut self, program: &TestProgram) -> ProgramState {
+        match self.program_cache.take() {
+            Some(mut state) if &state.program == program => {
+                state.observer.reset();
+                state.cores.iter_mut().for_each(CoreModel::reset);
+                state
+            }
+            _ => {
+                assert!(
+                    program.num_threads() <= self.cfg.num_cores,
+                    "program has {} threads but the system has {} cores",
+                    program.num_threads(),
+                    self.cfg.num_cores
+                );
+                assert!(
+                    program.written_values_unique(),
+                    "test programs must use unique non-zero write values"
+                );
+                ProgramState {
+                    program: program.clone(),
+                    observer: ExecObserver::new(program),
+                    cores: cores_for_program(program, &self.cfg),
+                }
+            }
         }
     }
 
-    fn dispatch_delivered(&mut self, delivered: Vec<Msg>) {
-        for msg in delivered {
+    /// Executes one cycle: network delivery, memory, L2 banks, L1s, cores.
+    /// Returns `true` if the cycle was *inert*: the network delivered
+    /// nothing, no controller made progress and every core was quiescent, so
+    /// that the next cycle can only repeat this one (see
+    /// [`System::skip_inert_cycles`]).
+    fn step(&mut self, state: &mut ProgramState, errors: &mut Vec<ProtocolError>) -> bool {
+        let System {
+            cfg,
+            bugs,
+            l1s,
+            l2s,
+            memory,
+            network,
+            coverage,
+            rng,
+            msgs,
+            l1_outs,
+            stall_path_counts,
+            ..
+        } = self;
+        let cycle = self.cycle;
+        coverage.begin_cycle();
+        stall_path_counts.clear();
+
+        // 1. Network delivery.
+        network.deliver_due(cycle, msgs);
+        let mut inert = msgs.is_empty();
+        for msg in msgs.drain(..) {
             let dst = msg.dst;
-            if let Some(core) = self.cfg.l1_index(dst) {
-                self.l1s[core].push_msg(msg);
-            } else if let Some(bank) = self.cfg.l2_index(dst) {
-                self.l2s[bank].push_msg(msg);
-            } else if dst == self.cfg.node_of_memory() {
-                self.memory.push_msg(msg);
+            if let Some(core) = cfg.l1_index(dst) {
+                l1s[core].push_msg(msg);
+            } else if let Some(bank) = cfg.l2_index(dst) {
+                l2s[bank].push_msg(msg);
+            } else if dst == cfg.node_of_memory() {
+                memory.push_msg(msg);
             } else {
                 unreachable!("message routed to unknown node {dst}");
             }
         }
+        let mut route = |msgs: &mut Vec<Msg>, rng: &mut StdRng| {
+            for msg in msgs.drain(..) {
+                network.send(msg, cycle, cfg, rng);
+            }
+        };
+
+        // 2. Memory controller.
+        inert &= !memory.tick(cycle, cfg, rng, msgs);
+        route(msgs, rng);
+
+        // 3. L2 banks.
+        for l2 in l2s.iter_mut() {
+            let mut ctx = TickCtx {
+                cycle,
+                cfg,
+                bugs,
+                coverage,
+                rng,
+                errors,
+                stall_path_counts,
+            };
+            inert &= !l2.tick(&mut ctx, msgs);
+            route(msgs, rng);
+        }
+
+        // 4. L1 caches.  Responses and notices stay in the L1's output until
+        // its core has consumed them in stage 5.
+        for (l1, out) in l1s.iter_mut().zip(l1_outs.iter_mut()) {
+            let mut ctx = TickCtx {
+                cycle,
+                cfg,
+                bugs,
+                coverage,
+                rng,
+                errors,
+                stall_path_counts,
+            };
+            inert &= !l1.tick(&mut ctx, out);
+            route(&mut out.to_network, rng);
+        }
+
+        // 5. Cores.
+        for (core_idx, core) in state.cores.iter_mut().enumerate() {
+            let from_l1 = &mut l1_outs[core_idx];
+            let out = core.tick(cycle, bugs, &from_l1.responses, &from_l1.lq_notices, rng);
+            from_l1.responses.clear();
+            from_l1.lq_notices.clear();
+            inert &= out.quiescent;
+            for req in out.requests {
+                l1s[core_idx].push_core_request(req);
+            }
+            for obs in out.observed {
+                self.total_instructions += 1;
+                state.observer.record(core_idx, obs);
+            }
+        }
+        inert
+    }
+
+    /// After an inert cycle: jumps to one cycle before the earliest at which
+    /// anything can happen, accounting for the skipped cycles as if each had
+    /// been executed.
+    ///
+    /// An inert cycle is a pure function of state it did not change, so each
+    /// following cycle repeats it until a deadline comes: a network delivery,
+    /// a memory, L2 or L1 release, a `Delay` op expiring, or `budget_end`
+    /// (the cycle in which the hang check fires).  The list must cover every
+    /// time-dependent condition in the system: waking early only costs an
+    /// executed cycle, waking late would change behaviour.  What a repeated
+    /// inert cycle does have are three effects, replayed here:
+    ///
+    /// * one issue-jitter draw per unfinished core, in core order — the only
+    ///   RNG use, so the stream stays aligned;
+    /// * the coverage records of blocked requests that record before they
+    ///   find out they must stall ([`CoverageRecorder::replay_cycle`]);
+    /// * telemetry counters on those same paths
+    ///   ([`TickCtx::count_on_stall_path`]) and the cores' load-stall
+    ///   counters, the latter only for cycles whose jitter draw lets the
+    ///   issue stage run ([`CoreModel::replay_stalls`]).
+    fn skip_inert_cycles(&mut self, cores: &[CoreModel], budget_end: Cycle) {
+        let wake = [self.network.next_delivery(), self.memory.next_release()]
+            .into_iter()
+            .chain(self.l2s.iter().map(|l2| l2.next_release()))
+            .chain(self.l1s.iter().map(|l1| l1.next_release()))
+            .chain(cores.iter().map(CoreModel::next_delay_expiry))
+            .flatten()
+            .fold(budget_end, Cycle::min);
+        let skipped = wake.saturating_sub(self.cycle + 1);
+        if skipped == 0 {
+            return;
+        }
+        self.coverage.replay_cycle(skipped);
+        for counter in &self.stall_path_counts {
+            counter.add(skipped);
+        }
+        self.issuing_ticks.clear();
+        self.issuing_ticks.resize(cores.len(), 0);
+        for _ in 0..skipped {
+            for (core, issuing) in cores.iter().zip(&mut self.issuing_ticks) {
+                if !core.is_finished() && core.jitter_lets_issue(&mut self.rng) {
+                    *issuing += 1;
+                }
+            }
+        }
+        for (core, &issuing) in cores.iter().zip(&self.issuing_ticks) {
+            core.replay_stalls(issuing);
+        }
+        self.cycle += skipped;
+        FF_SEGMENTS.incr();
+        FF_SKIPPED_CYCLES.add(skipped);
+        FF_SKIP_LEN.record(skipped);
     }
 
     /// Runs one complete iteration of `program`.
@@ -259,46 +466,21 @@ impl System {
     /// Panics if the program has more threads than the system has cores, or if
     /// its written values are not unique and non-zero.
     pub fn run_iteration(&mut self, program: &TestProgram) -> IterationOutcome {
-        assert!(
-            program.num_threads() <= self.cfg.num_cores,
-            "program has {} threads but the system has {} cores",
-            program.num_threads(),
-            self.cfg.num_cores
-        );
-        assert!(
-            program.written_values_unique(),
-            "test programs must use unique non-zero write values"
-        );
-
+        let mut state = self.program_state_for(program);
         self.reset_test_state();
 
-        let mut cores: Vec<CoreModel> = cores_for_program(program, &self.cfg);
-        // Reuse the cached observer when the same program runs again (the
-        // common case: every iteration of a test-run): its static event set,
-        // maps and dependency edges are identical, so only the observation
-        // buffers need clearing.  The cached program copy is kept alongside
-        // so reuse costs one comparison, not a clone.
-        let (cached_program, mut observer) = match self.observer_cache.take() {
-            Some((cached_program, mut cached)) if &cached_program == program => {
-                cached.reset();
-                (cached_program, cached)
-            }
-            _ => (program.clone(), ExecObserver::new(program)),
-        };
         let mut errors: Vec<ProtocolError> = Vec::new();
-        let mut responses_per_core: Vec<Vec<crate::protocol::CoreResponse>> =
-            vec![Vec::new(); self.cfg.num_cores];
-        let mut notices_per_core: Vec<Vec<LineAddr>> = vec![Vec::new(); self.cfg.num_cores];
         let start_cycle = self.cycle;
-        let mut retired_ops = 0usize;
+        let budget_end = start_cycle + self.cfg.max_cycles_per_iteration + 1;
+        let instructions_before = self.total_instructions;
         let mut hung = false;
 
         let simulate_span = PHASE_SIMULATE.span();
         loop {
-            if cores.iter().all(|c| c.is_finished()) {
+            if state.cores.iter().all(|c| c.is_finished()) {
                 break;
             }
-            if self.cycle - start_cycle > self.cfg.max_cycles_per_iteration {
+            if self.cycle >= budget_end {
                 errors.push(ProtocolError::deadlock(
                     self.cycle,
                     "iteration exceeded its cycle budget",
@@ -312,58 +494,8 @@ impl System {
                 break;
             }
             self.cycle += 1;
-
-            // 1. Network delivery.
-            let delivered = self.network.deliver_due(self.cycle);
-            self.dispatch_delivered(delivered);
-
-            // 2. Memory controller.
-            let mem_out = self.memory.tick(self.cycle, &self.cfg, &mut self.rng);
-            self.route(mem_out);
-
-            // 3. L2 banks.
-            for bank in 0..self.l2s.len() {
-                let mut ctx = TickCtx {
-                    cycle: self.cycle,
-                    cfg: &self.cfg,
-                    bugs: &self.bugs,
-                    coverage: &mut self.coverage,
-                    rng: &mut self.rng,
-                    errors: &mut errors,
-                };
-                let out = self.l2s[bank].tick(&mut ctx);
-                self.route(out);
-            }
-
-            // 4. L1 caches.
-            for core in 0..self.l1s.len() {
-                let mut ctx = TickCtx {
-                    cycle: self.cycle,
-                    cfg: &self.cfg,
-                    bugs: &self.bugs,
-                    coverage: &mut self.coverage,
-                    rng: &mut self.rng,
-                    errors: &mut errors,
-                };
-                let out = self.l1s[core].tick(&mut ctx);
-                self.route(out.to_network);
-                responses_per_core[core].extend(out.responses);
-                notices_per_core[core].extend(out.lq_notices);
-            }
-
-            // 5. Cores.
-            for (core_idx, core) in cores.iter_mut().enumerate() {
-                let responses = std::mem::take(&mut responses_per_core[core_idx]);
-                let notices = std::mem::take(&mut notices_per_core[core_idx]);
-                let out = core.tick(self.cycle, &self.bugs, &responses, &notices, &mut self.rng);
-                for req in out.requests {
-                    self.l1s[core_idx].push_core_request(req);
-                }
-                for obs in out.observed {
-                    retired_ops += 1;
-                    self.total_instructions += 1;
-                    observer.record(core_idx, obs);
-                }
+            if self.step(&mut state, &mut errors) && self.fast_forward {
+                self.skip_inert_cycles(&state.cores, budget_end);
             }
         }
 
@@ -371,17 +503,17 @@ impl System {
         ITERATION_CYCLES.record(self.cycle - start_cycle);
 
         let observe_span = PHASE_OBSERVE.span();
-        let complete = observer.is_complete() && !hung && errors.is_empty();
-        let execution = observer.finish();
+        let complete = state.observer.is_complete() && !hung && errors.is_empty();
+        let execution = state.observer.finish();
         drop(observe_span);
-        self.observer_cache = Some((cached_program, observer));
+        self.program_cache = Some(state);
         IterationOutcome {
             execution,
             protocol_errors: errors,
             hung,
             complete,
             cycles: self.cycle - start_cycle,
-            retired_ops,
+            retired_ops: (self.total_instructions - instructions_before) as usize,
         }
     }
 }
@@ -631,5 +763,308 @@ mod tests {
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run_iteration(&program)));
         assert!(result.is_err());
+    }
+
+    // ---- Fast-forward: lockstep against the cycle-by-cycle reference ----
+
+    use crate::config::CoreStrength;
+    use mcversi_mcm::FenceKind;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// A random program over a footprint that conflicts in the small
+    /// configuration's L1 sets and L2 banks, using every operation kind.
+    fn random_program(rng: &mut StdRng, next_value: &mut u64) -> TestProgram {
+        const FENCES: [FenceKind; 6] = [
+            FenceKind::Full,
+            FenceKind::Acquire,
+            FenceKind::Release,
+            FenceKind::LoadLoad,
+            FenceKind::StoreStore,
+            FenceKind::LightweightSync,
+        ];
+        let threads = (0..rng.gen_range(2..5usize))
+            .map(|_| {
+                (0..rng.gen_range(6..20usize))
+                    .map(|_| {
+                        let set_alias = rng.gen_range(0..5u64);
+                        let line = rng.gen_range(0..3u64);
+                        let word = rng.gen_range(0..2u64);
+                        let addr = Address(0x1_0000 * set_alias + 0x40 * line + 8 * word);
+                        let mut value = || {
+                            *next_value += 1;
+                            *next_value
+                        };
+                        match rng.gen_range(0..100u32) {
+                            0..=29 => TestOp::read(addr),
+                            30..=35 => TestOp::read_addr_dp(addr),
+                            36..=59 => TestOp::write(addr, value()),
+                            60..=64 => TestOp::write_data_dp(addr, value()),
+                            65..=69 => TestOp::write_ctrl_dp(addr, value()),
+                            70..=77 => TestOp::rmw(addr, value()),
+                            78..=84 => TestOp::flush(addr),
+                            85..=91 => TestOp::delay(rng.gen_range(1..300u32)),
+                            _ => TestOp::fence_of(FENCES[rng.gen_range(0..FENCES.len())]),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        TestProgram::new(threads)
+    }
+
+    /// A fast-forwarding system and its cycle-by-cycle reference twin.
+    fn twins(cfg: &SystemConfig, bugs: &BugConfig, seed: u64) -> (System, System) {
+        let fast = System::new(cfg.clone(), bugs.clone(), seed);
+        let mut reference = System::new(cfg.clone(), bugs.clone(), seed);
+        reference.fast_forward = false;
+        (fast, reference)
+    }
+
+    /// Runs `program` on both twins and asserts that nothing observable
+    /// tells them apart afterwards.
+    fn assert_lockstep(
+        fast: &mut System,
+        reference: &mut System,
+        program: &TestProgram,
+        what: &str,
+    ) -> IterationOutcome {
+        let got = fast.run_iteration(program);
+        let want = reference.run_iteration(program);
+        assert_eq!(got.cycles, want.cycles, "{what}: cycles");
+        assert_eq!(got.retired_ops, want.retired_ops, "{what}: retired ops");
+        assert_eq!(got.hung, want.hung, "{what}: hung");
+        assert_eq!(got.complete, want.complete, "{what}: complete");
+        assert_eq!(got.protocol_errors, want.protocol_errors, "{what}: errors");
+        assert_eq!(
+            format!("{:?}", got.execution),
+            format!("{:?}", want.execution),
+            "{what}: execution"
+        );
+        assert_eq!(fast.cycle(), reference.cycle(), "{what}: global cycle");
+        assert_eq!(
+            fast.total_instructions(),
+            reference.total_instructions(),
+            "{what}: instructions"
+        );
+        assert_eq!(
+            fast.coverage().iter_cumulative().collect::<Vec<_>>(),
+            reference.coverage().iter_cumulative().collect::<Vec<_>>(),
+            "{what}: cumulative coverage counts"
+        );
+        assert_eq!(
+            fast.coverage().current_run_covered(),
+            reference.coverage().current_run_covered(),
+            "{what}: per-run coverage"
+        );
+        assert_eq!(
+            fast.rng.gen::<u64>(),
+            reference.rng.gen::<u64>(),
+            "{what}: next RNG draw"
+        );
+        got
+    }
+
+    /// Every (protocol, core strength, bug set) the lockstep tests cover:
+    /// the correct design and each single bug of the extended corpus.
+    fn design_grid() -> Vec<(SystemConfig, BugConfig)> {
+        let mut grid = Vec::new();
+        for protocol in [ProtocolKind::Mesi, ProtocolKind::TsoCc] {
+            for strength in [CoreStrength::Strong, CoreStrength::Relaxed] {
+                let mut cfg = SystemConfig::small(protocol);
+                cfg.core_strength = strength;
+                grid.push((cfg.clone(), BugConfig::none()));
+                for bug in Bug::ALL_EXTENDED {
+                    grid.push((cfg.clone(), BugConfig::single(bug)));
+                }
+            }
+        }
+        grid
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5))]
+
+        /// Fast-forward is invisible: on every design of the grid, random
+        /// programs (one run twice, so the cached set-up path runs, then a
+        /// new one) leave the fast system and the reference in lockstep
+        /// after every iteration.
+        #[test]
+        fn fast_forward_is_in_lockstep_with_the_cycle_by_cycle_reference(
+            seed in 0u64..1_000_000,
+            jitter_choice in 0usize..3,
+        ) {
+            let jitter = [0u16, 2048, 30_000][jitter_choice];
+            for (mut cfg, bugs) in design_grid() {
+                cfg.issue_jitter = jitter;
+                let (mut fast, mut reference) = twins(&cfg, &bugs, seed);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+                let mut next_value = 0u64;
+                for (program_idx, iterations) in [2, 1].into_iter().enumerate() {
+                    let program = random_program(&mut rng, &mut next_value);
+                    for iteration in 0..iterations {
+                        let what = format!(
+                            "{:?}/{:?}/{bugs:?} seed {seed} jitter {jitter} \
+                             program {program_idx} iteration {iteration}",
+                            cfg.protocol, cfg.core_strength
+                        );
+                        assert_lockstep(&mut fast, &mut reference, &program, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forward_replays_the_sim_telemetry_counters() {
+        // Telemetry storage is thread-local, so the two runs can be measured
+        // one after the other on this thread; `enable` is sticky and
+        // behaviour-neutral, so other tests are unaffected.
+        telemetry::enable();
+        let sim_metrics = |system: &mut System, programs: &[TestProgram]| {
+            telemetry::reset_local();
+            for program in programs {
+                for _ in 0..3 {
+                    system.run_iteration(program);
+                }
+            }
+            let snapshot = telemetry::local_snapshot();
+            let counters: Vec<(String, u64)> = snapshot
+                .counters
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("sim.") && !name.starts_with("sim.ff."))
+                .collect();
+            let skipped = snapshot
+                .histograms
+                .get("sim.ff.skip_len")
+                .map_or(0, |h| h.sum);
+            (
+                counters,
+                snapshot.histograms["sim.iteration.cycles"].clone(),
+                skipped,
+            )
+        };
+        for (design, (mut cfg, bugs)) in design_grid().into_iter().enumerate() {
+            let (seed, jitter) = [(3u64, 2048u16), (4, 0), (5, 40_000)][design % 3];
+            cfg.issue_jitter = jitter;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut next_value = 0u64;
+            let programs = [
+                random_program(&mut rng, &mut next_value),
+                random_program(&mut rng, &mut next_value),
+            ];
+            let (mut fast, mut reference) = twins(&cfg, &bugs, seed);
+            let (got, got_cycles, skipped) = sim_metrics(&mut fast, &programs);
+            let (want, want_cycles, none_skipped) = sim_metrics(&mut reference, &programs);
+            let what = format!("{:?}/{:?}/{bugs:?}", cfg.protocol, cfg.core_strength);
+            assert_eq!(got, want, "{what}: sim.* counters");
+            assert_eq!(got_cycles, want_cycles, "{what}: sim.iteration.cycles");
+            assert!(got
+                .iter()
+                .any(|(name, _)| name.starts_with("sim.core.stall.")));
+            assert!(skipped > 0, "{what}: nothing was fast-forwarded");
+            assert_eq!(none_skipped, 0, "{what}: the reference skipped cycles");
+        }
+    }
+
+    #[test]
+    fn fast_forward_replays_a_miss_that_stalls_on_a_busy_victim() {
+        // The one controller path that counts telemetry before it finds out
+        // it must stall: a MESI L1 miss whose LRU victim is mid-transaction.
+        // Lines A, B and C share an L1 set (2 ways).  Core 0 holds A (Shared,
+        // least recently used) and B, upgrades A (S -> SM: resident, with an
+        // MSHR), and a window full of delays later loads C, which is retried
+        // every cycle until the upgrade completes.
+        let (a, b, c) = (Address(0x1000), Address(0x1400), Address(0x1800));
+        let mut thread0 = vec![
+            TestOp::delay(600),
+            TestOp::fence(),
+            TestOp::read(a),
+            TestOp::read(b),
+            TestOp::fence(),
+            TestOp::read(Address(b.0 + 8)),
+            TestOp::fence(),
+            TestOp::write(a, 1),
+        ];
+        thread0.extend([TestOp::delay(60); 17]);
+        thread0.push(TestOp::read(c));
+        let program = TestProgram::new(vec![thread0, vec![TestOp::read(a)]]);
+        let memory_ops = 6;
+
+        telemetry::enable();
+        let cfg = SystemConfig::small(ProtocolKind::Mesi);
+        let (mut fast, mut reference) = twins(&cfg, &BugConfig::none(), 1);
+        let misses = |system: &mut System| {
+            telemetry::reset_local();
+            assert!(system.run_iteration(&program).complete);
+            telemetry::local_snapshot().counters["sim.l1.mesi.miss"]
+        };
+        let (got, want) = (misses(&mut fast), misses(&mut reference));
+        assert!(
+            want > 4 * memory_ops,
+            "the load of C was not retried against a busy victim ({want} misses)"
+        );
+        assert_eq!(got, want);
+        assert_eq!(
+            fast.coverage().count(Transition::l1("I", "Load")),
+            reference.coverage().count(Transition::l1("I", "Load"))
+        );
+    }
+
+    #[test]
+    fn a_wedged_iteration_reports_the_same_hang_as_the_reference() {
+        // A budget far below one memory round trip wedges every iteration
+        // that misses; the jump must land exactly on the hang check.
+        let program = TestProgram::new(vec![
+            vec![
+                TestOp::read(Address(0x1000)),
+                TestOp::write(Address(0x2000), 1),
+            ],
+            vec![TestOp::delay(5_000), TestOp::read(Address(0x2000))],
+        ]);
+        for (mut cfg, bugs) in design_grid() {
+            for budget in [40u64, 1_000] {
+                cfg.max_cycles_per_iteration = budget;
+                let (mut fast, mut reference) = twins(&cfg, &bugs, 17);
+                for iteration in 0..3 {
+                    let start = fast.cycle();
+                    let what = format!(
+                        "{:?}/{:?}/{bugs:?} budget {budget} iteration {iteration}",
+                        cfg.protocol, cfg.core_strength
+                    );
+                    let outcome = assert_lockstep(&mut fast, &mut reference, &program, &what);
+                    assert!(outcome.hung, "{what}: must hang");
+                    assert!(!outcome.complete);
+                    assert_eq!(outcome.cycles, budget + 1, "{what}");
+                    assert_eq!(
+                        outcome.protocol_errors,
+                        vec![ProtocolError::deadlock(
+                            start + budget + 1,
+                            "iteration exceeded its cycle budget"
+                        )],
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_program_is_validated_even_after_a_cached_one_ran() {
+        let cfg = SystemConfig::small(ProtocolKind::Mesi);
+        let mut sys = System::new(cfg, BugConfig::none(), 5);
+        for _ in 0..2 {
+            assert!(sys.run_iteration(&mp_program()).complete);
+        }
+        let duplicate_values = TestProgram::new(vec![
+            vec![TestOp::write(Address(0x1000), 1)],
+            vec![TestOp::write(Address(0x2000), 1)],
+        ]);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.run_iteration(&duplicate_values)
+        }));
+        assert!(result.is_err(), "non-unique write values must be rejected");
+        // The rejected program left nothing behind.
+        assert!(sys.run_iteration(&mp_program()).complete);
     }
 }
