@@ -4,12 +4,19 @@
 //! wall-clock time for 1k-operation tests; this bench measures the checker in
 //! isolation for several execution sizes so that ratio can be compared against
 //! the simulator bench.
+//!
+//! `tso_check` runs on plain read/write executions, which never enter the
+//! fence, dependency and RMW paths; `armish_check` / `powerish_check` run on
+//! litmus-shaped executions that have all three (the shape of the
+//! `litmus-mesi` benchmark workload, where the check is most of the wall).
+//! Every case asserts its verdict, so a bench cannot get faster by checking
+//! less.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcversi_mcm::checker::Checker;
 use mcversi_mcm::execution::{CandidateExecution, ExecutionBuilder};
 use mcversi_mcm::model::tso::Tso;
-use mcversi_mcm::{Address, ProcessorId, Value};
+use mcversi_mcm::{Address, DepKind, EventId, FenceKind, ModelKind, ProcessorId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,6 +56,74 @@ fn build_execution(threads: u32, ops_per_thread: u32, locations: u64) -> Candida
     b.build()
 }
 
+/// Builds a litmus-shaped execution: `threads` threads of `ops_per_thread`
+/// instructions over a handful of locations — plain and dependency-carrying
+/// reads and writes, RMWs and fences of every kind — interleaved one
+/// instruction at a time against a single copy of memory, so the execution is
+/// valid under every model and the checker evaluates all of its axioms.
+fn build_litmus_shaped(threads: u32, ops_per_thread: u32) -> CandidateExecution {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut b = ExecutionBuilder::new();
+    let mut latest: Vec<Option<(EventId, Value)>> = vec![None; 8];
+    let mut last_load: Vec<Option<EventId>> = vec![None; threads as usize];
+    let mut remaining = vec![ops_per_thread; threads as usize];
+    let mut next_value = 1u64;
+    while remaining.iter().any(|&n| n > 0) {
+        let t = rng.gen_range(0..threads) as usize;
+        if remaining[t] == 0 {
+            continue;
+        }
+        remaining[t] -= 1;
+        let pid = ProcessorId(t as u32);
+        let loc = rng.gen_range(0..latest.len());
+        let addr = Address(0x1000 + loc as u64 * 8);
+        let (is_read, is_write) = match rng.gen_range(0..100u32) {
+            0..=37 => (true, false),
+            38..=69 => (false, true),
+            70..=79 => (true, true),
+            _ => {
+                b.fence(pid, FenceKind::ALL[rng.gen_range(0..FenceKind::ALL.len())]);
+                continue;
+            }
+        };
+        let carries_dep = rng.gen_bool(0.3);
+        let (read, write) = match (is_read, is_write) {
+            (true, true) => {
+                let (r, w) = b.rmw(pid, addr, Value(0), Value(next_value));
+                (Some(r), Some(w))
+            }
+            (true, false) => (Some(b.read(pid, addr, Value(0))), None),
+            _ => (None, Some(b.write(pid, addr, Value(next_value)))),
+        };
+        if let (false, true, Some(src)) = (is_read && is_write, carries_dep, last_load[t]) {
+            match (read, write) {
+                (Some(r), _) => b.dependency(DepKind::Addr, src, r),
+                (_, Some(w)) => b.dependency(DepKind::Data, src, w),
+                _ => {}
+            }
+        }
+        if let Some(r) = read {
+            match latest[loc] {
+                Some((w, v)) => {
+                    b.set_event_value(r, v);
+                    b.reads_from(w, r);
+                }
+                None => b.reads_from_initial(r),
+            }
+            last_load[t] = (!is_write).then_some(r);
+        }
+        if let Some(w) = write {
+            match latest[loc] {
+                Some((prev, _)) => b.coherence(prev, w),
+                None => b.coherence_after_initial(w),
+            }
+            latest[loc] = Some((w, Value(next_value)));
+            next_value += 1;
+        }
+    }
+    b.build()
+}
+
 fn bench_checker(c: &mut Criterion) {
     let mut group = c.benchmark_group("checker");
     for &(threads, ops) in &[(4u32, 32u32), (8, 64), (8, 125)] {
@@ -65,6 +140,19 @@ fn bench_checker(c: &mut Criterion) {
                 });
             },
         );
+    }
+    let exec = build_litmus_shaped(4, 64);
+    for (name, model) in [
+        ("armish_check", ModelKind::Armish),
+        ("powerish_check", ModelKind::Powerish),
+    ] {
+        group.bench_with_input(BenchmarkId::new(name, 256), &exec, |bench, exec| {
+            let checker = Checker::new(model.instance());
+            bench.iter(|| {
+                let verdict = checker.check(exec);
+                assert!(verdict.is_valid());
+            });
+        });
     }
     group.finish();
 }

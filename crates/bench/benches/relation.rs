@@ -1,9 +1,10 @@
-//! Criterion bench: dense-bitset transitive closure vs. the BTree baseline.
+//! Criterion bench: `Relation::transitive_closure` against a per-node search.
 //!
-//! `Relation::transitive_closure` runs on every candidate-execution build
-//! (closing the coherence order), so the ROADMAP lists it as a perf hot spot.
-//! This bench compares the shipped bitset implementation against the previous
-//! BTree-set BFS (reimplemented here as the baseline) on the relation shapes
+//! The closure runs on every candidate-execution build (closing the coherence
+//! order).  `bitset` is the shipped closure — row ORs over the relation's own
+//! bit rows in reverse topological order; `btree` is a per-node search
+//! collecting into a `BTreeSet` through the public pair-level API, the
+//! algorithm the first implementation used.  Inputs are the relation shapes
 //! the checker actually produces: long per-address chains (coherence order)
 //! and bushy random DAGs (derived happens-before unions).
 
@@ -14,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
-/// The original BTree-based closure, kept verbatim as the comparison baseline.
+/// The per-node search, the comparison baseline.
 fn btree_closure(rel: &Relation) -> Relation {
     let mut out = Relation::new();
     for start in rel.nodes() {

@@ -11,11 +11,12 @@
 use crate::event::{
     Address, DepKind, Event, EventId, EventKind, FenceKind, Iiid, ProcessorId, Value,
 };
-use crate::program;
+use crate::program::{self, EventMasks};
 use crate::relation::Relation;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The syntactic dependencies of an execution, one relation per [`DepKind`].
 ///
@@ -140,7 +141,7 @@ impl fmt::Display for WellFormednessError {
 impl std::error::Error for WellFormednessError {}
 
 /// A complete candidate execution ready to be checked against a model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct CandidateExecution {
     events: Vec<Event>,
     po: Relation,
@@ -148,6 +149,56 @@ pub struct CandidateExecution {
     co: Relation,
     co_observed: Relation,
     deps: DependencySet,
+    /// Classification masks of `events`, derived on first use: an execution
+    /// whose verdict comes from a cache is never classified.  Not part of the
+    /// `{:?}` or serialized form.
+    masks: OnceLock<EventMasks>,
+}
+
+/// Prints the six recorded fields in the derived shape; the mask cache is
+/// derived state, and golden digests hash this text.
+impl fmt::Debug for CandidateExecution {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CandidateExecution")
+            .field("events", &self.events)
+            .field("po", &self.po)
+            .field("rf", &self.rf)
+            .field("co", &self.co)
+            .field("co_observed", &self.co_observed)
+            .field("deps", &self.deps)
+            .finish()
+    }
+}
+
+impl Serialize for CandidateExecution {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("events".to_string(), self.events.to_value()),
+            ("po".to_string(), self.po.to_value()),
+            ("rf".to_string(), self.rf.to_value()),
+            ("co".to_string(), self.co.to_value()),
+            ("co_observed".to_string(), self.co_observed.to_value()),
+            ("deps".to_string(), self.deps.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for CandidateExecution {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        const TY: &str = "CandidateExecution";
+        let fields = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", TY))?;
+        Ok(CandidateExecution {
+            events: serde::__field(fields, "events", TY)?,
+            po: serde::__field(fields, "po", TY)?,
+            rf: serde::__field(fields, "rf", TY)?,
+            co: serde::__field(fields, "co", TY)?,
+            co_observed: serde::__field(fields, "co_observed", TY)?,
+            deps: serde::__field(fields, "deps", TY)?,
+            masks: OnceLock::new(),
+        })
+    }
 }
 
 impl CandidateExecution {
@@ -176,6 +227,7 @@ impl CandidateExecution {
             co,
             co_observed,
             deps,
+            masks: OnceLock::new(),
         }
     }
 
@@ -204,9 +256,16 @@ impl CandidateExecution {
         &self.po
     }
 
+    /// Read / write / memory-access masks and the same-address and
+    /// same-thread sets of the events, computed once per execution.
+    pub fn masks(&self) -> &EventMasks {
+        self.masks.get_or_init(|| EventMasks::of(&self.events))
+    }
+
     /// Program order restricted to same-address pairs (`po-loc`).
     pub fn po_loc(&self) -> Relation {
-        program::same_address(&self.po, &self.events)
+        let masks = self.masks();
+        self.po.intersect_rows(|a| masks.same_address_as(a))
     }
 
     /// The reads-from relation (write → read).
@@ -235,20 +294,14 @@ impl CandidateExecution {
     /// External reads-from: pairs whose write and read are on different
     /// processors (or whose write is an initial write).
     pub fn rf_external(&self) -> Relation {
-        self.rf.filter(|w, r| {
-            let we = self.event(w);
-            let re = self.event(r);
-            we.pid() != re.pid() || we.pid().is_none()
-        })
+        let masks = self.masks();
+        self.rf.subtract_rows(|w| masks.same_thread_as(w))
     }
 
     /// Internal reads-from: same-processor pairs.
     pub fn rf_internal(&self) -> Relation {
-        self.rf.filter(|w, r| {
-            let we = self.event(w);
-            let re = self.event(r);
-            we.pid().is_some() && we.pid() == re.pid()
-        })
+        let masks = self.masks();
+        self.rf.intersect_rows(|w| masks.same_thread_as(w))
     }
 
     /// Derives the from-reads relation `fr = rf⁻¹ ; co`.
@@ -317,7 +370,8 @@ impl CandidateExecution {
     /// multiple) sources, `rf`/`co` pairs with mismatched kinds, addresses or
     /// values, or a cyclic per-address coherence order.
     pub fn validate(&self) -> Result<(), WellFormednessError> {
-        // rf shape checks.
+        // rf shape checks, counting each target's sources on the way.
+        let mut sources = vec![0u32; self.events.len()];
         for (w, r) in self.rf.iter() {
             let we = self.event(w);
             let re = self.event(r);
@@ -330,15 +384,14 @@ impl CandidateExecution {
             if we.value != re.value {
                 return Err(WellFormednessError::RfValueMismatch(w, r));
             }
+            sources[r.index()] += 1;
         }
         // Every read has exactly one source.
-        let rf_inv = self.rf.inverse();
         for read in self.reads() {
-            let sources: Vec<EventId> = rf_inv.successors(read.id).collect();
-            match sources.len() {
-                0 => return Err(WellFormednessError::ReadWithoutSource(read.id)),
-                1 => {}
-                _ => return Err(WellFormednessError::MultipleSources(read.id)),
+            match sources.get(read.id.index()) {
+                None | Some(0) => return Err(WellFormednessError::ReadWithoutSource(read.id)),
+                Some(1) => {}
+                Some(_) => return Err(WellFormednessError::MultipleSources(read.id)),
             }
         }
         // co shape checks.
@@ -349,13 +402,16 @@ impl CandidateExecution {
                 return Err(WellFormednessError::MalformedCo(a, b));
             }
         }
-        // Per-address acyclicity of co.
-        for addr in self.addresses() {
-            let per_addr = self.co.filter(|a, b| {
-                self.event(a).addr == Some(addr) && self.event(b).addr == Some(addr)
-            });
-            if !per_addr.is_acyclic() {
-                return Err(WellFormednessError::CyclicCoherence(addr));
+        // Per-address acyclicity of co.  Every co pair is same-address (just
+        // checked), so a cycle lies within one address and the whole order is
+        // acyclic iff each per-address order is; the per-address search only
+        // runs to name the first offending address.
+        if !self.co.is_acyclic() {
+            for addr in self.addresses() {
+                let per_addr = self.co.filter(|a, _| self.event(a).addr == Some(addr));
+                if !per_addr.is_acyclic() {
+                    return Err(WellFormednessError::CyclicCoherence(addr));
+                }
             }
         }
         // Dependency shape checks: read source, program-order before target.
@@ -632,6 +688,7 @@ impl ExecutionBuilder {
             co,
             co_observed,
             deps: self.deps,
+            masks: OnceLock::new(),
         }
     }
 }
@@ -757,6 +814,143 @@ mod tests {
             exec.validate(),
             Err(WellFormednessError::CyclicCoherence(Address(0x10)))
         );
+    }
+
+    /// `validate` reports the *first* defect in a fixed order — rf shape pair
+    /// by pair, then source counts read by read, then co shape, then cyclic
+    /// addresses in ascending order, then dependencies pair by pair — and
+    /// callers print it, so which of two simultaneous defects wins is pinned
+    /// here once per variant.
+    #[test]
+    fn validate_reports_the_first_of_two_defects() {
+        use WellFormednessError::*;
+        let (x, y) = (Address(0x10), Address(0x20));
+
+        // ReadWithoutSource on the earlier read beats MultipleSources later.
+        let mut b = ExecutionBuilder::new();
+        let w1 = b.write(p(0), x, Value(1));
+        let w2 = b.write(p(0), x, Value(1));
+        let orphan = b.read(p(1), x, Value(0));
+        let twice = b.read(p(1), x, Value(1));
+        b.reads_from(w1, twice);
+        b.reads_from(w2, twice);
+        assert_eq!(b.build().validate(), Err(ReadWithoutSource(orphan)));
+
+        // ... and the other way round when the doubly-sourced read is first.
+        let mut b = ExecutionBuilder::new();
+        let w1 = b.write(p(0), x, Value(1));
+        let w2 = b.write(p(0), x, Value(1));
+        let twice = b.read(p(1), x, Value(1));
+        b.read(p(1), x, Value(0));
+        b.reads_from(w1, twice);
+        b.reads_from(w2, twice);
+        assert_eq!(b.build().validate(), Err(MultipleSources(twice)));
+
+        // MalformedRf on an early pair beats a value mismatch on a later one
+        // and the unsourced read it leaves behind.
+        let mut b = ExecutionBuilder::new();
+        let r0 = b.read(p(0), x, Value(0));
+        let r1 = b.read(p(0), x, Value(0));
+        let w = b.write(p(1), x, Value(1));
+        let r2 = b.read(p(1), x, Value(2));
+        b.reads_from(r0, r1);
+        b.reads_from(w, r2);
+        assert_eq!(b.build().validate(), Err(MalformedRf(r0, r1)));
+
+        // A pair wrong in address and value is an address mismatch; the
+        // cyclic coherence next to it is checked later.
+        let mut b = ExecutionBuilder::new();
+        let w = b.write(p(0), x, Value(1));
+        let w2 = b.write(p(0), x, Value(2));
+        let r = b.read(p(1), y, Value(3));
+        b.reads_from(w, r);
+        b.coherence(w, w2);
+        b.coherence(w2, w);
+        assert_eq!(b.build().validate(), Err(RfAddressMismatch(w, r)));
+
+        // RfValueMismatch beats the read without a source (counted after
+        // every rf pair has been shape-checked).
+        let mut b = ExecutionBuilder::new();
+        b.read(p(0), x, Value(0));
+        let w = b.write(p(0), x, Value(1));
+        let r = b.read(p(1), x, Value(2));
+        b.reads_from(w, r);
+        assert_eq!(b.build().validate(), Err(RfValueMismatch(w, r)));
+
+        // MalformedCo beats a cyclic coherence order, even at a smaller
+        // address and between smaller ids.
+        let mut b = ExecutionBuilder::new();
+        let w1 = b.write(p(0), x, Value(1));
+        let w2 = b.write(p(1), x, Value(2));
+        let wy = b.write(p(0), y, Value(3));
+        let ry = b.read(p(1), y, Value(3));
+        b.reads_from(wy, ry);
+        b.coherence(w1, w2);
+        b.coherence(w2, w1);
+        b.coherence(wy, ry);
+        assert_eq!(b.build().validate(), Err(MalformedCo(wy, ry)));
+
+        // Of two cyclic addresses the smaller address is named, although its
+        // writes have the larger ids; the malformed dependency comes later.
+        let mut b = ExecutionBuilder::new();
+        let wy1 = b.write(p(0), y, Value(1));
+        let wy2 = b.write(p(1), y, Value(2));
+        let wx1 = b.write(p(0), x, Value(3));
+        let wx2 = b.write(p(1), x, Value(4));
+        b.coherence(wy1, wy2);
+        b.coherence(wy2, wy1);
+        b.coherence(wx1, wx2);
+        b.coherence(wx2, wx1);
+        b.dependency(DepKind::Addr, wy1, wx1);
+        assert_eq!(b.build().validate(), Err(CyclicCoherence(x)));
+
+        // Dependencies are checked in pair order across all three kinds, not
+        // kind by kind.
+        let mut b = ExecutionBuilder::new();
+        let w0 = b.write(p(0), x, Value(1));
+        let w1 = b.write(p(0), y, Value(2));
+        let r0 = b.read(p(1), x, Value(1));
+        let r1 = b.read(p(2), y, Value(2));
+        b.reads_from(w0, r0);
+        b.reads_from(w1, r1);
+        b.coherence_after_initial(w0);
+        b.coherence_after_initial(w1);
+        b.dependency(DepKind::Addr, r0, r1);
+        b.dependency(DepKind::Ctrl, w0, w1);
+        assert_eq!(b.build().validate(), Err(MalformedDependency(w0, w1)));
+    }
+
+    /// The mask cache is derived state: it shows in neither text form, and a
+    /// deserialized execution rebuilds it on demand.
+    #[test]
+    fn text_forms_carry_the_six_recorded_fields_only() {
+        let mut b = ExecutionBuilder::new();
+        let w = b.write(p(0), Address(0x10), Value(1));
+        let r = b.read(p(1), Address(0x10), Value(1));
+        b.reads_from(w, r);
+        b.coherence_after_initial(w);
+        let exec = b.build();
+        let before = format!("{exec:?}");
+        assert!(exec.masks().reads.contains(r));
+        assert_eq!(format!("{exec:?}"), before);
+        assert!(before.starts_with("CandidateExecution { events: [Event { id: EventId(0)"));
+        assert!(before.ends_with(
+            "deps: DependencySet { addr: Relation { edges: {}, len: 0 }, \
+             data: Relation { edges: {}, len: 0 }, ctrl: Relation { edges: {}, len: 0 } } }"
+        ));
+
+        let value = exec.to_value();
+        let keys: Vec<&str> = value
+            .as_object()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["events", "po", "rf", "co", "co_observed", "deps"]);
+        let back = CandidateExecution::from_value(&value).expect("round trips");
+        assert_eq!(format!("{back:?}"), before);
+        assert!(back.masks().writes.contains(w));
+        assert!(back.validate().is_ok());
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use cycle::{CriticalCycle, CycleEdge, CycleError, Dir};
 pub use event::{Address, DepKind, Event, EventId, EventKind, FenceKind, Iiid, ProcessorId, Value};
 pub use execution::{CandidateExecution, DependencySet, ExecutionBuilder};
 pub use model::{Architecture, ModelKind};
-pub use relation::Relation;
+pub use relation::{EventSet, Relation};
 pub use signature::{classify_execution, ExecutionSignature, OracleVerdict, SignatureCache};
 
 #[cfg(test)]

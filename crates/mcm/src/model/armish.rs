@@ -29,8 +29,8 @@
 use crate::event::FenceKind;
 use crate::execution::CandidateExecution;
 use crate::model::{
-    cumulative, dependency_order, fence_separated, no_thin_air_axiom, po_loc_preserved,
-    Architecture, Axiom,
+    cumulative, dependency_order, fence_separated, no_thin_air_axiom, ordered_by_fence,
+    po_loc_preserved, Architecture, Axiom,
 };
 use crate::relation::Relation;
 
@@ -56,20 +56,35 @@ impl Architecture for Armish {
     }
 
     fn fence_order(&self, exec: &CandidateExecution) -> Relation {
-        let full = fence_separated(exec, |k| k == FenceKind::Full);
-        let mut out = cumulative(exec, &full);
-        let acq = fence_separated(exec, |k| k == FenceKind::Acquire)
-            .filter(|a, _| exec.event(a).is_read());
-        let rel = fence_separated(exec, |k| k == FenceKind::Release)
-            .filter(|_, b| exec.event(b).is_write());
-        let ss = fence_separated(exec, |k| k == FenceKind::StoreStore)
-            .filter(|a, b| exec.event(a).is_write() && exec.event(b).is_write());
-        let ll = fence_separated(exec, |k| k == FenceKind::LoadLoad)
-            .filter(|a, b| exec.event(a).is_read() && exec.event(b).is_read());
-        out.union_with(&acq);
-        out.union_with(&rel);
-        out.union_with(&ss);
-        out.union_with(&ll);
+        let m = exec.masks();
+        // Fence-implying RMWs order like a full fence: they are part of the
+        // cumulative base, which covers whatever a narrower kind would make
+        // of them.
+        let mut out = cumulative(exec, &fence_separated(exec, |k| k == FenceKind::Full));
+        out.union_with(&ordered_by_fence(
+            exec,
+            FenceKind::Acquire,
+            &m.reads,
+            &m.memory,
+        ));
+        out.union_with(&ordered_by_fence(
+            exec,
+            FenceKind::Release,
+            &m.memory,
+            &m.writes,
+        ));
+        out.union_with(&ordered_by_fence(
+            exec,
+            FenceKind::StoreStore,
+            &m.writes,
+            &m.writes,
+        ));
+        out.union_with(&ordered_by_fence(
+            exec,
+            FenceKind::LoadLoad,
+            &m.reads,
+            &m.reads,
+        ));
         out
     }
 

@@ -38,8 +38,11 @@
 //!    and override `extra_axioms` if the model needs constraints beyond the
 //!    standard three (see [`no_thin_air_axiom`] for the relaxed-model pattern).
 //!    Build the relations from the shared combinators below ([`po_mem`],
-//!    [`po_loc_preserved`], [`dependency_order`], [`fence_separated`],
-//!    [`cumulative`]) so behaviour stays consistent across models.
+//!    [`po_loc_preserved`], [`without_write_read`], [`dependency_order`],
+//!    [`fence_separated`], [`ordered_by_fence`], [`cumulative`]) so behaviour
+//!    stays consistent across models — and restrict by the execution's
+//!    [`masks`](CandidateExecution::masks), not by a closure per pair: the
+//!    relations are bit rows and a mask is one AND per word.
 //! 2. Register the model in [`ModelKind`] (variant, `ALL`, `instance`,
 //!    `parse`) so campaigns, litmus suites and the experiment binaries can
 //!    select it.
@@ -57,9 +60,11 @@ pub mod relaxed;
 pub mod sc;
 pub mod tso;
 
+use crate::event::{EventId, EventKind, FenceKind, Iiid};
 use crate::execution::CandidateExecution;
-use crate::relation::Relation;
+use crate::relation::{EventSet, Relation};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Enumeration of the built-in models, strongest first.
@@ -230,11 +235,12 @@ pub trait Architecture: fmt::Debug + Send + Sync {
     /// Assembles the axioms to check for `exec`.
     fn axioms(&self, exec: &CandidateExecution) -> Vec<Axiom> {
         let fr = exec.fr();
-        let com = exec.com();
 
-        // 1. SC per location.
+        // 1. SC per location: po-loc ∪ com, with com = rf ∪ co ∪ fr.
         let mut sc_per_loc = exec.po_loc();
-        sc_per_loc.union_with(&com);
+        sc_per_loc.union_with(exec.rf());
+        sc_per_loc.union_with(exec.co());
+        sc_per_loc.union_with(&fr);
 
         // 2. Global happens-before.  The fence order is derived once and also
         //    handed to `extra_axioms` (the relaxed models reuse it for the
@@ -275,30 +281,26 @@ pub trait Architecture: fmt::Debug + Send + Sync {
 /// read-modify-write where some other write to the same address is coherence
 /// ordered after the read's source but before the write half.
 pub fn rmw_atomicity_violations(exec: &CandidateExecution, fr: &Relation) -> Relation {
-    let mut violations = Relation::new();
-    // Collect RMW pairs: same iiid, read half and write half.
-    let mut rmw_pairs = Vec::new();
-    for r in exec
-        .events()
-        .iter()
-        .filter(|e| e.kind.is_rmw() && e.is_read())
-    {
-        for w in exec
-            .events()
-            .iter()
-            .filter(|e| e.kind.is_rmw() && e.is_write())
-        {
-            if r.iiid.is_some() && r.iiid == w.iiid {
-                rmw_pairs.push((r.id, w.id));
-            }
+    // The write halves of each RMW instruction, keyed by the iiid both halves
+    // share.
+    let mut write_halves: BTreeMap<Iiid, Vec<EventId>> = BTreeMap::new();
+    for w in exec.events() {
+        if let (EventKind::RmwWrite, Some(iiid)) = (w.kind, w.iiid) {
+            write_halves.entry(iiid).or_default().push(w.id);
         }
     }
-    for (r, w) in rmw_pairs {
-        // fr(r, w') and co(w', w) for some w' != w means a write intervened.
-        for w_prime in fr.successors(r) {
-            if w_prime != w && exec.co().contains(w_prime, w) {
-                violations.insert(r, w);
-                break;
+    let mut violations = Relation::new();
+    for r in exec.events() {
+        let (EventKind::RmwRead, Some(iiid)) = (r.kind, r.iiid) else {
+            continue;
+        };
+        for &w in write_halves.get(&iiid).into_iter().flatten() {
+            // fr(r, w') and co(w', w) for some w' != w means a write intervened.
+            if fr
+                .successors(r.id)
+                .any(|w_prime| w_prime != w && exec.co().contains(w_prime, w))
+            {
+                violations.insert(r.id, w);
             }
         }
     }
@@ -308,9 +310,15 @@ pub fn rmw_atomicity_violations(exec: &CandidateExecution, fr: &Relation) -> Rel
 /// Combinator: program order restricted to memory accesses (fences removed),
 /// as a relation between memory events only.
 pub fn po_mem(exec: &CandidateExecution) -> Relation {
-    exec.po().filter(|a, b| {
-        exec.event(a).kind.is_memory_access() && exec.event(b).kind.is_memory_access()
-    })
+    let memory = &exec.masks().memory;
+    exec.po().restrict(memory, memory)
+}
+
+/// Combinator: `rel` minus its write→read pairs (the store-buffer
+/// relaxation).
+pub fn without_write_read(exec: &CandidateExecution, rel: &Relation) -> Relation {
+    let masks = exec.masks();
+    rel.subtract_rows(|a| masks.writes.contains(a).then_some(&masks.reads))
 }
 
 /// Combinator: same-address program order minus write→read pairs — the
@@ -322,8 +330,7 @@ pub fn po_mem(exec: &CandidateExecution) -> Relation {
 /// which is what makes model strength monotone (TSO's `ppo` drops all W→R
 /// pairs, same-address or not).
 pub fn po_loc_preserved(exec: &CandidateExecution) -> Relation {
-    exec.po_loc()
-        .filter(|a, b| !(exec.event(a).is_write() && exec.event(b).is_read()))
+    without_write_read(exec, &exec.po_loc())
 }
 
 /// Combinator: the union of all recorded syntactic dependencies
@@ -367,56 +374,72 @@ pub fn no_thin_air_axiom(exec: &CandidateExecution, fence_order: &Relation) -> A
     }
 }
 
+/// The fence events of `exec` whose kind satisfies `matches`.
+fn fences<F: Fn(FenceKind) -> bool>(exec: &CandidateExecution, matches: F) -> EventSet {
+    exec.events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Fence(kind) if matches(kind)))
+        .map(|e| e.id)
+        .collect()
+}
+
+/// Pairs `(a, b)` of distinct events, `a` in `sources` and `b` in
+/// `targets`, with a member of `barriers` between them in program order —
+/// `po|sources→barriers ; po|barriers→targets`, one row OR per pair of the
+/// left factor.  A barrier that is itself a source or target (an RMW half
+/// among the memory accesses) counts as being on both sides of itself.
+fn ordered_across(
+    exec: &CandidateExecution,
+    barriers: &EventSet,
+    sources: &EventSet,
+    targets: &EventSet,
+) -> Relation {
+    let mut before = exec.po().restrict(sources, barriers);
+    let mut after = exec.po().restrict(barriers, targets);
+    for f in barriers.iter() {
+        if sources.contains(f) {
+            before.insert(f, f);
+        }
+        if targets.contains(f) {
+            after.insert(f, f);
+        }
+    }
+    let mut out = before.compose(&after);
+    for a in sources.iter() {
+        out.remove(a, a);
+    }
+    out
+}
+
+/// Combinator: pairs `(a, b)`, `a` in `sources` and `b` in `targets`,
+/// separated in program order by a fence of exactly `kind` — a fence flavour
+/// that orders only some access kinds across it (fence-implying RMWs not
+/// included: they order like a full fence, see [`fence_separated`]).
+pub fn ordered_by_fence(
+    exec: &CandidateExecution,
+    kind: FenceKind,
+    sources: &EventSet,
+    targets: &EventSet,
+) -> Relation {
+    ordered_across(exec, &fences(exec, |k| k == kind), sources, targets)
+}
+
 /// Combinator: pairs of memory accesses separated (in program order) by a
 /// fence satisfying `matches`, or by a fence-implying RMW.
 pub fn fence_separated<F>(exec: &CandidateExecution, matches: F) -> Relation
 where
-    F: Fn(crate::event::FenceKind) -> bool,
+    F: Fn(FenceKind) -> bool,
 {
-    let po = exec.po();
-    let mut out = Relation::new();
-    let fencelike: Vec<_> = exec
-        .events()
-        .iter()
-        .filter(|e| match e.kind {
-            crate::event::EventKind::Fence(k) => matches(k),
-            // x86 locked RMWs drain the store buffer: they order everything
-            // before them against everything after them.
-            crate::event::EventKind::RmwRead | crate::event::EventKind::RmwWrite => true,
-            _ => false,
-        })
-        .map(|e| e.id)
-        .collect();
-    for f in fencelike {
-        let f_is_mem = exec.event(f).kind.is_memory_access();
-        let mut before: Vec<_> = exec
-            .events()
-            .iter()
-            .filter(|e| e.kind.is_memory_access() && po.contains(e.id, f))
-            .map(|e| e.id)
-            .collect();
-        let mut after: Vec<_> = exec
-            .events()
-            .iter()
-            .filter(|e| e.kind.is_memory_access() && po.contains(f, e.id))
-            .map(|e| e.id)
-            .collect();
-        // A fence-implying memory access (RMW half) is itself ordered against
-        // everything on both sides: on x86 a locked instruction's write is
-        // globally performed before any later read of the same core.
-        if f_is_mem {
-            before.push(f);
-            after.push(f);
-        }
-        for &a in &before {
-            for &b in &after {
-                if a != b {
-                    out.insert(a, b);
-                }
-            }
-        }
+    // x86 locked RMWs drain the store buffer: they order everything before
+    // them against everything after them — and, being memory accesses, are
+    // themselves ordered against both sides (a locked instruction's write is
+    // globally performed before any later read of the same core).
+    let mut barriers = fences(exec, matches);
+    for e in exec.events().iter().filter(|e| e.kind.is_rmw()) {
+        barriers.insert(e.id);
     }
-    out
+    let memory = &exec.masks().memory;
+    ordered_across(exec, &barriers, memory, memory)
 }
 
 #[cfg(test)]

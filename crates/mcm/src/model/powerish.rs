@@ -22,8 +22,8 @@
 use crate::event::FenceKind;
 use crate::execution::CandidateExecution;
 use crate::model::{
-    cumulative, dependency_order, fence_separated, no_thin_air_axiom, po_loc_preserved,
-    Architecture, Axiom,
+    cumulative, dependency_order, fence_separated, no_thin_air_axiom, ordered_by_fence,
+    po_loc_preserved, without_write_read, Architecture, Axiom,
 };
 use crate::relation::Relation;
 
@@ -49,17 +49,26 @@ impl Architecture for Powerish {
     }
 
     fn fence_order(&self, exec: &CandidateExecution) -> Relation {
-        let sync = fence_separated(exec, |k| k == FenceKind::Full);
-        let lwsync = fence_separated(exec, |k| k == FenceKind::LightweightSync)
-            .filter(|a, b| !(exec.event(a).is_write() && exec.event(b).is_read()));
-        let mut out = cumulative(exec, &sync);
-        out.union_with(&cumulative(exec, &lwsync));
-        let ss = fence_separated(exec, |k| k == FenceKind::StoreStore)
-            .filter(|a, b| exec.event(a).is_write() && exec.event(b).is_write());
-        let ll = fence_separated(exec, |k| k == FenceKind::LoadLoad)
-            .filter(|a, b| exec.event(a).is_read() && exec.event(b).is_read());
-        out.union_with(&ss);
-        out.union_with(&ll);
+        let m = exec.masks();
+        // `cumulative` distributes over union, so sync (with the
+        // fence-implying RMWs, which lwsync's narrower order adds nothing to)
+        // and lwsync share one cumulative closure.
+        let mut base = fence_separated(exec, |k| k == FenceKind::Full);
+        let lwsync = ordered_by_fence(exec, FenceKind::LightweightSync, &m.memory, &m.memory);
+        base.union_with(&without_write_read(exec, &lwsync));
+        let mut out = cumulative(exec, &base);
+        out.union_with(&ordered_by_fence(
+            exec,
+            FenceKind::StoreStore,
+            &m.writes,
+            &m.writes,
+        ));
+        out.union_with(&ordered_by_fence(
+            exec,
+            FenceKind::LoadLoad,
+            &m.reads,
+            &m.reads,
+        ));
         out
     }
 

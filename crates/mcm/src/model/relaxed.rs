@@ -22,8 +22,8 @@
 use crate::event::FenceKind;
 use crate::execution::CandidateExecution;
 use crate::model::{
-    cumulative, dependency_order, fence_separated, no_thin_air_axiom, po_loc_preserved,
-    Architecture, Axiom,
+    cumulative, dependency_order, fence_separated, no_thin_air_axiom, ordered_by_fence,
+    po_loc_preserved, Architecture, Axiom,
 };
 use crate::relation::Relation;
 
@@ -50,14 +50,20 @@ impl Architecture for Rmo {
         // The full fence orders everything across it, cumulatively; the
         // weaker fences order their respective kinds.  Acquire/release and
         // lwsync flavours are foreign and order nothing.
-        let full = fence_separated(exec, |k| k == FenceKind::Full);
-        let mut out = cumulative(exec, &full);
-        let ss = fence_separated(exec, |k| k == FenceKind::StoreStore)
-            .filter(|a, b| exec.event(a).is_write() && exec.event(b).is_write());
-        let ll = fence_separated(exec, |k| k == FenceKind::LoadLoad)
-            .filter(|a, b| exec.event(a).is_read() && exec.event(b).is_read());
-        out.union_with(&ss);
-        out.union_with(&ll);
+        let m = exec.masks();
+        let mut out = cumulative(exec, &fence_separated(exec, |k| k == FenceKind::Full));
+        out.union_with(&ordered_by_fence(
+            exec,
+            FenceKind::StoreStore,
+            &m.writes,
+            &m.writes,
+        ));
+        out.union_with(&ordered_by_fence(
+            exec,
+            FenceKind::LoadLoad,
+            &m.reads,
+            &m.reads,
+        ));
         out
     }
 

@@ -9,7 +9,7 @@
 
 use crate::event::FenceKind;
 use crate::execution::CandidateExecution;
-use crate::model::{fence_separated, po_mem, Architecture};
+use crate::model::{fence_separated, po_mem, without_write_read, Architecture};
 use crate::relation::Relation;
 
 /// The x86-TSO memory consistency model.
@@ -29,7 +29,7 @@ impl Architecture for Tso {
 
     fn ppo(&self, exec: &CandidateExecution) -> Relation {
         // Program order between memory accesses, minus write -> read pairs.
-        po_mem(exec).filter(|a, b| !(exec.event(a).is_write() && exec.event(b).is_read()))
+        without_write_read(exec, &po_mem(exec))
     }
 
     fn fence_order(&self, exec: &CandidateExecution) -> Relation {

@@ -6,7 +6,7 @@
 //! program order (ppo) are gathered before first execution of a test").
 
 use crate::event::{Event, EventId, ProcessorId};
-use crate::relation::Relation;
+use crate::relation::{EventSet, Relation};
 use std::collections::BTreeMap;
 
 /// Builds the program order (`po`) relation from events.
@@ -83,17 +83,95 @@ pub fn thread_sequences(events: &[Event]) -> BTreeMap<ProcessorId, Vec<EventId>>
         .collect()
 }
 
+/// Dense classification masks of an event list: which events read, write or
+/// access memory at all, and for each event the events sharing its address or
+/// its thread.
+///
+/// `events[i]` must be the event with id `i` — the dense-id convention of
+/// [`CandidateExecution::events`](crate::execution::CandidateExecution::events).
+/// The checker's restrictions of `po`, `rf` and the fence orders ("memory
+/// accesses only", "same address", "external") are row ANDs against these
+/// masks (see [`Relation::intersect_rows`]).
+#[derive(Debug, Clone, Default)]
+pub struct EventMasks {
+    /// Read events (including RMW read halves).
+    pub reads: EventSet,
+    /// Write events (including RMW write halves and initial writes).
+    pub writes: EventSet,
+    /// Memory accesses: every event that is not a fence.
+    pub memory: EventSet,
+    /// One set per distinct address, and per event the index of its set.
+    address_sets: Vec<EventSet>,
+    address_of: Vec<Option<u32>>,
+    /// One set per thread, and per event the index of its set.
+    thread_sets: Vec<EventSet>,
+    thread_of: Vec<Option<u32>>,
+}
+
+impl EventMasks {
+    /// Classifies `events` in one pass.
+    pub fn of(events: &[Event]) -> Self {
+        /// Adds `id` to the set `key` maps to, allocating the set on first use.
+        fn classify<K: Ord>(
+            index: &mut BTreeMap<K, u32>,
+            sets: &mut Vec<EventSet>,
+            key: K,
+            id: EventId,
+        ) -> u32 {
+            let class = *index.entry(key).or_insert_with(|| {
+                sets.push(EventSet::new());
+                sets.len() as u32 - 1
+            });
+            sets[class as usize].insert(id);
+            class
+        }
+        let mut masks = EventMasks::default();
+        let mut addresses = BTreeMap::new();
+        let mut threads = BTreeMap::new();
+        for (i, ev) in events.iter().enumerate() {
+            let id = EventId(i as u32);
+            if ev.is_read() {
+                masks.reads.insert(id);
+            }
+            if ev.is_write() {
+                masks.writes.insert(id);
+            }
+            if ev.kind.is_memory_access() {
+                masks.memory.insert(id);
+            }
+            masks.address_of.push(
+                ev.addr
+                    .map(|a| classify(&mut addresses, &mut masks.address_sets, a, id)),
+            );
+            masks.thread_of.push(
+                ev.pid()
+                    .map(|p| classify(&mut threads, &mut masks.thread_sets, p, id)),
+            );
+        }
+        masks
+    }
+
+    /// The events accessing the same address as `id` (itself included), or
+    /// `None` if `id` has no address.
+    pub fn same_address_as(&self, id: EventId) -> Option<&EventSet> {
+        let class = (*self.address_of.get(id.index())?)?;
+        Some(&self.address_sets[class as usize])
+    }
+
+    /// The events of the same thread as `id` (itself included), or `None` for
+    /// an initial write.
+    pub fn same_thread_as(&self, id: EventId) -> Option<&EventSet> {
+        let class = (*self.thread_of.get(id.index())?)?;
+        Some(&self.thread_sets[class as usize])
+    }
+}
+
 /// Restriction of a relation to pairs of events accessing the same address
-/// (`po-loc` when applied to `po`).
+/// (`po-loc` when applied to `po`): each row ANDed with the address mask of
+/// its source.  `events[i]` must be the event with id `i`.
 pub fn same_address(rel: &Relation, events: &[Event]) -> Relation {
-    let addr_of: BTreeMap<EventId, _> = events
-        .iter()
-        .filter_map(|e| e.addr.map(|a| (e.id, a)))
-        .collect();
-    rel.filter(|a, b| match (addr_of.get(&a), addr_of.get(&b)) {
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    })
+    let masks = EventMasks::of(events);
+    rel.intersect_rows(|a| masks.same_address_as(a))
 }
 
 #[cfg(test)]

@@ -1,16 +1,26 @@
 //! Binary relations over events and the graph algorithms used by the checker.
 //!
 //! A [`Relation`] is a finite set of ordered pairs of [`EventId`]s, stored as
-//! an adjacency map.  Axiomatic consistency models are phrased as constraints
-//! (acyclicity, irreflexivity) over unions and compositions of such relations,
-//! so this module provides the small relational algebra the checker needs:
-//! union, composition, inverse, restriction, transitive closure, acyclicity
-//! with cycle extraction, and topological ordering.
+//! a dense bit matrix: row `a` is a vector of 64-bit words whose bit `b` is
+//! set iff `(a, b)` is in the relation.  Event ids are dense indices (see
+//! [`EventId::index`]), so a relation over the ~256 events of one candidate
+//! execution is a few kilobytes and the relational algebra the checker needs
+//! — union, composition, restriction, transitive closure — runs as word-wise
+//! ORs and ANDs over whole rows instead of pair by pair.  Axiomatic
+//! consistency models are phrased as constraints (acyclicity, irreflexivity)
+//! over unions and compositions of such relations; this module provides that
+//! algebra plus acyclicity with cycle extraction and topological ordering.
+//! An [`EventSet`] is the matching dense set of events, used as a row mask.
+//!
+//! Storage is quadratic in the largest id a relation mentions, which is the
+//! right trade for the dense ids of an execution and the wrong one for
+//! arbitrary sparse `u32`s: do not use ids as hashes.
 
 use crate::event::EventId;
 use mcversi_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use serde::{DeError, Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
 
 /// Transitive-closure computations.
@@ -18,11 +28,102 @@ static CLOSURE_CALLS: telemetry::Counter = telemetry::Counter::new("mcm.closure.
 /// Word-wise bitset row ORs performed inside closure sweeps (hot path).
 static CLOSURE_ROW_SWEEPS: telemetry::Counter = telemetry::Counter::new("mcm.closure.row_sweeps");
 
+/// Iterator over the set bits of a word slice, ascending.
+#[derive(Debug, Clone)]
+struct BitIter<'a> {
+    words: &'a [u64],
+    /// Index of the word `current` was loaded from.
+    index: usize,
+    /// Bits of `words[index]` not yet yielded.
+    current: u64,
+}
+
+impl<'a> BitIter<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        BitIter {
+            words,
+            index: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+impl Iterator for BitIter<'_> {
+    type Item = EventId;
+
+    fn next(&mut self) -> Option<EventId> {
+        while self.current == 0 {
+            self.index += 1;
+            self.current = *self.words.get(self.index)?;
+        }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(EventId((self.index * 64 + bit) as u32))
+    }
+}
+
+/// A dense set of events: one bit per [`EventId::index`].
+///
+/// Used as a row mask for [`Relation`]s — "all reads", "every access to the
+/// address of event `a`" — so that restricting a relation is one AND per row
+/// word instead of a predicate call per pair.
+#[derive(Clone, Default)]
+pub struct EventSet {
+    words: Vec<u64>,
+}
+
+impl EventSet {
+    /// Creates an empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `id` to the set.
+    pub fn insert(&mut self, id: EventId) {
+        let word = id.index() / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1u64 << (id.index() % 64);
+    }
+
+    /// Returns `true` if `id` is in the set.
+    pub fn contains(&self, id: EventId) -> bool {
+        self.words
+            .get(id.index() / 64)
+            .is_some_and(|w| w & (1u64 << (id.index() % 64)) != 0)
+    }
+
+    /// Iterates over the members in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = EventId> + '_ {
+        BitIter::new(&self.words)
+    }
+}
+
+impl FromIterator<EventId> for EventSet {
+    fn from_iter<I: IntoIterator<Item = EventId>>(iter: I) -> Self {
+        let mut set = EventSet::new();
+        for id in iter {
+            set.insert(id);
+        }
+        set
+    }
+}
+
+impl fmt::Debug for EventSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// A binary relation over [`EventId`]s.
 ///
-/// The representation is an adjacency map from source to the ordered set of
-/// targets.  All operations are deterministic (iteration order follows event
-/// id order), which keeps checker output and test failures reproducible.
+/// The representation is a row-major bit matrix (see the module
+/// documentation).  All operations are deterministic — iteration is in
+/// ascending `(from, to)` order — which keeps checker output and test failures
+/// reproducible; that order, and the `{:?}` and serialized text (an adjacency
+/// map `{from: {to, ..}}` plus the pair count), are part of the contract:
+/// witness cycles, golden digests and journals depend on them.
 ///
 /// ```
 /// use mcversi_mcm::relation::Relation;
@@ -35,17 +136,34 @@ static CLOSURE_ROW_SWEEPS: telemetry::Counter = telemetry::Counter::new("mcm.clo
 /// assert!(!r.contains(EventId(0), EventId(2)));
 /// assert!(r.transitive_closure().contains(EventId(0), EventId(2)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct Relation {
-    edges: BTreeMap<EventId, BTreeSet<EventId>>,
+    /// `rows() * words` words; bit `b % 64` of word `a * words + b / 64` is
+    /// set iff `(a, b)` is in the relation.
+    bits: Vec<u64>,
+    /// Words per row (0 only while `bits` is empty).
+    words: usize,
+    /// Number of set bits in `bits`.
     len: usize,
 }
 
 impl Relation {
+    /// The largest event id [`Deserialize`] accepts.  The matrix is allocated
+    /// for the largest id mentioned, so an unchecked id read from a file
+    /// would size the allocation; this bound caps it at 32 MiB per relation.
+    pub const MAX_DESERIALIZED_ID: u32 = (1 << 14) - 1;
+
     /// Creates an empty relation.
     pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty relation with storage for `rows` sources and `words * 64`
+    /// targets.
+    fn zeroed(rows: usize, words: usize) -> Self {
         Relation {
-            edges: BTreeMap::new(),
+            bits: vec![0; rows * words],
+            words,
             len: 0,
         }
     }
@@ -59,32 +177,81 @@ impl Relation {
         r
     }
 
+    /// Number of allocated rows (sources `>= rows()` have no successors).
+    fn rows(&self) -> usize {
+        self.bits.len().checked_div(self.words).unwrap_or(0)
+    }
+
+    /// The words of row `a`; empty when the row is not allocated.
+    fn row(&self, a: usize) -> &[u64] {
+        self.bits
+            .get(a * self.words..(a + 1) * self.words)
+            .unwrap_or(&[])
+    }
+
+    /// The non-empty rows with their sources, ascending: the adjacency-map
+    /// view both text forms print.
+    fn adjacency(&self) -> impl Iterator<Item = (EventId, BitIter<'_>)> {
+        (0..self.rows())
+            .filter(|&a| self.row(a).iter().any(|&w| w != 0))
+            .map(|a| (EventId(a as u32), BitIter::new(self.row(a))))
+    }
+
+    /// One past the largest id that can appear as source or target.
+    fn node_bound(&self) -> usize {
+        self.rows().max(self.words * 64)
+    }
+
+    /// Grows the matrix to at least `rows` rows of `words` words.
+    fn reserve(&mut self, rows: usize, words: usize) {
+        if words > self.words {
+            let mut bits = vec![0; rows.max(self.rows()) * words];
+            if self.words > 0 {
+                for (new, old) in bits
+                    .chunks_exact_mut(words)
+                    .zip(self.bits.chunks_exact(self.words))
+                {
+                    new[..self.words].copy_from_slice(old);
+                }
+            }
+            self.bits = bits;
+            self.words = words;
+        } else if rows * self.words > self.bits.len() {
+            self.bits.resize(rows * self.words, 0);
+        }
+    }
+
+    /// Recomputes `len` after a bulk word operation.
+    fn recount(&mut self) {
+        self.len = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+    }
+
     /// Inserts the pair `(from, to)`. Returns `true` if it was not already present.
     pub fn insert(&mut self, from: EventId, to: EventId) -> bool {
-        let inserted = self.edges.entry(from).or_default().insert(to);
-        if inserted {
-            self.len += 1;
-        }
+        self.reserve(from.index() + 1, to.index() / 64 + 1);
+        let word = &mut self.bits[from.index() * self.words + to.index() / 64];
+        let bit = 1u64 << (to.index() % 64);
+        let inserted = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(inserted);
         inserted
     }
 
     /// Removes the pair `(from, to)`. Returns `true` if it was present.
     pub fn remove(&mut self, from: EventId, to: EventId) -> bool {
-        if let Some(set) = self.edges.get_mut(&from) {
-            if set.remove(&to) {
-                self.len -= 1;
-                if set.is_empty() {
-                    self.edges.remove(&from);
-                }
-                return true;
-            }
+        if !self.contains(from, to) {
+            return false;
         }
-        false
+        self.bits[from.index() * self.words + to.index() / 64] &= !(1u64 << (to.index() % 64));
+        self.len -= 1;
+        true
     }
 
     /// Returns `true` if the pair `(from, to)` is in the relation.
     pub fn contains(&self, from: EventId, to: EventId) -> bool {
-        self.edges.get(&from).is_some_and(|s| s.contains(&to))
+        self.row(from.index())
+            .get(to.index() / 64)
+            .is_some_and(|w| w & (1u64 << (to.index() % 64)) != 0)
     }
 
     /// Number of pairs in the relation.
@@ -97,22 +264,24 @@ impl Relation {
         self.len == 0
     }
 
-    /// Iterates over all pairs in deterministic order.
+    /// Iterates over all pairs in ascending `(from, to)` order.
     pub fn iter(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
-        self.edges
-            .iter()
-            .flat_map(|(&from, tos)| tos.iter().map(move |&to| (from, to)))
+        (0..self.rows())
+            .flat_map(move |a| BitIter::new(self.row(a)).map(move |to| (EventId(a as u32), to)))
     }
 
-    /// Successors of `from` (events ordered after it by one step of the relation).
+    /// Successors of `from` (events ordered after it by one step of the
+    /// relation), ascending.
     pub fn successors(&self, from: EventId) -> impl Iterator<Item = EventId> + '_ {
-        self.edges.get(&from).into_iter().flatten().copied()
+        BitIter::new(self.row(from.index()))
     }
 
-    /// Predecessors of `to`.  Linear in the size of the relation.
+    /// Predecessors of `to`, ascending.  One bit test per allocated row (a
+    /// column scan), independent of the number of pairs.
     pub fn predecessors(&self, to: EventId) -> Vec<EventId> {
-        self.iter()
-            .filter_map(|(a, b)| if b == to { Some(a) } else { None })
+        (0..self.rows() as u32)
+            .map(EventId)
+            .filter(|&a| self.contains(a, to))
             .collect()
     }
 
@@ -126,11 +295,24 @@ impl Relation {
         nodes
     }
 
-    /// In-place union with another relation.
+    /// In-place union with another relation: one OR per word.
     pub fn union_with(&mut self, other: &Relation) {
-        for (a, b) in other.iter() {
-            self.insert(a, b);
+        if other.is_empty() {
+            return;
         }
+        self.reserve(other.rows(), other.words);
+        let mut added = 0;
+        for (mine, theirs) in self
+            .bits
+            .chunks_exact_mut(self.words)
+            .zip(other.bits.chunks_exact(other.words))
+        {
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                added += (t & !*m).count_ones() as usize;
+                *m |= t;
+            }
+        }
+        self.len += added;
     }
 
     /// Union of `self` and `other`.
@@ -149,63 +331,203 @@ impl Relation {
         out
     }
 
+    /// A relation of `self`'s shape whose row `a` is `op(a, row a of self)`
+    /// applied word by word against `mask(a)` (missing mask words read as 0).
+    fn map_rows<'a, M, O>(&self, mask: M, op: O) -> Relation
+    where
+        M: Fn(usize) -> &'a [u64],
+        O: Fn(u64, u64) -> u64,
+    {
+        let mut out = Relation::zeroed(self.rows(), self.words);
+        if self.words == 0 {
+            return out;
+        }
+        for (a, (new, old)) in out
+            .bits
+            .chunks_exact_mut(self.words)
+            .zip(self.bits.chunks_exact(self.words))
+            .enumerate()
+        {
+            if old.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let mask = mask(a);
+            for (i, (n, &o)) in new.iter_mut().zip(old).enumerate() {
+                *n = op(o, mask.get(i).copied().unwrap_or(0));
+            }
+        }
+        out.recount();
+        out
+    }
+
     /// Intersection of `self` and `other`.
     pub fn intersection(&self, other: &Relation) -> Relation {
-        Relation::from_pairs(self.iter().filter(|&(a, b)| other.contains(a, b)))
+        self.map_rows(|a| other.row(a), |mine, theirs| mine & theirs)
     }
 
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &Relation) -> Relation {
-        Relation::from_pairs(self.iter().filter(|&(a, b)| !other.contains(a, b)))
+        self.map_rows(|a| other.row(a), |mine, theirs| mine & !theirs)
+    }
+
+    /// [`map_rows`](Self::map_rows) against the set `targets` picks per source
+    /// (no set: an all-zero mask).
+    fn mask_rows<'a, F, O>(&self, targets: F, op: O) -> Relation
+    where
+        F: Fn(EventId) -> Option<&'a EventSet>,
+        O: Fn(u64, u64) -> u64,
+    {
+        self.map_rows(
+            |a| targets(EventId(a as u32)).map_or(&[][..], |set| set.words.as_slice()),
+            op,
+        )
+    }
+
+    /// Row-wise restriction: keeps `(a, b)` iff `targets(a)` is a set
+    /// containing `b`; a source mapped to `None` loses its whole row.
+    /// `targets` is only asked about sources that have successors.
+    pub fn intersect_rows<'a, F>(&self, targets: F) -> Relation
+    where
+        F: Fn(EventId) -> Option<&'a EventSet>,
+    {
+        self.mask_rows(targets, |mine, mask| mine & mask)
+    }
+
+    /// Row-wise exclusion: drops `(a, b)` iff `targets(a)` is a set
+    /// containing `b`; a source mapped to `None` keeps its whole row.
+    pub fn subtract_rows<'a, F>(&self, targets: F) -> Relation
+    where
+        F: Fn(EventId) -> Option<&'a EventSet>,
+    {
+        self.mask_rows(targets, |mine, mask| mine & !mask)
+    }
+
+    /// Restriction to `sources × targets`: keeps `(a, b)` iff `a` is in
+    /// `sources` and `b` is in `targets`.
+    pub fn restrict(&self, sources: &EventSet, targets: &EventSet) -> Relation {
+        self.intersect_rows(|a| sources.contains(a).then_some(targets))
     }
 
     /// Inverse relation: contains `(b, a)` for every `(a, b)` in `self`.
     pub fn inverse(&self) -> Relation {
-        Relation::from_pairs(self.iter().map(|(a, b)| (b, a)))
-    }
-
-    /// Relational composition `self ; other`: `(a, c)` whenever `(a, b)` in
-    /// `self` and `(b, c)` in `other` for some `b`.
-    pub fn compose(&self, other: &Relation) -> Relation {
         let mut out = Relation::new();
+        if let Some(max_target) = self.iter().map(|(_, b)| b.index()).max() {
+            out.reserve(max_target + 1, self.rows().div_ceil(64));
+        }
         for (a, b) in self.iter() {
-            for c in other.successors(b) {
-                out.insert(a, c);
-            }
+            out.insert(b, a);
         }
         out
     }
 
-    /// Restriction of the relation to pairs satisfying `keep`.
-    pub fn filter<F: Fn(EventId, EventId) -> bool>(&self, keep: F) -> Relation {
-        Relation::from_pairs(self.iter().filter(|&(a, b)| keep(a, b)))
+    /// Relational composition `self ; other`: `(a, c)` whenever `(a, b)` in
+    /// `self` and `(b, c)` in `other` for some `b`.  One row OR per pair of
+    /// `self` whose target has successors in `other`.
+    pub fn compose(&self, other: &Relation) -> Relation {
+        let mut out = Relation::zeroed(self.rows(), other.words);
+        if other.is_empty() {
+            return out;
+        }
+        // The sources of `other`, as a mask over the targets of `self`.
+        let mut joinable = vec![0u64; self.words];
+        for (b, row) in other.bits.chunks_exact(other.words).enumerate() {
+            if b / 64 < joinable.len() && row.iter().any(|&w| w != 0) {
+                joinable[b / 64] |= 1u64 << (b % 64);
+            }
+        }
+        let mut via = vec![0u64; self.words];
+        for (a, new) in out.bits.chunks_exact_mut(other.words).enumerate() {
+            for ((v, mine), j) in via.iter_mut().zip(self.row(a)).zip(&joinable) {
+                *v = mine & j;
+            }
+            for b in BitIter::new(&via) {
+                for (n, o) in new.iter_mut().zip(other.row(b.index())) {
+                    *n |= o;
+                }
+            }
+        }
+        out.recount();
+        out
     }
 
-    /// Transitive closure computed over dense per-node bitsets.
+    /// Restriction of the relation to pairs satisfying `keep` (one call per
+    /// pair; prefer [`intersect_rows`](Self::intersect_rows) /
+    /// [`subtract_rows`](Self::subtract_rows) when the predicate is a set
+    /// membership).
+    pub fn filter<F: Fn(EventId, EventId) -> bool>(&self, keep: F) -> Relation {
+        let mut out = Relation::zeroed(self.rows(), self.words);
+        for (a, b) in self.iter().filter(|&(a, b)| keep(a, b)) {
+            out.bits[a.index() * self.words + b.index() / 64] |= 1u64 << (b.index() % 64);
+            out.len += 1;
+        }
+        out
+    }
+
+    /// `self.bits[dst row] |= self.bits[src row]` for two distinct rows.
+    fn or_row(&mut self, dst: usize, src: usize) {
+        debug_assert_ne!(dst, src);
+        let words = self.words;
+        let (dst_row, src_row) = if dst < src {
+            let (lo, hi) = self.bits.split_at_mut(src * words);
+            (&mut lo[dst * words..(dst + 1) * words], &hi[..words])
+        } else {
+            let (lo, hi) = self.bits.split_at_mut(dst * words);
+            (&mut hi[..words], &lo[src * words..(src + 1) * words])
+        };
+        for (d, s) in dst_row.iter_mut().zip(src_row) {
+            *d |= *s;
+        }
+    }
+
+    /// Transitive closure, computed on the rows.
     ///
-    /// Participating nodes are mapped to dense indices and reachability rows
-    /// are 64-bit word vectors, so unions of whole successor sets are single
-    /// word-wise OR sweeps instead of `BTreeSet` merges.  For acyclic
-    /// relations (the common case: `co` is validated acyclic before closure)
-    /// one pass in reverse topological order suffices — `O(V·E/64)` word
-    /// operations; cyclic relations fall back to a per-node bitset BFS with
-    /// identical semantics to the original implementation.
+    /// For acyclic relations (the common case: `co` is validated acyclic
+    /// before closure) one sweep in reverse topological order suffices,
+    /// `reach[a] = row[a] ∪ ⋃ reach[succ]`: one row OR per pair — `O(E·V/64)`
+    /// word operations.  Cyclic relations fall back to a per-node search with
+    /// the node's own row as the visited set (so a node on a cycle reaches
+    /// itself).
     pub fn transitive_closure(&self) -> Relation {
         CLOSURE_CALLS.incr();
-        let dense = match DenseGraph::from_relation(self) {
-            Some(dense) => dense,
-            None => return Relation::new(),
-        };
-        let reach = match dense.topological_order() {
-            Some(order) => dense.closure_acyclic(&order),
-            None => dense.closure_bfs(),
-        };
-        dense.to_relation(&reach)
+        if self.is_empty() {
+            return Relation::new();
+        }
+        let mut reach = self.clone();
+        match self.kahn_order() {
+            Some(order) => {
+                CLOSURE_ROW_SWEEPS.add(self.len as u64);
+                for a in order.into_iter().rev() {
+                    for succ in BitIter::new(self.row(a.index())) {
+                        // A successor without an allocated row reaches nothing.
+                        if succ.index() < reach.rows() {
+                            reach.or_row(a.index(), succ.index());
+                        }
+                    }
+                }
+            }
+            None => {
+                let mut stack: Vec<EventId> = Vec::new();
+                for (a, seen) in reach.bits.chunks_exact_mut(self.words).enumerate() {
+                    seen.fill(0);
+                    stack.clear();
+                    stack.extend(BitIter::new(self.row(a)));
+                    while let Some(n) = stack.pop() {
+                        let bit = 1u64 << (n.index() % 64);
+                        if seen[n.index() / 64] & bit == 0 {
+                            seen[n.index() / 64] |= bit;
+                            stack.extend(BitIter::new(self.row(n.index())));
+                        }
+                    }
+                }
+            }
+        }
+        reach.recount();
+        reach
     }
 
     /// Returns `true` if the relation relates any event to itself.
     pub fn has_reflexive_pair(&self) -> bool {
-        self.iter().any(|(a, b)| a == b)
+        (0..self.rows() as u32).any(|a| self.contains(EventId(a), EventId(a)))
     }
 
     /// Returns `true` if the relation is irreflexive after taking its
@@ -217,54 +539,51 @@ impl Relation {
     /// Finds a cycle if one exists and returns it as a list of events forming
     /// the cycle (each adjacent pair, and the last-to-first pair, are related).
     ///
-    /// Uses an iterative depth-first search with tri-colour marking; the cycle
-    /// is reconstructed from the DFS parent pointers when a back-edge is found.
+    /// Uses an iterative depth-first search with tri-colour marking — roots
+    /// and successors both in ascending id order, so the witness is a function
+    /// of the pair set alone; the cycle is reconstructed from the DFS parent
+    /// pointers when a back-edge is found.
     pub fn find_cycle(&self) -> Option<Vec<EventId>> {
         const WHITE: u8 = 0;
         const GREY: u8 = 1;
         const BLACK: u8 = 2;
-        let mut colour: BTreeMap<EventId, u8> = BTreeMap::new();
-        let mut parent: BTreeMap<EventId, EventId> = BTreeMap::new();
-        let roots: Vec<EventId> = self.edges.keys().copied().collect();
+        let mut colour = vec![WHITE; self.node_bound()];
+        let mut parent = vec![EventId(u32::MAX); self.node_bound()];
+        // Stack frames: (node, its successors not yet visited).
+        let mut stack: Vec<(EventId, BitIter<'_>)> = Vec::new();
 
-        for &root in &roots {
-            if colour.get(&root).copied().unwrap_or(WHITE) != WHITE {
+        for root in (0..self.rows() as u32).map(EventId) {
+            if colour[root.index()] != WHITE {
                 continue;
             }
-            colour.insert(root, GREY);
-            // Stack frames: (node, successor list, next successor index).
-            let mut stack: Vec<(EventId, Vec<EventId>, usize)> =
-                vec![(root, self.successors(root).collect(), 0)];
-            while !stack.is_empty() {
-                let frame_len = stack.last().expect("non-empty").1.len();
-                let frame_idx = stack.last().expect("non-empty").2;
-                let frame_node = stack.last().expect("non-empty").0;
-                if frame_idx < frame_len {
-                    let succ = stack.last().expect("non-empty").1[frame_idx];
-                    stack.last_mut().expect("non-empty").2 += 1;
-                    match colour.get(&succ).copied().unwrap_or(WHITE) {
+            colour[root.index()] = GREY;
+            stack.push((root, BitIter::new(self.row(root.index()))));
+            while let Some((node, succs)) = stack.last_mut() {
+                let node = *node;
+                match succs.next() {
+                    Some(succ) => match colour[succ.index()] {
                         WHITE => {
-                            parent.insert(succ, frame_node);
-                            colour.insert(succ, GREY);
-                            let succs: Vec<EventId> = self.successors(succ).collect();
-                            stack.push((succ, succs, 0));
+                            parent[succ.index()] = node;
+                            colour[succ.index()] = GREY;
+                            stack.push((succ, BitIter::new(self.row(succ.index()))));
                         }
                         GREY => {
-                            // Back-edge frame_node -> succ closes a cycle.
-                            let mut cycle = vec![frame_node];
-                            let mut cur = frame_node;
+                            // Back-edge node -> succ closes a cycle.
+                            let mut cycle = vec![node];
+                            let mut cur = node;
                             while cur != succ {
-                                cur = parent[&cur];
+                                cur = parent[cur.index()];
                                 cycle.push(cur);
                             }
                             cycle.reverse();
                             return Some(cycle);
                         }
                         _ => {}
+                    },
+                    None => {
+                        colour[node.index()] = BLACK;
+                        stack.pop();
                     }
-                } else {
-                    colour.insert(frame_node, BLACK);
-                    stack.pop();
                 }
             }
         }
@@ -277,174 +596,137 @@ impl Relation {
     /// Kahn's algorithm; ties are broken by event id so the result is
     /// deterministic.
     pub fn topological_sort(&self) -> Option<Vec<EventId>> {
-        let nodes = self.nodes();
-        let mut indegree: BTreeMap<EventId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-        for (_, b) in self.iter() {
-            *indegree.get_mut(&b).expect("target in node set") += 1;
+        self.kahn_order()
+    }
+
+    /// Kahn's algorithm over the participating nodes, smallest ready id
+    /// first; `None` when the relation is cyclic.
+    fn kahn_order(&self) -> Option<Vec<EventId>> {
+        let mut indegree = vec![0u32; self.node_bound()];
+        let mut participates = vec![false; self.node_bound()];
+        for (a, b) in self.iter() {
+            indegree[b.index()] += 1;
+            participates[a.index()] = true;
+            participates[b.index()] = true;
         }
-        let mut ready: BTreeSet<EventId> = indegree
-            .iter()
-            .filter_map(|(&n, &d)| if d == 0 { Some(n) } else { None })
+        let nodes = participates.iter().filter(|&&p| p).count();
+        let mut ready: BinaryHeap<Reverse<EventId>> = (0..self.node_bound())
+            .filter(|&n| participates[n] && indegree[n] == 0)
+            .map(|n| Reverse(EventId(n as u32)))
             .collect();
-        let mut out = Vec::with_capacity(nodes.len());
-        while let Some(&n) = ready.iter().next() {
-            ready.remove(&n);
+        let mut out = Vec::with_capacity(nodes);
+        while let Some(Reverse(n)) = ready.pop() {
             out.push(n);
             for s in self.successors(n) {
-                let d = indegree.get_mut(&s).expect("successor in node set");
-                *d -= 1;
-                if *d == 0 {
-                    ready.insert(s);
+                indegree[s.index()] -= 1;
+                if indegree[s.index()] == 0 {
+                    ready.push(Reverse(s));
                 }
             }
         }
-        if out.len() == nodes.len() {
-            Some(out)
-        } else {
-            None
-        }
+        (out.len() == nodes).then_some(out)
     }
 }
 
-/// Dense bitset view of a relation used by [`Relation::transitive_closure`].
-///
-/// Participating nodes get contiguous indices; reachability rows are stored
-/// as one flat `u64` word vector of `nodes.len() * words` entries so that
-/// unioning a successor's full reachability set into a node's row is a plain
-/// word-wise OR.
-#[derive(Debug)]
-struct DenseGraph {
-    /// Participating events, sorted; the dense index is the position here.
-    nodes: Vec<EventId>,
-    /// Words per bitset row: `nodes.len().div_ceil(64)`.
-    words: usize,
-    /// Direct successors as dense indices.
-    succs: Vec<Vec<u32>>,
-    /// Direct-successor bitset rows, flattened.
-    adj: Vec<u64>,
+/// Equality of the pair sets; allocated capacity is not observable.
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.len == other.len
+            && (0..self.rows().max(other.rows())).all(|a| {
+                let (mine, theirs) = (self.row(a), other.row(a));
+                let common = mine.len().min(theirs.len());
+                mine[..common] == theirs[..common]
+                    && mine[common..].iter().all(|&w| w == 0)
+                    && theirs[common..].iter().all(|&w| w == 0)
+            })
+    }
 }
 
-impl DenseGraph {
-    /// Builds the dense view; `None` for an empty relation.
-    fn from_relation(rel: &Relation) -> Option<DenseGraph> {
-        if rel.is_empty() {
-            return None;
-        }
-        let nodes: Vec<EventId> = rel.nodes().into_iter().collect();
-        let index: BTreeMap<EventId, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
-            .collect();
-        let n = nodes.len();
-        let words = n.div_ceil(64);
-        let mut succs = vec![Vec::new(); n];
-        let mut adj = vec![0u64; n * words];
-        for (a, b) in rel.iter() {
-            let i = index[&a] as usize;
-            let j = index[&b];
-            succs[i].push(j);
-            adj[i * words + j as usize / 64] |= 1u64 << (j % 64);
-        }
-        Some(DenseGraph {
-            nodes,
-            words,
-            succs,
-            adj,
-        })
-    }
+impl Eq for Relation {}
 
-    /// Kahn topological order over dense indices, or `None` when cyclic.
-    fn topological_order(&self) -> Option<Vec<u32>> {
-        let n = self.nodes.len();
-        let mut indegree = vec![0u32; n];
-        for succs in &self.succs {
-            for &s in succs {
-                indegree[s as usize] += 1;
+/// `Debug` of a relation's adjacency-map view: `{from: {to, ..}, ..}`.
+struct Adjacency<'a>(&'a Relation);
+
+impl fmt::Debug for Adjacency<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Row<'a>(BitIter<'a>);
+        impl fmt::Debug for Row<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0.clone()).finish()
             }
         }
-        let mut ready: Vec<u32> = (0..n as u32)
-            .filter(|&i| indegree[i as usize] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = ready.pop() {
-            order.push(i);
-            for &s in &self.succs[i as usize] {
-                indegree[s as usize] -= 1;
-                if indegree[s as usize] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
+        f.debug_map()
+            .entries(self.0.adjacency().map(|(from, tos)| (from, Row(tos))))
+            .finish()
     }
+}
 
-    /// `rows[dst] |= rows[src]` for two distinct flattened bitset rows.
-    fn or_row(rows: &mut [u64], words: usize, dst: usize, src: usize) {
-        debug_assert_ne!(dst, src);
-        CLOSURE_ROW_SWEEPS.incr();
-        let (dst_row, src_row) = if dst < src {
-            let (lo, hi) = rows.split_at_mut(src * words);
-            (&mut lo[dst * words..(dst + 1) * words], &hi[..words])
-        } else {
-            let (lo, hi) = rows.split_at_mut(dst * words);
-            (&mut hi[..words], &lo[src * words..(src + 1) * words])
+/// Prints the adjacency-map shape `Relation { edges: {from: {to, ..}}, len }`
+/// whatever the storage, because golden digests hash this text.
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("edges", &Adjacency(self))
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+/// Serializes as `{"edges": {"<from>": [<to>, ..], ..}, "len": <pairs>}`.
+impl Serialize for Relation {
+    fn to_value(&self) -> serde::Value {
+        let edges = self
+            .adjacency()
+            .map(|(from, tos)| {
+                let targets = tos.map(|to| to.to_value()).collect();
+                (from.0.to_string(), serde::Value::Array(targets))
+            })
+            .collect();
+        serde::Value::Object(vec![
+            ("edges".to_string(), serde::Value::Object(edges)),
+            ("len".to_string(), self.len.to_value()),
+        ])
+    }
+}
+
+/// Accepts the shape [`Serialize`] writes.  Ids above
+/// [`Relation::MAX_DESERIALIZED_ID`] and a `len` that disagrees with the
+/// pairs listed are errors.
+impl Deserialize for Relation {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", "Relation"))?;
+        let edges = v
+            .get("edges")
+            .and_then(serde::Value::as_object)
+            .ok_or_else(|| DeError::expected("object", "field `edges` of `Relation`"))?;
+        let len: usize = serde::__field(fields, "len", "Relation")?;
+        let bounded = |id: EventId| {
+            if id.0 <= Relation::MAX_DESERIALIZED_ID {
+                Ok(id)
+            } else {
+                Err(DeError(format!(
+                    "event id {} in `Relation` exceeds the supported maximum {}",
+                    id.0,
+                    Relation::MAX_DESERIALIZED_ID
+                )))
+            }
         };
-        for (d, s) in dst_row.iter_mut().zip(src_row) {
-            *d |= *s;
-        }
-    }
-
-    /// Closure of an acyclic graph: one sweep in reverse topological order,
-    /// `reach[i] = adj[i] ∪ ⋃ reach[succ]` — `O(E)` row ORs total.
-    fn closure_acyclic(&self, order: &[u32]) -> Vec<u64> {
-        let mut reach = self.adj.clone();
-        for &i in order.iter().rev() {
-            for &s in &self.succs[i as usize] {
-                Self::or_row(&mut reach, self.words, i as usize, s as usize);
-            }
-        }
-        reach
-    }
-
-    /// Fallback closure for cyclic graphs: per-node BFS with a bitset visited
-    /// row (keeps the original semantics, e.g. a node on a cycle reaches
-    /// itself).
-    fn closure_bfs(&self) -> Vec<u64> {
-        let n = self.nodes.len();
-        let mut reach = vec![0u64; n * self.words];
-        let mut stack: Vec<u32> = Vec::new();
-        for i in 0..n {
-            let row = &mut reach[i * self.words..(i + 1) * self.words];
-            stack.clear();
-            stack.extend(&self.succs[i]);
-            while let Some(j) = stack.pop() {
-                let word = j as usize / 64;
-                let bit = 1u64 << (j % 64);
-                if row[word] & bit == 0 {
-                    row[word] |= bit;
-                    stack.extend(&self.succs[j as usize]);
-                }
-            }
-        }
-        reach
-    }
-
-    /// Converts flattened reachability rows back into a [`Relation`].
-    fn to_relation(&self, reach: &[u64]) -> Relation {
         let mut out = Relation::new();
-        for (i, &from) in self.nodes.iter().enumerate() {
-            let row = &reach[i * self.words..(i + 1) * self.words];
-            for (w, &bits) in row.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let j = w * 64 + bits.trailing_zeros() as usize;
-                    out.insert(from, self.nodes[j]);
-                    bits &= bits - 1;
-                }
+        for (from, targets) in edges {
+            let from = bounded(serde::from_key(from)?)?;
+            for to in Vec::<EventId>::from_value(targets)? {
+                out.insert(from, bounded(to)?);
             }
         }
-        out
+        if out.len != len {
+            return Err(DeError(format!(
+                "`Relation` lists {} pairs but records len {len}",
+                out.len
+            )));
+        }
+        Ok(out)
     }
 }
 
