@@ -490,6 +490,7 @@ impl MetricsReport {
         self.render_dedup(&mut out);
         self.render_fabric(&mut out);
         render_vc(&total, &mut out);
+        render_sleep(&total, &mut out);
 
         if !total.histograms.is_empty() {
             out.push('\n');
@@ -565,6 +566,25 @@ fn render_vc(total: &MetricsSnapshot, out: &mut String) {
          {pass} certified valid ({:.1}%), {fallback} violation fallback(s), \
          {abstain} abstention(s)",
         100.0 * pass as f64 / checked as f64,
+    );
+}
+
+/// Appends the simulator's sleep/wake summary line when the aggregated
+/// counters carry `sim.ff.*`: how many component ticks the simulation loop
+/// executed and how many it avoided by letting components sleep.
+fn render_sleep(total: &MetricsSnapshot, out: &mut String) {
+    let get = |name: &str| total.counters.get(name).copied().unwrap_or(0);
+    let (ticks, naps) = (get("sim.ff.component_ticks"), get("sim.ff.component_naps"));
+    if ticks + naps == 0 {
+        return;
+    }
+    let _ = writeln!(
+        out,
+        "\nComponent sleep: {ticks} component tick(s) executed, {naps} slept through \
+         ({:.1}% avoided), {} whole-cycle jump(s) over {} cycle(s)",
+        100.0 * naps as f64 / (ticks + naps) as f64,
+        get("sim.ff.segments"),
+        get("sim.ff.skipped_cycles"),
     );
 }
 
@@ -805,6 +825,38 @@ mod tests {
         let text = jsonl(&[CampaignEvent::SampleDone { result: plain }]);
         let report = MetricsReport::from_jsonl(&text).expect("stream parses");
         assert!(!report.render().contains("Vector-clock first pass"));
+    }
+
+    #[test]
+    fn metrics_report_renders_the_component_sleep_line() {
+        let mut sample = result(false, None);
+        let mut metrics = snapshot(1);
+        for (name, value) in [
+            ("sim.ff.component_ticks", 50),
+            ("sim.ff.component_naps", 950),
+            ("sim.ff.segments", 7),
+            ("sim.ff.skipped_cycles", 80),
+        ] {
+            metrics.counters.insert(name.to_string(), value);
+        }
+        sample.metrics = Some(metrics);
+        let text = jsonl(&[CampaignEvent::SampleDone { result: sample }]);
+        let rendered = MetricsReport::from_jsonl(&text)
+            .expect("stream parses")
+            .render();
+        assert!(
+            rendered.contains(
+                "Component sleep: 50 component tick(s) executed, 950 slept through \
+                 (95.0% avoided), 7 whole-cycle jump(s) over 80 cycle(s)"
+            ),
+            "sleep summary rendered: {rendered}"
+        );
+        // Without the counters the line is absent.
+        let mut plain = result(false, None);
+        plain.metrics = Some(snapshot(1));
+        let text = jsonl(&[CampaignEvent::SampleDone { result: plain }]);
+        let report = MetricsReport::from_jsonl(&text).expect("stream parses");
+        assert!(!report.render().contains("Component sleep"));
     }
 
     #[test]

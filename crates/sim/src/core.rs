@@ -148,11 +148,12 @@ pub struct CoreTickOutput {
     pub observed: Vec<ObservedOp>,
     /// `true` if the core is finished, or if this tick received nothing,
     /// produced nothing, changed nothing in the core *and* ran its issue
-    /// stage (was not held back by the issue-jitter draw).  Until something
-    /// arrives or [`CoreModel::next_delay_expiry`] comes, every further tick
-    /// then does the same again: one jitter draw and, when the draw lets the
-    /// issue stage run, the same stall counts
-    /// ([`CoreModel::replay_stalls`]).
+    /// stage (was not held back by the issue-jitter draw).  Until a response
+    /// or a notice arrives or [`CoreModel::next_delay_expiry`] comes, every
+    /// further tick then does the same again: one jitter draw (none once
+    /// finished) and, when the draw lets the issue stage run, the same stall
+    /// counts ([`CoreModel::replay_stalls`]).  The system lets such a core
+    /// sleep and does just that in its place.
     pub quiescent: bool,
 }
 
@@ -231,6 +232,8 @@ pub struct CoreModel {
     /// started, and the requests it decided on), kept to reuse the buffers.
     issue_window: Vec<(usize, InflightOp)>,
     issue_requests: Vec<(usize, CoreReqKind, Address)>,
+    /// Scratch of [`CoreModel::commit_stores_early`], kept likewise.
+    blocked_addrs: Vec<Address>,
 }
 
 impl CoreModel {
@@ -255,6 +258,7 @@ impl CoreModel {
             stalls: [0; Stall::ALL.len()],
             issue_window: Vec::new(),
             issue_requests: Vec::new(),
+            blocked_addrs: Vec::new(),
         }
     }
 
@@ -827,7 +831,15 @@ impl CoreModel {
     /// program order (a skipped or stuck access blocks every younger access
     /// to its address).
     fn commit_stores_early(&mut self) {
-        let mut blocked_addrs: Vec<Address> = Vec::new();
+        let mut blocked_addrs = std::mem::take(&mut self.blocked_addrs);
+        blocked_addrs.clear();
+        self.commit_stores_past(&mut blocked_addrs);
+        self.blocked_addrs = blocked_addrs;
+    }
+
+    /// The scan of [`CoreModel::commit_stores_early`]; `blocked_addrs` starts
+    /// empty and collects the addresses no younger store may commit to.
+    fn commit_stores_past(&mut self, blocked_addrs: &mut Vec<Address>) {
         let mut pos = 0;
         while pos < self.window.len() {
             let op = self.window[pos];

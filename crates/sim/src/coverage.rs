@@ -12,14 +12,13 @@
 //! * the set covered by the *current test-run only*, so each test's fitness is
 //!   independent of previously run tests.
 //!
-//! A third, transient view — the records of the *current cycle* — exists for
-//! the simulation loop: a stalled request re-records its transition every
-//! cycle it is retried, so when the loop fast-forwards `k` cycles in which
-//! nothing else happens it replays the certifying cycle's records `k` times
-//! ([`CoverageRecorder::replay_cycle`]) and the cumulative counts come out as
-//! if every cycle had been simulated.
+//! A stalled request re-records its transition every cycle it is retried.  The
+//! simulation loop does not execute those retries: it keeps what the stalled
+//! controller's last tick recorded and adds it once per tick slept through
+//! ([`CoverageRecorder::record_repeats`]), so the cumulative counts come out
+//! as if every cycle had been simulated.
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -84,23 +83,10 @@ impl fmt::Display for Transition {
 
 /// Records transition coverage for a whole simulation and for the test-run in
 /// progress.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct CoverageRecorder {
     cumulative: BTreeMap<Transition, u64>,
     current_run: BTreeSet<Transition>,
-    /// Every record since the last [`begin_cycle`](Self::begin_cycle), in
-    /// order and with repeats.
-    cycle_log: Vec<Transition>,
-}
-
-/// The two durable views; the per-cycle log is loop-internal scratch.
-impl Serialize for CoverageRecorder {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("cumulative".to_string(), self.cumulative.to_value()),
-            ("current_run".to_string(), self.current_run.to_value()),
-        ])
-    }
 }
 
 impl CoverageRecorder {
@@ -113,23 +99,15 @@ impl CoverageRecorder {
     pub fn record(&mut self, transition: Transition) {
         *self.cumulative.entry(transition).or_insert(0) += 1;
         self.current_run.insert(transition);
-        self.cycle_log.push(transition);
     }
 
-    /// Starts a new simulated cycle: forgets the previous cycle's records.
-    pub fn begin_cycle(&mut self) {
-        self.cycle_log.clear();
-    }
-
-    /// Counts every record of the current cycle `times` more, as `times`
-    /// further cycles that record exactly the same would have.
-    pub fn replay_cycle(&mut self, times: u64) {
-        for transition in &self.cycle_log {
-            *self
-                .cumulative
-                .get_mut(transition)
-                .expect("a logged transition has been counted") += times;
-        }
+    /// Counts a transition that has been [recorded](Self::record) `times`
+    /// more, as `times` repeats of that record would have.
+    pub fn record_repeats(&mut self, transition: Transition, times: u64) {
+        *self
+            .cumulative
+            .get_mut(&transition)
+            .expect("a repeated transition has been recorded") += times;
     }
 
     /// Cumulative count of a transition since simulation start.
@@ -203,29 +181,6 @@ mod tests {
         c.record(t1);
         assert_eq!(c.current_run_covered().len(), 1);
         assert_eq!(c.count(t1), 2);
-    }
-
-    #[test]
-    fn replay_multiplies_the_current_cycle_only() {
-        let mut c = CoverageRecorder::new();
-        let stalled = Transition::l2("NP", "GetS");
-        let earlier = Transition::l1("I", "Load");
-        c.record(earlier);
-        c.begin_cycle();
-        c.record(stalled);
-        c.record(stalled);
-        c.replay_cycle(10);
-        assert_eq!(c.count(stalled), 22, "2 records x (1 + 10) cycles");
-        assert_eq!(c.count(earlier), 1, "earlier cycles are not replayed");
-        c.begin_cycle();
-        c.replay_cycle(5);
-        assert_eq!(c.count(stalled), 22, "an empty cycle replays nothing");
-        // The transient log is not part of the serialized form.
-        let Value::Object(fields) = c.to_value() else {
-            panic!("recorder serializes as an object");
-        };
-        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, ["cumulative", "current_run"]);
     }
 
     #[test]

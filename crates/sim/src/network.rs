@@ -37,6 +37,9 @@ pub struct Network {
     /// `(src * nodes + dst) * VNETS + vnet`: ascending index order is the
     /// delivery order within a cycle.
     channels: Vec<VecDeque<(Cycle, Msg)>>,
+    /// One bit per channel, set while the channel holds a message, so that
+    /// delivery visits only those (a handful of the `nodes² × 3`).
+    non_empty: Vec<u64>,
     /// The earliest head-of-channel delivery time (`None` when empty), kept
     /// up to date so the per-cycle "anything due?" question costs one compare.
     earliest: Option<Cycle>,
@@ -51,6 +54,7 @@ impl Network {
         Network {
             nodes,
             channels: vec![VecDeque::new(); nodes * nodes * VNETS],
+            non_empty: vec![0; (nodes * nodes * VNETS).div_ceil(64)],
             earliest: None,
             in_flight: 0,
             total_sent: 0,
@@ -107,6 +111,7 @@ impl Network {
             deliver_at = deliver_at.max(last);
         }
         queue.push_back((deliver_at, msg));
+        self.non_empty[index / 64] |= 1 << (index % 64);
         // A message joining a non-empty channel is no earlier than its head,
         // so the minimum over heads only ever moves when it is undercut.
         self.earliest = Some(self.earliest.map_or(deliver_at, |e| e.min(deliver_at)));
@@ -127,22 +132,31 @@ impl Network {
             return;
         }
         let mut earliest: Option<Cycle> = None;
-        for queue in &mut self.channels {
-            while let Some(&(ready, _)) = queue.front() {
-                if ready > now {
-                    earliest = Some(earliest.map_or(ready, |e| e.min(ready)));
-                    break;
+        for (word_index, word) in self.non_empty.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let queue = &mut self.channels[word_index * 64 + bit];
+                while let Some(&(ready, _)) = queue.front() {
+                    if ready > now {
+                        earliest = Some(earliest.map_or(ready, |e| e.min(ready)));
+                        break;
+                    }
+                    let (_, msg) = queue.pop_front().expect("front exists");
+                    out.push(msg);
+                    self.in_flight -= 1;
                 }
-                let (_, msg) = queue.pop_front().expect("front exists");
-                out.push(msg);
-                self.in_flight -= 1;
+                if queue.is_empty() {
+                    *word &= !(1 << bit);
+                }
             }
         }
         self.earliest = earliest;
     }
 
     /// The earliest pending delivery time, if any (the network's deadline
-    /// when the system fast-forwards over cycles in which nothing happens).
+    /// when the system jumps over cycles every component sleeps through).
     pub fn next_delivery(&self) -> Option<Cycle> {
         self.earliest
     }
@@ -151,6 +165,7 @@ impl Network {
     pub fn clear(&mut self) {
         if self.in_flight > 0 {
             self.channels.iter_mut().for_each(VecDeque::clear);
+            self.non_empty.fill(0);
         }
         self.earliest = None;
         self.in_flight = 0;
@@ -304,6 +319,75 @@ mod tests {
             .map(|m| (m.src.0, m.dst.0))
             .collect();
         assert_eq!(order, [(8, 0), (8, 3), (9, 1)]);
+    }
+
+    /// The delivery the sparse walk must reproduce: every channel visited in
+    /// index order.  Returns what is due at `now` and the earliest head left.
+    fn dense_walk(
+        channels: &mut [VecDeque<(Cycle, Msg)>],
+        now: Cycle,
+    ) -> (Vec<Msg>, Option<Cycle>) {
+        let mut due = Vec::new();
+        for queue in channels.iter_mut() {
+            while queue.front().is_some_and(|&(ready, _)| ready <= now) {
+                due.extend(queue.pop_front().map(|(_, msg)| msg));
+            }
+        }
+        let earliest = channels
+            .iter()
+            .filter_map(|q| q.front())
+            .map(|&(t, _)| t)
+            .min();
+        (due, earliest)
+    }
+
+    #[test]
+    fn visiting_only_non_empty_channels_delivers_like_the_dense_walk() {
+        let cfg = cfg();
+        let nodes = cfg.num_nodes() as u32;
+        let mut rng = rng();
+        let mut net = Network::new(&cfg);
+        let mut now = 0;
+        let mut delivered = 0;
+        for step in 0..3_000u64 {
+            for _ in 0..rng.gen_range(0..4u32) {
+                let (src, dst) = (
+                    NodeId(rng.gen_range(0..nodes)),
+                    NodeId(rng.gen_range(0..nodes)),
+                );
+                let line = LineAddr(0x40 * step);
+                let payload = match rng.gen_range(0..3u32) {
+                    0 => MsgPayload::GetS { line },
+                    1 => MsgPayload::Inv { line },
+                    _ => MsgPayload::DataS {
+                        line,
+                        data: crate::types::LineData::zeroed(64),
+                        ts: None,
+                    },
+                };
+                net.send(Msg::new(src, dst, payload), now, &cfg, &mut rng);
+            }
+            now += rng.gen_range(0..4u64);
+            if step % 500 == 499 {
+                net.clear();
+                assert_eq!(net.next_delivery(), None);
+            }
+            let mut model = net.channels.clone();
+            let (want, want_next) = dense_walk(&mut model, now);
+            let got = deliver(&mut net, now);
+            delivered += got.len();
+            assert_eq!(got, want, "step {step}: delivery order");
+            assert_eq!(net.next_delivery(), want_next, "step {step}: next delivery");
+            assert_eq!(net.channels, model, "step {step}: what stays queued");
+            for (index, queue) in net.channels.iter().enumerate() {
+                let marked = net.non_empty[index / 64] & (1 << (index % 64)) != 0;
+                assert_eq!(marked, !queue.is_empty(), "step {step}: channel {index}");
+            }
+        }
+        assert!(
+            delivered > 1_000,
+            "only {delivered} messages were delivered"
+        );
     }
 
     #[test]

@@ -875,6 +875,7 @@ mod tests {
     use super::*;
     use crate::bugs::BugConfig;
     use crate::coverage::CoverageRecorder;
+    use crate::protocol::{TickCoverage, TickLog};
     use mcversi_mcm::Address;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -885,7 +886,7 @@ mod tests {
         coverage: CoverageRecorder,
         rng: StdRng,
         errors: Vec<ProtocolError>,
-        stall_path_counts: Vec<&'static mcversi_telemetry::Counter>,
+        log: TickLog,
         cycle: Cycle,
     }
 
@@ -897,7 +898,7 @@ mod tests {
                 coverage: CoverageRecorder::new(),
                 rng: StdRng::seed_from_u64(7),
                 errors: Vec::new(),
-                stall_path_counts: Vec::new(),
+                log: TickLog::default(),
                 cycle: 0,
             }
         }
@@ -908,10 +909,9 @@ mod tests {
                 cycle: self.cycle,
                 cfg: &self.cfg,
                 bugs: &self.bugs,
-                coverage: &mut self.coverage,
+                coverage: TickCoverage::new(&mut self.coverage, &mut self.log),
                 rng: &mut self.rng,
                 errors: &mut self.errors,
-                stall_path_counts: &mut self.stall_path_counts,
             };
             let mut out = L1Output::default();
             l1.tick(&mut ctx, &mut out);

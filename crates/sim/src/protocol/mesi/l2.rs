@@ -746,6 +746,7 @@ mod tests {
     use crate::bugs::BugConfig;
     use crate::config::ProtocolKind;
     use crate::coverage::CoverageRecorder;
+    use crate::protocol::{TickCoverage, TickLog};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -755,7 +756,7 @@ mod tests {
         coverage: CoverageRecorder,
         rng: StdRng,
         errors: Vec<ProtocolError>,
-        stall_path_counts: Vec<&'static mcversi_telemetry::Counter>,
+        log: TickLog,
         cycle: Cycle,
     }
 
@@ -767,7 +768,7 @@ mod tests {
                 coverage: CoverageRecorder::new(),
                 rng: StdRng::seed_from_u64(3),
                 errors: Vec::new(),
-                stall_path_counts: Vec::new(),
+                log: TickLog::default(),
                 cycle: 0,
             }
         }
@@ -778,10 +779,9 @@ mod tests {
                 cycle: self.cycle,
                 cfg: &self.cfg,
                 bugs: &self.bugs,
-                coverage: &mut self.coverage,
+                coverage: TickCoverage::new(&mut self.coverage, &mut self.log),
                 rng: &mut self.rng,
                 errors: &mut self.errors,
-                stall_path_counts: &mut self.stall_path_counts,
             };
             l2.tick(&mut ctx, out)
         }

@@ -18,7 +18,7 @@ pub mod tsocc;
 
 use crate::bugs::BugConfig;
 use crate::config::SystemConfig;
-use crate::coverage::CoverageRecorder;
+use crate::coverage::{CoverageRecorder, Transition};
 use crate::msg::Msg;
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr};
@@ -109,6 +109,57 @@ pub struct L1Output {
     pub lq_notices: Vec<LineAddr>,
 }
 
+/// What one tick did on the paths a stalled request re-takes every cycle it
+/// is retried: its coverage records and the telemetry counters bumped through
+/// [`TickCtx::count_on_stall_path`].  The system keeps one per component; when
+/// the tick made no progress the log is what every tick the component then
+/// sleeps through would have done again, and [`TickLog::replay`] accounts for
+/// them in one step.
+#[derive(Debug, Default)]
+pub struct TickLog {
+    records: Vec<Transition>,
+    counters: Vec<&'static telemetry::Counter>,
+}
+
+impl TickLog {
+    /// Counts everything in the log `ticks` more times, as `ticks` further
+    /// ticks that do exactly the same would have.
+    pub fn replay(&self, ticks: u64, coverage: &mut CoverageRecorder) {
+        if ticks == 0 {
+            return;
+        }
+        for &transition in &self.records {
+            coverage.record_repeats(transition, ticks);
+        }
+        for counter in &self.counters {
+            counter.add(ticks);
+        }
+    }
+}
+
+/// The coverage side of a [`TickCtx`]: records into the system's recorder and
+/// into the ticking component's [`TickLog`].
+#[derive(Debug)]
+pub struct TickCoverage<'a> {
+    recorder: &'a mut CoverageRecorder,
+    log: &'a mut TickLog,
+}
+
+impl<'a> TickCoverage<'a> {
+    /// Starts a tick: `log` is emptied and then holds this tick's records.
+    pub fn new(recorder: &'a mut CoverageRecorder, log: &'a mut TickLog) -> Self {
+        log.records.clear();
+        log.counters.clear();
+        TickCoverage { recorder, log }
+    }
+
+    /// Records that `transition` was taken once.
+    pub fn record(&mut self, transition: Transition) {
+        self.recorder.record(transition);
+        self.log.records.push(transition);
+    }
+}
+
 /// Mutable context shared by all controllers during one tick.
 #[derive(Debug)]
 pub struct TickCtx<'a> {
@@ -119,23 +170,21 @@ pub struct TickCtx<'a> {
     /// Injected bugs.
     pub bugs: &'a BugConfig,
     /// Transition coverage recorder.
-    pub coverage: &'a mut CoverageRecorder,
+    pub coverage: TickCoverage<'a>,
     /// Seeded simulation RNG (latency jitter).
     pub rng: &'a mut StdRng,
     /// Sink for protocol errors (invalid transitions).
     pub errors: &'a mut Vec<ProtocolError>,
-    /// Per-cycle log behind [`TickCtx::count_on_stall_path`].
-    pub stall_path_counts: &'a mut Vec<&'static telemetry::Counter>,
 }
 
 impl TickCtx<'_> {
     /// Bumps a telemetry counter that sits on a path a stalled request
-    /// re-takes every cycle it is retried, and logs it for this cycle so the
-    /// system can replay it for fast-forwarded cycles (see the inertness
-    /// contract on [`L1Controller::tick`]).
+    /// re-takes every cycle it is retried, and logs it so the system can
+    /// replay it for the ticks the controller sleeps through (see the
+    /// inertness contract on [`L1Controller::tick`]).
     pub fn count_on_stall_path(&mut self, counter: &'static telemetry::Counter) {
         counter.incr();
-        self.stall_path_counts.push(counter);
+        self.coverage.log.counters.push(counter);
     }
 }
 
@@ -174,13 +223,18 @@ pub trait L1Controller: fmt::Debug {
     /// accepted a core request, released a response or emitted anything.
     ///
     /// The inertness contract: a tick that returns `false` has left the
-    /// controller exactly as it found it — except for coverage records, which
-    /// go through [`TickCtx::coverage`]'s per-cycle log, and telemetry
-    /// counters, which must go through [`TickCtx::count_on_stall_path`] — and
-    /// has drawn nothing from the RNG.  Repeating it with the same (empty)
-    /// inputs therefore does the same again until
-    /// [`next_release`](Self::next_release) comes, which is what lets the
-    /// system fast-forward.
+    /// controller exactly as it found it and has drawn nothing from the RNG.
+    /// All it may have done is record coverage and bump telemetry counters,
+    /// both through `ctx` ([`TickCtx::coverage`],
+    /// [`TickCtx::count_on_stall_path`]) so that they land in the
+    /// controller's [`TickLog`].  What a tick does may depend only on the
+    /// controller's own state, on what was pushed to it and, through
+    /// [`next_release`](Self::next_release), on the cycle.  A tick that made
+    /// no progress would therefore be repeated identically by every later
+    /// one until a message or a core request is pushed or `next_release`
+    /// comes; the system does not execute those ticks but leaves the
+    /// controller asleep and replays the log for them when it wakes
+    /// (`ARCHITECTURE.md`, "The simulation loop and the inertness contract").
     fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool;
 
     /// The earliest cycle at which a held-back core response is released.
@@ -203,7 +257,9 @@ pub trait L2Controller: fmt::Debug {
     /// Advances the controller by one cycle, appending the messages it
     /// injects into the network to `out`.  Returns whether it made progress
     /// (consumed a response, accepted a request, queued or released a
-    /// message), under the same inertness contract as [`L1Controller::tick`].
+    /// message), under the same inertness contract as [`L1Controller::tick`]:
+    /// a bank that made none sleeps until a message is pushed or
+    /// [`next_release`](Self::next_release) comes.
     fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> bool;
 
     /// The earliest cycle at which a delayed outgoing message is released.
@@ -238,6 +294,24 @@ mod tests {
         assert!(out.to_network.is_empty());
         assert!(out.responses.is_empty());
         assert!(out.lq_notices.is_empty());
+    }
+
+    #[test]
+    fn replay_multiplies_the_last_tick_only() {
+        let mut coverage = CoverageRecorder::new();
+        let mut log = TickLog::default();
+        let stalled = Transition::l2("NP", "GetS");
+        let earlier = Transition::l1("I", "Load");
+        TickCoverage::new(&mut coverage, &mut log).record(earlier);
+        let mut tick = TickCoverage::new(&mut coverage, &mut log);
+        tick.record(stalled);
+        tick.record(stalled);
+        log.replay(10, &mut coverage);
+        assert_eq!(coverage.count(stalled), 22, "2 records x (1 + 10) ticks");
+        assert_eq!(coverage.count(earlier), 1, "earlier ticks are not replayed");
+        let _idle_tick = TickCoverage::new(&mut coverage, &mut log);
+        log.replay(5, &mut coverage);
+        assert_eq!(coverage.count(stalled), 22, "an empty tick replays nothing");
     }
 
     #[test]
