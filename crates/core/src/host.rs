@@ -165,9 +165,9 @@ impl HostInterface for SimHost {
     fn execute_test(&mut self) -> IterationOutcome {
         let program = self
             .staged
-            .clone()
+            .as_ref()
             .expect("make_test_thread must be called before execute_test");
-        self.system.run_iteration(&program)
+        self.system.run_iteration(program)
     }
 
     fn verify_reset_conflict(&mut self, outcome: &IterationOutcome) -> Verdict {

@@ -571,14 +571,15 @@ fn render_vc(total: &MetricsSnapshot, out: &mut String) {
 
 /// Appends the simulator's sleep/wake summary line when the aggregated
 /// counters carry `sim.ff.*`: how many component ticks the simulation loop
-/// executed and how many it avoided by letting components sleep.
+/// executed (and, where the stream carries the split, by which kind of
+/// component) and how many it avoided by letting components sleep.
 fn render_sleep(total: &MetricsSnapshot, out: &mut String) {
     let get = |name: &str| total.counters.get(name).copied().unwrap_or(0);
     let (ticks, naps) = (get("sim.ff.component_ticks"), get("sim.ff.component_naps"));
     if ticks + naps == 0 {
         return;
     }
-    let _ = writeln!(
+    let _ = write!(
         out,
         "\nComponent sleep: {ticks} component tick(s) executed, {naps} slept through \
          ({:.1}% avoided), {} whole-cycle jump(s) over {} cycle(s)",
@@ -586,6 +587,13 @@ fn render_sleep(total: &MetricsSnapshot, out: &mut String) {
         get("sim.ff.segments"),
         get("sim.ff.skipped_cycles"),
     );
+    let by_kind = ["memory", "l2", "l1", "core"]
+        .map(|kind| (kind, get(&format!("sim.ff.component_ticks.{kind}"))));
+    if by_kind.iter().any(|&(_, ticks)| ticks > 0) {
+        let split = by_kind.map(|(kind, ticks)| format!("{kind} {ticks}"));
+        let _ = write!(out, "; ticks by component: {}", split.join(", "));
+    }
+    out.push('\n');
 }
 
 /// Column width fitting every name in `names`.
@@ -850,6 +858,29 @@ mod tests {
                  (95.0% avoided), 7 whole-cycle jump(s) over 80 cycle(s)"
             ),
             "sleep summary rendered: {rendered}"
+        );
+        assert!(!rendered.contains("ticks by component"), "{rendered}");
+        // With the per-kind counters the line ends with the split.
+        let mut split = result(false, None);
+        let mut metrics = snapshot(1);
+        for (name, value) in [
+            ("sim.ff.component_ticks", 50),
+            ("sim.ff.component_naps", 950),
+            ("sim.ff.component_ticks.memory", 4),
+            ("sim.ff.component_ticks.l2", 10),
+            ("sim.ff.component_ticks.l1", 16),
+            ("sim.ff.component_ticks.core", 20),
+        ] {
+            metrics.counters.insert(name.to_string(), value);
+        }
+        split.metrics = Some(metrics);
+        let text = jsonl(&[CampaignEvent::SampleDone { result: split }]);
+        let rendered = MetricsReport::from_jsonl(&text)
+            .expect("stream parses")
+            .render();
+        assert!(
+            rendered.contains("; ticks by component: memory 4, l2 10, l1 16, core 20\n"),
+            "split rendered: {rendered}"
         );
         // Without the counters the line is absent.
         let mut plain = result(false, None);

@@ -4,9 +4,12 @@
 //! in a [`CacheArray`]; the array only manages placement (set indexing,
 //! associativity, LRU victims) and leaves all coherence semantics to the
 //! controller.
+//!
+//! A lookup computes the set and scans it: a set holds at most `ways` lines,
+//! so that is a handful of address comparisons on memory the lookup touches
+//! anyway, and there is nothing beside the sets to keep in step with them.
 
 use crate::types::LineAddr;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One resident cache line: the protocol-specific payload plus LRU bookkeeping.
@@ -21,11 +24,8 @@ struct Entry<L> {
 #[derive(Debug, Clone)]
 pub struct CacheArray<L> {
     sets: Vec<Vec<Entry<L>>>,
-    /// Keyed lookup index: resident address → way position within its set.
-    /// Kept in sync by `insert`/`remove`/`drain_all` (a `swap_remove` moves
-    /// the displaced entry's position here), so `get`/`contains` avoid
-    /// scanning the set.  A `BTreeMap` keeps iteration order deterministic.
-    index: BTreeMap<LineAddr, usize>,
+    /// Number of resident lines, over all sets.
+    resident: usize,
     ways: usize,
     line_bytes: u64,
     use_counter: u64,
@@ -41,7 +41,7 @@ impl<L> CacheArray<L> {
         assert!(sets > 0 && ways > 0 && line_bytes > 0);
         CacheArray {
             sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
-            index: BTreeMap::new(),
+            resident: 0,
             ways,
             line_bytes,
             use_counter: 0,
@@ -63,27 +63,30 @@ impl<L> CacheArray<L> {
         ((addr.0 / self.line_bytes) % self.sets.len() as u64) as usize
     }
 
+    /// The set `addr` maps to.
+    fn set_of(&self, addr: LineAddr) -> &[Entry<L>] {
+        &self.sets[self.set_index(addr)]
+    }
+
     /// Returns a reference to a resident line.
     pub fn get(&self, addr: LineAddr) -> Option<&L> {
-        let pos = *self.index.get(&addr)?;
-        self.sets[self.set_index(addr)].get(pos).map(|e| &e.line)
+        let entry = self.set_of(addr).iter().find(|e| e.addr == addr)?;
+        Some(&entry.line)
     }
 
     /// Returns a mutable reference to a resident line and touches its LRU state.
     pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut L> {
         self.use_counter += 1;
         let counter = self.use_counter;
-        let pos = *self.index.get(&addr)?;
         let idx = self.set_index(addr);
-        self.sets[idx].get_mut(pos).map(|e| {
-            e.last_use = counter;
-            &mut e.line
-        })
+        let entry = self.sets[idx].iter_mut().find(|e| e.addr == addr)?;
+        entry.last_use = counter;
+        Some(&mut entry.line)
     }
 
     /// Returns `true` if the line is resident.
     pub fn contains(&self, addr: LineAddr) -> bool {
-        self.index.contains_key(&addr)
+        self.set_of(addr).iter().any(|e| e.addr == addr)
     }
 
     /// Returns `true` if inserting `addr` would require evicting another line.
@@ -91,7 +94,7 @@ impl<L> CacheArray<L> {
         if self.contains(addr) {
             return false;
         }
-        self.sets[self.set_index(addr)].len() >= self.ways
+        self.set_of(addr).len() >= self.ways
     }
 
     /// The LRU victim of `addr`'s set (the line that should be evicted to make
@@ -100,7 +103,7 @@ impl<L> CacheArray<L> {
         if !self.needs_eviction(addr) {
             return None;
         }
-        self.sets[self.set_index(addr)]
+        self.set_of(addr)
             .iter()
             .min_by_key(|e| e.last_use)
             .map(|e| e.addr)
@@ -119,7 +122,7 @@ impl<L> CacheArray<L> {
         let idx = self.set_index(addr);
         let set = &mut self.sets[idx];
         assert!(set.len() < self.ways, "set for {addr} is full; evict first");
-        self.index.insert(addr, set.len());
+        self.resident += 1;
         set.push(Entry {
             addr,
             last_use: counter,
@@ -129,20 +132,17 @@ impl<L> CacheArray<L> {
 
     /// Removes a line and returns its payload.
     pub fn remove(&mut self, addr: LineAddr) -> Option<L> {
-        let pos = self.index.remove(&addr)?;
         let idx = self.set_index(addr);
         let set = &mut self.sets[idx];
-        let entry = set.swap_remove(pos);
-        if let Some(moved) = set.get(pos) {
-            self.index.insert(moved.addr, pos);
-        }
-        Some(entry.line)
+        let pos = set.iter().position(|e| e.addr == addr)?;
+        self.resident -= 1;
+        Some(set.swap_remove(pos).line)
     }
 
     /// Removes every resident line, returning them (used by the host-assisted
     /// reset between tests).
     pub fn drain_all(&mut self) -> Vec<(LineAddr, L)> {
-        self.index.clear();
+        self.resident = 0;
         let mut out = Vec::new();
         for set in &mut self.sets {
             for e in set.drain(..) {
@@ -168,12 +168,12 @@ impl<L> CacheArray<L> {
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.resident
     }
 
     /// Returns `true` if no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.resident == 0
     }
 }
 
@@ -192,6 +192,180 @@ impl<L> fmt::Display for CacheArray<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The array as it was while it kept a keyed index next to its sets:
+    /// resident address → way position, fixed up after every `swap_remove`.
+    mod reference {
+        use super::super::Entry;
+        use crate::types::LineAddr;
+        use std::collections::BTreeMap;
+
+        pub struct CacheArray<L> {
+            sets: Vec<Vec<Entry<L>>>,
+            index: BTreeMap<LineAddr, usize>,
+            ways: usize,
+            line_bytes: u64,
+            use_counter: u64,
+        }
+
+        impl<L> CacheArray<L> {
+            pub fn new(sets: usize, ways: usize, line_bytes: u64) -> Self {
+                CacheArray {
+                    sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+                    index: BTreeMap::new(),
+                    ways,
+                    line_bytes,
+                    use_counter: 0,
+                }
+            }
+
+            pub fn set_index(&self, addr: LineAddr) -> usize {
+                ((addr.0 / self.line_bytes) % self.sets.len() as u64) as usize
+            }
+
+            pub fn get(&self, addr: LineAddr) -> Option<&L> {
+                let pos = *self.index.get(&addr)?;
+                self.sets[self.set_index(addr)].get(pos).map(|e| &e.line)
+            }
+
+            pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut L> {
+                self.use_counter += 1;
+                let counter = self.use_counter;
+                let pos = *self.index.get(&addr)?;
+                let idx = self.set_index(addr);
+                self.sets[idx].get_mut(pos).map(|e| {
+                    e.last_use = counter;
+                    &mut e.line
+                })
+            }
+
+            pub fn contains(&self, addr: LineAddr) -> bool {
+                self.index.contains_key(&addr)
+            }
+
+            pub fn needs_eviction(&self, addr: LineAddr) -> bool {
+                if self.contains(addr) {
+                    return false;
+                }
+                self.sets[self.set_index(addr)].len() >= self.ways
+            }
+
+            pub fn victim_for(&self, addr: LineAddr) -> Option<LineAddr> {
+                if !self.needs_eviction(addr) {
+                    return None;
+                }
+                self.sets[self.set_index(addr)]
+                    .iter()
+                    .min_by_key(|e| e.last_use)
+                    .map(|e| e.addr)
+            }
+
+            pub fn insert(&mut self, addr: LineAddr, line: L) {
+                assert!(!self.contains(addr), "line {addr} already resident");
+                self.use_counter += 1;
+                let counter = self.use_counter;
+                let idx = self.set_index(addr);
+                let set = &mut self.sets[idx];
+                assert!(set.len() < self.ways, "set for {addr} is full; evict first");
+                self.index.insert(addr, set.len());
+                set.push(Entry {
+                    addr,
+                    last_use: counter,
+                    line,
+                });
+            }
+
+            pub fn remove(&mut self, addr: LineAddr) -> Option<L> {
+                let pos = self.index.remove(&addr)?;
+                let idx = self.set_index(addr);
+                let set = &mut self.sets[idx];
+                let entry = set.swap_remove(pos);
+                if let Some(moved) = set.get(pos) {
+                    self.index.insert(moved.addr, pos);
+                }
+                Some(entry.line)
+            }
+
+            pub fn drain_all(&mut self) -> Vec<(LineAddr, L)> {
+                self.index.clear();
+                let mut out = Vec::new();
+                for set in &mut self.sets {
+                    for e in set.drain(..) {
+                        out.push((e.addr, e.line));
+                    }
+                }
+                out
+            }
+
+            pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &L)> {
+                self.sets
+                    .iter()
+                    .flat_map(|s| s.iter().map(|e| (e.addr, &e.line)))
+            }
+
+            pub fn len(&self) -> usize {
+                self.index.len()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Scanning the set finds what the index found: random operations on
+        /// arrays of random geometry (power-of-two and not) read the same as
+        /// on the indexed array, victims and `iter()` order included.
+        #[test]
+        fn set_scans_read_like_the_keyed_index(
+            geometry in (1usize..7, 1usize..5),
+            ops in collection::vec((0u32..100, 0u64..40), 1..400),
+        ) {
+            let (sets, ways) = geometry;
+            let mut scanned: CacheArray<u64> = CacheArray::new(sets, ways, 64);
+            let mut indexed: reference::CacheArray<u64> = reference::CacheArray::new(sets, ways, 64);
+            for (step, (op, line_no)) in ops.into_iter().enumerate() {
+                let addr = line(line_no);
+                let payload = step as u64;
+                match op {
+                    0..=39 => {
+                        // What a controller does: evict the victim, then insert.
+                        let victim = scanned.victim_for(addr);
+                        prop_assert_eq!(victim, indexed.victim_for(addr));
+                        if let Some(victim) = victim {
+                            prop_assert_eq!(scanned.remove(victim), indexed.remove(victim));
+                        }
+                        if !scanned.contains(addr) {
+                            scanned.insert(addr, payload);
+                            indexed.insert(addr, payload);
+                        }
+                    }
+                    40..=64 => {
+                        let (got, want) = (scanned.get_mut(addr), indexed.get_mut(addr));
+                        prop_assert_eq!(got.as_deref(), want.as_deref());
+                        if let (Some(got), Some(want)) = (got, want) {
+                            *got = payload;
+                            *want = payload;
+                        }
+                    }
+                    65..=89 => prop_assert_eq!(scanned.remove(addr), indexed.remove(addr)),
+                    90..=97 => prop_assert_eq!(scanned.victim_for(addr), indexed.victim_for(addr)),
+                    _ => prop_assert_eq!(scanned.drain_all(), indexed.drain_all()),
+                }
+                for probe in (0..40).map(line) {
+                    prop_assert_eq!(scanned.get(probe), indexed.get(probe));
+                    prop_assert_eq!(scanned.contains(probe), indexed.contains(probe));
+                    prop_assert_eq!(scanned.needs_eviction(probe), indexed.needs_eviction(probe));
+                }
+                prop_assert_eq!(
+                    scanned.iter().collect::<Vec<_>>(),
+                    indexed.iter().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(scanned.len(), indexed.len());
+                prop_assert_eq!(scanned.is_empty(), indexed.len() == 0);
+            }
+        }
+    }
 
     fn line(n: u64) -> LineAddr {
         LineAddr(n * 64)
@@ -282,9 +456,9 @@ mod tests {
     }
 
     #[test]
-    fn keyed_index_survives_swap_remove_churn() {
+    fn lookups_survive_swap_remove_churn() {
         // All lines map to set 0; removing a middle entry swap-moves the last
-        // entry into its slot, and the index must follow it.
+        // entry into its slot, where the scan must still find it.
         let mut c: CacheArray<u32> = CacheArray::new(1, 4, 64);
         for i in 0..4 {
             c.insert(line(i), i as u32);

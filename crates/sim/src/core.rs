@@ -98,6 +98,13 @@ fn fence_orders_stores(kind: FenceKind) -> bool {
     )
 }
 
+/// The per-cycle issue-jitter draw of a core: `false` holds its issue stage
+/// back for one cycle.  Draws nothing when jitter is off.
+#[inline]
+pub fn jitter_lets_issue(issue_jitter: u16, rng: &mut StdRng) -> bool {
+    issue_jitter == 0 || rng.gen_range(0u32..65536) >= u32::from(issue_jitter)
+}
+
 /// An architecturally performed operation, reported to the observer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObservedOp {
@@ -228,9 +235,14 @@ pub struct CoreModel {
     store_epoch: u32,
     /// Load stalls counted by the last issue stage that ran, per [`Stall`].
     stalls: [u32; Stall::ALL.len()],
-    /// Scratch of the issue stage (the window as it was when the stage
-    /// started, and the requests it decided on), kept to reuse the buffers.
-    issue_window: Vec<(usize, InflightOp)>,
+    /// Loads and stores in the window, the occupancy of the load and store
+    /// queues that `fetch` checks.
+    loads_in_window: usize,
+    stores_in_window: usize,
+    /// Scratch of the issue stage (the window slots it decided complete this
+    /// cycle, a forwarded load with its value, and the requests it decided
+    /// on), kept to reuse the buffers.
+    issue_completed: Vec<(usize, Option<u64>)>,
     issue_requests: Vec<(usize, CoreReqKind, Address)>,
     /// Scratch of [`CoreModel::commit_stores_early`], kept likewise.
     blocked_addrs: Vec<Address>,
@@ -256,7 +268,9 @@ impl CoreModel {
             squashes: 0,
             store_epoch: 0,
             stalls: [0; Stall::ALL.len()],
-            issue_window: Vec::new(),
+            loads_in_window: 0,
+            stores_in_window: 0,
+            issue_completed: Vec::new(),
             issue_requests: Vec::new(),
             blocked_addrs: Vec::new(),
         }
@@ -267,6 +281,8 @@ impl CoreModel {
     pub fn reset(&mut self) {
         self.next_fetch = 0;
         self.window.clear();
+        self.loads_in_window = 0;
+        self.stores_in_window = 0;
         self.store_buffer.clear();
         self.outstanding_store = None;
         self.next_tag = 1;
@@ -313,22 +329,16 @@ impl CoreModel {
         LineAddr::containing(addr, self.line_bytes)
     }
 
-    fn loads_in_window(&self) -> usize {
-        self.window.iter().filter(|o| o.is_load()).count()
-    }
-
-    fn stores_in_window(&self) -> usize {
-        self.window
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o.op.kind,
-                    TestOpKind::Write { .. }
-                        | TestOpKind::WriteDataDp { .. }
-                        | TestOpKind::WriteCtrlDp { .. }
-                )
-            })
-            .count()
+    /// The occupancy count of the queue `kind` takes an entry of while it is
+    /// in the window, if it takes one.
+    fn queue_occupancy(&mut self, kind: TestOpKind) -> Option<&mut usize> {
+        match kind {
+            TestOpKind::Read | TestOpKind::ReadAddrDp => Some(&mut self.loads_in_window),
+            TestOpKind::Write { .. }
+            | TestOpKind::WriteDataDp { .. }
+            | TestOpKind::WriteCtrlDp { .. } => Some(&mut self.stores_in_window),
+            _ => None,
+        }
     }
 
     // ---- 1. Invalidation notices (Peekaboo squash) ----
@@ -437,14 +447,14 @@ impl CoreModel {
             let op = self.program[self.next_fetch];
             match op.kind {
                 TestOpKind::Read | TestOpKind::ReadAddrDp
-                    if self.loads_in_window() >= self.lq_entries =>
+                    if self.loads_in_window >= self.lq_entries =>
                 {
                     break;
                 }
                 TestOpKind::Write { .. }
                 | TestOpKind::WriteDataDp { .. }
                 | TestOpKind::WriteCtrlDp { .. }
-                    if self.stores_in_window() + self.store_buffer.len() >= self.sq_entries =>
+                    if self.stores_in_window + self.store_buffer.len() >= self.sq_entries =>
                 {
                     break;
                 }
@@ -454,6 +464,9 @@ impl CoreModel {
                 TestOpKind::Delay { cycles } => cycle + cycles as u64,
                 _ => cycle,
             };
+            if let Some(occupancy) = self.queue_occupancy(op.kind) {
+                *occupancy += 1;
+            }
             self.window.push_back(InflightOp {
                 idx: self.next_fetch,
                 op,
@@ -504,15 +517,15 @@ impl CoreModel {
     // ---- 4. Issue ----
 
     /// Returns why a waiting load at window position `pos` must stall (may
-    /// not issue this cycle), if it must, given the snapshot of the window.
-    fn load_blocked(
-        &self,
-        window: &[(usize, InflightOp)],
-        pos: usize,
-        op: &InflightOp,
-        bugs: &BugConfig,
-    ) -> Option<Stall> {
-        let older = window.iter().filter(|(p, _)| *p < pos);
+    /// not issue this cycle), if it must.
+    fn load_blocked(&self, pos: usize, op: &InflightOp, bugs: &BugConfig) -> Option<Stall> {
+        let older = self.window.iter().take(pos);
+        // An address-dependent read waits for the previous load.
+        let source_load_pending = || {
+            older
+                .clone()
+                .any(|o| o.is_load() && o.state != OpState::Done)
+        };
         if !self.is_relaxed() {
             // Strong core: loads never issue past an incomplete fence or
             // atomic: MFENCE (and locked RMWs) order later loads after them,
@@ -520,8 +533,7 @@ impl CoreModel {
             // the invalidation-squash mechanism (fences are not reads, so the
             // Peekaboo rule would not fire).  Weaker fence flavours are
             // conservatively treated the same way.
-            let mut older = older;
-            if older.any(|(_, o)| {
+            if older.clone().any(|o| {
                 matches!(
                     o.op.kind,
                     TestOpKind::Fence { .. } | TestOpKind::ReadModifyWrite { .. }
@@ -529,12 +541,9 @@ impl CoreModel {
             }) {
                 return Some(Stall::Fence);
             }
-            // An address-dependent read waits for the previous load.
             if matches!(op.op.kind, TestOpKind::ReadAddrDp)
                 && !bugs.has(Bug::LqNoAddrDep)
-                && window
-                    .iter()
-                    .any(|(p, o)| *p < pos && o.is_load() && o.state != OpState::Done)
+                && source_load_pending()
             {
                 return Some(Stall::Dep);
             }
@@ -543,7 +552,7 @@ impl CoreModel {
         // Relaxed core: loads issue and perform past older loads and stores
         // to different addresses; only genuinely ordering constructs stall
         // them.
-        for (_, o) in older {
+        for o in older.clone() {
             if o.state == OpState::Done {
                 continue;
             }
@@ -571,9 +580,7 @@ impl CoreModel {
         // recorded by the observer, which is what makes the bug detectable).
         if matches!(op.op.kind, TestOpKind::ReadAddrDp)
             && !bugs.has(Bug::LqNoAddrDep)
-            && window
-                .iter()
-                .any(|(p, o)| *p < pos && o.is_load() && o.state != OpState::Done)
+            && source_load_pending()
         {
             return Some(Stall::Dep);
         }
@@ -583,14 +590,17 @@ impl CoreModel {
     /// Returns `true` once every program-order-older read-like operation has
     /// performed (the completion condition of the relaxed core's locally
     /// executed fences).
-    fn older_reads_done(window: &[(usize, InflightOp)], pos: usize) -> bool {
-        window
-            .iter()
-            .all(|(p, o)| *p >= pos || !o.is_read_like() || o.state == OpState::Done)
+    fn older_reads_done(&self, pos: usize) -> bool {
+        let mut older = self.window.iter().take(pos);
+        older.all(|o| !o.is_read_like() || o.state == OpState::Done)
     }
 
     /// The issue stage.  Returns `true` if it ran (was not held back by the
     /// jitter draw) and left every window slot in the state it found it in.
+    ///
+    /// Every decision is made against the window as the stage found it: a
+    /// slot that completes or issues this cycle still reads as waiting to the
+    /// younger ones.  So the stage decides first and changes slots afterwards.
     fn issue(
         &mut self,
         cycle: Cycle,
@@ -598,21 +608,18 @@ impl CoreModel {
         out: &mut CoreTickOutput,
         rng: &mut StdRng,
     ) -> bool {
-        if !self.jitter_lets_issue(rng) {
+        if !jitter_lets_issue(self.issue_jitter, rng) {
             return false;
         }
-        self.stalls = [0; Stall::ALL.len()];
+        let mut stalls = [0; Stall::ALL.len()];
         let mut issued = 0usize;
         let issue_width = 4usize;
         let sb_empty = self.store_buffer.is_empty() && self.outstanding_store.is_none();
-        // Collected requests are appended after the loop to appease borrowing.
+        let mut completed = std::mem::take(&mut self.issue_completed);
         let mut new_requests = std::mem::take(&mut self.issue_requests);
 
-        // Pass 1: decide which window slots issue this cycle.
-        let mut window_snapshot = std::mem::take(&mut self.issue_window);
-        window_snapshot.clear();
-        window_snapshot.extend(self.window.iter().enumerate().map(|(pos, op)| (pos, *op)));
-        for (pos, op) in &window_snapshot {
+        // Pass 1: decide which window slots complete or issue this cycle.
+        for (pos, op) in self.window.iter().enumerate() {
             if issued >= issue_width {
                 break;
             }
@@ -621,26 +628,23 @@ impl CoreModel {
             }
             match op.op.kind {
                 TestOpKind::Read | TestOpKind::ReadAddrDp => {
-                    if let Some(stall) = self.load_blocked(&window_snapshot, *pos, op, bugs) {
+                    if let Some(stall) = self.load_blocked(pos, op, bugs) {
                         stall.counter().incr();
-                        self.stalls[stall as usize] += 1;
+                        stalls[stall as usize] += 1;
                         continue;
                     }
                     if let Some(value) = self.forwarded_value(op.op.addr, op.idx) {
                         SB_FORWARDS.incr();
-                        let slot = &mut self.window[*pos];
-                        slot.read_value = Some(value);
-                        slot.state = OpState::Done;
-                        issued += 1;
+                        completed.push((pos, Some(value)));
                     } else {
-                        new_requests.push((*pos, CoreReqKind::Load, op.op.addr));
-                        issued += 1;
+                        new_requests.push((pos, CoreReqKind::Load, op.op.addr));
                     }
+                    issued += 1;
                 }
                 TestOpKind::Write { .. } => {
                     // Stores complete in the window immediately; they perform
                     // later, from the store buffer.
-                    self.window[*pos].state = OpState::Done;
+                    completed.push((pos, None));
                 }
                 TestOpKind::WriteDataDp { .. } | TestOpKind::WriteCtrlDp { .. } => {
                     // A dependent store cannot compute its data (or resolve
@@ -655,17 +659,16 @@ impl CoreModel {
                         TestOpKind::WriteCtrlDp { .. } => bugs.has(Bug::SqNoCtrlDep),
                         _ => unreachable!(),
                     };
-                    let prior_load_pending = window_snapshot
-                        .iter()
-                        .any(|(p, o)| *p < *pos && o.is_load() && o.state != OpState::Done);
+                    let mut older = self.window.iter().take(pos);
+                    let prior_load_pending = older.any(|o| o.is_load() && o.state != OpState::Done);
                     if dep_ignored || !prior_load_pending {
-                        self.window[*pos].state = OpState::Done;
+                        completed.push((pos, None));
                     }
                 }
                 TestOpKind::ReadModifyWrite { value } => {
-                    if *pos == 0 && sb_empty {
+                    if pos == 0 && sb_empty {
                         new_requests.push((
-                            *pos,
+                            pos,
                             CoreReqKind::Rmw { write_value: value },
                             op.op.addr,
                         ));
@@ -685,28 +688,39 @@ impl CoreModel {
                         // on them is meaningful.
                         let done = match kind {
                             FenceKind::StoreStore | FenceKind::Release => true,
-                            _ => Self::older_reads_done(&window_snapshot, *pos),
+                            _ => self.older_reads_done(pos),
                         };
                         if done {
-                            self.window[*pos].state = OpState::Done;
+                            completed.push((pos, None));
                         }
-                    } else if *pos == 0 && sb_empty {
+                    } else if pos == 0 && sb_empty {
                         // Full fences (and every flavour on the strong core)
                         // execute at the head of the window with the store
                         // buffer drained.
-                        new_requests.push((*pos, CoreReqKind::Fence, op.op.addr));
+                        new_requests.push((pos, CoreReqKind::Fence, op.op.addr));
                         issued += 1;
                     }
                 }
                 TestOpKind::CacheFlush => {
-                    new_requests.push((*pos, CoreReqKind::Flush, op.op.addr));
+                    new_requests.push((pos, CoreReqKind::Flush, op.op.addr));
                     issued += 1;
                 }
                 TestOpKind::Delay { .. } => {
                     if cycle >= op.ready_at {
-                        self.window[*pos].state = OpState::Done;
+                        completed.push((pos, None));
                     }
                 }
+            }
+        }
+        self.stalls = stalls;
+        let idle = completed.is_empty() && new_requests.is_empty();
+
+        // Pass 2: change the slots.
+        for (pos, forwarded) in completed.drain(..) {
+            let slot = &mut self.window[pos];
+            slot.state = OpState::Done;
+            if forwarded.is_some() {
+                slot.read_value = forwarded;
             }
         }
         ISSUED_REQUESTS.add(new_requests.len() as u64);
@@ -715,19 +729,9 @@ impl CoreModel {
             self.window[pos].state = OpState::Issued { tag };
             out.requests.push(CoreRequest { tag, addr, kind });
         }
-        let idle = window_snapshot
-            .iter()
-            .zip(&self.window)
-            .all(|((_, before), now)| before.state == now.state);
-        self.issue_window = window_snapshot;
+        self.issue_completed = completed;
         self.issue_requests = new_requests;
         idle
-    }
-
-    /// The per-cycle issue-jitter draw: `false` holds the issue stage back
-    /// for one cycle.  Draws nothing when jitter is off.
-    pub fn jitter_lets_issue(&self, rng: &mut StdRng) -> bool {
-        self.issue_jitter == 0 || rng.gen_range(0u32..65536) >= self.issue_jitter as u32
     }
 
     /// Counts the load stalls of `ticks` further ticks of a [quiescent] core
@@ -814,7 +818,11 @@ impl CoreModel {
                 }
                 TestOpKind::CacheFlush | TestOpKind::Delay { .. } => {}
             }
+            let kind = front.op.kind;
             self.window.pop_front();
+            if let Some(occupancy) = self.queue_occupancy(kind) {
+                *occupancy -= 1;
+            }
         }
         if self.is_relaxed() {
             self.commit_stores_early();
@@ -870,6 +878,7 @@ impl CoreModel {
                     epoch: self.store_epoch,
                 });
                 let _ = self.window.remove(pos);
+                self.stores_in_window -= 1;
                 continue; // the next op shifted into `pos`
             }
             match op.op.kind {
@@ -1449,6 +1458,83 @@ mod tests {
             first,
             "same tags, same requests, same order"
         );
+    }
+
+    #[test]
+    fn queue_occupancy_counts_follow_the_window() {
+        // Long random programs of every op kind on both pipelines (the relaxed
+        // one also removes stores from the middle of the window), answered by
+        // a stub cache two cycles later: after every tick, also those after a
+        // reset in mid-flight, the counts `fetch` checks are those of a
+        // recount.
+        let kinds = |rng: &mut StdRng, value: u64| {
+            let addr = Address(0x100 * rng.gen_range(1..6u64));
+            match rng.gen_range(0..9u32) {
+                0 | 1 => TestOp::read(addr),
+                2 => TestOp::read_addr_dp(addr),
+                3 | 4 => TestOp::write(addr, value),
+                5 => TestOp::write_data_dp(addr, value),
+                6 => TestOp::rmw(addr, value),
+                7 => TestOp::fence(),
+                _ => TestOp::delay(rng.gen_range(1..6u32)),
+            }
+        };
+        let recount = |core: &CoreModel| {
+            let loads = core.window.iter().filter(|o| o.is_load()).count();
+            let stores = core
+                .window
+                .iter()
+                .filter(|o| o.op.kind.written_value().is_some());
+            let stores = stores
+                .filter(|o| !matches!(o.op.kind, TestOpKind::ReadModifyWrite { .. }))
+                .count();
+            (loads, stores)
+        };
+        let bugs = BugConfig::none();
+        for cfg in [cfg(), cfg_relaxed()] {
+            let mut rng = rng();
+            let program: Vec<TestOp> = (1..=120).map(|value| kinds(&mut rng, value)).collect();
+            let mut core = CoreModel::new(0, program, &cfg);
+            for round in 0..2 {
+                let mut in_flight: VecDeque<(Cycle, CoreResponse)> = VecDeque::new();
+                let mut full = (false, false);
+                for cycle in 1..5_000 {
+                    let due = in_flight.iter().take_while(|(at, _)| *at <= cycle).count();
+                    let responses: Vec<CoreResponse> = in_flight
+                        .drain(..due)
+                        .map(|(_, response)| response)
+                        .collect();
+                    let out = core.tick(cycle, &bugs, &responses, &[], &mut rng);
+                    for req in out.requests {
+                        let kind = match req.kind {
+                            CoreReqKind::Load => CoreRespKind::LoadDone { value: 0 },
+                            CoreReqKind::Store { .. } => CoreRespKind::StoreDone { overwritten: 0 },
+                            CoreReqKind::Rmw { .. } => CoreRespKind::RmwDone { read_value: 0 },
+                            CoreReqKind::Flush => CoreRespKind::FlushDone,
+                            CoreReqKind::Fence => CoreRespKind::FenceDone,
+                        };
+                        in_flight.push_back((cycle + 2, CoreResponse { tag: req.tag, kind }));
+                    }
+                    assert_eq!(
+                        (core.loads_in_window, core.stores_in_window),
+                        recount(&core),
+                        "{:?} round {round} cycle {cycle}",
+                        cfg.core_strength
+                    );
+                    full.0 |= core.loads_in_window == core.lq_entries;
+                    full.1 |= core.stores_in_window + core.store_buffer.len() == core.sq_entries;
+                    // The first round is cut short, so `reset` finds a
+                    // window with loads and stores in it.
+                    if core.is_finished() || (round == 0 && cycle == 60) {
+                        break;
+                    }
+                }
+                assert_eq!(core.is_finished(), round == 1, "{:?}", cfg.core_strength);
+                assert!(full.0 || full.1, "neither queue ever filled up");
+                core.reset();
+                assert_eq!((core.loads_in_window, core.stores_in_window), (0, 0));
+            }
+        }
     }
 
     // ---- Relaxed pipeline ----

@@ -17,10 +17,22 @@
 //! controller's last tick recorded and adds it once per tick slept through
 //! ([`CoverageRecorder::record_repeats`]), so the cumulative counts come out
 //! as if every cycle had been simulated.
+//!
+//! Recording is on the path of every controller tick, so it costs a constant
+//! number of array operations: each transition recorded so far owns a dense
+//! *slot* (count, "seen in this test-run" bit), and a record finds the slot
+//! from the *addresses* of the transition's two `&'static str` names through
+//! a hash map keyed by them, comparing no strings and walking no tree.
+//! Names at a new address (the first record of a transition, or a second copy
+//! of equal names elsewhere in the binary) take the miss path once, through
+//! the content-keyed index that also keeps the sorted order the cumulative
+//! view is read in.  The per-run set is only touched by the first record of
+//! a transition in a test-run.
 
-use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use serde::{Serialize, Value};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Which controller type a transition belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -81,12 +93,117 @@ impl fmt::Display for Transition {
     }
 }
 
+/// The number of a transition's slot in a [`CoverageRecorder`], handed out by
+/// [`CoverageRecorder::record_slot`] in the order transitions are first
+/// recorded and valid for as long as the recorder lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot(u32);
+
+/// What the recorder keeps per transition recorded at least once.
+#[derive(Debug, Clone)]
+struct Covered {
+    transition: Transition,
+    /// Records since simulation start.
+    count: u64,
+    /// Whether the current test-run has recorded it.
+    in_run: bool,
+}
+
+/// Where the two names of a [`Transition`] live, which identifies it without
+/// looking at them: names at the same address and of the same length are the
+/// same names.  (The converse does not hold: equal names may live at several
+/// addresses, which then share a slot through the content-keyed index.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NameKey {
+    controller: ControllerKind,
+    state: (usize, usize),
+    event: (usize, usize),
+}
+
+impl NameKey {
+    fn of(transition: &Transition) -> Self {
+        let place = |name: &'static str| (name.as_ptr() as usize, name.len());
+        NameKey {
+            controller: transition.controller,
+            state: place(transition.state),
+            event: place(transition.event),
+        }
+    }
+}
+
+/// The two addresses, multiplied apart and folded so that the low bits (the
+/// bucket) and the high bits (the tag) of the hash both depend on both: the
+/// names of a protocol sit side by side in the binary, so the addresses differ
+/// in their low bits only.  Lengths and controller rarely tell two keys with
+/// equal addresses apart and are left to `==`.
+impl Hash for NameKey {
+    fn hash<H: Hasher>(&self, hasher: &mut H) {
+        let state = (self.state.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let event = (self.event.0 as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let mixed = state ^ event.rotate_left(32);
+        hasher.write_u64(mixed ^ (mixed >> 29));
+    }
+}
+
+/// Passes the one word [`NameKey`] hashes to through: the keys are addresses
+/// of the program's own statics, so there is nothing to defend against and
+/// the default hasher would cost more than the tree walk it replaces.
+#[derive(Debug, Clone, Copy, Default)]
+struct OneWordHasher(u64);
+
+impl Hasher for OneWordHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a NameKey hashes to one u64");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// From [`NameKey`] to [`Slot`]: the hit path of a record.
+type NameMemo = HashMap<NameKey, Slot, BuildHasherDefault<OneWordHasher>>;
+
 /// Records transition coverage for a whole simulation and for the test-run in
 /// progress.
-#[derive(Debug, Clone, Default, Serialize)]
+///
+/// Counts live in dense slots, one per transition recorded so far.  A record
+/// finds its slot from the addresses of the transition's names, without
+/// comparing them; only the first record through a
+/// given pair of addresses walks the content-keyed index, which also gives
+/// the sorted order the cumulative view is read in.
+#[derive(Clone, Default)]
 pub struct CoverageRecorder {
-    cumulative: BTreeMap<Transition, u64>,
+    slots: Vec<Covered>,
+    /// Every slot by the content of its transition.
+    index: BTreeMap<Transition, Slot>,
+    memo: NameMemo,
+    /// The transitions whose slot has `in_run` set.
     current_run: BTreeSet<Transition>,
+}
+
+/// The two views, not how they are stored (slot order and name addresses
+/// differ between runs of the program).
+impl fmt::Debug for CoverageRecorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CoverageRecorder")
+            .field("cumulative", &self.cumulative())
+            .field("current_run", &self.current_run)
+            .finish()
+    }
+}
+
+impl Serialize for CoverageRecorder {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("cumulative".to_string(), self.cumulative().to_value()),
+            ("current_run".to_string(), self.current_run.to_value()),
+        ])
+    }
 }
 
 impl CoverageRecorder {
@@ -95,34 +212,88 @@ impl CoverageRecorder {
         CoverageRecorder::default()
     }
 
+    /// The cumulative view as the map it used to be stored in, which is what
+    /// the text forms show.
+    fn cumulative(&self) -> BTreeMap<Transition, u64> {
+        self.iter_cumulative().collect()
+    }
+
+    /// The slot of a transition that has been recorded.  The readers come
+    /// with names from the protocol's universe, whose addresses are not those
+    /// of the controllers' records, so they go by content.
+    fn slot_of(&self, transition: &Transition) -> Option<Slot> {
+        self.index.get(transition).copied()
+    }
+
     /// Records that `transition` was taken once.
     pub fn record(&mut self, transition: Transition) {
-        *self.cumulative.entry(transition).or_insert(0) += 1;
-        self.current_run.insert(transition);
+        self.record_slot(transition);
+    }
+
+    /// [`record`](Self::record), returning the transition's slot for
+    /// [`repeat_slot`](Self::repeat_slot).
+    pub(crate) fn record_slot(&mut self, transition: Transition) -> Slot {
+        let key = NameKey::of(&transition);
+        let slot = match self.memo.get(&key) {
+            Some(&slot) => slot,
+            None => self.intern(key, transition),
+        };
+        let covered = &mut self.slots[slot.0 as usize];
+        covered.count += 1;
+        if !covered.in_run {
+            covered.in_run = true;
+            self.current_run.insert(covered.transition);
+        }
+        slot
+    }
+
+    /// The miss path of a record: names not seen at these addresses before.
+    /// They share the slot of a transition equal in content, if there is one.
+    #[cold]
+    fn intern(&mut self, key: NameKey, transition: Transition) -> Slot {
+        let slot = *self.index.entry(transition).or_insert_with(|| {
+            let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 transitions");
+            self.slots.push(Covered {
+                transition,
+                count: 0,
+                in_run: false,
+            });
+            Slot(slot)
+        });
+        self.memo.insert(key, slot);
+        slot
     }
 
     /// Counts a transition that has been [recorded](Self::record) `times`
     /// more, as `times` repeats of that record would have.
     pub fn record_repeats(&mut self, transition: Transition, times: u64) {
-        *self
-            .cumulative
-            .get_mut(&transition)
-            .expect("a repeated transition has been recorded") += times;
+        let slot = self
+            .slot_of(&transition)
+            .expect("a repeated transition has been recorded");
+        self.repeat_slot(slot, times);
+    }
+
+    /// [`record_repeats`](Self::record_repeats) of the transition in `slot`.
+    pub(crate) fn repeat_slot(&mut self, slot: Slot, times: u64) {
+        self.slots[slot.0 as usize].count += times;
     }
 
     /// Cumulative count of a transition since simulation start.
     pub fn count(&self, transition: Transition) -> u64 {
-        self.cumulative.get(&transition).copied().unwrap_or(0)
+        self.slot_of(&transition)
+            .map_or(0, |slot| self.slots[slot.0 as usize].count)
     }
 
     /// Number of distinct transitions observed since simulation start.
     pub fn distinct_covered(&self) -> usize {
-        self.cumulative.len()
+        self.slots.len()
     }
 
     /// Iterates over all transitions observed so far with their counts.
     pub fn iter_cumulative(&self) -> impl Iterator<Item = (Transition, u64)> + '_ {
-        self.cumulative.iter().map(|(&t, &c)| (t, c))
+        self.index
+            .iter()
+            .map(|(&t, &slot)| (t, self.slots[slot.0 as usize].count))
     }
 
     /// The set of transitions covered by the current test-run.
@@ -133,6 +304,9 @@ impl CoverageRecorder {
     /// Ends the current test-run: returns the set of transitions it covered
     /// and clears the per-run set (cumulative counts are retained).
     pub fn finish_run(&mut self) -> BTreeSet<Transition> {
+        for covered in &mut self.slots {
+            covered.in_run = false;
+        }
         std::mem::take(&mut self.current_run)
     }
 
@@ -145,7 +319,7 @@ impl CoverageRecorder {
         }
         let covered = universe
             .iter()
-            .filter(|t| self.cumulative.contains_key(t))
+            .filter(|t| self.slot_of(t).is_some())
             .count();
         covered as f64 / universe.len() as f64
     }
@@ -154,6 +328,156 @@ impl CoverageRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The recorder as it was before it kept slots: the two views stored as
+    /// the map and the set they are read as.
+    mod reference {
+        use super::super::Transition;
+        use serde::Serialize;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        #[derive(Debug, Clone, Default, Serialize)]
+        pub struct CoverageRecorder {
+            cumulative: BTreeMap<Transition, u64>,
+            current_run: BTreeSet<Transition>,
+        }
+
+        impl CoverageRecorder {
+            pub fn record(&mut self, transition: Transition) {
+                *self.cumulative.entry(transition).or_insert(0) += 1;
+                self.current_run.insert(transition);
+            }
+
+            pub fn record_repeats(&mut self, transition: Transition, times: u64) {
+                *self
+                    .cumulative
+                    .get_mut(&transition)
+                    .expect("a repeated transition has been recorded") += times;
+            }
+
+            pub fn count(&self, transition: Transition) -> u64 {
+                self.cumulative.get(&transition).copied().unwrap_or(0)
+            }
+
+            pub fn distinct_covered(&self) -> usize {
+                self.cumulative.len()
+            }
+
+            pub fn iter_cumulative(&self) -> impl Iterator<Item = (Transition, u64)> + '_ {
+                self.cumulative.iter().map(|(&t, &c)| (t, c))
+            }
+
+            pub fn current_run_covered(&self) -> &BTreeSet<Transition> {
+                &self.current_run
+            }
+
+            pub fn finish_run(&mut self) -> BTreeSet<Transition> {
+                std::mem::take(&mut self.current_run)
+            }
+
+            pub fn total_coverage(&self, universe: &[Transition]) -> f64 {
+                if universe.is_empty() {
+                    return 0.0;
+                }
+                let covered = universe
+                    .iter()
+                    .filter(|t| self.cumulative.contains_key(t))
+                    .count();
+                covered as f64 / universe.len() as f64
+            }
+        }
+    }
+
+    /// A copy of `name` at an address of its own.
+    fn leaked(name: &str) -> &'static str {
+        Box::leak(name.to_string().into_boxed_str())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Slots, the address-keyed table and the `in_run` bits are invisible:
+        /// any sequence of calls reads the same as on the map-and-set
+        /// recorder, over the MESI universe, a twin of one of its transitions
+        /// whose names are equal in content but live elsewhere, and a
+        /// transition outside it.
+        #[test]
+        fn slots_read_like_the_map_and_set_recorder(
+            ops in collection::vec((0u32..100, 0usize..1_000, 1u64..300), 1..600),
+        ) {
+            let universe = crate::protocol::mesi::all_transitions();
+            let twin_of = universe[7];
+            let twin = Transition {
+                controller: twin_of.controller,
+                state: leaked(twin_of.state),
+                event: leaked(twin_of.event),
+            };
+            assert_eq!(twin, twin_of);
+            assert_ne!(twin.state.as_ptr(), twin_of.state.as_ptr());
+            let outside = Transition::l2("Nowhere", "Nothing");
+            assert!(!universe.contains(&outside));
+            // Few enough that repeats, twins and the outsider all come up.
+            let mut pool = vec![twin, outside, twin_of];
+            pool.extend(universe.iter().copied().step_by(5));
+
+            let mut slots = CoverageRecorder::new();
+            let mut model = reference::CoverageRecorder::default();
+            for (op, pick, times) in ops {
+                let transition = pool[pick % pool.len()];
+                match op {
+                    0..=59 => {
+                        slots.record(transition);
+                        model.record(transition);
+                    }
+                    60..=79 if model.count(transition) > 0 => {
+                        slots.record_repeats(transition, times);
+                        model.record_repeats(transition, times);
+                    }
+                    80..=89 => prop_assert_eq!(slots.finish_run(), model.finish_run()),
+                    _ => prop_assert_eq!(slots.count(transition), model.count(transition)),
+                }
+                prop_assert_eq!(
+                    slots.iter_cumulative().collect::<Vec<_>>(),
+                    model.iter_cumulative().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(slots.current_run_covered(), model.current_run_covered());
+                prop_assert_eq!(slots.distinct_covered(), model.distinct_covered());
+                prop_assert_eq!(
+                    slots.total_coverage(&universe),
+                    model.total_coverage(&universe)
+                );
+                prop_assert_eq!(
+                    serde_json::to_string(&slots).expect("serializes"),
+                    serde_json::to_string(&model).expect("serializes")
+                );
+            }
+            prop_assert_eq!(format!("{slots:?}"), format!("{model:?}"));
+        }
+    }
+
+    #[test]
+    fn names_at_many_addresses_share_the_slot_of_their_content() {
+        let mut c = CoverageRecorder::new();
+        let transitions: Vec<Transition> = (0..800)
+            .map(|i| Transition::l2(leaked(&format!("S{}", i % 40)), leaked("E")))
+            .collect();
+        for (i, &t) in transitions.iter().enumerate() {
+            c.record(t);
+            assert_eq!(c.count(t), 1 + (i / 40) as u64);
+        }
+        assert_eq!(c.distinct_covered(), 40);
+        assert_eq!(c.memo.len(), transitions.len());
+        for &t in &transitions {
+            assert_eq!(c.record_slot(t), c.index[&t]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a repeated transition has been recorded")]
+    fn repeating_a_transition_never_recorded_panics() {
+        CoverageRecorder::new().record_repeats(Transition::l1("S", "Inv"), 3);
+    }
 
     #[test]
     fn record_and_count() {

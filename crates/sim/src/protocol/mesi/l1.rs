@@ -25,12 +25,12 @@ use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload};
 use crate::protocol::{
     earliest_release, release_due, CoreReqKind, CoreRequest, CoreRespKind, CoreResponse,
-    L1Controller, L1Output, TickCtx,
+    L1Controller, L1Output, LineTable, TickCtx,
 };
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
 use mcversi_telemetry as telemetry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Core requests served from a resident line with sufficient permission.
 static L1_HITS: telemetry::Counter = telemetry::Counter::new("sim.l1.mesi.hit");
@@ -131,7 +131,7 @@ pub struct MesiL1 {
     core: usize,
     node: NodeId,
     cache: CacheArray<L1Line>,
-    mshrs: BTreeMap<LineAddr, Mshr>,
+    mshrs: LineTable<Mshr>,
     core_requests: VecDeque<CoreRequest>,
     msg_inbox: VecDeque<Msg>,
     ready_responses: Vec<(Cycle, CoreResponse)>,
@@ -145,7 +145,7 @@ impl MesiL1 {
             core,
             node: cfg.node_of_l1(core),
             cache: CacheArray::new(cfg.l1_sets(), cfg.l1_ways, cfg.line_bytes),
-            mshrs: BTreeMap::new(),
+            mshrs: LineTable::new(),
             core_requests: VecDeque::new(),
             msg_inbox: VecDeque::new(),
             ready_responses: Vec::new(),

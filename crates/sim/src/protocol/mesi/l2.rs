@@ -24,11 +24,11 @@ use crate::cache::CacheArray;
 use crate::config::SystemConfig;
 use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload};
-use crate::protocol::{earliest_release, release_due, L2Controller, TickCtx};
+use crate::protocol::{earliest_release, release_due, L2Controller, LineTable, TickCtx};
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Stable directory states of a resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +100,7 @@ pub struct MesiL2 {
     bank: usize,
     node: NodeId,
     cache: CacheArray<L2Line>,
-    trans: BTreeMap<LineAddr, Trans>,
+    trans: LineTable<Trans>,
     /// Per-set count of outstanding memory fetches (`FetchForS`/`FetchForX`
     /// entries in `trans`), so [`Self::set_has_pending_fetch`] is O(1) instead
     /// of a scan over every in-flight transaction.  Maintained exclusively by
@@ -118,7 +118,7 @@ impl MesiL2 {
             bank,
             node: cfg.node_of_l2(bank),
             cache: CacheArray::new(cfg.l2_sets(), cfg.l2_ways, cfg.line_bytes),
-            trans: BTreeMap::new(),
+            trans: LineTable::new(),
             pending_fetches: vec![0; cfg.l2_sets()],
             requests: VecDeque::new(),
             responses: VecDeque::new(),

@@ -18,7 +18,7 @@ pub mod tsocc;
 
 use crate::bugs::BugConfig;
 use crate::config::SystemConfig;
-use crate::coverage::{CoverageRecorder, Transition};
+use crate::coverage::{CoverageRecorder, Slot, Transition};
 use crate::msg::Msg;
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr};
@@ -117,7 +117,7 @@ pub struct L1Output {
 /// them in one step.
 #[derive(Debug, Default)]
 pub struct TickLog {
-    records: Vec<Transition>,
+    records: Vec<Slot>,
     counters: Vec<&'static telemetry::Counter>,
 }
 
@@ -128,8 +128,8 @@ impl TickLog {
         if ticks == 0 {
             return;
         }
-        for &transition in &self.records {
-            coverage.record_repeats(transition, ticks);
+        for &slot in &self.records {
+            coverage.repeat_slot(slot, ticks);
         }
         for counter in &self.counters {
             counter.add(ticks);
@@ -155,8 +155,8 @@ impl<'a> TickCoverage<'a> {
 
     /// Records that `transition` was taken once.
     pub fn record(&mut self, transition: Transition) {
-        self.recorder.record(transition);
-        self.log.records.push(transition);
+        let slot = self.recorder.record_slot(transition);
+        self.log.records.push(slot);
     }
 }
 
@@ -196,18 +196,78 @@ pub(crate) fn release_due<T>(
     cycle: Cycle,
     out: &mut Vec<T>,
 ) -> bool {
-    let before = out.len();
+    if !pending.iter().any(|&(ready, _)| ready <= cycle) {
+        return false;
+    }
     out.extend(
         pending
             .extract_if(.., |&mut (ready, _)| ready <= cycle)
             .map(|(_, item)| item),
     );
-    out.len() != before
+    true
 }
 
 /// The earliest release time among `pending`, if any.
 pub(crate) fn earliest_release<T>(pending: &[(Cycle, T)]) -> Option<Cycle> {
     pending.iter().map(|&(ready, _)| ready).min()
+}
+
+/// What a controller has in flight (MSHRs, directory transactions), by line.
+/// That is a handful of entries at a time and nothing iterates over them, so
+/// they sit in a `Vec` in no particular order and a lookup scans it.  The
+/// methods are those of the map this stands in for.
+#[derive(Debug)]
+pub(crate) struct LineTable<T> {
+    entries: Vec<(LineAddr, T)>,
+}
+
+impl<T> LineTable<T> {
+    pub(crate) fn new() -> Self {
+        LineTable {
+            entries: Vec::new(),
+        }
+    }
+
+    fn position(&self, line: &LineAddr) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|(resident, _)| resident == line)
+    }
+
+    pub(crate) fn get(&self, line: &LineAddr) -> Option<&T> {
+        self.position(line).map(|at| &self.entries[at].1)
+    }
+
+    pub(crate) fn get_mut(&mut self, line: &LineAddr) -> Option<&mut T> {
+        self.position(line).map(|at| &mut self.entries[at].1)
+    }
+
+    pub(crate) fn contains_key(&self, line: &LineAddr) -> bool {
+        self.position(line).is_some()
+    }
+
+    /// Puts `value` in `line`'s entry and returns what was there.
+    pub(crate) fn insert(&mut self, line: LineAddr, value: T) -> Option<T> {
+        match self.get_mut(&line) {
+            Some(resident) => Some(std::mem::replace(resident, value)),
+            None => {
+                self.entries.push((line, value));
+                None
+            }
+        }
+    }
+
+    pub(crate) fn remove(&mut self, line: &LineAddr) -> Option<T> {
+        self.position(line).map(|at| self.entries.swap_remove(at).1)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
 }
 
 /// A private L1 cache controller.
@@ -326,5 +386,51 @@ mod tests {
         assert_eq!(earliest_release(&pending), Some(9));
         assert!(release_due(&mut pending, 9, &mut out));
         assert_eq!(earliest_release(&pending), None);
+    }
+
+    #[test]
+    fn release_due_with_nothing_due_touches_neither_side() {
+        let mut pending = vec![(7, 'a'), (5, 'b'), (9, 'c')];
+        let mut out = vec!['z'];
+        let (pending_at, out_at) = (pending.as_ptr(), out.as_ptr());
+        assert!(!release_due(&mut pending, 4, &mut out));
+        assert_eq!(pending, vec![(7, 'a'), (5, 'b'), (9, 'c')]);
+        assert_eq!(out, vec!['z']);
+        assert_eq!((pending.as_ptr(), out.as_ptr()), (pending_at, out_at));
+        // Nor does an empty list.
+        let mut nothing: Vec<(Cycle, char)> = Vec::new();
+        assert!(!release_due(&mut nothing, 4, &mut out));
+        assert_eq!(out, vec!['z']);
+    }
+
+    #[test]
+    fn a_line_table_reads_like_a_map() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut table = LineTable::new();
+        let mut map = BTreeMap::new();
+        for step in 0..2_000u32 {
+            let line = LineAddr(64 * rng.gen_range(0..12u64));
+            match rng.gen_range(0..10u32) {
+                0..=3 => assert_eq!(table.insert(line, step), map.insert(line, step)),
+                4..=6 => assert_eq!(table.remove(&line), map.remove(&line)),
+                7 => {
+                    let (got, want) = (table.get_mut(&line), map.get_mut(&line));
+                    assert_eq!(got, want);
+                    if let (Some(got), Some(want)) = (got, want) {
+                        *got += 1;
+                        *want += 1;
+                    }
+                }
+                8 if step % 97 == 0 => {
+                    table.clear();
+                    map.clear();
+                }
+                _ => assert_eq!(table.get(&line), map.get(&line)),
+            }
+            assert_eq!(table.contains_key(&line), map.contains_key(&line));
+            assert_eq!(table.is_empty(), map.is_empty());
+        }
     }
 }

@@ -19,7 +19,7 @@ use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload, TsInfo};
 use crate::protocol::{
     earliest_release, release_due, CoreReqKind, CoreRequest, CoreRespKind, CoreResponse,
-    L1Controller, L1Output, TickCtx,
+    L1Controller, L1Output, LineTable, TickCtx,
 };
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
@@ -114,7 +114,7 @@ pub struct TsoCcL1 {
     core: usize,
     node: NodeId,
     cache: CacheArray<L1Line>,
-    mshrs: BTreeMap<LineAddr, Mshr>,
+    mshrs: LineTable<Mshr>,
     core_requests: VecDeque<CoreRequest>,
     msg_inbox: VecDeque<Msg>,
     ready_responses: Vec<(Cycle, CoreResponse)>,
@@ -133,7 +133,7 @@ impl TsoCcL1 {
             core,
             node: cfg.node_of_l1(core),
             cache: CacheArray::new(cfg.l1_sets(), cfg.l1_ways, cfg.line_bytes),
-            mshrs: BTreeMap::new(),
+            mshrs: LineTable::new(),
             core_requests: VecDeque::new(),
             msg_inbox: VecDeque::new(),
             ready_responses: Vec::new(),

@@ -26,7 +26,7 @@
 
 use crate::bugs::BugConfig;
 use crate::config::{ProtocolKind, SystemConfig};
-use crate::core::{cores_for_program, CoreModel};
+use crate::core::{cores_for_program, jitter_lets_issue, CoreModel};
 use crate::coverage::{CoverageRecorder, Transition};
 use crate::memory::MemoryController;
 use crate::msg::Msg;
@@ -59,6 +59,13 @@ static FF_SKIPPED_CYCLES: telemetry::Counter = telemetry::Counter::new("sim.ff.s
 static FF_SKIP_LEN: telemetry::Histogram = telemetry::Histogram::new("sim.ff.skip_len");
 /// Component ticks executed.
 static FF_COMPONENT_TICKS: telemetry::Counter = telemetry::Counter::new("sim.ff.component_ticks");
+/// Component ticks executed, by kind of component (they add up to
+/// `sim.ff.component_ticks`).
+static FF_MEMORY_TICKS: telemetry::Counter =
+    telemetry::Counter::new("sim.ff.component_ticks.memory");
+static FF_L2_TICKS: telemetry::Counter = telemetry::Counter::new("sim.ff.component_ticks.l2");
+static FF_L1_TICKS: telemetry::Counter = telemetry::Counter::new("sim.ff.component_ticks.l1");
+static FF_CORE_TICKS: telemetry::Counter = telemetry::Counter::new("sim.ff.component_ticks.core");
 /// Component ticks avoided: slept through and settled lazily.
 static FF_COMPONENT_NAPS: telemetry::Counter = telemetry::Counter::new("sim.ff.component_naps");
 
@@ -224,8 +231,8 @@ struct CoreNap {
 
 impl CoreNap {
     /// Stands in for one tick of the sleeping `core`: its jitter draw.
-    fn doze(&mut self, core: &CoreModel, rng: &mut StdRng) {
-        if self.draws && core.jitter_lets_issue(rng) {
+    fn doze(&mut self, jitter: u16, rng: &mut StdRng) {
+        if self.draws && jitter_lets_issue(jitter, rng) {
             self.issuing += 1;
         }
     }
@@ -238,6 +245,21 @@ impl CoreNap {
     }
 }
 
+/// Component ticks executed, by kind of component.
+#[derive(Debug, Default, Clone, Copy)]
+struct Ticks {
+    memory: u64,
+    l2: u64,
+    l1: u64,
+    core: u64,
+}
+
+impl Ticks {
+    fn total(&self) -> u64 {
+        self.memory + self.l2 + self.l1 + self.core
+    }
+}
+
 /// Who sleeps, until when, and what their skipped ticks still owe.
 #[derive(Debug)]
 struct Naps {
@@ -246,7 +268,7 @@ struct Naps {
     l1s: Vec<ControllerNap>,
     cores: Vec<CoreNap>,
     /// Component ticks executed in the current iteration.
-    ticks: u64,
+    ticks: Ticks,
 }
 
 impl Naps {
@@ -257,7 +279,7 @@ impl Naps {
             l2s: controllers(cfg.l2_banks),
             l1s: controllers(cfg.num_cores),
             cores: (0..cfg.num_cores).map(|_| CoreNap::default()).collect(),
-            ticks: 0,
+            ticks: Ticks::default(),
         }
     }
 
@@ -280,7 +302,7 @@ impl Naps {
         for nap in &mut self.cores {
             *nap = CoreNap::default();
         }
-        self.ticks = 0;
+        self.ticks = Ticks::default();
     }
 
     /// The earliest cycle in which some component's tick must be executed.
@@ -290,6 +312,27 @@ impl Naps {
             .map(|nap| nap.wake_at)
             .chain(self.cores.iter().map(|nap| nap.wake_at))
             .fold(NEVER, Cycle::min)
+    }
+
+    /// Stands in for `cycles` ticks of every core, all asleep: `cycles` rounds
+    /// of [`CoreNap::doze`] in core order, so the RNG stream is consumed as
+    /// stepping through them would.  The generator lives in a local for the
+    /// whole batch, which is what lets it stay in registers.
+    fn doze_all(&mut self, cycles: u64, jitter: u16, rng: &mut StdRng) {
+        if jitter == 0 {
+            // Nothing is drawn and every tick runs its issue stage.
+            for nap in self.cores.iter_mut().filter(|nap| nap.draws) {
+                nap.issuing += cycles;
+            }
+            return;
+        }
+        let mut stream = rng.clone();
+        for _ in 0..cycles {
+            for nap in &mut self.cores {
+                nap.doze(jitter, &mut stream);
+            }
+        }
+        *rng = stream;
     }
 
     /// Accounts for every tick slept through up to and including `cycle`'s.
@@ -483,7 +526,6 @@ impl System {
         let cycle = self.cycle;
         // The reference never lets a component sleep.
         let stay_awake = !self.components_sleep;
-        let mut ticks = 0;
 
         // 1. Network delivery.
         network.deliver_due(cycle, msgs);
@@ -512,7 +554,7 @@ impl System {
         let nap = &mut naps.memory;
         if nap.wake_at <= cycle {
             nap.begin_tick(cycle, coverage);
-            ticks += 1;
+            naps.ticks.memory += 1;
             let progress = memory.tick(cycle, cfg, rng, msgs);
             nap.wake_at = wake_after(progress || stay_awake, || memory.next_release());
             route(msgs, rng);
@@ -524,7 +566,7 @@ impl System {
                 continue;
             }
             nap.begin_tick(cycle, coverage);
-            ticks += 1;
+            naps.ticks.l2 += 1;
             let mut ctx = TickCtx {
                 cycle,
                 cfg,
@@ -545,7 +587,7 @@ impl System {
                 continue;
             }
             nap.begin_tick(cycle, coverage);
-            ticks += 1;
+            naps.ticks.l1 += 1;
             let mut ctx = TickCtx {
                 cycle,
                 cfg,
@@ -565,11 +607,11 @@ impl System {
             let nap = &mut naps.cores[core_idx];
             if nap.wake_at > cycle && from_l1.responses.is_empty() && from_l1.lq_notices.is_empty()
             {
-                nap.doze(core, rng);
+                nap.doze(cfg.issue_jitter, rng);
                 continue;
             }
             nap.settle(core);
-            ticks += 1;
+            naps.ticks.core += 1;
             let out = core.tick(cycle, bugs, &from_l1.responses, &from_l1.lq_notices, rng);
             from_l1.responses.clear();
             from_l1.lq_notices.clear();
@@ -586,7 +628,6 @@ impl System {
                 state.observer.record(core_idx, obs);
             }
         }
-        naps.ticks += ticks;
     }
 
     /// After a cycle that left nobody awake: jumps to one cycle before the
@@ -607,7 +648,7 @@ impl System {
     ///   load-stall counters for the cycles whose draw lets the issue stage
     ///   run — both settled when the component wakes or the iteration ends
     ///   ([`TickLog::replay`], [`CoreModel::replay_stalls`]).
-    fn skip_to_next_wake(&mut self, cores: &[CoreModel], budget_end: Cycle) {
+    fn skip_to_next_wake(&mut self, budget_end: Cycle) {
         let wake = self
             .network
             .next_delivery()
@@ -617,11 +658,8 @@ impl System {
         if skipped == 0 {
             return;
         }
-        for _ in 0..skipped {
-            for (nap, core) in self.naps.cores.iter_mut().zip(cores) {
-                nap.doze(core, &mut self.rng);
-            }
-        }
+        self.naps
+            .doze_all(skipped, self.cfg.issue_jitter, &mut self.rng);
         self.cycle += skipped;
         FF_SEGMENTS.incr();
         FF_SKIPPED_CYCLES.add(skipped);
@@ -664,7 +702,7 @@ impl System {
             }
             self.cycle += 1;
             self.step(&mut state, &mut errors);
-            self.skip_to_next_wake(&state.cores, budget_end);
+            self.skip_to_next_wake(budget_end);
         }
         // However the iteration ended, some components may be asleep.
         self.naps
@@ -673,8 +711,13 @@ impl System {
         drop(simulate_span);
         let cycles = self.cycle - start_cycle;
         ITERATION_CYCLES.record(cycles);
-        FF_COMPONENT_TICKS.add(self.naps.ticks);
-        FF_COMPONENT_NAPS.add(cycles * self.naps.components() as u64 - self.naps.ticks);
+        let ticks = self.naps.ticks;
+        FF_COMPONENT_TICKS.add(ticks.total());
+        FF_MEMORY_TICKS.add(ticks.memory);
+        FF_L2_TICKS.add(ticks.l2);
+        FF_L1_TICKS.add(ticks.l1);
+        FF_CORE_TICKS.add(ticks.core);
+        FF_COMPONENT_NAPS.add(cycles * self.naps.components() as u64 - ticks.total());
 
         let observe_span = PHASE_OBSERVE.span();
         let complete = state.observer.is_complete() && !hung && errors.is_empty();
@@ -1163,6 +1206,10 @@ mod tests {
             let get = |name: &str| counters.get(name).copied().unwrap_or(0);
             let (ticks, naps) = (get("sim.ff.component_ticks"), get("sim.ff.component_naps"));
             assert_eq!(ticks + naps, cycles * components as u64);
+            let by_kind = ["memory", "l2", "l1", "core"]
+                .map(|kind| get(&format!("sim.ff.component_ticks.{kind}")));
+            assert_eq!(by_kind.iter().sum::<u64>(), ticks, "{by_kind:?}");
+            assert!(by_kind.iter().all(|&ticks| ticks > 0), "{by_kind:?}");
             (ticks, naps)
         };
         let (ticks, naps) = ticks_and_naps(&mut fast);
@@ -1449,6 +1496,95 @@ mod tests {
             "the load did not wait out the atomic's miss: {want:?}"
         );
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_jump_draws_like_as_many_rounds_of_dozing() {
+        // Core 0 waits out an atomic's miss with a load stalled behind it,
+        // core 1 a long delay; core 2 finishes within a few cycles and core 3
+        // has no thread.  Two identical systems are stepped to a cycle that
+        // leaves everybody asleep for a while; one then jumps, the other
+        // dozes through the same cycles one at a time.
+        telemetry::enable();
+        let program = TestProgram::new(vec![
+            vec![
+                TestOp::rmw(Address(0x1000), 1),
+                TestOp::read(Address(0x2000)),
+            ],
+            vec![TestOp::delay(5_000)],
+            vec![TestOp::delay(1)],
+        ]);
+        for jitter in [0u16, 2048, 30_000] {
+            let mut cfg = SystemConfig::small(ProtocolKind::Mesi);
+            cfg.issue_jitter = jitter;
+            let mut jumping = System::new(cfg.clone(), BugConfig::none(), 7);
+            let mut dozing = System::new(cfg, BugConfig::none(), 7);
+            let mut states = [&mut jumping, &mut dozing].map(|system| {
+                let state = system.program_state_for(&program);
+                system.reset_test_state();
+                state
+            });
+            let mut errors = Vec::new();
+            let asleep_for = |system: &System| {
+                let next_delivery = system.network.next_delivery().into_iter();
+                let wake = next_delivery.fold(system.naps.earliest_wake(), Cycle::min);
+                wake.saturating_sub(system.cycle + 1)
+            };
+            while asleep_for(&jumping) < 20 || jumping.naps.cores[2].draws {
+                assert!(jumping.cycle < 10_000, "jitter {jitter}: nobody sleeps");
+                for (system, state) in [&mut jumping, &mut dozing].into_iter().zip(&mut states) {
+                    system.cycle += 1;
+                    system.step(state, &mut errors);
+                }
+                assert!(errors.is_empty(), "{errors:?}");
+            }
+            let cycles = asleep_for(&jumping);
+            let draws: Vec<bool> = jumping.naps.cores.iter().map(|nap| nap.draws).collect();
+            assert_eq!(draws, [true, true, false, false], "jitter {jitter}");
+            let issuing = |system: &System| -> Vec<u64> {
+                system.naps.cores.iter().map(|nap| nap.issuing).collect()
+            };
+            let issuing_before = issuing(&jumping);
+
+            jumping.skip_to_next_wake(Cycle::MAX);
+            for _ in 0..cycles {
+                for nap in &mut dozing.naps.cores {
+                    nap.doze(jitter, &mut dozing.rng);
+                }
+            }
+            dozing.cycle += cycles;
+
+            assert_eq!(jumping.cycle, dozing.cycle, "jitter {jitter}");
+            assert_eq!(issuing(&jumping), issuing(&dozing), "jitter {jitter}");
+            if jitter == 0 {
+                // Nothing was drawn: every tick slept through counts.
+                let added: Vec<u64> = issuing(&jumping)
+                    .iter()
+                    .zip(&issuing_before)
+                    .map(|(now, before)| now - before)
+                    .collect();
+                assert_eq!(added, [cycles, cycles, 0, 0]);
+            }
+            let stalls = |system: &mut System, state: &ProgramState| {
+                telemetry::reset_local();
+                let System { naps, coverage, .. } = system;
+                naps.settle_all(system.cycle, coverage, &state.cores);
+                let mut counters = telemetry::local_snapshot().counters;
+                counters.retain(|name, _| name.starts_with("sim.core.stall."));
+                counters
+            };
+            let (got, want) = (
+                stalls(&mut jumping, &states[0]),
+                stalls(&mut dozing, &states[1]),
+            );
+            assert!(got["sim.core.stall.fence"] > 0, "jitter {jitter}: {got:?}");
+            assert_eq!(got, want, "jitter {jitter}");
+            assert_eq!(
+                jumping.rng.gen::<u64>(),
+                dozing.rng.gen::<u64>(),
+                "jitter {jitter}: next RNG draw"
+            );
+        }
     }
 
     #[test]
