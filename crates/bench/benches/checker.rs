@@ -9,6 +9,13 @@
 //! fence, dependency and RMW paths; `armish_check` / `powerish_check` run on
 //! litmus-shaped executions that have all three (the shape of the
 //! `litmus-mesi` benchmark workload, where the check is most of the wall).
+//! Those check one execution over and over, so after the first pass they
+//! measure a check whose static orders are memoised.  `four_iterations`
+//! measures what a test-run pays: four executions of one program built and
+//! checked in turn — `shared` over one static part, as the simulator's
+//! observer builds them (the static orders are derived by the first check and
+//! reused by the other three), `private` each over a static part of its own
+//! (derived four times, as before the static part existed).
 //! Every case asserts its verdict, so a bench cannot get faster by checking
 //! less.
 
@@ -16,9 +23,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcversi_mcm::checker::Checker;
 use mcversi_mcm::execution::{CandidateExecution, ExecutionBuilder};
 use mcversi_mcm::model::tso::Tso;
+use mcversi_mcm::program::StaticPart;
 use mcversi_mcm::{Address, DepKind, EventId, FenceKind, ModelKind, ProcessorId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Builds a racy but valid execution with `ops_per_thread` operations on each
 /// of `threads` threads over `locations` addresses.
@@ -153,6 +162,47 @@ fn bench_checker(c: &mut Criterion) {
                 assert!(verdict.is_valid());
             });
         });
+    }
+    // The program of `exec` as a static part, and `exec`'s values and
+    // conflict orders replayed into a builder over it.
+    let program = |exec: &CandidateExecution| {
+        Arc::new(StaticPart::new(
+            exec.events().to_vec(),
+            exec.po().clone(),
+            exec.deps().clone(),
+        ))
+    };
+    let iteration = |program: &Arc<StaticPart>, exec: &CandidateExecution| {
+        let mut b = ExecutionBuilder::over(program);
+        for event in exec.events() {
+            b.set_event_value(event.id, event.value);
+        }
+        for (w, r) in exec.rf().iter() {
+            b.reads_from(w, r);
+        }
+        for (before, after) in exec.co_observed().iter() {
+            b.coherence(before, after);
+        }
+        b.build()
+    };
+    for (name, share) in [("shared", true), ("private", false)] {
+        group.bench_with_input(
+            BenchmarkId::new("four_iterations", name),
+            &exec,
+            |bench, exec| {
+                let checker = Checker::new(ModelKind::Armish.instance());
+                bench.iter(|| {
+                    let shared = program(exec);
+                    for _ in 0..4 {
+                        let built = match share {
+                            true => iteration(&shared, exec),
+                            false => iteration(&program(exec), exec),
+                        };
+                        assert!(checker.check(&built).is_valid());
+                    }
+                });
+            },
+        );
     }
     group.finish();
 }

@@ -1,4 +1,5 @@
-//! Criterion bench: `Relation::transitive_closure` against a per-node search.
+//! Criterion bench: `Relation::transitive_closure` against a per-node search,
+//! and `Relation::find_cycle` on the shapes the checker searches.
 //!
 //! The closure runs on every candidate-execution build (closing the coherence
 //! order).  `bitset` is the shipped closure — row ORs over the relation's own
@@ -7,6 +8,13 @@
 //! algorithm the first implementation used.  Inputs are the relation shapes
 //! the checker actually produces: long per-address chains (coherence order)
 //! and bushy random DAGs (derived happens-before unions).
+//!
+//! `find_cycle` runs four or five times per check.  `po-dense-256` is four
+//! threads of dense transitive program order (the ~8k pairs that made a
+//! per-pair search expensive), `ghb-litmus-256` adds sparse forward conflict
+//! edges between the threads (the shape of `ghb` on the `litmus-mesi`
+//! workload), and `cyclic` adds one back edge inside the last thread, so the
+//! search ends with a witness on the first path that reaches it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcversi_mcm::relation::Relation;
@@ -55,6 +63,44 @@ fn random_dag(nodes: u32, edges: u32, seed: u64) -> Relation {
     rel
 }
 
+/// `threads` threads of `per_thread` events with contiguous ids, each event
+/// ordered before every later one of its thread.
+fn dense_program_order(threads: u32, per_thread: u32) -> Relation {
+    let mut rel = Relation::new();
+    for t in 0..threads {
+        for k in 0..per_thread {
+            let later = (k + 1..per_thread).map(|l| EventId(t * per_thread + l));
+            rel.insert_row(EventId(t * per_thread + k), &later.collect());
+        }
+    }
+    rel
+}
+
+/// [`dense_program_order`] plus forward (acyclic) edges between threads.
+fn litmus_ghb(threads: u32, per_thread: u32, seed: u64) -> Relation {
+    let mut rel = dense_program_order(threads, per_thread);
+    let nodes = threads * per_thread;
+    rel.union_with(&random_dag(nodes, nodes, seed));
+    rel
+}
+
+fn bench_find_cycle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("find_cycle");
+    let mut cyclic = litmus_ghb(4, 64, 3);
+    cyclic.insert(EventId(255), EventId(192));
+    let inputs = [
+        ("po-dense-256", dense_program_order(4, 64), false),
+        ("ghb-litmus-256", litmus_ghb(4, 64, 3), false),
+        ("cyclic", cyclic, true),
+    ];
+    for (name, rel, has_cycle) in &inputs {
+        group.bench_with_input(BenchmarkId::from_parameter(name), rel, |bench, rel| {
+            bench.iter(|| assert_eq!(rel.find_cycle().is_some(), *has_cycle));
+        });
+    }
+    group.finish();
+}
+
 fn bench_closure(c: &mut Criterion) {
     let mut group = c.benchmark_group("relation_closure");
     let inputs: Vec<(&str, Relation)> = vec![
@@ -80,5 +126,5 @@ fn bench_closure(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_closure);
+criterion_group!(benches, bench_closure, bench_find_cycle);
 criterion_main!(benches);

@@ -12,9 +12,15 @@
 
 use crate::lowering::lower;
 use mcversi_mcm::checker::{Checker, Verdict};
-use mcversi_mcm::{Address, ModelKind};
+use mcversi_mcm::{Address, CandidateExecution, ModelKind};
 use mcversi_sim::{BugConfig, IterationOutcome, System, TestProgram};
+use mcversi_telemetry as telemetry;
 use mcversi_testgen::Test;
+
+/// Executions the checker rejected as malformed — an observer bug, not a
+/// consistency violation — and the host therefore reported as `Valid`.
+static MALFORMED_EXECUTIONS: telemetry::Counter =
+    telemetry::Counter::new("mcm.malformed_executions");
 
 /// The functions the simulation host provides to the guest workload
 /// (paper Table 1).
@@ -126,15 +132,17 @@ impl SimHost {
         hash
     }
 
-    /// Checks a single recorded execution against the target model, treating
-    /// malformed executions as vacuously valid (mirroring
-    /// [`HostInterface::verify_reset_conflict`]'s behaviour).
-    pub fn check_execution(&self, exec: &mcversi_mcm::CandidateExecution) -> Verdict {
-        self.checker().try_check(exec).unwrap_or(Verdict::Valid)
-    }
-
-    fn checker(&self) -> Checker<'static> {
+    /// Checks a single recorded execution against the target model.  A
+    /// malformed execution is vacuously valid — it says nothing about the
+    /// design under test — but is counted in `mcm.malformed_executions`, so
+    /// that an observer bug does not read as a pass.
+    pub fn check_execution(&self, exec: &CandidateExecution) -> Verdict {
         Checker::new(self.model.instance())
+            .try_check(exec)
+            .unwrap_or_else(|_malformed| {
+                MALFORMED_EXECUTIONS.incr();
+                Verdict::Valid
+            })
     }
 }
 
@@ -174,15 +182,11 @@ impl HostInterface for SimHost {
         // The per-iteration execution object is already a fresh object per
         // iteration in this implementation, so "clearing conflict orders"
         // amounts to simply dropping it after checking.
-        self.checker()
-            .try_check(&outcome.execution)
-            .unwrap_or(Verdict::Valid)
+        self.check_execution(&outcome.execution)
     }
 
     fn verify_reset_all(&mut self, outcome: &IterationOutcome) -> Verdict {
-        self.checker()
-            .try_check(&outcome.execution)
-            .unwrap_or(Verdict::Valid)
+        self.check_execution(&outcome.execution)
     }
 }
 
@@ -216,6 +220,55 @@ mod tests {
         let outcome2 = host.execute_test();
         assert!(host.verify_reset_all(&outcome2).is_valid());
         assert!(host.system().coverage().distinct_covered() > 0);
+    }
+
+    /// A hand-broken execution — a read whose reads-from edge is gone — is
+    /// still reported `Valid`, but no longer silently.
+    #[test]
+    fn malformed_executions_stay_valid_and_are_counted() {
+        use mcversi_mcm::execution::ExecutionBuilder;
+        use mcversi_mcm::{ProcessorId, Relation, Value};
+
+        let mut b = ExecutionBuilder::new();
+        let w = b.write(ProcessorId(0), Address(0x100), Value(1));
+        let r = b.read(ProcessorId(1), Address(0x100), Value(1));
+        b.reads_from(w, r);
+        b.coherence_after_initial(w);
+        let sound = b.build();
+        let broken = CandidateExecution::from_parts(
+            sound.events().to_vec(),
+            sound.po().clone(),
+            Relation::new(),
+            sound.co_observed().clone(),
+        );
+        assert!(broken.validate().is_err());
+
+        let cfg = McVerSiConfig::small();
+        let mut host = SimHost::new(cfg.system, BugConfig::none(), 3);
+        let malformed = || {
+            telemetry::local_snapshot()
+                .counters
+                .get("mcm.malformed_executions")
+                .copied()
+                .unwrap_or(0)
+        };
+        telemetry::enable();
+        telemetry::reset_local();
+        assert!(host.check_execution(&sound).is_valid());
+        assert_eq!(malformed(), 0);
+        assert!(host.check_execution(&broken).is_valid());
+        assert_eq!(malformed(), 1);
+        let outcome = IterationOutcome {
+            execution: broken,
+            protocol_errors: Vec::new(),
+            hung: false,
+            complete: true,
+            cycles: 0,
+            retired_ops: 0,
+        };
+        assert!(host.verify_reset_conflict(&outcome).is_valid());
+        assert!(host.verify_reset_all(&outcome).is_valid());
+        assert_eq!(malformed(), 3);
     }
 
     #[test]

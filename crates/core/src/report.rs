@@ -491,6 +491,7 @@ impl MetricsReport {
         self.render_fabric(&mut out);
         render_vc(&total, &mut out);
         render_sleep(&total, &mut out);
+        render_checker(&total, &mut out);
 
         if !total.histograms.is_empty() {
             out.push('\n');
@@ -594,6 +595,36 @@ fn render_sleep(total: &MetricsSnapshot, out: &mut String) {
         let _ = write!(out, "; ticks by component: {}", split.join(", "));
     }
     out.push('\n');
+}
+
+/// Appends the checker's summary lines when the aggregated counters carry
+/// them: how often a check found its model's static orders already derived
+/// by an earlier check of the same test (about three in four at four
+/// iterations per test-run — a campaign that stops sharing shows here), and
+/// how many executions the checker rejected as malformed, which the host
+/// reports as valid.
+fn render_checker(total: &MetricsSnapshot, out: &mut String) {
+    let get = |name: &str| total.counters.get(name).copied().unwrap_or(0);
+    let (built, reused) = (
+        get("mcm.static_orders.built"),
+        get("mcm.static_orders.reused"),
+    );
+    if built + reused > 0 {
+        let _ = writeln!(
+            out,
+            "\nStatic orders: derived {built} time(s), reused by {reused} check(s) \
+             ({:.1}% of checks reused them)",
+            100.0 * reused as f64 / (built + reused) as f64,
+        );
+    }
+    let malformed = get("mcm.malformed_executions");
+    if malformed > 0 {
+        let _ = writeln!(
+            out,
+            "\nMalformed executions: {malformed} execution(s) failed well-formedness \
+             validation and were reported valid unchecked (an observer bug, not a pass)"
+        );
+    }
 }
 
 /// Column width fitting every name in `names`.
@@ -888,6 +919,43 @@ mod tests {
         let text = jsonl(&[CampaignEvent::SampleDone { result: plain }]);
         let report = MetricsReport::from_jsonl(&text).expect("stream parses");
         assert!(!report.render().contains("Component sleep"));
+    }
+
+    #[test]
+    fn metrics_report_renders_the_checker_lines() {
+        let render = |counters: &[(&str, u64)]| {
+            let mut sample = result(false, None);
+            let mut metrics = snapshot(1);
+            for &(name, value) in counters {
+                metrics.counters.insert(name.to_string(), value);
+            }
+            sample.metrics = Some(metrics);
+            let text = jsonl(&[CampaignEvent::SampleDone { result: sample }]);
+            MetricsReport::from_jsonl(&text)
+                .expect("stream parses")
+                .render()
+        };
+        let rendered = render(&[
+            ("mcm.static_orders.built", 10),
+            ("mcm.static_orders.reused", 30),
+            ("mcm.malformed_executions", 2),
+        ]);
+        assert!(
+            rendered.contains(
+                "Static orders: derived 10 time(s), reused by 30 check(s) \
+                 (75.0% of checks reused them)\n"
+            ),
+            "static orders rendered: {rendered}"
+        );
+        assert!(
+            rendered.contains("Malformed executions: 2 execution(s) failed"),
+            "malformed executions rendered: {rendered}"
+        );
+        // Without the counters — and with no malformed execution — no line.
+        let rendered = render(&[("mcm.static_orders.built", 4)]);
+        assert!(rendered.contains("Static orders: derived 4 time(s), reused by 0"));
+        assert!(!rendered.contains("Malformed executions"));
+        assert!(!render(&[]).contains("Static orders"));
     }
 
     #[test]

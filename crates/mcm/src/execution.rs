@@ -11,12 +11,12 @@
 use crate::event::{
     Address, DepKind, Event, EventId, EventKind, FenceKind, Iiid, ProcessorId, Value,
 };
-use crate::program::{self, EventMasks};
+use crate::program::{self, EventMasks, StaticPart};
 use crate::relation::Relation;
 use serde::{DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The syntactic dependencies of an execution, one relation per [`DepKind`].
 ///
@@ -141,31 +141,37 @@ impl fmt::Display for WellFormednessError {
 impl std::error::Error for WellFormednessError {}
 
 /// A complete candidate execution ready to be checked against a model.
+///
+/// The execution owns what an iteration can change — the event list (its
+/// reads carry the values observed, and initial writes may follow the
+/// program's events) and the conflict orders — and shares the
+/// [`StaticPart`] of its test: program order, dependencies and every order
+/// derived from those alone.
 #[derive(Clone)]
 pub struct CandidateExecution {
+    program: Arc<StaticPart>,
     events: Vec<Event>,
-    po: Relation,
     rf: Relation,
     co: Relation,
     co_observed: Relation,
-    deps: DependencySet,
-    /// Classification masks of `events`, derived on first use: an execution
-    /// whose verdict comes from a cache is never classified.  Not part of the
-    /// `{:?}` or serialized form.
+    /// Classification masks of `events` when initial writes follow the
+    /// program's events (otherwise the static part's masks are these),
+    /// derived on first use.  Not part of the `{:?}` or serialized form.
     masks: OnceLock<EventMasks>,
 }
 
-/// Prints the six recorded fields in the derived shape; the mask cache is
-/// derived state, and golden digests hash this text.
+/// Prints the six recorded fields in the derived shape, wherever they are
+/// stored; everything else is derived state, and golden digests hash this
+/// text.
 impl fmt::Debug for CandidateExecution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CandidateExecution")
             .field("events", &self.events)
-            .field("po", &self.po)
+            .field("po", self.po())
             .field("rf", &self.rf)
             .field("co", &self.co)
             .field("co_observed", &self.co_observed)
-            .field("deps", &self.deps)
+            .field("deps", self.deps())
             .finish()
     }
 }
@@ -174,11 +180,11 @@ impl Serialize for CandidateExecution {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("events".to_string(), self.events.to_value()),
-            ("po".to_string(), self.po.to_value()),
+            ("po".to_string(), self.po().to_value()),
             ("rf".to_string(), self.rf.to_value()),
             ("co".to_string(), self.co.to_value()),
             ("co_observed".to_string(), self.co_observed.to_value()),
-            ("deps".to_string(), self.deps.to_value()),
+            ("deps".to_string(), self.deps().to_value()),
         ])
     }
 }
@@ -189,15 +195,25 @@ impl Deserialize for CandidateExecution {
         let fields = v
             .as_object()
             .ok_or_else(|| DeError::expected("object", TY))?;
+        let events: Vec<Event> = serde::__field(fields, "events", TY)?;
         Ok(CandidateExecution {
-            events: serde::__field(fields, "events", TY)?,
-            po: serde::__field(fields, "po", TY)?,
+            program: Arc::new(StaticPart::new(
+                events.clone(),
+                serde::__field(fields, "po", TY)?,
+                serde::__field(fields, "deps", TY)?,
+            )),
+            events,
             rf: serde::__field(fields, "rf", TY)?,
             co: serde::__field(fields, "co", TY)?,
             co_observed: serde::__field(fields, "co_observed", TY)?,
-            deps: serde::__field(fields, "deps", TY)?,
             masks: OnceLock::new(),
         })
+    }
+}
+
+impl AsRef<StaticPart> for CandidateExecution {
+    fn as_ref(&self) -> &StaticPart {
+        &self.program
     }
 }
 
@@ -211,6 +227,7 @@ impl CandidateExecution {
     }
 
     /// Constructs an execution from raw parts including its dependency set.
+    /// The execution owns a static part of its own.
     pub fn from_parts_with_deps(
         events: Vec<Event>,
         po: Relation,
@@ -218,17 +235,30 @@ impl CandidateExecution {
         co: Relation,
         deps: DependencySet,
     ) -> Self {
-        let co_observed = co.clone();
-        let co = co.transitive_closure();
+        let program = Arc::new(StaticPart::new(events.clone(), po, deps));
+        Self::over(program, events, rf, co)
+    }
+
+    /// An execution of the test `program` describes: `events` are the
+    /// program's events with the values observed, followed by any initial
+    /// writes; `co` is the observed coherence order, closed here.
+    fn over(program: Arc<StaticPart>, events: Vec<Event>, rf: Relation, co: Relation) -> Self {
+        let co_observed = co;
+        let co = co_observed.transitive_closure();
         CandidateExecution {
+            program,
             events,
-            po,
             rf,
             co,
             co_observed,
-            deps,
             masks: OnceLock::new(),
         }
+    }
+
+    /// The part of the execution its test program alone determines, shared
+    /// with the other executions finished by the same observer.
+    pub fn static_part(&self) -> &Arc<StaticPart> {
+        &self.program
     }
 
     /// All events of the execution, ordered by event id.
@@ -253,19 +283,24 @@ impl CandidateExecution {
 
     /// The (transitive) program order.
     pub fn po(&self) -> &Relation {
-        &self.po
+        self.program.po()
     }
 
     /// Read / write / memory-access masks and the same-address and
-    /// same-thread sets of the events, computed once per execution.
+    /// same-thread sets of the events.  The static part's masks cover the
+    /// program's events; only an execution with initial writes after those
+    /// classifies its own event list, once, when asked.
     pub fn masks(&self) -> &EventMasks {
-        self.masks.get_or_init(|| EventMasks::of(&self.events))
+        if self.events.len() == self.program.events().len() {
+            self.program.masks()
+        } else {
+            self.masks.get_or_init(|| EventMasks::of(&self.events))
+        }
     }
 
     /// Program order restricted to same-address pairs (`po-loc`).
     pub fn po_loc(&self) -> Relation {
-        let masks = self.masks();
-        self.po.intersect_rows(|a| masks.same_address_as(a))
+        self.program.po_loc().clone()
     }
 
     /// The reads-from relation (write → read).
@@ -275,7 +310,7 @@ impl CandidateExecution {
 
     /// The syntactic dependencies recorded for this execution.
     pub fn deps(&self) -> &DependencySet {
-        &self.deps
+        self.program.deps()
     }
 
     /// The coherence order (write → write, same address), transitively closed.
@@ -294,13 +329,15 @@ impl CandidateExecution {
     /// External reads-from: pairs whose write and read are on different
     /// processors (or whose write is an initial write).
     pub fn rf_external(&self) -> Relation {
-        let masks = self.masks();
+        // An initial write after the program's events has no thread in the
+        // static masks either.
+        let masks = self.program.masks();
         self.rf.subtract_rows(|w| masks.same_thread_as(w))
     }
 
     /// Internal reads-from: same-processor pairs.
     pub fn rf_internal(&self) -> Relation {
-        let masks = self.masks();
+        let masks = self.program.masks();
         self.rf.intersect_rows(|w| masks.same_thread_as(w))
     }
 
@@ -394,8 +431,20 @@ impl CandidateExecution {
                 Some(_) => return Err(WellFormednessError::MultipleSources(read.id)),
             }
         }
-        // co shape checks.
-        for (a, b) in self.co.iter() {
+        // co shape checks: every pair relates two writes to one address.  The
+        // closed order has thousands of pairs, so whole rows are cleared
+        // against the static part's per-address write sets first; only what
+        // those do not cover (a pair into an initial write that follows the
+        // program's events, or a defect) is looked at pair by pair.
+        let masks = self.program.masks();
+        let uncleared = self.co.subtract_rows(|a| {
+            let source = self.event(a);
+            source
+                .addr
+                .filter(|_| source.is_write())
+                .and_then(|addr| masks.writes_to(addr))
+        });
+        for (a, b) in uncleared.iter() {
             let ae = self.event(a);
             let be = self.event(b);
             if !ae.is_write() || !be.is_write() || ae.addr != be.addr || ae.addr.is_none() {
@@ -415,12 +464,10 @@ impl CandidateExecution {
             }
         }
         // Dependency shape checks: read source, program-order before target.
-        for (a, b) in self.deps.union_all().iter() {
-            if !self.event(a).is_read() || !self.po.contains(a, b) {
-                return Err(WellFormednessError::MalformedDependency(a, b));
-            }
+        match self.program.malformed_dependency() {
+            Some((a, b)) => Err(WellFormednessError::MalformedDependency(a, b)),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -429,8 +476,19 @@ impl CandidateExecution {
 /// The builder allocates dense event ids, tracks per-processor program-order
 /// indices, creates initial-value writes on demand, and derives the transitive
 /// program order at [`build`](ExecutionBuilder::build) time.
+///
+/// A caller that builds many executions of one program (the simulator's
+/// observer, once per iteration) adds the program's events and dependencies
+/// once, turns them into a shared static part with
+/// [`into_static_part`](Self::into_static_part), and starts each execution
+/// with [`over`](Self::over): such a builder records values, `rf` and `co`
+/// only, and the executions it builds share the program order and every
+/// order derived from it.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionBuilder {
+    /// The static part the execution is built over; `None` until
+    /// [`build`](Self::build) derives a private one.
+    program: Option<Arc<StaticPart>>,
     events: Vec<Event>,
     rf: Relation,
     co: Relation,
@@ -445,6 +503,43 @@ impl ExecutionBuilder {
         Self::default()
     }
 
+    /// Freezes the events and dependencies added so far as the static part
+    /// of a test: derives their program order, once for every execution
+    /// later built [`over`](Self::over) it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if conflict orders were recorded: they belong to one execution,
+    /// not to the program.
+    pub fn into_static_part(self) -> Arc<StaticPart> {
+        assert!(
+            self.program.is_none() && self.rf.is_empty() && self.co.is_empty(),
+            "a static part holds no conflict orders"
+        );
+        let po = program::program_order(&self.events);
+        Arc::new(StaticPart::new(self.events, po, self.deps))
+    }
+
+    /// A builder for one execution of the test `program` describes, holding
+    /// a copy of the program's events: set the values read, record `rf` and
+    /// `co` (initial writes are created after the program's events as
+    /// needed), and [`build`](Self::build).
+    pub fn over(program: &Arc<StaticPart>) -> Self {
+        let events = program.events().to_vec();
+        ExecutionBuilder {
+            program: Some(Arc::clone(program)),
+            rf: Relation::with_nodes(events.len()),
+            co: Relation::with_nodes(events.len()),
+            init_writes: events
+                .iter()
+                .filter(|e| e.is_initial())
+                .filter_map(|e| e.addr.map(|a| (a, e.id)))
+                .collect(),
+            events,
+            ..ExecutionBuilder::default()
+        }
+    }
+
     fn alloc(
         &mut self,
         iiid: Option<Iiid>,
@@ -452,6 +547,10 @@ impl ExecutionBuilder {
         addr: Option<Address>,
         value: Value,
     ) -> EventId {
+        assert!(
+            self.program.is_none() || iiid.is_none(),
+            "the events of a program are fixed once it has a static part"
+        );
         let id = EventId(self.events.len() as u32);
         self.events.push(Event {
             id,
@@ -603,7 +702,16 @@ impl ExecutionBuilder {
     /// The caller must uphold the dependency contract (`source` is a read and
     /// precedes `target` in its thread's program order);
     /// [`CandidateExecution::validate`] rejects executions that break it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a builder started [`over`](Self::over) a static part, whose
+    /// dependencies are fixed.
     pub fn dependency(&mut self, kind: DepKind, source: EventId, target: EventId) {
+        assert!(
+            self.program.is_none(),
+            "the dependencies of a program are fixed once it has a static part"
+        );
         self.deps.of_mut(kind).insert(source, target);
     }
 
@@ -641,55 +749,26 @@ impl ExecutionBuilder {
         &self.events
     }
 
-    /// Derives the program order of the events added so far (the same
-    /// relation [`build`](Self::build) would derive).
-    ///
-    /// Program order depends only on the static event set, so callers that
-    /// rebuild executions from the same events repeatedly (the simulator's
-    /// per-iteration observer) can compute it once and finalise with
-    /// [`build_with_po`](Self::build_with_po) instead of paying the
-    /// quadratic derivation every time.
-    pub fn program_order(&self) -> Relation {
-        program::program_order(&self.events)
-    }
-
-    /// Finalises the execution: derives program order, closes the coherence
-    /// order transitively, and orders every initial write before all other
-    /// writes to its address.
-    pub fn build(self) -> CandidateExecution {
-        let po = self.program_order();
-        self.build_with_po(po)
-    }
-
-    /// Finalises the execution with a precomputed program order (see
-    /// [`program_order`](Self::program_order)); `po` must be the program
-    /// order of this builder's event set.
-    pub fn build_with_po(mut self, po: Relation) -> CandidateExecution {
-        debug_assert_eq!(po, program::program_order(&self.events));
+    /// Finalises the execution: derives program order (unless the builder
+    /// was started [`over`](Self::over) a static part, which has it), closes
+    /// the coherence order transitively, and orders every initial write
+    /// before all other writes to its address.
+    pub fn build(mut self) -> CandidateExecution {
         // Initial writes are co-before every other write to the same address.
-        let writes: Vec<(EventId, Address)> = self
+        for w in self
             .events
             .iter()
             .filter(|e| e.is_write() && !e.is_initial())
-            .filter_map(|e| e.addr.map(|a| (e.id, a)))
-            .collect();
-        let init_writes = self.init_writes.clone();
-        for (w, addr) in writes {
-            if let Some(&init) = init_writes.get(&addr) {
-                self.co.insert(init, w);
+        {
+            if let Some(&init) = w.addr.and_then(|addr| self.init_writes.get(&addr)) {
+                self.co.insert(init, w.id);
             }
         }
-        let co_observed = self.co.clone();
-        let co = self.co.transitive_closure();
-        CandidateExecution {
-            events: self.events,
-            po,
-            rf: self.rf,
-            co,
-            co_observed,
-            deps: self.deps,
-            masks: OnceLock::new(),
-        }
+        let program = self.program.unwrap_or_else(|| {
+            let po = program::program_order(&self.events);
+            Arc::new(StaticPart::new(self.events.clone(), po, self.deps))
+        });
+        CandidateExecution::over(program, self.events, self.rf, self.co)
     }
 }
 
@@ -951,6 +1030,49 @@ mod tests {
         assert_eq!(format!("{back:?}"), before);
         assert!(back.masks().writes.contains(w));
         assert!(back.validate().is_ok());
+    }
+
+    /// Executions cross threads (the fabric, parallel samples) and are cloned
+    /// into caches; the shared static part must not take that away.  A
+    /// builder over a static part records conflict orders only.
+    #[test]
+    fn executions_over_a_shared_static_part() {
+        fn assert_send_sync_clone<T: Send + Sync + Clone>() {}
+        assert_send_sync_clone::<CandidateExecution>();
+
+        let mut b = ExecutionBuilder::new();
+        let w = b.write(p(0), Address(0x10), Value(1));
+        let r = b.read(p(1), Address(0x10), Value(0));
+        let program = b.into_static_part();
+        let mut first = ExecutionBuilder::over(&program);
+        first.reads_from_initial(r);
+        first.coherence_after_initial(w);
+        let first = first.build();
+        let mut second = ExecutionBuilder::over(&program);
+        second.set_event_value(r, Value(1));
+        second.reads_from(w, r);
+        second.coherence_after_initial(w);
+        let second = second.build();
+        assert!(Arc::ptr_eq(first.static_part(), second.static_part()));
+        assert!(first.validate().is_ok() && second.validate().is_ok());
+        // The initial write follows the program's events; the masks of the
+        // execution include it, the static part's do not.
+        assert_eq!(first.len(), 3);
+        assert!(first.event(EventId(2)).is_initial());
+        assert!(first.masks().writes.contains(EventId(2)));
+        assert!(!program.masks().writes.contains(EventId(2)));
+        assert_eq!(second.event(r).value, Value(1));
+        assert_eq!(program.events()[r.index()].value, Value(0));
+        assert_eq!(first.rf_external().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fixed once it has a static part")]
+    fn a_builder_over_a_static_part_takes_no_program_events() {
+        let mut b = ExecutionBuilder::new();
+        b.write(p(0), Address(0x10), Value(1));
+        let program = b.into_static_part();
+        ExecutionBuilder::over(&program).read(p(0), Address(0x10), Value(1));
     }
 
     #[test]

@@ -29,9 +29,10 @@
 use crate::event::FenceKind;
 use crate::execution::CandidateExecution;
 use crate::model::{
-    cumulative, dependency_order, fence_separated, no_thin_air_axiom, ordered_by_fence,
-    po_loc_preserved, Architecture, Axiom,
+    assembled_fence_order, fence_separated, narrow_fences, no_thin_air_axiom, ordered_by_fence,
+    relaxed_ppo, static_ppo, Architecture, Axiom, ModelKind, StaticOrders,
 };
+use crate::program::StaticPart;
 use crate::relation::Relation;
 
 /// The ARMv8-flavoured relaxed memory model.
@@ -50,42 +51,11 @@ impl Architecture for Armish {
     }
 
     fn ppo(&self, exec: &CandidateExecution) -> Relation {
-        let mut ppo = dependency_order(exec);
-        ppo.union_with(&po_loc_preserved(exec));
-        ppo
+        static_ppo(exec, ModelKind::Armish)
     }
 
     fn fence_order(&self, exec: &CandidateExecution) -> Relation {
-        let m = exec.masks();
-        // Fence-implying RMWs order like a full fence: they are part of the
-        // cumulative base, which covers whatever a narrower kind would make
-        // of them.
-        let mut out = cumulative(exec, &fence_separated(exec, |k| k == FenceKind::Full));
-        out.union_with(&ordered_by_fence(
-            exec,
-            FenceKind::Acquire,
-            &m.reads,
-            &m.memory,
-        ));
-        out.union_with(&ordered_by_fence(
-            exec,
-            FenceKind::Release,
-            &m.memory,
-            &m.writes,
-        ));
-        out.union_with(&ordered_by_fence(
-            exec,
-            FenceKind::StoreStore,
-            &m.writes,
-            &m.writes,
-        ));
-        out.union_with(&ordered_by_fence(
-            exec,
-            FenceKind::LoadLoad,
-            &m.reads,
-            &m.reads,
-        ));
-        out
+        assembled_fence_order(exec, ModelKind::Armish)
     }
 
     fn global_rf(&self, _exec: &CandidateExecution) -> Relation {
@@ -96,6 +66,32 @@ impl Architecture for Armish {
 
     fn extra_axioms(&self, exec: &CandidateExecution, fence_order: &Relation) -> Vec<Axiom> {
         vec![no_thin_air_axiom(exec, fence_order)]
+    }
+}
+
+/// ARMish's static orders.
+pub(crate) fn static_orders(program: &StaticPart) -> StaticOrders {
+    let m = program.masks();
+    let mut plain = narrow_fences(program);
+    plain.union_with(&ordered_by_fence(
+        program,
+        FenceKind::Acquire,
+        &m.reads,
+        &m.memory,
+    ));
+    plain.union_with(&ordered_by_fence(
+        program,
+        FenceKind::Release,
+        &m.memory,
+        &m.writes,
+    ));
+    StaticOrders {
+        ppo: relaxed_ppo(program),
+        // Fence-implying RMWs order like a full fence: they are part of the
+        // cumulative base, which covers whatever a narrower kind would make
+        // of them.
+        cumulative_fences: fence_separated(program, |k| k == FenceKind::Full),
+        plain_fences: plain,
     }
 }
 

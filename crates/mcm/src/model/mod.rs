@@ -37,15 +37,20 @@
 //!    [`Architecture`]: provide `name`, `ppo`, `fence_order` and `global_rf`,
 //!    and override `extra_axioms` if the model needs constraints beyond the
 //!    standard three (see [`no_thin_air_axiom`] for the relaxed-model pattern).
-//!    Build the relations from the shared combinators below ([`po_mem`],
-//!    [`po_loc_preserved`], [`without_write_read`], [`dependency_order`],
-//!    [`fence_separated`], [`ordered_by_fence`], [`cumulative`]) so behaviour
-//!    stays consistent across models — and restrict by the execution's
-//!    [`masks`](CandidateExecution::masks), not by a closure per pair: the
-//!    relations are bit rows and a mask is one AND per word.
+//!    Split what the program alone determines from what an execution adds: a
+//!    `static_orders(program: &StaticPart) -> StaticOrders` function derives
+//!    `ppo` and the fence orders from the shared combinators below
+//!    ([`po_mem`], [`po_loc_preserved`], [`dependency_order`],
+//!    [`fence_separated`], [`ordered_by_fence`]) — restricting by the static
+//!    part's [`masks`](StaticPart::masks), not by a closure per pair: the
+//!    relations are bit rows and a mask is one AND per word — and `ppo` /
+//!    `fence_order` read the memo the static part keeps of it (`static_ppo`,
+//!    `assembled_fence_order`), which closes the cumulative part with the
+//!    execution's external reads-from ([`cumulative`]).  The iterations of a
+//!    test then pay for the static orders once.
 //! 2. Register the model in [`ModelKind`] (variant, `ALL`, `instance`,
-//!    `parse`) so campaigns, litmus suites and the experiment binaries can
-//!    select it.
+//!    `static_orders`, `parse`) so campaigns, litmus suites and the
+//!    experiment binaries can select it.
 //! 3. Keep the strength chain honest: if the model slots between two existing
 //!    ones, every relation it feeds into `ghb` must be contained in the
 //!    transitive closure of the stronger neighbour's `ghb` (and vice versa for
@@ -62,7 +67,9 @@ pub mod tso;
 
 use crate::event::{EventId, EventKind, FenceKind, Iiid};
 use crate::execution::CandidateExecution;
+use crate::program::{EventMasks, StaticPart};
 use crate::relation::{EventSet, Relation};
+use mcversi_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -115,6 +122,18 @@ impl ModelKind {
         }
     }
 
+    /// Derives the model's static orders from a program (what
+    /// [`StaticPart::model_orders`] memoises).
+    pub(crate) fn static_orders(self, program: &StaticPart) -> StaticOrders {
+        match self {
+            ModelKind::Sc => sc::static_orders(program),
+            ModelKind::Tso => tso::static_orders(program),
+            ModelKind::Armish => armish::static_orders(program),
+            ModelKind::Powerish => powerish::static_orders(program),
+            ModelKind::Rmo => relaxed::static_orders(program),
+        }
+    }
+
     /// The model's display name (same as [`Architecture::name`]).
     pub fn name(self) -> &'static str {
         self.instance().name()
@@ -150,6 +169,51 @@ impl std::str::FromStr for ModelKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         ModelKind::parse(s).ok_or_else(|| format!("unknown model '{s}'"))
     }
+}
+
+/// Fence orders assembled over static orders an earlier check of the same
+/// test derived (memo hits, one per check).
+static STATIC_ORDERS_REUSED: telemetry::Counter =
+    telemetry::Counter::new("mcm.static_orders.reused");
+
+/// The orders of one model that the test program alone determines (paper
+/// §4.1: "All static orders required to compute the preserved program order
+/// (ppo) are gathered before first execution of a test").
+///
+/// `ppo` is static in all five built-in models, and every fence order is
+/// `cumulative(rfe, cumulative_fences) ∪ plain_fences`: only the closure with
+/// the execution's external reads-from is left to do per execution.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StaticOrders {
+    /// The preserved program order.
+    pub ppo: Relation,
+    /// The fence-separated pairs each execution closes cumulatively with its
+    /// external reads-from (see [`cumulative`]).
+    pub cumulative_fences: Relation,
+    /// The fence-separated pairs ordered as they are.
+    pub plain_fences: Relation,
+}
+
+/// The preserved program order of a built-in model: a copy of the memoised
+/// static order.
+fn static_ppo(exec: &CandidateExecution, kind: ModelKind) -> Relation {
+    exec.static_part().model_orders(kind).ppo.clone()
+}
+
+/// The fence order of a built-in model: its static fence orders, the
+/// cumulative part closed with `exec`'s external reads-from.
+fn assembled_fence_order(exec: &CandidateExecution, kind: ModelKind) -> Relation {
+    let program = exec.static_part();
+    if program.has_model_orders(kind) {
+        STATIC_ORDERS_REUSED.incr();
+    }
+    let orders = program.model_orders(kind);
+    if orders.cumulative_fences.is_empty() {
+        return orders.plain_fences.clone();
+    }
+    let mut out = cumulative(exec, &orders.cumulative_fences);
+    out.union_with(&orders.plain_fences);
+    out
 }
 
 /// A single named constraint over derived relations of an execution.
@@ -309,15 +373,17 @@ pub fn rmw_atomicity_violations(exec: &CandidateExecution, fr: &Relation) -> Rel
 
 /// Combinator: program order restricted to memory accesses (fences removed),
 /// as a relation between memory events only.
-pub fn po_mem(exec: &CandidateExecution) -> Relation {
-    let memory = &exec.masks().memory;
-    exec.po().restrict(memory, memory)
+///
+/// Like every combinator over `impl AsRef<StaticPart>`, it is a function of
+/// the program alone and accepts an execution or its static part.
+pub fn po_mem(program: &(impl AsRef<StaticPart> + ?Sized)) -> Relation {
+    let program = program.as_ref();
+    let memory = &program.masks().memory;
+    program.po().restrict(memory, memory)
 }
 
-/// Combinator: `rel` minus its write→read pairs (the store-buffer
-/// relaxation).
-pub fn without_write_read(exec: &CandidateExecution, rel: &Relation) -> Relation {
-    let masks = exec.masks();
+/// `rel` minus its write→read pairs (the store-buffer relaxation).
+fn drop_write_read(masks: &EventMasks, rel: &Relation) -> Relation {
     rel.subtract_rows(|a| masks.writes.contains(a).then_some(&masks.reads))
 }
 
@@ -329,15 +395,38 @@ pub fn without_write_read(exec: &CandidateExecution, rel: &Relation) -> Relation
 /// and excluding it from `ppo` keeps every relaxed model's `ghb` inside TSO's,
 /// which is what makes model strength monotone (TSO's `ppo` drops all W→R
 /// pairs, same-address or not).
-pub fn po_loc_preserved(exec: &CandidateExecution) -> Relation {
-    without_write_read(exec, &exec.po_loc())
+pub fn po_loc_preserved(program: &(impl AsRef<StaticPart> + ?Sized)) -> Relation {
+    let program = program.as_ref();
+    drop_write_read(program.masks(), program.po_loc())
 }
 
 /// Combinator: the union of all recorded syntactic dependencies
 /// (address, data and control edges), i.e. the dependency-ordered part of the
 /// preserved program order of the relaxed models.
-pub fn dependency_order(exec: &CandidateExecution) -> Relation {
-    exec.deps().union_all()
+pub fn dependency_order(program: &(impl AsRef<StaticPart> + ?Sized)) -> Relation {
+    program.as_ref().dependency_order().clone()
+}
+
+/// The preserved program order the three relaxed models share: syntactic
+/// dependencies plus the preserved part of `po-loc`.
+fn relaxed_ppo(program: &StaticPart) -> Relation {
+    let mut ppo = dependency_order(program);
+    ppo.union_with(&po_loc_preserved(program));
+    ppo
+}
+
+/// The store-store and load-load fence orders (`DMB ST` / `DMB LD`,
+/// `eieio`-like): narrow barriers no model closes cumulatively.
+fn narrow_fences(program: &StaticPart) -> Relation {
+    let m = program.masks();
+    let mut out = ordered_by_fence(program, FenceKind::StoreStore, &m.writes, &m.writes);
+    out.union_with(&ordered_by_fence(
+        program,
+        FenceKind::LoadLoad,
+        &m.reads,
+        &m.reads,
+    ));
+    out
 }
 
 /// Combinator: closes a fence order cumulatively with external reads-from.
@@ -374,9 +463,10 @@ pub fn no_thin_air_axiom(exec: &CandidateExecution, fence_order: &Relation) -> A
     }
 }
 
-/// The fence events of `exec` whose kind satisfies `matches`.
-fn fences<F: Fn(FenceKind) -> bool>(exec: &CandidateExecution, matches: F) -> EventSet {
-    exec.events()
+/// The fence events of `program` whose kind satisfies `matches`.
+fn fences<F: Fn(FenceKind) -> bool>(program: &StaticPart, matches: F) -> EventSet {
+    program
+        .events()
         .iter()
         .filter(|e| matches!(e.kind, EventKind::Fence(kind) if matches(kind)))
         .map(|e| e.id)
@@ -389,13 +479,13 @@ fn fences<F: Fn(FenceKind) -> bool>(exec: &CandidateExecution, matches: F) -> Ev
 /// left factor.  A barrier that is itself a source or target (an RMW half
 /// among the memory accesses) counts as being on both sides of itself.
 fn ordered_across(
-    exec: &CandidateExecution,
+    program: &StaticPart,
     barriers: &EventSet,
     sources: &EventSet,
     targets: &EventSet,
 ) -> Relation {
-    let mut before = exec.po().restrict(sources, barriers);
-    let mut after = exec.po().restrict(barriers, targets);
+    let mut before = program.po().restrict(sources, barriers);
+    let mut after = program.po().restrict(barriers, targets);
     for f in barriers.iter() {
         if sources.contains(f) {
             before.insert(f, f);
@@ -416,17 +506,18 @@ fn ordered_across(
 /// that orders only some access kinds across it (fence-implying RMWs not
 /// included: they order like a full fence, see [`fence_separated`]).
 pub fn ordered_by_fence(
-    exec: &CandidateExecution,
+    program: &(impl AsRef<StaticPart> + ?Sized),
     kind: FenceKind,
     sources: &EventSet,
     targets: &EventSet,
 ) -> Relation {
-    ordered_across(exec, &fences(exec, |k| k == kind), sources, targets)
+    let program = program.as_ref();
+    ordered_across(program, &fences(program, |k| k == kind), sources, targets)
 }
 
 /// Combinator: pairs of memory accesses separated (in program order) by a
 /// fence satisfying `matches`, or by a fence-implying RMW.
-pub fn fence_separated<F>(exec: &CandidateExecution, matches: F) -> Relation
+pub fn fence_separated<F>(program: &(impl AsRef<StaticPart> + ?Sized), matches: F) -> Relation
 where
     F: Fn(FenceKind) -> bool,
 {
@@ -434,12 +525,13 @@ where
     // them against everything after them — and, being memory accesses, are
     // themselves ordered against both sides (a locked instruction's write is
     // globally performed before any later read of the same core).
-    let mut barriers = fences(exec, matches);
-    for e in exec.events().iter().filter(|e| e.kind.is_rmw()) {
+    let program = program.as_ref();
+    let mut barriers = fences(program, matches);
+    for e in program.events().iter().filter(|e| e.kind.is_rmw()) {
         barriers.insert(e.id);
     }
-    let memory = &exec.masks().memory;
-    ordered_across(exec, &barriers, memory, memory)
+    let memory = &program.masks().memory;
+    ordered_across(program, &barriers, memory, memory)
 }
 
 #[cfg(test)]

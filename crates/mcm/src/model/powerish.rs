@@ -22,9 +22,10 @@
 use crate::event::FenceKind;
 use crate::execution::CandidateExecution;
 use crate::model::{
-    cumulative, dependency_order, fence_separated, no_thin_air_axiom, ordered_by_fence,
-    po_loc_preserved, without_write_read, Architecture, Axiom,
+    assembled_fence_order, drop_write_read, fence_separated, narrow_fences, no_thin_air_axiom,
+    ordered_by_fence, relaxed_ppo, static_ppo, Architecture, Axiom, ModelKind, StaticOrders,
 };
+use crate::program::StaticPart;
 use crate::relation::Relation;
 
 /// The Power-flavoured relaxed memory model.
@@ -43,33 +44,11 @@ impl Architecture for Powerish {
     }
 
     fn ppo(&self, exec: &CandidateExecution) -> Relation {
-        let mut ppo = dependency_order(exec);
-        ppo.union_with(&po_loc_preserved(exec));
-        ppo
+        static_ppo(exec, ModelKind::Powerish)
     }
 
     fn fence_order(&self, exec: &CandidateExecution) -> Relation {
-        let m = exec.masks();
-        // `cumulative` distributes over union, so sync (with the
-        // fence-implying RMWs, which lwsync's narrower order adds nothing to)
-        // and lwsync share one cumulative closure.
-        let mut base = fence_separated(exec, |k| k == FenceKind::Full);
-        let lwsync = ordered_by_fence(exec, FenceKind::LightweightSync, &m.memory, &m.memory);
-        base.union_with(&without_write_read(exec, &lwsync));
-        let mut out = cumulative(exec, &base);
-        out.union_with(&ordered_by_fence(
-            exec,
-            FenceKind::StoreStore,
-            &m.writes,
-            &m.writes,
-        ));
-        out.union_with(&ordered_by_fence(
-            exec,
-            FenceKind::LoadLoad,
-            &m.reads,
-            &m.reads,
-        ));
-        out
+        assembled_fence_order(exec, ModelKind::Powerish)
     }
 
     fn global_rf(&self, _exec: &CandidateExecution) -> Relation {
@@ -79,6 +58,22 @@ impl Architecture for Powerish {
 
     fn extra_axioms(&self, exec: &CandidateExecution, fence_order: &Relation) -> Vec<Axiom> {
         vec![no_thin_air_axiom(exec, fence_order)]
+    }
+}
+
+/// POWERish's static orders.
+pub(crate) fn static_orders(program: &StaticPart) -> StaticOrders {
+    let m = program.masks();
+    // `cumulative` distributes over union, so sync (with the fence-implying
+    // RMWs, which lwsync's narrower order adds nothing to) and lwsync share
+    // one cumulative closure.
+    let mut base = fence_separated(program, |k| k == FenceKind::Full);
+    let lwsync = ordered_by_fence(program, FenceKind::LightweightSync, &m.memory, &m.memory);
+    base.union_with(&drop_write_read(m, &lwsync));
+    StaticOrders {
+        ppo: relaxed_ppo(program),
+        cumulative_fences: base,
+        plain_fences: narrow_fences(program),
     }
 }
 

@@ -22,9 +22,10 @@
 use crate::event::FenceKind;
 use crate::execution::CandidateExecution;
 use crate::model::{
-    cumulative, dependency_order, fence_separated, no_thin_air_axiom, ordered_by_fence,
-    po_loc_preserved, Architecture, Axiom,
+    assembled_fence_order, fence_separated, narrow_fences, no_thin_air_axiom, relaxed_ppo,
+    static_ppo, Architecture, Axiom, ModelKind, StaticOrders,
 };
+use crate::program::StaticPart;
 use crate::relation::Relation;
 
 /// A relaxed memory order model (all four plain-access reorderings allowed;
@@ -38,33 +39,11 @@ impl Architecture for Rmo {
     }
 
     fn ppo(&self, exec: &CandidateExecution) -> Relation {
-        // Same-address program order plus syntactic dependencies: RMO orders
-        // a load before any access whose address, data or execution depends
-        // on it, so `ReadAddrDp` chains are no longer free to reorder.
-        let mut ppo = dependency_order(exec);
-        ppo.union_with(&po_loc_preserved(exec));
-        ppo
+        static_ppo(exec, ModelKind::Rmo)
     }
 
     fn fence_order(&self, exec: &CandidateExecution) -> Relation {
-        // The full fence orders everything across it, cumulatively; the
-        // weaker fences order their respective kinds.  Acquire/release and
-        // lwsync flavours are foreign and order nothing.
-        let m = exec.masks();
-        let mut out = cumulative(exec, &fence_separated(exec, |k| k == FenceKind::Full));
-        out.union_with(&ordered_by_fence(
-            exec,
-            FenceKind::StoreStore,
-            &m.writes,
-            &m.writes,
-        ));
-        out.union_with(&ordered_by_fence(
-            exec,
-            FenceKind::LoadLoad,
-            &m.reads,
-            &m.reads,
-        ));
-        out
+        assembled_fence_order(exec, ModelKind::Rmo)
     }
 
     fn global_rf(&self, _exec: &CandidateExecution) -> Relation {
@@ -74,6 +53,21 @@ impl Architecture for Rmo {
 
     fn extra_axioms(&self, exec: &CandidateExecution, fence_order: &Relation) -> Vec<Axiom> {
         vec![no_thin_air_axiom(exec, fence_order)]
+    }
+}
+
+/// RMO's static orders.
+pub(crate) fn static_orders(program: &StaticPart) -> StaticOrders {
+    StaticOrders {
+        // Same-address program order plus syntactic dependencies: RMO orders
+        // a load before any access whose address, data or execution depends
+        // on it, so `ReadAddrDp` chains are no longer free to reorder.
+        ppo: relaxed_ppo(program),
+        // The full fence orders everything across it, cumulatively; the
+        // weaker fences order their respective kinds.  Acquire/release and
+        // lwsync flavours are foreign and order nothing.
+        cumulative_fences: fence_separated(program, |k| k == FenceKind::Full),
+        plain_fences: narrow_fences(program),
     }
 }
 

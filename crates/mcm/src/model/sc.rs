@@ -6,7 +6,11 @@
 //! to memory accesses) and `grf = rf`.
 
 use crate::execution::CandidateExecution;
-use crate::model::{fence_separated, po_mem, Architecture};
+use crate::model::{
+    assembled_fence_order, fence_separated, po_mem, static_ppo, Architecture, ModelKind,
+    StaticOrders,
+};
+use crate::program::StaticPart;
 use crate::relation::Relation;
 
 /// Sequential Consistency.
@@ -25,17 +29,26 @@ impl Architecture for Sc {
     }
 
     fn ppo(&self, exec: &CandidateExecution) -> Relation {
-        po_mem(exec)
+        static_ppo(exec, ModelKind::Sc)
     }
 
     fn fence_order(&self, exec: &CandidateExecution) -> Relation {
-        // All fences are no-ops under SC (everything already ordered), but we
-        // still report the pairs for uniform diagnostics.
-        fence_separated(exec, |_| true)
+        assembled_fence_order(exec, ModelKind::Sc)
     }
 
     fn global_rf(&self, exec: &CandidateExecution) -> Relation {
         exec.rf().clone()
+    }
+}
+
+/// SC's static orders: all of program order, and every fence.
+pub(crate) fn static_orders(program: &StaticPart) -> StaticOrders {
+    StaticOrders {
+        ppo: po_mem(program),
+        cumulative_fences: Relation::new(),
+        // All fences are no-ops under SC (everything already ordered), but we
+        // still report the pairs for uniform diagnostics.
+        plain_fences: fence_separated(program, |_| true),
     }
 }
 

@@ -9,7 +9,11 @@
 
 use crate::event::FenceKind;
 use crate::execution::CandidateExecution;
-use crate::model::{fence_separated, po_mem, without_write_read, Architecture};
+use crate::model::{
+    assembled_fence_order, drop_write_read, fence_separated, po_mem, static_ppo, Architecture,
+    ModelKind, StaticOrders,
+};
+use crate::program::StaticPart;
 use crate::relation::Relation;
 
 /// The x86-TSO memory consistency model.
@@ -28,19 +32,28 @@ impl Architecture for Tso {
     }
 
     fn ppo(&self, exec: &CandidateExecution) -> Relation {
-        // Program order between memory accesses, minus write -> read pairs.
-        without_write_read(exec, &po_mem(exec))
+        static_ppo(exec, ModelKind::Tso)
     }
 
     fn fence_order(&self, exec: &CandidateExecution) -> Relation {
-        // Only MFENCE (and fence-implying RMWs, handled by `fence_separated`)
-        // restore W -> R ordering under TSO; SFENCE/LFENCE order nothing that
-        // ppo does not already order.
-        fence_separated(exec, |k| k == FenceKind::Full)
+        assembled_fence_order(exec, ModelKind::Tso)
     }
 
     fn global_rf(&self, exec: &CandidateExecution) -> Relation {
         exec.rf_external()
+    }
+}
+
+/// TSO's static orders.
+pub(crate) fn static_orders(program: &StaticPart) -> StaticOrders {
+    StaticOrders {
+        // Program order between memory accesses, minus write -> read pairs.
+        ppo: drop_write_read(program.masks(), &po_mem(program)),
+        cumulative_fences: Relation::new(),
+        // Only MFENCE (and fence-implying RMWs, handled by `fence_separated`)
+        // restore W -> R ordering under TSO; SFENCE/LFENCE order nothing that
+        // ppo does not already order.
+        plain_fences: fence_separated(program, |k| k == FenceKind::Full),
     }
 }
 

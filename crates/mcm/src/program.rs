@@ -5,9 +5,28 @@
 //! executes (paper §4.1: "All static orders required to compute the preserved
 //! program order (ppo) are gathered before first execution of a test").
 
-use crate::event::{Event, EventId, ProcessorId};
+use crate::event::{Address, Event, EventId, ProcessorId};
+use crate::execution::DependencySet;
+use crate::model::{ModelKind, StaticOrders};
 use crate::relation::{EventSet, Relation};
+use mcversi_telemetry as telemetry;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
+
+/// The events of each thread, sorted by program-order index (ties — the
+/// halves of one instruction — by event id).
+fn threads(events: &[Event]) -> BTreeMap<ProcessorId, Vec<&Event>> {
+    let mut per_thread: BTreeMap<ProcessorId, Vec<&Event>> = BTreeMap::new();
+    for ev in events {
+        if let Some(iiid) = ev.iiid {
+            per_thread.entry(iiid.pid).or_default().push(ev);
+        }
+    }
+    for thread in per_thread.values_mut() {
+        thread.sort_by_key(|ev| (ev.iiid.expect("thread event has iiid").poi, ev.id));
+    }
+    per_thread
+}
 
 /// Builds the program order (`po`) relation from events.
 ///
@@ -16,30 +35,28 @@ use std::collections::BTreeMap;
 ///
 /// The relation returned is the *transitive* program order (every pair of
 /// same-thread events in order), which is what axiomatic models quantify over.
+/// It is filled a row at a time, last event of a thread first: an event's row
+/// is the set of events of later instructions, one OR per word.
 pub fn program_order(events: &[Event]) -> Relation {
-    let mut per_thread: BTreeMap<ProcessorId, Vec<&Event>> = BTreeMap::new();
-    for ev in events {
-        if let Some(iiid) = ev.iiid {
-            per_thread.entry(iiid.pid).or_default().push(ev);
-        }
-    }
-    let mut po = Relation::new();
-    for thread in per_thread.values_mut() {
-        thread.sort_by_key(|ev| (ev.iiid.expect("thread event has iiid").poi, ev.id));
-        for i in 0..thread.len() {
-            for j in (i + 1)..thread.len() {
+    let bound = events.iter().map(|e| e.id.index() + 1).max().unwrap_or(0);
+    let mut po = Relation::with_nodes(bound);
+    for thread in threads(events).values() {
+        let poi = |ev: &Event| ev.iiid.map(|x| x.poi);
+        // The events of the instructions after the one being filled in.
+        let mut later = EventSet::new();
+        for instruction in thread.chunk_by(|a, b| poi(a) == poi(b)).rev() {
+            for (i, a) in instruction.iter().enumerate() {
+                po.insert_row(a.id, &later);
                 // Events from the same instruction (same poi, e.g. the two
                 // halves of an RMW) are ordered read -> write.
-                let a = thread[i];
-                let b = thread[j];
-                let same_instr = a.iiid.map(|x| x.poi) == b.iiid.map(|x| x.poi);
-                if same_instr {
+                for b in &instruction[i + 1..] {
                     if a.is_read() && b.is_write() {
                         po.insert(a.id, b.id);
                     }
-                } else {
-                    po.insert(a.id, b.id);
                 }
+            }
+            for ev in instruction {
+                later.insert(ev.id);
             }
         }
     }
@@ -50,15 +67,8 @@ pub fn program_order(events: &[Event]) -> Relation {
 /// next event of its thread.  Useful for display and for building per-thread
 /// adjacency views.
 pub fn immediate_program_order(events: &[Event]) -> Relation {
-    let mut per_thread: BTreeMap<ProcessorId, Vec<&Event>> = BTreeMap::new();
-    for ev in events {
-        if let Some(iiid) = ev.iiid {
-            per_thread.entry(iiid.pid).or_default().push(ev);
-        }
-    }
     let mut po = Relation::new();
-    for thread in per_thread.values_mut() {
-        thread.sort_by_key(|ev| (ev.iiid.expect("thread event has iiid").poi, ev.id));
+    for thread in threads(events).values() {
         for pair in thread.windows(2) {
             po.insert(pair[0].id, pair[1].id);
         }
@@ -68,18 +78,9 @@ pub fn immediate_program_order(events: &[Event]) -> Relation {
 
 /// Returns the per-thread event id sequences in program order.
 pub fn thread_sequences(events: &[Event]) -> BTreeMap<ProcessorId, Vec<EventId>> {
-    let mut per_thread: BTreeMap<ProcessorId, Vec<&Event>> = BTreeMap::new();
-    for ev in events {
-        if let Some(iiid) = ev.iiid {
-            per_thread.entry(iiid.pid).or_default().push(ev);
-        }
-    }
-    per_thread
+    threads(events)
         .into_iter()
-        .map(|(pid, mut evs)| {
-            evs.sort_by_key(|ev| (ev.iiid.expect("thread event has iiid").poi, ev.id));
-            (pid, evs.into_iter().map(|e| e.id).collect())
-        })
+        .map(|(pid, evs)| (pid, evs.into_iter().map(|e| e.id).collect()))
         .collect()
 }
 
@@ -106,6 +107,8 @@ pub struct EventMasks {
     /// One set per thread, and per event the index of its set.
     thread_sets: Vec<EventSet>,
     thread_of: Vec<Option<u32>>,
+    /// The writes to each address.
+    writes_to: BTreeMap<Address, EventSet>,
 }
 
 impl EventMasks {
@@ -135,6 +138,9 @@ impl EventMasks {
             }
             if ev.is_write() {
                 masks.writes.insert(id);
+                if let Some(addr) = ev.addr {
+                    masks.writes_to.entry(addr).or_default().insert(id);
+                }
             }
             if ev.kind.is_memory_access() {
                 masks.memory.insert(id);
@@ -158,11 +164,126 @@ impl EventMasks {
         Some(&self.address_sets[class as usize])
     }
 
+    /// The writes to `addr`, or `None` if there is none.
+    pub fn writes_to(&self, addr: Address) -> Option<&EventSet> {
+        self.writes_to.get(&addr)
+    }
+
     /// The events of the same thread as `id` (itself included), or `None` for
     /// an initial write.
     pub fn same_thread_as(&self, id: EventId) -> Option<&EventSet> {
         let class = (*self.thread_of.get(id.index())?)?;
         Some(&self.thread_sets[class as usize])
+    }
+}
+
+/// Static orders derived (memo misses): once per model per [`StaticPart`].
+static STATIC_ORDERS_BUILT: telemetry::Counter = telemetry::Counter::new("mcm.static_orders.built");
+
+/// What a test program alone determines about its executions: the events the
+/// program issues, their program order and syntactic dependencies, and —
+/// derived on first use and then kept — everything the checker computes from
+/// those alone: the classification masks, `po-loc`, the dependency order and
+/// each model's [`StaticOrders`] (paper §4.1: "All static orders required to
+/// compute the preserved program order (ppo) are gathered before first
+/// execution of a test").
+///
+/// One static part is shared, behind an `Arc`, by every execution an observer
+/// finishes for the iterations of one test, so a check pays for the static
+/// orders once per test and per iteration only for what `rf` and `co` change.
+/// An execution built any other way owns a static part of its own.  The part
+/// is immutable; the memoised orders are functions of it alone, so sharing
+/// them between executions (and threads) cannot change a verdict.
+#[derive(Debug)]
+pub struct StaticPart {
+    events: Vec<Event>,
+    po: Relation,
+    deps: DependencySet,
+    masks: OnceLock<EventMasks>,
+    po_loc: OnceLock<Relation>,
+    dependency_order: OnceLock<Relation>,
+    malformed_dependency: OnceLock<Option<(EventId, EventId)>>,
+    model_orders: [OnceLock<StaticOrders>; ModelKind::ALL.len()],
+}
+
+impl StaticPart {
+    /// The static part of executions over `events` (`events[i]` must be the
+    /// event with id `i`) with program order `po` and dependencies `deps`.
+    pub fn new(events: Vec<Event>, po: Relation, deps: DependencySet) -> Self {
+        StaticPart {
+            events,
+            po,
+            deps,
+            masks: OnceLock::new(),
+            po_loc: OnceLock::new(),
+            dependency_order: OnceLock::new(),
+            malformed_dependency: OnceLock::new(),
+            model_orders: Default::default(),
+        }
+    }
+
+    /// The events known before execution.  An execution's event list starts
+    /// with these (with the values its reads observed) and may continue with
+    /// initial writes, which take part in no static order.
+    pub fn events(&self) -> &[Event] {
+        &self.events
+    }
+
+    /// The (transitive) program order.
+    pub fn po(&self) -> &Relation {
+        &self.po
+    }
+
+    /// The syntactic dependencies.
+    pub fn deps(&self) -> &DependencySet {
+        &self.deps
+    }
+
+    /// The classification masks of [`events`](Self::events).
+    pub fn masks(&self) -> &EventMasks {
+        self.masks.get_or_init(|| EventMasks::of(&self.events))
+    }
+
+    /// Program order restricted to same-address pairs (`po-loc`).
+    pub fn po_loc(&self) -> &Relation {
+        self.po_loc.get_or_init(|| {
+            let masks = self.masks();
+            self.po.intersect_rows(|a| masks.same_address_as(a))
+        })
+    }
+
+    /// The union of the address, data and control dependencies.
+    pub fn dependency_order(&self) -> &Relation {
+        self.dependency_order.get_or_init(|| self.deps.union_all())
+    }
+
+    /// The first dependency pair, in pair order across all three kinds, whose
+    /// source is not a read or that program order does not contain.
+    pub fn malformed_dependency(&self) -> Option<(EventId, EventId)> {
+        *self.malformed_dependency.get_or_init(|| {
+            self.dependency_order()
+                .iter()
+                .find(|&(a, b)| !self.events[a.index()].is_read() || !self.po.contains(a, b))
+        })
+    }
+
+    /// Returns `true` once `kind`'s static orders have been derived.
+    pub fn has_model_orders(&self, kind: ModelKind) -> bool {
+        self.model_orders[kind as usize].get().is_some()
+    }
+
+    /// The static orders of the built-in model `kind`, derived on first use.
+    pub fn model_orders(&self, kind: ModelKind) -> &StaticOrders {
+        self.model_orders[kind as usize].get_or_init(|| {
+            STATIC_ORDERS_BUILT.incr();
+            kind.static_orders(self)
+        })
+    }
+}
+
+impl AsRef<StaticPart> for StaticPart {
+    fn as_ref(&self) -> &StaticPart {
+        self
     }
 }
 

@@ -168,6 +168,12 @@ impl Relation {
         }
     }
 
+    /// An empty relation with storage for every pair of ids below `nodes`,
+    /// so that filling it never regrows the matrix.
+    pub fn with_nodes(nodes: usize) -> Self {
+        Relation::zeroed(nodes, nodes.div_ceil(64))
+    }
+
     /// Creates a relation from an iterator of pairs.
     pub fn from_pairs<I: IntoIterator<Item = (EventId, EventId)>>(pairs: I) -> Self {
         let mut r = Relation::new();
@@ -235,6 +241,16 @@ impl Relation {
         *word |= bit;
         self.len += usize::from(inserted);
         inserted
+    }
+
+    /// Inserts `(from, to)` for every `to` in `targets`: one OR per word.
+    pub fn insert_row(&mut self, from: EventId, targets: &EventSet) {
+        self.reserve(from.index() + 1, targets.words.len());
+        let row = &mut self.bits[from.index() * self.words..][..targets.words.len()];
+        for (mine, theirs) in row.iter_mut().zip(&targets.words) {
+            self.len += (theirs & !*mine).count_ones() as usize;
+            *mine |= theirs;
+        }
     }
 
     /// Removes the pair `(from, to)`. Returns `true` if it was present.
@@ -539,49 +555,61 @@ impl Relation {
     /// Finds a cycle if one exists and returns it as a list of events forming
     /// the cycle (each adjacent pair, and the last-to-first pair, are related).
     ///
-    /// Uses an iterative depth-first search with tri-colour marking — roots
-    /// and successors both in ascending id order, so the witness is a function
-    /// of the pair set alone; the cycle is reconstructed from the DFS parent
-    /// pointers when a back-edge is found.
+    /// Uses an iterative depth-first search — roots and successors both in
+    /// ascending id order, so the witness is a function of the pair set alone.
+    /// The stack is the path from the root, so a successor found on it closes
+    /// a cycle with the part of the stack above it.
+    ///
+    /// A frame's next successor is the first bit of `row & !finished` at or
+    /// after the word the frame stopped in: every successor it has already
+    /// examined is finished by the time the frame resumes (a finished one
+    /// stays finished, an unvisited one was descended into and has returned,
+    /// one on the stack ended the search).  The search therefore costs one
+    /// step per node plus one pass over each row's words, not one step per
+    /// pair.
     pub fn find_cycle(&self) -> Option<Vec<EventId>> {
-        const WHITE: u8 = 0;
-        const GREY: u8 = 1;
-        const BLACK: u8 = 2;
-        let mut colour = vec![WHITE; self.node_bound()];
-        let mut parent = vec![EventId(u32::MAX); self.node_bound()];
-        // Stack frames: (node, its successors not yet visited).
-        let mut stack: Vec<(EventId, BitIter<'_>)> = Vec::new();
+        let words = self.node_bound().div_ceil(64);
+        let mut finished = vec![0u64; words];
+        let mut on_stack = vec![0u64; words];
+        // Stack frames: (node, the word of its row to resume scanning at).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
 
-        for root in (0..self.rows() as u32).map(EventId) {
-            if colour[root.index()] != WHITE {
+        for root in 0..self.rows() {
+            if finished[root / 64] & (1u64 << (root % 64)) != 0 {
                 continue;
             }
-            colour[root.index()] = GREY;
-            stack.push((root, BitIter::new(self.row(root.index()))));
-            while let Some((node, succs)) = stack.last_mut() {
-                let node = *node;
-                match succs.next() {
-                    Some(succ) => match colour[succ.index()] {
-                        WHITE => {
-                            parent[succ.index()] = node;
-                            colour[succ.index()] = GREY;
-                            stack.push((succ, BitIter::new(self.row(succ.index()))));
-                        }
-                        GREY => {
+            on_stack[root / 64] |= 1u64 << (root % 64);
+            stack.push((root, 0));
+            while let Some(frame) = stack.last_mut() {
+                let (node, from) = *frame;
+                let row = self.row(node);
+                let next = (from..row.len()).find_map(|word| {
+                    let open = row[word] & !finished[word];
+                    (open != 0).then(|| (word, word * 64 + open.trailing_zeros() as usize))
+                });
+                match next {
+                    Some((word, succ)) => {
+                        let bit = 1u64 << (succ % 64);
+                        if on_stack[succ / 64] & bit != 0 {
                             // Back-edge node -> succ closes a cycle.
-                            let mut cycle = vec![node];
-                            let mut cur = node;
-                            while cur != succ {
-                                cur = parent[cur.index()];
-                                cycle.push(cur);
-                            }
-                            cycle.reverse();
-                            return Some(cycle);
+                            let start = stack
+                                .iter()
+                                .position(|&(n, _)| n == succ)
+                                .expect("a node marked on the stack is on it");
+                            return Some(
+                                stack[start..]
+                                    .iter()
+                                    .map(|&(n, _)| EventId(n as u32))
+                                    .collect(),
+                            );
                         }
-                        _ => {}
-                    },
+                        frame.1 = word;
+                        on_stack[succ / 64] |= bit;
+                        stack.push((succ, 0));
+                    }
                     None => {
-                        colour[node.index()] = BLACK;
+                        on_stack[node / 64] &= !(1u64 << (node % 64));
+                        finished[node / 64] |= 1u64 << (node % 64);
                         stack.pop();
                     }
                 }

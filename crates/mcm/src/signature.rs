@@ -111,12 +111,20 @@ impl ExecutionSignature {
             }
         };
 
-        // Per-load reads-from attribution, keyed by the reader's iiid.
+        // Per-load reads-from attribution, keyed by the reader's iiid: the
+        // first (smallest-id) source of each read, found in one pass over
+        // `rf` instead of a column scan per read.
+        let mut first_source: Vec<Option<EventId>> = vec![None; exec.len()];
+        for (w, r) in exec.rf().iter() {
+            if let Some(source) = first_source.get_mut(r.index()) {
+                source.get_or_insert(w);
+            }
+        }
         let mut rf: Vec<(Iiid, RfSource)> = Vec::new();
         for read in exec.reads() {
             let Some(iiid) = read.iiid else { continue };
-            let source = match exec.rf().predecessors(read.id).first() {
-                Some(&w) => match exec.event(w).iiid {
+            let source = match first_source[read.id.index()] {
+                Some(w) => match exec.event(w).iiid {
                     Some(src) => RfSource::Write(src),
                     None => RfSource::Initial,
                 },

@@ -227,7 +227,7 @@ proptest! {
     /// step applies one public operation to both representations.
     #[test]
     fn relation_matches_reference_model(
-        ops in collection::vec((0u8..20, 0u32..1000, 0u32..1000, 0u64..u64::MAX), 1..48),
+        ops in collection::vec((0u8..24, 0u32..1000, 0u32..1000, 0u64..u64::MAX), 1..48),
     ) {
         let (mut x, mut y) = (Relation::new(), Relation::new());
         let (mut mx, mut my) = (Pairs::new(), Pairs::new());
@@ -325,6 +325,40 @@ proptest! {
                     mx.retain(|(a, b)| !(members.contains(a) && other_members.contains(b)));
                     "subtract_rows"
                 }
+                20 => {
+                    // A dense `po`-like block: a run of consecutive ids, each
+                    // related to every later one, a whole row at a time.
+                    let thread: Vec<EventId> = (0..2 + (salt % 9) as u32).map(|k| id(i + k)).collect();
+                    for (k, &from) in thread.iter().enumerate() {
+                        let later: BTreeSet<EventId> =
+                            thread[k + 1..].iter().copied().filter(|&to| to > from).collect();
+                        x.insert_row(from, &later.iter().copied().collect());
+                        mx.extend(later.iter().map(|&to| (from, to)));
+                    }
+                    "insert_row (po-like block)"
+                }
+                21 => {
+                    prop_assert_eq!(x.insert(a, a), mx.insert((a, a)));
+                    "insert (self-loop)"
+                }
+                22 => {
+                    // A target no row is allocated for: the largest id, from
+                    // a source that is not.
+                    let top = EventId(*IDS.last().expect("IDS is not empty"));
+                    prop_assert_eq!(x.insert(a, top), mx.insert((a, top)));
+                    "insert (target beyond the rows)"
+                }
+                23 => {
+                    // Two disjoint cycles, so which one is reported depends
+                    // on the search order alone.
+                    let cycles = [[id(i), id(i + 1), id(i + 2)], [id(j), id(j + 1), id(j)]];
+                    for [p, q, r] in cycles {
+                        for pair in [(p, q), (q, r), (r, p)] {
+                            prop_assert_eq!(x.insert(pair.0, pair.1), mx.insert(pair));
+                        }
+                    }
+                    "insert (two cycles)"
+                }
                 _ => {
                     x.extend(members.iter().map(|&t| (a, t)));
                     x.extend(other_members.iter().map(|&t| (b, t)));
@@ -339,6 +373,94 @@ proptest! {
             prop_assert_eq!(x == y, mx == my, "{}: x == y", step);
         }
     }
+}
+
+/// `find_cycle` on graphs of the checker's shape and size: a few threads of
+/// dense transitive program order over ~256 contiguous ids, sparse forward
+/// conflict edges between them (some into ids no row exists for), and a
+/// varying number of back edges and self-loops, so that none, one or many
+/// cycles exist.  The witness must be the reference's, node for node.
+fn checker_shaped_graph(seed: u64) -> (Relation, Pairs) {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move |bound: u32| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as u32 % bound
+    };
+    let (mut rel, mut model) = (Relation::new(), Pairs::new());
+    let threads = 1 + next(4);
+    let per_thread = 8 + next(70);
+    let nodes = threads * per_thread;
+    for t in 0..threads {
+        for k in 0..per_thread {
+            let from = EventId(t * per_thread + k);
+            let later: EventSet = (k + 1..per_thread)
+                .map(|l| EventId(t * per_thread + l))
+                .collect();
+            model.extend(later.iter().map(|to| (from, to)));
+            rel.insert_row(from, &later);
+        }
+    }
+    let edge = |rel: &mut Relation, model: &mut Pairs, a: u32, b: u32| {
+        rel.insert(EventId(a), EventId(b));
+        model.insert((EventId(a), EventId(b)));
+    };
+    // Conflict-like edges: forward in id order, so they alone add no cycle;
+    // the targets at and beyond `nodes` are initial-write-like sinks' mirror
+    // image — ids that only ever appear as targets.
+    for _ in 0..next(2 * nodes) {
+        let a = next(nodes - 1);
+        let b = a + 1 + next(nodes + 8 - a - 1);
+        edge(&mut rel, &mut model, a, b);
+    }
+    for _ in 0..next(4) {
+        let b = next(nodes);
+        let a = b + next(nodes - b);
+        edge(&mut rel, &mut model, a, b);
+    }
+    (rel, model)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn find_cycle_matches_the_reference_on_checker_shaped_graphs(seed in 0u64..u64::MAX) {
+        let (rel, model) = checker_shaped_graph(seed);
+        let witness = rel.find_cycle();
+        prop_assert_eq!(&witness, &reference_find_cycle(&model));
+        prop_assert_eq!(rel.is_acyclic(), witness.is_none());
+        if let Some(cycle) = witness {
+            for (k, &from) in cycle.iter().enumerate() {
+                prop_assert!(rel.contains(from, cycle[(k + 1) % cycle.len()]));
+            }
+        }
+    }
+}
+
+/// The three shapes by hand: no cycle in a dense order, a self-loop found
+/// behind it, and of two cycles the one the depth-first search — which walks
+/// the order's chain 0, 1, 2, .. — closes first.
+#[test]
+fn find_cycle_witnesses_are_pinned() {
+    let e = EventId;
+    let mut rel = Relation::new();
+    for from in 0..200u32 {
+        rel.insert_row(e(from), &(from + 1..200).map(e).collect());
+    }
+    rel.insert(e(3), e(4000));
+    assert_eq!(rel.find_cycle(), None);
+    rel.insert(e(150), e(150));
+    assert_eq!(rel.find_cycle(), Some(vec![e(150)]));
+    rel.remove(e(150), e(150));
+    rel.insert(e(199), e(190));
+    rel.insert(e(64), e(10));
+    let expected: Vec<EventId> = (10..=64).map(e).collect();
+    assert_eq!(rel.find_cycle(), Some(expected));
+    rel.remove(e(64), e(10));
+    let expected: Vec<EventId> = (190..200).map(e).collect();
+    assert_eq!(rel.find_cycle(), Some(expected));
 }
 
 #[test]

@@ -25,8 +25,10 @@
 use crate::core::ObservedOp;
 use crate::program::{TestOpKind, TestProgram};
 use mcversi_mcm::execution::{CandidateExecution, ExecutionBuilder};
+use mcversi_mcm::program::StaticPart;
 use mcversi_mcm::{DepKind, EventId, Iiid, ProcessorId, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Records performed operations of one test iteration and builds the
 /// candidate execution.
@@ -39,13 +41,18 @@ use std::collections::BTreeMap;
 /// reusing the capacity of) the two observation buffers.  The simulator
 /// caches the observer per staged program for exactly this reason (see
 /// `System::run_iteration`).
+///
+/// Every execution the observer finishes shares its [`StaticPart`]: the
+/// program's events, program order and dependencies, and the orders the
+/// checker derives from those on the first check of the test.  An iteration
+/// owns only its copy of the events (with the values its reads observed and
+/// the initial writes it needed appended) and its conflict orders.
 #[derive(Debug)]
 pub struct ExecObserver {
-    builder: ExecutionBuilder,
-    /// Program order of the static event set, derived once (initial-value
-    /// writes created while finalising carry no program point, so the
-    /// relation is identical for every iteration).
-    po: mcversi_mcm::relation::Relation,
+    /// The program's events (reads carrying value 0), their program order
+    /// and dependencies.  Initial-value writes created while finalising carry
+    /// no program point, so the part is identical for every iteration.
+    program: Arc<StaticPart>,
     /// Write value -> write event (unique-value scheme).
     writes_by_value: BTreeMap<u64, EventId>,
     /// (thread, poi) -> read event awaiting its observed value.
@@ -113,10 +120,8 @@ impl ExecObserver {
             }
         }
         let read_values = vec![0u64; builder.len()];
-        let po = builder.program_order();
         ExecObserver {
-            builder,
-            po,
+            program: builder.into_static_part(),
             writes_by_value,
             reads,
             read_values,
@@ -211,14 +216,11 @@ impl ExecObserver {
     /// stays well formed; callers should treat incomplete iterations
     /// separately (see [`is_complete`](Self::is_complete)).
     ///
-    /// The observer itself is untouched (the static builder is cloned, the
-    /// iteration's conflict orders are patched into the clone), so after a
+    /// The observer itself is untouched (the iteration's values and conflict
+    /// orders go into a builder over the shared static part), so after a
     /// [`reset`](Self::reset) it can observe the next iteration.
     pub fn finish(&self) -> CandidateExecution {
-        // Patch observed read values into the events and create rf edges on a
-        // clone of the static builder (the clone is the one allocation the
-        // returned execution needs anyway).
-        let mut builder = self.builder.clone();
+        let mut builder = ExecutionBuilder::over(&self.program);
         for &read_ev in self.reads.values() {
             let value = self.read_values[read_ev.0 as usize];
             builder.set_event_value(read_ev, Value(value));
@@ -246,7 +248,7 @@ impl ExecObserver {
                 builder.coherence_after_initial(write_ev);
             }
         }
-        builder.build_with_po(self.po.clone())
+        builder.build()
     }
 }
 

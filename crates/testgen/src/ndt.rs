@@ -14,7 +14,7 @@
 use crate::ops::OpKind;
 use crate::test::Test;
 use mcversi_mcm::execution::CandidateExecution;
-use mcversi_mcm::{Address, Event};
+use mcversi_mcm::{Address, Event, EventId, Relation};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,9 +55,21 @@ impl EventKey {
 
 /// The union of observed conflict orders across the iterations of a test-run
 /// (`rfcoRUN` of Definition 1).
+///
+/// Each distinct [`EventKey`] gets a dense slot the first time it is seen —
+/// an operation's through a table indexed by thread and program-order index,
+/// an initial write's through a map of the few addresses — and the pairs are
+/// a bit matrix over slots: an iteration derives one slot per event and sets
+/// one bit per conflict pair.
 #[derive(Debug, Clone, Default)]
 pub struct RunConflicts {
-    pairs: BTreeSet<(EventKey, EventKey)>,
+    /// Slot → key, in first-seen order.
+    keys: Vec<EventKey>,
+    /// `op_slots[pid][poi][write as usize]`: the slot of an operation's key.
+    op_slots: Vec<Vec<[Option<u32>; 2]>>,
+    initial_slots: BTreeMap<Address, u32>,
+    /// The observed pairs, as a relation between slots.
+    pairs: Relation,
     iterations: usize,
 }
 
@@ -82,6 +94,29 @@ impl RunConflicts {
         self.pairs.is_empty()
     }
 
+    /// The slot of `key`, allocated on first sight.
+    fn slot(&mut self, key: EventKey) -> EventId {
+        let next = self.keys.len() as u32;
+        let slot = match key {
+            EventKey::Op { pid, poi, write } => {
+                let (pid, poi) = (pid as usize, poi as usize);
+                if self.op_slots.len() <= pid {
+                    self.op_slots.resize(pid + 1, Vec::new());
+                }
+                let thread = &mut self.op_slots[pid];
+                if thread.len() <= poi {
+                    thread.resize(poi + 1, [None; 2]);
+                }
+                *thread[poi][usize::from(write)].get_or_insert(next)
+            }
+            EventKey::Initial { addr } => *self.initial_slots.entry(addr).or_insert(next),
+        };
+        if slot == next {
+            self.keys.push(key);
+        }
+        EventId(slot)
+    }
+
     /// Adds one iteration's observed conflict orders (`rf_i ∪ co_i`).
     ///
     /// The *observed* (immediate) coherence order is used rather than its
@@ -89,10 +124,13 @@ impl RunConflicts {
     /// one predecessor per event.
     pub fn add_iteration(&mut self, exec: &CandidateExecution) {
         self.iterations += 1;
+        let slots: Vec<EventId> = exec
+            .events()
+            .iter()
+            .map(|event| self.slot(EventKey::of(event)))
+            .collect();
         for (a, b) in exec.rf().iter().chain(exec.co_observed().iter()) {
-            let ka = EventKey::of(exec.event(a));
-            let kb = EventKey::of(exec.event(b));
-            self.pairs.insert((ka, kb));
+            self.pairs.insert(slots[a.index()], slots[b.index()]);
         }
     }
 
@@ -104,9 +142,10 @@ impl RunConflicts {
 
         // NDe: number of distinct predecessors per (non-initial) event.
         let mut nde: BTreeMap<EventKey, usize> = BTreeMap::new();
-        for (_, b) in &self.pairs {
+        for (_, b) in self.pairs.iter() {
+            let b = self.keys[b.index()];
             if matches!(b, EventKey::Op { .. }) {
-                *nde.entry(*b).or_insert(0) += 1;
+                *nde.entry(b).or_insert(0) += 1;
             }
         }
 
