@@ -388,8 +388,8 @@ pub fn verify_one(test: &mcversi_testgen::EnumeratedTest) -> Result<[bool; 5], S
     }
 }
 
-/// Verifies the signature-layer cycle oracle (the zero-checker fast path of
-/// collective checking) against the axiomatic checker over the enumerated
+/// Verifies the cycle oracle (a zero-checker engine the benchmark prices,
+/// off the campaign path) against the axiomatic checker over the enumerated
 /// corpus: for every test × model, an oracle verdict that certifies validity
 /// must coincide with a passing `Checker::check`, a forbidden-cycle verdict
 /// with a violation, and the oracle must never abstain — these canonical
@@ -625,9 +625,9 @@ mod tests {
         assert!(summary.contains("enumerated tests"));
     }
 
-    /// Satellite conformance pin: the collective-checking cycle oracle's
-    /// short-circuit decisions agree with `Checker::check` on every
-    /// enumerated `2x4` test under every model, and it never abstains there.
+    /// Conformance pin for the cycle oracle: its short-circuit decisions
+    /// agree with `Checker::check` on every enumerated `2x4` test under
+    /// every model, and it never abstains there.
     #[test]
     fn oracle_conforms_to_the_checker_on_the_toy_corpus() {
         let (summary, mismatches) = verify_oracle_conformance(&EnumerationBounds::new(2, 4));

@@ -10,7 +10,7 @@
 //!   [`VcVerdict`]: `Valid` and `Violation` are *exact* for SC and TSO,
 //!   while the relaxed models abstain to the axiomatic checker whenever
 //!   the cheap SC-shaped argument does not already certify the execution.
-//!   The runner uses this as a fast first pass (`MCVERSI_CHECKING=vc`).
+//!   `mcversi-check` uses this as its first pass; campaigns do not.
 //!
 //! * [`trace`] — black-box trace ingestion.  A versioned Axe-style
 //!   `load/store/resp/fence` text format parsed by hand and lowered into a

@@ -30,16 +30,7 @@ use mcversi_mcm::event::{Address, EventId, FenceKind, Value};
 use mcversi_mcm::execution::CandidateExecution;
 use mcversi_mcm::model::{self, ModelKind};
 use mcversi_mcm::relation::Relation;
-use mcversi_telemetry as telemetry;
 use std::fmt;
-
-/// Executions the vector-clock pass certified valid (no axiomatic check run).
-static VC_PASS: telemetry::Counter = telemetry::Counter::new("vc.pass");
-/// Violations found by the vector-clock pass (the axiomatic checker is still
-/// consulted for the authoritative witness).
-static VC_FALLBACK: telemetry::Counter = telemetry::Counter::new("vc.fallback");
-/// Executions the vector-clock pass could not decide.
-static VC_ABSTAIN: telemetry::Counter = telemetry::Counter::new("vc.abstain");
 
 /// A violation witnessed by the frontier checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,20 +148,7 @@ impl VcChecker {
 
     /// Checks one execution (complete conflict orders required; use
     /// [`infer_coherence`] first for trace-derived executions without `co`).
-    ///
-    /// Counts the outcome on the `vc.pass` / `vc.fallback` / `vc.abstain`
-    /// telemetry counters.
     pub fn check(&self, exec: &CandidateExecution) -> VcVerdict {
-        let verdict = self.decide(exec);
-        match &verdict {
-            VcVerdict::Valid => VC_PASS.incr(),
-            VcVerdict::Violation(_) => VC_FALLBACK.incr(),
-            VcVerdict::Abstain(_) => VC_ABSTAIN.incr(),
-        }
-        verdict
-    }
-
-    fn decide(&self, exec: &CandidateExecution) -> VcVerdict {
         if let Err(e) = exec.validate() {
             return VcVerdict::Abstain(AbstainReason::Malformed(e.to_string()));
         }

@@ -2,12 +2,13 @@
 //!
 //! Parses version-1 trace files (see the `mcversi_conformance::trace` wire
 //! format), lowers them into candidate executions, infers the per-location
-//! coherence order from the observed reads-from and final state, and runs
-//! the selected checking flow — the same stack simulator-observed executions
-//! flow through.
+//! coherence order from the observed reads-from and final state, and checks
+//! each execution: the polynomial-time vector-clock pass first, the axiomatic
+//! checker — the one every campaign runs — when that pass reports a
+//! violation (for the authoritative witness) or abstains.
 //!
 //! ```text
-//! mcversi-check [--json] [--model <name>] [--mode per_exec|collective|vc] <file...>
+//! mcversi-check [--json] [--model <name>] <file...>
 //! ```
 //!
 //! `-` reads a trace from stdin.  `--model` overrides the trace's own
@@ -21,41 +22,10 @@
 
 use mcversi_conformance::{check_lowered, parse, AbstainReason, VcVerdict};
 use mcversi_mcm::checker::Verdict;
-use mcversi_mcm::signature::classify_execution;
 use mcversi_mcm::{Checker, ModelKind};
 use serde::Serialize;
 use std::io::Read;
 use std::process::ExitCode;
-
-/// The checking flow applied to each trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Axiomatic checker on every trace.
-    PerExec,
-    /// Signature-oracle first, axiomatic checker on what it cannot certify.
-    Collective,
-    /// Vector-clock first pass, axiomatic checker on violation/abstention.
-    Vc,
-}
-
-impl Mode {
-    fn parse(raw: &str) -> Option<Mode> {
-        match raw {
-            "per_exec" => Some(Mode::PerExec),
-            "collective" => Some(Mode::Collective),
-            "vc" => Some(Mode::Vc),
-            _ => None,
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            Mode::PerExec => "per_exec",
-            Mode::Collective => "collective",
-            Mode::Vc => "vc",
-        }
-    }
-}
 
 /// One trace's outcome, as serialized in `--json` mode.
 #[derive(Debug, Serialize)]
@@ -64,8 +34,6 @@ struct Report {
     file: String,
     /// The model the trace was checked against.
     model: String,
-    /// The checking flow that produced the verdict.
-    mode: String,
     /// `valid`, `violation` or `undecided`.
     verdict: String,
     /// The violated axiom, when `verdict` is `violation`.
@@ -101,8 +69,7 @@ impl Outcome {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mcversi-check [--json] [--model <sc|tso|armish|powerish|rmo>] \
-         [--mode <per_exec|collective|vc>] <file...>\n\
+        "usage: mcversi-check [--json] [--model <sc|tso|armish|powerish|rmo>] <file...>\n\
          \x20  - reads a trace from stdin; exit 0 valid, 1 violation, 2 error, 3 undecided"
     );
     ExitCode::from(2)
@@ -111,7 +78,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let mut json = false;
     let mut model_override: Option<ModelKind> = None;
-    let mut mode = Mode::Vc;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -123,13 +89,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 model_override = Some(model);
-            }
-            "--mode" => {
-                let Some(parsed) = args.next().as_deref().and_then(Mode::parse) else {
-                    eprintln!("mcversi-check: --mode needs per_exec, collective or vc");
-                    return usage();
-                };
-                mode = parsed;
             }
             "--help" | "-h" => return usage(),
             other if other.starts_with("--") => {
@@ -146,7 +105,7 @@ fn main() -> ExitCode {
     let mut worst = Outcome::Valid;
     for file in &files {
         let outcome = match read_input(file) {
-            Ok(text) => check_one(file, &text, model_override, mode, json),
+            Ok(text) => check_one(file, &text, model_override, json),
             Err(e) => {
                 eprintln!("mcversi-check: {file}: {e}");
                 Outcome::Error
@@ -168,13 +127,7 @@ fn read_input(file: &str) -> Result<String, std::io::Error> {
 }
 
 /// Parses, lowers and checks one trace; prints its report.
-fn check_one(
-    file: &str,
-    text: &str,
-    model_override: Option<ModelKind>,
-    mode: Mode,
-    json: bool,
-) -> Outcome {
+fn check_one(file: &str, text: &str, model_override: Option<ModelKind>, json: bool) -> Outcome {
     let program = match parse(text) {
         Ok(program) => program,
         Err(e) => {
@@ -197,37 +150,23 @@ fn check_one(
     let mut report = Report {
         file: file.to_string(),
         model: model.name().to_string(),
-        mode: mode.as_str().to_string(),
         verdict: "undecided".to_string(),
         axiom: None,
         witness: Vec::new(),
         detail: None,
         checker_ran: false,
     };
-    let outcome = match (&exec, mode) {
+    let outcome = match (&exec, &vc_verdict) {
         (None, _) => settle_without_execution(&vc_verdict, &mut report),
-        (Some(exec), Mode::Vc) => match &vc_verdict {
-            VcVerdict::Valid => {
-                report.verdict = "valid".to_string();
-                Outcome::Valid
-            }
-            // Violation: rerun axiomatically for the authoritative witness.
-            // Abstain: the first pass cannot decide this model/shape.
-            VcVerdict::Violation(_) | VcVerdict::Abstain(_) => {
-                report.detail = Some(format!("vc first pass: {vc_verdict}"));
-                axiomatic(exec, model, &mut report)
-            }
-        },
-        (Some(exec), Mode::PerExec) => axiomatic(exec, model, &mut report),
-        (Some(exec), Mode::Collective) => {
-            let oracle = classify_execution(exec, model);
-            if oracle.certifies_valid() {
-                report.verdict = "valid".to_string();
-                report.detail = Some(format!("certified by the cycle oracle: {oracle:?}"));
-                Outcome::Valid
-            } else {
-                axiomatic(exec, model, &mut report)
-            }
+        (Some(_), VcVerdict::Valid) => {
+            report.verdict = "valid".to_string();
+            Outcome::Valid
+        }
+        // Violation: rerun axiomatically for the authoritative witness.
+        // Abstain: the first pass cannot decide this model/shape.
+        (Some(exec), VcVerdict::Violation(_) | VcVerdict::Abstain(_)) => {
+            report.detail = Some(format!("vc first pass: {vc_verdict}"));
+            axiomatic(exec, model, &mut report)
         }
     };
     if json {
@@ -247,17 +186,17 @@ fn check_one(
             .map(|d| format!(" — {d}"))
             .unwrap_or_default();
         println!(
-            "{file}: {} under {} [{}]{axiom}{detail}",
-            report.verdict, report.model, report.mode
+            "{file}: {} under {}{axiom}{detail}",
+            report.verdict, report.model
         );
     }
     outcome
 }
 
 /// Settles a verdict the coherence inference produced without a complete
-/// execution: contradictions and final-state mismatches are violations in
-/// any mode; an underdetermined order is undecided in any mode (there is no
-/// execution the axiomatic checker could refute).
+/// execution: contradictions and final-state mismatches are violations; an
+/// underdetermined order is undecided (there is no execution the axiomatic
+/// checker could refute).
 fn settle_without_execution(vc_verdict: &VcVerdict, report: &mut Report) -> Outcome {
     match vc_verdict {
         VcVerdict::Violation(w) => {

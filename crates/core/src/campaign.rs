@@ -11,7 +11,7 @@
 use crate::config::McVerSiConfig;
 use crate::generator::{GeneratorKind, TestSource};
 use crate::lowering::lower;
-use crate::runner::{CheckingMode, DedupStats, RunVerdict, TestRunResult, TestRunner};
+use crate::runner::{RunVerdict, TestRunResult, TestRunner};
 use crate::sink::{CampaignEvent, CampaignSink, NullSink};
 use mcversi_analysis::{forbids_any, ClassifyBounds, Dataflow};
 use mcversi_mcm::ModelKind;
@@ -107,11 +107,6 @@ pub struct CampaignConfig {
     /// [`CampaignEvent::Metrics`] record every `n` test-runs.  Metrics never
     /// affect campaign behaviour, only what is recorded and reported.
     pub metrics: Option<usize>,
-    /// How executions are verified against the target model (default
-    /// [`CheckingMode::PerExec`]; [`CheckingMode::Collective`] deduplicates
-    /// by signature and checks novel outcomes collectively — same verdicts,
-    /// far fewer checker runs on repetitive tests).
-    pub checking: CheckingMode,
 }
 
 impl CampaignConfig {
@@ -133,7 +128,6 @@ impl CampaignConfig {
             shared_wall_time: None,
             prune: StaticPrune::Off,
             metrics: None,
-            checking: CheckingMode::PerExec,
         }
     }
 
@@ -161,12 +155,6 @@ impl CampaignConfig {
     /// additionally streams a cumulative snapshot every `n` test-runs.
     pub fn with_metrics(mut self, cadence: usize) -> Self {
         self.metrics = Some(cadence);
-        self
-    }
-
-    /// Sets the execution-checking mode (see [`CheckingMode`]).
-    pub fn with_checking(mut self, checking: CheckingMode) -> Self {
-        self.checking = checking;
         self
     }
 
@@ -254,10 +242,6 @@ pub struct CampaignResult {
     /// [`CampaignConfig::metrics`] was set; absent in older serialized
     /// results, which deserialize to `None`).
     pub metrics: Option<MetricsSnapshot>,
-    /// Execution-deduplication statistics (present only when the sample ran
-    /// with [`CheckingMode::Collective`] or [`CheckingMode::Vc`]; absent in
-    /// older serialized results, which deserialize to `None`).
-    pub dedup: Option<DedupStats>,
 }
 
 impl CampaignResult {
@@ -340,7 +324,7 @@ pub fn run_campaign_observed(
     let model = mcversi.model;
     let core = mcversi.system.core_strength;
     let params = mcversi.testgen.clone();
-    let mut runner = TestRunner::new(mcversi, config.bug_config()).with_checking(config.checking);
+    let mut runner = TestRunner::new(mcversi, config.bug_config());
     let mut source = TestSource::for_model(
         config.generator,
         params,
@@ -463,8 +447,6 @@ pub fn run_campaign_observed(
         final_mean_ndt: source.population_mean_ndt(),
         pruned,
         metrics: config.metrics.map(|_| telemetry::local_snapshot()),
-        dedup: matches!(config.checking, CheckingMode::Collective | CheckingMode::Vc)
-            .then(|| runner.dedup_stats()),
     }
 }
 
@@ -518,7 +500,6 @@ impl SampleOutcome {
                     final_mean_ndt: 0.0,
                     pruned: 0,
                     metrics: None,
-                    dedup: None,
                 }
             }
         }
@@ -1090,79 +1071,26 @@ mod tests {
         assert_eq!(first.deterministic_part(), second.deterministic_part());
     }
 
-    /// Collective checking is a pure evaluation-order optimisation: for the
-    /// same seed it reaches the verdict of per-execution checking — same
-    /// `found`, same bug detail, same discovering run — and, when no bug is
-    /// found (so every iteration of every run is evaluated in both modes),
-    /// the full result fingerprint matches bit-for-bit.
+    /// A correct design whose cycle budget no test can meet hangs on the
+    /// first iteration, and the hang is reported as a hang — not as the
+    /// protocol fault the simulator's budget record would otherwise read as.
     #[test]
-    fn collective_checking_matches_per_exec_verdicts() {
-        for (bug, seed) in [(None, 17u64), (Some(Bug::LqNoTso), 3)] {
-            let base = quick_config(GeneratorKind::McVerSiRand, bug);
-            let per = run_campaign(&base, seed);
-            let coll = run_campaign(&base.clone().with_checking(CheckingMode::Collective), seed);
-            assert_eq!(
-                (per.found, &per.detail, per.found_at_run),
-                (coll.found, &coll.detail, coll.found_at_run),
-                "verdicts diverge for bug {bug:?}"
-            );
-            if !per.found {
-                assert_eq!(fingerprint(&per), fingerprint(&coll));
-            }
-            assert!(per.dedup.is_none(), "per-exec reports no dedup stats");
-            let dedup = coll.dedup.expect("collective reports dedup stats");
-            assert!(dedup.executions > 0, "stats cover the campaign: {dedup:?}");
-            assert_eq!(
-                dedup.cache_hits + dedup.cache_misses,
-                dedup.executions,
-                "every complete execution is either a hit or a miss: {dedup:?}"
-            );
-            assert!(
-                dedup.checker_calls + dedup.oracle_valid + dedup.cache_hits >= dedup.executions,
-                "every execution is accounted for: {dedup:?}"
-            );
-        }
-    }
+    fn exceeded_cycle_budget_is_reported_as_a_hang() {
+        let mut cfg = quick_config(GeneratorKind::McVerSiRand, None);
+        cfg.mcversi.system.max_cycles_per_iteration = 10;
+        let (_, test, _) =
+            TestSource::new(cfg.generator, cfg.mcversi.testgen.clone(), 1).next_test();
+        let mut runner = TestRunner::new(cfg.effective_mcversi(), BugConfig::none());
+        let result = runner.run_test(&test);
+        assert_eq!(result.verdict, RunVerdict::Hang);
+        assert_eq!(result.iterations_run, 1);
 
-    /// The headline acceptance criterion: on a repeated-litmus campaign,
-    /// signature deduplication plus the cycle oracle cut `Checker::check`
-    /// invocations by at least 5x (measured through the `mcm.checks`
-    /// telemetry counter, which `try_check` increments exactly once per
-    /// checked execution).
-    #[test]
-    fn collective_checking_cuts_checker_invocations_at_least_five_fold() {
-        let mcversi = McVerSiConfig::small()
-            .with_test_size(32)
-            .with_iterations(30);
-        let base = CampaignConfig::new(
-            GeneratorKind::DiyLitmus,
-            None,
-            mcversi,
-            12,
-            Duration::from_secs(120),
-        )
-        .with_metrics(0);
-        let per = run_campaign(&base, 5);
-        let coll = run_campaign(&base.clone().with_checking(CheckingMode::Collective), 5);
-        let checks = |r: &CampaignResult| {
-            *r.metrics
-                .as_ref()
-                .expect("metrics enabled")
-                .counters
-                .get("mcm.checks")
-                .unwrap_or(&0)
-        };
-        let (per_checks, coll_checks) = (checks(&per), checks(&coll));
-        assert!(per_checks > 0, "per-exec mode checks every iteration");
-        assert!(
-            per_checks >= 5 * coll_checks.max(1),
-            "expected a >=5x reduction in Checker::check invocations, \
-             got per_exec={per_checks} collective={coll_checks}"
-        );
-        let dedup = coll.dedup.expect("collective reports dedup stats");
+        let result = run_campaign(&cfg, 1);
+        assert!(result.found, "a hang is a caught bug: {result:?}");
+        assert_eq!(result.found_at_run, Some(1));
         assert_eq!(
-            dedup.checker_calls, coll_checks,
-            "the runner's own accounting agrees with telemetry"
+            result.detail.as_deref(),
+            Some("iteration hang (cycle budget exceeded)")
         );
     }
 

@@ -114,24 +114,6 @@ impl SimHost {
         self.test_mem_range
     }
 
-    /// A stable identity hash of the currently staged test program (0 when
-    /// nothing is staged).  Execution signatures are scoped by this value so
-    /// outcomes of different tests can never be confused.
-    pub fn staged_fingerprint(&self) -> u64 {
-        let Some(program) = &self.staged else {
-            return 0;
-        };
-        // FNV-1a over the program's debug rendering: deterministic within a
-        // build, collision-free in practice for the handful of programs one
-        // campaign stages, and requires no `Hash` impl on `TestProgram`.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in format!("{program:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
     /// Checks a single recorded execution against the target model.  A
     /// malformed execution is vacuously valid — it says nothing about the
     /// design under test — but is counted in `mcm.malformed_executions`, so

@@ -44,7 +44,7 @@ pub use campaign::{
 pub use config::McVerSiConfig;
 pub use coverage::{AdaptiveCoverage, AdaptiveCoverageConfig};
 pub use generator::{GeneratorKind, TestSource};
-pub use runner::{CheckingMode, DedupStats, RunVerdict, TestRunResult, TestRunner};
+pub use runner::{CheckingMode, RunVerdict, TestRunResult, TestRunner};
 pub use scenario::{
     fabric_from_env, grid_from_env, FabricEnv, ScenarioGrid, ScenarioSpec, SeedPolicy, SpecError,
 };

@@ -8,7 +8,6 @@
 
 use crate::campaign::CampaignResult;
 use crate::generator::GeneratorKind;
-use crate::runner::DedupStats;
 use crate::sink::{CampaignEvent, EVENT_SCHEMA_VERSION};
 use mcversi_sim::Bug;
 use mcversi_telemetry::MetricsSnapshot;
@@ -285,11 +284,6 @@ pub struct MetricsReport {
     pub wall_ns: u64,
     /// Total number of events in the stream (including the schema header).
     pub events: usize,
-    /// Signature-dedup statistics summed over every completed sample that
-    /// ran with [`crate::runner::CheckingMode::Collective`].
-    pub dedup: DedupStats,
-    /// Number of completed samples that contributed to [`Self::dedup`].
-    pub dedup_samples: usize,
     /// Distributed-fabric activity, if the streams carried any.
     pub fabric: FabricTotals,
 }
@@ -356,10 +350,6 @@ impl MetricsReport {
                 CampaignEvent::SampleDone { result }
                 | CampaignEvent::SampleResult { cell: _, result } => {
                     self.wall_ns += result.wall_time.as_nanos() as u64;
-                    if let Some(dedup) = &result.dedup {
-                        self.dedup.merge(dedup);
-                        self.dedup_samples += 1;
-                    }
                     // The final snapshot subsumes the sample's streamed ones
                     // (all snapshots are cumulative).
                     let last_streamed = streamed.remove(&result.seed);
@@ -449,7 +439,6 @@ impl MetricsReport {
         );
         if total.is_empty() {
             out.push_str("no telemetry recorded (run with MCVERSI_METRICS=sample or a cadence)\n");
-            self.render_dedup(&mut out);
             self.render_fabric(&mut out);
             return out;
         }
@@ -487,9 +476,7 @@ impl MetricsReport {
             let _ = writeln!(out, "  {name:<name_width$}  {value:>14}");
         }
 
-        self.render_dedup(&mut out);
         self.render_fabric(&mut out);
-        render_vc(&total, &mut out);
         render_sleep(&total, &mut out);
         render_checker(&total, &mut out);
 
@@ -510,29 +497,6 @@ impl MetricsReport {
         out
     }
 
-    /// Appends the collective-checking summary line, if any sample ran with
-    /// signature deduplication.
-    fn render_dedup(&self, out: &mut String) {
-        if self.dedup_samples == 0 {
-            return;
-        }
-        let d = &self.dedup;
-        out.push('\n');
-        let _ = writeln!(
-            out,
-            "Collective checking ({} sample(s)): {} execution(s), \
-             {} cache hit(s), {} cache miss(es), {} oracle-certified, \
-             {} checker call(s) ({:.1}x fewer than per-exec)",
-            self.dedup_samples,
-            d.executions,
-            d.cache_hits,
-            d.cache_misses,
-            d.oracle_valid,
-            d.checker_calls,
-            d.executions as f64 / d.checker_calls.max(1) as f64,
-        );
-    }
-
     /// Appends the distributed-fabric summary line when the streams carried
     /// coordinator activity (`fabric.*` counters, resume or cell records).
     fn render_fabric(&self, out: &mut String) {
@@ -549,25 +513,6 @@ impl MetricsReport {
             f.dispatched, f.stolen, f.redispatched, f.cells_done, f.resumes, f.resume_skipped,
         );
     }
-}
-
-/// Appends the vector-clock first-pass summary line when the aggregated
-/// counters carry `vc.*` outcomes (samples that ran with
-/// `MCVERSI_CHECKING=vc` or checked traces through `mcversi-check`).
-fn render_vc(total: &MetricsSnapshot, out: &mut String) {
-    let get = |name: &str| total.counters.get(name).copied().unwrap_or(0);
-    let (pass, fallback, abstain) = (get("vc.pass"), get("vc.fallback"), get("vc.abstain"));
-    let checked = pass + fallback + abstain;
-    if checked == 0 {
-        return;
-    }
-    let _ = writeln!(
-        out,
-        "\nVector-clock first pass: {checked} execution(s) checked, \
-         {pass} certified valid ({:.1}%), {fallback} violation fallback(s), \
-         {abstain} abstention(s)",
-        100.0 * pass as f64 / checked as f64,
-    );
 }
 
 /// Appends the simulator's sleep/wake summary line when the aggregated
@@ -654,7 +599,6 @@ mod tests {
             final_mean_ndt: 1.0,
             pruned: 0,
             metrics: None,
-            dedup: None,
         }
     }
 
@@ -805,65 +749,35 @@ mod tests {
         assert_eq!(report.total_wall_ns(), 2_000_000_000);
     }
 
+    /// Streams and journals written before the collective and vc checking
+    /// modes were removed carry a `"dedup"` object in each sample result.
+    /// They still parse — the derived deserializer ignores unknown keys —
+    /// and render like any other sample.
     #[test]
-    fn metrics_report_aggregates_and_renders_dedup_stats() {
-        let stats = DedupStats {
-            executions: 120,
-            cache_hits: 100,
-            cache_misses: 20,
-            oracle_valid: 14,
-            checker_calls: 6,
-        };
-        let mut done = result(false, None);
-        done.metrics = Some(snapshot(1));
-        done.dedup = Some(stats);
-        let mut per_exec = result(false, None);
-        per_exec.seed = 2;
-        per_exec.metrics = Some(snapshot(2));
-        let text = jsonl(&[
-            CampaignEvent::SampleDone {
-                result: done.clone(),
-            },
-            CampaignEvent::SampleDone { result: per_exec },
-            CampaignEvent::SampleDone { result: done },
-        ]);
-        let report = MetricsReport::from_jsonl(&text).expect("stream parses");
-        assert_eq!(report.dedup_samples, 2, "per-exec samples don't count");
-        let mut expected = stats;
-        expected.merge(&stats);
-        assert_eq!(report.dedup, expected);
-        let rendered = report.render();
-        assert!(
-            rendered.contains("Collective checking (2 sample(s)): 240 execution(s)"),
-            "dedup summary rendered: {rendered}"
+    fn results_recorded_with_a_dedup_object_still_parse_and_render() {
+        // A `SampleDone` line as the last build with collective checking
+        // wrote it.
+        let result = r#"{"generator": "McVerSiAll", "bug": "MesiLqIsInv", "model": "Tso", "core": "Strong", "seed": 1000, "found": false, "detail": null, "test_runs": 2, "found_at_run": null, "simulated_cycles": 8535, "wall_time": {"secs": 0, "nanos": 938666}, "max_total_coverage": 0.37209302325581395, "final_mean_ndt": 1.0625, "pruned": 0, "metrics": null, "dedup": {"executions": 4, "cache_hits": 1, "cache_misses": 3, "oracle_valid": 3, "checker_calls": 0}}"#;
+        let text = format!(
+            "{{\"Schema\": {{\"version\": {EVENT_SCHEMA_VERSION}}}}}\n\
+             {{\"SampleDone\": {{\"result\": {result}}}}}\n\
+             {{\"SampleResult\": {{\"cell\": 7, \"result\": {result}}}}}\n"
         );
-        assert!(rendered.contains("12 checker call(s) (20.0x fewer than per-exec)"));
-    }
+        let report = MetricsReport::from_jsonl(&text).expect("old results parse");
+        assert_eq!(report.events, 3);
+        assert_eq!(report.total_wall_ns(), 2 * 938_666);
+        let rendered = report.render();
+        assert!(rendered.contains("Telemetry report: 0 sample(s), 3 event(s)"));
+        assert!(!rendered.contains("Collective checking"), "{rendered}");
 
-    #[test]
-    fn metrics_report_renders_the_vc_summary_line() {
-        let mut vc_sample = result(false, None);
-        let mut metrics = snapshot(1);
-        metrics.counters.insert("vc.pass".to_string(), 90);
-        metrics.counters.insert("vc.fallback".to_string(), 6);
-        metrics.counters.insert("vc.abstain".to_string(), 4);
-        vc_sample.metrics = Some(metrics);
-        let text = jsonl(&[CampaignEvent::SampleDone { result: vc_sample }]);
-        let report = MetricsReport::from_jsonl(&text).expect("stream parses");
-        let rendered = report.render();
-        assert!(
-            rendered.contains(
-                "Vector-clock first pass: 100 execution(s) checked, \
-                 90 certified valid (90.0%), 6 violation fallback(s), 4 abstention(s)"
-            ),
-            "vc summary rendered: {rendered}"
-        );
-        // Without vc counters the line is absent.
-        let mut plain = result(false, None);
-        plain.metrics = Some(snapshot(1));
-        let text = jsonl(&[CampaignEvent::SampleDone { result: plain }]);
-        let report = MetricsReport::from_jsonl(&text).expect("stream parses");
-        assert!(!report.render().contains("Vector-clock first pass"));
+        let CampaignEvent::SampleDone { result } =
+            serde_json::from_str(&format!("{{\"SampleDone\": {{\"result\": {result}}}}}"))
+                .expect("old SampleDone parses")
+        else {
+            panic!("not a SampleDone");
+        };
+        assert_eq!((result.seed, result.simulated_cycles), (1000, 8535));
+        assert_eq!(result.bug, Some(Bug::MesiLqIsInv));
     }
 
     #[test]
@@ -1025,13 +939,6 @@ mod tests {
     fn sample_results_count_exactly_like_sample_dones() {
         let mut done = result(true, Some(3));
         done.metrics = Some(snapshot(5));
-        done.dedup = Some(DedupStats {
-            executions: 10,
-            cache_hits: 8,
-            cache_misses: 2,
-            oracle_valid: 1,
-            checker_calls: 1,
-        });
         let plain = jsonl(&[CampaignEvent::SampleDone {
             result: done.clone(),
         }]);
@@ -1043,8 +950,6 @@ mod tests {
         let b = MetricsReport::from_jsonl(&attributed).unwrap();
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.total_wall_ns(), b.total_wall_ns());
-        assert_eq!(a.dedup, b.dedup);
-        assert_eq!(a.dedup_samples, b.dedup_samples);
     }
 
     #[test]

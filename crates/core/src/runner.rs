@@ -21,16 +21,13 @@
 use crate::config::McVerSiConfig;
 use crate::coverage::AdaptiveCoverage;
 use crate::host::{HostInterface, SimHost};
-use mcversi_conformance::VcChecker;
 use mcversi_mcm::checker::Verdict;
-use mcversi_mcm::execution::CandidateExecution;
-use mcversi_mcm::signature::{self, ExecutionSignature, SignatureCache};
 use mcversi_mcm::Violation;
 use mcversi_sim::{BugConfig, ProtocolError, Transition};
 use mcversi_telemetry as telemetry;
 use mcversi_testgen::{NdtAnalysis, RunConflicts, Test};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Phase timer: lowering the test into its executable program.
 static PHASE_LOWER: telemetry::Timer = telemetry::Timer::new("phase.lower");
@@ -42,43 +39,23 @@ static PHASE_CHECK: telemetry::Timer = telemetry::Timer::new("phase.check");
 static PHASE_FITNESS: telemetry::Timer = telemetry::Timer::new("phase.fitness");
 
 /// How the runner verifies observed executions against the target MCM.
+///
+/// Every iteration's execution is checked as it is observed (the paper's
+/// Algorithm 2 flow); this is the only mode.  The type survives for two
+/// reasons: `ScenarioSpec.checking` keeps its key, so the canonical spec
+/// JSON — and with it every `cell_id` and journal key — stays byte-identical,
+/// and the benchmark package's workload tests read that field.  The
+/// `collective` and `vc` modes were removed; specs naming them are rejected.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum CheckingMode {
-    /// Check every iteration's execution as it is observed (the paper's
-    /// Algorithm 2 flow).  This is the default.
+    /// Check every iteration's execution as it is observed.
     #[default]
     PerExec,
-    /// MTraceCheck-style collective checking: deduplicate iterations by
-    /// [`ExecutionSignature`], certify what the cycle oracle can decide with
-    /// zero checker runs, and batch the remaining novel outcomes so the
-    /// checker runs once per *distinct* outcome instead of once per
-    /// iteration.  Verdicts are identical to [`CheckingMode::PerExec`]
-    /// (pinned by the differential property test); only the point within the
-    /// run at which a violation surfaces may move later.
-    Collective,
-    /// Vector-clock first pass: deduplicate by [`ExecutionSignature`], run
-    /// the polynomial-time [`VcChecker`] on each novel outcome and only fall
-    /// back to the axiomatic `Checker::check` when the first pass reports a
-    /// violation or abstains.  Nothing is batched, so verdicts *and* the
-    /// point within the run at which a violation surfaces are identical to
-    /// [`CheckingMode::PerExec`] (pinned by the differential property test).
-    Vc,
-}
-
-impl CheckingMode {
-    /// The canonical spelling used in scenario specs and `MCVERSI_CHECKING`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CheckingMode::PerExec => "per_exec",
-            CheckingMode::Collective => "collective",
-            CheckingMode::Vc => "vc",
-        }
-    }
 }
 
 impl Serialize for CheckingMode {
     fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
+        Value::Str("per_exec".to_string())
     }
 }
 
@@ -86,43 +63,12 @@ impl Deserialize for CheckingMode {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v.as_str() {
             Some("per_exec") | Some("PerExec") => Ok(CheckingMode::PerExec),
-            Some("collective") | Some("Collective") => Ok(CheckingMode::Collective),
-            Some("vc") | Some("Vc") => Ok(CheckingMode::Vc),
-            _ => Err(DeError::expected(
-                "\"per_exec\", \"collective\" or \"vc\"",
-                "CheckingMode",
-            )),
+            Some(removed @ ("collective" | "Collective" | "vc" | "Vc")) => Err(DeError(format!(
+                "checking mode \"{removed}\" was removed: every execution is checked \
+                 per iteration (\"per_exec\")"
+            ))),
+            _ => Err(DeError::expected("\"per_exec\"", "CheckingMode")),
         }
-    }
-}
-
-/// Execution-deduplication statistics accumulated by a runner in
-/// [`CheckingMode::Collective`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DedupStats {
-    /// Complete executions that reached the checking stage.
-    pub executions: u64,
-    /// Executions whose signature was already known (cached verdict replayed
-    /// or already batched) — no checker work at all.
-    pub cache_hits: u64,
-    /// Novel signatures (first sighting of an outcome).
-    pub cache_misses: u64,
-    /// Novel signatures certified valid by a first pass with zero checker
-    /// runs: the cycle oracle in collective mode, the vector-clock checker
-    /// in vc mode.
-    pub oracle_valid: u64,
-    /// `Checker::check` invocations actually performed.
-    pub checker_calls: u64,
-}
-
-impl DedupStats {
-    /// Accumulates another runner's statistics into this one.
-    pub fn merge(&mut self, other: &DedupStats) {
-        self.executions += other.executions;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.oracle_valid += other.oracle_valid;
-        self.checker_calls += other.checker_calls;
     }
 }
 
@@ -179,8 +125,6 @@ pub struct TestRunner {
     adaptive: AdaptiveCoverage,
     total_test_runs: u64,
     total_cycles: u64,
-    checking: CheckingMode,
-    dedup: DedupStats,
 }
 
 impl TestRunner {
@@ -194,27 +138,8 @@ impl TestRunner {
             adaptive,
             total_test_runs: 0,
             total_cycles: 0,
-            checking: CheckingMode::default(),
-            dedup: DedupStats::default(),
             config,
         }
-    }
-
-    /// Selects how this runner verifies executions (builder style).
-    pub fn with_checking(mut self, checking: CheckingMode) -> Self {
-        self.checking = checking;
-        self
-    }
-
-    /// The active checking mode.
-    pub fn checking(&self) -> CheckingMode {
-        self.checking
-    }
-
-    /// Deduplication statistics accumulated so far (all zero in
-    /// [`CheckingMode::PerExec`]).
-    pub fn dedup_stats(&self) -> DedupStats {
-        self.dedup
     }
 
     /// The framework configuration.
@@ -258,21 +183,6 @@ impl TestRunner {
             let _span = PHASE_LOWER.span();
             self.host.make_test_thread(test);
         }
-        // Collective checking keeps a per-test signature cache plus a batch
-        // of novel outcomes whose verdicts are deferred to one collective
-        // pass (at the latest, the end of the run); vc-first checking keeps
-        // the cache and a vector-clock checker but never defers.
-        let mut check = match self.checking {
-            CheckingMode::PerExec => CheckState::PerExec,
-            CheckingMode::Collective => {
-                CheckState::Collective(CollectiveState::new(self.host.staged_fingerprint()))
-            }
-            CheckingMode::Vc => CheckState::VcFirst(VcState::new(
-                self.host.staged_fingerprint(),
-                self.host.model(),
-            )),
-        };
-
         for _ in 0..iterations {
             self.host.barrier_wait_precise();
             {
@@ -284,63 +194,25 @@ impl TestRunner {
             cycles += outcome.cycles;
             retired_ops += outcome.retired_ops;
 
-            if let Some(err) = outcome.protocol_errors.first() {
-                // Batched outcomes come from earlier iterations: under
-                // per-execution checking a violating one would have ended the
-                // run before this fault, so the flushed verdict wins.
-                {
-                    let _span = PHASE_CHECK.span();
-                    if let Some(v) = check.flush(&self.host, &mut self.dedup) {
-                        verdict = RunVerdict::McmViolation(v);
-                        break;
-                    }
+            // `run_iteration` appends its cycle-budget record after any
+            // invalid transition it saw, so the first error decides: the
+            // budget record alone is a hang, anything earlier a protocol fault.
+            match outcome.protocol_errors.as_slice() {
+                [] => {}
+                [_budget] if outcome.hung => {
+                    verdict = RunVerdict::Hang;
+                    break;
                 }
-                verdict = RunVerdict::ProtocolFault(err.clone());
-                break;
-            }
-            if outcome.hung {
-                {
-                    let _span = PHASE_CHECK.span();
-                    if let Some(v) = check.flush(&self.host, &mut self.dedup) {
-                        verdict = RunVerdict::McmViolation(v);
-                        break;
-                    }
+                [first, ..] => {
+                    verdict = RunVerdict::ProtocolFault(first.clone());
+                    break;
                 }
-                verdict = RunVerdict::Hang;
-                break;
             }
             conflicts.add_iteration(&outcome.execution);
             let _span = PHASE_CHECK.span();
-            let violation = match &mut check {
-                CheckState::PerExec => match self.host.verify_reset_conflict(&outcome) {
-                    Verdict::Valid => None,
-                    Verdict::Invalid(v) => Some(v),
-                },
-                CheckState::Collective(state) => state.observe(
-                    &outcome.execution,
-                    outcome.complete,
-                    &self.host,
-                    &mut self.dedup,
-                ),
-                CheckState::VcFirst(state) => state.observe(
-                    &outcome.execution,
-                    outcome.complete,
-                    &self.host,
-                    &mut self.dedup,
-                ),
-            };
-            if let Some(v) = violation {
+            if let Verdict::Invalid(v) = self.host.verify_reset_conflict(&outcome) {
                 verdict = RunVerdict::McmViolation(v);
                 break;
-            }
-        }
-
-        // Collectively check any still-deferred novel outcomes (a no-op in
-        // the undeferred modes).
-        if matches!(verdict, RunVerdict::Passed) {
-            let _span = PHASE_CHECK.span();
-            if let Some(v) = check.flush(&self.host, &mut self.dedup) {
-                verdict = RunVerdict::McmViolation(v);
             }
         }
 
@@ -365,214 +237,6 @@ impl TestRunner {
             cycles,
             retired_ops,
         }
-    }
-}
-
-/// Per-test-run checking state, one variant per [`CheckingMode`].
-enum CheckState {
-    /// No state: every iteration is checked as it is observed.
-    PerExec,
-    /// Signature deduplication with deferred collective verdicts.
-    Collective(CollectiveState),
-    /// Signature deduplication with an undeferred vector-clock first pass.
-    VcFirst(VcState),
-}
-
-impl CheckState {
-    /// Settles any deferred verdicts; a no-op except in collective mode.
-    fn flush(&mut self, host: &SimHost, dedup: &mut DedupStats) -> Option<Violation> {
-        match self {
-            CheckState::PerExec | CheckState::VcFirst(_) => None,
-            CheckState::Collective(state) => state.flush(host, dedup),
-        }
-    }
-}
-
-/// Per-test-run state of the vc-first checking flow: the signature cache and
-/// the polynomial-time vector-clock checker consulted on novel outcomes.
-struct VcState {
-    cache: SignatureCache,
-    vc: VcChecker,
-}
-
-impl VcState {
-    fn new(program: u64, model: mcversi_mcm::ModelKind) -> Self {
-        VcState {
-            cache: SignatureCache::new(program),
-            vc: VcChecker::new(model),
-        }
-    }
-
-    /// Processes one observed execution; verdicts (and the iteration at
-    /// which a violation surfaces) are identical to per-execution checking
-    /// because nothing is deferred — the vector-clock pass only decides
-    /// whether the axiomatic checker needs to run at all.
-    fn observe(
-        &mut self,
-        execution: &CandidateExecution,
-        complete: bool,
-        host: &SimHost,
-        dedup: &mut DedupStats,
-    ) -> Option<Violation> {
-        if !complete {
-            // Partial observations carry event subsets that vary run to run;
-            // their signatures are not comparable, so check directly.
-            dedup.checker_calls += 1;
-            return match host.check_execution(execution) {
-                Verdict::Valid => None,
-                Verdict::Invalid(v) => Some(v),
-            };
-        }
-        dedup.executions += 1;
-        let sig = self.cache.signature_of(execution);
-        match self.cache.lookup(&sig) {
-            Some(Verdict::Valid) => {
-                dedup.cache_hits += 1;
-                None
-            }
-            Some(Verdict::Invalid(v)) => {
-                dedup.cache_hits += 1;
-                Some(v)
-            }
-            None => {
-                dedup.cache_misses += 1;
-                if self.vc.check(execution).is_valid() {
-                    // The vector-clock pass is exact on its Valid side for
-                    // every model (it abstains when unsure), so the verdict
-                    // can be cached without an axiomatic run.
-                    dedup.oracle_valid += 1;
-                    signature::record_oracle_valid();
-                    self.cache.insert(sig, Verdict::Valid);
-                    None
-                } else {
-                    // Violation (we want the authoritative witness) or
-                    // Abstain: fall back to the axiomatic checker.
-                    dedup.checker_calls += 1;
-                    let verdict = host.check_execution(execution);
-                    self.cache.insert(sig, verdict.clone());
-                    match verdict {
-                        Verdict::Valid => None,
-                        Verdict::Invalid(v) => Some(v),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Per-test-run state of the collective checking flow: the signature cache,
-/// the set of signatures awaiting a deferred verdict, and the batch of novel
-/// executions to check collectively.
-struct CollectiveState {
-    cache: SignatureCache,
-    pending: HashSet<ExecutionSignature>,
-    batch: Vec<(ExecutionSignature, CandidateExecution)>,
-}
-
-impl CollectiveState {
-    fn new(program: u64) -> Self {
-        CollectiveState {
-            cache: SignatureCache::new(program),
-            pending: HashSet::new(),
-            batch: Vec::new(),
-        }
-    }
-
-    /// Processes one observed execution; returns a violation when the run
-    /// must end, exactly as per-execution checking would have ended it.
-    fn observe(
-        &mut self,
-        execution: &CandidateExecution,
-        complete: bool,
-        host: &SimHost,
-        dedup: &mut DedupStats,
-    ) -> Option<Violation> {
-        if !complete {
-            // Partial observations carry event subsets that vary run to run;
-            // their signatures are not comparable, so check directly (after
-            // flushing, to preserve the per-execution violation order).
-            if let Some(earlier) = self.flush(host, dedup) {
-                return Some(earlier);
-            }
-            dedup.checker_calls += 1;
-            return match host.check_execution(execution) {
-                Verdict::Valid => None,
-                Verdict::Invalid(v) => Some(v),
-            };
-        }
-        dedup.executions += 1;
-        let sig = self.cache.signature_of(execution);
-        if self.pending.contains(&sig) {
-            // Same novel outcome seen again before its deferred verdict.
-            dedup.cache_hits += 1;
-            signature::record_batched_hit();
-            return None;
-        }
-        match self.cache.lookup(&sig) {
-            Some(Verdict::Valid) => {
-                dedup.cache_hits += 1;
-                None
-            }
-            Some(Verdict::Invalid(v)) => {
-                dedup.cache_hits += 1;
-                if let Some(earlier) = self.flush(host, dedup) {
-                    return Some(earlier);
-                }
-                Some(v)
-            }
-            None => {
-                dedup.cache_misses += 1;
-                match signature::classify_execution(execution, host.model()) {
-                    oracle if oracle.certifies_valid() => {
-                        dedup.oracle_valid += 1;
-                        signature::record_oracle_valid();
-                        self.cache.insert(sig, Verdict::Valid);
-                        None
-                    }
-                    signature::OracleVerdict::ForbiddenCycle => {
-                        // The oracle's "forbidden" is advisory: run the full
-                        // checker for the authoritative witness (and in case
-                        // the hint is wrong).
-                        signature::record_oracle_hint();
-                        if let Some(earlier) = self.flush(host, dedup) {
-                            return Some(earlier);
-                        }
-                        dedup.checker_calls += 1;
-                        let verdict = host.check_execution(execution);
-                        self.cache.insert(sig, verdict.clone());
-                        match verdict {
-                            Verdict::Valid => None,
-                            Verdict::Invalid(v) => Some(v),
-                        }
-                    }
-                    _ => {
-                        self.pending.insert(sig.clone());
-                        self.batch.push((sig, execution.clone()));
-                        None
-                    }
-                }
-            }
-        }
-    }
-
-    /// Collectively checks the batched novel outcomes in first-seen order and
-    /// returns the first violation; outcomes after a violation stay unchecked
-    /// (per-execution checking would never have reached them).
-    fn flush(&mut self, host: &SimHost, dedup: &mut DedupStats) -> Option<Violation> {
-        let mut found: Option<Violation> = None;
-        for (sig, exec) in self.batch.drain(..) {
-            self.pending.remove(&sig);
-            if found.is_some() {
-                continue;
-            }
-            dedup.checker_calls += 1;
-            let verdict = host.check_execution(&exec);
-            if let Verdict::Invalid(v) = &verdict {
-                found = Some(v.clone());
-            }
-            self.cache.insert(sig, verdict);
-        }
-        found
     }
 }
 

@@ -36,7 +36,6 @@
 //! | `MCVERSI_LITMUS`       | litmus corpus of the `diy-litmus` baseline: `handpicked` or `enumerated[:<threads>x<edges>]` | `enumerated:4x6` |
 //! | `MCVERSI_JSONL`        | path; streams campaign events there as JSONL ([`crate::sink::JsonlSink`]) | unset |
 //! | `MCVERSI_METRICS`      | telemetry: `off`, `sample` (final snapshot only), or a cadence `n` (also stream a snapshot every `n` test-runs) | unset (off) |
-//! | `MCVERSI_CHECKING`     | execution checking mode: `per_exec` (check every iteration), `collective` (signature-deduplicated collective checking) or `vc` (vector-clock first pass, axiomatic fallback) | `per_exec` |
 //! | `MCVERSI_FABRIC`       | worker child processes of the distributed fabric (`0` = run in-process) | unset   |
 //! | `MCVERSI_JOURNAL`      | path of the fabric checkpoint journal; an existing journal is resumed | unset   |
 //! | `MCVERSI_FABRIC_FAULT` | fault injected into the first worker dispatch (`kill-after:<n>`, `hang-after:<n>`, `corrupt-tail:<n>`; test/CI only) | unset   |
@@ -130,9 +129,12 @@ pub struct ScenarioSpec {
     /// `Some(n)` = also stream a [`crate::sink::CampaignEvent::Metrics`]
     /// snapshot every `n` test-runs).  See `MCVERSI_METRICS`.
     pub metrics: Option<usize>,
-    /// Execution checking mode (`None` = [`CheckingMode::PerExec`];
-    /// serialized as `"per_exec"` / `"collective"` / `"vc"`).  See
-    /// `MCVERSI_CHECKING`.
+    /// Execution checking mode: absent, `null` and `"per_exec"` all mean
+    /// [`CheckingMode::PerExec`], the only mode; the removed `"collective"`
+    /// and `"vc"` are rejected.  Nothing reads the field.  It stays so that
+    /// the canonical spec JSON — and with it every [`Self::cell_id`] and
+    /// journal key — is byte-identical to what earlier builds wrote, and
+    /// because the benchmark package's workload tests read it.
     pub checking: Option<CheckingMode>,
     /// Optional display label (defaults to the paper's column naming).
     pub label: Option<String>,
@@ -244,12 +246,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Replaces the execution checking mode, returning a modified copy.
-    pub fn checking(mut self, checking: CheckingMode) -> Self {
-        self.checking = Some(checking);
-        self
-    }
-
     /// The effective litmus corpus (the spec's, or the default enumerated
     /// one).
     pub fn litmus_corpus(&self) -> LitmusCorpus {
@@ -335,7 +331,6 @@ impl ScenarioSpec {
         cfg.shared_wall_time = self.shared_wall_secs.map(Duration::from_secs);
         cfg.prune = self.prune.unwrap_or_default();
         cfg.metrics = self.metrics;
-        cfg.checking = self.checking.unwrap_or_default();
         cfg
     }
 
@@ -430,15 +425,6 @@ impl ScenarioSpec {
                 None => warn_once(&format!(
                     "warning: MCVERSI_METRICS: unknown value '{raw}' ignored \
                      (expected off, sample, or a cadence in test-runs)"
-                )),
-            }
-        }
-        if let Ok(raw) = std::env::var("MCVERSI_CHECKING") {
-            match parse_checking(&raw) {
-                Some(checking) => spec.checking = Some(checking),
-                None => warn_once(&format!(
-                    "warning: MCVERSI_CHECKING: unknown value '{raw}' ignored \
-                     (expected per_exec, collective or vc)"
                 )),
             }
         }
@@ -773,20 +759,6 @@ fn parse_metrics(raw: &str) -> Option<Option<usize>> {
     }
 }
 
-/// Parses a `MCVERSI_CHECKING` value: `per_exec` checks every iteration's
-/// execution as it is observed; `collective` deduplicates by signature and
-/// checks novel outcomes collectively; `vc` runs the polynomial-time
-/// vector-clock first pass and falls back to the axiomatic checker on
-/// violation or abstention.  Returns `None` when the value is not understood.
-fn parse_checking(raw: &str) -> Option<CheckingMode> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "per_exec" | "per-exec" | "perexec" => Some(CheckingMode::PerExec),
-        "collective" => Some(CheckingMode::Collective),
-        "vc" | "vc_first" | "vc-first" => Some(CheckingMode::Vc),
-        _ => None,
-    }
-}
-
 /// Parses a `MCVERSI_CORES`-style value: numeric parts set the simulated core
 /// count, named parts (`strong`/`relaxed`, or `all`) select the pipeline
 /// strengths to sweep.  Returns `(core count, strengths)`.
@@ -988,43 +960,37 @@ mod tests {
         assert_eq!(back.campaign().metrics, None);
     }
 
+    /// The `checking` key keeps one legal value: an absent key, `null` and
+    /// `"per_exec"` all parse to the default, and the removed modes are
+    /// rejected with an error that says so.
     #[test]
-    fn checking_mode_threads_into_the_campaign_and_is_optional_in_json() {
-        let spec = ScenarioSpec::small().checking(CheckingMode::Collective);
-        assert_eq!(spec.campaign().checking, CheckingMode::Collective);
-        assert_eq!(
-            ScenarioSpec::small().campaign().checking,
-            CheckingMode::PerExec
+    fn checking_key_accepts_only_per_exec() {
+        let spec = ScenarioSpec::small();
+        let json = spec.to_json();
+        assert!(
+            json.contains("\"checking\": null"),
+            "the key is kept: {json}"
         );
-        // Spec files written before the field existed (no `checking` key)
-        // still parse, defaulting to per-execution checking.
-        let json: String = spec
-            .to_json()
+        let with =
+            |value: &str| json.replace("\"checking\": null", &format!("\"checking\": {value}"));
+        let absent: String = json
             .lines()
             .filter(|line| !line.contains("\"checking\""))
             .collect::<Vec<_>>()
             .join("\n");
-        let back = ScenarioSpec::from_json(&json).expect("checking-less spec parses");
-        assert_eq!(back.checking, None);
-        assert_eq!(back.campaign().checking, CheckingMode::PerExec);
-        // The vc-first mode round-trips through JSON too.
-        let vc = ScenarioSpec::small().checking(CheckingMode::Vc);
-        assert_eq!(vc.campaign().checking, CheckingMode::Vc);
-        let back = ScenarioSpec::from_json(&vc.to_json()).expect("vc spec round trips");
-        assert_eq!(back.checking, Some(CheckingMode::Vc));
-    }
-
-    #[test]
-    fn checking_values_parse_like_the_env_variable() {
-        assert_eq!(parse_checking("per_exec"), Some(CheckingMode::PerExec));
+        assert_eq!(ScenarioSpec::from_json(&absent), Ok(spec.clone()));
         assert_eq!(
-            parse_checking(" Collective "),
-            Some(CheckingMode::Collective)
+            ScenarioSpec::from_json(&with("\"per_exec\"")).map(|s| s.checking),
+            Ok(Some(CheckingMode::PerExec))
         );
-        assert_eq!(parse_checking("per-exec"), Some(CheckingMode::PerExec));
-        assert_eq!(parse_checking("vc"), Some(CheckingMode::Vc));
-        assert_eq!(parse_checking("VC-First"), Some(CheckingMode::Vc));
-        assert_eq!(parse_checking("batched"), None);
+        for removed in ["collective", "vc"] {
+            let err = ScenarioSpec::from_json(&with(&format!("\"{removed}\""))).unwrap_err();
+            assert!(
+                err.0
+                    .contains(&format!("checking mode \"{removed}\" was removed")),
+                "{removed}: {err}"
+            );
+        }
     }
 
     #[test]

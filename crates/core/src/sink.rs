@@ -505,7 +505,6 @@ mod tests {
             final_mean_ndt: 1.5,
             pruned: 0,
             metrics: None,
-            dedup: None,
         }
     }
 

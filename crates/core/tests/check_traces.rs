@@ -1,6 +1,6 @@
 //! Round-trips the golden trace fixtures through the `mcversi-check` binary,
-//! pinning exit codes, `--json` output shape and the `--model` / `--mode`
-//! flags.  The library-path verdicts for the same fixtures are pinned in
+//! pinning exit codes, `--json` output shape and the `--model` flag.  The
+//! library-path verdicts for the same fixtures are pinned in
 //! `crates/conformance/tests/golden.rs`.
 
 use std::path::PathBuf;
@@ -83,14 +83,43 @@ fn model_flag_overrides_the_trace_directive() {
     assert_eq!(exit_code(&out), 1);
 }
 
+/// The seven golden verdicts through the tool's one checking flow (vc pass,
+/// axiomatic checker on a violation or abstention — there are no other
+/// modes any more), in prose and as `--json` reports, which no longer carry
+/// a `mode` field.
 #[test]
 fn every_checking_mode_agrees_on_the_golden_verdicts() {
-    for mode in ["per_exec", "collective", "vc"] {
-        for (name, expected) in [("tso_valid.trace", 0), ("tso_violation.trace", 1)] {
-            let path = fixture(name);
-            let out = run_check(&["--mode", mode, path.to_str().expect("utf-8 path")]);
-            assert_eq!(exit_code(&out), expected, "{name} under mode {mode}");
-        }
+    let pins = [
+        ("sc_valid", "valid", 0),
+        ("sc_violation", "violation", 1),
+        ("tso_valid", "valid", 0),
+        ("tso_violation", "violation", 1),
+        ("armish_valid", "valid", 0),
+        ("rmo_violation", "violation", 1),
+        ("tso_undecided", "undecided", 3),
+    ];
+    for (name, verdict, code) in pins {
+        let path = fixture(&format!("{name}.trace"));
+        let path = path.to_str().expect("utf-8 path");
+
+        let out = run_check(&[path]);
+        assert_eq!(exit_code(&out), code, "{name}");
+        let prose = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        assert!(
+            prose.contains(&format!(": {verdict} under ")),
+            "{name}: {prose}"
+        );
+
+        let out = run_check(&["--json", path]);
+        assert_eq!(exit_code(&out), code, "{name} --json");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let report = serde_json::value_from_str(stdout.trim()).expect("valid JSON");
+        assert_eq!(
+            report.get("verdict").and_then(|v| v.as_str()),
+            Some(verdict),
+            "{name}: {stdout}"
+        );
+        assert!(report.get("mode").is_none(), "{name}: {stdout}");
     }
 }
 
@@ -98,8 +127,12 @@ fn every_checking_mode_agrees_on_the_golden_verdicts() {
 fn usage_and_parse_errors_exit_2() {
     let out = run_check(&[]);
     assert_eq!(exit_code(&out), 2, "no input files is a usage error");
-    let out = run_check(&["--mode", "psychic"]);
+    // The checking-mode flag was removed: it is an unknown option now.
+    let path = fixture("tso_valid.trace");
+    let out = run_check(&["--mode", "vc", path.to_str().expect("utf-8 path")]);
     assert_eq!(exit_code(&out), 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option \"--mode\""), "{stderr}");
     let out = run_check(&["/nonexistent/definitely-missing.trace"]);
     assert_eq!(exit_code(&out), 2, "unreadable input is an I/O error");
 }

@@ -237,7 +237,6 @@ mod tests {
             final_mean_ndt: 1.0,
             pruned: 0,
             metrics: None,
-            dedup: None,
         }
     }
 

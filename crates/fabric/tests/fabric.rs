@@ -286,6 +286,46 @@ fn every_journal_prefix_resumes_to_the_identical_fingerprint() {
     }
 }
 
+/// A journal written before the collective and vc checking modes were
+/// removed carries a `"dedup"` object at the end of every sample result.
+/// Such a journal still replays, and a resume from it skips every journaled
+/// sample and reproduces the uninterrupted results.
+#[test]
+fn journals_whose_results_carry_dedup_stats_still_resume() {
+    let cells = tiny_grid();
+    let baseline = in_process_baseline(&cells);
+    let path = temp_journal("dedup");
+    let mut options = FabricOptions::new(worker_program());
+    options.workers = 2;
+    options.journal = Some(path.clone());
+    run_grid(&cells, &options, &mut NullSink).unwrap();
+
+    // Rewrite each sample result the way the earlier build encoded it.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let dedup = r#""metrics": null, "dedup": {"executions": 4, "cache_hits": 1, "cache_misses": 3, "oracle_valid": 3, "checker_calls": 0}}"#;
+    let old: String = text
+        .lines()
+        .map(|line| {
+            if line.starts_with("{\"SampleResult\"") {
+                line.replacen("\"metrics\": null}", dedup, 1) + "\n"
+            } else {
+                format!("{line}\n")
+            }
+        })
+        .collect();
+    let samples: usize = cells.iter().map(|c| c.samples).sum();
+    assert_eq!(old.matches("\"dedup\"").count(), samples, "{old}");
+    std::fs::write(&path, &old).unwrap();
+
+    let replay = JournalReplay::replay(&old).unwrap();
+    assert_eq!(replay.total_samples(), samples);
+    let report = run_grid(&cells, &options, &mut NullSink).unwrap();
+    assert!(report.resumed);
+    assert_eq!(report.stats.resume_skipped, samples as u64);
+    assert_eq!(report.stats.dispatched, 0, "nothing was left to run");
+    assert_eq!(grid_fingerprint(&report.cells), baseline);
+}
+
 /// No `(cell, seed)` sample checkpoint and no `CellDone` cell may appear
 /// twice in a journal, whatever faults and resumes produced it.
 fn assert_no_duplicate_checkpoints(journal_text: &str) {
@@ -406,6 +446,5 @@ fn synthetic_result(cell: &ScenarioSpec, seed: u64) -> CampaignResult {
         final_mean_ndt: 0.0,
         pruned: 0,
         metrics: None,
-        dedup: None,
     }
 }

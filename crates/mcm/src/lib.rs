@@ -59,7 +59,7 @@ pub use event::{Address, DepKind, Event, EventId, EventKind, FenceKind, Iiid, Pr
 pub use execution::{CandidateExecution, DependencySet, ExecutionBuilder};
 pub use model::{Architecture, ModelKind};
 pub use relation::{EventSet, Relation};
-pub use signature::{classify_execution, ExecutionSignature, OracleVerdict, SignatureCache};
+pub use signature::{classify_execution, ExecutionSignature, OracleVerdict};
 
 #[cfg(test)]
 mod smoke {

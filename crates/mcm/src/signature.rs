@@ -1,56 +1,38 @@
-//! Execution signatures, the per-test verdict cache and the cycle oracle —
-//! the machinery behind *collective checking*.
+//! Execution signatures and the cycle oracle: two engines the benchmark
+//! measures, off the campaign path.
 //!
-//! Running the axiomatic checker on every simulated iteration is wasteful
-//! when consecutive iterations of the same test keep producing the *same*
-//! observable outcome.  MTraceCheck (Lustig et al., ISCA'17) showed that
-//! deduplicating executions by a compact signature and verifying only the
-//! novel outcomes cuts checking work by orders of magnitude.  This module
-//! provides the three pieces the test runner composes:
+//! Every campaign checks each execution with the axiomatic checker as it is
+//! observed (Algorithm 2).  MTraceCheck (Lustig et al., ISCA'17) instead
+//! deduplicates executions by a compact signature and verifies only the novel
+//! outcomes; this module keeps the two pieces such a flow would need, so the
+//! benchmark can price them against a plain check:
 //!
 //! 1. [`ExecutionSignature`] — a canonical digest of one observed
 //!    [`CandidateExecution`]: per-load reads-from attribution, the observed
 //!    coherence edges and the final memory state, all keyed by instruction
 //!    identity ([`Iiid`]) so the signature is invariant under event-id
-//!    renaming, and scoped by the staged program's identity hash.  For a
+//!    renaming, and scoped by a caller-chosen program identity.  For a
 //!    fixed staged program the static event structure (events, `po`, fences,
 //!    dependencies) repeats every iteration, so the signature *determines*
 //!    the candidate execution up to checker equivalence: two complete
-//!    executions with equal signatures always receive the same [`Verdict`].
-//! 2. [`SignatureCache`] — a per-test map from signature to verdict with
-//!    hit/miss accounting.
-//! 3. [`classify_execution`] — a zero-checker oracle built on the PR 5
+//!    executions with equal signatures always receive the same checker
+//!    verdict.
+//! 2. [`classify_execution`] — a zero-checker oracle built on the PR 5
 //!    critical-cycle relaxation tables ([`ModelKind::forbids_cycle`]): an
 //!    execution whose `po ∪ rf ∪ co ∪ fr` union is acyclic is
 //!    SC-consistent and therefore valid under *every* supported model (all
 //!    acyclicity axioms constrain subsets of that union), and a small cyclic
 //!    execution can often be classified outright by extracting its critical
 //!    cycles and consulting the closed-form oracle.
-//!
-//! [`Verdict`]: crate::checker::Verdict
 
-use crate::checker::Verdict;
 use crate::cycle::{CriticalCycle, CycleEdge, Dir};
 use crate::event::{Address, DepKind, EventId, FenceKind, Iiid, Value};
 use crate::execution::CandidateExecution;
 use crate::model::{rmw_atomicity_violations, ModelKind};
 use crate::relation::Relation;
-use mcversi_telemetry as telemetry;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
-
-/// Signature-cache hits (verdict replayed without any checking work).
-static SIG_CACHE_HIT: telemetry::Counter = telemetry::Counter::new("mcm.sig.cache_hit");
-/// Signature-cache misses (novel outcome signatures).
-static SIG_CACHE_MISS: telemetry::Counter = telemetry::Counter::new("mcm.sig.cache_miss");
-/// Novel signatures certified valid by the cycle oracle with zero checker runs.
-static SIG_ORACLE_VALID: telemetry::Counter = telemetry::Counter::new("mcm.sig.oracle_valid");
-/// Novel signatures the oracle flagged as containing a forbidden cycle
-/// (the full checker still runs to produce the authoritative witness).
-static SIG_ORACLE_HINT: telemetry::Counter = telemetry::Counter::new("mcm.sig.oracle_hint");
-/// Least-recently-used signatures evicted from a full [`SignatureCache`].
-static SIG_EVICT: telemetry::Counter = telemetry::Counter::new("mcm.sig.evict");
 
 /// The attributed source of one load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -180,158 +162,11 @@ impl ExecutionSignature {
     }
 
     /// A compact 64-bit digest of the signature (for display and telemetry;
-    /// cache lookups use full structural equality, not this digest).
+    /// equality compares the full structure, not this digest).
     pub fn digest(&self) -> u64 {
         let mut hasher = DefaultHasher::new();
         self.hash(&mut hasher);
         hasher.finish()
-    }
-}
-
-/// Default capacity of a [`SignatureCache`], in distinct signatures.
-///
-/// Far above what one test-run's iteration budget can produce in practice,
-/// so eviction only engages on pathological campaigns (huge iteration counts
-/// with near-total non-determinism) — exactly the case the bound exists for.
-pub const DEFAULT_SIGNATURE_CAPACITY: usize = 4096;
-
-/// A per-test cache mapping outcome signatures to checker verdicts.
-///
-/// The cache is scoped to one staged program (one test-run): the runner
-/// creates a fresh cache each time it stages a test, seeded with the
-/// program's identity hash.  Lookups count hits and misses both locally and
-/// through the `mcm.sig.cache_hit` / `mcm.sig.cache_miss` telemetry
-/// counters.
-///
-/// The cache is bounded: at most [`capacity`](Self::capacity) verdicts are
-/// retained (default [`DEFAULT_SIGNATURE_CAPACITY`]), and inserting beyond
-/// that evicts the least-recently-used signature — counted locally and on
-/// the `mcm.sig.evict` telemetry counter — so long campaigns cannot grow
-/// memory without bound.  An evicted verdict is re-derived on the next
-/// sighting (a miss), never answered incorrectly.
-#[derive(Debug)]
-pub struct SignatureCache {
-    program: u64,
-    /// Verdict plus the use-stamp of the entry's most recent touch.
-    verdicts: HashMap<ExecutionSignature, (Verdict, u64)>,
-    /// Use-stamp → signature, ordered oldest first (the eviction index).
-    by_stamp: std::collections::BTreeMap<u64, ExecutionSignature>,
-    next_stamp: u64,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl Default for SignatureCache {
-    fn default() -> Self {
-        SignatureCache::new(0)
-    }
-}
-
-impl SignatureCache {
-    /// Creates an empty cache for the given staged-program identity hash,
-    /// with the default capacity.
-    pub fn new(program: u64) -> Self {
-        Self::with_capacity(program, DEFAULT_SIGNATURE_CAPACITY)
-    }
-
-    /// Creates an empty cache with an explicit capacity (clamped to at least
-    /// one entry).
-    pub fn with_capacity(program: u64, capacity: usize) -> Self {
-        SignatureCache {
-            program,
-            verdicts: HashMap::new(),
-            by_stamp: std::collections::BTreeMap::new(),
-            next_stamp: 0,
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The staged-program identity hash the cache is scoped to.
-    pub fn program(&self) -> u64 {
-        self.program
-    }
-
-    /// The maximum number of verdicts the cache retains.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Computes the signature of `exec` under this cache's program identity.
-    pub fn signature_of(&self, exec: &CandidateExecution) -> ExecutionSignature {
-        ExecutionSignature::of(exec, self.program)
-    }
-
-    /// Looks up the cached verdict for a signature, counting a hit or miss.
-    /// A hit refreshes the entry's recency.
-    pub fn lookup(&mut self, signature: &ExecutionSignature) -> Option<Verdict> {
-        let stamp = self.next_stamp;
-        match self.verdicts.get_mut(signature) {
-            Some((verdict, used)) => {
-                self.hits += 1;
-                SIG_CACHE_HIT.incr();
-                let verdict = verdict.clone();
-                self.by_stamp.remove(used);
-                *used = stamp;
-                self.by_stamp.insert(stamp, signature.clone());
-                self.next_stamp += 1;
-                Some(verdict)
-            }
-            None => {
-                self.misses += 1;
-                SIG_CACHE_MISS.incr();
-                None
-            }
-        }
-    }
-
-    /// Records the verdict for a signature, evicting the least-recently-used
-    /// entry when the cache is full.
-    pub fn insert(&mut self, signature: ExecutionSignature, verdict: Verdict) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        if let Some((_, used)) = self.verdicts.get(&signature) {
-            self.by_stamp.remove(used);
-        } else if self.verdicts.len() >= self.capacity {
-            if let Some((&oldest, _)) = self.by_stamp.iter().next() {
-                if let Some(victim) = self.by_stamp.remove(&oldest) {
-                    self.verdicts.remove(&victim);
-                    self.evictions += 1;
-                    SIG_EVICT.incr();
-                }
-            }
-        }
-        self.by_stamp.insert(stamp, signature.clone());
-        self.verdicts.insert(signature, (verdict, stamp));
-    }
-
-    /// Number of distinct signatures with a recorded verdict.
-    pub fn len(&self) -> usize {
-        self.verdicts.len()
-    }
-
-    /// Returns `true` when no verdict has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.verdicts.is_empty()
-    }
-
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries evicted to keep the cache within its capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -430,23 +265,6 @@ pub fn classify_execution(exec: &CandidateExecution, model: ModelKind) -> Oracle
     } else {
         OracleVerdict::Undecided
     }
-}
-
-/// Counts one oracle zero-checker certification (`mcm.sig.oracle_valid`).
-pub fn record_oracle_valid() {
-    SIG_ORACLE_VALID.incr();
-}
-
-/// Counts one batched-signature dedup hit (`mcm.sig.cache_hit`): a novel
-/// signature re-observed before its deferred collective verdict was computed
-/// — deduplicated exactly like a cached one.
-pub fn record_batched_hit() {
-    SIG_CACHE_HIT.incr();
-}
-
-/// Counts one oracle forbidden-cycle hint (`mcm.sig.oracle_hint`).
-pub fn record_oracle_hint() {
-    SIG_ORACLE_HINT.incr();
 }
 
 /// Enumerates every simple cycle of `rel` (each reported once, starting at
@@ -732,53 +550,6 @@ mod tests {
             "different staged programs must not collide"
         );
         assert_eq!(sig_one.program(), 7);
-    }
-
-    #[test]
-    fn cache_counts_hits_and_misses() {
-        let mut cache = SignatureCache::new(42);
-        assert!(cache.is_empty());
-        let sig = cache.signature_of(&sb_weak());
-        assert_eq!(cache.lookup(&sig), None);
-        cache.insert(sig.clone(), Verdict::Valid);
-        assert_eq!(cache.lookup(&sig), Some(Verdict::Valid));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.program(), 42);
-    }
-
-    #[test]
-    fn cache_capacity_is_bounded_with_lru_eviction() {
-        let exec = sb_weak();
-        // Distinct program hashes give cheap distinct signatures.
-        let sig = |i: u64| ExecutionSignature::of(&exec, i);
-        let mut cache = SignatureCache::with_capacity(0, 3);
-        assert_eq!(cache.capacity(), 3);
-        for i in 0..3 {
-            cache.insert(sig(i), Verdict::Valid);
-        }
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.evictions(), 0);
-        // Touch sig(0) so sig(1) becomes the least-recently-used entry.
-        assert_eq!(cache.lookup(&sig(0)), Some(Verdict::Valid));
-        cache.insert(sig(3), Verdict::Valid);
-        assert_eq!(cache.len(), 3, "the cache never exceeds its capacity");
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.lookup(&sig(1)), None, "the LRU entry was evicted");
-        assert_eq!(cache.lookup(&sig(0)), Some(Verdict::Valid));
-        assert_eq!(cache.lookup(&sig(3)), Some(Verdict::Valid));
-        // Overwriting an existing signature neither grows nor evicts.
-        cache.insert(sig(0), Verdict::Valid);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.evictions(), 1);
-        // The default capacity is pinned; degenerate capacities clamp to 1.
-        assert_eq!(
-            SignatureCache::new(1).capacity(),
-            DEFAULT_SIGNATURE_CAPACITY
-        );
-        assert_eq!(DEFAULT_SIGNATURE_CAPACITY, 4096);
-        assert_eq!(SignatureCache::with_capacity(0, 0).capacity(), 1);
     }
 
     #[test]

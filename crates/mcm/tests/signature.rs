@@ -1,6 +1,6 @@
 //! Property tests for execution signatures and the cycle oracle.
 //!
-//! The collective-checking soundness argument rests on the signature being a
+//! Deduplicating executions by signature is sound only if the signature is a
 //! *canonical* encoding of the observable outcome:
 //!
 //! * two observations of the same abstract execution — same per-thread

@@ -482,11 +482,9 @@ fn arbitrary_spec(seed: u64) -> mcversi::core::ScenarioSpec {
             1 => Some(0),
             _ => Some(1 + pick(100)),
         },
-        checking: match pick(4) {
+        checking: match pick(2) {
             0 => None,
-            1 => Some(mcversi::core::CheckingMode::PerExec),
-            2 => Some(mcversi::core::CheckingMode::Collective),
-            _ => Some(mcversi::core::CheckingMode::Vc),
+            _ => Some(mcversi::core::CheckingMode::PerExec),
         },
         label: if pick(2) == 0 {
             None
@@ -617,84 +615,6 @@ fn grid_cells_reproduce_field_built_campaigns() {
     }
 }
 
-/// The collective-checking differential sweep: over 40 seeds rotating
-/// through every model, both core strengths, bug on/off and all four test
-/// sources, a campaign run with signature-deduplicated collective checking
-/// reaches exactly the verdict of per-execution checking — same `found`,
-/// same detail, same discovering run — and, when nothing was found (so both
-/// modes evaluated every iteration of every run), the full result
-/// fingerprint matches bit-for-bit.
-#[test]
-fn collective_checking_is_verdict_equivalent_across_a_40_seed_sweep() {
-    use mcversi::core::{
-        run_campaign, CampaignConfig, CampaignResult, CheckingMode, GeneratorKind,
-    };
-    use mcversi::sim::{Bug, CoreStrength};
-    use std::time::Duration;
-
-    fn fingerprint(
-        r: &CampaignResult,
-    ) -> (
-        u64,
-        bool,
-        Option<String>,
-        usize,
-        Option<usize>,
-        u64,
-        u64,
-        u64,
-    ) {
-        (
-            r.seed,
-            r.found,
-            r.detail.clone(),
-            r.test_runs,
-            r.found_at_run,
-            r.simulated_cycles,
-            r.max_total_coverage.to_bits(),
-            r.final_mean_ndt.to_bits(),
-        )
-    }
-
-    let mut executions_seen = 0u64;
-    for seed in 0..40u64 {
-        let model = ModelKind::ALL[(seed % 5) as usize];
-        let core = [CoreStrength::Strong, CoreStrength::Relaxed][(seed % 2) as usize];
-        let bug = if (seed / 2) % 2 == 0 {
-            None
-        } else {
-            Some(Bug::LqNoTso)
-        };
-        let generator = GeneratorKind::ALL[(seed % 4) as usize];
-        let mut mcversi = McVerSiConfig::small()
-            .with_test_size(24)
-            .with_iterations(2)
-            .retarget(model);
-        mcversi.system.core_strength = core;
-        let base = CampaignConfig::new(generator, bug, mcversi, 3, Duration::from_secs(60));
-        let per = run_campaign(&base, seed);
-        let coll = run_campaign(&base.clone().with_checking(CheckingMode::Collective), seed);
-        assert_eq!(
-            (per.found, &per.detail, per.found_at_run),
-            (coll.found, &coll.detail, coll.found_at_run),
-            "seed {seed} ({generator}/{model}/{core:?}/{bug:?}): verdicts diverge"
-        );
-        if !per.found {
-            assert_eq!(
-                fingerprint(&per),
-                fingerprint(&coll),
-                "seed {seed} ({generator}/{model}/{core:?}/{bug:?})"
-            );
-        }
-        let dedup = coll.dedup.expect("collective mode reports dedup stats");
-        executions_seen += dedup.executions;
-    }
-    assert!(
-        executions_seen > 0,
-        "the sweep must actually exercise the collective path"
-    );
-}
-
 #[test]
 fn different_seeds_perturb_executions() {
     // Complements the determinism property: across many seeds the cycle counts
@@ -719,15 +639,15 @@ fn different_seeds_perturb_executions() {
 }
 
 /// The distributed-fabric differential sweep: a 20-seed grid of small cells
-/// (rotating models, cores, generators, bugs, and checking modes) run
-/// through the multi-process coordinator — with 2 workers and again with 4,
-/// work stealing on — reaches exactly the verdicts of the in-process path:
-/// same `found`, same `detail`, same `found_at_run`, same dedup stats, for
-/// every sample of every cell.
+/// (rotating models, cores, generators and bugs) run through the
+/// multi-process coordinator — with 2 workers and again with 4, work
+/// stealing on — reaches exactly the verdicts of the in-process path: same
+/// `found`, same `detail`, same `found_at_run`, for every sample of every
+/// cell.
 #[test]
 fn fabric_coordinator_is_verdict_equivalent_across_a_20_seed_sweep() {
     use mcversi::core::sink::NullSink;
-    use mcversi::core::{CampaignResult, CheckingMode, GeneratorKind, ScenarioSpec};
+    use mcversi::core::{CampaignResult, GeneratorKind, ScenarioSpec};
     use mcversi::fabric::{run_grid, FabricOptions};
     use mcversi::sim::{Bug, CoreStrength};
 
@@ -769,18 +689,12 @@ fn fabric_coordinator_is_verdict_equivalent_across_a_20_seed_sweep() {
             .clone()
     }
 
-    type Verdict = (
-        u64,
-        bool,
-        Option<String>,
-        Option<usize>,
-        Option<mcversi::core::DedupStats>,
-    );
+    type Verdict = (u64, bool, Option<String>, Option<usize>);
 
     fn verdicts(results: &[CampaignResult]) -> Vec<Verdict> {
         results
             .iter()
-            .map(|r| (r.seed, r.found, r.detail.clone(), r.found_at_run, r.dedup))
+            .map(|r| (r.seed, r.found, r.detail.clone(), r.found_at_run))
             .collect()
     }
 
@@ -800,22 +714,12 @@ fn fabric_coordinator_is_verdict_equivalent_across_a_20_seed_sweep() {
             } else {
                 Some(Bug::LqNoTso)
             };
-            if i % 3 == 0 {
-                cell.checking = Some(CheckingMode::Collective);
-            }
             cell
         })
         .collect();
 
     let baseline: Vec<Vec<CampaignResult>> =
         cells.iter().map(|cell| cell.run(&mut NullSink)).collect();
-    assert!(
-        baseline
-            .iter()
-            .flatten()
-            .any(|r| r.dedup.is_some_and(|d| d.executions > 0)),
-        "the sweep must exercise collective checking so dedup stats are compared"
-    );
 
     for workers in [2usize, 4] {
         let mut options = FabricOptions::new(worker_binary());
