@@ -1,69 +1,23 @@
-//! Criterion bench: the axiomatic checker's cost per candidate execution.
+//! Bench: what a test-run pays the axiomatic checker, beyond the per-check
+//! cost the benchmark records as `mcm.check_us`.
 //!
-//! The paper reports (§5.2.1) that checking takes 30–40 % of the total
-//! wall-clock time for 1k-operation tests; this bench measures the checker in
-//! isolation for several execution sizes so that ratio can be compared against
-//! the simulator bench.
-//!
-//! `tso_check` runs on plain read/write executions, which never enter the
-//! fence, dependency and RMW paths; `armish_check` / `powerish_check` run on
-//! litmus-shaped executions that have all three (the shape of the
-//! `litmus-mesi` benchmark workload, where the check is most of the wall).
-//! Those check one execution over and over, so after the first pass they
-//! measure a check whose static orders are memoised.  `four_iterations`
-//! measures what a test-run pays: four executions of one program built and
-//! checked in turn — `shared` over one static part, as the simulator's
-//! observer builds them (the static orders are derived by the first check and
-//! reused by the other three), `private` each over a static part of its own
-//! (derived four times, as before the static part existed).
-//! Every case asserts its verdict, so a bench cannot get faster by checking
-//! less.
+//! `four_iterations` builds and checks four executions of one program in
+//! turn, on a litmus-shaped execution with fences, dependencies and RMWs (the
+//! shape of the `litmus-mesi` benchmark workload, where the check is most of
+//! the wall): `shared` over one static part, as the simulator's observer
+//! builds them (the static orders are derived by the first check and reused
+//! by the other three), `private` each over a static part of its own (derived
+//! four times, as before the static part existed).  Every case asserts its
+//! verdict, so a bench cannot get faster by checking less.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mcversi_bench::timing::bench;
 use mcversi_mcm::checker::Checker;
 use mcversi_mcm::execution::{CandidateExecution, ExecutionBuilder};
-use mcversi_mcm::model::tso::Tso;
 use mcversi_mcm::program::StaticPart;
 use mcversi_mcm::{Address, DepKind, EventId, FenceKind, ModelKind, ProcessorId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// Builds a racy but valid execution with `ops_per_thread` operations on each
-/// of `threads` threads over `locations` addresses.
-fn build_execution(threads: u32, ops_per_thread: u32, locations: u64) -> CandidateExecution {
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut b = ExecutionBuilder::new();
-    let mut last_write: Vec<Option<(mcversi_mcm::EventId, u64)>> = vec![None; locations as usize];
-    let mut next_value = 1u64;
-    for t in 0..threads {
-        for _ in 0..ops_per_thread {
-            let loc = rng.gen_range(0..locations);
-            let addr = Address(0x1000 + loc * 8);
-            if rng.gen_bool(0.45) {
-                let w = b.write(ProcessorId(t), addr, Value(next_value));
-                match last_write[loc as usize] {
-                    Some((prev, _)) => b.coherence(prev, w),
-                    None => b.coherence_after_initial(w),
-                }
-                last_write[loc as usize] = Some((w, next_value));
-                next_value += 1;
-            } else {
-                match last_write[loc as usize] {
-                    Some((w, v)) => {
-                        let r = b.read(ProcessorId(t), addr, Value(v));
-                        b.reads_from(w, r);
-                    }
-                    None => {
-                        let r = b.read(ProcessorId(t), addr, Value(0));
-                        b.reads_from_initial(r);
-                    }
-                }
-            }
-        }
-    }
-    b.build()
-}
 
 /// Builds a litmus-shaped execution: `threads` threads of `ops_per_thread`
 /// instructions over a handful of locations — plain and dependency-carrying
@@ -133,46 +87,19 @@ fn build_litmus_shaped(threads: u32, ops_per_thread: u32) -> CandidateExecution 
     b.build()
 }
 
-fn bench_checker(c: &mut Criterion) {
-    let mut group = c.benchmark_group("checker");
-    for &(threads, ops) in &[(4u32, 32u32), (8, 64), (8, 125)] {
-        let exec = build_execution(threads, ops, 16);
-        let total = threads * ops;
-        group.bench_with_input(
-            BenchmarkId::new("tso_check", total),
-            &exec,
-            |bench, exec| {
-                let checker = Checker::new(&Tso);
-                bench.iter(|| {
-                    let verdict = checker.check(exec);
-                    assert!(verdict.is_valid());
-                });
-            },
-        );
-    }
+fn main() {
     let exec = build_litmus_shaped(4, 64);
-    for (name, model) in [
-        ("armish_check", ModelKind::Armish),
-        ("powerish_check", ModelKind::Powerish),
-    ] {
-        group.bench_with_input(BenchmarkId::new(name, 256), &exec, |bench, exec| {
-            let checker = Checker::new(model.instance());
-            bench.iter(|| {
-                let verdict = checker.check(exec);
-                assert!(verdict.is_valid());
-            });
-        });
-    }
+    let checker = Checker::new(ModelKind::Armish.instance());
     // The program of `exec` as a static part, and `exec`'s values and
     // conflict orders replayed into a builder over it.
-    let program = |exec: &CandidateExecution| {
+    let program = || {
         Arc::new(StaticPart::new(
             exec.events().to_vec(),
             exec.po().clone(),
             exec.deps().clone(),
         ))
     };
-    let iteration = |program: &Arc<StaticPart>, exec: &CandidateExecution| {
+    let iteration = |program: &Arc<StaticPart>| {
         let mut b = ExecutionBuilder::over(program);
         for event in exec.events() {
             b.set_event_value(event.id, event.value);
@@ -186,26 +113,15 @@ fn bench_checker(c: &mut Criterion) {
         b.build()
     };
     for (name, share) in [("shared", true), ("private", false)] {
-        group.bench_with_input(
-            BenchmarkId::new("four_iterations", name),
-            &exec,
-            |bench, exec| {
-                let checker = Checker::new(ModelKind::Armish.instance());
-                bench.iter(|| {
-                    let shared = program(exec);
-                    for _ in 0..4 {
-                        let built = match share {
-                            true => iteration(&shared, exec),
-                            false => iteration(&program(exec), exec),
-                        };
-                        assert!(checker.check(&built).is_valid());
-                    }
-                });
-            },
-        );
+        bench(&format!("checker/four_iterations/{name}"), || {
+            let shared = program();
+            for _ in 0..4 {
+                let built = match share {
+                    true => iteration(&shared),
+                    false => iteration(&program()),
+                };
+                assert!(checker.check(&built).is_valid());
+            }
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_checker);
-criterion_main!(benches);

@@ -1,13 +1,14 @@
-//! Criterion bench: adaptive-coverage fitness evaluation cost, and the cost
+//! Bench: adaptive-coverage fitness evaluation cost, and the cost
 //! of the record every controller tick pays.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use mcversi_bench::timing::bench;
 use mcversi_core::{AdaptiveCoverage, AdaptiveCoverageConfig};
 use mcversi_sim::protocol::mesi;
 use mcversi_sim::CoverageRecorder;
 use std::collections::BTreeSet;
+use std::hint::black_box;
 
-fn bench_coverage(c: &mut Criterion) {
+fn main() {
     let universe = mesi::all_transitions();
     let mut recorder = CoverageRecorder::new();
     for (i, t) in universe.iter().enumerate() {
@@ -17,41 +18,31 @@ fn bench_coverage(c: &mut Criterion) {
     }
     let run: BTreeSet<_> = universe.iter().copied().step_by(3).collect();
 
-    c.bench_function("adaptive_coverage_fitness", |bench| {
-        let mut adaptive = AdaptiveCoverage::new(AdaptiveCoverageConfig::default());
-        bench.iter(|| adaptive.fitness(&run, &recorder, &universe));
+    let mut adaptive = AdaptiveCoverage::new(AdaptiveCoverageConfig::default());
+    bench("adaptive_coverage_fitness", || {
+        adaptive.fitness(&run, &recorder, &universe)
+    });
+    bench("coverage_total_fraction", || {
+        recorder.total_coverage(&universe)
     });
 
-    c.bench_function("coverage_total_fraction", |bench| {
-        bench.iter(|| recorder.total_coverage(&universe));
-    });
-
-    // A thousand-odd records per iteration, so that the harness's clock read
-    // per iteration does not drown a record: one transition over and over
-    // (what a stalled request does), and the whole universe round-robin.
-    let mut group = c.benchmark_group("coverage_record");
+    // A thousand-odd records per iteration, so that the loop's clock read per
+    // iteration does not drown a record: one transition over and over (what
+    // a stalled request does), and the whole universe round-robin.
     let rounds = 12;
-    group.bench_function("hit", |bench| {
-        let mut recorder = CoverageRecorder::new();
-        let transition = universe[universe.len() / 2];
-        bench.iter(|| {
-            for _ in 0..rounds * universe.len() {
+    let mut recorder = CoverageRecorder::new();
+    let transition = universe[universe.len() / 2];
+    bench("coverage_record/hit", || {
+        for _ in 0..rounds * universe.len() {
+            recorder.record(black_box(transition));
+        }
+    });
+    let mut recorder = CoverageRecorder::new();
+    bench("coverage_record/rotate", || {
+        for _ in 0..rounds {
+            for &transition in &universe {
                 recorder.record(black_box(transition));
             }
-        });
+        }
     });
-    group.bench_function("rotate", |bench| {
-        let mut recorder = CoverageRecorder::new();
-        bench.iter(|| {
-            for _ in 0..rounds {
-                for &transition in &universe {
-                    recorder.record(black_box(transition));
-                }
-            }
-        });
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_coverage);
-criterion_main!(benches);

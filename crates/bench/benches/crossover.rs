@@ -1,9 +1,9 @@
-//! Criterion bench: selective vs. single-point crossover cost.
+//! Bench: selective vs. single-point crossover cost.
 //!
 //! Crossover runs once per test-run in the GP loop, so its cost must be
 //! negligible against simulation; this bench confirms that for 1k-gene tests.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mcversi_bench::timing::bench;
 use mcversi_testgen::ndt::NdtAnalysis;
 use mcversi_testgen::{
     selective_crossover_mutate, single_point_crossover_mutate, RandomTestGenerator, TestGenParams,
@@ -11,8 +11,7 @@ use mcversi_testgen::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bench_crossover(c: &mut Criterion) {
-    let mut group = c.benchmark_group("crossover");
+fn main() {
     for &size in &[100usize, 1000] {
         let params = TestGenParams::paper_default(8 * 1024).with_test_size(size);
         let gen = RandomTestGenerator::new(params.clone());
@@ -25,17 +24,13 @@ fn bench_crossover(c: &mut Criterion) {
         a2.ndt = 1.5;
         a2.fitaddrs = t2.addresses().into_iter().take(8).collect();
 
-        group.bench_with_input(BenchmarkId::new("selective", size), &size, |bench, _| {
-            let mut rng = StdRng::seed_from_u64(3);
-            bench.iter(|| selective_crossover_mutate(&t1, &t2, &a1, &a2, &params, &mut rng));
+        let mut rng = StdRng::seed_from_u64(3);
+        bench(&format!("crossover/selective/{size}"), || {
+            selective_crossover_mutate(&t1, &t2, &a1, &a2, &params, &mut rng)
         });
-        group.bench_with_input(BenchmarkId::new("single_point", size), &size, |bench, _| {
-            let mut rng = StdRng::seed_from_u64(4);
-            bench.iter(|| single_point_crossover_mutate(&t1, &t2, &params, &mut rng));
+        let mut rng = StdRng::seed_from_u64(4);
+        bench(&format!("crossover/single_point/{size}"), || {
+            single_point_crossover_mutate(&t1, &t2, &params, &mut rng)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_crossover);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Criterion bench: `Relation::transitive_closure` against a per-node search,
+//! Bench: `Relation::transitive_closure` against a per-node search,
 //! and `Relation::find_cycle` on the shapes the checker searches.
 //!
 //! The closure runs on every candidate-execution build (closing the coherence
@@ -16,7 +16,7 @@
 //! workload), and `cyclic` adds one back edge inside the last thread, so the
 //! search ends with a witness on the first path that reaches it.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mcversi_bench::timing::bench;
 use mcversi_mcm::relation::Relation;
 use mcversi_mcm::EventId;
 use rand::rngs::StdRng;
@@ -84,8 +84,24 @@ fn litmus_ghb(threads: u32, per_thread: u32, seed: u64) -> Relation {
     rel
 }
 
-fn bench_find_cycle(c: &mut Criterion) {
-    let mut group = c.benchmark_group("find_cycle");
+fn main() {
+    let inputs = [
+        ("chains_8x64", coherence_chains(8, 64)),
+        ("chains_4x256", coherence_chains(4, 256)),
+        ("dag_256n_1024e", random_dag(256, 1024, 7)),
+        ("dag_1024n_4096e", random_dag(1024, 4096, 11)),
+    ];
+    for (name, rel) in &inputs {
+        bench(&format!("relation_closure/bitset/{name}"), || {
+            let closed = rel.transitive_closure();
+            assert!(closed.len() >= rel.len());
+        });
+        bench(&format!("relation_closure/btree/{name}"), || {
+            let closed = btree_closure(rel);
+            assert!(closed.len() >= rel.len());
+        });
+    }
+
     let mut cyclic = litmus_ghb(4, 64, 3);
     cyclic.insert(EventId(255), EventId(192));
     let inputs = [
@@ -94,37 +110,8 @@ fn bench_find_cycle(c: &mut Criterion) {
         ("cyclic", cyclic, true),
     ];
     for (name, rel, has_cycle) in &inputs {
-        group.bench_with_input(BenchmarkId::from_parameter(name), rel, |bench, rel| {
-            bench.iter(|| assert_eq!(rel.find_cycle().is_some(), *has_cycle));
+        bench(&format!("find_cycle/{name}"), || {
+            assert_eq!(rel.find_cycle().is_some(), *has_cycle)
         });
     }
-    group.finish();
 }
-
-fn bench_closure(c: &mut Criterion) {
-    let mut group = c.benchmark_group("relation_closure");
-    let inputs: Vec<(&str, Relation)> = vec![
-        ("chains_8x64", coherence_chains(8, 64)),
-        ("chains_4x256", coherence_chains(4, 256)),
-        ("dag_256n_1024e", random_dag(256, 1024, 7)),
-        ("dag_1024n_4096e", random_dag(1024, 4096, 11)),
-    ];
-    for (name, rel) in &inputs {
-        group.bench_with_input(BenchmarkId::new("bitset", name), rel, |bench, rel| {
-            bench.iter(|| {
-                let closed = rel.transitive_closure();
-                assert!(closed.len() >= rel.len());
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("btree", name), rel, |bench, rel| {
-            bench.iter(|| {
-                let closed = btree_closure(rel);
-                assert!(closed.len() >= rel.len());
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_closure, bench_find_cycle);
-criterion_main!(benches);

@@ -1,15 +1,18 @@
 //! Benchmark harness and experiment support for the McVerSi reproduction.
 //!
-//! The `benches/` directory contains Criterion micro-benchmarks of the
-//! framework's own costs (checker, crossover, simulator throughput, coverage
-//! fitness, litmus end-to-end), and `src/bin/` contains one binary per table
-//! or figure of the paper's evaluation (README.md has the index).
+//! The `benches/` directory contains micro-benchmarks, on the [`timing`]
+//! loop, of the costs the benchmark (`benchmark/`) has no per-layer metric
+//! for — relation closure and cycle search, coverage fitness and recording,
+//! crossover, and a test-run's four checks over one static part — and
+//! `src/bin/` contains one binary per table or figure of the paper's
+//! evaluation (README.md has the index).
 
 #![forbid(unsafe_code)]
 
 pub mod core_matrix;
 pub mod experiment;
 pub mod matrix;
+pub mod timing;
 
 pub use core_matrix::{core_matrix_rows, run_core_matrix};
 pub use experiment::{banner, metrics_summary, table_columns, write_artifact};

@@ -19,7 +19,8 @@
 //!   and the consolidated `MCVERSI_*` environment parsing;
 //! * [`campaign`] runs generator × bug verification campaigns and the
 //!   coverage campaigns behind Tables 4, 5 and 6, streaming events through
-//!   [`sink`] implementations; [`report`] renders them.
+//!   [`sink`] implementations (whose JSONL writer and reader every event
+//!   stream and fabric journal shares); [`report`] renders them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

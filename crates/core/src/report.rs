@@ -8,7 +8,7 @@
 
 use crate::campaign::CampaignResult;
 use crate::generator::GeneratorKind;
-use crate::sink::{CampaignEvent, EVENT_SCHEMA_VERSION};
+use crate::sink::{read_stream, CampaignEvent};
 use mcversi_sim::Bug;
 use mcversi_telemetry::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
@@ -293,9 +293,12 @@ impl MetricsReport {
     ///
     /// # Errors
     ///
-    /// Fails on an unparseable line or a [`CampaignEvent::Schema`] header
-    /// whose version differs from this build's [`EVENT_SCHEMA_VERSION`]; a
-    /// stream without a header (pre-versioning producer) is accepted.
+    /// Fails on a complete line that does not decode or a
+    /// [`CampaignEvent::Schema`] header whose version differs from this
+    /// build's [`crate::sink::EVENT_SCHEMA_VERSION`] (see [`read_stream`]).
+    /// A stream without a header (pre-versioning producer) is accepted, and
+    /// so is one whose writer was killed mid-line: its torn final fragment is
+    /// dropped and every complete event counts.
     pub fn from_jsonl(text: &str) -> Result<Self, MetricsReportError> {
         let mut report = MetricsReport::default();
         report.ingest(text, "")?;
@@ -306,7 +309,7 @@ impl MetricsReport {
     /// journal per fabric worker — into one report.
     ///
     /// Every stream must carry the same schema version (in practice this
-    /// build's [`EVENT_SCHEMA_VERSION`]); a mix of versions is rejected with
+    /// build's [`crate::sink::EVENT_SCHEMA_VERSION`]); a mix of versions is rejected with
     /// the offending stream named, so a worker left behind by a format bump
     /// cannot silently corrupt a merged report.  Error messages are prefixed
     /// with the 1-based stream index.
@@ -325,25 +328,13 @@ impl MetricsReport {
 
     /// Folds one JSONL stream into the report (see [`Self::from_jsonl`]).
     fn ingest(&mut self, text: &str, prefix: &str) -> Result<(), MetricsReportError> {
+        let stream = read_stream(text).map_err(|e| MetricsReportError(format!("{prefix}{e}")))?;
+        self.events += stream.events.len();
         // Streamed snapshots are subsumed per stream: a `SampleDone` in one
         // worker's stream must not cancel another worker's live snapshot.
         let mut streamed: BTreeMap<u64, MetricsSnapshot> = BTreeMap::new();
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let event: CampaignEvent = serde_json::from_str(line)
-                .map_err(|e| MetricsReportError(format!("{prefix}line {}: {e}", idx + 1)))?;
-            self.events += 1;
+        for (_, event) in stream.events {
             match event {
-                CampaignEvent::Schema { version } if version != EVENT_SCHEMA_VERSION => {
-                    return Err(MetricsReportError(format!(
-                        "{prefix}line {}: schema version {version} (this build reads \
-                         {EVENT_SCHEMA_VERSION})",
-                        idx + 1
-                    )));
-                }
-                CampaignEvent::Schema { .. } => {}
                 CampaignEvent::Metrics { seed, snapshot, .. } => {
                     streamed.insert(seed, snapshot);
                 }
@@ -580,6 +571,7 @@ fn column_width<'a>(names: impl Iterator<Item = &'a String>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::EVENT_SCHEMA_VERSION;
     use std::time::Duration;
 
     fn result(found: bool, found_at: Option<usize>) -> CampaignResult {
@@ -729,6 +721,33 @@ mod tests {
         assert_eq!(report.samples(), 1);
     }
 
+    /// A writer killed mid-line leaves an unterminated fragment — the stream
+    /// a fabric journal resumes from.  The report renders every complete
+    /// event before it; a `\n`-terminated bad line stays corruption.
+    #[test]
+    fn metrics_report_renders_a_killed_writers_stream() {
+        let mut done = result(true, Some(10));
+        done.metrics = Some(snapshot(10));
+        let mut text = jsonl(&[
+            CampaignEvent::Schema {
+                version: EVENT_SCHEMA_VERSION,
+            },
+            CampaignEvent::SampleResult {
+                cell: 7,
+                result: done,
+            },
+        ]);
+        text.push_str("\n{\"SampleResult\":{\"cell\":7,\"resu");
+        let report = MetricsReport::from_jsonl(&text).expect("a torn tail is dropped");
+        assert_eq!(report.events, 2);
+        assert_eq!(report.completed, vec![(0, snapshot(10))]);
+        assert!(report.render().contains("sim.l1.mesi.hit"));
+
+        text.push('\n');
+        let err = MetricsReport::from_jsonl(&text).unwrap_err();
+        assert!(format!("{err}").starts_with("line 3: "), "{err}");
+    }
+
     #[test]
     fn metrics_report_keeps_samples_whose_seeds_repeat_across_cells() {
         // Sweep streams interleave cells that reuse seeds; every sample must
@@ -771,7 +790,7 @@ mod tests {
         assert!(!rendered.contains("Collective checking"), "{rendered}");
 
         let CampaignEvent::SampleDone { result } =
-            serde_json::from_str(&format!("{{\"SampleDone\": {{\"result\": {result}}}}}"))
+            CampaignEvent::from_line(&format!("{{\"SampleDone\": {{\"result\": {result}}}}}"))
                 .expect("old SampleDone parses")
         else {
             panic!("not a SampleDone");

@@ -9,15 +9,20 @@
 //!
 //! * [`CollectSink`] — gathers completed results (the old behaviour);
 //! * [`ProgressSink`] — live progress lines on stderr (or any writer);
-//! * [`JsonlSink`] — one JSON line per event, the machine-readable stream
-//!   that later checkpoint/resume work builds on;
+//! * [`JsonlSink`] — one JSON line per event: the machine-readable stream,
+//!   and (opened with [`JsonlSink::append`]) the fabric's resumable journal;
 //! * [`NullSink`] — discards everything;
 //! * sinks compose: a `(&mut a, &mut b)` tuple fans events out to both.
+//!
+//! [`JsonlSink`] is the one writer of the event schema, and
+//! [`CampaignEvent::from_line`] / [`read_stream`] its one reader: the metrics
+//! report, the journal replay and the fabric coordinator's worker-stream
+//! decode all go through them, so they agree on what a torn line is.
 
 use crate::campaign::CampaignResult;
 use mcversi_telemetry::{MetricsSnapshot, Stopwatch};
 use serde::{Deserialize, Serialize};
-use std::io::Write;
+use std::io::{Read as _, Write};
 
 /// Version of the JSONL event format. Bumped whenever a [`CampaignEvent`]
 /// variant changes incompatibly; [`JsonlSink`] writes it as a
@@ -130,6 +135,74 @@ pub enum CampaignEvent {
         /// Samples skipped thanks to a resume journal.
         resume_skipped: u64,
     },
+}
+
+impl CampaignEvent {
+    /// Decodes one line of a campaign-event stream.  This is the only place
+    /// an event is read back from text.
+    pub fn from_line(line: &str) -> serde_json::Result<Self> {
+        serde_json::from_str(line)
+    }
+}
+
+/// Rejects a [`CampaignEvent::Schema`] header of a version this build does
+/// not read.
+pub fn check_schema(version: u32) -> Result<(), String> {
+    if version == EVENT_SCHEMA_VERSION {
+        Ok(())
+    } else {
+        Err(format!(
+            "schema version {version} (this build reads {EVENT_SCHEMA_VERSION})"
+        ))
+    }
+}
+
+/// A campaign-event stream decoded by [`read_stream`].
+#[derive(Debug, Clone, Default)]
+pub struct EventStream {
+    /// The events with their 1-based line numbers, in stream order (the
+    /// `Schema` header included).
+    pub events: Vec<(usize, CampaignEvent)>,
+    /// The version its `Schema` header declared, if it has one.
+    pub version: Option<u32>,
+    /// Whether an unterminated final line that does not decode — a write
+    /// cut short — was dropped.
+    pub torn_tail: bool,
+}
+
+/// Reads a campaign-event JSONL stream.
+///
+/// Blank lines are skipped and a header-less stream is accepted.  An
+/// unterminated final line that does not decode is a torn tail: it is
+/// dropped and reported in [`EventStream::torn_tail`].
+///
+/// # Errors
+///
+/// A `\n`-terminated line that does not decode, or a `Schema` header of
+/// another version (see [`check_schema`]); the message names the line.
+pub fn read_stream(text: &str) -> Result<EventStream, String> {
+    let mut stream = EventStream::default();
+    for (idx, raw) in text.split_inclusive('\n').enumerate() {
+        let line = raw.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let event = match CampaignEvent::from_line(line) {
+            Ok(event) => event,
+            // Only the final piece of the split can lack its newline.
+            Err(_) if !raw.ends_with('\n') => {
+                stream.torn_tail = true;
+                break;
+            }
+            Err(e) => return Err(format!("line {}: {e}", idx + 1)),
+        };
+        if let CampaignEvent::Schema { version } = event {
+            check_schema(version).map_err(|e| format!("line {}: {e}", idx + 1))?;
+            stream.version = Some(version);
+        }
+        stream.events.push((idx + 1, event));
+    }
+    Ok(stream)
 }
 
 /// A consumer of streaming campaign events.
@@ -375,7 +448,7 @@ impl<W: Write + Send> CampaignSink for ProgressSink<W> {
 ///
 /// The first line of every stream is a [`CampaignEvent::Schema`] header
 /// carrying [`EVENT_SCHEMA_VERSION`], written lazily just before the first
-/// event.
+/// event (not at all when [`JsonlSink::append`] continues a non-empty file).
 pub struct JsonlSink<W: Write + Send> {
     /// `None` only after [`JsonlSink::into_inner`] moved the writer out.
     out: Option<W>,
@@ -387,12 +460,51 @@ pub struct JsonlSink<W: Write + Send> {
 impl JsonlSink<std::fs::File> {
     /// Creates (truncates) a JSONL file at `path`.
     pub fn create(path: &str) -> std::io::Result<Self> {
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
+        create_parent_dir(path)?;
+        Ok(JsonlSink::new(std::fs::File::create(path)?))
+    }
+
+    /// Opens `path` for appending, creating it (and its parent directories)
+    /// as needed: the fabric's journal, which a killed campaign resumes in
+    /// place.
+    ///
+    /// The schema header is written only when the file is empty.  A file
+    /// whose last byte is not `\n` was cut mid-write and is repaired first:
+    /// an unterminated tail that decodes as an event is terminated, one that
+    /// does not is truncated away — exactly the line [`read_stream`] drops
+    /// as torn.  So a journal cut at any byte resumes any number of times.
+    pub fn append(path: &str) -> std::io::Result<Self> {
+        create_parent_dir(path)?;
+        let mut out = std::fs::OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(path)?;
+        let mut text = Vec::new();
+        out.read_to_end(&mut text)?;
+        let complete = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let tail = &text[complete..];
+        if !tail.is_empty() {
+            let decodes =
+                std::str::from_utf8(tail).is_ok_and(|line| CampaignEvent::from_line(line).is_ok());
+            if decodes {
+                out.write_all(b"\n")?;
+            } else {
+                out.set_len(complete as u64)?;
             }
         }
-        Ok(JsonlSink::new(std::fs::File::create(path)?))
+        let header_written = out.metadata()?.len() > 0;
+        let mut sink = JsonlSink::new(out);
+        sink.header_written = header_written;
+        Ok(sink)
+    }
+}
+
+/// Creates the parent directories of `path`, if it names any.
+fn create_parent_dir(path: &str) -> std::io::Result<()> {
+    match std::path::Path::new(path).parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
     }
 }
 
@@ -406,7 +518,7 @@ impl<W: Write + Send> JsonlSink<W> {
         }
     }
 
-    /// Number of lines written so far, including the schema header.
+    /// Number of lines this sink has written, including the schema header.
     pub fn lines(&self) -> u64 {
         self.lines
     }
@@ -571,19 +683,19 @@ mod tests {
         }
         // The stream starts with the schema header and round-trips back into
         // events.
-        let header: CampaignEvent = serde_json::from_str(lines[0]).unwrap();
+        let header = CampaignEvent::from_line(lines[0]).unwrap();
         assert!(matches!(
             header,
             CampaignEvent::Schema {
                 version: EVENT_SCHEMA_VERSION
             }
         ));
-        let first: CampaignEvent = serde_json::from_str(lines[1]).unwrap();
+        let first = CampaignEvent::from_line(lines[1]).unwrap();
         assert!(matches!(
             first,
             CampaignEvent::SampleStart { seed: 7, index: 0 }
         ));
-        let done: CampaignEvent = serde_json::from_str(lines[4]).unwrap();
+        let done = CampaignEvent::from_line(lines[4]).unwrap();
         match done {
             CampaignEvent::SampleDone { result } => {
                 assert_eq!(result.seed, 7);
@@ -591,7 +703,7 @@ mod tests {
             }
             other => panic!("expected SampleDone, got {other:?}"),
         }
-        let metrics: CampaignEvent = serde_json::from_str(lines[6]).unwrap();
+        let metrics = CampaignEvent::from_line(lines[6]).unwrap();
         match metrics {
             CampaignEvent::Metrics {
                 seed,
@@ -618,6 +730,73 @@ mod tests {
             .count();
         assert_eq!(headers, 1);
         assert!(text.lines().next().unwrap().contains("\"Schema\""));
+    }
+
+    #[test]
+    fn jsonl_sink_append_reopens_without_a_second_header() {
+        let dir = std::env::temp_dir().join(format!("mcversi-sink-{}", std::process::id()));
+        let path = dir.join("append.jsonl").to_str().unwrap().to_owned();
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut sink = JsonlSink::append(&path).unwrap();
+            sink.on_event(&CampaignEvent::CellStart {
+                cell: 1,
+                label: "a".into(),
+            });
+            assert_eq!(sink.lines(), 2, "header + event");
+        }
+        {
+            let mut sink = JsonlSink::append(&path).unwrap();
+            sink.on_event(&CampaignEvent::CellDone {
+                cell: 1,
+                samples: 0,
+            });
+            assert_eq!(sink.lines(), 1, "append run writes no second header");
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let headers = text.lines().filter(|l| l.contains("\"Schema\"")).count();
+        assert_eq!(headers, 1);
+        let stream = read_stream(&text).unwrap();
+        assert_eq!(stream.version, Some(EVENT_SCHEMA_VERSION));
+        assert!(matches!(
+            stream.events.last(),
+            Some((3, CampaignEvent::CellDone { cell: 1, .. }))
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn read_stream_drops_only_an_unterminated_undecodable_tail() {
+        let header = format!("{{\"Schema\":{{\"version\":{EVENT_SCHEMA_VERSION}}}}}");
+        let event = "{\"CellDone\":{\"cell\":1,\"samples\":0}}";
+
+        let torn = read_stream(&format!("{header}\n{event}\n{{\"CellDo")).unwrap();
+        assert!(torn.torn_tail);
+        assert_eq!(torn.version, Some(EVENT_SCHEMA_VERSION));
+        assert_eq!(torn.events.len(), 2);
+
+        // An unterminated final line that decodes is an event like any other.
+        let whole = read_stream(&format!("{header}\n\n{event}")).unwrap();
+        assert!(!whole.torn_tail);
+        assert!(matches!(
+            whole.events[1],
+            (3, CampaignEvent::CellDone { cell: 1, .. })
+        ));
+
+        // A terminated line that does not decode is corruption, wherever it is.
+        let err = read_stream(&format!("{header}\n{{\"CellDo\n")).unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+        let err = read_stream(&format!("{header}\nnot json\n{event}\n")).unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+
+        // Header-less streams are accepted; foreign versions are not.
+        let headerless = read_stream(event).unwrap();
+        assert_eq!((headerless.version, headerless.events.len()), (None, 1));
+        let err = read_stream(&format!("{event}\n{{\"Schema\":{{\"version\":99}}}}")).unwrap_err();
+        assert_eq!(
+            err,
+            format!("line 2: schema version 99 (this build reads {EVENT_SCHEMA_VERSION})")
+        );
     }
 
     #[test]

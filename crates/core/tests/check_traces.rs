@@ -88,7 +88,7 @@ fn model_flag_overrides_the_trace_directive() {
 /// modes any more), in prose and as `--json` reports, which no longer carry
 /// a `mode` field.
 #[test]
-fn every_checking_mode_agrees_on_the_golden_verdicts() {
+fn golden_verdicts_in_prose_and_json() {
     let pins = [
         ("sc_valid", "valid", 0),
         ("sc_violation", "violation", 1),

@@ -6,12 +6,12 @@
 //! Every worker's stdout is a campaign-event JSONL stream.  The coordinator
 //! forwards all events to the caller's live sink, journals the *checkpoint*
 //! records (`CellStart`, `SampleResult`, `CellDone`, plus its own `Resume`
-//! and `FabricStats`) through a [`CheckpointSink`], and deduplicates by
+//! and `FabricStats`) through [`JsonlSink::append`], and deduplicates by
 //! `(cell, seed)` so a re-dispatched shard can never journal a sample twice.
 
-use crate::journal::{CheckpointSink, JournalReplay};
+use crate::journal::JournalReplay;
 use crate::shard::{shard_cells, FabricError, GridShard, WorkerFault};
-use mcversi_core::sink::{CampaignEvent, CampaignSink, EVENT_SCHEMA_VERSION};
+use mcversi_core::sink::{check_schema, CampaignEvent, CampaignSink, JsonlSink};
 use mcversi_core::{CampaignResult, ScenarioSpec};
 use mcversi_telemetry as telemetry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -134,6 +134,7 @@ struct Slot {
 }
 
 /// Per-cell bookkeeping the coordinator accumulates.
+#[derive(Default)]
 struct Progress {
     /// Completed results per cell, keyed `cell id → seed → result`.
     results: BTreeMap<u64, BTreeMap<u64, CampaignResult>>,
@@ -173,20 +174,17 @@ pub fn run_grid(
     }
 
     // ---- replay-to-resume ----
+    // Opening the journal first repairs a torn tail, so the replay below
+    // reads exactly what later appends continue.
     let mut journal = match &options.journal {
-        Some(path) => Some(CheckpointSink::append(path)?),
+        Some(path) => Some(JsonlSink::append(path)?),
         None => None,
     };
     let replay = match &options.journal {
         Some(path) => JournalReplay::load(path)?,
         None => JournalReplay::default(),
     };
-    let mut progress = Progress {
-        results: BTreeMap::new(),
-        journaled: BTreeSet::new(),
-        started: BTreeSet::new(),
-        closed: BTreeSet::new(),
-    };
+    let mut progress = Progress::default();
     let resumed = replay.events > 0;
     let mut cells_skipped = 0usize;
     let mut samples_skipped = 0usize;
@@ -227,7 +225,7 @@ pub fn run_grid(
             samples_skipped,
         };
         if let Some(journal) = journal.as_mut() {
-            journal.record(&event);
+            journal.on_event(&event);
         }
         sink.on_event(&event);
     }
@@ -287,7 +285,7 @@ pub fn run_grid(
         resume_skipped: stats.resume_skipped,
     };
     if let Some(journal) = journal.as_mut() {
-        journal.record(&event);
+        journal.on_event(&event);
     }
     sink.on_event(&event);
 
@@ -311,7 +309,7 @@ fn run_pool(
     shards: &mut Vec<GridShard>,
     options: &FabricOptions,
     sink: &mut dyn CampaignSink,
-    journal: &mut Option<CheckpointSink>,
+    journal: &mut Option<JsonlSink<std::fs::File>>,
     progress: &mut Progress,
     stats: &mut FabricStatsCounts,
     by_id: &BTreeMap<u64, &ScenarioSpec>,
@@ -404,7 +402,9 @@ fn run_pool(
                 slots[slot_idx].last_seen_ns = clock.elapsed().as_nanos() as u64;
                 match msg {
                     WorkerMsg::Event(event) => {
-                        handle_event(*event, sink, journal, progress, by_id);
+                        if let Err(e) = handle_event(*event, sink, journal, progress, by_id) {
+                            break Err(e);
+                        }
                     }
                     WorkerMsg::BadLine => {
                         // Torn or corrupt worker output: ignore the line; the
@@ -506,7 +506,7 @@ fn spawn_worker(
             if line.trim().is_empty() {
                 continue;
             }
-            let msg = match serde_json::from_str::<CampaignEvent>(&line) {
+            let msg = match CampaignEvent::from_line(&line) {
                 Ok(event) => WorkerMsg::Event(Box::new(event)),
                 Err(_) => WorkerMsg::BadLine,
             };
@@ -521,28 +521,32 @@ fn spawn_worker(
 
 /// Routes one worker event: live sink always (except verified `Schema`
 /// headers), journal only for novel checkpoint records.
+///
+/// # Errors
+///
+/// Fails on a worker `Schema` header of another version (see
+/// [`check_schema`]): a worker binary from another build.
 fn handle_event(
     event: CampaignEvent,
     sink: &mut dyn CampaignSink,
-    journal: &mut Option<CheckpointSink>,
+    journal: &mut Option<JsonlSink<std::fs::File>>,
     progress: &mut Progress,
     by_id: &BTreeMap<u64, &ScenarioSpec>,
-) {
+) -> Result<(), FabricError> {
     match &event {
         CampaignEvent::Schema { version } => {
             // Worker streams carry their own header; verified here, not
             // forwarded (the journal and the live stream have their own).
-            debug_assert_eq!(*version, EVENT_SCHEMA_VERSION);
-            return;
+            return check_schema(*version).map_err(|e| FabricError(format!("worker stream: {e}")));
         }
         CampaignEvent::CellStart { cell, .. } => {
             if !progress.started.insert(*cell) {
-                return; // re-dispatch replays the cell start
+                return Ok(()); // re-dispatch replays the cell start
             }
         }
         CampaignEvent::SampleResult { cell, result } => {
             if !progress.journaled.insert((*cell, result.seed)) {
-                return; // duplicate from an overlapping re-dispatch
+                return Ok(()); // duplicate from an overlapping re-dispatch
             }
             progress
                 .results
@@ -557,29 +561,30 @@ fn handle_event(
                 progress.results.get(cell).map_or(0, BTreeMap::len) >= spec.samples
             });
             if !complete || !progress.closed.insert(*cell) {
-                return;
+                return Ok(());
             }
             let done = CampaignEvent::CellDone {
                 cell: *cell,
                 samples: progress.results.get(cell).map_or(0, BTreeMap::len),
             };
             if let Some(journal) = journal.as_mut() {
-                journal.record(&done);
+                journal.on_event(&done);
             }
             sink.on_event(&done);
-            return;
+            return Ok(());
         }
         _ => {
             // Progress events (SampleStart/TestRun/Violation/Metrics/
             // SamplePanic): live sink only, the journal stays compact.
             sink.on_event(&event);
-            return;
+            return Ok(());
         }
     }
     if let Some(journal) = journal.as_mut() {
-        journal.record(&event);
+        journal.on_event(&event);
     }
     sink.on_event(&event);
+    Ok(())
 }
 
 /// The unfinished remainder of a dead worker's shard: its cells minus the
@@ -615,4 +620,28 @@ fn unfinished_remainder(shard: &GridShard, progress: &Progress) -> Option<GridSh
         skip,
         fault: None, // faults fire on the first dispatch only
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcversi_core::sink::{NullSink, EVENT_SCHEMA_VERSION};
+
+    #[test]
+    fn a_worker_stream_of_another_schema_version_fails_the_campaign() {
+        let mut progress = Progress::default();
+        let mut route = |version| {
+            let header = CampaignEvent::Schema { version };
+            handle_event(
+                header,
+                &mut NullSink,
+                &mut None,
+                &mut progress,
+                &BTreeMap::new(),
+            )
+        };
+        assert!(route(EVENT_SCHEMA_VERSION).is_ok());
+        let err = route(99).unwrap_err();
+        assert!(err.0.contains("worker stream: schema version 99"), "{err}");
+    }
 }

@@ -1,95 +1,21 @@
-//! Checkpointing: the append-only journal and its replay-to-resume loader.
+//! Checkpointing: the journal's replay-to-resume loader.
 //!
 //! The journal is an ordinary campaign-event JSONL stream (the same format
-//! `MCVERSI_JSONL` produces) with the fabric's cell-attributed records:
-//! `CellStart` / `SampleResult` / `CellDone` checkpoints from workers, plus
-//! `Resume` and `FabricStats` records from the coordinator.  Because every
-//! line is self-contained, a journal cut off at an arbitrary byte loses at
-//! most its torn final line — [`JournalReplay`] drops exactly that line and
-//! treats everything before it as completed work.
+//! `MCVERSI_JSONL` produces), written by [`JsonlSink::append`], with the
+//! fabric's cell-attributed records: `CellStart` / `SampleResult` /
+//! `CellDone` checkpoints from workers, plus `Resume` and `FabricStats`
+//! records from the coordinator.  Because every line is self-contained, a
+//! journal cut off at an arbitrary byte loses at most its torn final line:
+//! [`read_stream`] drops exactly that line, [`JournalReplay`] treats
+//! everything before it as completed work, and the next
+//! [`JsonlSink::append`] truncates it away before appending.
+//!
+//! [`JsonlSink::append`]: mcversi_core::sink::JsonlSink::append
 
 use crate::shard::FabricError;
-use mcversi_core::sink::{CampaignEvent, CampaignSink, EVENT_SCHEMA_VERSION};
+use mcversi_core::sink::{read_stream, CampaignEvent};
 use mcversi_core::CampaignResult;
 use std::collections::BTreeMap;
-use std::io::Write;
-
-/// Journals every campaign event to an append-only JSONL file, flushed per
-/// event so a killed process loses at most one torn line.
-///
-/// Opening an empty (or new) file writes the schema header; opening a
-/// non-empty file appends without a second header, so an interrupted journal
-/// resumes in place.
-pub struct CheckpointSink {
-    out: std::fs::File,
-    lines: u64,
-    header_needed: bool,
-}
-
-impl CheckpointSink {
-    /// Opens `path` for appending, creating parent directories as needed.
-    pub fn append(path: &str) -> std::io::Result<Self> {
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let out = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        let header_needed = out.metadata()?.len() == 0;
-        Ok(CheckpointSink {
-            out,
-            lines: 0,
-            header_needed,
-        })
-    }
-
-    /// Lines written by this sink instance (not counting pre-existing ones).
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Appends one event (plus the schema header first, when the file was
-    /// empty at open).
-    pub fn record(&mut self, event: &CampaignEvent) {
-        if self.header_needed {
-            self.header_needed = false;
-            if !matches!(event, CampaignEvent::Schema { .. }) {
-                let header = CampaignEvent::Schema {
-                    version: EVENT_SCHEMA_VERSION,
-                };
-                self.write_line(&header);
-            }
-        }
-        self.write_line(event);
-        let _ = self.out.flush();
-    }
-
-    fn write_line(&mut self, event: &CampaignEvent) {
-        if let Ok(line) = serde_json::to_string(event) {
-            debug_assert!(!line.contains('\n'), "events must be single-line");
-            if writeln!(self.out, "{line}").is_ok() {
-                self.lines += 1;
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for CheckpointSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointSink")
-            .field("lines", &self.lines)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CampaignSink for CheckpointSink {
-    fn on_event(&mut self, event: &CampaignEvent) {
-        self.record(event);
-    }
-}
 
 /// Replay state of one grid cell, accumulated from journal records.
 #[derive(Debug, Clone, Default)]
@@ -134,44 +60,19 @@ impl JournalReplay {
     ///
     /// # Errors
     ///
-    /// Fails on a schema version this build does not read, or on an
-    /// unparseable line that is *not* the final one — a torn tail is expected
-    /// after a kill, corruption in the middle of the journal is not.
+    /// Fails on a schema version this build does not read, or on a complete
+    /// (`\n`-terminated) line that does not decode — a torn tail is expected
+    /// after a kill, a corrupt complete line is not (see [`read_stream`]).
     pub fn replay(text: &str) -> Result<Self, FabricError> {
-        let mut replay = JournalReplay::default();
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .filter(|(_, line)| !line.trim().is_empty())
-            .collect();
-        for (pos, &(idx, line)) in lines.iter().enumerate() {
-            let event: CampaignEvent = match serde_json::from_str(line) {
-                Ok(event) => event,
-                Err(e) if pos + 1 == lines.len() => {
-                    // Torn final line: the worker or coordinator died mid-write.
-                    let _ = e;
-                    replay.truncated_tail = true;
-                    break;
-                }
-                Err(e) => {
-                    return Err(FabricError(format!(
-                        "journal line {}: {e} (corruption before the final line)",
-                        idx + 1
-                    )));
-                }
-            };
-            replay.events += 1;
+        let stream = read_stream(text).map_err(|e| FabricError(format!("journal {e}")))?;
+        let mut replay = JournalReplay {
+            version: stream.version,
+            events: stream.events.len(),
+            truncated_tail: stream.torn_tail,
+            ..JournalReplay::default()
+        };
+        for (_, event) in stream.events {
             match event {
-                CampaignEvent::Schema { version } => {
-                    if version != EVENT_SCHEMA_VERSION {
-                        return Err(FabricError(format!(
-                            "journal line {}: schema version {version} (this build reads \
-                             {EVENT_SCHEMA_VERSION})",
-                            idx + 1
-                        )));
-                    }
-                    replay.version = Some(version);
-                }
                 CampaignEvent::CellStart { cell, label } => {
                     replay.cells.entry(cell).or_default().label = Some(label);
                 }
@@ -215,6 +116,7 @@ impl JournalReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcversi_core::sink::{CampaignSink, JsonlSink, EVENT_SCHEMA_VERSION};
     use mcversi_core::GeneratorKind;
     use mcversi_mcm::ModelKind;
     use mcversi_sim::CoreStrength;
@@ -319,7 +221,7 @@ mod tests {
             .unwrap()
         );
         let err = JournalReplay::replay(&corrupt).unwrap_err();
-        assert!(err.0.contains("corruption before the final line"), "{err}");
+        assert!(err.0.starts_with("journal line 2: "), "{err}");
     }
 
     #[test]
@@ -336,36 +238,38 @@ mod tests {
         assert!(replay.cells.is_empty());
     }
 
+    /// A kill between an event's text and its newline leaves a complete
+    /// but unterminated final line: the next append terminates it instead of
+    /// truncating it, so the event is still replayed.
     #[test]
-    fn checkpoint_sink_appends_without_a_second_header() {
+    fn append_terminates_an_unterminated_tail_that_decodes() {
         let dir =
             std::env::temp_dir().join(format!("mcversi-fabric-journal-{}", std::process::id()));
+        let path = dir.join("unterminated.jsonl");
+        let path = path.to_str().unwrap();
+        let mut text = journal_text(&[]);
+        text.push_str(
+            &serde_json::to_string(&CampaignEvent::SampleResult {
+                cell: 1,
+                result: result(5),
+            })
+            .unwrap(),
+        );
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("checkpoint.jsonl");
-        let path_str = path.to_str().unwrap();
-        let _ = std::fs::remove_file(&path);
+        std::fs::write(path, &text).unwrap();
 
-        {
-            let mut sink = CheckpointSink::append(path_str).unwrap();
-            sink.record(&CampaignEvent::CellStart {
-                cell: 1,
-                label: "a".into(),
-            });
-            assert_eq!(sink.lines(), 2, "header + event");
-        }
-        {
-            let mut sink = CheckpointSink::append(path_str).unwrap();
-            sink.record(&CampaignEvent::CellDone {
-                cell: 1,
-                samples: 0,
-            });
-            assert_eq!(sink.lines(), 1, "append run writes no second header");
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let headers = text.lines().filter(|l| l.contains("\"Schema\"")).count();
-        assert_eq!(headers, 1);
-        let replay = JournalReplay::replay(&text).unwrap();
+        let mut sink = JsonlSink::append(path).unwrap();
+        sink.on_event(&CampaignEvent::CellDone {
+            cell: 1,
+            samples: 1,
+        });
+        drop(sink);
+        let appended = std::fs::read_to_string(path).unwrap();
+        assert!(appended.starts_with(&format!("{text}\n")), "{appended}");
+        let replay = JournalReplay::replay(&appended).unwrap();
+        assert!(!replay.truncated_tail);
+        assert_eq!(replay.sample_seeds(1), vec![5]);
         assert!(replay.is_cell_done(1));
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path);
     }
 }

@@ -13,10 +13,11 @@
 //! * [`coordinator`] dispatches shards to a pool of worker child processes
 //!   with work stealing across campaigns, heartbeat-based liveness and
 //!   automatic re-dispatch of shards whose worker dies;
-//! * [`journal`] is the checkpoint layer: a [`CheckpointSink`] appends every
-//!   event to a JSONL journal, and [`JournalReplay`] reloads a partial
-//!   journal so a resumed campaign skips completed work and still produces a
-//!   final result bit-identical to an uninterrupted run.
+//! * [`journal`] is the checkpoint layer: the coordinator appends
+//!   checkpoint records to a JSONL journal through
+//!   [`mcversi_core::JsonlSink::append`], and [`JournalReplay`] reloads a
+//!   partial journal so a resumed campaign skips completed work and still
+//!   produces a final result bit-identical to an uninterrupted run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +29,6 @@ pub mod shard;
 pub mod worker;
 
 pub use coordinator::{locate_worker, run_grid, FabricOptions, FabricReport, FabricStatsCounts};
-pub use journal::{CheckpointSink, JournalReplay};
+pub use journal::JournalReplay;
 pub use shard::{merge_results, shard_cells, FabricError, GridShard, WorkerFault};
 pub use worker::{run_shard, CellScopeSink};

@@ -5,7 +5,7 @@
 //! alongside this test), so they cover the full wire path: shard JSON on
 //! stdin, JSONL events on stdout, journal on disk.
 
-use mcversi_core::sink::NullSink;
+use mcversi_core::sink::{read_stream, CampaignEvent, NullSink};
 use mcversi_core::{CampaignResult, ScenarioSpec};
 use mcversi_fabric::{
     merge_results, run_grid, shard_cells, FabricOptions, GridShard, JournalReplay, WorkerFault,
@@ -232,11 +232,49 @@ fn killed_campaigns_resume_to_the_uninterrupted_fingerprint() {
 
         let text = std::fs::read_to_string(&journal).unwrap();
         assert_no_duplicate_checkpoints(&text);
+        assert_eq!(
+            count_events(&text, |e| matches!(e, CampaignEvent::Schema { .. })),
+            1,
+            "kill point {kill_after}: one appended journal, one schema header"
+        );
         assert!(
-            text.lines().any(|line| line.contains("\"Resume\"")),
+            count_events(&text, |e| matches!(e, CampaignEvent::Resume { .. })) >= 1,
             "kill point {kill_after}: the resume must be journaled"
         );
     }
+}
+
+/// A journal cut inside a line resumes any number of times: the first resume
+/// truncates the torn fragment before it appends its `Resume` record, so the
+/// fragment cannot turn into a corrupt line in the middle of the journal.
+#[test]
+fn a_journal_torn_mid_line_resumes_any_number_of_times() {
+    let cells = tiny_grid();
+    let baseline = in_process_baseline(&cells);
+    let path = temp_journal("torn-mid-line");
+    let mut options = FabricOptions::new(worker_program());
+    options.workers = 2;
+    options.journal = Some(path.clone());
+    run_grid(&cells, &options, &mut NullSink).unwrap();
+
+    // Cut the finished journal inside its third `SampleResult` line.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (third, _) = text.match_indices("{\"SampleResult\"").nth(2).unwrap();
+    std::fs::write(&path, &text[..third + 20]).unwrap();
+
+    for resume in 1..=2 {
+        let report = run_grid(&cells, &options, &mut NullSink)
+            .unwrap_or_else(|e| panic!("resume {resume}: {e}"));
+        assert!(report.resumed, "resume {resume}");
+        assert_eq!(grid_fingerprint(&report.cells), baseline, "resume {resume}");
+    }
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(!read_stream(&text).unwrap().torn_tail);
+    assert_eq!(
+        count_events(&text, |e| matches!(e, CampaignEvent::Schema { .. })),
+        1
+    );
+    assert_no_duplicate_checkpoints(&text);
 }
 
 /// Resume is prefix-insensitive: *every* line-prefix of a golden journal —
@@ -326,25 +364,30 @@ fn journals_whose_results_carry_dedup_stats_still_resume() {
     assert_eq!(grid_fingerprint(&report.cells), baseline);
 }
 
+/// How many events of a journal `kind` accepts.
+fn count_events(journal_text: &str, kind: fn(&CampaignEvent) -> bool) -> usize {
+    let events = read_stream(journal_text).unwrap().events;
+    events.iter().filter(|(_, event)| kind(event)).count()
+}
+
 /// No `(cell, seed)` sample checkpoint and no `CellDone` cell may appear
 /// twice in a journal, whatever faults and resumes produced it.
 fn assert_no_duplicate_checkpoints(journal_text: &str) {
     let mut samples = BTreeSet::new();
     let mut done = BTreeSet::new();
-    for line in journal_text.lines().filter(|l| !l.trim().is_empty()) {
-        let event: mcversi_core::sink::CampaignEvent = serde_json::from_str(line).unwrap();
+    for (line, event) in read_stream(journal_text).unwrap().events {
         match event {
-            mcversi_core::sink::CampaignEvent::SampleResult { cell, result } => {
+            CampaignEvent::SampleResult { cell, result } => {
                 assert!(
                     samples.insert((cell, result.seed)),
-                    "duplicate sample checkpoint for cell {cell:#018x} seed {}",
+                    "line {line}: duplicate sample checkpoint for cell {cell:#018x} seed {}",
                     result.seed
                 );
             }
-            mcversi_core::sink::CampaignEvent::CellDone { cell, .. } => {
+            CampaignEvent::CellDone { cell, .. } => {
                 assert!(
                     done.insert(cell),
-                    "duplicate CellDone for cell {cell:#018x}"
+                    "line {line}: duplicate CellDone for cell {cell:#018x}"
                 );
             }
             _ => {}

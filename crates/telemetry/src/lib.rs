@@ -9,9 +9,9 @@
 //!    bit-identical to results with metrics on (a differential test in
 //!    `mcversi-core` pins this).
 //! 2. **The disabled path is one relaxed atomic load.** Every record call
-//!    checks [`enabled`] first and returns immediately when it is off; a
-//!    criterion bench (`benches/telemetry.rs` in `mcversi-bench`) pins the
-//!    overhead.
+//!    checks [`enabled`] first and returns immediately when it is off; the
+//!    benchmark's `telemetry.trace_overhead_share` measures what switching
+//!    it on costs a test-run.
 //! 3. **Storage is thread-local.** Each campaign sample runs entirely on one
 //!    worker thread, so a thread-local store gives exact per-sample
 //!    attribution for free — and concurrently running `cargo test` threads
