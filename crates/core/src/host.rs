@@ -119,13 +119,19 @@ impl SimHost {
     /// design under test — but is counted in `mcm.malformed_executions`, so
     /// that an observer bug does not read as a pass.
     pub fn check_execution(&self, exec: &CandidateExecution) -> Verdict {
-        Checker::new(self.model.instance())
-            .try_check(exec)
-            .unwrap_or_else(|_malformed| {
-                MALFORMED_EXECUTIONS.incr();
-                Verdict::Valid
-            })
+        check_execution(self.model, exec)
     }
+}
+
+/// [`SimHost::check_execution`] against `model`, for a thread that has no
+/// host.
+pub(crate) fn check_execution(model: ModelKind, exec: &CandidateExecution) -> Verdict {
+    Checker::new(model.instance())
+        .try_check(exec)
+        .unwrap_or_else(|_malformed| {
+            MALFORMED_EXECUTIONS.incr();
+            Verdict::Valid
+        })
 }
 
 impl HostInterface for SimHost {

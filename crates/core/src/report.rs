@@ -448,18 +448,25 @@ impl MetricsReport {
             let _ = writeln!(out, "Phase timers ({phase_total} ns total):");
         }
         let name_width = column_width(total.timers.keys().chain(total.counters.keys()));
+        let pipelined = total.timers.contains_key(VERDICT_WAIT);
         for (name, hist) in &total.timers {
             let share = if name.starts_with("phase.") && phase_total > 0 {
                 format!("{:>5.1}%", 100.0 * hist.sum as f64 / phase_total as f64)
             } else {
                 format!("{:>6}", "-")
             };
+            let off_thread = if pipelined && name == CHECK {
+                "  off-thread"
+            } else {
+                ""
+            };
             let _ = writeln!(
                 out,
-                "  {name:<name_width$}  {share}  {:>14} ns  {:>10} spans",
+                "  {name:<name_width$}  {share}  {:>14} ns  {:>10} spans{off_thread}",
                 hist.sum, hist.count
             );
         }
+        render_verifier(&total, &mut out);
 
         out.push('\n');
         out.push_str("Counters:\n");
@@ -470,6 +477,7 @@ impl MetricsReport {
         self.render_fabric(&mut out);
         render_sleep(&total, &mut out);
         render_checker(&total, &mut out);
+        render_simulator_verdicts(&total, &mut out);
 
         if !total.histograms.is_empty() {
             out.push('\n');
@@ -502,6 +510,52 @@ impl MetricsReport {
              {} re-dispatched after worker loss), {} cell(s) completed, \
              {} resume(s) skipping {} journaled sample(s)",
             f.dispatched, f.stolen, f.redispatched, f.cells_done, f.resumes, f.resume_skipped,
+        );
+    }
+}
+
+/// The check phase, and the caller's wait for the verifier that runs it.
+const CHECK: &str = "phase.check";
+const VERDICT_WAIT: &str = "phase.verdict_wait";
+
+/// Appends what the phase table cannot say by itself once the runner checks
+/// on its verifier thread: `phase.check` then runs while `phase.simulate`
+/// does — all but the last check of a test-run — so phase shares may add up
+/// to more than the wall time, and what the checks cost the sample thread is
+/// `phase.verdict_wait`.
+fn render_verifier(total: &MetricsSnapshot, out: &mut String) {
+    let timer = |name: &str| total.timers.get(name).map_or(0, |t| t.sum);
+    if let Some(wait) = total.timers.get(VERDICT_WAIT) {
+        let check = timer(CHECK);
+        let share = if check > 0 {
+            format!(
+                " ({:.1}% of {CHECK})",
+                100.0 * wait.sum as f64 / check as f64
+            )
+        } else {
+            String::new()
+        };
+        let _ = writeln!(
+            out,
+            "  {CHECK} ran off-thread, on the verifier, except for the last check of \
+             each test-run, so phase shares may sum past 100%; the sample thread \
+             waited {} ns for {} verdict(s){share}",
+            wait.sum, wait.count
+        );
+    }
+}
+
+/// Appends how many test-runs the simulator ended — a protocol fault
+/// (`sim.fault`) or a hang (`sim.hang`) rather than a checked verdict —
+/// when any did.
+fn render_simulator_verdicts(total: &MetricsSnapshot, out: &mut String) {
+    let get = |name: &str| total.counters.get(name).copied().unwrap_or(0);
+    let (faults, hangs) = (get("sim.fault"), get("sim.hang"));
+    if faults + hangs > 0 {
+        let _ = writeln!(
+            out,
+            "\nEnded by the simulator: {faults} test-run(s) with a protocol fault, \
+             {hangs} with a hang"
         );
     }
 }
@@ -889,6 +943,60 @@ mod tests {
         assert!(rendered.contains("Static orders: derived 4 time(s), reused by 0"));
         assert!(!rendered.contains("Malformed executions"));
         assert!(!render(&[]).contains("Static orders"));
+    }
+
+    #[test]
+    fn metrics_report_renders_the_verifier_and_simulator_verdict_lines() {
+        let mut metrics = snapshot(1);
+        let timer = |sum, count| mcversi_telemetry::HistogramSnapshot {
+            count,
+            sum,
+            ..Default::default()
+        };
+        metrics
+            .timers
+            .insert("phase.check".to_string(), timer(800, 4));
+        metrics.counters.insert("sim.fault".to_string(), 2);
+        metrics.counters.insert("sim.hang".to_string(), 1);
+        let render = |metrics: &MetricsSnapshot| {
+            let mut sample = result(true, Some(3));
+            sample.metrics = Some(metrics.clone());
+            let text = jsonl(&[CampaignEvent::SampleDone { result: sample }]);
+            MetricsReport::from_jsonl(&text)
+                .expect("stream parses")
+                .render()
+        };
+        // Checked inline only: no verifier line.
+        let rendered = render(&metrics);
+        assert!(!rendered.contains("off-thread"), "{rendered}");
+        assert!(
+            rendered.contains(
+                "Ended by the simulator: 2 test-run(s) with a protocol fault, 1 with a hang\n"
+            ),
+            "{rendered}"
+        );
+
+        metrics
+            .timers
+            .insert("phase.verdict_wait".to_string(), timer(200, 3));
+        let rendered = render(&metrics);
+        let check_row = rendered
+            .lines()
+            .find(|line| line.trim_start().starts_with("phase.check"))
+            .expect("a phase.check row");
+        assert!(check_row.ends_with("4 spans  off-thread"), "{check_row}");
+        assert!(
+            rendered.contains(
+                "so phase shares may sum past 100%; the sample thread waited 200 ns \
+                 for 3 verdict(s) (25.0% of phase.check)\n"
+            ),
+            "{rendered}"
+        );
+        // Phase timers are still shares of all phase time.
+        assert!(rendered.contains("phase.simulate"), "{rendered}");
+
+        metrics.counters.clear();
+        assert!(!render(&metrics).contains("Ended by the simulator"));
     }
 
     #[test]

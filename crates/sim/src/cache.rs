@@ -140,9 +140,11 @@ impl<L> CacheArray<L> {
     }
 
     /// Removes every resident line, returning them (used by the host-assisted
-    /// reset between tests).
+    /// reset between tests).  The LRU clock starts over: only the order of
+    /// the uses of resident lines matters, and there are none.
     pub fn drain_all(&mut self) -> Vec<(LineAddr, L)> {
         self.resident = 0;
+        self.use_counter = 0;
         let mut out = Vec::new();
         for set in &mut self.sets {
             for e in set.drain(..) {

@@ -289,6 +289,7 @@ impl CoreModel {
         self.squashes = 0;
         self.store_epoch = 0;
         self.stalls = [0; Stall::ALL.len()];
+        self.blocked_addrs.clear();
     }
 
     /// The core's index.

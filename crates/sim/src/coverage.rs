@@ -186,6 +186,14 @@ pub struct CoverageRecorder {
     current_run: BTreeSet<Transition>,
 }
 
+/// A [`CoverageRecorder`]'s counts and per-run bits at one moment
+/// ([`CoverageRecorder::mark`]).  Slots are only ever appended, so the
+/// slots past the marked ones are the transitions first recorded since.
+#[derive(Debug)]
+pub(crate) struct CoverageMark {
+    slots: Vec<Covered>,
+}
+
 /// The two views, not how they are stored (slot order and name addresses
 /// differ between runs of the program).
 impl fmt::Debug for CoverageRecorder {
@@ -308,6 +316,31 @@ impl CoverageRecorder {
             covered.in_run = false;
         }
         std::mem::take(&mut self.current_run)
+    }
+
+    /// The counts and per-run bits as they are now, for
+    /// [`rewind`](Self::rewind).
+    pub(crate) fn mark(&self) -> CoverageMark {
+        CoverageMark {
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Puts the recorder back to `mark`: counts and per-run bits as they
+    /// were, and transitions first recorded since then recorded no more.
+    pub(crate) fn rewind(&mut self, mark: CoverageMark) {
+        let kept = mark.slots.len();
+        for covered in &self.slots[kept..] {
+            self.index.remove(&covered.transition);
+        }
+        self.memo.retain(|_, slot| (slot.0 as usize) < kept);
+        self.slots = mark.slots;
+        self.current_run = self
+            .slots
+            .iter()
+            .filter(|covered| covered.in_run)
+            .map(|covered| covered.transition)
+            .collect();
     }
 
     /// Fraction of `universe` transitions that have been covered cumulatively.
@@ -471,6 +504,38 @@ mod tests {
         for &t in &transitions {
             assert_eq!(c.record_slot(t), c.index[&t]);
         }
+    }
+
+    #[test]
+    fn a_rewind_forgets_counts_bits_and_slots_since_the_mark() {
+        let mut c = CoverageRecorder::new();
+        let (old, new) = (Transition::l1("S", "Inv"), Transition::l2("MT", "PutX"));
+        c.record(old);
+        c.finish_run();
+        c.record(Transition::l1("I", "Load"));
+        let twin = c.clone();
+        let mark = c.mark();
+
+        c.record(old);
+        c.record_repeats(old, 5);
+        c.record(new);
+        let elsewhere = Transition::l1(leaked("I"), leaked("Load"));
+        c.record(elsewhere);
+        assert_eq!(c.distinct_covered(), 3);
+        c.rewind(mark);
+
+        assert_eq!(format!("{c:?}"), format!("{twin:?}"));
+        assert_eq!(c.distinct_covered(), twin.distinct_covered());
+        assert_eq!(c.count(new), 0);
+        // Recording goes on as on the twin: the forgotten transition takes
+        // a new slot, the names at a new address the slot of their content.
+        let mut twin = twin;
+        for recorder in [&mut c, &mut twin] {
+            recorder.record(new);
+            recorder.record(elsewhere);
+        }
+        assert_eq!(format!("{c:?}"), format!("{twin:?}"));
+        assert_eq!(c.record_slot(new), c.index[&new]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use config::{CoreStrength, ProtocolKind, SystemConfig};
 pub use core::ObservedOp;
 pub use coverage::{CoverageRecorder, Transition};
 pub use program::{TestOp, TestOpKind, TestProgram, ThreadProgram};
-pub use system::{IterationOutcome, ProtocolError, System};
+pub use system::{IterationOutcome, Mark, ProtocolError, System};
 pub use types::{Cycle, LineAddr, NodeId};
 
 #[cfg(test)]

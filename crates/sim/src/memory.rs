@@ -90,6 +90,19 @@ impl MemoryController {
         self.writes_served
     }
 
+    /// Both served-request counters, the only state [`reset`](Self::reset)
+    /// keeps.
+    pub(crate) fn served(&self) -> (u64, u64) {
+        (self.reads_served, self.writes_served)
+    }
+
+    /// Puts the served-request counters back to what [`served`](Self::served)
+    /// returned.
+    pub(crate) fn rewind_served(&mut self, (reads, writes): (u64, u64)) {
+        self.reads_served = reads;
+        self.writes_served = writes;
+    }
+
     /// Returns `true` if no requests are queued or pending.
     pub fn is_idle(&self) -> bool {
         self.inbox.is_empty() && self.pending.is_empty()

@@ -75,6 +75,12 @@ impl Network {
         self.total_sent
     }
 
+    /// Puts the sent-message counter, the only state [`clear`](Self::clear)
+    /// keeps, back to an earlier [`total_sent`](Self::total_sent).
+    pub(crate) fn rewind_total_sent(&mut self, total_sent: u64) {
+        self.total_sent = total_sent;
+    }
+
     /// Returns `true` if no messages are in flight.
     pub fn is_empty(&self) -> bool {
         self.in_flight == 0

@@ -25,6 +25,7 @@ use crate::types::{Cycle, LineAddr};
 use mcversi_mcm::Address;
 use mcversi_telemetry as telemetry;
 use rand::rngs::StdRng;
+use std::any::Any;
 use std::fmt;
 
 /// A memory request issued by a core to its L1.
@@ -135,6 +136,12 @@ impl TickLog {
             counter.add(ticks);
         }
     }
+
+    /// Forgets what the last tick logged.
+    pub(crate) fn clear(&mut self) {
+        self.records.clear();
+        self.counters.clear();
+    }
 }
 
 /// The coverage side of a [`TickCtx`]: records into the system's recorder and
@@ -148,8 +155,7 @@ pub struct TickCoverage<'a> {
 impl<'a> TickCoverage<'a> {
     /// Starts a tick: `log` is emptied and then holds this tick's records.
     pub fn new(recorder: &'a mut CoverageRecorder, log: &'a mut TickLog) -> Self {
-        log.records.clear();
-        log.counters.clear();
+        log.clear();
         TickCoverage { recorder, log }
     }
 
@@ -307,6 +313,18 @@ pub trait L1Controller: fmt::Debug {
     /// Drops all cached lines and transaction state without writebacks
     /// (host-assisted reset between tests).
     fn hard_reset(&mut self);
+
+    /// A copy of the state [`hard_reset`](Self::hard_reset) keeps, for
+    /// `System::mark`; `None` (the default) for a controller that keeps
+    /// nothing.
+    fn save(&self) -> Option<Box<dyn Any>> {
+        None
+    }
+
+    /// Puts back the state [`save`](Self::save) copied.
+    fn restore(&mut self, _saved: Box<dyn Any>) {
+        unreachable!("a controller that saves nothing has nothing to restore")
+    }
 }
 
 /// A shared L2 bank / directory controller.

@@ -24,6 +24,7 @@ use crate::protocol::{
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
 use mcversi_telemetry as telemetry;
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Core requests served from a resident line with sufficient permission.
@@ -879,7 +880,33 @@ impl L1Controller for TsoCcL1 {
         // The per-core timestamp state is architectural and survives resets of
         // the test memory (matching how a real core's counters would behave).
     }
+
+    fn save(&self) -> Option<Box<dyn Any>> {
+        let kept: Timestamps = (
+            self.local_ts,
+            self.writes_in_group,
+            self.epoch,
+            self.last_seen.clone(),
+        );
+        Some(Box::new(kept))
+    }
+
+    fn restore(&mut self, saved: Box<dyn Any>) {
+        let saved = saved
+            .downcast::<Timestamps>()
+            .expect("restores what this L1 saved");
+        (
+            self.local_ts,
+            self.writes_in_group,
+            self.epoch,
+            self.last_seen,
+        ) = *saved;
+    }
 }
+
+/// What [`TsoCcL1::hard_reset`] keeps: `local_ts`, `writes_in_group`, `epoch`
+/// and `last_seen`.
+type Timestamps = (u64, u64, u64, BTreeMap<u32, (u64, u64)>);
 
 #[cfg(test)]
 mod tests {

@@ -27,7 +27,7 @@
 use crate::bugs::BugConfig;
 use crate::config::{ProtocolKind, SystemConfig};
 use crate::core::{cores_for_program, jitter_lets_issue, CoreModel};
-use crate::coverage::{CoverageRecorder, Transition};
+use crate::coverage::{CoverageMark, CoverageRecorder, Transition};
 use crate::memory::MemoryController;
 use crate::msg::Msg;
 use crate::network::Network;
@@ -38,10 +38,11 @@ use crate::protocol::{
 };
 use crate::types::{Cycle, LineAddr};
 use mcversi_mcm::execution::CandidateExecution;
-use mcversi_telemetry as telemetry;
+use mcversi_telemetry::{self as telemetry, LocalMetrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -153,6 +154,20 @@ impl IterationOutcome {
     }
 }
 
+/// Everything a [`System`] keeps across [`System::reset_test_state`], as it
+/// was when [`System::mark`] copied it; [`System::rewind`] puts it back.
+#[derive(Debug)]
+pub struct Mark {
+    rng: StdRng,
+    cycle: Cycle,
+    total_instructions: u64,
+    coverage: CoverageMark,
+    l1s: Vec<Option<Box<dyn Any>>>,
+    memory_served: (u64, u64),
+    network_sent: u64,
+    metrics: Option<LocalMetrics>,
+}
+
 /// The full simulated system.
 #[derive(Debug)]
 pub struct System {
@@ -170,6 +185,11 @@ pub struct System {
     /// What was built for the last program run, reused when the same program
     /// runs again (the common case: every iteration of a test-run).
     program_cache: Option<ProgramState>,
+    /// Whether nothing has run since the last
+    /// [`reset_test_state`](Self::reset_test_state), so that another one
+    /// has nothing to do (the host resets before every iteration, and so
+    /// does [`run_iteration`](Self::run_iteration)).
+    test_state_reset: bool,
     /// Per-cycle buffers, owned here so executed cycles reuse them.
     msgs: Vec<Msg>,
     l1_outs: Vec<L1Output>,
@@ -294,10 +314,13 @@ impl Naps {
     }
 
     /// Wakes every component; `now` is the last cycle before the iteration.
+    /// The logs are cleared too: the first tick of every controller comes
+    /// before anything could replay them.
     fn wake_all(&mut self, now: Cycle) {
         for nap in self.controllers() {
             nap.wake_at = AWAKE;
             nap.last_tick = now;
+            nap.log.clear();
         }
         for nap in &mut self.cores {
             *nap = CoreNap::default();
@@ -404,6 +427,7 @@ impl System {
             total_instructions: 0,
             coverage_universe,
             program_cache: None,
+            test_state_reset: false,
             msgs: Vec::new(),
             l1_outs: (0..cfg.num_cores).map(|_| L1Output::default()).collect(),
             naps: Naps::new(&cfg),
@@ -450,9 +474,14 @@ impl System {
 
     /// Host-assisted reset between test executions: drop all cached lines and
     /// in-flight messages and zero the memory.  Coverage, the RNG and other
-    /// simulation-persistent state are retained.  Every component is awake
-    /// afterwards.
+    /// simulation-persistent state are retained ([`System::mark`] lists it).
+    /// Every component is awake afterwards, and the cores and observer of the
+    /// last program are back at its start.
     pub fn reset_test_state(&mut self) {
+        if self.test_state_reset {
+            return;
+        }
+        self.test_state_reset = true;
         for l1 in &mut self.l1s {
             l1.hard_reset();
         }
@@ -462,10 +491,59 @@ impl System {
         self.network.clear();
         self.memory.reset();
         self.naps.wake_all(self.cycle);
+        if let Some(state) = &mut self.program_cache {
+            state.observer.reset();
+            state.cores.iter_mut().for_each(CoreModel::reset);
+        }
     }
 
-    /// The state derived from `program`: the cached one, reset, if `program`
-    /// is the program of the last iteration, otherwise built afresh.
+    /// Copies everything [`reset_test_state`](Self::reset_test_state) keeps:
+    /// the RNG, the global cycle and instruction count, the coverage counts
+    /// and per-run bits, the L1s' architectural state (TSO-CC's timestamps,
+    /// epoch and last-seen table), the memory's and the network's request
+    /// counters and, while telemetry is on, this thread's metrics.  What the
+    /// system does after the mark can then be undone by
+    /// [`rewind`](Self::rewind).
+    pub fn mark(&self) -> Mark {
+        Mark {
+            rng: self.rng.clone(),
+            cycle: self.cycle,
+            total_instructions: self.total_instructions,
+            coverage: self.coverage.mark(),
+            l1s: self.l1s.iter().map(|l1| l1.save()).collect(),
+            memory_served: self.memory.served(),
+            network_sent: self.network.total_sent(),
+            metrics: telemetry::enabled().then(telemetry::local_metrics),
+        }
+    }
+
+    /// Undoes everything since `mark` was taken: what the mark copied is put
+    /// back, then the test state is reset.  The system is then exactly as it
+    /// would be had it been reset at the mark instead, so the next iteration
+    /// runs, and draws, as it would have run there.
+    pub fn rewind(&mut self, mark: Mark) {
+        self.rng = mark.rng;
+        self.cycle = mark.cycle;
+        self.total_instructions = mark.total_instructions;
+        self.coverage.rewind(mark.coverage);
+        for (l1, saved) in self.l1s.iter_mut().zip(mark.l1s) {
+            if let Some(saved) = saved {
+                l1.restore(saved);
+            }
+        }
+        self.memory.rewind_served(mark.memory_served);
+        self.network.rewind_total_sent(mark.network_sent);
+        if let Some(metrics) = mark.metrics {
+            telemetry::reset_local();
+            telemetry::absorb(&metrics);
+        }
+        // The restored cycle must reach the sleep bookkeeping, whatever ran.
+        self.test_state_reset = false;
+        self.reset_test_state();
+    }
+
+    /// The state derived from `program`: the cached one if `program` is the
+    /// program of the last iteration, otherwise built afresh.
     ///
     /// # Panics
     ///
@@ -474,11 +552,7 @@ impl System {
     /// non-zero.
     fn program_state_for(&mut self, program: &TestProgram) -> ProgramState {
         match self.program_cache.take() {
-            Some(mut state) if &state.program == program => {
-                state.observer.reset();
-                state.cores.iter_mut().for_each(CoreModel::reset);
-                state
-            }
+            Some(state) if &state.program == program => state,
             _ => {
                 assert!(
                     program.num_threads() <= self.cfg.num_cores,
@@ -673,8 +747,9 @@ impl System {
     /// Panics if the program has more threads than the system has cores, or if
     /// its written values are not unique and non-zero.
     pub fn run_iteration(&mut self, program: &TestProgram) -> IterationOutcome {
-        let mut state = self.program_state_for(program);
         self.reset_test_state();
+        let mut state = self.program_state_for(program);
+        self.test_state_reset = false;
 
         let mut errors: Vec<ProtocolError> = Vec::new();
         let start_cycle = self.cycle;
@@ -1646,6 +1721,84 @@ mod tests {
         assert_eq!(outcome.protocol_errors.len(), 1, "{outcome:?}");
         assert_eq!(outcome.protocol_errors[0].controller, "L2[1]");
         assert!(stalled(&reference) > 50, "{} records", stalled(&reference));
+    }
+
+    // ---- Mark and rewind ----
+
+    /// A system that ran iteration k, marked, ran k+1 and rewound against a
+    /// twin that ran k only and was then reset, as the next iteration would
+    /// reset it: the same `{:?}` (so any state `reset_test_state` keeps and
+    /// the mark forgets shows up here), the same deterministic telemetry, and
+    /// the same next iteration and RNG draw.  Returns whether k+1 recorded a
+    /// transition for the first time.
+    fn assert_rewind_is_exact(cfg: &SystemConfig, seed: u64, program: &TestProgram) -> bool {
+        let what = format!("{:?}/{:?} seed {seed}", cfg.protocol, cfg.core_strength);
+        let mut twin = System::new(cfg.clone(), BugConfig::none(), seed);
+        telemetry::reset_local();
+        twin.run_iteration(program);
+        twin.reset_test_state();
+        let want_metrics = telemetry::local_snapshot();
+
+        let mut sys = System::new(cfg.clone(), BugConfig::none(), seed);
+        telemetry::reset_local();
+        sys.run_iteration(program);
+        let mark = sys.mark();
+        let distinct = sys.coverage().distinct_covered();
+        let dropped = sys.run_iteration(program);
+        assert!(dropped.cycles > 0, "{what}");
+        let interned = sys.coverage().distinct_covered() > distinct;
+        sys.rewind(mark);
+        let got_metrics = telemetry::local_snapshot();
+
+        assert_eq!(format!("{sys:?}"), format!("{twin:?}"), "{what}: system");
+        assert_eq!(
+            got_metrics.deterministic_part(),
+            want_metrics.deterministic_part(),
+            "{what}: telemetry"
+        );
+        let (got, want) = (sys.run_iteration(program), twin.run_iteration(program));
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{what}: next iteration"
+        );
+        assert_eq!(
+            format!("{sys:?}"),
+            format!("{twin:?}"),
+            "{what}: system after it"
+        );
+        assert_eq!(
+            sys.rng.gen::<u64>(),
+            twin.rng.gen::<u64>(),
+            "{what}: next draw"
+        );
+        interned
+    }
+
+    #[test]
+    fn a_rewind_leaves_the_system_as_a_twin_that_never_ran_the_dropped_iteration() {
+        telemetry::enable();
+        for protocol in [ProtocolKind::Mesi, ProtocolKind::TsoCc] {
+            for strength in [CoreStrength::Strong, CoreStrength::Relaxed] {
+                let mut cfg = SystemConfig::small(protocol);
+                cfg.core_strength = strength;
+                // At least four seeds, and on until one dropped iteration has
+                // recorded a transition for the first time.
+                let mut interned = false;
+                for seed in 0.. {
+                    if seed >= 4 && interned {
+                        break;
+                    }
+                    assert!(
+                        seed < 64,
+                        "{protocol:?}/{strength:?}: no dropped iteration interned a transition"
+                    );
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let program = random_program(&mut rng, &mut 0, cfg.num_cores);
+                    interned |= assert_rewind_is_exact(&cfg, seed, &program);
+                }
+            }
+        }
     }
 
     #[test]

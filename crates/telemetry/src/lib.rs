@@ -9,9 +9,12 @@
 //!    bit-identical to results with metrics on (a differential test in
 //!    `mcversi-core` pins this).
 //! 2. **The disabled path is one relaxed atomic load.** Every record call
-//!    checks [`enabled`] first and returns immediately when it is off; the
-//!    benchmark's `telemetry.trace_overhead_share` measures what switching
-//!    it on costs a test-run.
+//!    checks [`enabled`] first and returns immediately when it is off.  The
+//!    benchmark's `telemetry.trace_overhead_share` compares its own traced
+//!    loop, which checks each iteration inline, with the untraced
+//!    `TestRunner`, which checks on a second thread; it therefore reads the
+//!    cost of switching metrics on plus the hidden checks, not that cost
+//!    alone.
 //! 3. **Storage is thread-local.** Each campaign sample runs entirely on one
 //!    worker thread, so a thread-local store gives exact per-sample
 //!    attribution for free — and concurrently running `cargo test` threads
@@ -150,7 +153,7 @@ fn registered_names(kind: Kind) -> Vec<&'static str> {
 /// Raw histogram state: log2 buckets. `buckets[0]` counts zero values,
 /// `buckets[k]` (k >= 1) counts values with bit length k, i.e. the range
 /// `[2^(k-1), 2^k)`.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct HistData {
     count: u64,
     sum: u64,
@@ -173,6 +176,15 @@ impl HistData {
         self.sum = self.sum.saturating_add(value);
         self.buckets[bucket_of(value)] += 1;
     }
+
+    /// Adds another histogram's state to this one.
+    fn absorb(&mut self, other: &HistData) {
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        for (bucket, &count) in self.buckets.iter_mut().zip(&other.buckets) {
+            *bucket += count;
+        }
+    }
 }
 
 /// The log2 bucket index of a value: 0 for 0, otherwise the bit length.
@@ -184,15 +196,18 @@ fn bucket_of(value: u64) -> usize {
     }
 }
 
-#[derive(Default)]
-struct LocalStore {
+/// The metric state of one thread, slot by slot: what [`take_local`] and
+/// [`local_metrics`] hand out and [`absorb`] folds in.  Slots are
+/// process-wide, so this can move between threads without naming a metric.
+#[derive(Debug, Clone, Default)]
+pub struct LocalMetrics {
     counters: Vec<u64>,
     histograms: Vec<HistData>,
     timers: Vec<HistData>,
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalStore> = RefCell::new(LocalStore::default());
+    static LOCAL: RefCell<LocalMetrics> = RefCell::new(LocalMetrics::default());
 }
 
 /// Clears all metric state recorded on the current thread.
@@ -240,6 +255,53 @@ pub fn local_snapshot() -> MetricsSnapshot {
         }
     });
     snapshot
+}
+
+/// A copy of the current thread's metric state, for [`absorb`] to put back.
+pub fn local_metrics() -> LocalMetrics {
+    LOCAL.with(|local| local.borrow().clone())
+}
+
+/// Takes the current thread's metric state out, leaving it as
+/// [`reset_local`] would, for [`absorb`] on another thread.
+pub fn take_local() -> LocalMetrics {
+    LOCAL.with(|local| std::mem::take(&mut *local.borrow_mut()))
+}
+
+/// Folds `metrics` into the current thread's metric state, so that the next
+/// [`local_snapshot`] is the merge of what it would have been and the
+/// snapshot of `metrics`.
+///
+/// This is how work done on another thread is attributed to this one (a
+/// helper thread ships its share back with [`take_local`]), and how a
+/// measurement region is put back to an earlier point: [`reset_local`], then
+/// `absorb` the [`local_metrics`] copied there.  No lock is taken and no
+/// name looked up.  A no-op while telemetry is disabled.
+pub fn absorb(metrics: &LocalMetrics) {
+    if !enabled() {
+        return;
+    }
+    LOCAL.with(|local| {
+        let mut store = local.borrow_mut();
+        if store.counters.len() < metrics.counters.len() {
+            store.counters.resize(metrics.counters.len(), 0);
+        }
+        for (mine, &theirs) in store.counters.iter_mut().zip(&metrics.counters) {
+            *mine += theirs;
+        }
+        absorb_hists(&mut store.histograms, &metrics.histograms);
+        absorb_hists(&mut store.timers, &metrics.timers);
+    });
+}
+
+/// Adds each histogram of `other` to the one in the same slot of `store`.
+fn absorb_hists(store: &mut Vec<HistData>, other: &[HistData]) {
+    if store.len() < other.len() {
+        store.resize_with(other.len(), HistData::default);
+    }
+    for (mine, theirs) in store.iter_mut().zip(other) {
+        mine.absorb(theirs);
+    }
 }
 
 fn merge_hist(map: &mut BTreeMap<String, HistogramSnapshot>, name: &str, data: &HistData) {
@@ -582,6 +644,48 @@ mod tests {
         // This thread's view is unaffected by the other thread's writes.
         reset_local();
         assert!(!local_snapshot().counters.contains_key("test.counter"));
+    }
+
+    #[test]
+    fn absorb_folds_another_threads_metrics_and_rewinds_this_one() {
+        enable();
+        reset_local();
+        TEST_COUNTER.add(2);
+        TEST_HIST.record(5);
+        let saved = local_metrics();
+        let saved_snapshot = local_snapshot();
+
+        // Work measured on another thread lands here as if done here.
+        let (shipped, shipped_snapshot) = std::thread::spawn(|| {
+            reset_local();
+            TEST_COUNTER.add(40);
+            TEST_HIST.record(0);
+            TEST_HIST.record(u64::MAX);
+            {
+                let _span = TEST_TIMER.span();
+            }
+            let snapshot = local_snapshot();
+            let shipped = take_local();
+            assert!(local_snapshot().is_empty(), "taking leaves nothing behind");
+            (shipped, snapshot)
+        })
+        .join()
+        .unwrap();
+        absorb(&shipped);
+        let mut merged = saved_snapshot.clone();
+        merged.merge(&shipped_snapshot);
+        assert_eq!(local_snapshot(), merged);
+        assert_eq!(local_snapshot().counters["test.counter"], 42);
+
+        // Recording goes on on top of what was absorbed.
+        TEST_COUNTER.incr();
+        assert_eq!(local_snapshot().counters["test.counter"], 43);
+
+        // Back to the saved point: exactly what was saved, timers included.
+        reset_local();
+        absorb(&saved);
+        assert_eq!(local_snapshot(), saved_snapshot);
+        reset_local();
     }
 
     #[test]
