@@ -5,13 +5,22 @@
 //! new-program set-up paths run — into one FNV-1a value: per iteration the
 //! cycle count, retired operations, hang/complete flags, protocol errors and
 //! the whole candidate execution, then the final global cycle and every
-//! cumulative coverage count.  The digests were recorded on the commit
-//! *before* the simulation loop learned to fast-forward inert cycles; any
-//! change to them means simulated behaviour changed, which no performance
-//! work on the loop may do.
+//! cumulative coverage count.  The bug-free digests on the small
+//! configuration ([`GOLDEN`]) were recorded on the commit *before* the
+//! simulation loop learned to fast-forward inert cycles; any change to them
+//! means simulated behaviour changed, which no performance work on the loop
+//! may do.
+//!
+//! [`PROTOCOL_BUGS`] pins every protocol bug of `Bug::ALL` on the protocol it
+//! lives in, on both core strengths, and [`PAPER_SHAPE`] both bug-free
+//! protocols on the 8-core `SystemConfig::paper_default()`, whose programs
+//! give every L2 bank two home lines.  Both tables were recorded on the
+//! commit before the MESI and TSO-CC controllers moved onto one shared L1
+//! and one shared L2 skeleton, so they pin that refactor (and any later one)
+//! on the injected-bug paths and on bank and home mapping at scale.
 
 use mcversi::mcm::{Address, FenceKind};
-use mcversi::sim::{BugConfig, CoreStrength, ProtocolKind, System, SystemConfig};
+use mcversi::sim::{Bug, BugConfig, CoreStrength, ProtocolKind, System, SystemConfig};
 use mcversi::sim::{TestOp, TestProgram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,9 +35,11 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// A random 4-thread program over a footprint that conflicts in the small
-/// configuration's L1 sets and L2 banks, using every operation kind.
-fn random_program(rng: &mut StdRng, next_value: &mut u64) -> TestProgram {
+/// A random program with one thread per core over a footprint that conflicts
+/// in the L1 sets (six lines 64 KiB apart share a set in both
+/// configurations) and makes every one of `banks` L2 banks the home of two
+/// lines, using every operation kind.
+fn random_program(rng: &mut StdRng, next_value: &mut u64, cores: usize, banks: u64) -> TestProgram {
     const FENCES: [FenceKind; 6] = [
         FenceKind::Full,
         FenceKind::Acquire,
@@ -37,13 +48,13 @@ fn random_program(rng: &mut StdRng, next_value: &mut u64) -> TestProgram {
         FenceKind::StoreStore,
         FenceKind::LightweightSync,
     ];
-    let threads = (0..4)
+    let threads = (0..cores)
         .map(|_| {
             let len = rng.gen_range(24..48usize);
             (0..len)
                 .map(|_| {
                     let set_alias = rng.gen_range(0..6u64);
-                    let line = rng.gen_range(0..4u64);
+                    let line = rng.gen_range(0..2 * banks);
                     let word = rng.gen_range(0..2u64);
                     let addr = Address(0x1_0000 * set_alias + 0x40 * line + 8 * word);
                     let mut value = || {
@@ -68,15 +79,15 @@ fn random_program(rng: &mut StdRng, next_value: &mut u64) -> TestProgram {
     TestProgram::new(threads)
 }
 
-fn digest(protocol: ProtocolKind, strength: CoreStrength, seed: u64) -> u64 {
-    let mut cfg = SystemConfig::small(protocol);
+fn digest(mut cfg: SystemConfig, strength: CoreStrength, bugs: BugConfig, seed: u64) -> u64 {
     cfg.core_strength = strength;
-    let mut sys = System::new(cfg, BugConfig::none(), seed);
+    let (cores, banks) = (cfg.num_cores, cfg.l2_banks as u64);
+    let mut sys = System::new(cfg, bugs, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let mut next_value = 0u64;
     let mut hash = FNV_OFFSET;
     for _ in 0..2 {
-        let program = random_program(&mut rng, &mut next_value);
+        let program = random_program(&mut rng, &mut next_value, cores, banks);
         for _ in 0..10 {
             let outcome = sys.run_iteration(&program);
             let line = format!(
@@ -173,20 +184,208 @@ const GOLDEN: [(ProtocolKind, CoreStrength, u64, u64); 12] = [
     ),
 ];
 
-#[test]
-fn twenty_iteration_digests_match_the_recorded_ones() {
-    let mut mismatches = Vec::new();
-    for (protocol, strength, seed, expected) in GOLDEN {
-        let got = digest(protocol, strength, seed);
-        if got != expected {
-            mismatches.push(format!(
-                "({protocol:?}, {strength:?}, seed {seed}): got {got:#018x}, recorded {expected:#018x}"
-            ));
-        }
-    }
+/// One digest per (protocol bug of `Bug::ALL`, core strength), on the small
+/// configuration of the protocol the bug lives in.  Each seed is the
+/// smallest one at which the bug changes the digest.  The relaxed core does
+/// not squash on an invalidation, so it masks the five MESI load-queue bugs:
+/// their relaxed digests are the bug-free one of seed 1, which pins that
+/// too.
+const PROTOCOL_BUGS: [(Bug, CoreStrength, u64, u64); 18] = [
+    (
+        Bug::MesiLqIsInv,
+        CoreStrength::Strong,
+        1,
+        0x3bce_7647_8219_2dca,
+    ),
+    (
+        Bug::MesiLqSmInv,
+        CoreStrength::Strong,
+        49,
+        0xf369_2f28_a650_7a9e,
+    ),
+    (
+        Bug::MesiLqEInv,
+        CoreStrength::Strong,
+        1,
+        0xafa4_98af_bdac_ee19,
+    ),
+    (
+        Bug::MesiLqMInv,
+        CoreStrength::Strong,
+        1,
+        0xab22_c089_4930_da7a,
+    ),
+    (
+        Bug::MesiLqSReplacement,
+        CoreStrength::Strong,
+        4,
+        0x8237_b249_81e9_b2c6,
+    ),
+    (
+        Bug::MesiPutxRace,
+        CoreStrength::Strong,
+        1,
+        0xc605_61cc_e573_4bee,
+    ),
+    (
+        Bug::MesiReplaceRace,
+        CoreStrength::Strong,
+        1,
+        0xe42e_bf23_ed81_80c5,
+    ),
+    (
+        Bug::TsoCcNoEpochIds,
+        CoreStrength::Strong,
+        1,
+        0x0965_f3e6_5037_6919,
+    ),
+    (
+        Bug::TsoCcCompare,
+        CoreStrength::Strong,
+        1,
+        0xc924_2169_99fc_24cf,
+    ),
+    (
+        Bug::MesiLqIsInv,
+        CoreStrength::Relaxed,
+        1,
+        0x4bab_efe5_df55_0d57,
+    ),
+    (
+        Bug::MesiLqSmInv,
+        CoreStrength::Relaxed,
+        1,
+        0x4bab_efe5_df55_0d57,
+    ),
+    (
+        Bug::MesiLqEInv,
+        CoreStrength::Relaxed,
+        1,
+        0x4bab_efe5_df55_0d57,
+    ),
+    (
+        Bug::MesiLqMInv,
+        CoreStrength::Relaxed,
+        1,
+        0x4bab_efe5_df55_0d57,
+    ),
+    (
+        Bug::MesiLqSReplacement,
+        CoreStrength::Relaxed,
+        1,
+        0x4bab_efe5_df55_0d57,
+    ),
+    (
+        Bug::MesiPutxRace,
+        CoreStrength::Relaxed,
+        1,
+        0xdf9e_f658_9b55_871e,
+    ),
+    (
+        Bug::MesiReplaceRace,
+        CoreStrength::Relaxed,
+        1,
+        0xafe1_3c73_8f7b_ceea,
+    ),
+    (
+        Bug::TsoCcNoEpochIds,
+        CoreStrength::Relaxed,
+        1,
+        0xe17a_a221_6f50_5618,
+    ),
+    (
+        Bug::TsoCcCompare,
+        CoreStrength::Relaxed,
+        4,
+        0xafe4_573d_b91c_0f22,
+    ),
+];
+
+/// Bug-free digests on `SystemConfig::paper_default()` (8 cores, 8 banks),
+/// seed 1.
+const PAPER_SHAPE: [(ProtocolKind, CoreStrength, u64); 4] = [
+    (
+        ProtocolKind::Mesi,
+        CoreStrength::Strong,
+        0xc070_c740_5ba3_79d8,
+    ),
+    (
+        ProtocolKind::Mesi,
+        CoreStrength::Relaxed,
+        0xd0bc_01fe_8841_4fc2,
+    ),
+    (
+        ProtocolKind::TsoCc,
+        CoreStrength::Strong,
+        0x7e67_168c_66ab_f09b,
+    ),
+    (
+        ProtocolKind::TsoCc,
+        CoreStrength::Relaxed,
+        0xf164_0baf_34ec_a34c,
+    ),
+];
+
+/// Panics listing every case whose digest differs from the recorded one.
+fn assert_digests(cases: impl IntoIterator<Item = (String, u64, u64)>) {
+    let mismatches: Vec<String> = cases
+        .into_iter()
+        .filter(|(_, got, expected)| got != expected)
+        .map(|(case, got, expected)| format!("{case}: got {got:#018x}, recorded {expected:#018x}"))
+        .collect();
     assert!(
         mismatches.is_empty(),
         "simulated behaviour changed:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn twenty_iteration_digests_match_the_recorded_ones() {
+    assert_digests(GOLDEN.map(|(protocol, strength, seed, expected)| {
+        let got = digest(
+            SystemConfig::small(protocol),
+            strength,
+            BugConfig::none(),
+            seed,
+        );
+        (
+            format!("({protocol:?}, {strength:?}, seed {seed})"),
+            got,
+            expected,
+        )
+    }));
+}
+
+#[test]
+fn every_protocol_bug_matches_its_recorded_digest() {
+    assert_eq!(
+        PROTOCOL_BUGS.len(),
+        2 * Bug::ALL
+            .iter()
+            .filter(|bug| bug.required_protocol().is_some())
+            .count()
+    );
+    assert_digests(PROTOCOL_BUGS.map(|(bug, strength, seed, expected)| {
+        let protocol = bug.required_protocol().expect("a protocol bug");
+        let got = digest(
+            SystemConfig::small(protocol),
+            strength,
+            BugConfig::single(bug),
+            seed,
+        );
+        (format!("({bug}, {strength:?}, seed {seed})"), got, expected)
+    }));
+}
+
+#[test]
+fn the_paper_shape_matches_its_recorded_digests() {
+    assert_digests(PAPER_SHAPE.map(|(protocol, strength, expected)| {
+        let cfg = SystemConfig {
+            protocol,
+            ..SystemConfig::paper_default()
+        };
+        let got = digest(cfg, strength, BugConfig::none(), 1);
+        (format!("paper ({protocol:?}, {strength:?})"), got, expected)
+    }));
 }
