@@ -39,7 +39,14 @@
 //! 4. Hook the injection into the component, always as a *suppression or
 //!    corruption of existing correct logic* guarded by
 //!    `bugs.has(Bug::YourBug)` — never as new behaviour of its own — so the
-//!    correct design stays the no-bug fixed point.
+//!    correct design stays the no-bug fixed point.  A protocol bug's hook
+//!    lives in its protocol's files (`protocol/{mesi,tsocc}/{l1,l2}.rs`):
+//!    in one of its transition arms, or in its override of a bug hook of
+//!    `L1Protocol` / `L2Protocol` (such as `hides_shared_eviction` or
+//!    `stale_putx_faults`) when the shared skeleton runs the logic it
+//!    corrupts.  The skeletons (`protocol/l1.rs`, `protocol/l2.rs`) name no
+//!    bug: if the logic is theirs and no hook fits, add a hook whose default
+//!    is the correct behaviour.
 //! 5. Pin the expectation end to end: extend the detectability matrix in
 //!    `mcversi-bench`'s `core_matrix.rs` (which core strengths and models
 //!    catch it, which provably do not) and add a differential test driving a

@@ -3,7 +3,8 @@
 //! Stable states: `I` (not present), `S`, `E`, `M`.  Transient states (one
 //! MSHR per line): `IS` (GetS outstanding), `IS_I` (GetS outstanding, an
 //! invalidation was sunk while waiting), `IM` (GetX outstanding from I), `SM`
-//! (GetX outstanding from S), `MI` (writeback outstanding).
+//! (GetX outstanding from S), `MI` (writeback outstanding).  The controller
+//! itself is the shared [`L1`] skeleton; this file holds MESI's transitions.
 //!
 //! The controller forwards a *load-queue notice* to the core whenever the core
 //! loses read permission on a line: external invalidation, ownership-stripping
@@ -18,54 +19,27 @@
 //! [`Bug::MesiLqMInv`]: crate::bugs::Bug::MesiLqMInv
 //! [`Bug::MesiLqSReplacement`]: crate::bugs::Bug::MesiLqSReplacement
 
-use crate::bugs::Bug;
-use crate::cache::CacheArray;
-use crate::config::SystemConfig;
+use super::Mesi;
+use crate::bugs::{Bug, BugConfig};
 use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload};
-use crate::protocol::{
-    earliest_release, release_due, CoreReqKind, CoreRequest, CoreRespKind, CoreResponse,
-    L1Controller, L1Output, LineTable, TickCtx,
-};
-use crate::system::ProtocolError;
-use crate::types::{Cycle, LineAddr, LineData, NodeId};
+use crate::protocol::l1::Transient as _;
+use crate::protocol::l1::{self, L1Protocol, L1State, PendingOp, L1};
+use crate::protocol::{CoreReqKind, CoreRespKind, L1Output, TickCtx};
+use crate::types::LineAddr;
 use mcversi_telemetry as telemetry;
-use std::collections::VecDeque;
 
 /// Core requests served from a resident line with sufficient permission.
 static L1_HITS: telemetry::Counter = telemetry::Counter::new("sim.l1.mesi.hit");
 /// Core requests needing a coherence transaction (fill or upgrade).
 static L1_MISSES: telemetry::Counter = telemetry::Counter::new("sim.l1.mesi.miss");
 
-/// Stable states of a resident L1 line.
+/// The MESI L1 controller for one core.
+pub(crate) type MesiL1 = L1<Mesi>;
+
+/// MESI's transient (MSHR) states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum L1State {
-    Shared,
-    Exclusive,
-    Modified,
-}
-
-impl L1State {
-    fn name(self) -> &'static str {
-        match self {
-            L1State::Shared => "S",
-            L1State::Exclusive => "E",
-            L1State::Modified => "M",
-        }
-    }
-}
-
-/// A resident L1 line.
-#[derive(Debug, Clone)]
-struct L1Line {
-    state: L1State,
-    data: LineData,
-    dirty: bool,
-}
-
-/// Transient (MSHR) states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Transient {
+pub(crate) enum Transient {
     /// GetS outstanding.
     IS,
     /// GetS outstanding, invalidation sunk while waiting.
@@ -78,7 +52,9 @@ enum Transient {
     MI,
 }
 
-impl Transient {
+impl l1::Transient for Transient {
+    const MI: Self = Transient::MI;
+
     fn name(self) -> &'static str {
         match self {
             Transient::IS => "IS",
@@ -88,243 +64,55 @@ impl Transient {
             Transient::MI => "MI",
         }
     }
-}
 
-/// A core operation waiting on an outstanding transaction.
-#[derive(Debug, Clone, Copy)]
-struct PendingOp {
-    tag: u64,
-    word: usize,
-    kind: CoreReqKind,
-}
-
-/// An outstanding transaction (one per line).
-#[derive(Debug)]
-struct Mshr {
-    tstate: Transient,
-    pending: Vec<PendingOp>,
-    /// Forwards/invalidations received before the data arrived; replayed once
-    /// the line is installed.
-    deferred: Vec<Msg>,
-    /// For MI: the data being written back (needed to answer forwards that
-    /// race with the writeback).
-    wb_data: Option<(LineData, bool)>,
-    /// Flush requests waiting for the writeback acknowledgement.
-    pending_flush: Vec<u64>,
-}
-
-impl Mshr {
-    fn new(tstate: Transient) -> Self {
-        Mshr {
-            tstate,
-            pending: Vec::new(),
-            deferred: Vec::new(),
-            wb_data: None,
-            pending_flush: Vec::new(),
-        }
+    fn takes(self, kind: CoreReqKind) -> bool {
+        use Transient::*;
+        matches!(
+            (self, kind),
+            (IS | IsI | IM | SM, CoreReqKind::Load)
+                | (IM | SM, CoreReqKind::Store { .. } | CoreReqKind::Rmw { .. })
+        )
     }
 }
 
-/// The MESI L1 controller for one core.
-#[derive(Debug)]
-pub struct MesiL1 {
-    core: usize,
-    node: NodeId,
-    cache: CacheArray<L1Line>,
-    mshrs: LineTable<Mshr>,
-    core_requests: VecDeque<CoreRequest>,
-    msg_inbox: VecDeque<Msg>,
-    ready_responses: Vec<(Cycle, CoreResponse)>,
-    line_bytes: u64,
-}
-
-impl MesiL1 {
-    /// Creates the L1 for core `core`.
-    pub fn new(core: usize, cfg: &SystemConfig) -> Self {
-        MesiL1 {
-            core,
-            node: cfg.node_of_l1(core),
-            cache: CacheArray::new(cfg.l1_sets(), cfg.l1_ways, cfg.line_bytes),
-            mshrs: LineTable::new(),
-            core_requests: VecDeque::new(),
-            msg_inbox: VecDeque::new(),
-            ready_responses: Vec::new(),
-            line_bytes: cfg.line_bytes,
-        }
-    }
-
-    /// Number of resident lines (used by tests).
-    pub fn resident_lines(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn home_bank(&self, cfg: &SystemConfig, line: LineAddr) -> NodeId {
-        cfg.node_of_l2(cfg.bank_of_line(line))
-    }
-
-    fn line_of(&self, addr: mcversi_mcm::Address) -> (LineAddr, usize) {
-        let line = LineAddr::containing(addr, self.line_bytes);
-        let word = line.word_index(addr, self.line_bytes);
-        (line, word)
-    }
-
-    fn respond(&mut self, ctx: &TickCtx<'_>, tag: u64, kind: CoreRespKind) {
-        self.ready_responses.push((
-            ctx.cycle + ctx.cfg.latency.l1_hit,
-            CoreResponse { tag, kind },
-        ));
-    }
-
-    /// Emits an LQ notice unless the bug governing this (state, event) pair is
-    /// injected.
-    fn notify_lq(
-        &self,
-        out: &mut L1Output,
-        ctx: &TickCtx<'_>,
-        line: LineAddr,
-        suppressed_by: Option<Bug>,
-    ) {
-        if let Some(bug) = suppressed_by {
-            if ctx.bugs.has(bug) {
-                return;
-            }
-        }
+/// Emits an LQ notice unless `suppressed_by`, the bug governing this (state,
+/// event) pair, is injected.
+fn notify_lq(out: &mut L1Output, ctx: &TickCtx<'_>, line: LineAddr, suppressed_by: Bug) {
+    if !ctx.bugs.has(suppressed_by) {
         out.lq_notices.push(line);
     }
+}
 
-    /// Evicts a resident line, producing the writeback transaction if needed.
-    /// Returns `true` if the line was (or is being) evicted.
-    fn evict_line(
-        &mut self,
+impl L1Protocol for Mesi {
+    const COMPONENT: &'static str = "L1";
+    type Transient = Transient;
+    type Meta = ();
+    type Kept = ();
+
+    fn core_request(
+        l1: &mut L1<Mesi>,
         out: &mut L1Output,
         ctx: &mut TickCtx<'_>,
+        op: PendingOp,
         line: LineAddr,
-        reason: &'static str,
+        state: Option<L1State>,
     ) -> bool {
-        let Some(entry) = self.cache.get(line) else {
-            return true;
-        };
-        let state = entry.state;
-        ctx.coverage.record(Transition::l1(state.name(), reason));
-        match state {
-            L1State::Shared => {
-                // Silent drop; the directory keeps a stale sharer entry and a
-                // later Inv is simply acknowledged from I.
-                self.cache.remove(line);
-                let bug = if reason == "Replacement" || reason == "Flush" {
-                    Some(Bug::MesiLqSReplacement)
-                } else {
-                    None
-                };
-                self.notify_lq(out, ctx, line, bug);
-                true
-            }
-            L1State::Exclusive | L1State::Modified => {
-                let entry = self.cache.remove(line).expect("checked resident");
-                let dirty = entry.dirty || state == L1State::Modified;
-                let mut mshr = Mshr::new(Transient::MI);
-                mshr.wb_data = Some((entry.data.clone(), dirty));
-                self.mshrs.insert(line, mshr);
-                out.to_network.push(Msg::new(
-                    self.node,
-                    self.home_bank(ctx.cfg, line),
-                    MsgPayload::PutX {
-                        line,
-                        data: entry.data,
-                        dirty,
-                        ts: None,
-                    },
-                ));
-                // Losing the line means later invalidations for it can no
-                // longer be observed; the LQ must be told (never a bug point
-                // for E/M in the paper's set).
-                self.notify_lq(out, ctx, line, None);
-                true
-            }
-        }
-    }
-
-    /// Makes room for `line` if its set is full.  Returns `false` if the
-    /// victim is itself in a transaction (caller must retry later).
-    fn make_room(&mut self, out: &mut L1Output, ctx: &mut TickCtx<'_>, line: LineAddr) -> bool {
-        if !self.cache.needs_eviction(line) {
-            return true;
-        }
-        let victim = self.cache.victim_for(line).expect("set is full");
-        if self.mshrs.contains_key(&victim) {
-            return false;
-        }
-        self.evict_line(out, ctx, victim, "Replacement")
-    }
-
-    /// Attempts to process one core request.  Returns `false` if the request
-    /// must stall (left at the head of the queue).
-    fn process_core_request(
-        &mut self,
-        out: &mut L1Output,
-        ctx: &mut TickCtx<'_>,
-        req: CoreRequest,
-    ) -> bool {
-        let (line, word) = self.line_of(req.addr);
-
-        // Attach to an existing transaction when possible.
-        if let Some(mshr) = self.mshrs.get_mut(&line) {
-            match (mshr.tstate, req.kind) {
-                (
-                    Transient::IS | Transient::IsI | Transient::IM | Transient::SM,
-                    CoreReqKind::Load,
-                ) => {
-                    mshr.pending.push(PendingOp {
-                        tag: req.tag,
-                        word,
-                        kind: req.kind,
-                    });
-                    return true;
-                }
-                (
-                    Transient::IM | Transient::SM,
-                    CoreReqKind::Store { .. } | CoreReqKind::Rmw { .. },
-                ) => {
-                    mshr.pending.push(PendingOp {
-                        tag: req.tag,
-                        word,
-                        kind: req.kind,
-                    });
-                    return true;
-                }
-                // Everything else waits for the transaction to finish.
-                _ => return false,
-            }
-        }
-
-        let resident_state = self.cache.get(line).map(|l| l.state);
-        match (req.kind, resident_state) {
+        match (op.kind, state) {
             // ---- Loads ----
             (CoreReqKind::Load, Some(state)) => {
                 ctx.coverage.record(Transition::l1(state.name(), "Load"));
                 L1_HITS.incr();
-                let value = self.cache.get_mut(line).expect("resident").data.word(word);
-                self.respond(ctx, req.tag, CoreRespKind::LoadDone { value });
+                let value = l1.cache.get_mut(line).expect("resident").data.word(op.word);
+                l1.respond(ctx, op.tag, CoreRespKind::LoadDone { value });
                 true
             }
             (CoreReqKind::Load, None) => {
                 ctx.coverage.record(Transition::l1("I", "Load"));
                 ctx.count_on_stall_path(&L1_MISSES);
-                if !self.make_room(out, ctx, line) {
+                if !l1.make_room(out, ctx, line) {
                     return false;
                 }
-                let mut mshr = Mshr::new(Transient::IS);
-                mshr.pending.push(PendingOp {
-                    tag: req.tag,
-                    word,
-                    kind: req.kind,
-                });
-                self.mshrs.insert(line, mshr);
-                out.to_network.push(Msg::new(
-                    self.node,
-                    self.home_bank(ctx.cfg, line),
-                    MsgPayload::GetS { line },
-                ));
+                l1.start_miss(out, ctx, line, Transient::IS, op, false);
                 true
             }
 
@@ -332,203 +120,111 @@ impl MesiL1 {
             (CoreReqKind::Store { value }, Some(L1State::Modified)) => {
                 ctx.coverage.record(Transition::l1("M", "Store"));
                 L1_HITS.incr();
-                let entry = self.cache.get_mut(line).expect("resident");
-                let overwritten = entry.data.set_word(word, value);
+                let entry = l1.cache.get_mut(line).expect("resident");
+                let overwritten = entry.data.set_word(op.word, value);
                 entry.dirty = true;
-                self.respond(ctx, req.tag, CoreRespKind::StoreDone { overwritten });
+                l1.respond(ctx, op.tag, CoreRespKind::StoreDone { overwritten });
                 true
             }
             (CoreReqKind::Store { value }, Some(L1State::Exclusive)) => {
                 ctx.coverage.record(Transition::l1("E", "Store"));
                 L1_HITS.incr();
-                let entry = self.cache.get_mut(line).expect("resident");
-                let overwritten = entry.data.set_word(word, value);
+                let entry = l1.cache.get_mut(line).expect("resident");
+                let overwritten = entry.data.set_word(op.word, value);
                 entry.dirty = true;
                 entry.state = L1State::Modified;
-                self.respond(ctx, req.tag, CoreRespKind::StoreDone { overwritten });
+                l1.respond(ctx, op.tag, CoreRespKind::StoreDone { overwritten });
                 true
             }
             (CoreReqKind::Store { .. }, Some(L1State::Shared)) => {
                 ctx.coverage.record(Transition::l1("S", "Store"));
                 ctx.count_on_stall_path(&L1_MISSES);
-                let mut mshr = Mshr::new(Transient::SM);
-                mshr.pending.push(PendingOp {
-                    tag: req.tag,
-                    word,
-                    kind: req.kind,
-                });
-                self.mshrs.insert(line, mshr);
-                out.to_network.push(Msg::new(
-                    self.node,
-                    self.home_bank(ctx.cfg, line),
-                    MsgPayload::GetX { line },
-                ));
+                l1.start_miss(out, ctx, line, Transient::SM, op, true);
                 true
             }
             (CoreReqKind::Store { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Store"));
                 ctx.count_on_stall_path(&L1_MISSES);
-                if !self.make_room(out, ctx, line) {
+                if !l1.make_room(out, ctx, line) {
                     return false;
                 }
-                let mut mshr = Mshr::new(Transient::IM);
-                mshr.pending.push(PendingOp {
-                    tag: req.tag,
-                    word,
-                    kind: req.kind,
-                });
-                self.mshrs.insert(line, mshr);
-                out.to_network.push(Msg::new(
-                    self.node,
-                    self.home_bank(ctx.cfg, line),
-                    MsgPayload::GetX { line },
-                ));
+                l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
 
             // ---- RMWs ----
-            (CoreReqKind::Rmw { write_value }, Some(L1State::Modified | L1State::Exclusive)) => {
-                let state = resident_state.expect("resident");
+            (
+                CoreReqKind::Rmw { write_value },
+                Some(state @ (L1State::Modified | L1State::Exclusive)),
+            ) => {
                 ctx.coverage.record(Transition::l1(state.name(), "Rmw"));
                 L1_HITS.incr();
-                let entry = self.cache.get_mut(line).expect("resident");
-                let read_value = entry.data.set_word(word, write_value);
+                let entry = l1.cache.get_mut(line).expect("resident");
+                let read_value = entry.data.set_word(op.word, write_value);
                 entry.dirty = true;
                 entry.state = L1State::Modified;
-                self.respond(ctx, req.tag, CoreRespKind::RmwDone { read_value });
+                l1.respond(ctx, op.tag, CoreRespKind::RmwDone { read_value });
                 true
             }
             (CoreReqKind::Rmw { .. }, Some(L1State::Shared)) => {
                 ctx.coverage.record(Transition::l1("S", "Rmw"));
                 ctx.count_on_stall_path(&L1_MISSES);
-                let mut mshr = Mshr::new(Transient::SM);
-                mshr.pending.push(PendingOp {
-                    tag: req.tag,
-                    word,
-                    kind: req.kind,
-                });
-                self.mshrs.insert(line, mshr);
-                out.to_network.push(Msg::new(
-                    self.node,
-                    self.home_bank(ctx.cfg, line),
-                    MsgPayload::GetX { line },
-                ));
+                l1.start_miss(out, ctx, line, Transient::SM, op, true);
                 true
             }
             (CoreReqKind::Rmw { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Rmw"));
                 ctx.count_on_stall_path(&L1_MISSES);
-                if !self.make_room(out, ctx, line) {
+                if !l1.make_room(out, ctx, line) {
                     return false;
                 }
-                let mut mshr = Mshr::new(Transient::IM);
-                mshr.pending.push(PendingOp {
-                    tag: req.tag,
-                    word,
-                    kind: req.kind,
-                });
-                self.mshrs.insert(line, mshr);
-                out.to_network.push(Msg::new(
-                    self.node,
-                    self.home_bank(ctx.cfg, line),
-                    MsgPayload::GetX { line },
-                ));
+                l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
 
             // ---- Flushes ----
-            (CoreReqKind::Flush, Some(state)) => {
-                ctx.coverage.record(Transition::l1(state.name(), "Flush"));
-                self.evict_line(out, ctx, line, "Flush");
-                if let Some(mshr) = self.mshrs.get_mut(&line) {
-                    // E/M flush: completion deferred until the writeback acks.
-                    mshr.pending_flush.push(req.tag);
-                } else {
-                    self.respond(ctx, req.tag, CoreRespKind::FlushDone);
-                }
-                true
-            }
-            (CoreReqKind::Flush, None) => {
-                ctx.coverage.record(Transition::l1("I", "Flush"));
-                self.respond(ctx, req.tag, CoreRespKind::FlushDone);
-                true
-            }
+            (CoreReqKind::Flush, _) => l1.flush(out, ctx, op.tag, line),
 
             // ---- Fences ----
             // Under MESI, ordering across a fence is enforced by the core
             // (store buffer drain); the cache has nothing to do.
             (CoreReqKind::Fence, _) => {
-                self.respond(ctx, req.tag, CoreRespKind::FenceDone);
+                l1.respond(ctx, op.tag, CoreRespKind::FenceDone);
                 true
             }
         }
     }
 
-    /// Serves the operations queued on an MSHR against a just-installed (or
-    /// transiently available) line value.
-    fn serve_pending(
-        &mut self,
-        ctx: &TickCtx<'_>,
-        pending: Vec<PendingOp>,
-        data: &mut LineData,
-    ) -> bool {
-        let mut wrote = false;
-        for op in pending {
-            match op.kind {
-                CoreReqKind::Load => {
-                    let value = data.word(op.word);
-                    self.respond(ctx, op.tag, CoreRespKind::LoadDone { value });
-                }
-                CoreReqKind::Store { value } => {
-                    let overwritten = data.set_word(op.word, value);
-                    wrote = true;
-                    self.respond(ctx, op.tag, CoreRespKind::StoreDone { overwritten });
-                }
-                CoreReqKind::Rmw { write_value } => {
-                    let read_value = data.set_word(op.word, write_value);
-                    wrote = true;
-                    self.respond(ctx, op.tag, CoreRespKind::RmwDone { read_value });
-                }
-                CoreReqKind::Flush => {
-                    self.respond(ctx, op.tag, CoreRespKind::FlushDone);
-                }
-                CoreReqKind::Fence => {
-                    self.respond(ctx, op.tag, CoreRespKind::FenceDone);
-                }
-            }
-        }
-        wrote
-    }
-
-    /// Handles a protocol message for a line with no outstanding transaction.
-    fn handle_msg_stable(&mut self, out: &mut L1Output, ctx: &mut TickCtx<'_>, msg: Msg) {
+    fn stable(
+        l1: &mut L1<Mesi>,
+        out: &mut L1Output,
+        ctx: &mut TickCtx<'_>,
+        msg: Msg,
+        state: Option<L1State>,
+    ) {
         let line = msg.payload.line();
-        let state = self.cache.get(line).map(|l| l.state);
-        let state_name = state.map_or("I", |s| s.name());
+        let state_name = state.map_or("I", L1State::name);
         let event = msg.payload.event_name();
         match (&msg.payload, state) {
             (MsgPayload::Inv { .. }, Some(L1State::Shared)) => {
                 ctx.coverage.record(Transition::l1("S", "Inv"));
-                self.cache.remove(line);
-                out.to_network
-                    .push(Msg::new(self.node, msg.src, MsgPayload::InvAck { line }));
-                self.notify_lq(out, ctx, line, None);
+                l1.cache.remove(line);
+                l1.reply(out, msg.src, MsgPayload::InvAck { line });
+                out.lq_notices.push(line);
             }
             (MsgPayload::Inv { .. }, None) => {
                 // Stale invalidation after a silent S replacement.
                 ctx.coverage.record(Transition::l1("I", "Inv"));
-                out.to_network
-                    .push(Msg::new(self.node, msg.src, MsgPayload::InvAck { line }));
+                l1.reply(out, msg.src, MsgPayload::InvAck { line });
             }
             (MsgPayload::FwdGetS { .. }, Some(L1State::Exclusive | L1State::Modified)) => {
                 ctx.coverage.record(Transition::l1(state_name, "FwdGetS"));
-                let entry = self.cache.get_mut(line).expect("resident");
-                let dirty = entry.dirty;
-                let data = entry.data.clone();
+                let entry = l1.cache.get_mut(line).expect("resident");
+                let (data, dirty) = (entry.data.clone(), entry.dirty);
                 entry.state = L1State::Shared;
                 entry.dirty = false;
-                out.to_network.push(Msg::new(
-                    self.node,
+                l1.reply(
+                    out,
                     msg.src,
                     MsgPayload::WbData {
                         line,
@@ -536,7 +232,7 @@ impl MesiL1 {
                         dirty,
                         ts: None,
                     },
-                ));
+                );
                 // Read permission is retained; no LQ notice.
             }
             (
@@ -544,329 +240,101 @@ impl MesiL1 {
                 Some(L1State::Exclusive | L1State::Modified),
             ) => {
                 ctx.coverage.record(Transition::l1(state_name, event));
-                let entry = self.cache.remove(line).expect("resident");
-                let dirty = entry.dirty;
-                out.to_network.push(Msg::new(
-                    self.node,
+                let entry = l1.cache.remove(line).expect("resident");
+                let (data, dirty) = (entry.data, entry.dirty);
+                l1.reply(
+                    out,
                     msg.src,
                     MsgPayload::WbData {
                         line,
-                        data: entry.data,
+                        data,
                         dirty,
                         ts: None,
                     },
-                ));
+                );
                 let bug = match entry.state {
-                    L1State::Exclusive => Some(Bug::MesiLqEInv),
-                    L1State::Modified => Some(Bug::MesiLqMInv),
-                    L1State::Shared => None,
+                    L1State::Exclusive => Bug::MesiLqEInv,
+                    _ => Bug::MesiLqMInv,
                 };
-                self.notify_lq(out, ctx, line, bug);
+                notify_lq(out, ctx, line, bug);
             }
-            _ => {
-                // Any other (state, message) combination indicates the
-                // directory and this cache disagree about ownership.
-                ctx.errors.push(ProtocolError::invalid_transition(
-                    ctx.cycle,
-                    format!("L1[{}]", self.core),
-                    line,
-                    state_name,
-                    event,
-                ));
-            }
+            // Any other (state, message) combination indicates the directory
+            // and this cache disagree about ownership.
+            _ => l1.invalid(ctx, line, state_name, event),
         }
     }
 
-    /// Handles a protocol message for a line with an outstanding transaction.
-    fn handle_msg_transient(&mut self, out: &mut L1Output, ctx: &mut TickCtx<'_>, msg: Msg) {
+    fn transient(
+        l1: &mut L1<Mesi>,
+        out: &mut L1Output,
+        ctx: &mut TickCtx<'_>,
+        msg: Msg,
+        tstate: Transient,
+    ) {
         let line = msg.payload.line();
-        let tstate = self.mshrs.get(&line).expect("mshr exists").tstate;
         let event = msg.payload.event_name();
         match (&msg.payload, tstate) {
             // ---- Invalidations racing with our own requests ----
             (MsgPayload::Inv { .. }, Transient::IS) => {
                 ctx.coverage.record(Transition::l1("IS", "Inv"));
-                out.to_network
-                    .push(Msg::new(self.node, msg.src, MsgPayload::InvAck { line }));
-                self.mshrs.get_mut(&line).expect("mshr").tstate = Transient::IsI;
+                l1.reply(out, msg.src, MsgPayload::InvAck { line });
+                l1.mshrs.get_mut(&line).expect("mshr").tstate = Transient::IsI;
             }
             (MsgPayload::Inv { .. }, Transient::IsI | Transient::IM | Transient::MI) => {
                 ctx.coverage.record(Transition::l1(tstate.name(), "Inv"));
-                out.to_network
-                    .push(Msg::new(self.node, msg.src, MsgPayload::InvAck { line }));
+                l1.reply(out, msg.src, MsgPayload::InvAck { line });
             }
             (MsgPayload::Inv { .. }, Transient::SM) => {
                 ctx.coverage.record(Transition::l1("SM", "Inv"));
                 // Our Shared copy loses the race against another writer.
-                self.cache.remove(line);
-                out.to_network
-                    .push(Msg::new(self.node, msg.src, MsgPayload::InvAck { line }));
-                self.notify_lq(out, ctx, line, Some(Bug::MesiLqSmInv));
-                self.mshrs.get_mut(&line).expect("mshr").tstate = Transient::IM;
+                l1.cache.remove(line);
+                l1.reply(out, msg.src, MsgPayload::InvAck { line });
+                notify_lq(out, ctx, line, Bug::MesiLqSmInv);
+                l1.mshrs.get_mut(&line).expect("mshr").tstate = Transient::IM;
             }
 
             // ---- Forwards racing with our writeback ----
-            (MsgPayload::FwdGetS { .. }, Transient::MI) => {
-                ctx.coverage.record(Transition::l1("MI", "FwdGetS"));
-                let (data, dirty) = self
-                    .mshrs
-                    .get(&line)
-                    .and_then(|m| m.wb_data.clone())
-                    .expect("MI transaction carries writeback data");
-                out.to_network.push(Msg::new(
-                    self.node,
-                    msg.src,
-                    MsgPayload::WbData {
-                        line,
-                        data,
-                        dirty,
-                        ts: None,
-                    },
-                ));
-            }
-            (MsgPayload::FwdGetX { .. } | MsgPayload::Recall { .. }, Transient::MI) => {
-                ctx.coverage.record(Transition::l1("MI", event));
-                let (data, dirty) = self
-                    .mshrs
-                    .get(&line)
-                    .and_then(|m| m.wb_data.clone())
-                    .expect("MI transaction carries writeback data");
-                out.to_network.push(Msg::new(
-                    self.node,
-                    msg.src,
-                    MsgPayload::WbData {
-                        line,
-                        data,
-                        dirty,
-                        ts: None,
-                    },
-                ));
-            }
+            (
+                MsgPayload::FwdGetS { .. } | MsgPayload::FwdGetX { .. } | MsgPayload::Recall { .. },
+                Transient::MI,
+            ) => l1.answer_from_writeback(out, ctx, &msg),
 
             // ---- Forwards arriving before our data: defer ----
             (
                 MsgPayload::FwdGetS { .. } | MsgPayload::FwdGetX { .. } | MsgPayload::Recall { .. },
                 Transient::IS | Transient::IsI | Transient::IM | Transient::SM,
-            ) => {
-                ctx.coverage.record(Transition::l1(tstate.name(), event));
-                self.mshrs.get_mut(&line).expect("mshr").deferred.push(msg);
-            }
+            ) => l1.defer(ctx, msg, tstate),
 
             // ---- Data responses ----
             (MsgPayload::DataS { data, .. } | MsgPayload::DataE { data, .. }, Transient::IS) => {
-                let exclusive = matches!(msg.payload, MsgPayload::DataE { .. });
-                ctx.coverage.record(Transition::l1(
-                    "IS",
-                    if exclusive { "DataE" } else { "DataS" },
-                ));
-                let mut mshr = self.mshrs.remove(&line).expect("mshr");
-                let mut data = data.clone();
-                self.serve_pending(ctx, std::mem::take(&mut mshr.pending), &mut data);
-                self.install_line(
-                    out,
-                    ctx,
-                    line,
-                    data,
-                    if exclusive {
-                        L1State::Exclusive
-                    } else {
-                        L1State::Shared
-                    },
-                );
-                self.replay_deferred(out, ctx, mshr.deferred);
+                ctx.coverage.record(Transition::l1("IS", event));
+                let state = match msg.payload {
+                    MsgPayload::DataE { .. } => L1State::Exclusive,
+                    _ => L1State::Shared,
+                };
+                l1.fill(out, ctx, line, data.clone(), None, state);
             }
             (MsgPayload::DataS { data, .. } | MsgPayload::DataE { data, .. }, Transient::IsI) => {
-                let exclusive = matches!(msg.payload, MsgPayload::DataE { .. });
-                ctx.coverage.record(Transition::l1(
-                    "IS_I",
-                    if exclusive { "DataE" } else { "DataS" },
-                ));
+                ctx.coverage.record(Transition::l1("IS_I", event));
                 // Use the data once for the pending loads, do not install, and
                 // (in the correct design) tell the load queue about the sunk
                 // invalidation so speculative loads get squashed.
-                let mut mshr = self.mshrs.remove(&line).expect("mshr");
-                let mut data = data.clone();
-                self.serve_pending(ctx, std::mem::take(&mut mshr.pending), &mut data);
-                self.notify_lq(out, ctx, line, Some(Bug::MesiLqIsInv));
-                self.replay_deferred(out, ctx, mshr.deferred);
+                let mshr = l1.mshrs.remove(&line).expect("mshr");
+                l1.serve(ctx, mshr.pending, &mut data.clone(), &mut None);
+                notify_lq(out, ctx, line, Bug::MesiLqIsInv);
+                l1.replay_deferred(out, ctx, mshr.deferred);
             }
             (MsgPayload::DataX { data, .. }, Transient::IM | Transient::SM) => {
                 ctx.coverage.record(Transition::l1(tstate.name(), "DataX"));
-                let mut mshr = self.mshrs.remove(&line).expect("mshr");
-                // Start from the freshly granted data (the SM case may still
-                // have a stale Shared copy resident; the granted data wins).
-                self.cache.remove(line);
-                let mut data = data.clone();
-                let wrote = self.serve_pending(ctx, std::mem::take(&mut mshr.pending), &mut data);
-                self.install_line_modified(out, ctx, line, data, wrote);
-                self.replay_deferred(out, ctx, mshr.deferred);
+                l1.fill_modified(out, ctx, line, data.clone(), None);
             }
 
-            // ---- Writeback acknowledgements ----
-            (MsgPayload::WbAck { .. }, Transient::MI) => {
-                ctx.coverage.record(Transition::l1("MI", "WbAck"));
-                let mshr = self.mshrs.remove(&line).expect("mshr");
-                for tag in mshr.pending_flush {
-                    self.respond(ctx, tag, CoreRespKind::FlushDone);
-                }
-            }
-            (MsgPayload::WbStale { .. }, Transient::MI) => {
-                ctx.coverage.record(Transition::l1("MI", "WbStale"));
-                let mshr = self.mshrs.remove(&line).expect("mshr");
-                for tag in mshr.pending_flush {
-                    self.respond(ctx, tag, CoreRespKind::FlushDone);
-                }
-            }
-
-            _ => {
-                ctx.errors.push(ProtocolError::invalid_transition(
-                    ctx.cycle,
-                    format!("L1[{}]", self.core),
-                    line,
-                    tstate.name(),
-                    event,
-                ));
-            }
+            _ => l1.invalid(ctx, line, tstate.name(), event),
         }
     }
 
-    fn install_line(
-        &mut self,
-        out: &mut L1Output,
-        ctx: &mut TickCtx<'_>,
-        line: LineAddr,
-        data: LineData,
-        state: L1State,
-    ) {
-        if !self.make_room(out, ctx, line) {
-            // The victim has an outstanding transaction; extremely rare.  Fall
-            // back to not caching the data (it has already served its pending
-            // operations), which is always safe: we notify the LQ as the line
-            // is immediately "lost".
-            self.notify_lq(out, ctx, line, None);
-            return;
-        }
-        self.cache.insert(
-            line,
-            L1Line {
-                state,
-                data,
-                dirty: false,
-            },
-        );
-    }
-
-    fn install_line_modified(
-        &mut self,
-        out: &mut L1Output,
-        ctx: &mut TickCtx<'_>,
-        line: LineAddr,
-        data: LineData,
-        dirty: bool,
-    ) {
-        if !self.make_room(out, ctx, line) {
-            // Cannot cache: immediately write the line back so the data (and
-            // any stores just performed into it) are not lost.
-            out.to_network.push(Msg::new(
-                self.node,
-                self.home_bank(ctx.cfg, line),
-                MsgPayload::PutX {
-                    line,
-                    data: data.clone(),
-                    dirty: true,
-                    ts: None,
-                },
-            ));
-            let mut mshr = Mshr::new(Transient::MI);
-            mshr.wb_data = Some((data, true));
-            self.mshrs.insert(line, mshr);
-            self.notify_lq(out, ctx, line, None);
-            return;
-        }
-        self.cache.insert(
-            line,
-            L1Line {
-                state: L1State::Modified,
-                data,
-                dirty,
-            },
-        );
-    }
-
-    fn replay_deferred(&mut self, out: &mut L1Output, ctx: &mut TickCtx<'_>, deferred: Vec<Msg>) {
-        for msg in deferred {
-            let line = msg.payload.line();
-            if self.mshrs.contains_key(&line) {
-                self.handle_msg_transient(out, ctx, msg);
-            } else {
-                self.handle_msg_stable(out, ctx, msg);
-            }
-        }
-    }
-}
-
-impl L1Controller for MesiL1 {
-    fn push_core_request(&mut self, req: CoreRequest) {
-        self.core_requests.push_back(req);
-    }
-
-    fn push_msg(&mut self, msg: Msg) {
-        self.msg_inbox.push_back(msg);
-    }
-
-    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool {
-        let emitted = (out.to_network.len(), out.lq_notices.len());
-
-        // Protocol messages are never stalled.
-        let mut progress = !self.msg_inbox.is_empty();
-        while let Some(msg) = self.msg_inbox.pop_front() {
-            let line = msg.payload.line();
-            if self.mshrs.contains_key(&line) {
-                self.handle_msg_transient(out, ctx, msg);
-            } else {
-                self.handle_msg_stable(out, ctx, msg);
-            }
-        }
-
-        // Core requests: process until one stalls (head-of-line blocking keeps
-        // the per-core request stream ordered at the cache).
-        let mut budget = 8usize;
-        while budget > 0 {
-            let Some(req) = self.core_requests.front().copied() else {
-                break;
-            };
-            if self.process_core_request(out, ctx, req) {
-                self.core_requests.pop_front();
-                budget -= 1;
-                progress = true;
-            } else {
-                break;
-            }
-        }
-
-        // Release responses whose hit latency has elapsed.
-        progress |= release_due(&mut self.ready_responses, ctx.cycle, &mut out.responses);
-
-        progress || emitted != (out.to_network.len(), out.lq_notices.len())
-    }
-
-    fn next_release(&self) -> Option<Cycle> {
-        earliest_release(&self.ready_responses)
-    }
-
-    fn is_idle(&self) -> bool {
-        self.mshrs.is_empty()
-            && self.core_requests.is_empty()
-            && self.msg_inbox.is_empty()
-            && self.ready_responses.is_empty()
-    }
-
-    fn hard_reset(&mut self) {
-        self.cache.drain_all();
-        self.mshrs.clear();
-        self.core_requests.clear();
-        self.msg_inbox.clear();
-        self.ready_responses.clear();
+    fn hides_shared_eviction(bugs: &BugConfig) -> bool {
+        bugs.has(Bug::MesiLqSReplacement)
     }
 }
 
@@ -874,69 +342,14 @@ impl L1Controller for MesiL1 {
 mod tests {
     use super::*;
     use crate::bugs::BugConfig;
-    use crate::coverage::CoverageRecorder;
-    use crate::protocol::{TickCoverage, TickLog};
+    use crate::config::ProtocolKind;
+    use crate::protocol::harness::Harness;
+    use crate::protocol::{CoreRequest, L1Controller};
+    use crate::types::{LineData, NodeId};
     use mcversi_mcm::Address;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    struct Harness {
-        cfg: SystemConfig,
-        bugs: BugConfig,
-        coverage: CoverageRecorder,
-        rng: StdRng,
-        errors: Vec<ProtocolError>,
-        log: TickLog,
-        cycle: Cycle,
-    }
-
-    impl Harness {
-        fn new(bugs: BugConfig) -> Self {
-            Harness {
-                cfg: SystemConfig::small(crate::config::ProtocolKind::Mesi),
-                bugs,
-                coverage: CoverageRecorder::new(),
-                rng: StdRng::seed_from_u64(7),
-                errors: Vec::new(),
-                log: TickLog::default(),
-                cycle: 0,
-            }
-        }
-
-        fn tick(&mut self, l1: &mut MesiL1) -> L1Output {
-            self.cycle += 1;
-            let mut ctx = TickCtx {
-                cycle: self.cycle,
-                cfg: &self.cfg,
-                bugs: &self.bugs,
-                coverage: TickCoverage::new(&mut self.coverage, &mut self.log),
-                rng: &mut self.rng,
-                errors: &mut self.errors,
-            };
-            let mut out = L1Output::default();
-            l1.tick(&mut ctx, &mut out);
-            out
-        }
-
-        /// Ticks until the given predicate yields a value or `max` cycles pass.
-        fn tick_until<T>(
-            &mut self,
-            l1: &mut MesiL1,
-            max: u64,
-            mut f: impl FnMut(&L1Output) -> Option<T>,
-        ) -> T {
-            for _ in 0..max {
-                let out = self.tick(l1);
-                if let Some(v) = f(&out) {
-                    return v;
-                }
-            }
-            panic!("condition not reached within {max} cycles");
-        }
-    }
 
     fn l1_with_harness(bugs: BugConfig) -> (MesiL1, Harness) {
-        let h = Harness::new(bugs);
+        let h = Harness::new(ProtocolKind::Mesi, bugs);
         (MesiL1::new(0, &h.cfg), h)
     }
 

@@ -1,25 +1,33 @@
 //! A two-level MESI directory protocol (gem5 Ruby `MESI_Two_Level` analogue).
 //!
-//! * [`l1`] — private L1 controllers with stable states I, S, E, M and
+//! * `l1` — private L1 controllers with stable states I, S, E, M and
 //!   transient states IS, IS_I, IM, SM, MI.  The L1 is responsible for
 //!   forwarding invalidations (and any other loss of read permission) to the
 //!   core's load queue; four of the paper's bugs suppress exactly that
 //!   forwarding in specific states.
-//! * [`l2`] — shared, banked L2 acting as an inclusive blocking directory with
+//! * `l2` — shared, banked L2 acting as an inclusive blocking directory with
 //!   states NP, SS, MT plus per-transaction transient states.  Two of the
 //!   paper's bugs live here (the PUTX race and the replacement race).
+//!
+//! Both controllers are the shared skeletons of `crate::protocol::l1` and
+//! `crate::protocol::l2` instantiated with `Mesi`, which supplies the
+//! states and transitions.
 //!
 //! The protocol is *functionally accurate*: all data flows through the
 //! messages and cache arrays, so a protocol bug results in stale architectural
 //! values, which is what the McVerSi checker detects.
 
-pub mod l1;
-pub mod l2;
+mod l1;
+mod l2;
 
-pub use l1::MesiL1;
-pub use l2::MesiL2;
+pub(crate) use l1::MesiL1;
+pub(crate) use l2::MesiL2;
 
 use crate::coverage::Transition;
+
+/// The MESI protocol: the transitions of [`MesiL1`] and [`MesiL2`].
+#[derive(Debug)]
+pub(crate) struct Mesi;
 
 /// All transitions defined by the MESI L1 controller.
 ///

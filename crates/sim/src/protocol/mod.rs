@@ -11,8 +11,21 @@
 //!   budgets bound staleness).
 //!
 //! Both are implemented behind the [`L1Controller`] and [`L2Controller`]
-//! traits, so the [`crate::system::System`] is protocol-agnostic.
+//! traits, so the [`crate::system::System`] is protocol-agnostic.  Each trait
+//! has one implementation, a skeleton generic over the protocol:
+//!
+//! * `l1::L1` — queues, MSHRs, misses, replacement, flush and writeback,
+//!   fills and deferred replay, the tick; a protocol supplies an
+//!   `l1::L1Protocol`;
+//! * `l2::L2` — queues, transactions with per-set pending-fetch counts,
+//!   memory fetch and replacement, stale writebacks, the tick; a protocol
+//!   supplies an `l2::L2Protocol`.
+//!
+//! A protocol's files keep only its own states, transitions, bug hooks and
+//! transition universe; the skeletons never branch on the protocol.
 
+mod l1;
+mod l2;
 pub mod mesi;
 pub mod tsocc;
 
@@ -315,16 +328,11 @@ pub trait L1Controller: fmt::Debug {
     fn hard_reset(&mut self);
 
     /// A copy of the state [`hard_reset`](Self::hard_reset) keeps, for
-    /// `System::mark`; `None` (the default) for a controller that keeps
-    /// nothing.
-    fn save(&self) -> Option<Box<dyn Any>> {
-        None
-    }
+    /// `System::mark`.
+    fn save(&self) -> Box<dyn Any>;
 
     /// Puts back the state [`save`](Self::save) copied.
-    fn restore(&mut self, _saved: Box<dyn Any>) {
-        unreachable!("a controller that saves nothing has nothing to restore")
-    }
+    fn restore(&mut self, saved: Box<dyn Any>);
 }
 
 /// A shared L2 bank / directory controller.
@@ -349,6 +357,107 @@ pub trait L2Controller: fmt::Debug {
     /// Drops all cached lines and transaction state without writebacks
     /// (host-assisted reset between tests).
     fn hard_reset(&mut self);
+}
+
+/// The one harness every controller test ticks its controller with.
+#[cfg(test)]
+pub(crate) mod harness {
+    use super::*;
+    use crate::config::ProtocolKind;
+    use rand::SeedableRng;
+
+    impl<P: l1::L1Protocol> l1::L1<P> {
+        /// Number of resident lines.
+        pub(crate) fn resident_lines(&self) -> usize {
+            self.cache.len()
+        }
+    }
+
+    impl<P: l2::L2Protocol> l2::L2<P> {
+        /// Number of resident lines.
+        pub(crate) fn resident_lines(&self) -> usize {
+            self.cache.len()
+        }
+    }
+
+    /// What a tick context borrows: configuration, injected bugs, coverage,
+    /// RNG, protocol errors and the cycle.
+    pub(crate) struct Harness {
+        pub(crate) cfg: SystemConfig,
+        bugs: BugConfig,
+        pub(crate) coverage: CoverageRecorder,
+        rng: StdRng,
+        pub(crate) errors: Vec<ProtocolError>,
+        log: TickLog,
+        pub(crate) cycle: Cycle,
+    }
+
+    impl Harness {
+        /// A harness for the small configuration of `protocol`.
+        pub(crate) fn new(protocol: ProtocolKind, bugs: BugConfig) -> Self {
+            Harness {
+                cfg: SystemConfig::small(protocol),
+                bugs,
+                coverage: CoverageRecorder::new(),
+                rng: StdRng::seed_from_u64(7),
+                errors: Vec::new(),
+                log: TickLog::default(),
+                cycle: 0,
+            }
+        }
+
+        /// Advances to the next cycle and lends out its tick context.
+        fn next(&mut self) -> TickCtx<'_> {
+            self.cycle += 1;
+            TickCtx {
+                cycle: self.cycle,
+                cfg: &self.cfg,
+                bugs: &self.bugs,
+                coverage: TickCoverage::new(&mut self.coverage, &mut self.log),
+                rng: &mut self.rng,
+                errors: &mut self.errors,
+            }
+        }
+
+        /// Ticks `l1` once; returns what it produced.
+        pub(crate) fn tick(&mut self, l1: &mut impl L1Controller) -> L1Output {
+            let mut out = L1Output::default();
+            l1.tick(&mut self.next(), &mut out);
+            out
+        }
+
+        /// Ticks `l1` until `f` yields a value from a tick's output, for at
+        /// most `max` cycles.
+        pub(crate) fn tick_until<T>(
+            &mut self,
+            l1: &mut impl L1Controller,
+            max: u64,
+            mut f: impl FnMut(&L1Output) -> Option<T>,
+        ) -> T {
+            for _ in 0..max {
+                let out = self.tick(l1);
+                if let Some(v) = f(&out) {
+                    return v;
+                }
+            }
+            panic!("condition not reached within {max} cycles");
+        }
+
+        /// Ticks `l2` once, appending its messages to `out`; returns whether
+        /// it made progress.
+        pub(crate) fn tick_l2(&mut self, l2: &mut impl L2Controller, out: &mut Vec<Msg>) -> bool {
+            l2.tick(&mut self.next(), out)
+        }
+
+        /// Ticks `l2` for `cycles` cycles; returns every message it sent.
+        pub(crate) fn run(&mut self, l2: &mut impl L2Controller, cycles: u64) -> Vec<Msg> {
+            let mut out = Vec::new();
+            for _ in 0..cycles {
+                self.tick_l2(l2, &mut out);
+            }
+            out
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,31 +1,30 @@
 //! The TSO-CC private L1 cache controller.
 //!
-//! Besides the cache array, the controller keeps the per-core TSO-CC state:
-//! the core's own (group) timestamp and epoch, and the last-seen timestamp per
-//! remote writer.  Shared lines carry the writer's timestamp metadata and an
-//! access budget; acquiring newer data from a writer self-invalidates all
-//! Shared lines (the paper's transitive-reduction rule), as do fences and
-//! atomics.  The two TSO-CC bugs of the evaluation weaken the timestamp
-//! comparison ([`Bug::TsoCcCompare`]) or ignore epoch ids across timestamp
-//! resets ([`Bug::TsoCcNoEpochIds`]).
+//! Besides the cache array, the controller keeps the per-core TSO-CC state
+//! ([`Timestamps`]): the core's own (group) timestamp and epoch, and the
+//! last-seen timestamp per remote writer.  Shared lines carry the writer's
+//! timestamp metadata and an access budget ([`Stamp`]); acquiring newer data
+//! from a writer self-invalidates all Shared lines (the paper's
+//! transitive-reduction rule), as do fences and atomics.  The two TSO-CC bugs
+//! of the evaluation weaken the timestamp comparison ([`Bug::TsoCcCompare`])
+//! or ignore epoch ids across timestamp resets ([`Bug::TsoCcNoEpochIds`]).
+//! The controller itself is the shared [`L1`] skeleton; this file holds
+//! TSO-CC's transitions.
 //!
 //! [`Bug::TsoCcCompare`]: crate::bugs::Bug::TsoCcCompare
 //! [`Bug::TsoCcNoEpochIds`]: crate::bugs::Bug::TsoCcNoEpochIds
 
-use crate::bugs::Bug;
-use crate::cache::CacheArray;
+use super::TsoCc;
+use crate::bugs::{Bug, BugConfig};
 use crate::config::SystemConfig;
 use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload, TsInfo};
-use crate::protocol::{
-    earliest_release, release_due, CoreReqKind, CoreRequest, CoreRespKind, CoreResponse,
-    L1Controller, L1Output, LineTable, TickCtx,
-};
-use crate::system::ProtocolError;
-use crate::types::{Cycle, LineAddr, LineData, NodeId};
+use crate::protocol::l1::Transient as _;
+use crate::protocol::l1::{self, L1Protocol, L1State, LineMeta, PendingOp, L1};
+use crate::protocol::{CoreReqKind, CoreRespKind, L1Output, TickCtx};
+use crate::types::LineAddr;
 use mcversi_telemetry as telemetry;
-use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Core requests served from a resident line with sufficient permission.
 static L1_HITS: telemetry::Counter = telemetry::Counter::new("sim.l1.tsocc.hit");
@@ -33,149 +32,57 @@ static L1_HITS: telemetry::Counter = telemetry::Counter::new("sim.l1.tsocc.hit")
 /// staleness budget).
 static L1_MISSES: telemetry::Counter = telemetry::Counter::new("sim.l1.tsocc.miss");
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum L1State {
-    Shared,
-    Exclusive,
-    Modified,
-}
+/// The TSO-CC L1 controller for one core.
+pub(crate) type TsoCcL1 = L1<TsoCc>;
 
-impl L1State {
-    fn name(self) -> &'static str {
-        match self {
-            L1State::Shared => "S",
-            L1State::Exclusive => "E",
-            L1State::Modified => "M",
-        }
-    }
-}
-
+/// What a TSO-CC line carries besides state, data and dirtiness.
 #[derive(Debug, Clone)]
-struct L1Line {
-    state: L1State,
-    data: LineData,
-    dirty: bool,
+pub(crate) struct Stamp {
     /// Last writer metadata (carried on writebacks so readers can compare).
     ts: Option<TsInfo>,
     /// Remaining accesses before a Shared line expires.
     accesses_left: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Transient {
-    /// GetS outstanding.
-    IS,
-    /// GetX outstanding.
-    IM,
-    /// PutX outstanding.
-    MI,
-}
-
-impl Transient {
-    fn name(self) -> &'static str {
-        match self {
-            Transient::IS => "IS",
-            Transient::IM => "IM",
-            Transient::MI => "MI",
+impl LineMeta for Stamp {
+    fn installed(ts: Option<TsInfo>, cfg: &SystemConfig) -> Self {
+        Stamp {
+            ts,
+            accesses_left: cfg.tsocc_max_accesses,
         }
+    }
+
+    fn ts(&self) -> Option<TsInfo> {
+        self.ts
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingOp {
-    tag: u64,
-    word: usize,
-    kind: CoreReqKind,
-}
-
-#[derive(Debug)]
-struct Mshr {
-    tstate: Transient,
-    pending: Vec<PendingOp>,
-    deferred: Vec<Msg>,
-    wb_data: Option<(LineData, bool, Option<TsInfo>)>,
-    pending_flush: Vec<u64>,
-}
-
-impl Mshr {
-    fn new(tstate: Transient) -> Self {
-        Mshr {
-            tstate,
-            pending: Vec::new(),
-            deferred: Vec::new(),
-            wb_data: None,
-            pending_flush: Vec::new(),
-        }
-    }
-}
-
-/// The TSO-CC L1 controller for one core.
-#[derive(Debug)]
-pub struct TsoCcL1 {
-    core: usize,
-    node: NodeId,
-    cache: CacheArray<L1Line>,
-    mshrs: LineTable<Mshr>,
-    core_requests: VecDeque<CoreRequest>,
-    msg_inbox: VecDeque<Msg>,
-    ready_responses: Vec<(Cycle, CoreResponse)>,
-    line_bytes: u64,
-    // ---- TSO-CC per-core state ----
+/// The per-core TSO-CC state.  It is architectural and survives resets of the
+/// test memory (matching how a real core's counters would behave).
+#[derive(Debug, Clone)]
+pub(crate) struct Timestamps {
     local_ts: u64,
     writes_in_group: u64,
     epoch: u64,
-    last_seen: BTreeMap<u32, (u64, u64)>, // writer -> (epoch, ts)
+    /// Writer -> (epoch, ts) of the newest data seen from it.
+    last_seen: BTreeMap<u32, (u64, u64)>,
 }
 
-impl TsoCcL1 {
-    /// Creates the L1 for core `core`.
-    pub fn new(core: usize, cfg: &SystemConfig) -> Self {
-        TsoCcL1 {
-            core,
-            node: cfg.node_of_l1(core),
-            cache: CacheArray::new(cfg.l1_sets(), cfg.l1_ways, cfg.line_bytes),
-            mshrs: LineTable::new(),
-            core_requests: VecDeque::new(),
-            msg_inbox: VecDeque::new(),
-            ready_responses: Vec::new(),
-            line_bytes: cfg.line_bytes,
+impl Default for Timestamps {
+    fn default() -> Self {
+        Timestamps {
             local_ts: 1,
             writes_in_group: 0,
             epoch: 0,
             last_seen: BTreeMap::new(),
         }
     }
+}
 
-    /// Number of resident lines (used by tests).
-    pub fn resident_lines(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// The core's current epoch (used by tests to confirm resets happen).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn home_bank(&self, cfg: &SystemConfig, line: LineAddr) -> NodeId {
-        cfg.node_of_l2(cfg.bank_of_line(line))
-    }
-
-    fn line_of(&self, addr: mcversi_mcm::Address) -> (LineAddr, usize) {
-        let line = LineAddr::containing(addr, self.line_bytes);
-        let word = line.word_index(addr, self.line_bytes);
-        (line, word)
-    }
-
-    fn respond(&mut self, ctx: &TickCtx<'_>, tag: u64, kind: CoreRespKind) {
-        self.ready_responses.push((
-            ctx.cycle + ctx.cfg.latency.l1_hit,
-            CoreResponse { tag, kind },
-        ));
-    }
-
-    /// Advances the core's write timestamp (one write); returns the metadata
-    /// to tag the written line with.
-    fn bump_write_ts(&mut self, ctx: &mut TickCtx<'_>) -> TsInfo {
+impl Timestamps {
+    /// Advances core `core`'s write timestamp (one write); returns the
+    /// metadata to tag the written line with.
+    fn bump(&mut self, core: usize, ctx: &mut TickCtx<'_>) -> TsInfo {
         self.writes_in_group += 1;
         if self.writes_in_group >= ctx.cfg.tsocc_ts_group {
             self.writes_in_group = 0;
@@ -188,37 +95,37 @@ impl TsoCcL1 {
             }
         }
         TsInfo {
-            writer: self.core as u32,
+            writer: core as u32,
             ts: self.local_ts,
             epoch: self.epoch,
         }
     }
 
-    /// Applies the acquire rule for data whose last writer is `ts`.
+    /// Applies core `core`'s acquire rule for data whose last writer is `ts`.
     ///
     /// Returns `true` if all Shared lines must be self-invalidated.  The two
     /// TSO-CC bugs weaken this decision.
-    fn acquire_decision(&mut self, ctx: &TickCtx<'_>, ts: Option<TsInfo>) -> bool {
+    fn acquire(&mut self, core: usize, bugs: &BugConfig, ts: Option<TsInfo>) -> bool {
         let Some(info) = ts else {
             // No metadata (data came straight from memory): be conservative.
             return true;
         };
-        if info.writer as usize == self.core {
+        if info.writer as usize == core {
             return false;
         }
         let decision = match self.last_seen.get(&info.writer) {
             None => true,
             Some(&(seen_epoch, seen_ts)) => {
-                if ctx.bugs.has(Bug::TsoCcNoEpochIds) {
+                if bugs.has(Bug::TsoCcNoEpochIds) {
                     // Epochs ignored: compare raw timestamps across resets.
-                    if ctx.bugs.has(Bug::TsoCcCompare) {
+                    if bugs.has(Bug::TsoCcCompare) {
                         info.ts > seen_ts
                     } else {
                         info.ts >= seen_ts
                     }
                 } else if info.epoch != seen_epoch {
                     true
-                } else if ctx.bugs.has(Bug::TsoCcCompare) {
+                } else if bugs.has(Bug::TsoCcCompare) {
                     info.ts > seen_ts
                 } else {
                     info.ts >= seen_ts
@@ -237,179 +144,116 @@ impl TsoCcL1 {
         }
         decision
     }
+}
 
-    /// Self-invalidates every Shared line (except `keep`), notifying the LQ.
-    fn self_invalidate_shared(
-        &mut self,
-        out: &mut L1Output,
-        ctx: &mut TickCtx<'_>,
-        keep: Option<LineAddr>,
-    ) {
-        let victims: Vec<LineAddr> = self
-            .cache
-            .iter()
-            .filter(|(addr, l)| l.state == L1State::Shared && Some(*addr) != keep)
-            .map(|(addr, _)| addr)
-            .collect();
-        for v in victims {
-            ctx.coverage.record(Transition::l1("S", "SelfInvalidate"));
-            self.cache.remove(v);
-            out.lq_notices.push(v);
+/// TSO-CC's transient (MSHR) states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Transient {
+    /// GetS outstanding.
+    IS,
+    /// GetX outstanding.
+    IM,
+    /// PutX outstanding.
+    MI,
+}
+
+impl l1::Transient for Transient {
+    const MI: Self = Transient::MI;
+
+    fn name(self) -> &'static str {
+        match self {
+            Transient::IS => "IS",
+            Transient::IM => "IM",
+            Transient::MI => "MI",
         }
     }
 
-    fn evict_line(
-        &mut self,
+    fn takes(self, kind: CoreReqKind) -> bool {
+        use Transient::*;
+        matches!(
+            (self, kind),
+            (IS | IM, CoreReqKind::Load)
+                | (IM, CoreReqKind::Store { .. } | CoreReqKind::Rmw { .. })
+        )
+    }
+}
+
+/// Self-invalidates every Shared line, notifying the LQ.
+fn self_invalidate_shared(l1: &mut L1<TsoCc>, out: &mut L1Output, ctx: &mut TickCtx<'_>) {
+    let victims: Vec<LineAddr> = l1
+        .cache
+        .iter()
+        .filter(|(_, l)| l.state == L1State::Shared)
+        .map(|(addr, _)| addr)
+        .collect();
+    for v in victims {
+        ctx.coverage.record(Transition::l1("S", "SelfInvalidate"));
+        l1.cache.remove(v);
+        out.lq_notices.push(v);
+    }
+}
+
+/// Acquires data whose last writer is `ts`: self-invalidates the Shared
+/// lines if the acquire rule says so.
+fn acquire(l1: &mut L1<TsoCc>, out: &mut L1Output, ctx: &mut TickCtx<'_>, ts: Option<TsInfo>) {
+    if l1.kept.acquire(l1.core, ctx.bugs, ts) {
+        self_invalidate_shared(l1, out, ctx);
+    }
+}
+
+impl L1Protocol for TsoCc {
+    const COMPONENT: &'static str = "TSO-CC L1";
+    type Transient = Transient;
+    type Meta = Stamp;
+    type Kept = Timestamps;
+
+    fn core_request(
+        l1: &mut L1<TsoCc>,
         out: &mut L1Output,
         ctx: &mut TickCtx<'_>,
+        op: PendingOp,
         line: LineAddr,
-        reason: &'static str,
+        state: Option<L1State>,
     ) -> bool {
-        let Some(entry) = self.cache.get(line) else {
-            return true;
-        };
-        let state = entry.state;
-        ctx.coverage.record(Transition::l1(state.name(), reason));
-        match state {
-            L1State::Shared => {
-                self.cache.remove(line);
-                out.lq_notices.push(line);
-                true
-            }
-            L1State::Exclusive | L1State::Modified => {
-                let entry = self.cache.remove(line).expect("resident");
-                let dirty = entry.dirty || state == L1State::Modified;
-                let ts = entry.ts;
-                let mut mshr = Mshr::new(Transient::MI);
-                mshr.wb_data = Some((entry.data.clone(), dirty, ts));
-                self.mshrs.insert(line, mshr);
-                out.to_network.push(Msg::new(
-                    self.node,
-                    self.home_bank(ctx.cfg, line),
-                    MsgPayload::PutX {
-                        line,
-                        data: entry.data,
-                        dirty,
-                        ts,
-                    },
-                ));
-                out.lq_notices.push(line);
-                true
-            }
-        }
-    }
-
-    fn make_room(&mut self, out: &mut L1Output, ctx: &mut TickCtx<'_>, line: LineAddr) -> bool {
-        if !self.cache.needs_eviction(line) {
-            return true;
-        }
-        let victim = self.cache.victim_for(line).expect("set full");
-        if self.mshrs.contains_key(&victim) {
-            return false;
-        }
-        self.evict_line(out, ctx, victim, "Replacement")
-    }
-
-    fn send_gets(&mut self, out: &mut L1Output, ctx: &TickCtx<'_>, line: LineAddr) {
-        out.to_network.push(Msg::new(
-            self.node,
-            self.home_bank(ctx.cfg, line),
-            MsgPayload::GetS { line },
-        ));
-    }
-
-    fn send_getx(&mut self, out: &mut L1Output, ctx: &TickCtx<'_>, line: LineAddr) {
-        out.to_network.push(Msg::new(
-            self.node,
-            self.home_bank(ctx.cfg, line),
-            MsgPayload::GetX { line },
-        ));
-    }
-
-    fn process_core_request(
-        &mut self,
-        out: &mut L1Output,
-        ctx: &mut TickCtx<'_>,
-        req: CoreRequest,
-    ) -> bool {
-        let (line, word) = self.line_of(req.addr);
-
-        if let Some(mshr) = self.mshrs.get_mut(&line) {
-            match (mshr.tstate, req.kind) {
-                (Transient::IS | Transient::IM, CoreReqKind::Load) => {
-                    mshr.pending.push(PendingOp {
-                        tag: req.tag,
-                        word,
-                        kind: req.kind,
-                    });
-                    return true;
-                }
-                (Transient::IM, CoreReqKind::Store { .. } | CoreReqKind::Rmw { .. }) => {
-                    mshr.pending.push(PendingOp {
-                        tag: req.tag,
-                        word,
-                        kind: req.kind,
-                    });
-                    return true;
-                }
-                _ => return false,
-            }
-        }
-
-        let state = self.cache.get(line).map(|l| l.state);
-        match (req.kind, state) {
+        match (op.kind, state) {
             // ---- Loads ----
             (CoreReqKind::Load, Some(L1State::Shared)) => {
-                let expired = self
+                let expired = l1
                     .cache
                     .get(line)
-                    .map(|l| l.accesses_left == 0)
+                    .map(|l| l.meta.accesses_left == 0)
                     .unwrap_or(false);
                 if expired {
                     // The staleness budget is exhausted: re-fetch.
                     ctx.coverage.record(Transition::l1("S", "Expired"));
                     ctx.count_on_stall_path(&L1_MISSES);
-                    self.cache.remove(line);
+                    l1.cache.remove(line);
                     out.lq_notices.push(line);
-                    let mut mshr = Mshr::new(Transient::IS);
-                    mshr.pending.push(PendingOp {
-                        tag: req.tag,
-                        word,
-                        kind: req.kind,
-                    });
-                    self.mshrs.insert(line, mshr);
-                    self.send_gets(out, ctx, line);
+                    l1.start_miss(out, ctx, line, Transient::IS, op, false);
                     return true;
                 }
                 ctx.coverage.record(Transition::l1("S", "Load"));
                 L1_HITS.incr();
-                let entry = self.cache.get_mut(line).expect("resident");
-                entry.accesses_left = entry.accesses_left.saturating_sub(1);
-                let value = entry.data.word(word);
-                self.respond(ctx, req.tag, CoreRespKind::LoadDone { value });
+                let entry = l1.cache.get_mut(line).expect("resident");
+                entry.meta.accesses_left = entry.meta.accesses_left.saturating_sub(1);
+                let value = entry.data.word(op.word);
+                l1.respond(ctx, op.tag, CoreRespKind::LoadDone { value });
                 true
             }
             (CoreReqKind::Load, Some(st @ (L1State::Exclusive | L1State::Modified))) => {
                 ctx.coverage.record(Transition::l1(st.name(), "Load"));
                 L1_HITS.incr();
-                let value = self.cache.get_mut(line).expect("resident").data.word(word);
-                self.respond(ctx, req.tag, CoreRespKind::LoadDone { value });
+                let value = l1.cache.get_mut(line).expect("resident").data.word(op.word);
+                l1.respond(ctx, op.tag, CoreRespKind::LoadDone { value });
                 true
             }
             (CoreReqKind::Load, None) => {
                 ctx.coverage.record(Transition::l1("I", "Load"));
                 ctx.count_on_stall_path(&L1_MISSES);
-                if !self.make_room(out, ctx, line) {
+                if !l1.make_room(out, ctx, line) {
                     return false;
                 }
-                let mut mshr = Mshr::new(Transient::IS);
-                mshr.pending.push(PendingOp {
-                    tag: req.tag,
-                    word,
-                    kind: req.kind,
-                });
-                self.mshrs.insert(line, mshr);
-                self.send_gets(out, ctx, line);
+                l1.start_miss(out, ctx, line, Transient::IS, op, false);
                 true
             }
 
@@ -417,13 +261,13 @@ impl TsoCcL1 {
             (CoreReqKind::Store { value }, Some(st @ (L1State::Exclusive | L1State::Modified))) => {
                 ctx.coverage.record(Transition::l1(st.name(), "Store"));
                 L1_HITS.incr();
-                let ts = self.bump_write_ts(ctx);
-                let entry = self.cache.get_mut(line).expect("resident");
-                let overwritten = entry.data.set_word(word, value);
+                let ts = l1.kept.bump(l1.core, ctx);
+                let entry = l1.cache.get_mut(line).expect("resident");
+                let overwritten = entry.data.set_word(op.word, value);
                 entry.dirty = true;
                 entry.state = L1State::Modified;
-                entry.ts = Some(ts);
-                self.respond(ctx, req.tag, CoreRespKind::StoreDone { overwritten });
+                entry.meta.ts = Some(ts);
+                l1.respond(ctx, op.tag, CoreRespKind::StoreDone { overwritten });
                 true
             }
             (CoreReqKind::Store { .. }, Some(L1State::Shared)) => {
@@ -431,265 +275,82 @@ impl TsoCcL1 {
                 // requested.  Dropping the copy is a loss of read permission.
                 ctx.coverage.record(Transition::l1("S", "Store"));
                 ctx.count_on_stall_path(&L1_MISSES);
-                self.cache.remove(line);
+                l1.cache.remove(line);
                 out.lq_notices.push(line);
-                let mut mshr = Mshr::new(Transient::IM);
-                mshr.pending.push(PendingOp {
-                    tag: req.tag,
-                    word,
-                    kind: req.kind,
-                });
-                self.mshrs.insert(line, mshr);
-                self.send_getx(out, ctx, line);
+                l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
             (CoreReqKind::Store { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Store"));
                 ctx.count_on_stall_path(&L1_MISSES);
-                if !self.make_room(out, ctx, line) {
+                if !l1.make_room(out, ctx, line) {
                     return false;
                 }
-                let mut mshr = Mshr::new(Transient::IM);
-                mshr.pending.push(PendingOp {
-                    tag: req.tag,
-                    word,
-                    kind: req.kind,
-                });
-                self.mshrs.insert(line, mshr);
-                self.send_getx(out, ctx, line);
+                l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
 
             // ---- RMWs (imply a fence: self-invalidate Shared lines) ----
             (CoreReqKind::Rmw { write_value }, st) => {
-                self.self_invalidate_shared(out, ctx, None);
+                self_invalidate_shared(l1, out, ctx);
                 match st {
                     Some(s @ (L1State::Exclusive | L1State::Modified)) => {
                         ctx.coverage.record(Transition::l1(s.name(), "Rmw"));
                         L1_HITS.incr();
-                        let ts = self.bump_write_ts(ctx);
-                        let entry = self.cache.get_mut(line).expect("resident");
-                        let read_value = entry.data.set_word(word, write_value);
+                        let ts = l1.kept.bump(l1.core, ctx);
+                        let entry = l1.cache.get_mut(line).expect("resident");
+                        let read_value = entry.data.set_word(op.word, write_value);
                         entry.dirty = true;
                         entry.state = L1State::Modified;
-                        entry.ts = Some(ts);
-                        self.respond(ctx, req.tag, CoreRespKind::RmwDone { read_value });
+                        entry.meta.ts = Some(ts);
+                        l1.respond(ctx, op.tag, CoreRespKind::RmwDone { read_value });
                         true
                     }
                     Some(L1State::Shared) | None => {
                         // (The Shared copy, if any, was just self-invalidated.)
                         ctx.coverage
-                            .record(Transition::l1(st.map_or("I", |s| s.name()), "Rmw"));
+                            .record(Transition::l1(st.map_or("I", L1State::name), "Rmw"));
                         ctx.count_on_stall_path(&L1_MISSES);
-                        if !self.make_room(out, ctx, line) {
+                        if !l1.make_room(out, ctx, line) {
                             return false;
                         }
-                        let mut mshr = Mshr::new(Transient::IM);
-                        mshr.pending.push(PendingOp {
-                            tag: req.tag,
-                            word,
-                            kind: req.kind,
-                        });
-                        self.mshrs.insert(line, mshr);
-                        self.send_getx(out, ctx, line);
+                        l1.start_miss(out, ctx, line, Transient::IM, op, true);
                         true
                     }
                 }
             }
 
             // ---- Flushes ----
-            (CoreReqKind::Flush, Some(state)) => {
-                ctx.coverage.record(Transition::l1(state.name(), "Flush"));
-                self.evict_line(out, ctx, line, "Flush");
-                if let Some(mshr) = self.mshrs.get_mut(&line) {
-                    mshr.pending_flush.push(req.tag);
-                } else {
-                    self.respond(ctx, req.tag, CoreRespKind::FlushDone);
-                }
-                true
-            }
-            (CoreReqKind::Flush, None) => {
-                ctx.coverage.record(Transition::l1("I", "Flush"));
-                self.respond(ctx, req.tag, CoreRespKind::FlushDone);
-                true
-            }
+            (CoreReqKind::Flush, _) => l1.flush(out, ctx, op.tag, line),
 
             // ---- Fences: self-invalidate all Shared lines ----
             (CoreReqKind::Fence, _) => {
-                self.self_invalidate_shared(out, ctx, None);
-                self.respond(ctx, req.tag, CoreRespKind::FenceDone);
+                self_invalidate_shared(l1, out, ctx);
+                l1.respond(ctx, op.tag, CoreRespKind::FenceDone);
                 true
             }
         }
     }
 
-    fn serve_pending(
-        &mut self,
+    fn stable(
+        l1: &mut L1<TsoCc>,
+        out: &mut L1Output,
         ctx: &mut TickCtx<'_>,
-        pending: Vec<PendingOp>,
-        data: &mut LineData,
-        line_ts: &mut Option<TsInfo>,
-    ) -> bool {
-        let mut wrote = false;
-        for op in pending {
-            match op.kind {
-                CoreReqKind::Load => {
-                    let value = data.word(op.word);
-                    self.respond(ctx, op.tag, CoreRespKind::LoadDone { value });
-                }
-                CoreReqKind::Store { value } => {
-                    let ts = self.bump_write_ts(ctx);
-                    let overwritten = data.set_word(op.word, value);
-                    *line_ts = Some(ts);
-                    wrote = true;
-                    self.respond(ctx, op.tag, CoreRespKind::StoreDone { overwritten });
-                }
-                CoreReqKind::Rmw { write_value } => {
-                    let ts = self.bump_write_ts(ctx);
-                    let read_value = data.set_word(op.word, write_value);
-                    *line_ts = Some(ts);
-                    wrote = true;
-                    self.respond(ctx, op.tag, CoreRespKind::RmwDone { read_value });
-                }
-                CoreReqKind::Flush => {
-                    self.respond(ctx, op.tag, CoreRespKind::FlushDone);
-                }
-                CoreReqKind::Fence => {
-                    self.respond(ctx, op.tag, CoreRespKind::FenceDone);
-                }
-            }
-        }
-        wrote
-    }
-
-    fn handle_msg(&mut self, out: &mut L1Output, ctx: &mut TickCtx<'_>, msg: Msg) {
+        msg: Msg,
+        state: Option<L1State>,
+    ) {
         let line = msg.payload.line();
-        let event = msg.payload.event_name();
-        if let Some(tstate) = self.mshrs.get(&line).map(|m| m.tstate) {
-            match (&msg.payload, tstate) {
-                (MsgPayload::Downgrade { .. } | MsgPayload::Recall { .. }, Transient::MI) => {
-                    ctx.coverage.record(Transition::l1("MI", event));
-                    let (data, dirty, ts) = self
-                        .mshrs
-                        .get(&line)
-                        .and_then(|m| m.wb_data.clone())
-                        .expect("MI carries writeback data");
-                    out.to_network.push(Msg::new(
-                        self.node,
-                        msg.src,
-                        MsgPayload::WbData {
-                            line,
-                            data,
-                            dirty,
-                            ts,
-                        },
-                    ));
-                }
-                (
-                    MsgPayload::Downgrade { .. } | MsgPayload::Recall { .. },
-                    Transient::IS | Transient::IM,
-                ) => {
-                    ctx.coverage.record(Transition::l1(tstate.name(), event));
-                    self.mshrs.get_mut(&line).expect("mshr").deferred.push(msg);
-                }
-                (
-                    MsgPayload::DataS { data, ts, .. } | MsgPayload::DataE { data, ts, .. },
-                    Transient::IS,
-                ) => {
-                    let exclusive = matches!(msg.payload, MsgPayload::DataE { .. });
-                    ctx.coverage.record(Transition::l1(
-                        "IS",
-                        if exclusive { "DataE" } else { "DataS" },
-                    ));
-                    // Acquire first, so the LQ sees the self-invalidation
-                    // notices before the pending loads complete.
-                    if self.acquire_decision(ctx, *ts) {
-                        self.self_invalidate_shared(out, ctx, None);
-                    }
-                    let mut mshr = self.mshrs.remove(&line).expect("mshr");
-                    let mut data = data.clone();
-                    let mut line_ts = *ts;
-                    self.serve_pending(
-                        ctx,
-                        std::mem::take(&mut mshr.pending),
-                        &mut data,
-                        &mut line_ts,
-                    );
-                    self.install_line(
-                        out,
-                        ctx,
-                        line,
-                        data,
-                        if exclusive {
-                            L1State::Exclusive
-                        } else {
-                            L1State::Shared
-                        },
-                        line_ts,
-                    );
-                    self.replay_deferred(out, ctx, mshr.deferred);
-                }
-                (MsgPayload::DataX { data, ts, .. }, Transient::IM) => {
-                    ctx.coverage.record(Transition::l1("IM", "DataX"));
-                    if self.acquire_decision(ctx, *ts) {
-                        self.self_invalidate_shared(out, ctx, None);
-                    }
-                    let mut mshr = self.mshrs.remove(&line).expect("mshr");
-                    self.cache.remove(line);
-                    let mut data = data.clone();
-                    let mut line_ts = *ts;
-                    let wrote = self.serve_pending(
-                        ctx,
-                        std::mem::take(&mut mshr.pending),
-                        &mut data,
-                        &mut line_ts,
-                    );
-                    self.install_modified(out, ctx, line, data, wrote, line_ts);
-                    self.replay_deferred(out, ctx, mshr.deferred);
-                }
-                (MsgPayload::WbAck { .. }, Transient::MI) => {
-                    ctx.coverage.record(Transition::l1("MI", "WbAck"));
-                    let mshr = self.mshrs.remove(&line).expect("mshr");
-                    for tag in mshr.pending_flush {
-                        self.respond(ctx, tag, CoreRespKind::FlushDone);
-                    }
-                }
-                (MsgPayload::WbStale { .. }, Transient::MI) => {
-                    ctx.coverage.record(Transition::l1("MI", "WbStale"));
-                    let mshr = self.mshrs.remove(&line).expect("mshr");
-                    for tag in mshr.pending_flush {
-                        self.respond(ctx, tag, CoreRespKind::FlushDone);
-                    }
-                }
-                _ => {
-                    ctx.errors.push(ProtocolError::invalid_transition(
-                        ctx.cycle,
-                        format!("TSO-CC L1[{}]", self.core),
-                        line,
-                        tstate.name(),
-                        event,
-                    ));
-                }
-            }
-            return;
-        }
-
-        // No outstanding transaction for the line.
-        let state = self.cache.get(line).map(|l| l.state);
         match (&msg.payload, state) {
-            (MsgPayload::Downgrade { .. }, Some(L1State::Exclusive | L1State::Modified)) => {
-                let st = state.expect("resident");
+            (MsgPayload::Downgrade { .. }, Some(st @ (L1State::Exclusive | L1State::Modified))) => {
                 ctx.coverage.record(Transition::l1(st.name(), "Downgrade"));
-                let cfg_budget = ctx.cfg.tsocc_max_accesses;
-                let entry = self.cache.get_mut(line).expect("resident");
-                let dirty = entry.dirty;
-                let data = entry.data.clone();
-                let ts = entry.ts;
+                let budget = ctx.cfg.tsocc_max_accesses;
+                let entry = l1.cache.get_mut(line).expect("resident");
+                let (data, dirty, ts) = (entry.data.clone(), entry.dirty, entry.meta.ts);
                 entry.state = L1State::Shared;
                 entry.dirty = false;
-                entry.accesses_left = cfg_budget;
-                out.to_network.push(Msg::new(
-                    self.node,
+                entry.meta.accesses_left = budget;
+                l1.reply(
+                    out,
                     msg.src,
                     MsgPayload::WbData {
                         line,
@@ -697,279 +358,110 @@ impl TsoCcL1 {
                         dirty,
                         ts,
                     },
-                ));
+                );
             }
             (MsgPayload::Downgrade { .. }, Some(L1State::Shared)) => {
                 // A downgrade that raced with our own silent downgrade: answer
                 // with the Shared copy (clean).
                 ctx.coverage.record(Transition::l1("S", "Downgrade"));
-                let entry = self.cache.get(line).expect("resident");
-                out.to_network.push(Msg::new(
-                    self.node,
+                let entry = l1.cache.get(line).expect("resident");
+                let (data, ts) = (entry.data.clone(), entry.meta.ts);
+                l1.reply(
+                    out,
                     msg.src,
                     MsgPayload::WbData {
                         line,
-                        data: entry.data.clone(),
+                        data,
                         dirty: false,
-                        ts: entry.ts,
+                        ts,
                     },
-                ));
+                );
             }
-            (MsgPayload::Recall { .. }, Some(L1State::Shared)) => {
-                ctx.coverage.record(Transition::l1("S", "Recall"));
-                let entry = self.cache.remove(line).expect("resident");
-                out.to_network.push(Msg::new(
-                    self.node,
-                    msg.src,
-                    MsgPayload::WbData {
-                        line,
-                        data: entry.data,
-                        dirty: false,
-                        ts: entry.ts,
-                    },
-                ));
-                out.lq_notices.push(line);
-            }
-            (MsgPayload::Recall { .. }, Some(L1State::Exclusive | L1State::Modified)) => {
-                let st = state.expect("resident");
+            (MsgPayload::Recall { .. }, Some(st)) => {
+                // A Shared line is always clean, so it answers clean.
                 ctx.coverage.record(Transition::l1(st.name(), "Recall"));
-                let entry = self.cache.remove(line).expect("resident");
-                out.to_network.push(Msg::new(
-                    self.node,
+                let entry = l1.cache.remove(line).expect("resident");
+                let (data, dirty, ts) = (entry.data, entry.dirty, entry.meta.ts);
+                l1.reply(
+                    out,
                     msg.src,
                     MsgPayload::WbData {
                         line,
-                        data: entry.data,
-                        dirty: entry.dirty,
-                        ts: entry.ts,
+                        data,
+                        dirty,
+                        ts,
                     },
-                ));
+                );
                 out.lq_notices.push(line);
             }
-            _ => {
-                ctx.errors.push(ProtocolError::invalid_transition(
-                    ctx.cycle,
-                    format!("TSO-CC L1[{}]", self.core),
-                    line,
-                    state.map_or("I", |s| s.name()),
-                    event,
-                ));
-            }
+            _ => l1.invalid(
+                ctx,
+                line,
+                state.map_or("I", L1State::name),
+                msg.payload.event_name(),
+            ),
         }
     }
 
-    fn install_line(
-        &mut self,
+    fn transient(
+        l1: &mut L1<TsoCc>,
         out: &mut L1Output,
         ctx: &mut TickCtx<'_>,
-        line: LineAddr,
-        data: LineData,
-        state: L1State,
-        ts: Option<TsInfo>,
+        msg: Msg,
+        tstate: Transient,
     ) {
-        if !self.make_room(out, ctx, line) {
-            out.lq_notices.push(line);
-            return;
-        }
-        self.cache.insert(
-            line,
-            L1Line {
-                state,
-                data,
-                dirty: false,
-                ts,
-                accesses_left: ctx.cfg.tsocc_max_accesses,
-            },
-        );
-    }
-
-    fn install_modified(
-        &mut self,
-        out: &mut L1Output,
-        ctx: &mut TickCtx<'_>,
-        line: LineAddr,
-        data: LineData,
-        dirty: bool,
-        ts: Option<TsInfo>,
-    ) {
-        if !self.make_room(out, ctx, line) {
-            out.to_network.push(Msg::new(
-                self.node,
-                self.home_bank(ctx.cfg, line),
-                MsgPayload::PutX {
-                    line,
-                    data: data.clone(),
-                    dirty: true,
-                    ts,
-                },
-            ));
-            let mut mshr = Mshr::new(Transient::MI);
-            mshr.wb_data = Some((data, true, ts));
-            self.mshrs.insert(line, mshr);
-            out.lq_notices.push(line);
-            return;
-        }
-        self.cache.insert(
-            line,
-            L1Line {
-                state: L1State::Modified,
-                data,
-                dirty,
-                ts,
-                accesses_left: ctx.cfg.tsocc_max_accesses,
-            },
-        );
-    }
-
-    fn replay_deferred(&mut self, out: &mut L1Output, ctx: &mut TickCtx<'_>, deferred: Vec<Msg>) {
-        for msg in deferred {
-            self.handle_msg(out, ctx, msg);
-        }
-    }
-}
-
-impl L1Controller for TsoCcL1 {
-    fn push_core_request(&mut self, req: CoreRequest) {
-        self.core_requests.push_back(req);
-    }
-
-    fn push_msg(&mut self, msg: Msg) {
-        self.msg_inbox.push_back(msg);
-    }
-
-    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool {
-        let emitted = (out.to_network.len(), out.lq_notices.len());
-        let mut progress = !self.msg_inbox.is_empty();
-        while let Some(msg) = self.msg_inbox.pop_front() {
-            self.handle_msg(out, ctx, msg);
-        }
-        let mut budget = 8usize;
-        while budget > 0 {
-            let Some(req) = self.core_requests.front().copied() else {
-                break;
-            };
-            if self.process_core_request(out, ctx, req) {
-                self.core_requests.pop_front();
-                budget -= 1;
-                progress = true;
-            } else {
-                break;
+        let line = msg.payload.line();
+        let event = msg.payload.event_name();
+        match (&msg.payload, tstate) {
+            (MsgPayload::Downgrade { .. } | MsgPayload::Recall { .. }, Transient::MI) => {
+                l1.answer_from_writeback(out, ctx, &msg)
             }
+            (
+                MsgPayload::Downgrade { .. } | MsgPayload::Recall { .. },
+                Transient::IS | Transient::IM,
+            ) => l1.defer(ctx, msg, tstate),
+            (
+                MsgPayload::DataS { data, ts, .. } | MsgPayload::DataE { data, ts, .. },
+                Transient::IS,
+            ) => {
+                ctx.coverage.record(Transition::l1("IS", event));
+                // Acquire first, so the LQ sees the self-invalidation notices
+                // before the pending loads complete.
+                acquire(l1, out, ctx, *ts);
+                let state = match msg.payload {
+                    MsgPayload::DataE { .. } => L1State::Exclusive,
+                    _ => L1State::Shared,
+                };
+                l1.fill(out, ctx, line, data.clone(), *ts, state);
+            }
+            (MsgPayload::DataX { data, ts, .. }, Transient::IM) => {
+                ctx.coverage.record(Transition::l1("IM", "DataX"));
+                acquire(l1, out, ctx, *ts);
+                l1.fill_modified(out, ctx, line, data.clone(), *ts);
+            }
+            _ => l1.invalid(ctx, line, tstate.name(), event),
         }
-        progress |= release_due(&mut self.ready_responses, ctx.cycle, &mut out.responses);
-        progress || emitted != (out.to_network.len(), out.lq_notices.len())
     }
 
-    fn next_release(&self) -> Option<Cycle> {
-        earliest_release(&self.ready_responses)
-    }
-
-    fn is_idle(&self) -> bool {
-        self.mshrs.is_empty()
-            && self.core_requests.is_empty()
-            && self.msg_inbox.is_empty()
-            && self.ready_responses.is_empty()
-    }
-
-    fn hard_reset(&mut self) {
-        self.cache.drain_all();
-        self.mshrs.clear();
-        self.core_requests.clear();
-        self.msg_inbox.clear();
-        self.ready_responses.clear();
-        // The per-core timestamp state is architectural and survives resets of
-        // the test memory (matching how a real core's counters would behave).
-    }
-
-    fn save(&self) -> Option<Box<dyn Any>> {
-        let kept: Timestamps = (
-            self.local_ts,
-            self.writes_in_group,
-            self.epoch,
-            self.last_seen.clone(),
-        );
-        Some(Box::new(kept))
-    }
-
-    fn restore(&mut self, saved: Box<dyn Any>) {
-        let saved = saved
-            .downcast::<Timestamps>()
-            .expect("restores what this L1 saved");
-        (
-            self.local_ts,
-            self.writes_in_group,
-            self.epoch,
-            self.last_seen,
-        ) = *saved;
+    fn stamp_write(l1: &mut L1<TsoCc>, ctx: &mut TickCtx<'_>) -> Option<TsInfo> {
+        Some(l1.kept.bump(l1.core, ctx))
     }
 }
-
-/// What [`TsoCcL1::hard_reset`] keeps: `local_ts`, `writes_in_group`, `epoch`
-/// and `last_seen`.
-type Timestamps = (u64, u64, u64, BTreeMap<u32, (u64, u64)>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bugs::BugConfig;
     use crate::config::ProtocolKind;
-    use crate::coverage::CoverageRecorder;
-    use crate::protocol::{TickCoverage, TickLog};
+    use crate::protocol::harness::Harness;
+    use crate::protocol::{CoreRequest, L1Controller};
+    use crate::types::{LineData, NodeId};
     use mcversi_mcm::Address;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    struct Harness {
-        cfg: SystemConfig,
-        bugs: BugConfig,
-        coverage: CoverageRecorder,
-        rng: StdRng,
-        errors: Vec<ProtocolError>,
-        log: TickLog,
-        cycle: Cycle,
-    }
-
-    impl Harness {
-        fn new(bugs: BugConfig) -> Self {
-            Harness {
-                cfg: SystemConfig::small(ProtocolKind::TsoCc),
-                bugs,
-                coverage: CoverageRecorder::new(),
-                rng: StdRng::seed_from_u64(5),
-                errors: Vec::new(),
-                log: TickLog::default(),
-                cycle: 0,
-            }
-        }
-
-        fn tick(&mut self, l1: &mut TsoCcL1) -> L1Output {
-            self.cycle += 1;
-            let mut ctx = TickCtx {
-                cycle: self.cycle,
-                cfg: &self.cfg,
-                bugs: &self.bugs,
-                coverage: TickCoverage::new(&mut self.coverage, &mut self.log),
-                rng: &mut self.rng,
-                errors: &mut self.errors,
-            };
-            let mut out = L1Output::default();
-            l1.tick(&mut ctx, &mut out);
-            out
-        }
-
-        fn tick_until<T>(
-            &mut self,
-            l1: &mut TsoCcL1,
-            max: u64,
-            mut f: impl FnMut(&L1Output) -> Option<T>,
-        ) -> T {
-            for _ in 0..max {
-                let out = self.tick(l1);
-                if let Some(v) = f(&out) {
-                    return v;
-                }
-            }
-            panic!("condition not reached within {max} cycles");
+    impl L1<TsoCc> {
+        /// The core's current epoch, to confirm resets happen.
+        fn epoch(&self) -> u64 {
+            self.kept.epoch
         }
     }
 
@@ -1014,7 +506,7 @@ mod tests {
 
     #[test]
     fn shared_hit_decrements_access_budget_and_expires() {
-        let mut h = Harness::new(BugConfig::none());
+        let mut h = Harness::new(ProtocolKind::TsoCc, BugConfig::none());
         let mut l1 = TsoCcL1::new(0, &h.cfg);
         let ts = Some(TsInfo {
             writer: 1,
@@ -1050,7 +542,7 @@ mod tests {
 
     #[test]
     fn acquire_of_newer_timestamp_self_invalidates_shared_lines() {
-        let mut h = Harness::new(BugConfig::none());
+        let mut h = Harness::new(ProtocolKind::TsoCc, BugConfig::none());
         let mut l1 = TsoCcL1::new(0, &h.cfg);
         // A stale Shared line written by core 1 at ts=1.
         fill_shared(
@@ -1108,7 +600,7 @@ mod tests {
             (BugConfig::none(), true),
             (BugConfig::single(Bug::TsoCcCompare), false),
         ] {
-            let mut h = Harness::new(bugs);
+            let mut h = Harness::new(ProtocolKind::TsoCc, bugs);
             let mut l1 = TsoCcL1::new(0, &h.cfg);
             // First acquire from writer 1 at ts=2: establishes last_seen = 2.
             fill_shared(
@@ -1181,7 +673,7 @@ mod tests {
             (BugConfig::none(), true),
             (BugConfig::single(Bug::TsoCcNoEpochIds), false),
         ] {
-            let mut h = Harness::new(bugs);
+            let mut h = Harness::new(ProtocolKind::TsoCc, bugs);
             let mut l1 = TsoCcL1::new(0, &h.cfg);
             // Observe writer 1 late in its epoch 0 (large timestamp).
             fill_shared(
@@ -1250,7 +742,7 @@ mod tests {
 
     #[test]
     fn rmw_and_fence_self_invalidate_shared_lines() {
-        let mut h = Harness::new(BugConfig::none());
+        let mut h = Harness::new(ProtocolKind::TsoCc, BugConfig::none());
         let mut l1 = TsoCcL1::new(0, &h.cfg);
         fill_shared(
             &mut h,
@@ -1281,7 +773,7 @@ mod tests {
 
     #[test]
     fn writes_advance_timestamps_and_reset_into_new_epoch() {
-        let mut h = Harness::new(BugConfig::none());
+        let mut h = Harness::new(ProtocolKind::TsoCc, BugConfig::none());
         let mut l1 = TsoCcL1::new(0, &h.cfg);
         // Acquire exclusive ownership once, then hammer stores.
         l1.push_core_request(CoreRequest {
@@ -1324,7 +816,7 @@ mod tests {
 
     #[test]
     fn downgrade_provides_data_and_keeps_shared_copy() {
-        let mut h = Harness::new(BugConfig::none());
+        let mut h = Harness::new(ProtocolKind::TsoCc, BugConfig::none());
         let mut l1 = TsoCcL1::new(0, &h.cfg);
         l1.push_core_request(CoreRequest {
             tag: 1,

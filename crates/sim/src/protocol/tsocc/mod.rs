@@ -17,16 +17,24 @@
 //! * Shared lines additionally expire after a bounded number of accesses;
 //! * fences and atomic read-modify-writes self-invalidate all Shared lines.
 //!
-//! The L2 ([`l2`]) tracks only the exclusive owner (no sharer lists) plus the
+//! The L2 (`l2`) tracks only the exclusive owner (no sharer lists) plus the
 //! last writer's timestamp metadata per line.
+//!
+//! Both controllers are the shared skeletons of `crate::protocol::l1` and
+//! `crate::protocol::l2` instantiated with `TsoCc`, which supplies the
+//! states, transitions and the timestamp logic.
 
-pub mod l1;
-pub mod l2;
+mod l1;
+mod l2;
 
-pub use l1::TsoCcL1;
-pub use l2::TsoCcL2;
+pub(crate) use l1::TsoCcL1;
+pub(crate) use l2::TsoCcL2;
 
 use crate::coverage::Transition;
+
+/// The TSO-CC protocol: the transitions of [`TsoCcL1`] and [`TsoCcL2`].
+#[derive(Debug)]
+pub(crate) struct TsoCc;
 
 /// All transitions defined by the TSO-CC L1 controller (coverage universe).
 pub fn l1_transitions() -> Vec<Transition> {

@@ -162,7 +162,7 @@ pub struct Mark {
     cycle: Cycle,
     total_instructions: u64,
     coverage: CoverageMark,
-    l1s: Vec<Option<Box<dyn Any>>>,
+    l1s: Vec<Box<dyn Any>>,
     memory_served: (u64, u64),
     network_sent: u64,
     metrics: Option<LocalMetrics>,
@@ -527,9 +527,7 @@ impl System {
         self.total_instructions = mark.total_instructions;
         self.coverage.rewind(mark.coverage);
         for (l1, saved) in self.l1s.iter_mut().zip(mark.l1s) {
-            if let Some(saved) = saved {
-                l1.restore(saved);
-            }
+            l1.restore(saved);
         }
         self.memory.rewind_served(mark.memory_served);
         self.network.rewind_total_sent(mark.network_sent);
