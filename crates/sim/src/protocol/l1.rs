@@ -378,7 +378,7 @@ impl<P: L1Protocol> L1<P> {
         ctx: &mut TickCtx<'_>,
         tag: u64,
         line: LineAddr,
-    ) -> bool {
+    ) {
         let state = self.cache.get(line).map(|l| l.state);
         ctx.coverage
             .record(Transition::l1(state.map_or("I", L1State::name), "Flush"));
@@ -389,7 +389,6 @@ impl<P: L1Protocol> L1<P> {
         } else {
             self.respond(ctx, tag, CoreRespKind::FlushDone);
         }
-        true
     }
 
     /// Serves the operations queued on an MSHR against a just-arrived line

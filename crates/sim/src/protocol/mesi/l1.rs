@@ -183,7 +183,10 @@ impl L1Protocol for Mesi {
             }
 
             // ---- Flushes ----
-            (CoreReqKind::Flush, _) => l1.flush(out, ctx, op.tag, line),
+            (CoreReqKind::Flush, _) => {
+                l1.flush(out, ctx, op.tag, line);
+                true
+            }
 
             // ---- Fences ----
             // Under MESI, ordering across a fence is enforced by the core

@@ -321,7 +321,10 @@ impl L1Protocol for TsoCc {
             }
 
             // ---- Flushes ----
-            (CoreReqKind::Flush, _) => l1.flush(out, ctx, op.tag, line),
+            (CoreReqKind::Flush, _) => {
+                l1.flush(out, ctx, op.tag, line);
+                true
+            }
 
             // ---- Fences: self-invalidate all Shared lines ----
             (CoreReqKind::Fence, _) => {
