@@ -9,21 +9,16 @@
 //! their fence/dependency flavours.  This module enumerates that candidate
 //! cycle set with a bounded DFS over the [`Dataflow`] facts and evaluates
 //! each cycle against the whole model chain via
-//! [`ModelKind::cycle_verdicts`], giving two predicates:
-//!
-//! * [`Discrimination::discriminates_chain`] — some candidate cycle is
-//!   forbidden under one model of the chain but allowed under another (the
-//!   test can tell models apart);
-//! * [`Discrimination::forbids_any`] / [`forbids_any`] — some candidate
-//!   cycle is forbidden under a given target model (the test can produce a
-//!   violation under that model at all).  This is the predicate the
-//!   campaign's pre-simulation prune uses: a chain-constant cycle (forbidden
-//!   everywhere, e.g. `MP+mfence+addr`) does not discriminate, yet its weak
-//!   outcome is still a reportable violation.
+//! [`ModelKind::cycle_verdicts`]: one verdict row per candidate cycle, which
+//! [`Discrimination::verdict_of`] looks up.  A row mixing `true` and `false`
+//! means the test can tell models apart; a `true` under one model means the
+//! test can produce a violation under that model at all.
 //!
 //! The classifier is deliberately a *may* analysis of the critical-cycle
 //! vocabulary: same-location (coherence) violations and protocol faults are
-//! outside it, which is one reason the prune is opt-in.
+//! outside it.  Its consumers are the `unreachable-exists` lint (and through
+//! it `mcversi-lint`) and the benchmark, which times one classification per
+//! generated test.
 
 use crate::dataflow::{Access, Dataflow};
 use mcversi_mcm::{CriticalCycle, CycleEdge, Dir, ModelKind};
@@ -32,10 +27,6 @@ use std::collections::BTreeSet;
 
 /// Full classifications performed ([`classify`] calls).
 static CLASSIFY_CALLS: telemetry::Counter = telemetry::Counter::new("analysis.classify.calls");
-/// Early-exit forbids queries ([`forbids_any`] calls).
-static FORBIDS_CALLS: telemetry::Counter = telemetry::Counter::new("analysis.forbids.calls");
-/// Forbids queries answering `true` (test kept by the prune).
-static FORBIDS_HITS: telemetry::Counter = telemetry::Counter::new("analysis.forbids.hits");
 /// Candidate cycles visited by the bounded DFS (pre-dedup).
 static CYCLES_VISITED: telemetry::Counter = telemetry::Counter::new("analysis.cycles.visited");
 /// Searches that exhausted the step budget.
@@ -86,22 +77,6 @@ impl Discrimination {
         self.cycles.is_empty()
     }
 
-    /// Returns `true` if some candidate cycle separates two models of the
-    /// strength chain (forbidden under one, allowed under another).
-    pub fn discriminates_chain(&self) -> bool {
-        self.verdicts
-            .iter()
-            .any(|v| v.contains(&true) && v.contains(&false))
-    }
-
-    /// Returns `true` if some candidate cycle is forbidden under `model` —
-    /// i.e. the test can produce a violation the checker would report when
-    /// verifying against `model`.
-    pub fn forbids_any(&self, model: ModelKind) -> bool {
-        let idx = model_index(model);
-        self.verdicts.iter().any(|v| v[idx])
-    }
-
     /// The verdict vector recorded for `cycle`, if it is in the set.
     pub fn verdict_of(&self, cycle: &CriticalCycle) -> Option<[bool; ModelKind::ALL.len()]> {
         let canon = cycle.canonicalize();
@@ -112,10 +87,6 @@ impl Discrimination {
     }
 }
 
-fn model_index(model: ModelKind) -> usize {
-    ModelKind::ALL.iter().position(|&m| m == model).unwrap_or(0)
-}
-
 /// Enumerates the candidate critical cycles of a program and classifies each
 /// against the model chain.
 pub fn classify(df: &Dataflow, bounds: &ClassifyBounds) -> Discrimination {
@@ -123,7 +94,6 @@ pub fn classify(df: &Dataflow, bounds: &ClassifyBounds) -> Discrimination {
     let mut seen: BTreeSet<CriticalCycle> = BTreeSet::new();
     let truncated = search(df, bounds, |cycle| {
         seen.insert(cycle);
-        false
     });
     let cycles: Vec<CriticalCycle> = seen.into_iter().collect();
     let verdicts = cycles.iter().map(ModelKind::cycle_verdicts).collect();
@@ -132,27 +102,6 @@ pub fn classify(df: &Dataflow, bounds: &ClassifyBounds) -> Discrimination {
         verdicts,
         truncated,
     }
-}
-
-/// Early-exit predicate: does any candidate cycle make the test capable of a
-/// violation under `model`?  Stops the enumeration at the first hit.
-///
-/// A truncated search answers `true` (never prune a test the search could
-/// not finish classifying).
-pub fn forbids_any(df: &Dataflow, model: ModelKind, bounds: &ClassifyBounds) -> bool {
-    FORBIDS_CALLS.incr();
-    let mut hit = false;
-    let truncated = search(df, bounds, |cycle| {
-        if model.forbids_cycle(&cycle) {
-            hit = true;
-        }
-        hit
-    });
-    let keep = hit || truncated;
-    if keep {
-        FORBIDS_HITS.incr();
-    }
-    keep
 }
 
 /// The flavour options of one same-thread program-order pair: plain `po`,
@@ -186,13 +135,9 @@ fn external_kind(a: &Access, b: &Access) -> Option<CycleEdge> {
 
 /// Bounded DFS over the access graph.  `visit` receives canonicalized
 /// cycles (the same canonical cycle can arrive more than once when distinct
-/// access sets realize it — [`classify`] deduplicates) and returns `true` to
-/// stop the search.  Returns `true` when the step budget was exhausted.
-fn search(
-    df: &Dataflow,
-    bounds: &ClassifyBounds,
-    mut visit: impl FnMut(CriticalCycle) -> bool,
-) -> bool {
+/// access sets realize it — [`classify`] deduplicates).  Returns `true`
+/// when the step budget was exhausted.
+fn search(df: &Dataflow, bounds: &ClassifyBounds, mut visit: impl FnMut(CriticalCycle)) -> bool {
     let mut visit = |cycle: CriticalCycle| {
         CYCLES_VISITED.incr();
         visit(cycle)
@@ -227,7 +172,6 @@ fn search(
         max_edges: bounds.max_edges,
         steps_left: bounds.max_steps,
         truncated: false,
-        stop: false,
         path: Vec::new(),
         edges: Vec::new(),
         on_path: vec![false; n],
@@ -235,7 +179,7 @@ fn search(
         visit: &mut visit,
     };
     for (start, node) in nodes.iter().enumerate() {
-        if state.stop || state.truncated {
+        if state.truncated {
             break;
         }
         state.path.push(start);
@@ -253,13 +197,12 @@ fn search(
 }
 
 /// Mutable state of one DFS, split out so the recursion borrows cleanly.
-struct SearchState<'a, F: FnMut(CriticalCycle) -> bool> {
+struct SearchState<'a, F: FnMut(CriticalCycle)> {
     nodes: &'a [Access],
     adj: &'a [Vec<(usize, Vec<CycleEdge>)>],
     max_edges: usize,
     steps_left: usize,
     truncated: bool,
-    stop: bool,
     path: Vec<usize>,
     edges: Vec<CycleEdge>,
     on_path: Vec<bool>,
@@ -267,7 +210,7 @@ struct SearchState<'a, F: FnMut(CriticalCycle) -> bool> {
     visit: &'a mut F,
 }
 
-impl<F: FnMut(CriticalCycle) -> bool> SearchState<'_, F> {
+impl<F: FnMut(CriticalCycle)> SearchState<'_, F> {
     /// Whether appending `edge` after the current last edge keeps the path a
     /// potential critical cycle (the cheap incremental subset of
     /// [`CriticalCycle::new`]'s conditions).
@@ -295,14 +238,14 @@ impl<F: FnMut(CriticalCycle) -> bool> SearchState<'_, F> {
     }
 
     fn extend(&mut self, current: usize) {
-        if self.stop || self.truncated {
+        if self.truncated {
             return;
         }
         let start = self.path[0];
         let adj = self.adj;
         for &(next, ref flavours) in &adj[current] {
             for &edge in flavours {
-                if self.stop || self.truncated {
+                if self.truncated {
                     return;
                 }
                 if self.steps_left == 0 {
@@ -368,9 +311,7 @@ impl<F: FnMut(CriticalCycle) -> bool> SearchState<'_, F> {
             // "cycle" is degenerate in this program.
             return;
         }
-        if (self.visit)(cycle.canonicalize()) {
-            self.stop = true;
-        }
+        (self.visit)(cycle.canonicalize());
     }
 }
 
@@ -410,17 +351,12 @@ mod tests {
         let verdict = result.verdict_of(&mp).expect("MP cycle found");
         // MP: forbidden under SC and TSO, allowed under the relaxed models.
         assert_eq!(verdict, [true, true, false, false, false]);
-        assert!(result.discriminates_chain());
-        assert!(result.forbids_any(ModelKind::Sc));
-        assert!(result.forbids_any(ModelKind::Tso));
-        assert!(!result.forbids_any(ModelKind::Armish));
     }
 
     #[test]
     fn fenced_mp_separates_the_relaxed_models() {
         // mfence on the writer, addr dependency on the reader: forbidden
-        // everywhere — still prune-relevant for ARMish, though it no longer
-        // discriminates by itself.
+        // everywhere, so it no longer discriminates by itself.
         let program = TestProgram::new(vec![
             vec![
                 TestOp::write(x(), 1),
@@ -446,8 +382,6 @@ mod tests {
         );
         // The plain-po weakenings are enumerated alongside.
         assert!(result.len() >= 4, "po/fence × po/dep variants expected");
-        assert!(result.forbids_any(ModelKind::Armish));
-        assert!(result.forbids_any(ModelKind::Rmo));
     }
 
     #[test]
@@ -459,26 +393,9 @@ mod tests {
         ]);
         let result = classify_program(&private);
         assert!(result.is_empty());
-        assert!(!result.discriminates_chain());
-        assert!(!result.forbids_any(ModelKind::Sc));
         // A single conflict with no second location cannot form a cycle.
         let single = TestProgram::new(vec![vec![TestOp::write(x(), 1)], vec![TestOp::read(x())]]);
         assert!(classify_program(&single).is_empty());
-    }
-
-    #[test]
-    fn forbids_any_early_exit_agrees_with_full_classification() {
-        let program = mp_program();
-        let df = Dataflow::new(&program);
-        let bounds = ClassifyBounds::default();
-        let full = classify(&df, &bounds);
-        for model in ModelKind::ALL {
-            assert_eq!(
-                forbids_any(&df, model, &bounds),
-                full.forbids_any(model),
-                "early-exit predicate must agree for {model:?}"
-            );
-        }
     }
 
     #[test]
@@ -490,8 +407,6 @@ mod tests {
         };
         let result = classify(&df, &bounds);
         assert!(result.truncated);
-        // A truncated search must never prune.
-        assert!(forbids_any(&df, ModelKind::Armish, &bounds));
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //!    thread-private locations.
 //! 3. **Discrimination classifier** ([`mod@classify`]) — derives the program's
 //!    candidate critical-cycle set from its conflict graph and queries
-//!    [`ModelKind::forbids_cycle`](mcversi_mcm::ModelKind::forbids_cycle) to
-//!    predict whether the test can distinguish models on the strength chain,
-//!    or produce a violation under one target model at all.
+//!    [`ModelKind::cycle_verdicts`](mcversi_mcm::ModelKind::cycle_verdicts)
+//!    to predict whether the test can distinguish models on the strength
+//!    chain, or produce a violation under one target model at all.
 //!
-//! The `mcversi-lint` binary (in `mcversi-core`) runs the lints over corpora
-//! and scenario-generated programs; the campaign loop can consult the
-//! classifier as an opt-in pre-simulation prune (see
-//! `mcversi_core::campaign`).
+//! The `mcversi-lint` binary (in `mcversi-core`) runs the lints (the
+//! `unreachable-exists` lint through the classifier) over corpora and
+//! scenario-generated programs; the campaign loop never consults them.
 //!
 //! [`TestProgram`]: mcversi_sim::TestProgram
 //! [`Lint`]: lint::Lint
@@ -40,6 +39,6 @@ pub mod classify;
 pub mod dataflow;
 pub mod lint;
 
-pub use classify::{classify, forbids_any, ClassifyBounds, Discrimination};
+pub use classify::{classify, ClassifyBounds, Discrimination};
 pub use dataflow::{Access, Dataflow, FencePoint};
 pub use lint::{all_lints, run_lints, run_lints_on, Diagnostic, Lint, Severity};

@@ -10,17 +10,13 @@
 
 use crate::config::McVerSiConfig;
 use crate::generator::{GeneratorKind, TestSource};
-use crate::lowering::lower;
-use crate::runner::{RunVerdict, TestRunResult, TestRunner};
+use crate::runner::{RunVerdict, TestRunner};
 use crate::sink::{CampaignEvent, CampaignSink, NullSink};
-use mcversi_analysis::{forbids_any, ClassifyBounds, Dataflow};
 use mcversi_mcm::ModelKind;
 use mcversi_sim::{Bug, BugConfig, CoreStrength};
 use mcversi_telemetry as telemetry;
 use mcversi_telemetry::MetricsSnapshot;
-use mcversi_testgen::NdtAnalysis;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -30,49 +26,13 @@ use std::time::{Duration, Instant};
 /// backpressure to the sample workers.
 const EVENT_CHANNEL_DEPTH: usize = 64;
 
-/// How many statically rejected tests a [`StaticPrune::Skip`] campaign may
-/// discard per unit of test-run budget before the sample gives up.  The cap
-/// bounds the wall-clock spent generating and classifying when a generator
-/// produces (almost) exclusively inert tests.
-const PRUNE_SKIP_CAP_FACTOR: usize = 50;
-
 /// Phase timer: generating the next candidate test.
 static PHASE_GENERATE: telemetry::Timer = telemetry::Timer::new("phase.generate");
-/// Phase timer: static classification for the pre-simulation prune.
-static PHASE_CLASSIFY: telemetry::Timer = telemetry::Timer::new("phase.classify");
 /// Phase timer: generator feedback (fitness accounting, GP evolution).
 static PHASE_FITNESS: telemetry::Timer = telemetry::Timer::new("phase.fitness");
 /// Sample panics observed while draining a streamed batch (countable even
 /// when the panic messages themselves scroll past in a sink).
 static EVT_SAMPLE_PANIC: telemetry::Counter = telemetry::Counter::new("events.sample_panic");
-
-/// Pre-simulation pruning of statically inert tests.
-///
-/// Before a test is simulated, the campaign can consult the static
-/// discrimination classifier ([`mcversi_analysis::classify()`]): a test whose
-/// candidate critical-cycle set contains no cycle the target model forbids
-/// cannot produce an MCM violation under that model, so simulating it only
-/// spends budget on coverage.
-///
-/// Pruning is a *may*-analysis over critical cycles of two or more
-/// locations: single-location coherence violations and protocol faults can
-/// still surface in tests the classifier calls inert.  It is therefore
-/// off by default and opt-in per scenario.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StaticPrune {
-    /// No pruning (the default): every generated test is simulated.
-    #[default]
-    Off,
-    /// Statically inert tests are not simulated at all.  The generator still
-    /// receives zero-fitness feedback for them (so a GP population evolves
-    /// away from inert chromosomes), and they do not count against the
-    /// test-run budget.
-    Skip,
-    /// Statically inert tests still run (no detection loss), but their
-    /// fitness is forced to zero before the generator feedback, steering the
-    /// GP search toward discriminating tests.
-    Penalize,
-}
 
 /// Configuration of one campaign.
 #[derive(Debug, Clone)]
@@ -92,15 +52,6 @@ pub struct CampaignConfig {
     /// means one worker per available hardware thread, capped at the number
     /// of samples.
     pub parallelism: usize,
-    /// Optional wall-clock budget shared by *all* samples of a batch.  When a
-    /// batch of samples runs on an oversubscribed host, per-sample wall-clock
-    /// budgets skew generator comparisons (late-scheduled samples observe a
-    /// colder machine); a shared deadline bounds the whole batch instead.
-    /// `None` (the default) bounds each sample only by `max_wall_time`.
-    pub shared_wall_time: Option<Duration>,
-    /// Pre-simulation pruning of statically inert tests (default
-    /// [`StaticPrune::Off`]; see [`StaticPrune`] for the soundness caveat).
-    pub prune: StaticPrune,
     /// Telemetry cadence. `None` (the default) leaves metric recording off;
     /// `Some(0)` records metrics and snapshots them once into
     /// [`CampaignResult::metrics`]; `Some(n)` additionally emits a cumulative
@@ -125,8 +76,6 @@ impl CampaignConfig {
             max_test_runs,
             max_wall_time,
             parallelism: 0,
-            shared_wall_time: None,
-            prune: StaticPrune::Off,
             metrics: None,
         }
     }
@@ -135,18 +84,6 @@ impl CampaignConfig {
     /// (`0` = one per available hardware thread).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets a wall-clock budget shared by all samples of a batch.
-    pub fn with_shared_wall_time(mut self, budget: Duration) -> Self {
-        self.shared_wall_time = Some(budget);
-        self
-    }
-
-    /// Sets the pre-simulation prune mode (see [`StaticPrune`]).
-    pub fn with_prune(mut self, prune: StaticPrune) -> Self {
-        self.prune = prune;
         self
     }
 
@@ -235,9 +172,6 @@ pub struct CampaignResult {
     pub max_total_coverage: f64,
     /// Mean NDT of the GP population at the end (0 for stateless generators).
     pub final_mean_ndt: f64,
-    /// Number of generated tests the static classifier rejected (skipped or
-    /// fitness-penalized, per [`CampaignConfig::prune`]; 0 with pruning off).
-    pub pruned: usize,
     /// Final cumulative telemetry snapshot of the sample (present only when
     /// [`CampaignConfig::metrics`] was set; absent in older serialized
     /// results, which deserialize to `None`).
@@ -256,10 +190,9 @@ impl CampaignResult {
     }
 }
 
-/// A wall-clock budget shared by every sample of a campaign batch.
-///
-/// Samples poll [`WallBudget::expired`] between test-runs; once the deadline
-/// passes, all in-flight samples wind down at the next test-run boundary.
+/// A wall-clock deadline a sample polls between test-runs, on top of its
+/// per-sample `max_wall_time`; once it passes, the sample winds down at the
+/// next test-run boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct WallBudget {
     deadline: Option<Instant>,
@@ -286,26 +219,15 @@ impl WallBudget {
 
 /// Runs one campaign sample with the given seed.
 pub fn run_campaign(config: &CampaignConfig, seed: u64) -> CampaignResult {
-    let budget = config
-        .shared_wall_time
-        .map_or_else(WallBudget::unlimited, WallBudget::starting_now);
-    run_campaign_budgeted(config, seed, &budget)
+    run_campaign_observed(config, seed, &WallBudget::unlimited(), &mut |_| {})
 }
 
-/// Runs one campaign sample under an externally shared wall-clock budget
-/// (in addition to the per-sample `max_wall_time`).
-pub fn run_campaign_budgeted(
-    config: &CampaignConfig,
-    seed: u64,
-    budget: &WallBudget,
-) -> CampaignResult {
-    run_campaign_observed(config, seed, budget, &mut |_| {})
-}
-
-/// Like [`run_campaign_budgeted`], but reports every test-run (and any
-/// violation) through `emit` as it happens.  The emitted stream is the
-/// per-sample slice of the [`CampaignSink`] event protocol; `emit` is called
-/// on the worker thread executing the sample.
+/// Runs one campaign sample until its budget, a found bug, or the `budget`
+/// deadline ends it: generate a test, run it, feed the run back to the
+/// generator.  Every test-run (and any violation) is reported through `emit`
+/// as it happens.  The emitted stream is the per-sample slice of the
+/// [`CampaignSink`] event protocol; `emit` is called on the worker thread
+/// executing the sample.
 pub fn run_campaign_observed(
     config: &CampaignConfig,
     seed: u64,
@@ -337,8 +259,6 @@ pub fn run_campaign_observed(
     let mut detail = None;
     let mut found_at_run = None;
     let mut test_runs = 0usize;
-    let mut pruned = 0usize;
-    let prune_bounds = ClassifyBounds::default();
 
     while test_runs < config.max_test_runs
         && start.elapsed() < config.max_wall_time
@@ -348,50 +268,11 @@ pub fn run_campaign_observed(
             let _span = PHASE_GENERATE.span();
             source.next_test()
         };
-        // Pre-simulation prune: a test with no statically reachable cycle the
-        // target model forbids cannot produce an MCM violation under it.
-        let inert = config.prune != StaticPrune::Off && {
-            let _span = PHASE_CLASSIFY.span();
-            !forbids_any(&Dataflow::new(&lower(&test)), model, &prune_bounds)
-        };
-        if inert && config.prune == StaticPrune::Skip {
-            pruned += 1;
-            // Feed back a zero-signal result so a GP population evolves away
-            // from inert chromosomes; the skipped test does not count against
-            // the test-run budget.
-            let _span = PHASE_FITNESS.span();
-            source.feedback(
-                id,
-                &TestRunResult {
-                    verdict: RunVerdict::Passed,
-                    fitness: 0.0,
-                    analysis: NdtAnalysis::empty(),
-                    covered: BTreeSet::new(),
-                    iterations_run: 0,
-                    cycles: 0,
-                    retired_ops: 0,
-                },
-            );
-            if pruned >= config.max_test_runs.saturating_mul(PRUNE_SKIP_CAP_FACTOR) {
-                break;
-            }
-            continue;
-        }
         let result = runner.run_test(&test);
         test_runs += 1;
         {
             let _span = PHASE_FITNESS.span();
-            if inert {
-                // Penalize: the test still ran (no detection loss), but the
-                // generator sees it as worthless.
-                pruned += 1;
-                let mut penalized = result.clone();
-                penalized.fitness = 0.0;
-                penalized.analysis = NdtAnalysis::empty();
-                source.feedback(id, &penalized);
-            } else {
-                source.feedback(id, &result);
-            }
+            source.feedback(id, &result);
         }
         emit(CampaignEvent::TestRun {
             seed,
@@ -445,7 +326,6 @@ pub fn run_campaign_observed(
         wall_time: start.elapsed(),
         max_total_coverage: runner.total_coverage(),
         final_mean_ndt: source.population_mean_ndt(),
-        pruned,
         metrics: config.metrics.map(|_| telemetry::local_snapshot()),
     }
 }
@@ -478,7 +358,7 @@ impl SampleOutcome {
             SampleOutcome::Panicked { seed, message } => {
                 // Surface the crash: callers of `run_samples` (the experiment
                 // binaries) would otherwise average this sentinel into their
-                // tables with no visible trace.  Use `run_samples_outcomes`
+                // tables with no visible trace.  Use `run_samples_streamed`
                 // to handle panics programmatically instead.
                 eprintln!(
                     "warning: campaign sample (generator {}, seed {seed}) panicked: {message}",
@@ -498,7 +378,6 @@ impl SampleOutcome {
                     wall_time: Duration::ZERO,
                     max_total_coverage: 0.0,
                     final_mean_ndt: 0.0,
-                    pruned: 0,
                     metrics: None,
                 }
             }
@@ -527,25 +406,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///   fixed `base_seed` (provided the wall-clock budgets do not bind).
 /// * A panicking sample is isolated and reported as a sentinel result; the
 ///   remaining samples still run.
-/// * When `config.shared_wall_time` is set, all samples share one deadline
-///   (see [`CampaignConfig::shared_wall_time`]).
 ///
-/// To observe the batch while it runs, use [`run_samples_streamed`].
+/// To observe the batch while it runs, or to see panicked samples as
+/// [`SampleOutcome::Panicked`] rather than sentinel results, use
+/// [`run_samples_streamed`].
 pub fn run_samples(config: &CampaignConfig, samples: usize, base_seed: u64) -> Vec<CampaignResult> {
-    run_samples_outcomes(config, samples, base_seed)
+    run_samples_streamed(config, samples, base_seed, &mut NullSink)
         .into_iter()
         .map(|outcome| outcome.into_result(config))
         .collect()
-}
-
-/// Like [`run_samples`], but reports panicked samples explicitly instead of
-/// folding them into sentinel [`CampaignResult`]s.
-pub fn run_samples_outcomes(
-    config: &CampaignConfig,
-    samples: usize,
-    base_seed: u64,
-) -> Vec<SampleOutcome> {
-    run_samples_streamed(config, samples, base_seed, &mut NullSink)
 }
 
 /// Runs a sample batch like [`run_samples`], streaming [`CampaignEvent`]s
@@ -589,9 +458,6 @@ pub fn run_sample_subset(
         return Vec::new();
     }
     let workers = config.effective_parallelism(indices.len());
-    let budget = config
-        .shared_wall_time
-        .map_or_else(WallBudget::unlimited, WallBudget::starting_now);
     let next_job = AtomicUsize::new(0);
     let (sender, receiver) =
         mpsc::sync_channel::<(usize, CampaignEvent)>(workers * EVENT_CHANNEL_DEPTH);
@@ -601,7 +467,6 @@ pub fn run_sample_subset(
         for _ in 0..workers.clamp(1, indices.len()) {
             let sender = sender.clone();
             let next_job = &next_job;
-            let budget = &budget;
             scope.spawn(move || loop {
                 let slot = next_job.fetch_add(1, Ordering::Relaxed);
                 if slot >= indices.len() {
@@ -613,7 +478,7 @@ pub fn run_sample_subset(
                 // is being torn down — then dropping events is the right call.
                 let _ = sender.send((slot, CampaignEvent::SampleStart { seed, index: i }));
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_campaign_observed(config, seed, budget, &mut |event| {
+                    run_campaign_observed(config, seed, &WallBudget::unlimited(), &mut |event| {
                         let _ = sender.send((slot, event));
                     })
                 }));
@@ -831,78 +696,6 @@ mod tests {
         assert!(!result.found, "correct design under a weaker model");
     }
 
-    /// Penalize mode must not change what gets simulated — for a stateless
-    /// generator the run sequence is identical to pruning off; only the
-    /// generator-facing fitness and the `pruned` count differ.
-    #[test]
-    fn penalize_prune_runs_every_test_and_counts_inert_ones() {
-        let base = quick_cell(
-            GeneratorKind::McVerSiRand,
-            Some(Bug::SqNoDataDep),
-            ModelKind::Armish,
-            CoreStrength::Relaxed,
-        );
-        let off = run_campaign(&base, 1);
-        let penalized = run_campaign(&base.clone().with_prune(StaticPrune::Penalize), 1);
-        assert_eq!(off.pruned, 0, "pruning is off by default");
-        assert!(
-            penalized.pruned > 0,
-            "small random tests include statically inert ones: {penalized:?}"
-        );
-        assert_eq!(penalized.test_runs, off.test_runs);
-        assert_eq!(penalized.found, off.found);
-        assert_eq!(penalized.simulated_cycles, off.simulated_cycles);
-    }
-
-    /// Skip mode spends the test-run budget only on statically capable
-    /// tests; discarded ones are counted but not simulated.
-    #[test]
-    fn skip_prune_discards_inert_tests_without_spending_budget() {
-        let cfg = quick_cell(
-            GeneratorKind::McVerSiRand,
-            Some(Bug::SqNoDataDep),
-            ModelKind::Armish,
-            CoreStrength::Relaxed,
-        )
-        .with_prune(StaticPrune::Skip);
-        let result = run_campaign(&cfg, 1);
-        assert_eq!(
-            result.test_runs, 40,
-            "the budget is still filled with simulated runs"
-        );
-        assert!(
-            result.pruned > 40,
-            "most small random tests are inert under ARMish: {result:?}"
-        );
-    }
-
-    /// When a generator produces exclusively inert tests, the skip cap stops
-    /// the sample instead of classifying forever.
-    #[test]
-    fn skip_prune_cap_stops_generators_with_no_capable_tests() {
-        let mut cfg = quick_cell(
-            GeneratorKind::McVerSiRand,
-            None,
-            ModelKind::Rmo,
-            CoreStrength::Relaxed,
-        )
-        .with_prune(StaticPrune::Skip);
-        // Without dependency-carrying or fence ops no cycle is RMO-forbidden,
-        // so every generated test is statically inert.
-        cfg.mcversi.testgen.bias.read_addr_dp = 0;
-        cfg.mcversi.testgen.bias.write_data_dp = 0;
-        cfg.mcversi.testgen.bias.write_ctrl_dp = 0;
-        cfg.mcversi.testgen.bias.fence = 0;
-        cfg.mcversi.testgen.bias.fence_acquire = 0;
-        cfg.mcversi.testgen.bias.fence_release = 0;
-        cfg.mcversi.testgen.bias.fence_lw = 0;
-        cfg.max_test_runs = 2;
-        let result = run_campaign(&cfg, 1);
-        assert_eq!(result.test_runs, 0, "nothing capable was ever simulated");
-        assert_eq!(result.pruned, 2 * PRUNE_SKIP_CAP_FACTOR);
-        assert!(!result.found);
-    }
-
     #[test]
     fn parallel_samples_use_distinct_seeds() {
         let cfg = quick_config(GeneratorKind::DiyLitmus, Some(Bug::LqNoTso));
@@ -1044,13 +837,11 @@ mod tests {
     /// behaviour.
     #[test]
     fn metrics_do_not_change_campaign_results() {
-        let base = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso))
-            .with_prune(StaticPrune::Penalize);
+        let base = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso));
         let off = run_campaign(&base, 11);
         assert!(off.metrics.is_none(), "metrics off leaves no snapshot");
         let on = run_campaign(&base.clone().with_metrics(0), 11);
         assert_eq!(fingerprint(&off), fingerprint(&on));
-        assert_eq!(off.pruned, on.pruned);
         let snapshot = on.metrics.expect("metrics on yields a snapshot");
         assert!(
             snapshot.timers.contains_key("phase.generate"),
@@ -1188,19 +979,6 @@ mod tests {
         assert_eq!(result.seed, 9);
         assert_eq!(result.detail.as_deref(), Some("sample panicked: boom"));
         assert_eq!(result.test_runs, 0);
-    }
-
-    #[test]
-    fn expired_shared_budget_stops_samples_immediately() {
-        let cfg = quick_config(GeneratorKind::McVerSiRand, None)
-            .with_shared_wall_time(Duration::ZERO)
-            .with_parallelism(2);
-        let results = run_samples(&cfg, 3, 1);
-        assert_eq!(results.len(), 3);
-        for r in &results {
-            assert_eq!(r.test_runs, 0, "expired shared budget must stop the batch");
-            assert!(!r.found);
-        }
     }
 
     #[test]

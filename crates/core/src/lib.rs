@@ -38,9 +38,8 @@ pub mod scenario;
 pub mod sink;
 
 pub use campaign::{
-    run_campaign, run_campaign_budgeted, run_campaign_observed, run_sample_subset, run_samples,
-    run_samples_outcomes, run_samples_streamed, CampaignConfig, CampaignResult, SampleOutcome,
-    StaticPrune, WallBudget,
+    run_campaign, run_campaign_observed, run_sample_subset, run_samples, run_samples_streamed,
+    CampaignConfig, CampaignResult, SampleOutcome, WallBudget,
 };
 pub use config::McVerSiConfig;
 pub use coverage::{AdaptiveCoverage, AdaptiveCoverageConfig};

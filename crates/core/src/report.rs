@@ -643,7 +643,6 @@ mod tests {
             wall_time: Duration::from_secs(1),
             max_total_coverage: 0.5,
             final_mean_ndt: 1.0,
-            pruned: 0,
             metrics: None,
         }
     }

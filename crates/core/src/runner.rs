@@ -67,11 +67,10 @@ static SIM_FAULT: telemetry::Counter = telemetry::Counter::new("sim.fault");
 /// How the runner verifies observed executions against the target MCM.
 ///
 /// Every iteration's execution is checked as it is observed (the paper's
-/// Algorithm 2 flow); this is the only mode.  The type survives for two
-/// reasons: `ScenarioSpec.checking` keeps its key, so the canonical spec
-/// JSON — and with it every `cell_id` and journal key — stays byte-identical,
-/// and the benchmark package's workload tests read that field.  The
-/// `collective` and `vc` modes were removed; specs naming them are rejected.
+/// Algorithm 2 flow); this is the only mode.  The type survives because
+/// `ScenarioSpec.checking` keeps its key, which the benchmark package's
+/// workload test reads.  The `collective` and `vc` modes were removed; specs
+/// naming them are rejected.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum CheckingMode {
     /// Check every iteration's execution as it is observed.

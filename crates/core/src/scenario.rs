@@ -53,7 +53,7 @@
 //! become the sweep axes unless `MCVERSI_MODELS` / `MCVERSI_CORES` name
 //! their own (see [`grid_from_env`]).
 
-use crate::campaign::{CampaignConfig, StaticPrune};
+use crate::campaign::CampaignConfig;
 use crate::config::McVerSiConfig;
 use crate::generator::GeneratorKind;
 use crate::runner::CheckingMode;
@@ -61,7 +61,7 @@ use mcversi_mcm::ModelKind;
 use mcversi_sim::{Bug, CoreStrength, ProtocolKind, SystemConfig};
 use mcversi_telemetry as telemetry;
 use mcversi_testgen::{LitmusCorpus, OperationBias, TestGenParams};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -110,8 +110,6 @@ pub struct ScenarioSpec {
     pub max_test_runs: usize,
     /// Wall-clock cap per sample, in seconds.
     pub wall_secs: u64,
-    /// Optional wall-clock budget shared by all samples of a batch.
-    pub shared_wall_secs: Option<u64>,
     /// Worker threads for sample batches (`0` = one per hardware thread).
     pub parallelism: usize,
     /// Seed of the first sample (sample `i` runs with `base_seed + i`).
@@ -122,19 +120,14 @@ pub struct ScenarioSpec {
     /// Litmus corpus of the `diy-litmus` baseline (`None` = the default
     /// enumerated corpus; see [`LitmusCorpus`] and `MCVERSI_LITMUS`).
     pub litmus: Option<LitmusCorpus>,
-    /// Opt-in pre-simulation pruning of statically inert tests (`None` =
-    /// [`StaticPrune::Off`]; see [`StaticPrune`] for the soundness caveat).
-    pub prune: Option<StaticPrune>,
     /// Telemetry collection (`None` = off; `Some(0)` = final snapshot only;
     /// `Some(n)` = also stream a [`crate::sink::CampaignEvent::Metrics`]
     /// snapshot every `n` test-runs).  See `MCVERSI_METRICS`.
     pub metrics: Option<usize>,
     /// Execution checking mode: absent, `null` and `"per_exec"` all mean
     /// [`CheckingMode::PerExec`], the only mode; the removed `"collective"`
-    /// and `"vc"` are rejected.  Nothing reads the field.  It stays so that
-    /// the canonical spec JSON — and with it every [`Self::cell_id`] and
-    /// journal key — is byte-identical to what earlier builds wrote, and
-    /// because the benchmark package's workload tests read it.
+    /// and `"vc"` are rejected.  Nothing in the workspace reads the field;
+    /// it stays because the benchmark package's workload test reads it.
     pub checking: Option<CheckingMode>,
     /// Optional display label (defaults to the paper's column naming).
     pub label: Option<String>,
@@ -157,12 +150,10 @@ impl ScenarioSpec {
             samples: 2,
             max_test_runs: 60,
             wall_secs: 120,
-            shared_wall_secs: None,
             parallelism: 0,
             base_seed: 1,
             full: false,
             litmus: None,
-            prune: None,
             metrics: None,
             checking: None,
             label: None,
@@ -230,12 +221,6 @@ impl ScenarioSpec {
     /// Replaces the litmus corpus, returning a modified copy.
     pub fn litmus(mut self, corpus: LitmusCorpus) -> Self {
         self.litmus = Some(corpus);
-        self
-    }
-
-    /// Replaces the prune mode, returning a modified copy.
-    pub fn prune(mut self, prune: StaticPrune) -> Self {
-        self.prune = Some(prune);
         self
     }
 
@@ -328,8 +313,6 @@ impl ScenarioSpec {
             Duration::from_secs(self.wall_secs),
         );
         cfg.parallelism = self.parallelism;
-        cfg.shared_wall_time = self.shared_wall_secs.map(Duration::from_secs);
-        cfg.prune = self.prune.unwrap_or_default();
         cfg.metrics = self.metrics;
         cfg
     }
@@ -350,7 +333,9 @@ impl ScenarioSpec {
     /// The id is derived from the cell's *content* (every spec field,
     /// including `base_seed` and `label`), never from its position in a
     /// grid enumeration, so shard assignment and journal records stay valid
-    /// when a grid is re-expanded in a different order or filtered.
+    /// when a grid is re-expanded in a different order or filtered.  Adding
+    /// or removing a spec field changes every id: the fabric refuses a
+    /// journal written before such a change instead of resuming it.
     pub fn cell_id(&self) -> u64 {
         // FNV-1a, 64-bit: small, dependency-free and stable across platforms.
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -371,8 +356,21 @@ impl ScenarioSpec {
     }
 
     /// Parses a spec from JSON (the inverse of [`ScenarioSpec::to_json`]).
+    ///
+    /// Keys of removed modes are refused unless they are `null`, so a spec
+    /// that asks for such a mode never runs quietly without it; other unknown
+    /// keys are ignored.
     pub fn from_json(json: &str) -> Result<Self, SpecError> {
-        serde_json::from_str(json).map_err(|e| SpecError(format!("invalid scenario spec: {e}")))
+        let invalid = |e: serde_json::Error| SpecError(format!("invalid scenario spec: {e}"));
+        let value = serde_json::value_from_str(json).map_err(invalid)?;
+        for (key, instead) in REMOVED_KEYS {
+            if value.get(key).is_some_and(|v| *v != Value::Null) {
+                return Err(SpecError(format!(
+                    "invalid scenario spec: key \"{key}\" was removed: {instead}"
+                )));
+            }
+        }
+        serde_json::from_value(&value).map_err(invalid)
     }
 
     /// Loads a spec from a JSON file.
@@ -431,6 +429,12 @@ impl ScenarioSpec {
         spec
     }
 }
+
+/// Spec keys of removed modes, each with what a run does instead.
+const REMOVED_KEYS: [(&str, &str); 2] = [
+    ("prune", "every generated test is simulated"),
+    ("shared_wall_secs", "each sample keeps its own `wall_secs`"),
+];
 
 impl Default for ScenarioSpec {
     fn default() -> Self {
@@ -726,10 +730,18 @@ impl ScenarioGrid {
 // ---------------------------------------------------------------------------
 
 fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    std::env::var(name).map_or(default, |raw| parse_usize_var(name, &raw, default))
+}
+
+/// Parses the value `raw` of the scalar variable `name`; a value that is not
+/// a number keeps `default`, with a once-per-process warning.
+fn parse_usize_var(name: &str, raw: &str, default: usize) -> usize {
+    raw.trim().parse().unwrap_or_else(|_| {
+        warn_once(&format!(
+            "warning: {name}: not a number: '{raw}' ignored (using {default})"
+        ));
+        default
+    })
 }
 
 /// Distinct once-per-process warnings actually emitted (see [`warn_once`]).
@@ -915,7 +927,6 @@ mod tests {
             bug: Some(Bug::SqNoDataDep),
             model: ModelKind::Armish,
             core_strength: CoreStrength::Relaxed,
-            shared_wall_secs: Some(30),
             label: Some("custom".to_string()),
             ..ScenarioSpec::small()
         };
@@ -924,22 +935,25 @@ mod tests {
         assert_eq!(back, spec);
     }
 
+    /// The keys of the removed prune and batch-shared budget still parse as
+    /// `null` (every benchmark workload file carries
+    /// `"shared_wall_secs": null`), but any value is refused by name.
     #[test]
-    fn prune_mode_threads_into_the_campaign_and_is_optional_in_json() {
-        let spec = ScenarioSpec::small().prune(StaticPrune::Skip);
-        assert_eq!(spec.campaign().prune, StaticPrune::Skip);
-        assert_eq!(ScenarioSpec::small().campaign().prune, StaticPrune::Off);
-        // Spec files written before the field existed (no `prune` key) still
-        // parse, defaulting to no pruning.
-        let json: String = spec
-            .to_json()
-            .lines()
-            .filter(|line| !line.contains("\"prune\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = ScenarioSpec::from_json(&json).expect("prune-less spec parses");
-        assert_eq!(back.prune, None);
-        assert_eq!(back.campaign().prune, StaticPrune::Off);
+    fn removed_keys_parse_as_null_and_are_refused_otherwise() {
+        let json = ScenarioSpec::small().to_json();
+        let with = |extra: &str| json.replacen('{', &format!("{{\n  {extra},"), 1);
+        let nulls = with("\"prune\": null, \"shared_wall_secs\": null");
+        assert_eq!(ScenarioSpec::from_json(&nulls), Ok(ScenarioSpec::small()));
+        for (extra, key) in [
+            ("\"prune\": \"Skip\"", "prune"),
+            ("\"shared_wall_secs\": 30", "shared_wall_secs"),
+        ] {
+            let err = ScenarioSpec::from_json(&with(extra)).unwrap_err();
+            assert!(
+                err.0.contains(&format!("key \"{key}\" was removed")),
+                "{extra}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1001,6 +1015,25 @@ mod tests {
         assert_eq!(parse_metrics("0"), Some(Some(0)));
         assert_eq!(parse_metrics(" 50 "), Some(Some(50)));
         assert_eq!(parse_metrics("every-other-day"), None);
+    }
+
+    /// A scalar variable that is not a number keeps its default and warns
+    /// once per distinct value.
+    #[test]
+    fn scalar_variables_parse_or_warn_and_keep_the_default() {
+        assert_eq!(parse_usize_var("MCVERSI_TEST_RUNS", "2000", 60), 2000);
+        assert_eq!(parse_usize_var("MCVERSI_TEST_RUNS", " 7 ", 60), 7);
+        telemetry::enable();
+        telemetry::reset_local();
+        for _ in 0..2 {
+            assert_eq!(parse_usize_var("MCVERSI_TEST_RUNS", "2k", 60), 60);
+        }
+        assert_eq!(parse_usize_var("MCVERSI_SAMPLES", "-1", 2), 2);
+        assert_eq!(
+            telemetry::local_snapshot().counters["events.warn_once"],
+            2,
+            "one warning per distinct bad value"
+        );
     }
 
     #[test]

@@ -615,7 +615,6 @@ mod tests {
             wall_time: Duration::from_millis(10),
             max_total_coverage: 0.25,
             final_mean_ndt: 1.5,
-            pruned: 0,
             metrics: None,
         }
     }

@@ -137,7 +137,6 @@ mod tests {
             wall_time: Duration::from_millis(1),
             max_total_coverage: 0.5,
             final_mean_ndt: 1.0,
-            pruned: 0,
             metrics: None,
         }
     }

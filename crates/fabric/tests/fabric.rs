@@ -5,7 +5,7 @@
 //! alongside this test), so they cover the full wire path: shard JSON on
 //! stdin, JSONL events on stdout, journal on disk.
 
-use mcversi_core::sink::{read_stream, CampaignEvent, NullSink};
+use mcversi_core::sink::{read_stream, CampaignEvent, CampaignSink, JsonlSink, NullSink};
 use mcversi_core::{CampaignResult, ScenarioSpec};
 use mcversi_fabric::{
     merge_results, run_grid, shard_cells, FabricOptions, GridShard, JournalReplay, WorkerFault,
@@ -206,9 +206,12 @@ fn killed_campaigns_resume_to_the_uninterrupted_fingerprint() {
         let journal = temp_journal(&format!("kill-point-{kill_after}"));
 
         // Phase 1: the campaign dies mid-run.  max_redispatch = 0 makes the
-        // injected worker loss fatal, like a coordinator crash.
+        // injected worker loss fatal, like a coordinator crash.  One shard
+        // holds the whole grid, so every kill point falls inside the shard
+        // the fault is injected into, whichever way the cell ids hash.
         let mut options = FabricOptions::new(worker_program());
         options.workers = 2;
+        options.shards = 1;
         options.journal = Some(journal.clone());
         options.fault = Some(WorkerFault::KillAfter { events: kill_after });
         options.max_redispatch = 0;
@@ -364,6 +367,35 @@ fn journals_whose_results_carry_dedup_stats_still_resume() {
     assert_eq!(grid_fingerprint(&report.cells), baseline);
 }
 
+/// A journal that names a cell outside the grid (another campaign's, or one
+/// written while the spec had other keys, which changes every cell id) is
+/// refused before any worker is spawned.
+#[test]
+fn a_journal_naming_a_foreign_cell_is_refused_before_any_spawn() {
+    let cells = tiny_grid();
+    let foreign = tiny_cell(999);
+    assert!(cells.iter().all(|c| c.cell_id() != foreign.cell_id()));
+    let path = temp_journal("foreign-cell");
+    let mut journal = JsonlSink::create(&path).unwrap();
+    journal.on_event(&CampaignEvent::SampleResult {
+        cell: foreign.cell_id(),
+        result: synthetic_result(&foreign, foreign.base_seed),
+    });
+    drop(journal);
+
+    // A spawn attempt fails with a different error.
+    let missing = std::env::temp_dir().join("mcversi-fabric-it-no-such-worker");
+    let mut options = FabricOptions::new(missing);
+    let err = run_grid(&cells, &options, &mut NullSink).unwrap_err();
+    assert!(err.0.contains("cannot spawn worker"), "{err}");
+
+    options.journal = Some(path);
+    let err = run_grid(&cells, &options, &mut NullSink).unwrap_err();
+    let id = format!("{:#018x}", foreign.cell_id());
+    assert!(err.0.contains("not in this grid"), "{err}");
+    assert!(err.0.contains(&id), "{err}");
+}
+
 /// How many events of a journal `kind` accepts.
 fn count_events(journal_text: &str, kind: fn(&CampaignEvent) -> bool) -> usize {
     let events = read_stream(journal_text).unwrap().events;
@@ -487,7 +519,6 @@ fn synthetic_result(cell: &ScenarioSpec, seed: u64) -> CampaignResult {
         wall_time: Duration::from_millis(1),
         max_total_coverage: 0.0,
         final_mean_ndt: 0.0,
-        pruned: 0,
         metrics: None,
     }
 }

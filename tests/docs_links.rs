@@ -3,7 +3,8 @@
 //!
 //! `cargo doc -D warnings` (run in CI) already catches stale *rustdoc* links;
 //! this test covers the Markdown side, so a refactor that moves or deletes a
-//! file fails tier-1 until `ARCHITECTURE.md` / `README.md` are updated.
+//! file fails tier-1 until `ARCHITECTURE.md` / `README.md` are updated.  The
+//! checked-in scenario specs must stay parseable as well.
 
 use std::path::Path;
 
@@ -83,6 +84,31 @@ fn example_scenario_spec_is_valid() {
     // And it round-trips: re-serialising reproduces an equivalent spec.
     let again = mcversi::core::ScenarioSpec::from_json(&spec.to_json()).unwrap();
     assert_eq!(again, spec);
+}
+
+/// Every checked-in spec, the example and each benchmark workload, parses
+/// and derives its campaign.  The benchmark package is not a workspace
+/// member, so without this a spec change that breaks a workload file would
+/// still pass the workspace tests.
+#[test]
+fn checked_in_specs_parse_and_build_their_campaign() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let workloads = std::fs::read_dir(root.join("benchmark/workloads"))
+        .expect("benchmark/workloads must exist")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "json"));
+    let mut paths: Vec<_> = workloads.collect();
+    assert!(!paths.is_empty(), "no benchmark workload files");
+    paths.push(root.join("examples/scenario.json"));
+    for path in &paths {
+        let text = std::fs::read_to_string(path).expect("readable spec file");
+        let at = path.display();
+        let spec =
+            mcversi::core::ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let campaign = spec.campaign();
+        assert_eq!(campaign.generator, spec.generator, "{at}");
+        assert_eq!(campaign.max_test_runs, spec.max_test_runs, "{at}");
+    }
 }
 
 #[test]

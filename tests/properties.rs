@@ -455,11 +455,6 @@ fn arbitrary_spec(seed: u64) -> mcversi::core::ScenarioSpec {
         samples: 1 + pick(10),
         max_test_runs: 1 + pick(2000),
         wall_secs: 1 + pick(100_000) as u64,
-        shared_wall_secs: if pick(2) == 0 {
-            None
-        } else {
-            Some(pick(1000) as u64)
-        },
         parallelism: pick(16),
         base_seed: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         full: pick(2) == 1,
@@ -470,12 +465,6 @@ fn arbitrary_spec(seed: u64) -> mcversi::core::ScenarioSpec {
                 max_threads: 2 + pick(3),
                 max_edges: 4 + pick(4),
             }),
-        },
-        prune: match pick(4) {
-            0 => None,
-            1 => Some(mcversi::core::StaticPrune::Off),
-            2 => Some(mcversi::core::StaticPrune::Skip),
-            _ => Some(mcversi::core::StaticPrune::Penalize),
         },
         metrics: match pick(3) {
             0 => None,

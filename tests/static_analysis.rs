@@ -11,15 +11,12 @@
 //!   is even chosen.
 //! * **Corpus gate**: for every test of the enumerated litmus corpus, the
 //!   static classifier run on the *lowered program* rediscovers the source
-//!   critical cycle, reproduces the enumerator's per-model verdict row for
-//!   it, and the prune predicate `forbids_any` never contradicts the
-//!   enumerator — a test forbidden under a model is never statically inert
-//!   for that model, so the opt-in pre-simulation prune cannot discard a
-//!   litmus test that could expose the violation it encodes.
+//!   critical cycle and reproduces the enumerator's per-model verdict row
+//!   for it.
 
-use mcversi::analysis::{classify, forbids_any, ClassifyBounds, Dataflow};
+use mcversi::analysis::{classify, ClassifyBounds, Dataflow};
 use mcversi::core::lowering::lower;
-use mcversi::mcm::{Address, ModelKind};
+use mcversi::mcm::Address;
 use mcversi::sim::observer::ExecObserver;
 use mcversi::testgen::enumerate::{enumerate, EnumerationBounds};
 use mcversi::testgen::{OperationBias, RandomTestGenerator, TestGenParams};
@@ -97,8 +94,7 @@ proptest! {
 }
 
 /// Exhaustive corpus gate at the toy-scale bound: every enumerated test's
-/// static cycle set contains its source cycle with the right verdicts, and
-/// the prune predicate keeps every test that is forbidden somewhere.
+/// static cycle set contains its source cycle with the right verdicts.
 #[test]
 fn every_toy_corpus_test_statically_contains_its_source_cycle() {
     let corpus = enumerate(&EnumerationBounds::new(2, 4));
@@ -115,15 +111,5 @@ fn every_toy_corpus_test_statically_contains_its_source_cycle() {
             "{}: source cycle missing from the static cycle set or misjudged",
             test.name
         );
-        for model in ModelKind::ALL {
-            if test.forbidden_under(model) {
-                assert!(
-                    forbids_any(&df, model, &bounds),
-                    "{}: forbidden under {model} but statically inert — \
-                     the prune would discard a capable litmus test",
-                    test.name
-                );
-            }
-        }
     }
 }
