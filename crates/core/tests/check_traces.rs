@@ -136,3 +136,54 @@ fn usage_and_parse_errors_exit_2() {
     let out = run_check(&["/nonexistent/definitely-missing.trace"]);
     assert_eq!(exit_code(&out), 2, "unreadable input is an I/O error");
 }
+
+/// What `mcversi-check --json` prints for every golden fixture, field for
+/// field, as recorded in `reports.jsonl` (one line per fixture, `file` the
+/// fixture's name).  `detail` is prose and is left out of the record.
+/// Every fixture in the directory must have a recorded line.
+#[test]
+fn json_reports_match_the_recorded_ones() {
+    let dir = fixture("");
+    let recorded = std::fs::read_to_string(dir.join("reports.jsonl")).expect("reports.jsonl");
+    let mut pinned = Vec::new();
+    for line in recorded.lines() {
+        let expected = serde_json::value_from_str(line).expect("recorded line is JSON");
+        let name = expected
+            .get("file")
+            .and_then(|f| f.as_str())
+            .expect("recorded line names its file")
+            .to_string();
+        let out = Command::new(env!("CARGO_BIN_EXE_mcversi-check"))
+            .current_dir(&dir)
+            .args(["--json", &name])
+            .output()
+            .expect("mcversi-check runs");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let report = serde_json::value_from_str(stdout.trim()).expect("valid JSON");
+        let fields = report.as_object().expect("report is an object");
+        let kept: Vec<(String, serde::Value)> = fields
+            .iter()
+            .filter(|(key, _)| key != "detail" && key != "checker_ran")
+            .cloned()
+            .collect();
+        assert_eq!(serde::Value::Object(kept), expected, "{name}: {stdout}");
+        pinned.push(name);
+    }
+    let mut fixtures: Vec<String> = std::fs::read_dir(&dir)
+        .expect("golden directory")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .filter(|name| name.ends_with(".trace"))
+        .collect();
+    fixtures.sort();
+    pinned.sort();
+    assert_eq!(
+        pinned, fixtures,
+        "every fixture has exactly one recorded report"
+    );
+}
