@@ -439,10 +439,11 @@ pub fn verify_oracle_conformance(bounds: &EnumerationBounds) -> (String, usize) 
     (out, mismatches)
 }
 
-/// Verifies the vector-clock first pass (`mcversi-conformance`) against the
-/// axiomatic checker over the enumerated corpus: for every test × model, a
-/// decided vc verdict must equal the checker's, and vc may abstain only under
-/// the dependency-ordered models (it decides SC and TSO exactly).  Returns
+/// Verifies `VcChecker` (`mcversi-conformance`), which runs SC's axioms for
+/// the dependency-ordered models, against the axiomatic checker of each
+/// model over the enumerated corpus: for every test × model, a decided vc
+/// verdict must equal the checker's, and vc may abstain only under the
+/// dependency-ordered models (it decides SC and TSO exactly).  Returns
 /// `(summary, mismatches)`.
 pub fn verify_vc_conformance(bounds: &EnumerationBounds) -> (String, usize) {
     use mcversi_conformance::VcChecker;

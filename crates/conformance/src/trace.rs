@@ -277,8 +277,8 @@ fn parse_fence_kind(token: &str, line: usize) -> Result<FenceKind, TraceError> {
 /// # Errors
 ///
 /// Returns a [`TraceError`] with the offending line for a missing or
-/// unsupported header, unknown keywords, arity mismatches, malformed numbers
-/// or duplicate `model` directives.
+/// unsupported header, unknown keywords, arity mismatches, malformed numbers,
+/// a duplicate `model` directive or a second `final` line for one address.
 pub fn parse(text: &str) -> Result<TraceProgram, TraceError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
     let header = lines
@@ -374,10 +374,13 @@ pub fn parse(text: &str) -> Result<TraceProgram, TraceError> {
             }
             "final" => {
                 arity(2)?;
-                program.finals.push((
-                    Address(parse_number(args[0], "address", n)?),
-                    Value(parse_number(args[1], "value", n)?),
-                ));
+                let addr = Address(parse_number(args[0], "address", n)?);
+                if program.finals.iter().any(|&(a, _)| a == addr) {
+                    return Err(TraceError::new(n, format!("duplicate 'final' for {addr}")));
+                }
+                program
+                    .finals
+                    .push((addr, Value(parse_number(args[1], "value", n)?)));
             }
             other => {
                 return Err(TraceError::new(
@@ -493,6 +496,15 @@ store 0 0x10 7
             assert!(err.line >= 2, "{err}");
             assert!(!format!("{err}").is_empty());
         }
+    }
+
+    #[test]
+    fn a_second_final_for_one_address_is_refused_at_its_line() {
+        let text = "mcversi-trace v1\nstore 0 0x100 1\nstore 0 0x100 2\n\
+                    final 0x100 2\nfinal 0x100 1\n";
+        let err = parse(text).unwrap_err();
+        assert!(err.message.contains("duplicate 'final' for 0x100"), "{err}");
+        assert_eq!(err.line, 5);
     }
 
     #[test]

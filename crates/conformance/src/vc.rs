@@ -1,43 +1,37 @@
-//! The vector-clock / frontier conformance checker.
+//! The three-valued conformance checker and coherence inference for traces.
 //!
-//! Roy et al.'s polynomial-time memory-consistency verification decides
-//! conformance by *frontier propagation*: events commit one at a time, a
-//! per-thread vector clock records the committed frontier, and an event may
-//! commit only once every event that must precede it has committed.  The
-//! execution conforms exactly when the frontier can be advanced to exhaustion;
-//! a stuck frontier witnesses a cycle among the remaining events.
-//!
-//! On a [`CandidateExecution`] with complete conflict orders this degenerates
-//! to acyclicity of the model's happens-before unions, which is what
-//! [`frontier_acyclic`] checks — a Kahn-style worklist that never materialises
-//! transitive closures, unlike the axiomatic [`Checker`]'s relation algebra.
-//! The verdict is *exact* for SC and TSO (the unions mirror their axioms
-//! one-for-one); for the dependency-ordered models the checker decides the
-//! po-loc/coherence/atomicity axioms plus the SC sufficient condition and
-//! [abstains](VcVerdict::Abstain) otherwise, leaving the axiomatic checker as
-//! the authority.
+//! In simulation every conflict order is observed, so checking an execution
+//! comes down to a few cycle searches over the model's derived relations
+//! (paper §4.1) — the axiomatic [`Checker`]'s job.  [`VcChecker`] runs that
+//! checker and reads its verdict three ways.  Under SC and TSO it runs the
+//! model's own axioms and decides exactly.  The dependency-ordered models are
+//! checked against SC's axioms instead: an SC-consistent execution is
+//! consistent under every weaker model (the strength chain is monotone), and a
+//! breach of sc-per-location or rmw-atomicity violates every model of the
+//! suite; any other SC cycle proves nothing about them, so the checker
+//! [abstains](VcVerdict::Abstain) and leaves the verdict to the model's own
+//! axioms.
 //!
 //! The second half, [`infer_coherence`], reconstructs per-location coherence
 //! order for black-box traces where `co` is unobserved: the saturation rules
 //! forced by sc-per-location (write→write, write→read, read→write and
 //! read→read program order, plus the observed final state) either complete
 //! `co`, contradict each other (a definite violation), or leave writes
-//! unordered (the checker abstains rather than search totalisations).
-//!
-//! [`Checker`]: mcversi_mcm::checker::Checker
+//! unordered (the caller reports the trace undecided rather than search
+//! totalisations).
 
-use mcversi_mcm::event::{Address, EventId, FenceKind, Value};
+use mcversi_mcm::checker::{CheckError, Checker, Verdict};
+use mcversi_mcm::event::{Address, EventId, Value};
 use mcversi_mcm::execution::CandidateExecution;
 use mcversi_mcm::model::{self, ModelKind};
 use mcversi_mcm::relation::Relation;
 use std::fmt;
 
-/// A violation witnessed by the frontier checker.
+/// A violation witnessed by the checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VcWitness {
-    /// Name of the axiom whose relation the stuck frontier witnessed a cycle
-    /// in (matches the axiomatic checker's axiom names).
-    pub axiom: &'static str,
+    /// Name of the violated axiom (the axiomatic checker's axiom names).
+    pub axiom: String,
     /// The witnessing cycle (or offending pairs flattened, for emptiness
     /// axioms), as event ids of the checked execution.
     pub cycle: Vec<EventId>,
@@ -47,23 +41,19 @@ impl fmt::Display for VcWitness {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "frontier stuck on axiom '{}' ({} events)",
+            "axiom '{}' violated ({} events)",
             self.axiom,
             self.cycle.len()
         )
     }
 }
 
-/// Why the vector-clock checker abstained.
+/// Why the checker abstained.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AbstainReason {
-    /// The target model is weaker than TSO and neither the decided axioms nor
-    /// the SC sufficient condition settled the verdict.
+    /// The target model is weaker than TSO and the execution breaks SC's
+    /// happens-before, which proves nothing about the target.
     WeakModel(ModelKind),
-    /// Coherence inference left two writes to this address unordered, so the
-    /// trace admits several coherence orders and a one-pass decision would
-    /// have to search them.
-    CoherenceUnderdetermined(Address),
     /// The execution object is malformed; the axiomatic checker reports this
     /// case authoritatively.
     Malformed(String),
@@ -78,42 +68,39 @@ impl fmt::Display for AbstainReason {
                     "model {m} is weaker than TSO and no decided axiom settled it"
                 )
             }
-            AbstainReason::CoherenceUnderdetermined(a) => {
-                write!(f, "coherence order for {a} is underdetermined by the trace")
-            }
             AbstainReason::Malformed(e) => write!(f, "malformed execution: {e}"),
         }
     }
 }
 
-/// The three-valued verdict of the vector-clock first pass.
+/// The three-valued verdict of [`VcChecker`].
 ///
 /// `Valid` is always sound (the axiomatic checker would also accept);
 /// `Violation` is always sound for SC and TSO and, for weaker models, only
-/// produced from axioms every model shares; `Abstain` means the pass could
-/// not decide and the caller must fall back to the axiomatic checker.
+/// produced from axioms every model shares; `Abstain` means the checker
+/// could not decide and the caller must consult the model's own axioms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VcVerdict {
     /// The execution conforms to the model.
     Valid,
     /// The execution violates the model; the witness names the broken axiom.
     Violation(VcWitness),
-    /// The pass could not decide; consult the axiomatic checker.
+    /// The checker could not decide; consult the axiomatic checker.
     Abstain(AbstainReason),
 }
 
 impl VcVerdict {
-    /// Returns `true` when the pass certified the execution valid.
+    /// Returns `true` when the checker certified the execution valid.
     pub fn is_valid(&self) -> bool {
         matches!(self, VcVerdict::Valid)
     }
 
-    /// Returns `true` when the pass witnessed a violation.
+    /// Returns `true` when the checker witnessed a violation.
     pub fn is_violation(&self) -> bool {
         matches!(self, VcVerdict::Violation(_))
     }
 
-    /// Returns `true` when the pass abstained.
+    /// Returns `true` when the checker abstained.
     pub fn is_abstain(&self) -> bool {
         matches!(self, VcVerdict::Abstain(_))
     }
@@ -129,7 +116,7 @@ impl fmt::Display for VcVerdict {
     }
 }
 
-/// The vector-clock / frontier checker for one target model.
+/// The three-valued conformance checker for one target model.
 #[derive(Debug, Clone, Copy)]
 pub struct VcChecker {
     model: ModelKind,
@@ -149,144 +136,29 @@ impl VcChecker {
     /// Checks one execution (complete conflict orders required; use
     /// [`infer_coherence`] first for trace-derived executions without `co`).
     pub fn check(&self, exec: &CandidateExecution) -> VcVerdict {
-        if let Err(e) = exec.validate() {
-            return VcVerdict::Abstain(AbstainReason::Malformed(e.to_string()));
-        }
-        let fr = exec.fr();
-
-        // sc-per-location and rmw-atomicity hold in every model of the suite,
-        // so a breach of either is a violation regardless of target strength.
-        let mut sc_per_loc = exec.po_loc();
-        sc_per_loc.union_with(&exec.com());
-        if let Err(cycle) = frontier_acyclic(exec, &sc_per_loc) {
-            return VcVerdict::Violation(VcWitness {
-                axiom: "sc-per-location",
-                cycle,
-            });
-        }
-        let atomicity = model::rmw_atomicity_violations(exec, &fr);
-        if !atomicity.is_empty() {
-            let cycle = atomicity.iter().flat_map(|(a, b)| [a, b]).collect();
-            return VcVerdict::Violation(VcWitness {
-                axiom: "rmw-atomicity",
-                cycle,
-            });
-        }
-
-        // The SC happens-before union.  Under SC the fence order is contained
-        // in (transitive) program order, so `po_mem ∪ rf ∪ co ∪ fr` is exactly
-        // SC's ghb relation and its acyclicity decides SC both ways.
-        let mut sc_hb = model::po_mem(exec);
-        sc_hb.union_with(exec.rf());
-        sc_hb.union_with(exec.co());
-        sc_hb.union_with(&fr);
-
-        match self.model {
-            ModelKind::Sc => match frontier_acyclic(exec, &sc_hb) {
-                Ok(()) => VcVerdict::Valid,
-                Err(cycle) => VcVerdict::Violation(VcWitness {
-                    axiom: "ghb",
-                    cycle,
-                }),
-            },
-            ModelKind::Tso => {
-                // TSO's ghb, ingredient for ingredient: program order minus
-                // write→read (the store buffer), full fences and fence-implying
-                // RMWs, external reads-from, co and fr.
-                let mut ghb = model::po_mem(exec)
-                    .filter(|a, b| !(exec.event(a).is_write() && exec.event(b).is_read()));
-                ghb.union_with(&model::fence_separated(exec, |k| k == FenceKind::Full));
-                ghb.union_with(&exec.rf_external());
-                ghb.union_with(exec.co());
-                ghb.union_with(&fr);
-                match frontier_acyclic(exec, &ghb) {
-                    Ok(()) => VcVerdict::Valid,
-                    Err(cycle) => VcVerdict::Violation(VcWitness {
-                        axiom: "ghb",
-                        cycle,
-                    }),
-                }
+        let weak = self.model.is_relaxed();
+        let axioms = if weak { ModelKind::Sc } else { self.model };
+        let mut violation = match Checker::new(axioms.instance()).try_check(exec) {
+            Ok(Verdict::Valid) => return VcVerdict::Valid,
+            Ok(Verdict::Invalid(v)) => v,
+            Err(CheckError::MalformedExecution(e)) => {
+                return VcVerdict::Abstain(AbstainReason::Malformed(e.to_string()))
             }
-            // Models weaker than TSO: SC validity is sufficient (the strength
-            // chain is monotone), but an SC cycle proves nothing about them —
-            // their fence and dependency cumulativity is out of this pass's
-            // scope, so anything else is the axiomatic checker's call.
-            weak => match frontier_acyclic(exec, &sc_hb) {
-                Ok(()) => VcVerdict::Valid,
-                Err(_) => VcVerdict::Abstain(AbstainReason::WeakModel(weak)),
-            },
-        }
-    }
-}
-
-/// Frontier propagation: commits events whose predecessors (under `rel`) have
-/// all committed, advancing a per-thread vector clock, until either every
-/// event committed (`Ok`) or the frontier is stuck (`Err` with a witnessing
-/// cycle among the uncommitted events, in forward edge order).
-pub fn frontier_acyclic(exec: &CandidateExecution, rel: &Relation) -> Result<(), Vec<EventId>> {
-    let n = exec.len();
-    let mut indegree = vec![0usize; n];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (a, b) in rel.iter() {
-        let (a, b) = (a.index(), b.index());
-        if a >= n || b >= n {
-            continue;
-        }
-        out[a].push(b);
-        indegree[b] += 1;
-    }
-    // The frontier: events every predecessor of which has committed.  Initial
-    // writes and unconstrained events seed it; committing an event releases
-    // its successors, which is the vector-clock advance — per thread, the
-    // committed program-order index only ever grows.
-    let mut frontier: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut committed = 0usize;
-    while let Some(i) = frontier.pop() {
-        committed += 1;
-        for &j in &out[i] {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
-                frontier.push(j);
-            }
-        }
-    }
-    if committed == n {
-        return Ok(());
-    }
-    // The frontier is stuck: every remaining event still has an uncommitted
-    // predecessor, so walking predecessors inside the residue must revisit a
-    // node within n steps — that revisit closes the witnessing cycle.
-    let mut ins: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, succs) in out.iter().enumerate() {
-        for &j in succs {
-            if indegree[j] > 0 && indegree[i] > 0 {
-                ins[j].push(i);
-            }
-        }
-    }
-    let start = (0..n).find(|&i| indegree[i] > 0).unwrap_or(0);
-    let mut path = vec![start];
-    let mut seen_at = vec![usize::MAX; n];
-    seen_at[start] = 0;
-    loop {
-        let cur = *path.last().unwrap_or(&start);
-        let Some(&pred) = ins[cur].first() else {
-            // Unreachable for a stuck frontier; bail with the raw residue.
-            return Err(path.into_iter().map(|i| EventId(i as u32)).collect());
         };
-        if seen_at[pred] != usize::MAX {
-            // The walk collects predecessors, so reversing the revisited
-            // suffix yields the cycle in forward edge order (the edge from
-            // the suffix's first element back to its last closes it).
-            let cycle: Vec<EventId> = path[seen_at[pred]..]
-                .iter()
-                .rev()
-                .map(|&i| EventId(i as u32))
-                .collect();
-            return Err(cycle);
+        // SC's axioms stop at the first broken one, so a ghb cycle may hide
+        // an atomicity breach, which every model forbids.
+        if weak && violation.axiom == "ghb" {
+            let atomicity = model::rmw_atomicity_violations(exec, &exec.fr());
+            if atomicity.is_empty() {
+                return VcVerdict::Abstain(AbstainReason::WeakModel(self.model));
+            }
+            violation.axiom = "rmw-atomicity".to_string();
+            violation.witness = atomicity.iter().flat_map(|(a, b)| [a, b]).collect();
         }
-        seen_at[pred] = path.len();
-        path.push(pred);
+        VcVerdict::Violation(VcWitness {
+            axiom: violation.axiom,
+            cycle: violation.witness,
+        })
     }
 }
 
@@ -337,13 +209,20 @@ pub enum CoherenceInference {
 ///
 /// Any coherence order satisfying sc-per-location extends the transitive
 /// closure of these edges, so a total closure is *the* coherence order, a
-/// cyclic closure refutes all of them, and an incomplete one is reported as
-/// [`Underdetermined`](CoherenceInference::Underdetermined) rather than
-/// searched.
+/// cycle among them refutes all of them, and an incomplete one is reported
+/// as [`Underdetermined`](CoherenceInference::Underdetermined) rather than
+/// searched.  A final value other than the initial one that no write to its
+/// address stored is a [`FinalMismatch`](CoherenceInference::FinalMismatch),
+/// whether or not the address was touched.
 pub fn infer_coherence(
     exec: &CandidateExecution,
     finals: &[(Address, Value)],
 ) -> CoherenceInference {
+    for &(addr, value) in finals {
+        if value != Value::INITIAL && !exec.writes_to(addr).any(|w| w.value == value) {
+            return CoherenceInference::FinalMismatch { addr, value };
+        }
+    }
     let mut co = Relation::new();
     for addr in exec.addresses() {
         let writes: Vec<EventId> = exec.writes_to(addr).map(|e| e.id).collect();
@@ -405,10 +284,12 @@ pub fn infer_coherence(
                 }
             }
         }
-        let closed = forced.transitive_closure();
-        if let Some(witness) = closed.find_cycle() {
+        // On `forced` itself, not its closure: there every event on a cycle
+        // has a self-loop, which would witness the cycle by one event.
+        if let Some(witness) = forced.find_cycle() {
             return CoherenceInference::Contradiction { addr, witness };
         }
+        let closed = forced.transitive_closure();
         for (i, &a) in writes.iter().enumerate() {
             for &b in writes.iter().skip(i + 1) {
                 if !closed.contains(a, b) && !closed.contains(b, a) {
@@ -562,22 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_witness_is_a_closed_cycle() {
-        let exec = mp_violation();
-        let mut rel = model::po_mem(&exec);
-        rel.union_with(exec.rf());
-        rel.union_with(exec.co());
-        rel.union_with(&exec.fr());
-        let cycle = frontier_acyclic(&exec, &rel).expect_err("MP has an SC cycle");
-        assert!(cycle.len() >= 2);
-        for w in cycle.windows(2) {
-            assert!(rel.contains(w[0], w[1]), "broken edge {} -> {}", w[0], w[1]);
-        }
-        let (&first, &last) = (cycle.first().unwrap(), cycle.last().unwrap());
-        assert!(rel.contains(last, first), "cycle must close");
-    }
-
-    #[test]
     fn vc_verdict_agrees_with_the_axiomatic_checker_on_litmus_shapes() {
         for exec in [store_buffer_weak(), mp_violation()] {
             for model in [ModelKind::Sc, ModelKind::Tso] {
@@ -675,6 +540,50 @@ mod tests {
             infer_coherence(&exec, &[]),
             CoherenceInference::Contradiction { addr, .. } if addr == x
         ));
+    }
+
+    #[test]
+    fn a_contradiction_is_witnessed_by_the_writes_on_its_cycle() {
+        // CoRR against the initial value: the reader sees x=1 and then 0,
+        // so w1 must precede the initial write, which precedes every write.
+        let mut b = ExecutionBuilder::new();
+        let x = Address(0x10);
+        let w1 = b.write(p(0), x, Value(1));
+        let ra = b.read(p(1), x, Value(1));
+        let rb = b.read(p(1), x, Value(0));
+        b.reads_from(w1, ra);
+        b.reads_from_initial(rb);
+        b.coherence_after_initial(w1);
+        let exec = strip_co(&b.build());
+        let CoherenceInference::Contradiction { witness, .. } = infer_coherence(&exec, &[]) else {
+            panic!("CoRR must contradict every coherence order");
+        };
+        let mut distinct = witness.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert!(distinct.len() >= 2, "{witness:?}");
+        assert!(distinct.iter().all(|&e| exec.event(e).is_write()));
+    }
+
+    #[test]
+    fn a_final_value_no_store_wrote_is_a_mismatch() {
+        // A load-only address and an address nothing touches: neither has a
+        // write to order, so the final value must still be checked.
+        let mut b = ExecutionBuilder::new();
+        let (x, y) = (Address(0x140), Address(0x180));
+        let r = b.read(p(1), x, Value(0));
+        b.reads_from_initial(r);
+        let exec = b.build();
+        for addr in [x, y] {
+            assert!(matches!(
+                infer_coherence(&exec, &[(addr, Value(7))]),
+                CoherenceInference::FinalMismatch { addr: a, value } if a == addr && value == Value(7)
+            ));
+            assert!(matches!(
+                infer_coherence(&exec, &[(addr, Value::INITIAL)]),
+                CoherenceInference::Complete(_)
+            ));
+        }
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! Parses version-1 trace files (see the `mcversi_conformance::trace` wire
 //! format), lowers them into candidate executions, infers the per-location
 //! coherence order from the observed reads-from and final state, and checks
-//! each execution: the polynomial-time vector-clock pass first, the axiomatic
-//! checker — the one every campaign runs — when that pass reports a
-//! violation (for the authoritative witness) or abstains.
+//! each completed execution with the axiomatic checker every campaign runs.
 //!
 //! ```text
 //! mcversi-check [--json] [--model <name>] <file...>
@@ -16,11 +14,13 @@
 //! emits one JSON object per input file (JSONL) instead of prose.
 //!
 //! Exit status: `0` when every trace conforms, `1` when at least one trace
-//! violates its model, `2` on usage, parse or I/O errors, `3` when at least
-//! one verdict is undecided (the observations underdetermine the coherence
-//! order).  Errors dominate violations dominate undecided.
+//! violates its model (a coherence contradiction violates `sc-per-location`,
+//! a final value no store wrote violates `final-state`), `2` on usage, parse
+//! or I/O errors, `3` when at least one verdict is undecided (the
+//! observations underdetermine the coherence order).  Errors dominate
+//! violations dominate undecided.
 
-use mcversi_conformance::{check_lowered, parse, AbstainReason, VcVerdict};
+use mcversi_conformance::{infer_coherence, parse, CoherenceInference};
 use mcversi_mcm::checker::Verdict;
 use mcversi_mcm::{Checker, ModelKind};
 use serde::Serialize;
@@ -40,11 +40,9 @@ struct Report {
     axiom: Option<String>,
     /// The witness cycle's events, when one exists.
     witness: Vec<String>,
-    /// Human-readable detail (undecided reason, fallback notes).
+    /// Human-readable detail (why the trace is undecided or malformed, or
+    /// which final value no store wrote).
     detail: Option<String>,
-    /// Whether the axiomatic checker ran (`false` = the first pass or the
-    /// coherence inference alone decided).
-    checker_ran: bool,
 }
 
 /// A verdict's contribution to the process exit status.
@@ -144,30 +142,48 @@ fn check_one(file: &str, text: &str, model_override: Option<ModelKind>, json: bo
         }
     };
 
-    // The vector-clock front half always runs: it owns coherence inference,
-    // and its verdict is final wherever no complete execution exists.
-    let (vc_verdict, exec) = check_lowered(&lowered, model);
-    let mut report = Report {
+    let (outcome, violated, detail) = match infer_coherence(&lowered.exec, &lowered.finals) {
+        CoherenceInference::Complete(exec) => match Checker::new(model.instance()).try_check(&exec)
+        {
+            Ok(Verdict::Valid) => (Outcome::Valid, None, None),
+            Ok(Verdict::Invalid(v)) => (Outcome::Violation, Some((v.axiom, v.witness)), None),
+            Err(e) => (Outcome::Error, None, Some(e.to_string())),
+        },
+        CoherenceInference::Contradiction { witness, .. } => (
+            Outcome::Violation,
+            Some(("sc-per-location".to_string(), witness)),
+            None,
+        ),
+        CoherenceInference::FinalMismatch { addr, value } => (
+            Outcome::Violation,
+            Some(("final-state".to_string(), Vec::new())),
+            Some(format!("no store to {addr} wrote its final value {value}")),
+        ),
+        CoherenceInference::Underdetermined { addr } => (
+            Outcome::Undecided,
+            None,
+            Some(format!(
+                "coherence order for {addr} is underdetermined by the trace"
+            )),
+        ),
+    };
+    let (axiom, witness) = violated.unzip();
+    let report = Report {
         file: file.to_string(),
         model: model.name().to_string(),
-        verdict: "undecided".to_string(),
-        axiom: None,
-        witness: Vec::new(),
-        detail: None,
-        checker_ran: false,
-    };
-    let outcome = match (&exec, &vc_verdict) {
-        (None, _) => settle_without_execution(&vc_verdict, &mut report),
-        (Some(_), VcVerdict::Valid) => {
-            report.verdict = "valid".to_string();
-            Outcome::Valid
+        verdict: match outcome {
+            Outcome::Valid => "valid",
+            Outcome::Violation => "violation",
+            Outcome::Undecided | Outcome::Error => "undecided",
         }
-        // Violation: rerun axiomatically for the authoritative witness.
-        // Abstain: the first pass cannot decide this model/shape.
-        (Some(exec), VcVerdict::Violation(_) | VcVerdict::Abstain(_)) => {
-            report.detail = Some(format!("vc first pass: {vc_verdict}"));
-            axiomatic(exec, model, &mut report)
-        }
+        .to_string(),
+        axiom,
+        witness: witness
+            .unwrap_or_default()
+            .iter()
+            .map(|e| e.to_string())
+            .collect(),
+        detail,
     };
     if json {
         println!(
@@ -191,55 +207,4 @@ fn check_one(file: &str, text: &str, model_override: Option<ModelKind>, json: bo
         );
     }
     outcome
-}
-
-/// Settles a verdict the coherence inference produced without a complete
-/// execution: contradictions and final-state mismatches are violations; an
-/// underdetermined order is undecided (there is no execution the axiomatic
-/// checker could refute).
-fn settle_without_execution(vc_verdict: &VcVerdict, report: &mut Report) -> Outcome {
-    match vc_verdict {
-        VcVerdict::Violation(w) => {
-            report.verdict = "violation".to_string();
-            report.axiom = Some(w.axiom.to_string());
-            report.witness = w.cycle.iter().map(|e| e.to_string()).collect();
-            Outcome::Violation
-        }
-        VcVerdict::Abstain(reason) => {
-            report.detail = Some(reason.to_string());
-            match reason {
-                AbstainReason::Malformed(_) => Outcome::Error,
-                _ => Outcome::Undecided,
-            }
-        }
-        VcVerdict::Valid => {
-            report.verdict = "valid".to_string();
-            Outcome::Valid
-        }
-    }
-}
-
-/// Runs the axiomatic checker and fills the report from its verdict.
-fn axiomatic(
-    exec: &mcversi_mcm::CandidateExecution,
-    model: ModelKind,
-    report: &mut Report,
-) -> Outcome {
-    report.checker_ran = true;
-    match Checker::new(model.instance()).try_check(exec) {
-        Ok(Verdict::Valid) => {
-            report.verdict = "valid".to_string();
-            Outcome::Valid
-        }
-        Ok(Verdict::Invalid(v)) => {
-            report.verdict = "violation".to_string();
-            report.axiom = Some(v.axiom.clone());
-            report.witness = v.witness.iter().map(|e| e.to_string()).collect();
-            Outcome::Violation
-        }
-        Err(e) => {
-            report.detail = Some(format!("malformed execution: {e:?}"));
-            Outcome::Error
-        }
-    }
 }

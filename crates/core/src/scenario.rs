@@ -855,14 +855,6 @@ pub fn parse_models(raw: &str) -> Vec<ModelKind> {
     }
 }
 
-/// Reads `MCVERSI_MODELS` (see [`parse_models`]).
-pub fn models_from_env() -> Vec<ModelKind> {
-    match std::env::var("MCVERSI_MODELS") {
-        Ok(raw) => parse_models(&raw),
-        Err(_) => parse_models(""),
-    }
-}
-
 /// Distributed-fabric settings read from the environment (see
 /// [`fabric_from_env`]).  This is plain data: the fabric crate interprets
 /// it, `crates/core` only centralises the parsing (xtask rule 1).

@@ -3,6 +3,7 @@
 //! library-path verdicts for the same fixtures are pinned in
 //! `crates/conformance/tests/golden.rs`.
 
+use mcversi_conformance::TRACE_MAGIC_V1;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -25,7 +26,7 @@ fn exit_code(output: &Output) -> i32 {
 
 #[test]
 fn golden_fixtures_return_their_pinned_exit_codes() {
-    let pins: [(&str, i32); 7] = [
+    let pins: [(&str, i32); 8] = [
         ("sc_valid.trace", 0),
         ("sc_violation.trace", 1),
         ("tso_valid.trace", 0),
@@ -33,6 +34,7 @@ fn golden_fixtures_return_their_pinned_exit_codes() {
         ("armish_valid.trace", 0),
         ("rmo_violation.trace", 1),
         ("tso_undecided.trace", 3),
+        ("final_unwritten.trace", 1),
     ];
     for (name, expected) in pins {
         let path = fixture(name);
@@ -83,10 +85,9 @@ fn model_flag_overrides_the_trace_directive() {
     assert_eq!(exit_code(&out), 1);
 }
 
-/// The seven golden verdicts through the tool's one checking flow (vc pass,
-/// axiomatic checker on a violation or abstention — there are no other
-/// modes any more), in prose and as `--json` reports, which no longer carry
-/// a `mode` field.
+/// The golden verdicts through the tool's one checking flow (coherence
+/// inference, then the axiomatic checker), in prose and as `--json`
+/// reports, which carry no `mode` field.
 #[test]
 fn golden_verdicts_in_prose_and_json() {
     let pins = [
@@ -97,6 +98,7 @@ fn golden_verdicts_in_prose_and_json() {
         ("armish_valid", "valid", 0),
         ("rmo_violation", "violation", 1),
         ("tso_undecided", "undecided", 3),
+        ("final_unwritten", "violation", 1),
     ];
     for (name, verdict, code) in pins {
         let path = fixture(&format!("{name}.trace"));
@@ -137,9 +139,33 @@ fn usage_and_parse_errors_exit_2() {
     assert_eq!(exit_code(&out), 2, "unreadable input is an I/O error");
 }
 
+#[test]
+fn conflicting_final_lines_are_a_parse_error() {
+    let trace = format!(
+        "{TRACE_MAGIC_V1}\nstore 0 0x100 1\nstore 0 0x100 2\nfinal 0x100 2\nfinal 0x100 1\n"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mcversi-check"))
+        .arg("-")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("mcversi-check runs");
+    std::io::Write::write_all(&mut child.stdin.take().expect("stdin"), trace.as_bytes())
+        .expect("trace written");
+    let out = child.wait_with_output().expect("mcversi-check exits");
+    assert_eq!(exit_code(&out), 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 5: duplicate 'final' for 0x100"),
+        "{stderr}"
+    );
+}
+
 /// What `mcversi-check --json` prints for every golden fixture, field for
 /// field, as recorded in `reports.jsonl` (one line per fixture, `file` the
 /// fixture's name).  `detail` is prose and is left out of the record.
+/// The `rmo_violation` witness lists both writes on its coherence cycle.
 /// Every fixture in the directory must have a recorded line.
 #[test]
 fn json_reports_match_the_recorded_ones() {
@@ -163,7 +189,7 @@ fn json_reports_match_the_recorded_ones() {
         let fields = report.as_object().expect("report is an object");
         let kept: Vec<(String, serde::Value)> = fields
             .iter()
-            .filter(|(key, _)| key != "detail" && key != "checker_ran")
+            .filter(|(key, _)| key != "detail")
             .cloned()
             .collect();
         assert_eq!(serde::Value::Object(kept), expected, "{name}: {stdout}");

@@ -188,34 +188,6 @@ impl<'m> Checker<'m> {
         }
         Ok(Verdict::Valid)
     }
-
-    /// Checks several executions (e.g. all iterations of one test-run) and
-    /// returns the first violation found, if any.
-    ///
-    /// Executions are checked in iteration order and checking stops at the
-    /// first violation, so later executions are never validated once one
-    /// fails.  An **empty** iterator yields `Ok(Verdict::Valid)` — vacuous
-    /// truth, matching the runner's treatment of a test-run that produced no
-    /// complete executions.  A **singleton** iterator is exactly equivalent
-    /// to [`try_check`](Self::try_check) on that execution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckError::MalformedExecution`] as soon as any execution
-    /// fails well-formedness validation; executions after the malformed one
-    /// are not checked, and no verdict is produced for those before it.
-    pub fn check_all<'a, I>(&self, execs: I) -> Result<Verdict, CheckError>
-    where
-        I: IntoIterator<Item = &'a CandidateExecution>,
-    {
-        for exec in execs {
-            let verdict = self.try_check(exec)?;
-            if verdict.is_violation() {
-                return Ok(verdict);
-            }
-        }
-        Ok(Verdict::Valid)
-    }
 }
 
 #[cfg(test)]
@@ -285,52 +257,6 @@ mod tests {
             .try_check(&exec)
             .unwrap();
         assert!(verdict.is_valid());
-    }
-
-    #[test]
-    fn check_all_reports_first_violation() {
-        let mut ok = ExecutionBuilder::new();
-        let w = ok.write(ProcessorId(0), Address(0x10), Value(1));
-        ok.coherence_after_initial(w);
-        let ok = ok.build();
-        let bad = mp_violation();
-        let verdict = Checker::new(&Tso).check_all([&ok, &bad]).unwrap();
-        assert!(verdict.is_violation());
-        let verdict = Checker::new(&Tso).check_all([&ok]).unwrap();
-        assert!(verdict.is_valid());
-    }
-
-    #[test]
-    fn check_all_of_no_executions_is_vacuously_valid() {
-        let verdict = Checker::new(&Tso).check_all(std::iter::empty()).unwrap();
-        assert_eq!(verdict, Verdict::Valid);
-    }
-
-    #[test]
-    fn check_all_singleton_matches_try_check() {
-        let bad = mp_violation();
-        let checker = Checker::new(&Tso);
-        let collective = checker.check_all([&bad]).unwrap();
-        let individual = checker.try_check(&bad).unwrap();
-        assert_eq!(collective, individual);
-        assert!(collective.is_violation());
-    }
-
-    #[test]
-    fn check_all_stops_at_the_first_malformed_execution() {
-        // A read with no rf source is malformed; it must surface as an error
-        // even when a violating execution precedes it in the batch.
-        let mut b = ExecutionBuilder::new();
-        b.read(ProcessorId(0), Address(0x10), Value(1));
-        let malformed = b.build();
-        let bad = mp_violation();
-        let err = Checker::new(&Tso).check_all([&bad, &malformed]);
-        assert!(
-            err.is_ok_and(|v| v.is_violation()),
-            "earlier violation wins"
-        );
-        let err = Checker::new(&Tso).check_all([&malformed, &bad]);
-        assert!(err.is_err(), "malformed execution reported before verdict");
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl<L> CacheArray<L> {
         }
     }
 
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
-    }
-
     /// Associativity.
     pub fn ways(&self) -> usize {
         self.ways

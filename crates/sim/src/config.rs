@@ -218,12 +218,6 @@ impl SystemConfig {
         }
     }
 
-    /// Selects the number of cores, returning a modified copy.
-    pub fn with_cores(mut self, num_cores: usize) -> Self {
-        self.num_cores = num_cores;
-        self
-    }
-
     /// Number of sets in each L1.
     pub fn l1_sets(&self) -> usize {
         (self.l1_bytes / self.line_bytes) as usize / self.l1_ways

@@ -51,11 +51,6 @@ impl MemoryController {
             .unwrap_or_else(|| LineData::zeroed(self.line_bytes))
     }
 
-    /// Writes a line directly (host access, used by the reset interface).
-    pub fn poke_line(&mut self, line: LineAddr, data: LineData) {
-        self.data.insert(line, data);
-    }
-
     /// Writes a single 8-byte word directly (host access).
     pub fn poke_word(&mut self, line: LineAddr, word_index: usize, value: u64) {
         let entry = self

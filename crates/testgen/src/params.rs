@@ -209,12 +209,6 @@ impl TestGenParams {
         }
     }
 
-    /// Overrides the test memory size, returning a modified copy.
-    pub fn with_test_memory(mut self, bytes: u64) -> Self {
-        self.test_memory_bytes = bytes;
-        self
-    }
-
     /// Overrides the total test size, returning a modified copy.
     pub fn with_test_size(mut self, size: usize) -> Self {
         self.test_size = size;

@@ -69,11 +69,6 @@ impl Test {
         &self.genes
     }
 
-    /// Mutable access to one gene (used by mutation).
-    pub fn gene_mut(&mut self, index: usize) -> &mut Gene {
-        &mut self.genes[index]
-    }
-
     /// Replaces one gene (used by crossover).
     pub fn set_gene(&mut self, index: usize, gene: Gene) {
         assert!((gene.pid as usize) < self.num_threads);

@@ -1,14 +1,15 @@
-//! Differential conformance sweep for the vector-clock checker.
+//! Differential conformance sweep for `VcChecker`.
 //!
-//! The vector-clock first pass (`mcversi-conformance`) promises:
+//! `VcChecker` (`mcversi-conformance`) reads the axiomatic checker three
+//! ways, and promises:
 //!
 //! * under SC and TSO it **decides** every well-formed execution (never
 //!   abstains) and its verdict is exactly the axiomatic checker's;
-//! * under the dependency-ordered models it may abstain, but a decided
-//!   verdict never contradicts the axiomatic checker.
+//! * under the dependency-ordered models it runs SC's axioms and may
+//!   abstain, but a decided verdict never contradicts the checker of the
+//!   target model.
 //!
-//! These are the load-bearing assumptions behind using vc as the first pass
-//! of `mcversi-check`.
+//! The benchmark's `conformance.vc_certified_share` counts on this contract.
 
 use mcversi::conformance::VcChecker;
 use mcversi::core::lowering::lower;
