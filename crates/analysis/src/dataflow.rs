@@ -18,7 +18,7 @@
 
 use mcversi_mcm::{Address, DepKind, DependencySet, Dir, EventId, FenceKind};
 use mcversi_sim::{TestOpKind, TestProgram};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One concrete memory access of the program (an event-in-waiting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +82,6 @@ pub struct Dataflow {
     accesses: Vec<Access>,
     fences: Vec<FencePoint>,
     deps: DependencySet,
-    writes_by_value: BTreeMap<u64, EventId>,
 }
 
 impl Dataflow {
@@ -91,7 +90,6 @@ impl Dataflow {
         let mut accesses = Vec::new();
         let mut fences = Vec::new();
         let mut deps = DependencySet::new();
-        let mut writes_by_value = BTreeMap::new();
         let mut next_event = 0u32;
         let mut alloc = || {
             let id = EventId(next_event);
@@ -138,7 +136,6 @@ impl Dataflow {
                             dep_source: source,
                             value: Some(value),
                         });
-                        writes_by_value.insert(value, id);
                     }
                     TestOpKind::ReadModifyWrite { value } => {
                         // RMWs allocate a read and a write event, carry no
@@ -169,7 +166,6 @@ impl Dataflow {
                             dep_source: None,
                             value: Some(value),
                         });
-                        writes_by_value.insert(value, w);
                     }
                     TestOpKind::Fence { kind } => {
                         fences.push(FencePoint {
@@ -188,7 +184,6 @@ impl Dataflow {
             accesses,
             fences,
             deps,
-            writes_by_value,
         }
     }
 
@@ -212,11 +207,6 @@ impl Dataflow {
     /// observer-recorded `CandidateExecution::deps` edge for edge.
     pub fn deps(&self) -> &DependencySet {
         &self.deps
-    }
-
-    /// The write producing a given unique value (exact static value flow).
-    pub fn write_of_value(&self, value: u64) -> Option<EventId> {
-        self.writes_by_value.get(&value).copied()
     }
 
     /// The accesses of one thread, in program order.
@@ -377,8 +367,14 @@ mod tests {
         assert_eq!(df.conflict_addresses(), vec![x(), y()]);
         assert_eq!(df.accessors_of(z()).len(), 1);
         assert!(!df.is_written(z()));
-        assert_eq!(df.write_of_value(1), Some(EventId(0)));
-        assert_eq!(df.write_of_value(9), None);
+        let write_of = |v| {
+            df.accesses()
+                .iter()
+                .find(|a| a.value == Some(v))
+                .map(|a| a.id)
+        };
+        assert_eq!(write_of(1), Some(EventId(0)));
+        assert_eq!(write_of(9), None);
         assert_eq!(df.addresses(), vec![x(), y(), z()]);
         assert_eq!(df.num_threads(), 3);
     }

@@ -80,21 +80,6 @@ impl CampaignConfig {
         }
     }
 
-    /// Sets the number of worker threads used by [`run_samples`]
-    /// (`0` = one per available hardware thread).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Enables telemetry with the given cadence (see
-    /// [`CampaignConfig::metrics`]): `0` snapshots once per sample, `n > 0`
-    /// additionally streams a cumulative snapshot every `n` test-runs.
-    pub fn with_metrics(mut self, cadence: usize) -> Self {
-        self.metrics = Some(cadence);
-        self
-    }
-
     /// The campaign's target consistency model.
     pub fn model(&self) -> ModelKind {
         self.mcversi.model
@@ -732,16 +717,12 @@ mod tests {
 
     #[test]
     fn run_samples_is_deterministic_across_parallelism() {
-        let base = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso));
-        let serial: Vec<_> = run_samples(&base.clone().with_parallelism(1), 4, 7)
-            .iter()
-            .map(fingerprint)
-            .collect();
+        let mut cfg = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso));
+        cfg.parallelism = 1;
+        let serial: Vec<_> = run_samples(&cfg, 4, 7).iter().map(fingerprint).collect();
+        cfg.parallelism = 4;
         for _ in 0..2 {
-            let pooled: Vec<_> = run_samples(&base.clone().with_parallelism(4), 4, 7)
-                .iter()
-                .map(fingerprint)
-                .collect();
+            let pooled: Vec<_> = run_samples(&cfg, 4, 7).iter().map(fingerprint).collect();
             assert_eq!(serial, pooled, "scheduling must not affect results");
         }
     }
@@ -754,8 +735,9 @@ mod tests {
         // without aborting.
         let mut cfg = quick_config(GeneratorKind::McVerSiRand, None);
         cfg.mcversi.testgen.num_threads = cfg.mcversi.system.num_cores + 1;
+        cfg.parallelism = 2;
         let mut sink = CollectSink::new();
-        let outcomes = run_samples_streamed(&cfg.clone().with_parallelism(2), 3, 5, &mut sink);
+        let outcomes = run_samples_streamed(&cfg, 3, 5, &mut sink);
         assert_eq!(outcomes.len(), 3);
         for (i, outcome) in outcomes.iter().enumerate() {
             match outcome {
@@ -840,7 +822,9 @@ mod tests {
         let base = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso));
         let off = run_campaign(&base, 11);
         assert!(off.metrics.is_none(), "metrics off leaves no snapshot");
-        let on = run_campaign(&base.clone().with_metrics(0), 11);
+        let mut on = base.clone();
+        on.metrics = Some(0);
+        let on = run_campaign(&on, 11);
         assert_eq!(fingerprint(&off), fingerprint(&on));
         let snapshot = on.metrics.expect("metrics on yields a snapshot");
         assert!(
@@ -855,7 +839,8 @@ mod tests {
     /// are exempt.
     #[test]
     fn metrics_snapshots_are_deterministic_under_a_fixed_seed() {
-        let cfg = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso)).with_metrics(0);
+        let mut cfg = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso));
+        cfg.metrics = Some(0);
         let first = run_campaign(&cfg, 13).metrics.unwrap();
         let second = run_campaign(&cfg, 13).metrics.unwrap();
         assert!(!first.counters.is_empty(), "simulator counters recorded");
@@ -897,7 +882,8 @@ mod tests {
             }
         }
 
-        let mut cfg = quick_config(GeneratorKind::McVerSiRand, None).with_metrics(2);
+        let mut cfg = quick_config(GeneratorKind::McVerSiRand, None);
+        cfg.metrics = Some(2);
         cfg.max_test_runs = 6;
         let mut recorder = Recorder::default();
         let outcomes = run_samples_streamed(&cfg, 1, 21, &mut recorder);
@@ -951,12 +937,14 @@ mod tests {
     /// countable through the telemetry event counter.
     #[test]
     fn panicking_samples_are_isolated_and_counted_with_metrics_enabled() {
-        let mut cfg = quick_config(GeneratorKind::McVerSiRand, None).with_metrics(1);
+        let mut cfg = quick_config(GeneratorKind::McVerSiRand, None);
+        cfg.metrics = Some(1);
         cfg.mcversi.testgen.num_threads = cfg.mcversi.system.num_cores + 1;
         telemetry::enable();
         telemetry::reset_local();
+        cfg.parallelism = 2;
         let mut sink = CollectSink::new();
-        let outcomes = run_samples_streamed(&cfg.clone().with_parallelism(2), 3, 5, &mut sink);
+        let outcomes = run_samples_streamed(&cfg, 3, 5, &mut sink);
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes
             .iter()
@@ -983,9 +971,11 @@ mod tests {
 
     #[test]
     fn effective_parallelism_is_bounded() {
-        let cfg = quick_config(GeneratorKind::McVerSiRand, None);
-        assert_eq!(cfg.clone().with_parallelism(8).effective_parallelism(3), 3);
-        assert_eq!(cfg.clone().with_parallelism(2).effective_parallelism(3), 2);
+        let mut cfg = quick_config(GeneratorKind::McVerSiRand, None);
         assert!(cfg.effective_parallelism(64) >= 1);
+        cfg.parallelism = 8;
+        assert_eq!(cfg.effective_parallelism(3), 3);
+        cfg.parallelism = 2;
+        assert_eq!(cfg.effective_parallelism(3), 2);
     }
 }

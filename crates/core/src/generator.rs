@@ -55,16 +55,6 @@ impl GeneratorKind {
             GeneratorKind::DiyLitmus => "diy-litmus",
         }
     }
-
-    /// Returns `true` for the generators that keep internal state and improve
-    /// over time (the GP-based ones); the stateless ones are the subject of
-    /// the paper's "10 days" extrapolation (Table 5).
-    pub fn is_stateful(self) -> bool {
-        matches!(
-            self,
-            GeneratorKind::McVerSiAll | GeneratorKind::McVerSiStdXo
-        )
-    }
 }
 
 impl fmt::Display for GeneratorKind {
@@ -259,10 +249,6 @@ mod tests {
     fn names_and_statefulness() {
         assert_eq!(GeneratorKind::McVerSiAll.paper_name(), "McVerSi-ALL");
         assert_eq!(GeneratorKind::DiyLitmus.paper_name(), "diy-litmus");
-        assert!(GeneratorKind::McVerSiAll.is_stateful());
-        assert!(GeneratorKind::McVerSiStdXo.is_stateful());
-        assert!(!GeneratorKind::McVerSiRand.is_stateful());
-        assert!(!GeneratorKind::DiyLitmus.is_stateful());
         assert_eq!(GeneratorKind::ALL.len(), 4);
     }
 

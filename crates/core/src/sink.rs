@@ -323,11 +323,6 @@ impl CollectSink {
     pub fn results(&self) -> &[CampaignResult] {
         &self.results
     }
-
-    /// Consumes the sink, returning the collected results.
-    pub fn into_results(self) -> Vec<CampaignResult> {
-        self.results
-    }
 }
 
 impl CampaignSink for CollectSink {
@@ -660,7 +655,7 @@ mod tests {
             sink.on_event(&event);
         }
         assert_eq!(sink.results().len(), 1);
-        assert_eq!(sink.into_results()[0].seed, 7);
+        assert_eq!(sink.results()[0].seed, 7);
     }
 
     #[test]

@@ -394,57 +394,46 @@ fn run_pool(
             break Ok(());
         }
 
-        match receiver.recv_timeout(Duration::from_millis(25)) {
-            Ok((slot_idx, generation, msg)) => {
-                if slots[slot_idx].generation != generation {
-                    continue; // stale message from a killed worker
-                }
-                slots[slot_idx].last_seen_ns = clock.elapsed().as_nanos() as u64;
-                match msg {
-                    WorkerMsg::Event(event) => {
-                        if let Err(e) = handle_event(*event, sink, journal, progress, by_id) {
-                            break Err(e);
-                        }
-                    }
-                    WorkerMsg::BadLine => {
-                        // Torn or corrupt worker output: ignore the line; the
-                        // shard-completion check decides whether anything was
-                        // lost.
-                    }
-                    WorkerMsg::Eof => {
-                        let slot = &mut slots[slot_idx];
-                        if let Some(mut child) = slot.child.take() {
-                            let _ = child.wait();
-                        }
-                        let Some((shard, retries)) = slot.work.take() else {
-                            continue;
-                        };
-                        if let Some(rest) = unfinished_remainder(&shard, progress) {
-                            if retries >= options.max_redispatch {
-                                break Err(FabricError(format!(
-                                    "worker lost shard {:#018x} {} time(s) \
-                                     (max_redispatch {}); resume from the journal \
-                                     to continue",
-                                    shard.id,
-                                    retries + 1,
-                                    options.max_redispatch
-                                )));
-                            }
-                            REDISPATCHES.incr();
-                            stats.redispatched += 1;
-                            queues[slot_idx].push_front((rest, retries + 1));
-                        }
-                    }
-                }
+        // `recv_timeout` can only time out otherwise: `sender` lives as long
+        // as this loop, so the channel cannot disconnect.
+        if let Ok((slot_idx, generation, msg)) = receiver.recv_timeout(Duration::from_millis(25)) {
+            if slots[slot_idx].generation != generation {
+                continue; // stale message from a killed worker
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // All reader threads gone while slots are still busy: treat
-                // as worker loss on every busy slot (next loop re-checks).
-                for slot in &mut slots {
+            slots[slot_idx].last_seen_ns = clock.elapsed().as_nanos() as u64;
+            match msg {
+                WorkerMsg::Event(event) => {
+                    if let Err(e) = handle_event(*event, sink, journal, progress, by_id) {
+                        break Err(e);
+                    }
+                }
+                WorkerMsg::BadLine => {
+                    // Torn or corrupt worker output: ignore the line; the
+                    // shard-completion check decides whether anything was
+                    // lost.
+                }
+                WorkerMsg::Eof => {
+                    let slot = &mut slots[slot_idx];
                     if let Some(mut child) = slot.child.take() {
-                        let _ = child.kill();
                         let _ = child.wait();
+                    }
+                    let Some((shard, retries)) = slot.work.take() else {
+                        continue;
+                    };
+                    if let Some(rest) = unfinished_remainder(&shard, progress) {
+                        if retries >= options.max_redispatch {
+                            break Err(FabricError(format!(
+                                "worker lost shard {:#018x} {} time(s) \
+                                 (max_redispatch {}); resume from the journal \
+                                 to continue",
+                                shard.id,
+                                retries + 1,
+                                options.max_redispatch
+                            )));
+                        }
+                        REDISPATCHES.incr();
+                        stats.redispatched += 1;
+                        queues[slot_idx].push_front((rest, retries + 1));
                     }
                 }
             }

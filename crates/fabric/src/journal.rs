@@ -94,19 +94,6 @@ impl JournalReplay {
         Ok(replay)
     }
 
-    /// Seeds of the journaled samples of `cell`, in ascending order.
-    pub fn sample_seeds(&self, cell: u64) -> Vec<u64> {
-        self.cells
-            .get(&cell)
-            .map(|c| c.samples.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Whether `cell` was closed by a `CellDone` record.
-    pub fn is_cell_done(&self, cell: u64) -> bool {
-        self.cells.get(&cell).is_some_and(|c| c.done)
-    }
-
     /// Total journaled sample results across all cells.
     pub fn total_samples(&self) -> usize {
         self.cells.values().map(|c| c.samples.len()).sum()
@@ -121,6 +108,11 @@ mod tests {
     use mcversi_mcm::ModelKind;
     use mcversi_sim::CoreStrength;
     use std::time::Duration;
+
+    /// Seeds of the journaled samples of `cell`, in ascending order.
+    fn sample_seeds(replay: &JournalReplay, cell: u64) -> Vec<u64> {
+        replay.cells[&cell].samples.keys().copied().collect()
+    }
 
     fn result(seed: u64) -> CampaignResult {
         CampaignResult {
@@ -184,10 +176,10 @@ mod tests {
         ]);
         let replay = JournalReplay::replay(&text).unwrap();
         assert_eq!(replay.version, Some(EVENT_SCHEMA_VERSION));
-        assert!(replay.is_cell_done(10));
-        assert!(!replay.is_cell_done(11));
-        assert_eq!(replay.sample_seeds(10), vec![100, 101]);
-        assert_eq!(replay.sample_seeds(11), vec![200]);
+        assert!(replay.cells[&10].done);
+        assert!(!replay.cells[&11].done);
+        assert_eq!(sample_seeds(&replay, 10), vec![100, 101]);
+        assert_eq!(sample_seeds(&replay, 11), vec![200]);
         assert_eq!(replay.total_samples(), 3);
         assert_eq!(replay.resumes, 1);
         assert_eq!(replay.cells[&10].label.as_deref(), Some("a"));
@@ -267,8 +259,8 @@ mod tests {
         assert!(appended.starts_with(&format!("{text}\n")), "{appended}");
         let replay = JournalReplay::replay(&appended).unwrap();
         assert!(!replay.truncated_tail);
-        assert_eq!(replay.sample_seeds(1), vec![5]);
-        assert!(replay.is_cell_done(1));
+        assert_eq!(sample_seeds(&replay, 1), vec![5]);
+        assert!(replay.cells[&1].done);
         let _ = std::fs::remove_file(path);
     }
 }

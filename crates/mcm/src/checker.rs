@@ -114,23 +114,12 @@ impl From<WellFormednessError> for CheckError {
 #[derive(Debug, Clone, Copy)]
 pub struct Checker<'m> {
     model: &'m dyn Architecture,
-    validate_well_formedness: bool,
 }
 
 impl<'m> Checker<'m> {
     /// Creates a checker for the given model.
     pub fn new(model: &'m dyn Architecture) -> Self {
-        Checker {
-            model,
-            validate_well_formedness: true,
-        }
-    }
-
-    /// Disables the well-formedness pre-check (useful in benchmarks where the
-    /// execution is known to be well formed).
-    pub fn without_well_formedness_check(mut self) -> Self {
-        self.validate_well_formedness = false;
-        self
+        Checker { model }
     }
 
     /// The model this checker verifies against.
@@ -156,9 +145,7 @@ impl<'m> Checker<'m> {
     /// Returns [`CheckError::MalformedExecution`] if the recorded execution
     /// object is not well formed (e.g. a read with no reads-from source).
     pub fn try_check(&self, exec: &CandidateExecution) -> Result<Verdict, CheckError> {
-        if self.validate_well_formedness {
-            exec.validate()?;
-        }
+        exec.validate()?;
         CHECKS.incr();
         for axiom in self.model.axioms(exec) {
             AXIOM_EVALS.incr();
@@ -243,20 +230,6 @@ mod tests {
         let err = Checker::new(&Tso).try_check(&exec).unwrap_err();
         assert!(matches!(err, CheckError::MalformedExecution(_)));
         assert!(!format!("{err}").is_empty());
-    }
-
-    #[test]
-    fn without_well_formedness_check_skips_validation() {
-        let mut b = ExecutionBuilder::new();
-        b.read(ProcessorId(0), Address(0x10), Value(0));
-        let exec = b.build();
-        // Skipping validation: the read with no source simply does not
-        // constrain anything, so the verdict is Valid rather than an error.
-        let verdict = Checker::new(&Tso)
-            .without_well_formedness_check()
-            .try_check(&exec)
-            .unwrap();
-        assert!(verdict.is_valid());
     }
 
     #[test]

@@ -391,14 +391,6 @@ impl CandidateExecution {
         addrs
     }
 
-    /// The set of processors with at least one event.
-    pub fn processors(&self) -> Vec<ProcessorId> {
-        let mut pids: Vec<ProcessorId> = self.events.iter().filter_map(|e| e.pid()).collect();
-        pids.sort();
-        pids.dedup();
-        pids
-    }
-
     /// Checks structural well-formedness of the execution object.
     ///
     /// # Errors
@@ -1121,7 +1113,6 @@ mod tests {
         b.write(p(1), Address(0x10), Value(3));
         let exec = b.build();
         assert_eq!(exec.addresses(), vec![Address(0x10), Address(0x20)]);
-        assert_eq!(exec.processors(), vec![p(0), p(1)]);
     }
 
     #[test]

@@ -63,27 +63,6 @@ pub fn program_order(events: &[Event]) -> Relation {
     po
 }
 
-/// Restricts `po` to *immediate* program order: each event related only to the
-/// next event of its thread.  Useful for display and for building per-thread
-/// adjacency views.
-pub fn immediate_program_order(events: &[Event]) -> Relation {
-    let mut po = Relation::new();
-    for thread in threads(events).values() {
-        for pair in thread.windows(2) {
-            po.insert(pair[0].id, pair[1].id);
-        }
-    }
-    po
-}
-
-/// Returns the per-thread event id sequences in program order.
-pub fn thread_sequences(events: &[Event]) -> BTreeMap<ProcessorId, Vec<EventId>> {
-    threads(events)
-        .into_iter()
-        .map(|(pid, evs)| (pid, evs.into_iter().map(|e| e.id).collect()))
-        .collect()
-}
-
 /// Dense classification masks of an event list: which events read, write or
 /// access memory at all, and for each event the events sharing its address or
 /// its thread.
@@ -342,20 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn immediate_po_is_chain() {
-        let events = vec![
-            mk(0, 0, 0, EventKind::Write, 0x10),
-            mk(1, 0, 1, EventKind::Write, 0x20),
-            mk(2, 0, 2, EventKind::Read, 0x30),
-        ];
-        let ipo = immediate_program_order(&events);
-        assert_eq!(ipo.len(), 2);
-        assert!(ipo.contains(EventId(0), EventId(1)));
-        assert!(ipo.contains(EventId(1), EventId(2)));
-        assert!(!ipo.contains(EventId(0), EventId(2)));
-    }
-
-    #[test]
     fn rmw_halves_ordered_read_before_write() {
         let events = vec![
             mk(0, 0, 0, EventKind::RmwRead, 0x10),
@@ -391,7 +356,11 @@ mod tests {
             mk(4, 0, 1, EventKind::Write, 0x20),
             mk(6, 1, 0, EventKind::Read, 0x20),
         ];
-        let seqs = thread_sequences(&events);
+        let ids = |evs: &Vec<&Event>| evs.iter().map(|e| e.id).collect::<Vec<_>>();
+        let seqs: BTreeMap<_, _> = threads(&events)
+            .iter()
+            .map(|(&p, evs)| (p, ids(evs)))
+            .collect();
         assert_eq!(
             seqs[&ProcessorId(0)],
             vec![EventId(3), EventId(4), EventId(5)]

@@ -292,15 +292,6 @@ impl Relation {
         BitIter::new(self.row(from.index()))
     }
 
-    /// Predecessors of `to`, ascending.  One bit test per allocated row (a
-    /// column scan), independent of the number of pairs.
-    pub fn predecessors(&self, to: EventId) -> Vec<EventId> {
-        (0..self.rows() as u32)
-            .map(EventId)
-            .filter(|&a| self.contains(a, to))
-            .collect()
-    }
-
     /// All events that appear as source or target of at least one pair.
     pub fn nodes(&self) -> BTreeSet<EventId> {
         let mut nodes = BTreeSet::new();
@@ -374,16 +365,6 @@ impl Relation {
         }
         out.recount();
         out
-    }
-
-    /// Intersection of `self` and `other`.
-    pub fn intersection(&self, other: &Relation) -> Relation {
-        self.map_rows(|a| other.row(a), |mine, theirs| mine & theirs)
-    }
-
-    /// Set difference `self \ other`.
-    pub fn difference(&self, other: &Relation) -> Relation {
-        self.map_rows(|a| other.row(a), |mine, theirs| mine & !theirs)
     }
 
     /// [`map_rows`](Self::map_rows) against the set `targets` picks per source
@@ -539,11 +520,6 @@ impl Relation {
         }
         reach.recount();
         reach
-    }
-
-    /// Returns `true` if the relation relates any event to itself.
-    pub fn has_reflexive_pair(&self) -> bool {
-        (0..self.rows() as u32).any(|a| self.contains(EventId(a), EventId(a)))
     }
 
     /// Returns `true` if the relation is irreflexive after taking its
@@ -813,10 +789,10 @@ mod tests {
         let b = Relation::from_pairs([(e(1), e(2)), (e(2), e(3))]);
         let u = a.union(&b);
         assert_eq!(u.len(), 3);
-        let i = a.intersection(&b);
+        let i = a.filter(|x, y| b.contains(x, y));
         assert_eq!(i.len(), 1);
         assert!(i.contains(e(1), e(2)));
-        let d = a.difference(&b);
+        let d = a.filter(|x, y| !b.contains(x, y));
         assert_eq!(d.len(), 1);
         assert!(d.contains(e(0), e(1)));
     }
@@ -918,7 +894,6 @@ mod tests {
         let r = Relation::from_pairs([(e(5), e(5))]);
         assert!(!r.is_acyclic());
         assert_eq!(r.find_cycle().unwrap(), vec![e(5)]);
-        assert!(r.has_reflexive_pair());
     }
 
     #[test]
@@ -969,7 +944,7 @@ mod tests {
     #[test]
     fn predecessors_and_nodes() {
         let r = Relation::from_pairs([(e(0), e(2)), (e(1), e(2))]);
-        let preds = r.predecessors(e(2));
+        let preds: Vec<EventId> = r.inverse().successors(e(2)).collect();
         assert_eq!(preds, vec![e(0), e(1)]);
         assert_eq!(r.nodes().len(), 3);
     }

@@ -184,11 +184,6 @@ fn assert_matches(rel: &Relation, model: &Pairs, step: &str) {
         reference_topological_sort(model),
         "{step}: topological_sort"
     );
-    assert_eq!(
-        rel.has_reflexive_pair(),
-        model.iter().any(|(a, b)| a == b),
-        "{step}: has_reflexive_pair"
-    );
     // `==` sees pair sets, not the capacity the history of `rel` left behind.
     let rebuilt = Relation::from_pairs(model.iter().copied());
     assert_eq!(*rel, rebuilt, "{step}: == rebuilt");
@@ -203,17 +198,11 @@ fn assert_matches(rel: &Relation, model: &Pairs, step: &str) {
             .filter(|&&(a, _)| a == n)
             .map(|&(_, b)| b)
             .collect();
-        let preds: Vec<EventId> = model
-            .iter()
-            .filter(|&&(_, b)| b == n)
-            .map(|&(a, _)| a)
-            .collect();
         assert_eq!(
             rel.successors(n).collect::<Vec<_>>(),
             succs,
             "{step}: successors"
         );
-        assert_eq!(rel.predecessors(n), preds, "{step}: predecessors");
         for &m in &succs {
             assert!(rel.contains(n, m), "{step}: contains");
         }
@@ -265,16 +254,6 @@ proptest! {
                     x = Relation::union_all([&x.union(&y), &Relation::new(), &y]);
                     mx.extend(my.iter().copied());
                     "union / union_all"
-                }
-                8 => {
-                    x = x.intersection(&y);
-                    mx = mx.intersection(&my).copied().collect();
-                    "intersection"
-                }
-                9 => {
-                    x = x.difference(&y);
-                    mx = mx.difference(&my).copied().collect();
-                    "difference"
                 }
                 10 => {
                     x = x.inverse();

@@ -272,14 +272,6 @@ impl BugConfig {
         BugConfig { enabled: vec![bug] }
     }
 
-    /// Creates a configuration from a list of bugs.
-    pub fn from_bugs<I: IntoIterator<Item = Bug>>(bugs: I) -> Self {
-        let mut enabled: Vec<Bug> = bugs.into_iter().collect();
-        enabled.sort();
-        enabled.dedup();
-        BugConfig { enabled }
-    }
-
     /// Returns `true` if `bug` is injected.
     pub fn has(&self, bug: Bug) -> bool {
         self.enabled.contains(&bug)
@@ -394,15 +386,12 @@ mod tests {
     }
 
     #[test]
-    fn bug_config_dedups_and_sorts() {
-        let cfg = BugConfig::from_bugs([Bug::SqNoFifo, Bug::LqNoTso, Bug::SqNoFifo]);
-        assert_eq!(cfg.iter().count(), 2);
-    }
-
-    #[test]
     fn display_is_readable() {
         assert_eq!(format!("{}", Bug::MesiPutxRace), "MESI+PUTX-Race");
         assert_eq!(format!("{}", BugConfig::none()), "correct design (no bugs)");
-        assert!(format!("{}", BugConfig::from_bugs([Bug::LqNoTso, Bug::SqNoFifo])).contains(","));
+        let two = BugConfig {
+            enabled: vec![Bug::LqNoTso, Bug::SqNoFifo],
+        };
+        assert!(format!("{two}").contains(","));
     }
 }

@@ -157,10 +157,10 @@ pub struct CoreTickOutput {
     /// produced nothing, changed nothing in the core *and* ran its issue
     /// stage (was not held back by the issue-jitter draw).  Until a response
     /// or a notice arrives or [`CoreModel::next_delay_expiry`] comes, every
-    /// further tick then does the same again: one jitter draw (none once
-    /// finished) and, when the draw lets the issue stage run, the same stall
-    /// counts ([`CoreModel::replay_stalls`]).  The system lets such a core
-    /// sleep and does just that in its place.
+    /// further tick then changes and counts nothing (a load stall is counted
+    /// when it starts, not per tick): all it does is one jitter draw (none
+    /// once finished).  The system lets such a core sleep and makes just that
+    /// draw in its place.
     pub quiescent: bool,
 }
 
@@ -173,8 +173,6 @@ enum Stall {
 }
 
 impl Stall {
-    const ALL: [Stall; 3] = [Stall::Fence, Stall::Coherence, Stall::Dep];
-
     fn counter(self) -> &'static telemetry::Counter {
         match self {
             Stall::Fence => &STALL_FENCE,
@@ -200,6 +198,9 @@ struct InflightOp {
     read_value: Option<u64>,
     /// Earliest cycle at which the op may complete (delays).
     ready_at: Cycle,
+    /// The reason a waiting load last stalled for, until it issues or
+    /// completes: a stall is counted when this changes, once per episode.
+    stalled: Option<Stall>,
 }
 
 impl InflightOp {
@@ -233,17 +234,17 @@ pub struct CoreModel {
     /// store-ordering fence retires; committed stores carry it into the
     /// store buffer.
     store_epoch: u32,
-    /// Load stalls counted by the last issue stage that ran, per [`Stall`].
-    stalls: [u32; Stall::ALL.len()],
     /// Loads and stores in the window, the occupancy of the load and store
     /// queues that `fetch` checks.
     loads_in_window: usize,
     stores_in_window: usize,
     /// Scratch of the issue stage (the window slots it decided complete this
-    /// cycle, a forwarded load with its value, and the requests it decided
-    /// on), kept to reuse the buffers.
+    /// cycle, a forwarded load with its value, the requests it decided on,
+    /// and the loads that started a stall episode), kept to reuse the
+    /// buffers.
     issue_completed: Vec<(usize, Option<u64>)>,
     issue_requests: Vec<(usize, CoreReqKind, Address)>,
+    issue_stalled: Vec<(usize, Stall)>,
     /// Scratch of [`CoreModel::commit_stores_early`], kept likewise.
     blocked_addrs: Vec<Address>,
 }
@@ -267,11 +268,11 @@ impl CoreModel {
             issue_jitter: cfg.issue_jitter,
             squashes: 0,
             store_epoch: 0,
-            stalls: [0; Stall::ALL.len()],
             loads_in_window: 0,
             stores_in_window: 0,
             issue_completed: Vec::new(),
             issue_requests: Vec::new(),
+            issue_stalled: Vec::new(),
             blocked_addrs: Vec::new(),
         }
     }
@@ -288,7 +289,6 @@ impl CoreModel {
         self.next_tag = 1;
         self.squashes = 0;
         self.store_epoch = 0;
-        self.stalls = [0; Stall::ALL.len()];
         self.blocked_addrs.clear();
     }
 
@@ -474,6 +474,7 @@ impl CoreModel {
                 state: OpState::Waiting,
                 read_value: None,
                 ready_at,
+                stalled: None,
             });
             self.next_fetch += 1;
         }
@@ -597,7 +598,8 @@ impl CoreModel {
     }
 
     /// The issue stage.  Returns `true` if it ran (was not held back by the
-    /// jitter draw) and left every window slot in the state it found it in.
+    /// jitter draw) and left every window slot in the state it found it in
+    /// (a load that starts a stall episode only remembers its reason).
     ///
     /// Every decision is made against the window as the stage found it: a
     /// slot that completes or issues this cycle still reads as waiting to the
@@ -612,12 +614,12 @@ impl CoreModel {
         if !jitter_lets_issue(self.issue_jitter, rng) {
             return false;
         }
-        let mut stalls = [0; Stall::ALL.len()];
         let mut issued = 0usize;
         let issue_width = 4usize;
         let sb_empty = self.store_buffer.is_empty() && self.outstanding_store.is_none();
         let mut completed = std::mem::take(&mut self.issue_completed);
         let mut new_requests = std::mem::take(&mut self.issue_requests);
+        let mut stalled = std::mem::take(&mut self.issue_stalled);
 
         // Pass 1: decide which window slots complete or issue this cycle.
         for (pos, op) in self.window.iter().enumerate() {
@@ -630,8 +632,10 @@ impl CoreModel {
             match op.op.kind {
                 TestOpKind::Read | TestOpKind::ReadAddrDp => {
                     if let Some(stall) = self.load_blocked(pos, op, bugs) {
-                        stall.counter().incr();
-                        stalls[stall as usize] += 1;
+                        if op.stalled != Some(stall) {
+                            stall.counter().incr();
+                            stalled.push((pos, stall));
+                        }
                         continue;
                     }
                     if let Some(value) = self.forwarded_value(op.op.addr, op.idx) {
@@ -713,13 +717,16 @@ impl CoreModel {
                 }
             }
         }
-        self.stalls = stalls;
         let idle = completed.is_empty() && new_requests.is_empty();
 
         // Pass 2: change the slots.
+        for (pos, stall) in stalled.drain(..) {
+            self.window[pos].stalled = Some(stall);
+        }
         for (pos, forwarded) in completed.drain(..) {
             let slot = &mut self.window[pos];
             slot.state = OpState::Done;
+            slot.stalled = None;
             if forwarded.is_some() {
                 slot.read_value = forwarded;
             }
@@ -727,27 +734,15 @@ impl CoreModel {
         ISSUED_REQUESTS.add(new_requests.len() as u64);
         for (pos, kind, addr) in new_requests.drain(..) {
             let tag = self.alloc_tag();
-            self.window[pos].state = OpState::Issued { tag };
+            let slot = &mut self.window[pos];
+            slot.state = OpState::Issued { tag };
+            slot.stalled = None;
             out.requests.push(CoreRequest { tag, addr, kind });
         }
         self.issue_completed = completed;
         self.issue_requests = new_requests;
+        self.issue_stalled = stalled;
         idle
-    }
-
-    /// Counts the load stalls of `ticks` further ticks of a [quiescent] core
-    /// whose jitter draw let the issue stage run: each such tick stalls the
-    /// same loads for the same reasons as the last one that ran, and does
-    /// nothing else.
-    ///
-    /// [quiescent]: CoreTickOutput::quiescent
-    pub fn replay_stalls(&self, ticks: u64) {
-        for stall in Stall::ALL {
-            let stalled = self.stalls[stall as usize];
-            if stalled > 0 {
-                stall.counter().add(stalled as u64 * ticks);
-            }
-        }
     }
 
     /// The earliest cycle at which a waiting `Delay` op completes, if any:
@@ -969,11 +964,6 @@ impl CoreModel {
             && out.requests.is_empty()
             && out.observed.is_empty();
         out
-    }
-
-    /// Instruction count of the thread program (statistics).
-    pub fn program_len(&self) -> usize {
-        self.program.len()
     }
 }
 
@@ -1591,6 +1581,68 @@ mod tests {
     }
 
     #[test]
+    fn a_load_stall_counts_once_per_episode() {
+        // Relaxed core, F; R x; Rdep y: both loads wait out the full fence,
+        // then the dependent one waits out the load of x.
+        telemetry::enable();
+        telemetry::reset_local();
+        let stalls = || {
+            let mut counters = telemetry::local_snapshot().counters;
+            counters.retain(|name, _| name.starts_with("sim.core.stall."));
+            counters
+        };
+        let count = |pairs: &[(&str, u64)]| {
+            let named = pairs
+                .iter()
+                .map(|&(why, n)| (format!("sim.core.stall.{why}"), n));
+            named.collect::<std::collections::BTreeMap<_, _>>()
+        };
+        let cfg = cfg_relaxed();
+        let mut rng = rng();
+        let bugs = BugConfig::none();
+        let program = vec![
+            TestOp::fence(),
+            TestOp::read(Address(0x100)),
+            TestOp::read_addr_dp(Address(0x200)),
+        ];
+        let mut core = CoreModel::new(0, program, &cfg);
+        let out = core.tick(1, &bugs, &[], &[], &mut rng);
+        let fence = out.requests[0].tag;
+        for cycle in 2..50 {
+            assert!(core.tick(cycle, &bugs, &[], &[], &mut rng).quiescent);
+        }
+        assert_eq!(stalls(), count(&[("fence", 2)]), "one episode per load");
+
+        // The fence completes: the load of x issues, and the dependent load
+        // stalls for a new reason, which starts a new episode.
+        let done = |tag, kind| [CoreResponse { tag, kind }];
+        let out = core.tick(
+            50,
+            &bugs,
+            &done(fence, CoreRespKind::FenceDone),
+            &[],
+            &mut rng,
+        );
+        let load_x = out.requests[0].tag;
+        assert_eq!(out.requests.len(), 1);
+        for cycle in 51..100 {
+            core.tick(cycle, &bugs, &[], &[], &mut rng);
+        }
+        assert_eq!(stalls(), count(&[("dep", 1), ("fence", 2)]));
+
+        // Issuing ends the episode: the slot forgets its reason, so a load
+        // squashed after it issued counts its next stall afresh.  (None does
+        // stall again today: only the strong core squashes, it issued the
+        // load past every older fence and atomic, and it issues an
+        // address-dependent load only once every older load has performed.)
+        let value = CoreRespKind::LoadDone { value: 0 };
+        let out = core.tick(100, &bugs, &done(load_x, value), &[], &mut rng);
+        assert_eq!(out.requests.len(), 1, "the dependent load issues");
+        assert!(core.window.iter().all(|op| op.stalled.is_none()));
+        assert_eq!(stalls(), count(&[("dep", 1), ("fence", 2)]));
+    }
+
+    #[test]
     fn relaxed_store_commits_past_incomplete_load() {
         let cfg = cfg_relaxed();
         let mut rng = rng();
@@ -1878,8 +1930,8 @@ mod tests {
         ]);
         let cores = cores_for_program(&program, &cfg);
         assert_eq!(cores.len(), cfg.num_cores);
-        assert_eq!(cores[0].program_len(), 1);
-        assert_eq!(cores[1].program_len(), 1);
+        assert_eq!(cores[0].program, [TestOp::read(Address(0x100))]);
+        assert_eq!(cores[1].program, [TestOp::write(Address(0x100), 1)]);
         assert!(cores[2].is_finished(), "cores without a thread are idle");
     }
 }

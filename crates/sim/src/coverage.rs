@@ -15,8 +15,8 @@
 //! A stalled request re-records its transition every cycle it is retried.  The
 //! simulation loop does not execute those retries: it keeps what the stalled
 //! controller's last tick recorded and adds it once per tick slept through
-//! ([`CoverageRecorder::record_repeats`]), so the cumulative counts come out
-//! as if every cycle had been simulated.
+//! (`CoverageRecorder::repeat_slot`), so the cumulative counts come out as if
+//! every cycle had been simulated.
 //!
 //! Recording is on the path of every controller tick, so it costs a constant
 //! number of array operations: each transition recorded so far owns a dense
@@ -272,16 +272,8 @@ impl CoverageRecorder {
         slot
     }
 
-    /// Counts a transition that has been [recorded](Self::record) `times`
-    /// more, as `times` repeats of that record would have.
-    pub fn record_repeats(&mut self, transition: Transition, times: u64) {
-        let slot = self
-            .slot_of(&transition)
-            .expect("a repeated transition has been recorded");
-        self.repeat_slot(slot, times);
-    }
-
-    /// [`record_repeats`](Self::record_repeats) of the transition in `slot`.
+    /// Counts the transition in `slot` `times` more, as `times` repeats of
+    /// the [record](Self::record_slot) that returned `slot` would have.
     pub(crate) fn repeat_slot(&mut self, slot: Slot, times: u64) {
         self.slots[slot.0 as usize].count += times;
     }
@@ -464,7 +456,8 @@ mod tests {
                         model.record(transition);
                     }
                     60..=79 if model.count(transition) > 0 => {
-                        slots.record_repeats(transition, times);
+                        let slot = slots.slot_of(&transition).expect("recorded");
+                        slots.repeat_slot(slot, times);
                         model.record_repeats(transition, times);
                     }
                     80..=89 => prop_assert_eq!(slots.finish_run(), model.finish_run()),
@@ -516,8 +509,8 @@ mod tests {
         let twin = c.clone();
         let mark = c.mark();
 
-        c.record(old);
-        c.record_repeats(old, 5);
+        let slot = c.record_slot(old);
+        c.repeat_slot(slot, 5);
         c.record(new);
         let elsewhere = Transition::l1(leaked("I"), leaked("Load"));
         c.record(elsewhere);
@@ -536,12 +529,6 @@ mod tests {
         }
         assert_eq!(format!("{c:?}"), format!("{twin:?}"));
         assert_eq!(c.record_slot(new), c.index[&new]);
-    }
-
-    #[test]
-    #[should_panic(expected = "a repeated transition has been recorded")]
-    fn repeating_a_transition_never_recorded_panics() {
-        CoverageRecorder::new().record_repeats(Transition::l1("S", "Inv"), 3);
     }
 
     #[test]

@@ -96,15 +96,6 @@ impl StoreBuffer {
         self.entries.push_back(entry);
     }
 
-    /// The newest buffered value for `addr`, if any (store-to-load forwarding).
-    pub fn forward_value(&self, addr: Address) -> Option<u64> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.addr == addr)
-            .map(|e| e.value)
-    }
-
     /// Store-to-load forwarding bounded by program order: the newest buffered
     /// entry for `addr` among entries with `poi < before_poi`.  The whole
     /// entry is returned so callers can compare its program-order index
@@ -281,9 +272,13 @@ mod tests {
         sb.push(entry(0, 0x100, 1));
         sb.push(entry(1, 0x200, 2));
         sb.push(entry(2, 0x100, 3));
-        assert_eq!(sb.forward_value(Address(0x100)), Some(3));
-        assert_eq!(sb.forward_value(Address(0x200)), Some(2));
-        assert_eq!(sb.forward_value(Address(0x300)), None);
+        let forward = |addr| {
+            sb.forward_entry_before(Address(addr), u32::MAX)
+                .map(|e| e.value)
+        };
+        assert_eq!(forward(0x100), Some(3));
+        assert_eq!(forward(0x200), Some(2));
+        assert_eq!(forward(0x300), None);
     }
 
     #[test]

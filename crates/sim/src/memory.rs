@@ -20,8 +20,6 @@ pub struct MemoryController {
     data: BTreeMap<LineAddr, LineData>,
     inbox: VecDeque<Msg>,
     pending: Vec<(Cycle, Msg)>,
-    reads_served: u64,
-    writes_served: u64,
 }
 
 impl MemoryController {
@@ -33,8 +31,6 @@ impl MemoryController {
             data: BTreeMap::new(),
             inbox: VecDeque::new(),
             pending: Vec::new(),
-            reads_served: 0,
-            writes_served: 0,
         }
     }
 
@@ -43,26 +39,12 @@ impl MemoryController {
         self.inbox.push_back(msg);
     }
 
-    /// Reads a line directly (host access; no latency, no statistics).
+    /// Reads a line directly (host access; no latency).
     pub fn peek_line(&self, line: LineAddr) -> LineData {
         self.data
             .get(&line)
             .cloned()
             .unwrap_or_else(|| LineData::zeroed(self.line_bytes))
-    }
-
-    /// Writes a single 8-byte word directly (host access).
-    pub fn poke_word(&mut self, line: LineAddr, word_index: usize, value: u64) {
-        let entry = self
-            .data
-            .entry(line)
-            .or_insert_with(|| LineData::zeroed(self.line_bytes));
-        entry.set_word(word_index, value);
-    }
-
-    /// Clears all memory contents back to zero (host reset).
-    pub fn clear(&mut self) {
-        self.data.clear();
     }
 
     /// Full host-assisted reset: clears contents *and* any queued or pending
@@ -73,29 +55,6 @@ impl MemoryController {
         self.data.clear();
         self.inbox.clear();
         self.pending.clear();
-    }
-
-    /// Number of read requests served so far.
-    pub fn reads_served(&self) -> u64 {
-        self.reads_served
-    }
-
-    /// Number of writebacks served so far.
-    pub fn writes_served(&self) -> u64 {
-        self.writes_served
-    }
-
-    /// Both served-request counters, the only state [`reset`](Self::reset)
-    /// keeps.
-    pub(crate) fn served(&self) -> (u64, u64) {
-        (self.reads_served, self.writes_served)
-    }
-
-    /// Puts the served-request counters back to what [`served`](Self::served)
-    /// returned.
-    pub(crate) fn rewind_served(&mut self, (reads, writes): (u64, u64)) {
-        self.reads_served = reads;
-        self.writes_served = writes;
     }
 
     /// Returns `true` if no requests are queued or pending.
@@ -124,14 +83,12 @@ impl MemoryController {
         while let Some(msg) = self.inbox.pop_front() {
             match msg.payload {
                 MsgPayload::MemRead { line } => {
-                    self.reads_served += 1;
                     let latency = rng.gen_range(cfg.latency.mem_min..=cfg.latency.mem_max);
                     let data = self.peek_line(line);
                     let response = Msg::new(self.node, msg.src, MsgPayload::MemData { line, data });
                     self.pending.push((cycle + latency, response));
                 }
                 MsgPayload::MemWrite { line, data } => {
-                    self.writes_served += 1;
                     // Writes complete in place; no acknowledgement is required
                     // by either protocol (the L2 only needs the data durable).
                     self.data.insert(line, data);
@@ -160,6 +117,23 @@ mod tests {
         (MemoryController::new(&cfg), cfg, StdRng::seed_from_u64(1))
     }
 
+    /// Writes `value` to word `word` of `line` the way an L2 bank does: with
+    /// a writeback of the whole line.
+    fn write_back(
+        mem: &mut MemoryController,
+        cfg: &SystemConfig,
+        line: LineAddr,
+        word: usize,
+        value: u64,
+    ) {
+        let mut data = LineData::zeroed(cfg.line_bytes);
+        data.set_word(word, value);
+        let payload = MsgPayload::MemWrite { line, data };
+        mem.push_msg(Msg::new(cfg.node_of_l2(1), cfg.node_of_memory(), payload));
+        let mut rng = StdRng::seed_from_u64(0);
+        assert!(mem.tick(0, cfg, &mut rng, &mut Vec::new()));
+    }
+
     #[test]
     fn unwritten_memory_reads_zero() {
         let (mem, _, _) = setup();
@@ -173,7 +147,7 @@ mod tests {
     #[test]
     fn read_request_served_after_latency() {
         let (mut mem, cfg, mut rng) = setup();
-        mem.poke_word(LineAddr(0x1000), 2, 99);
+        write_back(&mut mem, &cfg, LineAddr(0x1000), 2, 99);
         let l2 = cfg.node_of_l2(0);
         mem.push_msg(Msg::new(
             l2,
@@ -208,32 +182,21 @@ mod tests {
             other => panic!("unexpected payload {other:?}"),
         }
         assert!(mem.is_idle());
-        assert_eq!(mem.reads_served(), 1);
     }
 
     #[test]
     fn writeback_updates_contents() {
-        let (mut mem, cfg, mut rng) = setup();
-        let mut data = LineData::zeroed(64);
-        data.set_word(0, 7);
-        mem.push_msg(Msg::new(
-            cfg.node_of_l2(1),
-            cfg.node_of_memory(),
-            MsgPayload::MemWrite {
-                line: LineAddr(0x2000),
-                data,
-            },
-        ));
-        mem.tick(0, &cfg, &mut rng, &mut Vec::new());
+        let (mut mem, cfg, _) = setup();
+        write_back(&mut mem, &cfg, LineAddr(0x2000), 0, 7);
         assert_eq!(mem.peek_line(LineAddr(0x2000)).word(0), 7);
-        assert_eq!(mem.writes_served(), 1);
+        assert!(mem.is_idle(), "a writeback is not acknowledged");
     }
 
     #[test]
     fn clear_resets_contents() {
-        let (mut mem, _, _) = setup();
-        mem.poke_word(LineAddr(0x40), 0, 5);
-        mem.clear();
+        let (mut mem, cfg, _) = setup();
+        write_back(&mut mem, &cfg, LineAddr(0x40), 0, 5);
+        mem.reset();
         assert_eq!(mem.peek_line(LineAddr(0x40)).word(0), 0);
     }
 }

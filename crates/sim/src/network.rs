@@ -44,7 +44,6 @@ pub struct Network {
     /// up to date so the per-cycle "anything due?" question costs one compare.
     earliest: Option<Cycle>,
     in_flight: usize,
-    total_sent: u64,
 }
 
 impl Network {
@@ -57,7 +56,6 @@ impl Network {
             non_empty: vec![0; (nodes * nodes * VNETS).div_ceil(64)],
             earliest: None,
             in_flight: 0,
-            total_sent: 0,
         }
     }
 
@@ -68,17 +66,6 @@ impl Network {
     /// Number of messages currently in flight.
     pub fn in_flight(&self) -> usize {
         self.in_flight
-    }
-
-    /// Total number of messages ever sent (statistics).
-    pub fn total_sent(&self) -> u64 {
-        self.total_sent
-    }
-
-    /// Puts the sent-message counter, the only state [`clear`](Self::clear)
-    /// keeps, back to an earlier [`total_sent`](Self::total_sent).
-    pub(crate) fn rewind_total_sent(&mut self, total_sent: u64) {
-        self.total_sent = total_sent;
     }
 
     /// Returns `true` if no messages are in flight.
@@ -122,7 +109,6 @@ impl Network {
         // so the minimum over heads only ever moves when it is undercut.
         self.earliest = Some(self.earliest.map_or(deliver_at, |e| e.min(deliver_at)));
         self.in_flight += 1;
-        self.total_sent += 1;
         match vnet {
             VirtualNetwork::Request => NET_REQUEST.incr(),
             VirtualNetwork::Forward => NET_FORWARD.incr(),
@@ -394,18 +380,5 @@ mod tests {
             delivered > 1_000,
             "only {delivered} messages were delivered"
         );
-    }
-
-    #[test]
-    fn statistics_count_sends() {
-        let cfg = cfg();
-        let mut rng = rng();
-        let mut net = Network::new(&cfg);
-        for i in 0..10 {
-            net.send(gets(0, 8, 0x40 + i * 64), 0, &cfg, &mut rng);
-        }
-        deliver(&mut net, 10_000);
-        assert_eq!(net.total_sent(), 10);
-        assert!(net.is_empty());
     }
 }

@@ -25,6 +25,7 @@ use crate::protocol::{
 };
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
+use mcversi_telemetry as telemetry;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
@@ -33,6 +34,9 @@ use std::fmt;
 pub(crate) trait L1Protocol: Sized + fmt::Debug {
     /// The L1's name in protocol errors: `L1` reports as `L1[core]`.
     const COMPONENT: &'static str;
+    /// Counts core requests that needed a coherence transaction, once each,
+    /// when [`L1::start_miss`] opens its MSHR.
+    const MISSES: &'static telemetry::Counter;
     /// The transient (MSHR) states.
     type Transient: Transient;
     /// What a resident line carries besides its state, data and dirtiness.
@@ -271,6 +275,7 @@ impl<P: L1Protocol> L1<P> {
         op: PendingOp,
         exclusive: bool,
     ) {
+        P::MISSES.incr();
         let mut mshr = Mshr::new(tstate);
         mshr.pending.push(op);
         self.mshrs.insert(line, mshr);

@@ -85,6 +85,7 @@ fn notify_lq(out: &mut L1Output, ctx: &TickCtx<'_>, line: LineAddr, suppressed_b
 
 impl L1Protocol for Mesi {
     const COMPONENT: &'static str = "L1";
+    const MISSES: &'static telemetry::Counter = &L1_MISSES;
     type Transient = Transient;
     type Meta = ();
     type Kept = ();
@@ -108,7 +109,6 @@ impl L1Protocol for Mesi {
             }
             (CoreReqKind::Load, None) => {
                 ctx.coverage.record(Transition::l1("I", "Load"));
-                ctx.count_on_stall_path(&L1_MISSES);
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
@@ -138,13 +138,11 @@ impl L1Protocol for Mesi {
             }
             (CoreReqKind::Store { .. }, Some(L1State::Shared)) => {
                 ctx.coverage.record(Transition::l1("S", "Store"));
-                ctx.count_on_stall_path(&L1_MISSES);
                 l1.start_miss(out, ctx, line, Transient::SM, op, true);
                 true
             }
             (CoreReqKind::Store { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Store"));
-                ctx.count_on_stall_path(&L1_MISSES);
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
@@ -168,13 +166,11 @@ impl L1Protocol for Mesi {
             }
             (CoreReqKind::Rmw { .. }, Some(L1State::Shared)) => {
                 ctx.coverage.record(Transition::l1("S", "Rmw"));
-                ctx.count_on_stall_path(&L1_MISSES);
                 l1.start_miss(out, ctx, line, Transient::SM, op, true);
                 true
             }
             (CoreReqKind::Rmw { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Rmw"));
-                ctx.count_on_stall_path(&L1_MISSES);
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }

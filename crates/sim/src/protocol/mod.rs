@@ -36,7 +36,6 @@ use crate::msg::Msg;
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr};
 use mcversi_mcm::Address;
-use mcversi_telemetry as telemetry;
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::fmt;
@@ -123,20 +122,18 @@ pub struct L1Output {
     pub lq_notices: Vec<LineAddr>,
 }
 
-/// What one tick did on the paths a stalled request re-takes every cycle it
-/// is retried: its coverage records and the telemetry counters bumped through
-/// [`TickCtx::count_on_stall_path`].  The system keeps one per component; when
-/// the tick made no progress the log is what every tick the component then
-/// sleeps through would have done again, and [`TickLog::replay`] accounts for
-/// them in one step.
+/// The coverage records of one tick, which is what a stalled request
+/// re-takes every cycle it is retried.  The system keeps one per component;
+/// when the tick made no progress the log is what every tick the component
+/// then sleeps through would have recorded again, and [`TickLog::replay`]
+/// accounts for them in one step.
 #[derive(Debug, Default)]
 pub struct TickLog {
     records: Vec<Slot>,
-    counters: Vec<&'static telemetry::Counter>,
 }
 
 impl TickLog {
-    /// Counts everything in the log `ticks` more times, as `ticks` further
+    /// Counts every record in the log `ticks` more times, as `ticks` further
     /// ticks that do exactly the same would have.
     pub fn replay(&self, ticks: u64, coverage: &mut CoverageRecorder) {
         if ticks == 0 {
@@ -145,15 +142,11 @@ impl TickLog {
         for &slot in &self.records {
             coverage.repeat_slot(slot, ticks);
         }
-        for counter in &self.counters {
-            counter.add(ticks);
-        }
     }
 
     /// Forgets what the last tick logged.
     pub(crate) fn clear(&mut self) {
         self.records.clear();
-        self.counters.clear();
     }
 }
 
@@ -194,17 +187,6 @@ pub struct TickCtx<'a> {
     pub rng: &'a mut StdRng,
     /// Sink for protocol errors (invalid transitions).
     pub errors: &'a mut Vec<ProtocolError>,
-}
-
-impl TickCtx<'_> {
-    /// Bumps a telemetry counter that sits on a path a stalled request
-    /// re-takes every cycle it is retried, and logs it so the system can
-    /// replay it for the ticks the controller sleeps through (see the
-    /// inertness contract on [`L1Controller::tick`]).
-    pub fn count_on_stall_path(&mut self, counter: &'static telemetry::Counter) {
-        counter.incr();
-        self.coverage.log.counters.push(counter);
-    }
 }
 
 /// Moves every entry of `pending` whose release time has come into `out`,
@@ -302,11 +284,10 @@ pub trait L1Controller: fmt::Debug {
     /// accepted a core request, released a response or emitted anything.
     ///
     /// The inertness contract: a tick that returns `false` has left the
-    /// controller exactly as it found it and has drawn nothing from the RNG.
-    /// All it may have done is record coverage and bump telemetry counters,
-    /// both through `ctx` ([`TickCtx::coverage`],
-    /// [`TickCtx::count_on_stall_path`]) so that they land in the
-    /// controller's [`TickLog`].  What a tick does may depend only on the
+    /// controller exactly as it found it, has drawn nothing from the RNG and
+    /// has bumped no telemetry counter.  All it may have done is record
+    /// coverage, through [`TickCtx::coverage`] so that the records land in
+    /// the controller's [`TickLog`].  What a tick does may depend only on the
     /// controller's own state, on what was pushed to it and, through
     /// [`next_release`](Self::next_release), on the cycle.  A tick that made
     /// no progress would therefore be repeated identically by every later

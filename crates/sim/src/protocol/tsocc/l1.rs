@@ -203,6 +203,7 @@ fn acquire(l1: &mut L1<TsoCc>, out: &mut L1Output, ctx: &mut TickCtx<'_>, ts: Op
 
 impl L1Protocol for TsoCc {
     const COMPONENT: &'static str = "TSO-CC L1";
+    const MISSES: &'static telemetry::Counter = &L1_MISSES;
     type Transient = Transient;
     type Meta = Stamp;
     type Kept = Timestamps;
@@ -226,7 +227,6 @@ impl L1Protocol for TsoCc {
                 if expired {
                     // The staleness budget is exhausted: re-fetch.
                     ctx.coverage.record(Transition::l1("S", "Expired"));
-                    ctx.count_on_stall_path(&L1_MISSES);
                     l1.cache.remove(line);
                     out.lq_notices.push(line);
                     l1.start_miss(out, ctx, line, Transient::IS, op, false);
@@ -249,7 +249,6 @@ impl L1Protocol for TsoCc {
             }
             (CoreReqKind::Load, None) => {
                 ctx.coverage.record(Transition::l1("I", "Load"));
-                ctx.count_on_stall_path(&L1_MISSES);
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
@@ -274,7 +273,6 @@ impl L1Protocol for TsoCc {
                 // The stale Shared copy is dropped; exclusive ownership is
                 // requested.  Dropping the copy is a loss of read permission.
                 ctx.coverage.record(Transition::l1("S", "Store"));
-                ctx.count_on_stall_path(&L1_MISSES);
                 l1.cache.remove(line);
                 out.lq_notices.push(line);
                 l1.start_miss(out, ctx, line, Transient::IM, op, true);
@@ -282,7 +280,6 @@ impl L1Protocol for TsoCc {
             }
             (CoreReqKind::Store { .. }, None) => {
                 ctx.coverage.record(Transition::l1("I", "Store"));
-                ctx.count_on_stall_path(&L1_MISSES);
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
@@ -310,7 +307,6 @@ impl L1Protocol for TsoCc {
                         // (The Shared copy, if any, was just self-invalidated.)
                         ctx.coverage
                             .record(Transition::l1(st.map_or("I", L1State::name), "Rmw"));
-                        ctx.count_on_stall_path(&L1_MISSES);
                         if !l1.make_room(out, ctx, line) {
                             return false;
                         }

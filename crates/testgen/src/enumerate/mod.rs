@@ -11,8 +11,9 @@
 //! [`LitmusTest`] with its forbidden final-state condition ([`lower`]).
 //!
 //! The enumerated corpus *subsumes* the hand-written suites (every named
-//! shape of `litmus::x86_tso_suite` / `litmus::weak_suite` /
-//! `litmus::acquire_suite` reappears under the same canonical name, except
+//! shape of `litmus::x86_tso_suite` /
+//! `litmus::handwritten_weak_suite_flavoured` / `litmus::acquire_suite`
+//! reappears under the same canonical name, except
 //! the RMW variants and the `2T-*` systematic filler, which live outside the
 //! cycle vocabulary) and extends them to hundreds of discriminating tests per
 //! bound.  It is the default corpus of every campaign; the hand-written

@@ -134,15 +134,6 @@ impl GpEngine {
         self.children_created
     }
 
-    /// The best fitness in the population, if any individual has been
-    /// evaluated.
-    pub fn best_fitness(&self) -> Option<f64> {
-        self.population
-            .values()
-            .filter_map(|i| i.fitness)
-            .fold(None, |best, f| Some(best.map_or(f, |b: f64| b.max(f))))
-    }
-
     /// The mean NDT over evaluated individuals (used for the §6.1 analysis of
     /// how the population's non-determinism evolves).
     pub fn mean_ndt(&self) -> f64 {
@@ -268,13 +259,20 @@ mod tests {
         Evaluation { fitness, analysis }
     }
 
+    /// The best fitness in the population, if any individual has been
+    /// evaluated.
+    fn best_fitness(engine: &GpEngine) -> Option<f64> {
+        let fitnesses = engine.population.values().filter_map(|i| i.fitness);
+        fitnesses.reduce(f64::max)
+    }
+
     #[test]
     fn initial_population_is_proposed_before_breeding() {
         let params = TestGenParams::small();
         let mut rng = StdRng::seed_from_u64(1);
         let mut engine = GpEngine::new(params.clone(), CrossoverMode::Selective, &mut rng);
         assert_eq!(engine.population_size(), params.population_size);
-        assert_eq!(engine.best_fitness(), None);
+        assert_eq!(best_fitness(&engine), None);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..params.population_size {
             let (id, test) = engine.propose(&mut rng);
@@ -312,7 +310,7 @@ mod tests {
             assert_eq!(engine.population_size(), params.population_size);
         }
         assert!(engine.children_created() >= 50);
-        assert!(engine.best_fitness().unwrap() >= 0.2);
+        assert!(best_fitness(&engine).unwrap() >= 0.2);
         assert!(engine.mean_ndt() > 0.0);
     }
 
@@ -364,6 +362,6 @@ mod tests {
         let mut engine = GpEngine::new(params.clone(), CrossoverMode::Selective, &mut rng);
         engine.report(TestId(9999), eval(1.0, 1.0));
         assert_eq!(engine.population_size(), params.population_size);
-        assert_eq!(engine.best_fitness(), None);
+        assert_eq!(best_fitness(&engine), None);
     }
 }

@@ -12,8 +12,8 @@
 //!   `MCVERSI_LITMUS=handpicked` corpus ([`handpicked_suite_for`]);
 //! * the **auto-enumerated corpus** ([`crate::enumerate`]) — critical cycles
 //!   walked mechanically over the relaxation-edge vocabulary.  The default
-//!   campaign suites ([`suite_for`], [`weak_suite_flavoured`], [`weak_suite`])
-//!   are thin filters over it: `suite_for` orders the whole corpus with the
+//!   campaign suites ([`suite_for`], [`weak_suite_flavoured`]) are thin
+//!   filters over it: `suite_for` orders the whole corpus with the
 //!   target model's forbidden cycles first, `weak_suite_flavoured` selects
 //!   the classic flavoured names from it.
 //!
@@ -558,26 +558,6 @@ pub fn acquire_suite(locations: &[Address]) -> Vec<LitmusTest> {
     )]
 }
 
-/// The combined weak-model corpus: the flavoured shapes instantiated for the
-/// full fence with data-dependent writes, the `lwsync` flavour, and the
-/// release flavour with control-dependent writes, plus the mixed
-/// acquire-flavoured MP shape, deduplicated by name.
-pub fn weak_suite(locations: &[Address]) -> Vec<LitmusTest> {
-    let mut suite = weak_suite_flavoured(locations, FenceKind::Full, DepKind::Data);
-    suite.extend(weak_suite_flavoured(
-        locations,
-        FenceKind::LightweightSync,
-        DepKind::Data,
-    ));
-    suite.extend(weak_suite_flavoured(
-        locations,
-        FenceKind::Release,
-        DepKind::Ctrl,
-    ));
-    suite.extend(acquire_suite(locations));
-    dedup_by_name(suite)
-}
-
 /// The fence/dependency flavours a relaxed model's suite instantiates the
 /// weak shapes with (empty for the strong models).
 pub fn model_flavours(model: ModelKind) -> &'static [(FenceKind, DepKind)] {
@@ -837,38 +817,6 @@ mod tests {
         // Repeating once (or zero times) is the identity.
         assert_eq!(repeat_test(&mp.test, 1).genes(), mp.test.genes());
         assert_eq!(repeat_test(&mp.test, 0).genes(), mp.test.genes());
-    }
-
-    #[test]
-    fn weak_suite_contains_the_classic_shapes_with_flavours() {
-        let locs = [Address(0x1000), Address(0x2000), Address(0x3000)];
-        let suite = weak_suite(&locs);
-        for name in [
-            "MP",
-            "MP+addr",
-            "MP+mfence+addr",
-            "MP+lwsync+addr",
-            "MP+mfences",
-            "LB+datas",
-            "LB+ctrls",
-            "SB+mfences",
-            "SB+lwsyncs",
-            "WRC+data+addr",
-            "IRIW+addrs",
-            "IRIW+mfences",
-            "S+mfence+data",
-        ] {
-            assert!(
-                suite.iter().any(|t| t.name == name),
-                "weak suite missing {name}"
-            );
-        }
-        // Names are unique after deduplication.
-        let mut names: Vec<&str> = suite.iter().map(|t| t.name.as_str()).collect();
-        let before = names.len();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), before);
     }
 
     #[test]

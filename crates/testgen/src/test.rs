@@ -92,11 +92,6 @@ impl Test {
             .collect()
     }
 
-    /// Number of memory operations in the test.
-    pub fn num_memory_ops(&self) -> usize {
-        self.genes.iter().filter(|g| g.op.is_memop()).count()
-    }
-
     /// Number of memory-model events the test gives rise to (RMWs count as
     /// two events; flushes and delays as none).
     pub fn num_events(&self) -> usize {
@@ -213,7 +208,8 @@ mod tests {
     fn event_and_memory_op_counts() {
         let t = sample();
         // Delay is not a memory op; RMW counts as one memory op, two events.
-        assert_eq!(t.num_memory_ops(), 5);
+        let memory_ops = t.genes().iter().filter(|g| g.op.is_memop()).count();
+        assert_eq!(memory_ops, 5);
         assert_eq!(t.num_events(), 6);
     }
 
