@@ -1,9 +1,9 @@
 //! Regenerates paper Table 4 — bug coverage per generator configuration —
 //! across target consistency models and simulated core strengths.
 //!
-//! The sweep is one declarative [`mcversi_core::ScenarioGrid`]: the base spec and the model
-//! / core-strength axes come from the environment (`MCVERSI_*`, including a
-//! JSON base spec via `MCVERSI_SPEC`; see `mcversi_core::scenario`), the bug
+//! The sweep is one declarative [`mcversi_core::ScenarioGrid`]: the base spec is the JSON
+//! file `MCVERSI_SPEC` names, the model / core-strength axes come from
+//! `MCVERSI_MODELS` / `MCVERSI_CORES` (see `mcversi_core::scenario`), the bug
 //! axis is the extended corpus restricted to observable (bug × core) pairs,
 //! and the generator axis is the paper's seven columns.  Every cell runs
 //! `samples` campaign samples; when `MCVERSI_JSONL` is set,
@@ -56,7 +56,7 @@ fn main() {
     // The corpus-wide independent oracle: every enumerated test × model, the
     // closed-form cycle verdict against the axiomatic checker on the
     // canonical weak-outcome execution.  Bounds follow the corpus the cells
-    // will actually run (`MCVERSI_LITMUS`); a handpicked-corpus run skips
+    // will actually run (the spec's `litmus`); a handpicked-corpus run skips
     // the sweep — its cells never touch the enumerated tests.
     match grid.base().litmus_corpus().bounds() {
         None => println!("litmus corpus: handpicked (enumerated-corpus cross-check skipped)\n"),

@@ -38,7 +38,6 @@ fn main() {
                 bug_weight: 37,
                 model_weight: 0,
                 core_weight: 0,
-                generator_weight: 0,
             });
         let label = grid.base().display_label();
         println!("{label} ...");

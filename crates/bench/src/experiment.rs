@@ -2,10 +2,12 @@
 //!
 //! Every experiment binary regenerates one table or figure of the paper's
 //! evaluation.  Sweeps are described declaratively: the binaries build a
-//! [`mcversi_core::ScenarioGrid`] (base spec and axes from the environment,
-//! see the `mcversi_core::scenario` module documentation for the `MCVERSI_*`
-//! variable table — including `MCVERSI_SPEC`, which points at a JSON
-//! [`ScenarioSpec`] file such as `examples/scenario.json`) and report through
+//! [`mcversi_core::ScenarioGrid`] around the base spec that `MCVERSI_SPEC`
+//! names (a JSON [`ScenarioSpec`] file such as `examples/scenario.json`,
+//! `examples/smoke.json` or `examples/paper.json`; unset means
+//! [`ScenarioSpec::small`]), with the model and core-strength axes from
+//! `MCVERSI_MODELS` / `MCVERSI_CORES` (see the `mcversi_core::scenario`
+//! module documentation for the variable table), and report through
 //! `mcversi_core::sink::CampaignSink` implementations; no binary reads the
 //! environment directly.
 //!
@@ -45,7 +47,7 @@ pub fn write_artifact<T: Serialize>(name: &str, value: &T) -> std::io::Result<Pa
 }
 
 /// One-line telemetry summary over a sweep's collected results, or `None`
-/// when the campaign ran without telemetry (`MCVERSI_METRICS` unset).
+/// when the campaign ran without telemetry (the spec's `metrics` unset).
 ///
 /// The line reports how many per-sample snapshots were collected, the
 /// counter-name count, and the share of sample wall time the `phase.*`
@@ -123,8 +125,7 @@ mod tests {
         if std::env::var("MCVERSI_MODELS").is_ok() {
             return; // respect an explicit override in the environment
         }
-        let grid = grid_from_env();
-        let models = grid.model_axis();
+        let models: Vec<ModelKind> = grid_from_env().cells().iter().map(|c| c.model).collect();
         assert!(models.len() >= 4);
         for model in [
             ModelKind::Sc,
@@ -141,8 +142,10 @@ mod tests {
         if std::env::var("MCVERSI_CORES").is_ok() {
             return; // respect an explicit override in the environment
         }
-        let grid = grid_from_env();
-        assert_eq!(grid.core_axis(), [CoreStrength::Strong]);
+        assert!(grid_from_env()
+            .cells()
+            .iter()
+            .all(|c| c.core_strength == CoreStrength::Strong));
         let cell = ScenarioSpec::from_env()
             .model(ModelKind::Armish)
             .core_strength(CoreStrength::Relaxed);

@@ -1,7 +1,7 @@
 //! `mcversi-report`: renders campaign-event JSONL telemetry.
 //!
 //! Reads the JSONL a campaign wrote via `MCVERSI_JSONL` (with telemetry
-//! enabled through `MCVERSI_METRICS`, see [`mcversi_core::ScenarioSpec`])
+//! enabled through the spec's `metrics` key, see [`mcversi_core::ScenarioSpec`])
 //! and prints per-phase wall-time attribution plus every counter and
 //! histogram, aggregated across samples.  Several streams — e.g. one journal
 //! per fabric worker — merge into one report; streams whose schema versions

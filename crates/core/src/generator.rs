@@ -128,7 +128,7 @@ impl TestSource {
             GeneratorKind::DiyLitmus => {
                 // Three well-separated locations from the test memory; the
                 // shape set follows the target model and the configured
-                // corpus (`params.litmus`, the `MCVERSI_LITMUS` axis).
+                // corpus (`params.litmus`, the spec's `litmus` key).
                 let slots = params.all_slot_addresses();
                 let pick = |i: usize| slots[i * slots.len() / 3].to_owned();
                 let locations = [pick(0), pick(1), pick(2)];

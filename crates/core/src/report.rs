@@ -429,7 +429,10 @@ impl MetricsReport {
             self.events
         );
         if total.is_empty() {
-            out.push_str("no telemetry recorded (run with MCVERSI_METRICS=sample or a cadence)\n");
+            out.push_str(
+                "no telemetry recorded (set the spec's \"metrics\" key: 0 for a final \
+                 snapshot, or a cadence)\n",
+            );
             self.render_fabric(&mut out);
             return out;
         }
@@ -1002,7 +1005,7 @@ mod tests {
     fn empty_metrics_report_renders_a_hint() {
         let report = MetricsReport::from_jsonl("").expect("empty stream parses");
         assert!(report.is_empty());
-        assert!(report.render().contains("MCVERSI_METRICS"));
+        assert!(report.render().contains("\"metrics\" key"));
     }
 
     #[test]

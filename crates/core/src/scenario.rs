@@ -19,39 +19,27 @@
 //! # Environment variables
 //!
 //! All `MCVERSI_*` parsing lives here (the experiment binaries never read the
-//! environment directly).  Scaled-down defaults keep the whole suite runnable
-//! on one machine; the scale can be raised up to the paper's values:
+//! environment directly).  A cell's fields come from one place, the spec
+//! file: scaled-down defaults ([`ScenarioSpec::small`]) keep the whole suite
+//! runnable on one machine, `examples/smoke.json` is the CI toy scale and
+//! `examples/paper.json` the paper's ([`ScenarioSpec::paper`]).
 //!
 //! | Variable               | Meaning                                  | Default |
 //! |------------------------|------------------------------------------|---------|
-//! | `MCVERSI_SPEC`         | path of a JSON [`ScenarioSpec`] used as the base (see `examples/scenario.json`) | unset |
-//! | `MCVERSI_SAMPLES`      | samples (seeds) per generator/bug pair   | 2       |
-//! | `MCVERSI_TEST_RUNS`    | test-run budget per sample               | 60      |
-//! | `MCVERSI_TEST_SIZE`    | operations per test                      | 96      |
-//! | `MCVERSI_ITERATIONS`   | executions per test-run                  | 4       |
-//! | `MCVERSI_CORES`        | core *count* (a number) and/or core *strengths* (`strong`/`relaxed`/`all`), comma-separated | 4, `strong` |
-//! | `MCVERSI_WALL_SECS`    | wall-clock cap per sample (seconds)      | 120     |
-//! | `MCVERSI_FULL`         | if set, use the paper-scale parameters   | unset   |
+//! | `MCVERSI_SPEC`         | path of a JSON [`ScenarioSpec`] used as the base (see `examples/scenario.json`) | unset ([`ScenarioSpec::small`]) |
 //! | `MCVERSI_MODELS`       | comma-separated target models, or `all`  | `SC,TSO,ARMish,RMO` |
-//! | `MCVERSI_LITMUS`       | litmus corpus of the `diy-litmus` baseline: `handpicked` or `enumerated[:<threads>x<edges>]` | `enumerated:4x6` |
+//! | `MCVERSI_CORES`        | core strengths (`strong`/`relaxed`/`all`), comma-separated | `strong` |
 //! | `MCVERSI_JSONL`        | path; streams campaign events there as JSONL ([`crate::sink::JsonlSink`]) | unset |
-//! | `MCVERSI_METRICS`      | telemetry: `off`, `sample` (final snapshot only), or a cadence `n` (also stream a snapshot every `n` test-runs) | unset (off) |
 //! | `MCVERSI_FABRIC`       | worker child processes of the distributed fabric (`0` = run in-process) | unset   |
 //! | `MCVERSI_JOURNAL`      | path of the fabric checkpoint journal; an existing journal is resumed | unset   |
 //! | `MCVERSI_FABRIC_FAULT` | fault injected into the first worker dispatch (`kill-after:<n>`, `hang-after:<n>`, `corrupt-tail:<n>`; test/CI only) | unset   |
 //! | `MCVERSI_FABRIC_RETRIES` | re-dispatch attempts per shard after a worker dies | 2       |
 //!
-//! `MCVERSI_CORES` mixes both axes of the core configuration: numeric parts
-//! set the simulated core count, named parts select the pipeline strengths to
-//! sweep (e.g. `MCVERSI_CORES=8,strong,relaxed` or just
-//! `MCVERSI_CORES=strong,relaxed`).  An all-numeric value (`MCVERSI_CORES=8`)
-//! leaves the strength axis untouched — the base spec's strength, a single
-//! `strong` entry by default; unknown entries are skipped with a warning
-//! that is emitted once per process.
-//! When `MCVERSI_SPEC` is set, explicit scalar variables still override the
-//! corresponding spec fields, and the spec's `model` / `core_strength`
-//! become the sweep axes unless `MCVERSI_MODELS` / `MCVERSI_CORES` name
-//! their own (see [`grid_from_env`]).
+//! The variables that used to override single spec fields (`REMOVED_VARS`),
+//! and a core count in `MCVERSI_CORES`, are refused by name with the spec
+//! key that replaced them.  When `MCVERSI_SPEC` is set, the spec's `model` /
+//! `core_strength` become the sweep axes unless `MCVERSI_MODELS` /
+//! `MCVERSI_CORES` name their own (see [`grid_from_env`]).
 
 use crate::campaign::CampaignConfig;
 use crate::config::McVerSiConfig;
@@ -118,11 +106,13 @@ pub struct ScenarioSpec {
     /// the scaled-down test system is used.
     pub full: bool,
     /// Litmus corpus of the `diy-litmus` baseline (`None` = the default
-    /// enumerated corpus; see [`LitmusCorpus`] and `MCVERSI_LITMUS`).
+    /// enumerated corpus; see [`LitmusCorpus`]).  In JSON, `"Handpicked"` or
+    /// `{"Enumerated": {"max_threads": T, "max_edges": E}}` with `T` in
+    /// `2..=6` and `E` in `4..=8`.
     pub litmus: Option<LitmusCorpus>,
     /// Telemetry collection (`None` = off; `Some(0)` = final snapshot only;
     /// `Some(n)` = also stream a [`crate::sink::CampaignEvent::Metrics`]
-    /// snapshot every `n` test-runs).  See `MCVERSI_METRICS`.
+    /// snapshot every `n` test-runs).
     pub metrics: Option<usize>,
     /// Execution checking mode: absent, `null` and `"per_exec"` all mean
     /// [`CheckingMode::PerExec`], the only mode; the removed `"collective"`
@@ -357,20 +347,40 @@ impl ScenarioSpec {
 
     /// Parses a spec from JSON (the inverse of [`ScenarioSpec::to_json`]).
     ///
-    /// Keys of removed modes are refused unless they are `null`, so a spec
-    /// that asks for such a mode never runs quietly without it; other unknown
-    /// keys are ignored.
+    /// The file is read exactly: an unknown key is refused, and so is a key
+    /// of a removed mode unless it is `null`, so a misspelled key or a spec
+    /// that asks for such a mode never runs quietly without it.  Enumerated
+    /// litmus bounds outside [`LitmusCorpus::parse`]'s range are refused too.
     pub fn from_json(json: &str) -> Result<Self, SpecError> {
-        let invalid = |e: serde_json::Error| SpecError(format!("invalid scenario spec: {e}"));
-        let value = serde_json::value_from_str(json).map_err(invalid)?;
-        for (key, instead) in REMOVED_KEYS {
-            if value.get(key).is_some_and(|v| *v != Value::Null) {
-                return Err(SpecError(format!(
-                    "invalid scenario spec: key \"{key}\" was removed: {instead}"
+        let invalid = |e: String| SpecError(format!("invalid scenario spec: {e}"));
+        let value = serde_json::value_from_str(json).map_err(|e| invalid(e.to_string()))?;
+        let known = serde_json::to_value(&Self::small()).expect("spec serialization is infallible");
+        for (key, v) in value.as_object().unwrap_or_default() {
+            match REMOVED_KEYS.iter().find(|(removed, _)| removed == key) {
+                Some((_, instead)) if *v != Value::Null => {
+                    return Err(invalid(format!("key \"{key}\" was removed: {instead}")));
+                }
+                None if known.get(key).is_none() => {
+                    return Err(invalid(format!("unknown key \"{key}\"")));
+                }
+                _ => {}
+            }
+        }
+        let spec: Self = serde_json::from_value(&value).map_err(|e| invalid(e.to_string()))?;
+        // `LitmusCorpus::parse` holds the one range check of a bound.
+        if let Some(LitmusCorpus::Enumerated {
+            max_threads: t,
+            max_edges: e,
+        }) = spec.litmus
+        {
+            if LitmusCorpus::parse(&format!("enumerated:{t}x{e}")).is_none() {
+                let (max_t, max_e) = (LitmusCorpus::MAX_THREADS, LitmusCorpus::MAX_EDGES);
+                return Err(invalid(format!(
+                    "litmus bound {t}x{e} is outside 2..={max_t} threads x 4..={max_e} edges"
                 )));
             }
         }
-        serde_json::from_value(&value).map_err(invalid)
+        Ok(spec)
     }
 
     /// Loads a spec from a JSON file.
@@ -380,53 +390,21 @@ impl ScenarioSpec {
         Self::from_json(&text).map_err(|e| SpecError(format!("{path}: {e}")))
     }
 
-    /// Reads the base spec from the environment: `MCVERSI_SPEC` (a JSON spec
-    /// file) or the `MCVERSI_FULL`-selected defaults, with the scalar
-    /// `MCVERSI_*` variables overriding individual fields (see the module
-    /// documentation for the full table).
+    /// Reads the base spec from the environment: the JSON spec file
+    /// `MCVERSI_SPEC` names, or [`ScenarioSpec::small`] when it is unset.
     ///
     /// # Panics
     ///
-    /// Panics when `MCVERSI_SPEC` names an unreadable or invalid spec file —
-    /// a misspelled spec silently replaced by defaults would invalidate a
-    /// whole campaign.
+    /// Panics when `MCVERSI_SPEC` names an unreadable or invalid spec file,
+    /// or when a removed per-field variable (or a core count in
+    /// `MCVERSI_CORES`) is set — a campaign silently run at the default
+    /// scale would be worse than none.
     pub fn from_env() -> Self {
-        let mut spec = match std::env::var("MCVERSI_SPEC") {
-            Ok(path) => Self::from_json_file(&path).unwrap_or_else(|e| panic!("MCVERSI_SPEC: {e}")),
-            Err(_) => {
-                if std::env::var("MCVERSI_FULL").is_ok() {
-                    Self::paper()
-                } else {
-                    Self::small()
-                }
-            }
-        };
-        spec.samples = env_usize("MCVERSI_SAMPLES", spec.samples);
-        spec.max_test_runs = env_usize("MCVERSI_TEST_RUNS", spec.max_test_runs);
-        spec.test_size = env_usize("MCVERSI_TEST_SIZE", spec.test_size);
-        spec.iterations = env_usize("MCVERSI_ITERATIONS", spec.iterations);
-        spec.wall_secs = env_usize("MCVERSI_WALL_SECS", spec.wall_secs as usize) as u64;
-        let (cores, _) = cores_from_env(spec.cores);
-        spec.cores = cores;
-        if let Ok(raw) = std::env::var("MCVERSI_LITMUS") {
-            match LitmusCorpus::parse(&raw) {
-                Some(corpus) => spec.litmus = Some(corpus),
-                None => warn_once(&format!(
-                    "warning: MCVERSI_LITMUS: unknown corpus '{raw}' ignored \
-                     (expected handpicked or enumerated[:<threads>x<edges>])"
-                )),
-            }
-        }
-        if let Ok(raw) = std::env::var("MCVERSI_METRICS") {
-            match parse_metrics(&raw) {
-                Some(metrics) => spec.metrics = metrics,
-                None => warn_once(&format!(
-                    "warning: MCVERSI_METRICS: unknown value '{raw}' ignored \
-                     (expected off, sample, or a cadence in test-runs)"
-                )),
-            }
-        }
-        spec
+        let lookup = |name: &str| std::env::var(name).ok();
+        refuse_removed_vars(lookup).unwrap_or_else(|e| panic!("{e}"));
+        lookup("MCVERSI_SPEC").map_or_else(Self::small, |path| {
+            Self::from_json_file(&path).unwrap_or_else(|e| panic!("MCVERSI_SPEC: {e}"))
+        })
     }
 }
 
@@ -435,6 +413,37 @@ const REMOVED_KEYS: [(&str, &str); 2] = [
     ("prune", "every generated test is simulated"),
     ("shared_wall_secs", "each sample keeps its own `wall_secs`"),
 ];
+
+/// Removed environment variables, each with the spec key that replaced it.
+const REMOVED_VARS: [(&str, &str); 8] = [
+    ("MCVERSI_FULL", "full"),
+    ("MCVERSI_SAMPLES", "samples"),
+    ("MCVERSI_TEST_RUNS", "max_test_runs"),
+    ("MCVERSI_TEST_SIZE", "test_size"),
+    ("MCVERSI_ITERATIONS", "iterations"),
+    ("MCVERSI_WALL_SECS", "wall_secs"),
+    ("MCVERSI_LITMUS", "litmus"),
+    ("MCVERSI_METRICS", "metrics"),
+];
+
+/// Refuses a set [`REMOVED_VARS`] entry, or a core count in `MCVERSI_CORES`,
+/// naming the spec key to set instead; `lookup` reads one variable.
+fn refuse_removed_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<(), SpecError> {
+    let cores = lookup("MCVERSI_CORES").unwrap_or_default();
+    let count_in_cores = cores
+        .split(',')
+        .any(|part| part.trim().parse::<usize>().is_ok());
+    let removed = REMOVED_VARS
+        .into_iter()
+        .find(|(var, _)| lookup(var).is_some());
+    match removed.or(count_in_cores.then_some(("a core count in MCVERSI_CORES", "cores"))) {
+        Some((var, key)) => Err(SpecError(format!(
+            "{var} was removed: set \"{key}\" in the spec file MCVERSI_SPEC names \
+             (examples/smoke.json is the CI toy scale, examples/paper.json the paper's)"
+        ))),
+        None => Ok(()),
+    }
+}
 
 impl Default for ScenarioSpec {
     fn default() -> Self {
@@ -448,9 +457,10 @@ pub enum SeedPolicy {
     /// Every cell keeps the base spec's seed.
     Fixed,
     /// The weighted sum `base + bug·bug_weight + model_idx·model_weight +
-    /// core_idx·core_weight + generator_idx·generator_weight` —
-    /// deterministic, well-separated seeds per cell (the bug contribution
-    /// uses the bug's discriminant so it is stable under axis reordering).
+    /// core_idx·core_weight` — deterministic, well-separated seeds per cell
+    /// (the bug contribution uses the bug's discriminant so it is stable
+    /// under axis reordering); every generator column of a cell shares its
+    /// seed.
     Strided {
         /// Seed of the first cell.
         base: u64,
@@ -460,8 +470,6 @@ pub enum SeedPolicy {
         model_weight: u64,
         /// Weight of the core-strength axis index.
         core_weight: u64,
-        /// Weight of the generator axis index.
-        generator_weight: u64,
     },
 }
 
@@ -473,7 +481,6 @@ impl SeedPolicy {
             bug_weight: 100,
             model_weight: 10_000,
             core_weight: 100_000,
-            generator_weight: 0,
         }
     }
 }
@@ -506,8 +513,7 @@ pub struct ScenarioGrid {
 /// Explicit variables win; otherwise a `MCVERSI_SPEC`-loaded base
 /// contributes its own model / core strength as the (single-valued) axis,
 /// and without a spec file the axes fall back to the historical sweep
-/// defaults (`SC,TSO,ARMish,RMO` × `strong`).  A purely numeric
-/// `MCVERSI_CORES` (a core *count*) does not override the strength axis.
+/// defaults (`SC,TSO,ARMish,RMO` × `strong`).
 pub fn grid_from_env() -> ScenarioGrid {
     let base = ScenarioSpec::from_env();
     let (models, strengths) = grid_axes(
@@ -534,8 +540,8 @@ fn grid_axes(
         None if spec_loaded => vec![base.model],
         None => parse_models(""),
     };
-    let strengths = match cores_env.map(parse_core_entries) {
-        Some((_, named)) if !named.is_empty() => named,
+    let strengths = match cores_env.map(parse_strengths) {
+        Some(named) if !named.is_empty() => named,
         _ => vec![base.core_strength],
     };
     (models, strengths)
@@ -565,13 +571,6 @@ impl ScenarioGrid {
     /// columns (the paper's table columns).
     pub fn generator_columns(mut self, columns: impl IntoIterator<Item = GeneratorColumn>) -> Self {
         self.generators = columns.into_iter().collect();
-        self
-    }
-
-    /// Replaces the generator axis (unlabelled, at the base memory size).
-    pub fn generators(mut self, generators: impl IntoIterator<Item = GeneratorKind>) -> Self {
-        let memory = self.base.test_memory_bytes;
-        self.generators = generators.into_iter().map(|g| (g, memory, None)).collect();
         self
     }
 
@@ -619,16 +618,6 @@ impl ScenarioGrid {
         self
     }
 
-    /// The model axis.
-    pub fn model_axis(&self) -> &[ModelKind] {
-        &self.models
-    }
-
-    /// The core-strength axis.
-    pub fn core_axis(&self) -> &[CoreStrength] {
-        &self.core_strengths
-    }
-
     /// The generator-column labels, in axis order.
     pub fn column_labels(&self) -> Vec<String> {
         self.generators
@@ -659,27 +648,19 @@ impl ScenarioGrid {
                                 }
                             }
                         }
-                        for (generator_idx, (generator, memory, label)) in
-                            self.generators.iter().enumerate()
-                        {
-                            let base_seed = match self.seeds {
-                                SeedPolicy::Fixed => self.base.base_seed,
-                                SeedPolicy::Strided {
-                                    base,
-                                    bug_weight,
-                                    model_weight,
-                                    core_weight,
-                                    generator_weight,
-                                } => base
-                                    .wrapping_add(
-                                        bug.map_or(0, |b| b as u64).wrapping_mul(bug_weight),
-                                    )
-                                    .wrapping_add((model_idx as u64).wrapping_mul(model_weight))
-                                    .wrapping_add((core_idx as u64).wrapping_mul(core_weight))
-                                    .wrapping_add(
-                                        (generator_idx as u64).wrapping_mul(generator_weight),
-                                    ),
-                            };
+                        let base_seed = match self.seeds {
+                            SeedPolicy::Fixed => self.base.base_seed,
+                            SeedPolicy::Strided {
+                                base,
+                                bug_weight,
+                                model_weight,
+                                core_weight,
+                            } => base
+                                .wrapping_add(bug.map_or(0, |b| b as u64).wrapping_mul(bug_weight))
+                                .wrapping_add((model_idx as u64).wrapping_mul(model_weight))
+                                .wrapping_add((core_idx as u64).wrapping_mul(core_weight)),
+                        };
+                        for (generator, memory, label) in &self.generators {
                             cells.push(ScenarioSpec {
                                 generator: *generator,
                                 bug,
@@ -697,31 +678,6 @@ impl ScenarioGrid {
             }
         }
         cells
-    }
-
-    /// Number of cells the grid expands to (without materialising them).
-    pub fn len(&self) -> usize {
-        let per_core: usize = self
-            .core_strengths
-            .iter()
-            .map(|&core| {
-                self.bugs
-                    .iter()
-                    .filter(|bug| {
-                        !self.observable_only
-                            || bug
-                                .and_then(mcversi_sim::Bug::required_core)
-                                .is_none_or(|required| required == core)
-                    })
-                    .count()
-            })
-            .sum();
-        per_core * self.models.len() * self.protocols.len() * self.generators.len()
-    }
-
-    /// Returns `true` if the grid expands to no cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -759,70 +715,30 @@ fn warn_once(message: &str) {
     }
 }
 
-/// Parses a `MCVERSI_METRICS` value: `off` disables telemetry, `sample` (or
-/// `on`) collects final per-sample snapshots only, and an integer `n`
-/// additionally streams a cumulative snapshot every `n` test-runs (`0` is
-/// equivalent to `sample`).  Returns `None` when the value is not understood.
-fn parse_metrics(raw: &str) -> Option<Option<usize>> {
-    match raw.trim() {
-        "off" => Some(None),
-        "sample" | "on" => Some(Some(0)),
-        n => n.parse().ok().map(Some),
-    }
-}
-
-/// Parses a `MCVERSI_CORES`-style value: numeric parts set the simulated core
-/// count, named parts (`strong`/`relaxed`, or `all`) select the pipeline
-/// strengths to sweep.  Returns `(core count, strengths)`.
-///
-/// The strength list is deduplicated; when the value carries no (valid)
-/// strength name — including the all-numeric `MCVERSI_CORES=8` — it contains
-/// the default [`CoreStrength::Strong`] exactly once.  Unknown entries are
-/// skipped with a once-per-process warning.
-pub fn parse_cores(raw: &str, default_count: usize) -> (usize, Vec<CoreStrength>) {
-    let (count, mut strengths) = parse_core_entries(raw);
-    if strengths.is_empty() {
-        strengths.push(CoreStrength::Strong);
-    }
-    (count.unwrap_or(default_count), strengths)
-}
-
-/// The defaulting-free core of [`parse_cores`]: `None` / an empty list mean
-/// the value carried no count / no (valid) strength name, so callers can
-/// distinguish "explicitly strong" from "unspecified".
-fn parse_core_entries(raw: &str) -> (Option<usize>, Vec<CoreStrength>) {
-    let mut count = None;
-    let mut strengths: Vec<CoreStrength> = Vec::new();
-    for part in raw.split(',').filter(|p| !p.trim().is_empty()) {
-        let part = part.trim();
-        if let Ok(n) = part.parse::<usize>() {
-            count = Some(n.max(1));
-        } else if part.eq_ignore_ascii_case("all") {
-            for s in CoreStrength::ALL {
-                if !strengths.contains(&s) {
-                    strengths.push(s);
-                }
-            }
+/// Parses a `MCVERSI_CORES` value: comma-separated pipeline strengths
+/// (`strong`/`relaxed`, or `all`), deduplicated in order.  Unknown entries
+/// are skipped with a once-per-process warning; an empty result means the
+/// value named no strength.
+fn parse_strengths(raw: &str) -> Vec<CoreStrength> {
+    let mut strengths = Vec::new();
+    for part in raw.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let named = if part.eq_ignore_ascii_case("all") {
+            CoreStrength::ALL.to_vec()
         } else if let Some(strength) = CoreStrength::parse(part) {
-            if !strengths.contains(&strength) {
-                strengths.push(strength);
-            }
+            vec![strength]
         } else {
             warn_once(&format!(
                 "warning: MCVERSI_CORES: unknown entry '{part}' skipped"
             ));
+            Vec::new()
+        };
+        for strength in named {
+            if !strengths.contains(&strength) {
+                strengths.push(strength);
+            }
         }
     }
-    (count, strengths)
-}
-
-/// Reads `MCVERSI_CORES` (see [`parse_cores`]); an unset variable yields the
-/// default count and a single `strong` strength.
-pub fn cores_from_env(default_count: usize) -> (usize, Vec<CoreStrength>) {
-    match std::env::var("MCVERSI_CORES") {
-        Ok(raw) => parse_cores(&raw, default_count),
-        Err(_) => (default_count, vec![CoreStrength::Strong]),
-    }
+    strengths
 }
 
 /// Parses a `MCVERSI_MODELS`-style value: a comma-separated model list, or
@@ -999,28 +915,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn metrics_values_parse_like_the_env_variable() {
-        assert_eq!(parse_metrics("off"), Some(None));
-        assert_eq!(parse_metrics("sample"), Some(Some(0)));
-        assert_eq!(parse_metrics("on"), Some(Some(0)));
-        assert_eq!(parse_metrics("0"), Some(Some(0)));
-        assert_eq!(parse_metrics(" 50 "), Some(Some(50)));
-        assert_eq!(parse_metrics("every-other-day"), None);
-    }
-
     /// A scalar variable that is not a number keeps its default and warns
     /// once per distinct value.
     #[test]
     fn scalar_variables_parse_or_warn_and_keep_the_default() {
-        assert_eq!(parse_usize_var("MCVERSI_TEST_RUNS", "2000", 60), 2000);
-        assert_eq!(parse_usize_var("MCVERSI_TEST_RUNS", " 7 ", 60), 7);
+        assert_eq!(parse_usize_var("MCVERSI_FABRIC_RETRIES", "5", 2), 5);
+        assert_eq!(parse_usize_var("MCVERSI_FABRIC_RETRIES", " 7 ", 2), 7);
         telemetry::enable();
         telemetry::reset_local();
         for _ in 0..2 {
-            assert_eq!(parse_usize_var("MCVERSI_TEST_RUNS", "2k", 60), 60);
+            assert_eq!(parse_usize_var("MCVERSI_FABRIC_RETRIES", "2k", 2), 2);
         }
-        assert_eq!(parse_usize_var("MCVERSI_SAMPLES", "-1", 2), 2);
+        assert_eq!(parse_usize_var("MCVERSI_FABRIC_RETRIES", "-1", 2), 2);
         assert_eq!(
             telemetry::local_snapshot().counters["events.warn_once"],
             2,
@@ -1032,6 +938,88 @@ mod tests {
     fn from_json_rejects_malformed_specs() {
         assert!(ScenarioSpec::from_json("{").is_err());
         assert!(ScenarioSpec::from_json(r#"{"generator": "NoSuchGen"}"#).is_err());
+    }
+
+    /// A misspelled key is refused rather than dropped, so the spec file
+    /// says exactly what ran.
+    #[test]
+    fn from_json_refuses_unknown_keys() {
+        let json = ScenarioSpec::small().to_json();
+        let misspelled = json.replacen('{', "{\n  \"metric\": 5,", 1);
+        let err = ScenarioSpec::from_json(&misspelled).unwrap_err();
+        assert!(err.0.contains("unknown key \"metric\""), "{err}");
+    }
+
+    /// Enumerated litmus bounds outside 2..=6 threads × 4..=8 edges are
+    /// refused rather than clamped; the range's corners still parse.
+    #[test]
+    fn from_json_refuses_out_of_range_litmus_bounds() {
+        let with = |threads: usize, edges: usize| {
+            ScenarioSpec::from_json(&ScenarioSpec::small().to_json().replace(
+                "\"litmus\": null",
+                &format!(
+                    "\"litmus\": {{\"Enumerated\": {{\"max_threads\": {threads}, \"max_edges\": {edges}}}}}"
+                ),
+            ))
+        };
+        for (threads, edges) in [(2, 4), (6, 8)] {
+            assert!(with(threads, edges).is_ok(), "{threads}x{edges}");
+        }
+        for (threads, edges) in [(1, 4), (7, 8), (2, 3), (6, 9)] {
+            let err = with(threads, edges).unwrap_err();
+            assert!(
+                err.0.contains(&format!("litmus bound {threads}x{edges}")),
+                "{err}"
+            );
+        }
+    }
+
+    /// Each removed per-field variable, and a core count in `MCVERSI_CORES`,
+    /// is refused with the spec key that replaced it; strengths alone pass.
+    #[test]
+    fn removed_variables_are_refused_with_their_spec_key() {
+        let only = |name: &'static str, value: &'static str| {
+            move |var: &str| (var == name).then(|| value.to_string())
+        };
+        for (var, key) in REMOVED_VARS {
+            let err = refuse_removed_vars(only(var, "1")).unwrap_err();
+            assert!(err.0.starts_with(&format!("{var} was removed")), "{err}");
+            assert!(err.0.contains(&format!("set \"{key}\"")), "{err}");
+        }
+        assert_eq!(refuse_removed_vars(|_| None), Ok(()));
+        assert_eq!(
+            refuse_removed_vars(only("MCVERSI_CORES", "strong,relaxed")),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn a_core_count_in_mcversi_cores_is_refused() {
+        for raw in ["8", "8,strong", "strong, 2"] {
+            let err = refuse_removed_vars(|var| (var == "MCVERSI_CORES").then(|| raw.to_string()))
+                .unwrap_err();
+            assert!(err.0.contains("set \"cores\""), "{raw}: {err}");
+        }
+    }
+
+    /// The checked-in scale presets are exactly the constructors they
+    /// replace: the paper's cell and the CI toy scale.
+    #[test]
+    fn example_scale_specs_match_their_presets() {
+        let load = |json: &str| ScenarioSpec::from_json(json).expect("example spec parses");
+        assert_eq!(
+            load(include_str!("../../../examples/paper.json")),
+            ScenarioSpec::paper()
+        );
+        let smoke = ScenarioSpec {
+            samples: 1,
+            max_test_runs: 2,
+            test_size: 24,
+            iterations: 1,
+            wall_secs: 10,
+            ..ScenarioSpec::small()
+        };
+        assert_eq!(load(include_str!("../../../examples/smoke.json")), smoke);
     }
 
     #[test]
@@ -1128,21 +1116,20 @@ mod tests {
     }
 
     #[test]
-    fn cores_parsing_defaults_strong_exactly_once() {
-        // All-numeric: count set, exactly one default strength.
-        let (count, strengths) = parse_cores("8", 4);
-        assert_eq!(count, 8);
-        assert_eq!(strengths, vec![CoreStrength::Strong]);
+    fn strengths_parsing_dedups_and_skips_unknown_entries() {
         // Repetition and `all` never duplicate entries.
-        let (_, strengths) = parse_cores("strong,all,STRONG,relaxed", 4);
-        assert_eq!(strengths, vec![CoreStrength::Strong, CoreStrength::Relaxed]);
-        // Mixed numeric + names; unknown entries are skipped (warning is
-        // emitted at most once per process, see `warn_once`).
-        let (count, strengths) = parse_cores("2,bogus,relaxed,bogus", 4);
-        assert_eq!(count, 2);
-        assert_eq!(strengths, vec![CoreStrength::Relaxed]);
-        // Empty value: defaults.
-        assert_eq!(parse_cores("", 4), (4, vec![CoreStrength::Strong]));
+        assert_eq!(
+            parse_strengths("strong,all,STRONG,relaxed"),
+            vec![CoreStrength::Strong, CoreStrength::Relaxed]
+        );
+        // Unknown entries are skipped (warning is emitted at most once per
+        // process, see `warn_once`).
+        assert_eq!(
+            parse_strengths("bogus,relaxed,bogus"),
+            vec![CoreStrength::Relaxed]
+        );
+        // No strength named: empty, so the grid keeps the base's strength.
+        assert!(parse_strengths("").is_empty());
     }
 
     #[test]
@@ -1153,21 +1140,6 @@ mod tests {
             vec![ModelKind::Tso, ModelKind::Armish]
         );
         assert_eq!(parse_models("bogus").len(), 4, "fallback to the default");
-    }
-
-    #[test]
-    fn grid_len_matches_materialised_cells() {
-        let grid = ScenarioGrid::new(ScenarioSpec::small())
-            .core_strengths(CoreStrength::ALL)
-            .models([ModelKind::Tso, ModelKind::Armish])
-            .bugs(Bug::ALL_EXTENDED)
-            .observable_bugs_only();
-        assert_eq!(grid.len(), grid.cells().len());
-        assert!(!grid.is_empty());
-        let empty = ScenarioGrid::new(ScenarioSpec::small()).models(Vec::<ModelKind>::new());
-        assert_eq!(empty.len(), 0);
-        assert!(empty.is_empty());
-        assert!(empty.cells().is_empty());
     }
 
     /// The axis-resolution precedence of `grid_from_env`: explicit variables
@@ -1184,12 +1156,8 @@ mod tests {
         assert_eq!(models, vec![ModelKind::Powerish]);
         assert_eq!(strengths, vec![CoreStrength::Relaxed]);
 
-        // A purely numeric MCVERSI_CORES sets the count, not the strength.
-        let (_, strengths) = grid_axes(&relaxed_base, None, Some("8"), true);
-        assert_eq!(strengths, vec![CoreStrength::Relaxed]);
-
         // Explicit variables override the spec.
-        let (models, strengths) = grid_axes(&relaxed_base, Some("tso"), Some("8,strong"), true);
+        let (models, strengths) = grid_axes(&relaxed_base, Some("tso"), Some("strong"), true);
         assert_eq!(models, vec![ModelKind::Tso]);
         assert_eq!(strengths, vec![CoreStrength::Strong]);
 

@@ -82,7 +82,7 @@ pub enum CampaignEvent {
         message: String,
     },
     /// A cumulative telemetry snapshot of one sample, emitted at the cadence
-    /// configured by `CampaignConfig::metrics` (see `MCVERSI_METRICS`).
+    /// configured by `CampaignConfig::metrics` (the spec's `metrics` key).
     Metrics {
         /// The sample's seed.
         seed: u64,

@@ -53,11 +53,6 @@ impl Address {
     pub fn line(self, line_bytes: u64) -> Address {
         Address(self.0 / line_bytes * line_bytes)
     }
-
-    /// Raw numeric address.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for Address {

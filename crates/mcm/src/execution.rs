@@ -350,13 +350,6 @@ impl CandidateExecution {
         self.rf.inverse().compose(&self.co)
     }
 
-    /// The communication relation `com = rf ∪ co ∪ fr`.
-    pub fn com(&self) -> Relation {
-        let mut com = self.rf.union(&self.co);
-        com.union_with(&self.fr());
-        com
-    }
-
     /// All read events (including RMW read halves).
     pub fn reads(&self) -> impl Iterator<Item = &Event> {
         self.events.iter().filter(|e| e.is_read())

@@ -48,11 +48,6 @@ impl<L> CacheArray<L> {
         }
     }
 
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
     /// The set index a line address maps to.
     pub fn set_index(&self, addr: LineAddr) -> usize {
         ((addr.0 / self.line_bytes) % self.sets.len() as u64) as usize

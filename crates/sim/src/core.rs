@@ -216,7 +216,6 @@ impl InflightOp {
 /// The per-core execution engine.
 #[derive(Debug)]
 pub struct CoreModel {
-    core_id: usize,
     strength: CoreStrength,
     program: ThreadProgram,
     next_fetch: usize,
@@ -251,9 +250,8 @@ pub struct CoreModel {
 
 impl CoreModel {
     /// Creates a core executing `program`.
-    pub fn new(core_id: usize, program: ThreadProgram, cfg: &SystemConfig) -> Self {
+    pub fn new(program: ThreadProgram, cfg: &SystemConfig) -> Self {
         CoreModel {
-            core_id,
             strength: cfg.core_strength,
             program,
             next_fetch: 0,
@@ -290,11 +288,6 @@ impl CoreModel {
         self.squashes = 0;
         self.store_epoch = 0;
         self.blocked_addrs.clear();
-    }
-
-    /// The core's index.
-    pub fn core_id(&self) -> usize {
-        self.core_id
     }
 
     /// The pipeline strength this core runs with.
@@ -974,7 +967,7 @@ pub fn cores_for_program(
 ) -> Vec<CoreModel> {
     let threads = program.threads();
     (0..cfg.num_cores)
-        .map(|c| CoreModel::new(c, threads.get(c).cloned().unwrap_or_default(), cfg))
+        .map(|c| CoreModel::new(threads.get(c).cloned().unwrap_or_default(), cfg))
         .collect()
 }
 
@@ -996,7 +989,7 @@ mod tests {
 
     #[test]
     fn empty_program_is_immediately_finished() {
-        let core = CoreModel::new(0, vec![], &cfg());
+        let core = CoreModel::new(vec![], &cfg());
         assert!(core.is_finished());
     }
 
@@ -1005,7 +998,7 @@ mod tests {
         let cfg = cfg();
         let mut rng = rng();
         let program = vec![TestOp::read(Address(0x100)), TestOp::read(Address(0x200))];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         assert_eq!(out.requests.len(), 2, "both loads issue in the same cycle");
@@ -1061,7 +1054,7 @@ mod tests {
             TestOp::write(Address(0x100), 42),
             TestOp::read(Address(0x100)),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         // The only cache request is the store-buffer drain of the write; the
@@ -1107,7 +1100,7 @@ mod tests {
             TestOp::write(Address(0x200), 2),
             TestOp::write(Address(0x300), 3),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let mut drained = Vec::new();
         // A trivial cache stub: every store request is acknowledged on the
@@ -1141,7 +1134,7 @@ mod tests {
             TestOp::write(Address(0x100), 1),
             TestOp::rmw(Address(0x200), 2),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         // Only the store drain may be outstanding; the RMW must wait.
@@ -1199,7 +1192,7 @@ mod tests {
             (BugConfig::none(), true),
             (BugConfig::single(Bug::LqNoTso), false),
         ] {
-            let mut core = CoreModel::new(0, program.clone(), &cfg);
+            let mut core = CoreModel::new(program.clone(), &cfg);
             let mut rng2 = StdRng::seed_from_u64(13);
             let out = core.tick(1, &bugs, &[], &[], &mut rng2);
             assert_eq!(out.requests.len(), 2);
@@ -1239,7 +1232,7 @@ mod tests {
             TestOp::read(Address(0x100)),
             TestOp::write_data_dp(Address(0x200), 9),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         assert_eq!(out.requests.len(), 1, "only the load may issue");
@@ -1277,7 +1270,7 @@ mod tests {
             TestOp::fence_of(mcversi_mcm::FenceKind::LightweightSync),
             TestOp::read(Address(0x200)),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let mut pending: Vec<CoreResponse> = Vec::new();
         let mut fence_retired = false;
@@ -1310,7 +1303,7 @@ mod tests {
         let cfg = cfg();
         let mut rng = rng();
         let program = vec![TestOp::delay(3), TestOp::flush(Address(0x100))];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let mut flush_tag = None;
         for cycle in 1..20 {
@@ -1343,7 +1336,7 @@ mod tests {
         let cfg = cfg();
         let mut rng = rng();
         let program = vec![TestOp::write(Address(0x100), 1), TestOp::fence()];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         assert_eq!(out.requests.len(), 1);
@@ -1389,7 +1382,7 @@ mod tests {
         let mut rng = rng();
         let bugs = BugConfig::none();
         let program = vec![TestOp::delay(5), TestOp::read(Address(0x100))];
-        let mut core = CoreModel::new(0, program.clone(), &cfg);
+        let mut core = CoreModel::new(program.clone(), &cfg);
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         assert_eq!(out.requests.len(), 1, "the load issues past the delay");
         assert!(!out.quiescent);
@@ -1415,7 +1408,7 @@ mod tests {
         // stage it skipped might have done something.
         let mut jittery = cfg;
         jittery.issue_jitter = u16::MAX;
-        let mut core = CoreModel::new(0, program, &jittery);
+        let mut core = CoreModel::new(program, &jittery);
         core.tick(1, &bugs, &[], &[], &mut rng);
         let held = (2..40)
             .filter(|&cycle| !core.tick(cycle, &bugs, &[], &[], &mut rng).quiescent)
@@ -1440,7 +1433,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let first = run(&mut core);
         core.reset();
         assert!(!core.is_finished());
@@ -1485,7 +1478,7 @@ mod tests {
         for cfg in [cfg(), cfg_relaxed()] {
             let mut rng = rng();
             let program: Vec<TestOp> = (1..=120).map(|value| kinds(&mut rng, value)).collect();
-            let mut core = CoreModel::new(0, program, &cfg);
+            let mut core = CoreModel::new(program, &cfg);
             for round in 0..2 {
                 let mut in_flight: VecDeque<(Cycle, CoreResponse)> = VecDeque::new();
                 let mut full = (false, false);
@@ -1542,7 +1535,7 @@ mod tests {
         let cfg = cfg_relaxed();
         let mut rng = rng();
         let program = vec![TestOp::read(Address(0x100)), TestOp::read(Address(0x200))];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         assert_eq!(core.strength(), CoreStrength::Relaxed);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
@@ -1570,7 +1563,7 @@ mod tests {
         let cfg = cfg_relaxed();
         let mut rng = rng();
         let program = vec![TestOp::read(Address(0x100)), TestOp::read(Address(0x100))];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         assert_eq!(
@@ -1605,7 +1598,7 @@ mod tests {
             TestOp::read(Address(0x100)),
             TestOp::read_addr_dp(Address(0x200)),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         let fence = out.requests[0].tag;
         for cycle in 2..50 {
@@ -1652,7 +1645,7 @@ mod tests {
             TestOp::read(Address(0x100)),
             TestOp::write(Address(0x200), 9),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         let kinds: Vec<_> = out.requests.iter().map(|r| r.kind).collect();
@@ -1675,7 +1668,7 @@ mod tests {
             TestOp::read(Address(0x100)),
             TestOp::write(Address(0x100), 9),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let out = core.tick(1, &bugs, &[], &[], &mut rng2);
         assert!(
             !out.requests
@@ -1689,7 +1682,7 @@ mod tests {
             TestOp::fence_of(mcversi_mcm::FenceKind::LightweightSync),
             TestOp::write(Address(0x200), 9),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let out = core.tick(1, &bugs, &[], &[], &mut rng2);
         assert!(
             !out.requests
@@ -1704,7 +1697,7 @@ mod tests {
         let cfg = cfg_relaxed();
         let bugs = BugConfig::none();
         let drain_order = |program: Vec<TestOp>, seed: u64| -> Vec<u64> {
-            let mut core = CoreModel::new(0, program, &cfg);
+            let mut core = CoreModel::new(program, &cfg);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut drained = Vec::new();
             let mut pending: Vec<CoreResponse> = Vec::new();
@@ -1778,7 +1771,7 @@ mod tests {
             (BugConfig::none(), false),
             (BugConfig::single(Bug::FenceNoAcquire), true),
         ] {
-            let mut core = CoreModel::new(0, program.clone(), &cfg);
+            let mut core = CoreModel::new(program.clone(), &cfg);
             let mut rng = StdRng::seed_from_u64(21);
             let out = core.tick(1, &bugs, &[], &[], &mut rng);
             let early = out
@@ -1798,7 +1791,7 @@ mod tests {
             TestOp::fence_of(mcversi_mcm::FenceKind::Release),
             TestOp::read(Address(0x200)),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         assert_eq!(
@@ -1819,7 +1812,7 @@ mod tests {
             (BugConfig::none(), false),
             (BugConfig::single(Bug::LqNoAddrDep), true),
         ] {
-            let mut core = CoreModel::new(0, program.clone(), &cfg);
+            let mut core = CoreModel::new(program.clone(), &cfg);
             let mut rng = StdRng::seed_from_u64(23);
             let out = core.tick(1, &bugs, &[], &[], &mut rng);
             let early = out
@@ -1843,7 +1836,7 @@ mod tests {
             let program = vec![TestOp::read(Address(0x100)), make_store(Address(0x200), 9)];
             for (bugs, expect_early) in [(BugConfig::none(), false), (BugConfig::single(bug), true)]
             {
-                let mut core = CoreModel::new(0, program.clone(), &cfg);
+                let mut core = CoreModel::new(program.clone(), &cfg);
                 let mut rng = StdRng::seed_from_u64(29);
                 let out = core.tick(1, &bugs, &[], &[], &mut rng);
                 let drained = out
@@ -1872,7 +1865,7 @@ mod tests {
             TestOp::write(Address(0x200), 7),
             TestOp::read(Address(0x200)),
         ];
-        let mut core = CoreModel::new(0, program, &cfg);
+        let mut core = CoreModel::new(program, &cfg);
         let bugs = BugConfig::none();
         let out = core.tick(1, &bugs, &[], &[], &mut rng);
         // The younger load forwards from the (possibly committed) store...

@@ -42,11 +42,6 @@ impl LineAddr {
         LineAddr(addr.0 / line_bytes * line_bytes)
     }
 
-    /// The raw (aligned) byte address of the start of the line.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
     /// Index of the 8-byte word within the line that `addr` refers to.
     pub fn word_index(self, addr: Address, line_bytes: u64) -> usize {
         debug_assert_eq!(self.0, addr.0 / line_bytes * line_bytes);

@@ -74,64 +74,6 @@ pub fn lower_cycle(cycle: &CriticalCycle, name: &str, locations: &[Address]) -> 
     }
 }
 
-/// Renders the cycle's forbidden final state as a herd-style `exists` clause.
-///
-/// Writes are numbered symbolically (`v1`, `v2`, … in cycle order — the
-/// unique-value scheme assigns the concrete values at execution time); each
-/// read's observed value and the final coherence constraints spell the weak
-/// outcome the cycle encodes.
-pub fn exists_clause(cycle: &CriticalCycle) -> String {
-    let n = cycle.len();
-    let threads = cycle.thread_of();
-    let loc_of = cycle.location_of();
-    let letter = |class: usize| (b'x' + (class % 3) as u8) as char;
-    let loc_name = |class: usize| {
-        if class < 3 {
-            format!("{}", letter(class))
-        } else {
-            format!("x{class}")
-        }
-    };
-
-    // Symbolic write values in cycle order.
-    let mut value = vec![String::from("0"); n];
-    let mut next = 1usize;
-    for (slot, &dir) in value.iter_mut().zip(cycle.dirs().iter()) {
-        if dir == Dir::W {
-            *slot = format!("v{next}");
-            next += 1;
-        }
-    }
-    let mut clauses = Vec::new();
-    for i in 0..n {
-        if cycle.dirs()[i] != Dir::R {
-            continue;
-        }
-        let observed = if cycle.edges()[(i + n - 1) % n] == CycleEdge::Rf {
-            value[(i + n - 1) % n].clone()
-        } else {
-            "0".to_string()
-        };
-        clauses.push(format!(
-            "P{}:{}={}",
-            threads[i],
-            loc_name(loc_of[i]),
-            observed
-        ));
-    }
-    for i in 0..n {
-        if cycle.edges()[i] == CycleEdge::Ws {
-            clauses.push(format!(
-                "{}: {} co-before {}",
-                loc_name(loc_of[i]),
-                value[i],
-                value[(i + 1) % n]
-            ));
-        }
-    }
-    format!("exists ({})", clauses.join(" /\\ "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,22 +121,5 @@ mod tests {
             lower_cycle(&cycle, "MP", &[Address(0x1000)]);
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn exists_clause_spells_the_weak_outcome() {
-        let clause = exists_clause(&mp_flavoured());
-        assert!(clause.starts_with("exists ("), "{clause}");
-        // The reader observes the flag write and the stale initial data.
-        assert!(clause.contains("=0"), "{clause}");
-        assert!(clause.contains("v"), "{clause}");
-        // A 2+2W-style cycle renders coherence clauses.
-        use CycleEdge::*;
-        use Dir::*;
-        let ww = CriticalCycle::new(vec![Po, Ws, Po, Ws], vec![W, W, W, W])
-            .unwrap()
-            .canonicalize();
-        let clause = exists_clause(&ww);
-        assert!(clause.contains("co-before"), "{clause}");
     }
 }

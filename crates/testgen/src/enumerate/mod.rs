@@ -8,7 +8,7 @@
 //! assigned a herd-style name (`MP+mfence+addr`, `SB+lwsyncs`, `IRIW`, …; see
 //! [`name`]), given a per-[`ModelKind`] expected verdict by the closed-form
 //! oracle ([`ModelKind::forbids_cycle`]) and lowered to a runnable
-//! [`LitmusTest`] with its forbidden final-state condition ([`lower`]).
+//! [`LitmusTest`] ([`lower`]).
 //!
 //! The enumerated corpus *subsumes* the hand-written suites (every named
 //! shape of `litmus::x86_tso_suite` /
@@ -75,9 +75,9 @@ impl Default for EnumerationBounds {
 
 /// Which litmus corpus a campaign's `diy-litmus` baseline draws from.
 ///
-/// Selected by the `MCVERSI_LITMUS` environment variable / `ScenarioSpec`
-/// axis: `handpicked` is the original hand-written suite, `enumerated:<T>x<E>`
-/// the auto-enumerated corpus bounded at `T` threads and `E` edges.
+/// Selected by the `ScenarioSpec` `litmus` key: `Handpicked` is the original
+/// hand-written suite, `Enumerated` the auto-enumerated corpus bounded at
+/// `max_threads` threads and `max_edges` edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LitmusCorpus {
     /// The hand-written golden suites (`litmus::handpicked_suite_for`).
@@ -109,7 +109,8 @@ impl LitmusCorpus {
     /// See [`LitmusCorpus::MAX_THREADS`].
     pub const MAX_EDGES: usize = 8;
 
-    /// Parses a `MCVERSI_LITMUS` value (case-insensitively): `handpicked`,
+    /// Parses a corpus name (case-insensitively; `mcversi-lint`'s corpus
+    /// argument): `handpicked`,
     /// `enumerated`, or `enumerated:<threads>x<edges>` (e.g.
     /// `enumerated:2x4`).  Bounds outside `2..=6` threads / `4..=8` edges
     /// are rejected (see [`LitmusCorpus::MAX_THREADS`]).
@@ -139,10 +140,10 @@ impl LitmusCorpus {
     /// The bounds of the enumerated variant, `None` for the hand-picked one.
     ///
     /// Bounds are clamped to [`LitmusCorpus::MAX_THREADS`] /
-    /// [`LitmusCorpus::MAX_EDGES`] — [`parse`](Self::parse) already rejects
-    /// larger values, but a hand-built `ScenarioSpec` (e.g. from a JSON
-    /// file) must not be able to stall a campaign with an astronomically
-    /// large enumeration either.
+    /// [`LitmusCorpus::MAX_EDGES`] — [`parse`](Self::parse) and
+    /// `ScenarioSpec::from_json` already reject larger values, but a
+    /// `ScenarioSpec` built in code must not be able to stall a campaign
+    /// with an astronomically large enumeration either.
     pub fn bounds(&self) -> Option<EnumerationBounds> {
         match *self {
             LitmusCorpus::Handpicked => None,
@@ -203,12 +204,6 @@ impl EnumeratedTest {
     /// (see [`lower::lower_cycle`]).
     pub fn litmus(&self, locations: &[Address]) -> LitmusTest {
         lower::lower_cycle(&self.cycle, &self.name, locations)
-    }
-
-    /// The forbidden final-state condition, herd-style (see
-    /// [`lower::exists_clause`]).
-    pub fn condition(&self) -> String {
-        lower::exists_clause(&self.cycle)
     }
 }
 

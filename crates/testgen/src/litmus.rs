@@ -9,7 +9,7 @@
 //!   the flavoured weak shapes ([`handwritten_weak_suite_flavoured`]) and the
 //!   acquire probe ([`acquire_suite`]).  These are kept verbatim as the
 //!   reference the enumerator conformance tests compare against, and as the
-//!   `MCVERSI_LITMUS=handpicked` corpus ([`handpicked_suite_for`]);
+//!   `"litmus": "Handpicked"` corpus ([`handpicked_suite_for`]);
 //! * the **auto-enumerated corpus** ([`crate::enumerate`]) — critical cycles
 //!   walked mechanically over the relaxation-edge vocabulary.  The default
 //!   campaign suites ([`suite_for`], [`weak_suite_flavoured`]) are thin
@@ -636,8 +636,8 @@ pub fn shared_suite_for_bounded(
     suite
 }
 
-/// [`suite_for`] over an explicit enumeration bound (the
-/// `MCVERSI_LITMUS=enumerated:<threads>x<edges>` axis).
+/// [`suite_for`] over an explicit enumeration bound (a spec's
+/// `"litmus": {"Enumerated": …}`).
 ///
 /// Ordering is deterministic: coherence anchors, then the model-forbidden
 /// cycles, then the allowed ones; within each group the corpus order (thread
@@ -669,7 +669,7 @@ pub fn suite_for_bounded(
     dedup_by_name(suite)
 }
 
-/// The original hand-picked corpus (`MCVERSI_LITMUS=handpicked`): the x86-TSO
+/// The original hand-picked corpus (`"litmus": "Handpicked"`): the x86-TSO
 /// suite for the strong models, extended with the model's natural weak-shape
 /// flavours (see [`model_flavours`]) for the relaxed ones, weak shapes first.
 pub fn handpicked_suite_for(model: ModelKind, locations: &[Address]) -> Vec<LitmusTest> {

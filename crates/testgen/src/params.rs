@@ -142,9 +142,9 @@ pub struct TestGenParams {
     pub bias: OperationBias,
     /// Maximum delay (cycles) of a `Delay` operation.
     pub max_delay_cycles: u32,
-    /// Which corpus the `diy-litmus` baseline draws from (the
-    /// `MCVERSI_LITMUS` axis; defaults to the enumerated corpus at the
-    /// default bound).
+    /// Which corpus the `diy-litmus` baseline draws from (the spec's
+    /// `litmus` key; defaults to the enumerated corpus at the default
+    /// bound).
     pub litmus: LitmusCorpus,
     // ---- GP parameters ----
     /// Population size.

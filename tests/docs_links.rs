@@ -86,20 +86,24 @@ fn example_scenario_spec_is_valid() {
     assert_eq!(again, spec);
 }
 
-/// Every checked-in spec, the example and each benchmark workload, parses
+/// Every checked-in spec, each example and each benchmark workload, parses
 /// and derives its campaign.  The benchmark package is not a workspace
 /// member, so without this a spec change that breaks a workload file would
 /// still pass the workspace tests.
 #[test]
 fn checked_in_specs_parse_and_build_their_campaign() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let workloads = std::fs::read_dir(root.join("benchmark/workloads"))
-        .expect("benchmark/workloads must exist")
-        .map(|entry| entry.expect("directory entry").path())
-        .filter(|path| path.extension().is_some_and(|e| e == "json"));
-    let mut paths: Vec<_> = workloads.collect();
-    assert!(!paths.is_empty(), "no benchmark workload files");
-    paths.push(root.join("examples/scenario.json"));
+    let json_files = |dir: &str| {
+        let paths: Vec<_> = std::fs::read_dir(root.join(dir))
+            .unwrap_or_else(|e| panic!("{dir} must exist: {e}"))
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "json"))
+            .collect();
+        assert!(!paths.is_empty(), "no spec files in {dir}");
+        paths
+    };
+    let mut paths = json_files("benchmark/workloads");
+    paths.extend(json_files("examples"));
     for path in &paths {
         let text = std::fs::read_to_string(path).expect("readable spec file");
         let at = path.display();
