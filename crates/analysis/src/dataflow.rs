@@ -43,7 +43,7 @@ pub struct Access {
     /// The load event feeding the carried dependency, when one exists: the
     /// thread's most recent load before this op.  `None` for plain accesses
     /// *and* for dependency-carrying ops with no prior load (which degrade
-    /// to plain accesses — see [`lint::DegradedDep`](crate::lint)).
+    /// to plain accesses — see the `degraded-dep` lint in [`lint`](crate::lint)).
     pub dep_source: Option<EventId>,
     /// The globally unique value a write stores (`None` for reads, whose
     /// values are dynamic).

@@ -12,7 +12,7 @@
 //!    event-id allocation, same dependency-degradation semantics), so the
 //!    static graph is differential-checked against the dynamic
 //!    `CandidateExecution::deps` in the test suite.
-//! 2. **Lints** ([`lint`]) — a registry of [`Lint`]s over the dataflow facts
+//! 2. **Lints** ([`lint`]) — a fixed table of checks over the dataflow facts
 //!    with severities and machine-readable [`Diagnostic`] output (JSON via
 //!    serde): dead values, ineffective/shadowed fences, tests with no
 //!    cross-thread conflict, unreachable `exists` clauses, dependencies on
@@ -28,7 +28,6 @@
 //! scenario-generated programs; the campaign loop never consults them.
 //!
 //! [`TestProgram`]: mcversi_sim::TestProgram
-//! [`Lint`]: lint::Lint
 //! [`Diagnostic`]: lint::Diagnostic
 
 #![forbid(unsafe_code)]
@@ -41,4 +40,4 @@ pub mod lint;
 
 pub use classify::{classify, ClassifyBounds, Discrimination};
 pub use dataflow::{Access, Dataflow, FencePoint};
-pub use lint::{all_lints, run_lints, run_lints_on, Diagnostic, Lint, Severity};
+pub use lint::{run_lints, Diagnostic, Severity};

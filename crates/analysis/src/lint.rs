@@ -1,10 +1,10 @@
-//! The lint framework: static checks over [`Dataflow`] facts with
-//! machine-readable diagnostics.
+//! The lints: static checks over [`Dataflow`] facts with machine-readable
+//! diagnostics.
 //!
-//! A [`Lint`] inspects one program's dataflow and emits [`Diagnostic`]s with
-//! a fixed [`Severity`].  The registry ([`all_lints`]) currently holds six
-//! lints; [`run_lints`] runs them all.  Diagnostics serialize to JSON (via
-//! the vendored serde) so the `mcversi-lint` binary can feed CI gates and
+//! Each lint inspects one program's dataflow and emits [`Diagnostic`]s with
+//! a fixed [`Severity`].  Six lints run, in a fixed reporting order;
+//! [`run_lints`] runs them all.  Diagnostics serialize to JSON (via the
+//! vendored serde) so the `mcversi-lint` binary can feed CI gates and
 //! external tooling.
 //!
 //! Every lint is *conservative on the enumerated corpus*: a program lowered
@@ -20,7 +20,7 @@ use mcversi_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Programs linted ([`run_lints_on`] calls).
+/// Programs linted ([`run_lints`] calls).
 static LINT_RUNS: telemetry::Counter = telemetry::Counter::new("analysis.lint.runs");
 /// Diagnostics emitted across all lint runs.
 static LINT_DIAGNOSTICS: telemetry::Counter = telemetry::Counter::new("analysis.lint.diagnostics");
@@ -29,11 +29,9 @@ static LINT_DIAGNOSTICS: telemetry::Counter = telemetry::Counter::new("analysis.
 ///
 /// `Error` means the test is statically incapable of its purpose (it cannot
 /// exhibit any memory-model violation); `Warning` flags ops whose effect is
-/// dead or degraded; `Note` is reserved for informational output.
+/// dead or degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Severity {
-    /// Informational.
-    Note,
     /// The op is dead, degraded or redundant; the test still works.
     Warning,
     /// The test cannot serve its purpose.
@@ -43,7 +41,6 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Severity::Note => f.write_str("note"),
             Severity::Warning => f.write_str("warning"),
             Severity::Error => f.write_str("error"),
         }
@@ -80,53 +77,39 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// A static check over one program's dataflow facts.
-pub trait Lint {
-    /// Stable kebab-case name (appears in diagnostics and JSON output).
-    fn name(&self) -> &'static str;
-    /// The severity every diagnostic of this lint carries.
-    fn severity(&self) -> Severity;
-    /// Runs the check, appending findings to `out`.
-    fn check(&self, df: &Dataflow, out: &mut Vec<Diagnostic>);
-}
+/// A finding before its lint's name and severity are attached: thread, op
+/// index within the thread, message.
+type Finding = (Option<usize>, Option<u32>, String);
 
-/// Builds a diagnostic in a lint's name and severity.
-fn diag(lint: &dyn Lint, thread: Option<usize>, poi: Option<u32>, message: String) -> Diagnostic {
-    Diagnostic {
-        lint: lint.name().to_string(),
-        severity: lint.severity(),
-        thread,
-        poi,
-        message,
-    }
-}
+/// A lint's check: appends its findings on one program's dataflow.
+type Check = fn(&Dataflow, &mut Vec<Finding>);
+
+/// The lints in reporting order: stable kebab-case name (appears in
+/// diagnostics and JSON output), the severity every finding carries, and
+/// the check.
+const LINTS: [(&str, Severity, Check); 6] = [
+    ("no-conflict", Severity::Error, no_conflict),
+    ("unreachable-exists", Severity::Warning, unreachable_exists),
+    ("dead-value", Severity::Warning, dead_value),
+    ("ineffective-fence", Severity::Warning, ineffective_fence),
+    ("private-dep", Severity::Warning, private_dep),
+    ("degraded-dep", Severity::Warning, degraded_dep),
+];
 
 /// `dead-value`: a read of a location no op of the program writes.  Such a
 /// read can only ever observe the initial value — its result is a constant,
 /// so the op contributes nothing to the test's discriminating power.
-#[derive(Debug, Default)]
-pub struct DeadValue;
-
-impl Lint for DeadValue {
-    fn name(&self) -> &'static str {
-        "dead-value"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, df: &Dataflow, out: &mut Vec<Diagnostic>) {
-        for access in df.accesses() {
-            if access.is_read() && !access.rmw && !df.is_written(access.addr) {
-                out.push(diag(
-                    self,
-                    Some(access.thread),
-                    Some(access.poi),
-                    format!(
-                        "read of {} which no op writes: it always observes the initial value",
-                        access.addr
-                    ),
-                ));
-            }
+fn dead_value(df: &Dataflow, out: &mut Vec<Finding>) {
+    for access in df.accesses() {
+        if access.is_read() && !access.rmw && !df.is_written(access.addr) {
+            out.push((
+                Some(access.thread),
+                Some(access.poi),
+                format!(
+                    "read of {} which no op writes: it always observes the initial value",
+                    access.addr
+                ),
+            ));
         }
     }
 }
@@ -134,55 +117,42 @@ impl Lint for DeadValue {
 /// `ineffective-fence`: a fence with no memory access on one side of it in
 /// its thread (it orders nothing), or a fence shadowed by an adjacent
 /// equal-or-stronger fence with no access in between.
-#[derive(Debug, Default)]
-pub struct IneffectiveFence;
-
-impl Lint for IneffectiveFence {
-    fn name(&self) -> &'static str {
-        "ineffective-fence"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, df: &Dataflow, out: &mut Vec<Diagnostic>) {
-        for fence in df.fences() {
-            let before = df.thread_accesses(fence.thread).any(|a| a.poi < fence.poi);
-            let after = df.thread_accesses(fence.thread).any(|a| a.poi > fence.poi);
-            if !before || !after {
-                out.push(diag(
-                    self,
-                    Some(fence.thread),
-                    Some(fence.poi),
-                    format!(
-                        "{} fence with no memory access {} it in its thread orders nothing",
-                        fence.kind,
-                        if before { "after" } else { "before" }
-                    ),
-                ));
-                continue;
-            }
-            // Shadowing: an earlier fence of the same thread with no access
-            // between them, of equal kind or a full fence, already orders
-            // every pair this one could.
-            let shadowed = df.fences().iter().any(|g| {
-                g.thread == fence.thread
-                    && g.poi < fence.poi
-                    && (g.kind == fence.kind || g.kind == mcversi_mcm::FenceKind::Full)
-                    && !df
-                        .thread_accesses(fence.thread)
-                        .any(|a| a.poi > g.poi && a.poi < fence.poi)
-            });
-            if shadowed {
-                out.push(diag(
-                    self,
-                    Some(fence.thread),
-                    Some(fence.poi),
-                    format!(
-                        "{} fence is shadowed by an adjacent equal-or-stronger fence",
-                        fence.kind
-                    ),
-                ));
-            }
+fn ineffective_fence(df: &Dataflow, out: &mut Vec<Finding>) {
+    for fence in df.fences() {
+        let before = df.thread_accesses(fence.thread).any(|a| a.poi < fence.poi);
+        let after = df.thread_accesses(fence.thread).any(|a| a.poi > fence.poi);
+        if !before || !after {
+            out.push((
+                Some(fence.thread),
+                Some(fence.poi),
+                format!(
+                    "{} fence with no memory access {} it in its thread orders nothing",
+                    fence.kind,
+                    if before { "after" } else { "before" }
+                ),
+            ));
+            continue;
+        }
+        // Shadowing: an earlier fence of the same thread with no access
+        // between them, of equal kind or a full fence, already orders
+        // every pair this one could.
+        let shadowed = df.fences().iter().any(|g| {
+            g.thread == fence.thread
+                && g.poi < fence.poi
+                && (g.kind == fence.kind || g.kind == mcversi_mcm::FenceKind::Full)
+                && !df
+                    .thread_accesses(fence.thread)
+                    .any(|a| a.poi > g.poi && a.poi < fence.poi)
+        });
+        if shadowed {
+            out.push((
+                Some(fence.thread),
+                Some(fence.poi),
+                format!(
+                    "{} fence is shadowed by an adjacent equal-or-stronger fence",
+                    fence.kind
+                ),
+            ));
         }
     }
 }
@@ -191,89 +161,53 @@ impl Lint for IneffectiveFence {
 /// write.  Without a cross-thread conflict there is no communication edge,
 /// hence no candidate cycle and no observable violation — the whole test is
 /// wasted simulation time.
-#[derive(Debug, Default)]
-pub struct NoConflict;
-
-impl Lint for NoConflict {
-    fn name(&self) -> &'static str {
-        "no-conflict"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn check(&self, df: &Dataflow, out: &mut Vec<Diagnostic>) {
-        if df.conflict_addresses().is_empty() {
-            out.push(diag(
-                self,
-                None,
-                None,
-                "no cross-thread conflict: every location is thread-private or read-only, \
-                 so the test cannot exhibit a memory-model violation"
-                    .to_string(),
-            ));
-        }
+fn no_conflict(df: &Dataflow, out: &mut Vec<Finding>) {
+    if df.conflict_addresses().is_empty() {
+        out.push((
+            None,
+            None,
+            "no cross-thread conflict: every location is thread-private or read-only, \
+             so the test cannot exhibit a memory-model violation"
+                .to_string(),
+        ));
     }
 }
 
 /// `unreachable-exists`: the program has cross-thread conflicts but its
 /// candidate critical-cycle set is empty — no weak outcome is reachable, so
 /// the `exists` clause such a test would check for can never be satisfied.
-#[derive(Debug, Default)]
-pub struct UnreachableExists;
-
-impl Lint for UnreachableExists {
-    fn name(&self) -> &'static str {
-        "unreachable-exists"
+fn unreachable_exists(df: &Dataflow, out: &mut Vec<Finding>) {
+    if df.conflict_addresses().is_empty() {
+        // `no-conflict` already reports the stronger finding.
+        return;
     }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, df: &Dataflow, out: &mut Vec<Diagnostic>) {
-        if df.conflict_addresses().is_empty() {
-            // `no-conflict` already reports the stronger finding.
-            return;
-        }
-        let result = classify(df, &ClassifyBounds::default());
-        if result.is_empty() && !result.truncated {
-            out.push(diag(
-                self,
-                None,
-                None,
-                "cross-thread conflicts exist but no candidate critical cycle: the weak \
-                 `exists` outcome is unreachable"
-                    .to_string(),
-            ));
-        }
+    let result = classify(df, &ClassifyBounds::default());
+    if result.is_empty() && !result.truncated {
+        out.push((
+            None,
+            None,
+            "cross-thread conflicts exist but no candidate critical cycle: the weak \
+             `exists` outcome is unreachable"
+                .to_string(),
+        ));
     }
 }
 
 /// `private-dep`: a dependency-carrying op whose own location no other
 /// thread accesses.  The ordering the dependency preserves can never appear
 /// in a communication edge, so it constrains nothing observable.
-#[derive(Debug, Default)]
-pub struct PrivateDep;
-
-impl Lint for PrivateDep {
-    fn name(&self) -> &'static str {
-        "private-dep"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, df: &Dataflow, out: &mut Vec<Diagnostic>) {
-        for access in df.accesses() {
-            if access.dep_kind.is_some() && df.accessors_of(access.addr).len() < 2 {
-                out.push(diag(
-                    self,
-                    Some(access.thread),
-                    Some(access.poi),
-                    format!(
-                        "dependency-carrying op targets thread-private location {}: the \
-                         preserved order is unobservable",
-                        access.addr
-                    ),
-                ));
-            }
+fn private_dep(df: &Dataflow, out: &mut Vec<Finding>) {
+    for access in df.accesses() {
+        if access.dep_kind.is_some() && df.accessors_of(access.addr).len() < 2 {
+            out.push((
+                Some(access.thread),
+                Some(access.poi),
+                format!(
+                    "dependency-carrying op targets thread-private location {}: the \
+                     preserved order is unobservable",
+                    access.addr
+                ),
+            ));
         }
     }
 }
@@ -282,58 +216,38 @@ impl Lint for PrivateDep {
 /// thread.  The carried dependency has no source and the op degrades to a
 /// plain access (the observer records no edge, the relaxed core does not
 /// stall) — usually a sign the generator placed the op badly.
-#[derive(Debug, Default)]
-pub struct DegradedDep;
-
-impl Lint for DegradedDep {
-    fn name(&self) -> &'static str {
-        "degraded-dep"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, df: &Dataflow, out: &mut Vec<Diagnostic>) {
-        for access in df.accesses() {
-            if access.dep_kind.is_some() && access.dep_source.is_none() {
-                out.push(diag(
-                    self,
-                    Some(access.thread),
-                    Some(access.poi),
-                    "dependency-carrying op has no prior load in its thread: it degrades \
-                     to a plain access"
-                        .to_string(),
-                ));
-            }
+fn degraded_dep(df: &Dataflow, out: &mut Vec<Finding>) {
+    for access in df.accesses() {
+        if access.dep_kind.is_some() && access.dep_source.is_none() {
+            out.push((
+                Some(access.thread),
+                Some(access.poi),
+                "dependency-carrying op has no prior load in its thread: it degrades \
+                 to a plain access"
+                    .to_string(),
+            ));
         }
     }
 }
 
-/// The lint registry, in reporting order.
-pub fn all_lints() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(NoConflict),
-        Box::new(UnreachableExists),
-        Box::new(DeadValue),
-        Box::new(IneffectiveFence),
-        Box::new(PrivateDep),
-        Box::new(DegradedDep),
-    ]
-}
-
-/// Runs every registered lint over an already-built dataflow.
-pub fn run_lints_on(df: &Dataflow) -> Vec<Diagnostic> {
+/// Analyzes `program` and runs every lint over it, in reporting order.
+pub fn run_lints(program: &TestProgram) -> Vec<Diagnostic> {
     LINT_RUNS.incr();
+    let df = Dataflow::new(program);
     let mut out = Vec::new();
-    for lint in all_lints() {
-        lint.check(df, &mut out);
+    let mut findings = Vec::new();
+    for (lint, severity, check) in LINTS {
+        check(&df, &mut findings);
+        out.extend(findings.drain(..).map(|(thread, poi, message)| Diagnostic {
+            lint: lint.to_string(),
+            severity,
+            thread,
+            poi,
+            message,
+        }));
     }
     LINT_DIAGNOSTICS.add(out.len() as u64);
     out
-}
-
-/// Analyzes `program` and runs every registered lint over it.
-pub fn run_lints(program: &TestProgram) -> Vec<Diagnostic> {
-    run_lints_on(&Dataflow::new(program))
 }
 
 #[cfg(test)]

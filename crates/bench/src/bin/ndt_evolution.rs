@@ -52,7 +52,7 @@ fn main() {
         let cfg = cell.mcversi();
         let params = cfg.testgen.clone();
         let mut runner = TestRunner::new(cfg, BugConfig::none());
-        let mut source = TestSource::new(cell.generator, params, cell.base_seed);
+        let mut source = TestSource::for_model(cell.generator, params, cell.base_seed, cell.model);
         let mut points = Vec::new();
         for run in 1..=cell.max_test_runs {
             let (id, test, _) = source.next_test();

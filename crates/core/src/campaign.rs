@@ -11,7 +11,7 @@
 use crate::config::McVerSiConfig;
 use crate::generator::{GeneratorKind, TestSource};
 use crate::runner::{RunVerdict, TestRunner};
-use crate::sink::{CampaignEvent, CampaignSink, NullSink};
+use crate::sink::{CampaignEvent, CampaignSink};
 use mcversi_mcm::ModelKind;
 use mcversi_sim::{Bug, BugConfig, CoreStrength};
 use mcversi_telemetry as telemetry;
@@ -48,7 +48,7 @@ pub struct CampaignConfig {
     pub max_test_runs: usize,
     /// Maximum wall-clock time per sample.
     pub max_wall_time: Duration,
-    /// Number of worker threads used by [`run_samples`].  `0` (the default)
+    /// Number of worker threads used by [`run_sample_subset`].  `0` (the default)
     /// means one worker per available hardware thread, capped at the number
     /// of samples.
     pub parallelism: usize,
@@ -341,10 +341,11 @@ impl SampleOutcome {
         match self {
             SampleOutcome::Completed(result) => result,
             SampleOutcome::Panicked { seed, message } => {
-                // Surface the crash: callers of `run_samples` (the experiment
-                // binaries) would otherwise average this sentinel into their
-                // tables with no visible trace.  Use `run_samples_streamed`
-                // to handle panics programmatically instead.
+                // Surface the crash: callers of `ScenarioSpec::run` (the
+                // experiment binaries) would otherwise average this sentinel
+                // into their tables with no visible trace.  Match on the
+                // outcomes of `run_sample_subset` to handle panics
+                // programmatically instead.
                 eprintln!(
                     "warning: campaign sample (generator {}, seed {seed}) panicked: {message}",
                     config.generator
@@ -380,31 +381,25 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `samples` independent samples of a campaign (different seeds) on a
-/// bounded worker pool and returns their results in seed order.
+/// Runs the samples `indices` of a campaign batch (different seeds) on a
+/// bounded worker pool, streaming [`CampaignEvent`]s into `sink` *while the
+/// batch runs*, and returns the outcomes in `indices` order.
+///
+/// A whole batch of `n` samples is `0..n` (what
+/// [`ScenarioSpec::run`](crate::ScenarioSpec::run) passes); the distributed
+/// fabric resumes a batch by passing the indices a journal does *not*
+/// already hold.
 ///
 /// * The pool size is `config.parallelism` (or the host's available
 ///   parallelism when `0`), capped at the number of samples, so the batch
 ///   never oversubscribes the host with one thread per sample.
-/// * Sample `i` always runs with seed `base_seed + i` regardless of which
+/// * Index `i` always runs with seed `base_seed + i` regardless of which
 ///   worker picks it up or in which order, so results are reproducible for a
-///   fixed `base_seed` (provided the wall-clock budgets do not bind).
-/// * A panicking sample is isolated and reported as a sentinel result; the
-///   remaining samples still run.
-///
-/// To observe the batch while it runs, or to see panicked samples as
-/// [`SampleOutcome::Panicked`] rather than sentinel results, use
-/// [`run_samples_streamed`].
-pub fn run_samples(config: &CampaignConfig, samples: usize, base_seed: u64) -> Vec<CampaignResult> {
-    run_samples_streamed(config, samples, base_seed, &mut NullSink)
-        .into_iter()
-        .map(|outcome| outcome.into_result(config))
-        .collect()
-}
-
-/// Runs a sample batch like [`run_samples`], streaming [`CampaignEvent`]s
-/// into `sink` *while the batch runs*, and returns the outcomes in seed
-/// order.
+///   fixed `base_seed` (provided the wall-clock budgets do not bind), and a
+///   batch split into "journaled" and "re-run" halves merges back into
+///   results bit-identical to an uninterrupted run of the whole batch.
+/// * A panicking sample is isolated and returned as
+///   [`SampleOutcome::Panicked`]; the remaining samples still run.
 ///
 /// Workers push events through a bounded channel (a fixed number of slots
 /// per worker); the calling thread drains the channel and dispatches to
@@ -414,25 +409,6 @@ pub fn run_samples(config: &CampaignConfig, samples: usize, base_seed: u64) -> V
 /// running samples interleave in arrival order.  The bounded channel applies
 /// backpressure: a sink that cannot keep up slows the workers down instead of
 /// buffering the whole campaign in memory.
-pub fn run_samples_streamed(
-    config: &CampaignConfig,
-    samples: usize,
-    base_seed: u64,
-    sink: &mut dyn CampaignSink,
-) -> Vec<SampleOutcome> {
-    let indices: Vec<usize> = (0..samples).collect();
-    run_sample_subset(config, &indices, base_seed, sink)
-}
-
-/// Runs an explicit subset of a sample batch — the checkpoint/resume
-/// re-entry point of the distributed fabric.
-///
-/// `indices` lists the sample indices to run (normally a subset of
-/// `0..samples` whose results a resume journal does *not* already hold).
-/// Each index `i` runs with seed `base_seed + i`, exactly as it would in the
-/// full batch, so a batch split into "journaled" and "re-run" halves merges
-/// back into results bit-identical to an uninterrupted [`run_samples`] call.
-/// Outcomes are returned in `indices` order.
 pub fn run_sample_subset(
     config: &CampaignConfig,
     indices: &[usize],
@@ -508,7 +484,7 @@ pub fn run_sample_subset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::CollectSink;
+    use crate::sink::{CollectSink, NullSink};
     use mcversi_sim::ProtocolKind;
 
     fn quick_config(generator: GeneratorKind, bug: Option<Bug>) -> CampaignConfig {
@@ -684,9 +660,10 @@ mod tests {
     #[test]
     fn parallel_samples_use_distinct_seeds() {
         let cfg = quick_config(GeneratorKind::DiyLitmus, Some(Bug::LqNoTso));
-        let results = run_samples(&cfg, 3, 10);
-        assert_eq!(results.len(), 3);
-        let seeds: Vec<u64> = results.iter().map(|r| r.seed).collect();
+        let seeds: Vec<u64> = run_sample_subset(&cfg, &[0, 1, 2], 10, &mut NullSink)
+            .into_iter()
+            .map(|outcome| outcome.into_result(&cfg).seed)
+            .collect();
         assert_eq!(seeds, vec![10, 11, 12]);
     }
 
@@ -716,14 +693,19 @@ mod tests {
     }
 
     #[test]
-    fn run_samples_is_deterministic_across_parallelism() {
+    fn sample_batches_are_deterministic_across_parallelism() {
+        let batch = |cfg: &CampaignConfig| -> Vec<_> {
+            run_sample_subset(cfg, &[0, 1, 2, 3], 7, &mut NullSink)
+                .into_iter()
+                .map(|outcome| fingerprint(&outcome.into_result(cfg)))
+                .collect()
+        };
         let mut cfg = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso));
         cfg.parallelism = 1;
-        let serial: Vec<_> = run_samples(&cfg, 4, 7).iter().map(fingerprint).collect();
+        let serial = batch(&cfg);
         cfg.parallelism = 4;
         for _ in 0..2 {
-            let pooled: Vec<_> = run_samples(&cfg, 4, 7).iter().map(fingerprint).collect();
-            assert_eq!(serial, pooled, "scheduling must not affect results");
+            assert_eq!(serial, batch(&cfg), "scheduling must not affect results");
         }
     }
 
@@ -737,7 +719,7 @@ mod tests {
         cfg.mcversi.testgen.num_threads = cfg.mcversi.system.num_cores + 1;
         cfg.parallelism = 2;
         let mut sink = CollectSink::new();
-        let outcomes = run_samples_streamed(&cfg, 3, 5, &mut sink);
+        let outcomes = run_sample_subset(&cfg, &[0, 1, 2], 5, &mut sink);
         assert_eq!(outcomes.len(), 3);
         for (i, outcome) in outcomes.iter().enumerate() {
             match outcome {
@@ -765,7 +747,7 @@ mod tests {
 
         let cfg = quick_config(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso));
         let mut recorder = Recorder::default();
-        let outcomes = run_samples_streamed(&cfg, 2, 3, &mut recorder);
+        let outcomes = run_sample_subset(&cfg, &[0, 1], 3, &mut recorder);
         assert_eq!(outcomes.len(), 2);
 
         for seed in [3u64, 4] {
@@ -855,7 +837,8 @@ mod tests {
         let mut cfg = quick_config(GeneratorKind::McVerSiRand, None);
         cfg.mcversi.system.max_cycles_per_iteration = 10;
         let (_, test, _) =
-            TestSource::new(cfg.generator, cfg.mcversi.testgen.clone(), 1).next_test();
+            TestSource::for_model(cfg.generator, cfg.mcversi.testgen.clone(), 1, cfg.model())
+                .next_test();
         let mut runner = TestRunner::new(cfg.effective_mcversi(), BugConfig::none());
         let result = runner.run_test(&test);
         assert_eq!(result.verdict, RunVerdict::Hang);
@@ -886,7 +869,7 @@ mod tests {
         cfg.metrics = Some(2);
         cfg.max_test_runs = 6;
         let mut recorder = Recorder::default();
-        let outcomes = run_samples_streamed(&cfg, 1, 21, &mut recorder);
+        let outcomes = run_sample_subset(&cfg, &[0], 21, &mut recorder);
         assert_eq!(outcomes.len(), 1);
 
         let metric_runs: Vec<usize> = recorder
@@ -944,7 +927,7 @@ mod tests {
         telemetry::reset_local();
         cfg.parallelism = 2;
         let mut sink = CollectSink::new();
-        let outcomes = run_samples_streamed(&cfg, 3, 5, &mut sink);
+        let outcomes = run_sample_subset(&cfg, &[0, 1, 2], 5, &mut sink);
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes
             .iter()

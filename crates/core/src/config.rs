@@ -57,11 +57,10 @@ impl McVerSiConfig {
         }
     }
 
-    /// Retargets the configuration at a consistency model, following the
-    /// same bias policy as [`crate::ScenarioSpec::testgen`]: relaxed targets
-    /// get the relaxed operation mix (dependency-carrying ops and weak fence
-    /// flavours with non-zero weight), strong targets the paper's Table 3
-    /// mix — unless the caller already customised the bias, which is never
+    /// Retargets the configuration at a consistency model: a default bias
+    /// becomes the model's ([`mcversi_testgen::OperationBias::for_model`],
+    /// the policy [`crate::ScenarioSpec::testgen`] follows too), while a
+    /// bias the caller customised — one equal to neither default — is never
     /// touched.
     ///
     /// This is *not* a sweep-cell builder (the deleted
@@ -71,10 +70,12 @@ impl McVerSiConfig {
     /// differential tests.
     pub fn retarget(mut self, model: ModelKind) -> Self {
         use mcversi_testgen::OperationBias;
-        if model.is_relaxed() && self.testgen.bias == OperationBias::paper_default() {
-            self.testgen.bias = OperationBias::relaxed_default();
-        } else if !model.is_relaxed() && self.testgen.bias == OperationBias::relaxed_default() {
-            self.testgen.bias = OperationBias::paper_default();
+        let defaults = [
+            OperationBias::paper_default(),
+            OperationBias::relaxed_default(),
+        ];
+        if defaults.contains(&self.testgen.bias) {
+            self.testgen.bias = OperationBias::for_model(model);
         }
         self.model = model;
         self

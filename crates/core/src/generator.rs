@@ -5,8 +5,9 @@
 //!   additionally mixes in the normalised NDT with equal weight (the paper's
 //!   modification, since this crossover cannot exploit fit addresses);
 //! * `McVerSi-RAND` — pseudo-random tests, no feedback;
-//! * `diy-litmus` — the x86-TSO litmus suite executed in a round-robin outer
-//!   loop, as in §5.2.2.
+//! * `diy-litmus` — the litmus corpus (the enumerated one unless the spec
+//!   picks the hand-picked one), ordered for the target model and executed
+//!   in a round-robin outer loop, as in §5.2.2.
 //!
 //! All four share the simulation-specific optimisations (host interface,
 //! checker, short tests); only test *generation* differs — exactly the
@@ -33,7 +34,7 @@ pub enum GeneratorKind {
     McVerSiStdXo,
     /// Pseudo-random test generation (no feedback).
     McVerSiRand,
-    /// The diy-generated x86-TSO litmus suite.
+    /// The diy-style litmus corpus, ordered for the target model.
     DiyLitmus,
 }
 
@@ -95,15 +96,10 @@ pub struct TestSource {
 }
 
 impl TestSource {
-    /// Creates a test source of the given kind, with the x86-TSO litmus suite
-    /// for the litmus baseline.
-    pub fn new(kind: GeneratorKind, params: TestGenParams, seed: u64) -> Self {
-        Self::for_model(kind, params, seed, ModelKind::Tso)
-    }
-
     /// Creates a test source tuned to a target model: the litmus baseline
-    /// uses the model's default suite (weak-model shapes with the appropriate
-    /// fence/dependency flavours when the model is relaxed).
+    /// orders its corpus for the model (see
+    /// [`litmus::suite_for_bounded`]; the hand-picked corpus adds the
+    /// model's fence/dependency flavours when the model is relaxed).
     pub fn for_model(
         kind: GeneratorKind,
         params: TestGenParams,
@@ -228,7 +224,8 @@ impl TestSource {
 mod tests {
     use super::*;
     use crate::runner::RunVerdict;
-    use mcversi_testgen::NdtAnalysis;
+    use mcversi_mcm::Address;
+    use mcversi_testgen::{EnumerationBounds, NdtAnalysis};
     use std::collections::BTreeSet;
 
     fn dummy_result(fitness: f64, ndt: f64) -> TestRunResult {
@@ -256,7 +253,7 @@ mod tests {
     fn every_source_produces_tests_of_the_right_shape() {
         let params = TestGenParams::small();
         for kind in GeneratorKind::ALL {
-            let mut source = TestSource::new(kind, params.clone(), 7);
+            let mut source = TestSource::for_model(kind, params.clone(), 7, ModelKind::Tso);
             for _ in 0..3 {
                 let (id, test, name) = source.next_test();
                 assert!(test.num_threads() <= params.num_threads.max(4));
@@ -286,8 +283,13 @@ mod tests {
     #[test]
     fn litmus_source_cycles_through_the_suite() {
         let params = TestGenParams::small();
-        let mut source = TestSource::new(GeneratorKind::DiyLitmus, params, 1);
-        let suite_len = mcversi_testgen::litmus::default_suite_for(ModelKind::Tso).len();
+        let mut source = TestSource::for_model(GeneratorKind::DiyLitmus, params, 1, ModelKind::Tso);
+        let suite_len = litmus::suite_for_bounded(
+            ModelKind::Tso,
+            &[Address(0x10_0000), Address(0x10_0040), Address(0x10_0080)],
+            &EnumerationBounds::default(),
+        )
+        .len();
         let mut names = Vec::new();
         for _ in 0..suite_len + 2 {
             let (_, _, name) = source.next_test();
@@ -303,7 +305,8 @@ mod tests {
         use mcversi_testgen::LitmusCorpus;
         let mut handpicked = TestGenParams::small();
         handpicked.litmus = LitmusCorpus::Handpicked;
-        let mut source = TestSource::new(GeneratorKind::DiyLitmus, handpicked, 1);
+        let mut source =
+            TestSource::for_model(GeneratorKind::DiyLitmus, handpicked, 1, ModelKind::Tso);
         let (_, _, name) = source.next_test();
         // The hand-picked x86 suite leads with the classic SB shape …
         assert_eq!(name.as_deref(), Some("SB"));
@@ -313,7 +316,7 @@ mod tests {
             max_threads: 2,
             max_edges: 4,
         };
-        let mut source = TestSource::new(GeneratorKind::DiyLitmus, toy, 1);
+        let mut source = TestSource::for_model(GeneratorKind::DiyLitmus, toy, 1, ModelKind::Tso);
         let (_, _, name) = source.next_test();
         // … while the enumerated suites lead with the coherence anchors.
         assert_eq!(name.as_deref(), Some("CoRR"));
@@ -323,7 +326,7 @@ mod tests {
     fn gp_sources_accept_feedback_and_keep_breeding() {
         let params = TestGenParams::small();
         for kind in [GeneratorKind::McVerSiAll, GeneratorKind::McVerSiStdXo] {
-            let mut source = TestSource::new(kind, params.clone(), 3);
+            let mut source = TestSource::for_model(kind, params.clone(), 3, ModelKind::Tso);
             for i in 0..params.population_size + 10 {
                 let (id, _test, _) = source.next_test();
                 source.feedback(

@@ -68,13 +68,8 @@ pub struct SimHost {
 }
 
 impl SimHost {
-    /// Creates a host around a freshly constructed system, verifying against
-    /// x86-TSO (the paper's target model).
-    pub fn new(cfg: mcversi_sim::SystemConfig, bugs: BugConfig, seed: u64) -> Self {
-        Self::with_model(cfg, bugs, seed, ModelKind::Tso)
-    }
-
-    /// Creates a host verifying executions against the given target model.
+    /// Creates a host around a freshly constructed system, verifying
+    /// executions against the given target model.
     pub fn with_model(
         cfg: mcversi_sim::SystemConfig,
         bugs: BugConfig,
@@ -189,7 +184,7 @@ mod tests {
     #[test]
     fn host_executes_staged_tests_and_verifies_them() {
         let cfg = McVerSiConfig::small();
-        let mut host = SimHost::new(cfg.system.clone(), BugConfig::none(), 3);
+        let mut host = SimHost::with_model(cfg.system.clone(), BugConfig::none(), 3, cfg.model);
         let params = TestGenParams::small().with_threads(cfg.system.num_cores);
         let test = RandomTestGenerator::new(params.clone()).generate(&mut StdRng::seed_from_u64(1));
         host.mark_test_mem_range(
@@ -232,7 +227,7 @@ mod tests {
         assert!(broken.validate().is_err());
 
         let cfg = McVerSiConfig::small();
-        let mut host = SimHost::new(cfg.system, BugConfig::none(), 3);
+        let mut host = SimHost::with_model(cfg.system, BugConfig::none(), 3, cfg.model);
         let malformed = || {
             telemetry::local_snapshot()
                 .counters
@@ -263,7 +258,7 @@ mod tests {
     #[should_panic(expected = "make_test_thread")]
     fn executing_without_staging_panics() {
         let cfg = McVerSiConfig::small();
-        let mut host = SimHost::new(cfg.system, BugConfig::none(), 3);
+        let mut host = SimHost::with_model(cfg.system, BugConfig::none(), 3, cfg.model);
         host.execute_test();
     }
 }

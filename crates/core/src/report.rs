@@ -289,7 +289,14 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Parses a campaign-event JSONL stream.
+    /// Parses and merges one or more campaign-event JSONL streams — e.g. one
+    /// journal per fabric worker — into one report.
+    ///
+    /// Every stream must carry the same schema version (in practice this
+    /// build's [`crate::sink::EVENT_SCHEMA_VERSION`]); a mix of versions is rejected with
+    /// the offending stream named, so a worker left behind by a format bump
+    /// cannot silently corrupt a merged report.  With more than one stream,
+    /// error messages are prefixed with the 1-based stream index.
     ///
     /// # Errors
     ///
@@ -299,20 +306,6 @@ impl MetricsReport {
     /// A stream without a header (pre-versioning producer) is accepted, and
     /// so is one whose writer was killed mid-line: its torn final fragment is
     /// dropped and every complete event counts.
-    pub fn from_jsonl(text: &str) -> Result<Self, MetricsReportError> {
-        let mut report = MetricsReport::default();
-        report.ingest(text, "")?;
-        Ok(report)
-    }
-
-    /// Parses and merges several campaign-event JSONL streams — e.g. one
-    /// journal per fabric worker — into one report.
-    ///
-    /// Every stream must carry the same schema version (in practice this
-    /// build's [`crate::sink::EVENT_SCHEMA_VERSION`]); a mix of versions is rejected with
-    /// the offending stream named, so a worker left behind by a format bump
-    /// cannot silently corrupt a merged report.  Error messages are prefixed
-    /// with the 1-based stream index.
     pub fn from_jsonl_streams(streams: &[&str]) -> Result<Self, MetricsReportError> {
         let mut report = MetricsReport::default();
         for (idx, text) in streams.iter().enumerate() {
@@ -326,7 +319,7 @@ impl MetricsReport {
         Ok(report)
     }
 
-    /// Folds one JSONL stream into the report (see [`Self::from_jsonl`]).
+    /// Folds one JSONL stream into the report (see [`Self::from_jsonl_streams`]).
     fn ingest(&mut self, text: &str, prefix: &str) -> Result<(), MetricsReportError> {
         let stream = read_stream(text).map_err(|e| MetricsReportError(format!("{prefix}{e}")))?;
         self.events += stream.events.len();
@@ -746,7 +739,7 @@ mod tests {
                 snapshot: snapshot(7),
             },
         ]);
-        let report = MetricsReport::from_jsonl(&text).expect("stream parses");
+        let report = MetricsReport::from_jsonl_streams(&[&text]).expect("stream parses");
         assert_eq!(report.events, 4);
         assert_eq!(report.samples(), 2);
         assert_eq!(report.completed, vec![(1, snapshot(10))]);
@@ -764,16 +757,16 @@ mod tests {
     #[test]
     fn metrics_report_rejects_future_schemas_and_bad_lines() {
         let future = jsonl(&[CampaignEvent::Schema { version: 99 }]);
-        let err = MetricsReport::from_jsonl(&future).unwrap_err();
+        let err = MetricsReport::from_jsonl_streams(&[&future]).unwrap_err();
         assert!(format!("{err}").contains("schema version 99"));
-        assert!(MetricsReport::from_jsonl("not json\n").is_err());
+        assert!(MetricsReport::from_jsonl_streams(&["not json\n"]).is_err());
         // A header-less stream (pre-versioning producer) still parses.
         let headerless = jsonl(&[CampaignEvent::Metrics {
             seed: 3,
             run: 1,
             snapshot: snapshot(1),
         }]);
-        let report = MetricsReport::from_jsonl(&headerless).expect("headerless parses");
+        let report = MetricsReport::from_jsonl_streams(&[&headerless]).expect("headerless parses");
         assert_eq!(report.samples(), 1);
     }
 
@@ -794,13 +787,13 @@ mod tests {
             },
         ]);
         text.push_str("\n{\"SampleResult\":{\"cell\":7,\"resu");
-        let report = MetricsReport::from_jsonl(&text).expect("a torn tail is dropped");
+        let report = MetricsReport::from_jsonl_streams(&[&text]).expect("a torn tail is dropped");
         assert_eq!(report.events, 2);
         assert_eq!(report.completed, vec![(0, snapshot(10))]);
         assert!(report.render().contains("sim.l1.mesi.hit"));
 
         text.push('\n');
-        let err = MetricsReport::from_jsonl(&text).unwrap_err();
+        let err = MetricsReport::from_jsonl_streams(&[&text]).unwrap_err();
         assert!(format!("{err}").starts_with("line 3: "), "{err}");
     }
 
@@ -818,7 +811,7 @@ mod tests {
             CampaignEvent::SampleDone { result: first },
             CampaignEvent::SampleDone { result: second },
         ]);
-        let report = MetricsReport::from_jsonl(&text).expect("stream parses");
+        let report = MetricsReport::from_jsonl_streams(&[&text]).expect("stream parses");
         assert_eq!(report.samples(), 2);
         assert_eq!(report.aggregate().counters["sim.l1.mesi.hit"], 7);
         assert_eq!(report.total_wall_ns(), 2_000_000_000);
@@ -838,7 +831,7 @@ mod tests {
              {{\"SampleDone\": {{\"result\": {result}}}}}\n\
              {{\"SampleResult\": {{\"cell\": 7, \"result\": {result}}}}}\n"
         );
-        let report = MetricsReport::from_jsonl(&text).expect("old results parse");
+        let report = MetricsReport::from_jsonl_streams(&[&text]).expect("old results parse");
         assert_eq!(report.events, 3);
         assert_eq!(report.total_wall_ns(), 2 * 938_666);
         let rendered = report.render();
@@ -869,7 +862,7 @@ mod tests {
         }
         sample.metrics = Some(metrics);
         let text = jsonl(&[CampaignEvent::SampleDone { result: sample }]);
-        let rendered = MetricsReport::from_jsonl(&text)
+        let rendered = MetricsReport::from_jsonl_streams(&[&text])
             .expect("stream parses")
             .render();
         assert!(
@@ -895,7 +888,7 @@ mod tests {
         }
         split.metrics = Some(metrics);
         let text = jsonl(&[CampaignEvent::SampleDone { result: split }]);
-        let rendered = MetricsReport::from_jsonl(&text)
+        let rendered = MetricsReport::from_jsonl_streams(&[&text])
             .expect("stream parses")
             .render();
         assert!(
@@ -906,7 +899,7 @@ mod tests {
         let mut plain = result(false, None);
         plain.metrics = Some(snapshot(1));
         let text = jsonl(&[CampaignEvent::SampleDone { result: plain }]);
-        let report = MetricsReport::from_jsonl(&text).expect("stream parses");
+        let report = MetricsReport::from_jsonl_streams(&[&text]).expect("stream parses");
         assert!(!report.render().contains("Component sleep"));
     }
 
@@ -920,7 +913,7 @@ mod tests {
             }
             sample.metrics = Some(metrics);
             let text = jsonl(&[CampaignEvent::SampleDone { result: sample }]);
-            MetricsReport::from_jsonl(&text)
+            MetricsReport::from_jsonl_streams(&[&text])
                 .expect("stream parses")
                 .render()
         };
@@ -964,7 +957,7 @@ mod tests {
             let mut sample = result(true, Some(3));
             sample.metrics = Some(metrics.clone());
             let text = jsonl(&[CampaignEvent::SampleDone { result: sample }]);
-            MetricsReport::from_jsonl(&text)
+            MetricsReport::from_jsonl_streams(&[&text])
                 .expect("stream parses")
                 .render()
         };
@@ -1003,7 +996,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_report_renders_a_hint() {
-        let report = MetricsReport::from_jsonl("").expect("empty stream parses");
+        let report = MetricsReport::from_jsonl_streams(&[""]).expect("empty stream parses");
         assert!(report.is_empty());
         assert!(report.render().contains("\"metrics\" key"));
     }
@@ -1075,8 +1068,8 @@ mod tests {
             cell: 42,
             result: done,
         }]);
-        let a = MetricsReport::from_jsonl(&plain).unwrap();
-        let b = MetricsReport::from_jsonl(&attributed).unwrap();
+        let a = MetricsReport::from_jsonl_streams(&[&plain]).unwrap();
+        let b = MetricsReport::from_jsonl_streams(&[&attributed]).unwrap();
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.total_wall_ns(), b.total_wall_ns());
     }
@@ -1107,7 +1100,7 @@ mod tests {
                 resume_skipped: 3,
             },
         ]);
-        let report = MetricsReport::from_jsonl(&text).expect("stream parses");
+        let report = MetricsReport::from_jsonl_streams(&[&text]).expect("stream parses");
         assert_eq!(
             report.fabric,
             FabricTotals {
@@ -1129,7 +1122,7 @@ mod tests {
             "fabric summary rendered: {rendered}"
         );
         // A stream with no fabric records renders no fabric line.
-        let plain = MetricsReport::from_jsonl("").unwrap();
+        let plain = MetricsReport::from_jsonl_streams(&[""]).unwrap();
         assert!(plain.fabric.is_empty());
         assert!(!plain.render().contains("Distributed fabric"));
     }

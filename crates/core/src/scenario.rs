@@ -258,9 +258,8 @@ impl ScenarioSpec {
 
     /// Derives the test-generation parameters for this cell.
     ///
-    /// The operation bias follows the target model: relaxed targets get the
-    /// dependency-carrying mix ([`OperationBias::relaxed_default`]), strong
-    /// targets the paper's Table 3 mix.
+    /// The operation bias follows the target model
+    /// ([`OperationBias::for_model`]).
     pub fn testgen(&self) -> TestGenParams {
         let mut params = if self.full {
             TestGenParams::paper_default(self.test_memory_bytes)
@@ -273,11 +272,7 @@ impl ScenarioSpec {
         params.num_threads = self.cores;
         params.test_size = self.test_size;
         params.iterations = self.iterations;
-        params.bias = if self.model.is_relaxed() {
-            OperationBias::relaxed_default()
-        } else {
-            OperationBias::paper_default()
-        };
+        params.bias = OperationBias::for_model(self.model);
         params.litmus = self.litmus_corpus();
         params
     }
@@ -311,7 +306,8 @@ impl ScenarioSpec {
     /// returns the results in seed order.
     pub fn run(&self, sink: &mut dyn crate::sink::CampaignSink) -> Vec<crate::CampaignResult> {
         let config = self.campaign();
-        crate::campaign::run_samples_streamed(&config, self.samples, self.base_seed, sink)
+        let indices: Vec<usize> = (0..self.samples).collect();
+        crate::campaign::run_sample_subset(&config, &indices, self.base_seed, sink)
             .into_iter()
             .map(|outcome| outcome.into_result(&config))
             .collect()
@@ -1037,6 +1033,17 @@ mod tests {
         // Retargeting at a strong model restores the Table 3 mix.
         let strong = spec.model(ModelKind::Tso).mcversi();
         assert_eq!(strong.testgen.bias, OperationBias::paper_default());
+    }
+
+    /// The spec, `retarget` and `OperationBias::for_model` share one
+    /// model-to-bias policy.
+    #[test]
+    fn every_model_gets_the_same_default_bias_on_every_path() {
+        for model in ModelKind::ALL {
+            let bias = OperationBias::for_model(model);
+            assert_eq!(ScenarioSpec::small().model(model).testgen().bias, bias);
+            assert_eq!(McVerSiConfig::small().retarget(model).testgen.bias, bias);
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Streaming campaign reporting: [`CampaignSink`] and its implementations.
 //!
-//! Long campaigns used to be observable only through the final result vector
-//! of `run_samples`; a sink receives events *as they happen* — workers push
-//! them through a bounded channel and the calling thread dispatches them in
-//! arrival order (per-sample order is preserved; events of concurrent samples
-//! interleave).  The bounded channel applies backpressure: a slow sink slows
-//! the workers down rather than buffering without limit.
+//! A sample batch ([`crate::campaign::run_sample_subset`]) reports to a
+//! sink, which receives events *as they happen* — workers push them through
+//! a bounded channel and the calling thread dispatches them in arrival order
+//! (per-sample order is preserved; events of concurrent samples interleave).
+//! The bounded channel applies backpressure: a slow sink slows the workers
+//! down rather than buffering without limit.
 //!
-//! * [`CollectSink`] — gathers completed results (the old behaviour);
+//! * [`CollectSink`] — gathers completed results;
 //! * [`ProgressSink`] — live progress lines on stderr (or any writer);
 //! * [`JsonlSink`] — one JSON line per event: the machine-readable stream,
 //!   and (opened with [`JsonlSink::append`]) the fabric's resumable journal;
@@ -209,7 +209,7 @@ pub fn read_stream(text: &str) -> Result<EventStream, String> {
 ///
 /// All methods default to no-ops, so implementations override only what they
 /// observe.  Methods take `&mut self` and are invoked from the thread that
-/// called `run_samples_streamed` — sinks need `Send` only because campaign
+/// called `run_sample_subset` — sinks need `Send` only because campaign
 /// configs may cross threads, not for concurrent dispatch.
 pub trait CampaignSink: Send {
     /// A sample is about to run.
@@ -306,8 +306,7 @@ pub struct NullSink;
 
 impl CampaignSink for NullSink {}
 
-/// Collects completed sample results, in arrival order (the old
-/// `run_samples` behaviour expressed as a sink).
+/// Collects completed sample results, in arrival order.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     results: Vec<CampaignResult>,

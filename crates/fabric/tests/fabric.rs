@@ -92,7 +92,7 @@ fn grid_fingerprint(cells: &[(ScenarioSpec, Vec<CampaignResult>)]) -> GridFinger
 }
 
 /// The in-process ground truth: each cell run straight through
-/// `run_samples_streamed`, no processes, no journal.
+/// `ScenarioSpec::run`, no processes, no journal.
 fn in_process_baseline(cells: &[ScenarioSpec]) -> GridFingerprint {
     cells
         .iter()

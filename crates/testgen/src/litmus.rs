@@ -12,10 +12,8 @@
 //!   `"litmus": "Handpicked"` corpus ([`handpicked_suite_for`]);
 //! * the **auto-enumerated corpus** ([`crate::enumerate`]) — critical cycles
 //!   walked mechanically over the relaxation-edge vocabulary.  The default
-//!   campaign suites ([`suite_for`], [`weak_suite_flavoured`]) are thin
-//!   filters over it: `suite_for` orders the whole corpus with the
-//!   target model's forbidden cycles first, `weak_suite_flavoured` selects
-//!   the classic flavoured names from it.
+//!   campaign suite ([`suite_for_bounded`]) is a thin filter over it that
+//!   orders the whole corpus with the target model's forbidden cycles first.
 //!
 //! Unlike diy's self-checking tests (which encode one forbidden outcome), the
 //! McVerSi checker validates every observed execution against the full
@@ -70,7 +68,7 @@ enum A {
 impl A {
     /// The dependent-write shorthand for a dependency flavour (`Data` and
     /// `Ctrl` are write-borne; `Addr` has no write form and is rejected by
-    /// [`weak_suite_flavoured`] before this is reached).
+    /// [`handwritten_weak_suite_flavoured`] before this is reached).
     fn dep_write(dep: DepKind, loc: usize) -> A {
         match dep {
             DepKind::Data => A::Wd(loc),
@@ -302,17 +300,16 @@ fn short(a: A) -> String {
 }
 
 /// The classic weak-model litmus shapes (`MP`, `LB`, `SB`, `WRC`, `IRIW`,
-/// `S`), parameterized by the fence flavour used at the "strong" sites and
-/// the dependency flavour carried by the dependent writes — selected by
-/// canonical name from the enumerated corpus (a thin filter over
-/// [`crate::enumerate::enumerate`]).
+/// `S`), spelled out access by access and parameterized by the fence flavour
+/// used at the "strong" sites and the dependency flavour carried by the
+/// dependent writes.  The corpus conformance tests assert the enumerator
+/// regenerates all seventeen of them (matched by canonical name, with
+/// identical thread structure).
 ///
 /// Dependent *reads* always use address dependencies (the only read-borne
 /// flavour); `write_dep` selects between data and control dependencies for
 /// the dependent writes (`LB+deps`, `WRC`, `S`).  Names follow the herd
 /// convention, with the fence's display name inline (e.g. `MP+lwsync+addr`).
-/// [`handwritten_weak_suite_flavoured`] builds the same seventeen shapes by
-/// hand and is pinned equal by the corpus conformance tests.
 ///
 /// # Panics
 ///
@@ -321,75 +318,6 @@ fn short(a: A) -> String {
 /// only as checker-level event kinds), or if `write_dep` is
 /// [`DepKind::Addr`] (address dependencies are read-borne; pick `Data` or
 /// `Ctrl` for the dependent writes).
-pub fn weak_suite_flavoured(
-    locations: &[Address],
-    fence: FenceKind,
-    write_dep: DepKind,
-) -> Vec<LitmusTest> {
-    assert!(
-        locations.len() >= 3,
-        "litmus suite needs at least 3 locations"
-    );
-    assert!(
-        OpKind::for_fence(fence).is_some(),
-        "fence flavour {fence} has no test-operation form"
-    );
-    assert!(
-        write_dep != DepKind::Addr,
-        "write-borne dependencies are data or ctrl"
-    );
-    let f = fence.to_string();
-    let d = write_dep.to_string();
-    let names = [
-        "MP".to_string(),
-        "MP+addr".to_string(),
-        format!("MP+{f}+addr"),
-        format!("MP+{f}s"),
-        "LB".to_string(),
-        format!("LB+{d}s"),
-        format!("LB+{f}s"),
-        "SB".to_string(),
-        format!("SB+{f}s"),
-        "WRC".to_string(),
-        format!("WRC+{d}+addr"),
-        format!("WRC+{f}+addr"),
-        "IRIW".to_string(),
-        "IRIW+addrs".to_string(),
-        format!("IRIW+{f}s"),
-        "S".to_string(),
-        format!("S+{f}+{d}"),
-    ];
-    select_by_name(&names, locations)
-}
-
-/// Selects tests from the default-bound enumerated corpus by canonical name.
-///
-/// # Panics
-///
-/// Panics when a requested name is not in the corpus — a filter asking for a
-/// shape the enumerator cannot produce is a bug, not a fallback case.
-fn select_by_name(names: &[String], locations: &[Address]) -> Vec<LitmusTest> {
-    let corpus = enumerate::enumerate(&EnumerationBounds::default());
-    names
-        .iter()
-        .map(|name| {
-            corpus
-                .iter()
-                .find(|t| &t.name == name)
-                .unwrap_or_else(|| panic!("enumerated corpus lacks shape {name}"))
-                .litmus(locations)
-        })
-        .collect()
-}
-
-/// The hand-written golden reference of [`weak_suite_flavoured`]: the same
-/// seventeen flavoured shapes, spelled out access by access.  The corpus
-/// conformance tests assert the enumerator regenerates every one of them
-/// (matched by canonical name, with identical thread structure).
-///
-/// # Panics
-///
-/// Same contract as [`weak_suite_flavoured`].
 pub fn handwritten_weak_suite_flavoured(
     locations: &[Address],
     fence: FenceKind,
@@ -599,19 +527,6 @@ pub fn coherence_suite(locations: &[Address]) -> Vec<LitmusTest> {
     ]
 }
 
-/// The litmus corpus for a target model over the given locations: the
-/// coherence anchors followed by the *entire enumerated corpus* at the
-/// default bound, with the cycles whose weak outcome the model **forbids**
-/// first (see [`suite_for_bounded`]).
-///
-/// A campaign's test-run budget may be far smaller than the corpus, and the
-/// forbidden cycles are the discriminating ones — the shapes a bug in the
-/// model's ordering machinery hides behind — so the diy round-robin reaches
-/// them before the architecturally-allowed remainder.
-pub fn suite_for(model: ModelKind, locations: &[Address]) -> Vec<LitmusTest> {
-    suite_for_bounded(model, locations, &EnumerationBounds::default())
-}
-
 /// [`suite_for_bounded`] behind a shared per-(model, bounds, locations)
 /// cache: campaign samples re-create their litmus test sources with
 /// identical parameters, and lowering the whole corpus (~2000 tests at the
@@ -636,8 +551,16 @@ pub fn shared_suite_for_bounded(
     suite
 }
 
-/// [`suite_for`] over an explicit enumeration bound (a spec's
-/// `"litmus": {"Enumerated": …}`).
+/// The litmus corpus for a target model over the given locations: the
+/// coherence anchors followed by the *entire enumerated corpus* at `bounds`
+/// (a spec's `"litmus": {"Enumerated": …}`; the default bound is the
+/// default corpus), with the cycles whose weak outcome the model
+/// **forbids** first.
+///
+/// A campaign's test-run budget may be far smaller than the corpus, and the
+/// forbidden cycles are the discriminating ones — the shapes a bug in the
+/// model's ordering machinery hides behind — so the diy round-robin reaches
+/// them before the architecturally-allowed remainder.
 ///
 /// Ordering is deterministic: coherence anchors, then the model-forbidden
 /// cycles, then the allowed ones; within each group the corpus order (thread
@@ -683,14 +606,6 @@ pub fn handpicked_suite_for(model: ModelKind, locations: &[Address]) -> Vec<Litm
     }
     suite.extend(x86_tso_suite(locations));
     dedup_by_name(suite)
-}
-
-/// [`suite_for`] over the three default line-separated addresses.
-pub fn default_suite_for(model: ModelKind) -> Vec<LitmusTest> {
-    suite_for(
-        model,
-        &[Address(0x10_0000), Address(0x10_0040), Address(0x10_0080)],
-    )
 }
 
 /// Removes tests whose name already appeared earlier in the list.
@@ -821,8 +736,7 @@ mod tests {
 
     #[test]
     fn dependent_variants_carry_dependency_ops() {
-        let locs = [Address(0x1000), Address(0x2000), Address(0x3000)];
-        let suite = weak_suite_flavoured(&locs, FenceKind::LightweightSync, DepKind::Data);
+        let suite = default_bound_suite(ModelKind::Powerish);
         let mp_dep = suite.iter().find(|t| t.name == "MP+addr").unwrap();
         assert!(mp_dep
             .test
@@ -845,8 +759,7 @@ mod tests {
             .genes()
             .iter()
             .any(|g| g.op.kind == OpKind::FenceLw));
-        let ctrl = weak_suite_flavoured(&locs, FenceKind::Full, DepKind::Ctrl);
-        let lb_ctrl = ctrl.iter().find(|t| t.name == "LB+ctrls").unwrap();
+        let lb_ctrl = suite.iter().find(|t| t.name == "LB+ctrls").unwrap();
         assert!(lb_ctrl
             .test
             .genes()
@@ -858,14 +771,14 @@ mod tests {
     #[should_panic(expected = "no test-operation form")]
     fn weak_suite_rejects_event_only_fence_flavours() {
         let locs = [Address(0x1000), Address(0x2000), Address(0x3000)];
-        weak_suite_flavoured(&locs, FenceKind::StoreStore, DepKind::Data);
+        handwritten_weak_suite_flavoured(&locs, FenceKind::StoreStore, DepKind::Data);
     }
 
     #[test]
     #[should_panic(expected = "data or ctrl")]
     fn weak_suite_rejects_addr_write_deps() {
         let locs = [Address(0x1000), Address(0x2000), Address(0x3000)];
-        weak_suite_flavoured(&locs, FenceKind::Full, DepKind::Addr);
+        handwritten_weak_suite_flavoured(&locs, FenceKind::Full, DepKind::Addr);
     }
 
     #[test]
@@ -873,7 +786,7 @@ mod tests {
         use crate::enumerate::{enumerate, EnumerationBounds};
         let corpus_len = enumerate(&EnumerationBounds::default()).len();
         for model in ModelKind::ALL {
-            let suite = default_suite_for(model);
+            let suite = default_bound_suite(model);
             // Coherence anchors plus the whole enumerated corpus.
             assert_eq!(suite.len(), corpus_len + 4, "{model} suite size");
             let mut names: Vec<&str> = suite.iter().map(|t| t.name.as_str()).collect();
@@ -888,7 +801,7 @@ mod tests {
         // campaign exercise that model's critical cycles (`LB+datas`-style
         // shapes sit inside any realistic test-run budget), while the plain
         // TSO-only shapes front the TSO suite.
-        let armish = default_suite_for(ModelKind::Armish);
+        let armish = default_bound_suite(ModelKind::Armish);
         let pos = |suite: &[LitmusTest], name: &str| {
             suite
                 .iter()
@@ -904,17 +817,17 @@ mod tests {
             pos(&armish, "LB+datas") < pos(&armish, "MP"),
             "allowed MP sorts later"
         );
-        let tso = default_suite_for(ModelKind::Tso);
+        let tso = default_bound_suite(ModelKind::Tso);
         assert!(pos(&tso, "MP") < 10, "plain MP fronts the TSO suite");
         assert!(
             pos(&tso, "SB") > pos(&tso, "MP"),
             "TSO-allowed SB sorts later"
         );
         // The Power and ARM flavours stay reachable.
-        assert!(default_suite_for(ModelKind::Powerish)
+        assert!(default_bound_suite(ModelKind::Powerish)
             .iter()
             .any(|t| t.name == "SB+lwsyncs"));
-        assert!(default_suite_for(ModelKind::Armish)
+        assert!(default_bound_suite(ModelKind::Armish)
             .iter()
             .any(|t| t.name == "MP+rel+addr"));
     }
@@ -940,25 +853,9 @@ mod tests {
         [Address(0x1000), Address(0x2000), Address(0x3000)]
     }
 
-    #[test]
-    fn enumerated_and_handwritten_flavoured_suites_agree_by_name() {
-        let locs = locs3();
-        for (fence, dep) in [
-            (FenceKind::Full, DepKind::Data),
-            (FenceKind::LightweightSync, DepKind::Data),
-            (FenceKind::Release, DepKind::Ctrl),
-        ] {
-            let enumerated = weak_suite_flavoured(&locs, fence, dep);
-            let handwritten = handwritten_weak_suite_flavoured(&locs, fence, dep);
-            let names = |suite: &[LitmusTest]| -> Vec<String> {
-                suite.iter().map(|t| t.name.clone()).collect()
-            };
-            assert_eq!(
-                names(&enumerated),
-                names(&handwritten),
-                "{fence}/{dep} flavour"
-            );
-        }
+    /// A model's campaign suite over the default enumeration bound.
+    fn default_bound_suite(model: ModelKind) -> Vec<LitmusTest> {
+        suite_for_bounded(model, &locs3(), &EnumerationBounds::default())
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::enumerate::LitmusCorpus;
 use crate::ops::OpKind;
+use mcversi_mcm::ModelKind;
 use serde::{Deserialize, Serialize};
 
 /// Selection bias (in percent-like weights) over the operation kinds.
@@ -74,6 +75,17 @@ impl OperationBias {
             fence_acquire: 2,
             fence_release: 2,
             fence_lw: 4,
+        }
+    }
+
+    /// The default bias for a campaign targeting `model`: the relaxed mix
+    /// ([`Self::relaxed_default`]) for models weaker than TSO, the paper's
+    /// Table 3 mix ([`Self::paper_default`]) for the strong ones.
+    pub fn for_model(model: ModelKind) -> Self {
+        if model.is_relaxed() {
+            OperationBias::relaxed_default()
+        } else {
+            OperationBias::paper_default()
         }
     }
 

@@ -19,7 +19,7 @@ use mcversi_mcm::{Address, DepKind, FenceKind, ModelKind};
 use mcversi_testgen::litmus::{
     self, acquire_suite, handwritten_weak_suite_flavoured, x86_tso_suite, LitmusTest,
 };
-use mcversi_testgen::{OpKind, Test};
+use mcversi_testgen::{EnumerationBounds, OpKind, Test};
 use std::collections::BTreeMap;
 
 fn locations() -> [Address; 3] {
@@ -62,10 +62,11 @@ fn enumerator_regenerates_every_handwritten_shape() {
     let locs = locations();
     // The enumerated suite of any model carries the whole corpus (plus the
     // coherence anchors); ordering differs per model, names do not.
-    let enumerated: BTreeMap<String, LitmusTest> = litmus::suite_for(ModelKind::Tso, &locs)
-        .into_iter()
-        .map(|t| (t.name.clone(), t))
-        .collect();
+    let enumerated: BTreeMap<String, LitmusTest> =
+        litmus::suite_for_bounded(ModelKind::Tso, &locs, &EnumerationBounds::default())
+            .into_iter()
+            .map(|t| (t.name.clone(), t))
+            .collect();
 
     let mut covered = 0usize;
     for hand in golden_reference() {

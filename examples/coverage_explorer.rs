@@ -15,8 +15,9 @@ use mcversi::sim::BugConfig;
 fn main() {
     let config = McVerSiConfig::small().with_iterations(3).with_test_size(64);
     let params = config.testgen.clone().with_test_size(64);
+    let model = config.model;
     let mut runner = TestRunner::new(config, BugConfig::none());
-    let mut source = TestSource::new(GeneratorKind::McVerSiAll, params, 99);
+    let mut source = TestSource::for_model(GeneratorKind::McVerSiAll, params, 99, model);
 
     println!("run   coverage   distinct   mean-NDT   run-fitness");
     let total_runs = 60;

@@ -5,7 +5,8 @@
 //! of the framework would.
 
 use mcversi::core::{
-    run_campaign, run_samples, CampaignConfig, GeneratorKind, McVerSiConfig, TestRunner,
+    run_campaign, run_sample_subset, CampaignConfig, GeneratorKind, McVerSiConfig, NullSink,
+    TestRunner,
 };
 use mcversi::sim::{Bug, BugConfig, ProtocolKind};
 use std::time::Duration;
@@ -76,8 +77,14 @@ fn tsocc_bugs_run_on_the_tsocc_protocol() {
 #[test]
 fn parallel_samples_are_reproducible_per_seed() {
     let cfg = quick_campaign(GeneratorKind::McVerSiRand, Some(Bug::LqNoTso), 30);
-    let a = run_samples(&cfg, 2, 100);
-    let b = run_samples(&cfg, 2, 100);
+    let batch = || -> Vec<_> {
+        run_sample_subset(&cfg, &[0, 1], 100, &mut NullSink)
+            .into_iter()
+            .map(|outcome| outcome.into_result(&cfg))
+            .collect()
+    };
+    let a = batch();
+    let b = batch();
     assert_eq!(a.len(), 2);
     // Same seeds => same outcome and same discovery point.
     for (ra, rb) in a.iter().zip(&b) {
@@ -95,8 +102,9 @@ fn gp_runner_improves_population_ndt_with_small_memory() {
     use mcversi::core::TestSource;
     let config = McVerSiConfig::small().with_iterations(3).with_test_size(48);
     let params = config.testgen.clone();
+    let model = config.model;
     let mut runner = TestRunner::new(config, BugConfig::none());
-    let mut source = TestSource::new(GeneratorKind::McVerSiAll, params, 13);
+    let mut source = TestSource::for_model(GeneratorKind::McVerSiAll, params, 13, model);
     let mut last_ndt = 0.0;
     for _ in 0..40 {
         let (id, test, _) = source.next_test();
