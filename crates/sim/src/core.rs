@@ -473,40 +473,35 @@ impl CoreModel {
         }
     }
 
-    /// The newest program-order-earlier store value for `addr`, searching the
-    /// window first (youngest first), then the store buffer and the in-flight
-    /// drain (newest program-order match wins).
+    /// The newest program-order-earlier store value for `addr` among the
+    /// writes that have not left the core: the window's stores (youngest
+    /// first), then the undrained store buffer.
     ///
-    /// Every committed-store lookup is bounded by the load's program-order
-    /// index: the relaxed core commits stores into the buffer past incomplete
-    /// older loads, so the buffer may hold stores *younger* than the load,
-    /// which must not be forwarded.  (Under the strong core's in-order commit
-    /// the bound is vacuous.)
+    /// A write that has reached the L1 (the in-flight drain, or an RMW that
+    /// performed and has not retired) is not forwarded: the L1 may lose the
+    /// line in the very cycle it performs the write, and its notice can then
+    /// reach the core before the forwarding load performs, which no squash
+    /// repairs.  A load behind such a write goes to the L1, where the
+    /// request queue and the MSHR order it after the write.
+    ///
+    /// The store-buffer lookup is bounded by the load's program-order index:
+    /// the relaxed core commits stores into the buffer past incomplete older
+    /// loads, so the buffer may hold stores *younger* than the load, which
+    /// must not be forwarded.  (Under the strong core's in-order commit the
+    /// bound is vacuous.)
     fn forwarded_value(&self, addr: Address, before_idx: usize) -> Option<u64> {
-        for op in self.window.iter().rev() {
-            if op.idx >= before_idx {
-                continue;
-            }
-            if op.op.addr == addr {
-                if let Some(value) = op.op.kind.written_value() {
-                    return Some(value);
-                }
-            }
+        let newest_write = self.window.iter().rev().find(|op| {
+            op.idx < before_idx && op.op.addr == addr && op.op.kind.written_value().is_some()
+        });
+        match newest_write.map(|op| op.op.kind) {
+            // A load never issues past an RMW that has not performed.
+            Some(TestOpKind::ReadModifyWrite { .. }) => None,
+            Some(store) => store.written_value(),
+            None => self
+                .store_buffer
+                .forward_entry_before(addr, before_idx as u32)
+                .map(|entry| entry.value),
         }
-        let poi = before_idx as u32;
-        let mut best: Option<(u32, u64)> = self
-            .store_buffer
-            .forward_entry_before(addr, poi)
-            .map(|e| (e.poi, e.value));
-        if let Some((_, entry)) = &self.outstanding_store {
-            if entry.addr == addr
-                && entry.poi < poi
-                && best.is_none_or(|(best_poi, _)| entry.poi > best_poi)
-            {
-                best = Some((entry.poi, entry.value));
-            }
-        }
-        best.map(|(_, value)| value)
     }
 
     // ---- 4. Issue ----
@@ -1089,6 +1084,66 @@ mod tests {
             }
         )));
         assert!(core.is_finished());
+    }
+
+    /// Whether `out` asks the L1 for a load of `addr`.
+    fn loads(out: &CoreTickOutput, addr: Address) -> bool {
+        let mut requests = out.requests.iter();
+        requests.any(|r| r.addr == addr && r.kind == CoreReqKind::Load)
+    }
+
+    #[test]
+    fn a_load_behind_an_unacknowledged_store_goes_to_the_l1() {
+        // R z; W x; Rdep x on the relaxed core: the store commits past the
+        // load of z and drains at once, while the dependent load of x waits
+        // for z.  When z performs, the store has reached the L1 (which may
+        // already have lost the line again), so the load asks the L1 too.
+        let (x, z) = (Address(0x100), Address(0x200));
+        let program = vec![
+            TestOp::read(z),
+            TestOp::write(x, 7),
+            TestOp::read_addr_dp(x),
+        ];
+        let mut core = CoreModel::new(program, &cfg_relaxed());
+        let (bugs, mut rng) = (BugConfig::none(), rng());
+        let out = core.tick(1, &bugs, &[], &[], &mut rng);
+        assert!(loads(&out, z) && !loads(&out, x));
+        assert!(out
+            .requests
+            .iter()
+            .any(|r| r.kind == CoreReqKind::Store { value: 7 }));
+        let z_done = CoreResponse {
+            tag: out.requests[0].tag,
+            kind: CoreRespKind::LoadDone { value: 0 },
+        };
+        let out = core.tick(2, &bugs, &[z_done], &[], &mut rng);
+        assert!(loads(&out, x), "forwarded from a store that left the core");
+        assert!(!core.is_finished());
+    }
+
+    #[test]
+    fn a_load_behind_a_performed_rmw_goes_to_the_l1() {
+        // RMW x; R x on the strong core: the load waits for the atomic, and
+        // the cycle the atomic performs it is still in the window, unretired.
+        let x = Address(0x100);
+        let program = vec![TestOp::rmw(x, 7), TestOp::read(x)];
+        let mut core = CoreModel::new(program, &cfg());
+        let (bugs, mut rng) = (BugConfig::none(), rng());
+        let out = core.tick(1, &bugs, &[], &[], &mut rng);
+        assert_eq!(out.requests.len(), 1, "only the atomic issues");
+        let rmw_done = CoreResponse {
+            tag: out.requests[0].tag,
+            kind: CoreRespKind::RmwDone { read_value: 0 },
+        };
+        let out = core.tick(2, &bugs, &[rmw_done], &[], &mut rng);
+        assert!(
+            loads(&out, x),
+            "forwarded from an atomic that performed in the L1"
+        );
+        assert!(out
+            .observed
+            .iter()
+            .all(|o| !matches!(o, ObservedOp::Load { .. })));
     }
 
     #[test]

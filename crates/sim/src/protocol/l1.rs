@@ -457,8 +457,12 @@ impl<P: L1Protocol> L1<P> {
         if !self.make_room(out, ctx, line) {
             // The victim has an outstanding transaction; extremely rare.  Fall
             // back to not caching the data (it has already served its pending
-            // operations), which is always safe: we notify the LQ as the line
-            // is immediately "lost".
+            // operations): the LQ is notified as the line is immediately
+            // "lost", and an exclusive grant is written back (clean) first, so
+            // the directory does not keep an owner that holds nothing.
+            if state == L1State::Exclusive {
+                self.write_back(out, ctx, line, data, false, ts);
+            }
             out.lq_notices.push(line);
         } else {
             let meta = P::Meta::installed(ts, ctx.cfg);

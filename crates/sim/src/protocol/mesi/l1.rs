@@ -313,7 +313,7 @@ impl L1Protocol for Mesi {
                 };
                 l1.fill(out, ctx, line, data.clone(), None, state);
             }
-            (MsgPayload::DataS { data, .. } | MsgPayload::DataE { data, .. }, Transient::IsI) => {
+            (MsgPayload::DataS { data, .. }, Transient::IsI) => {
                 ctx.coverage.record(Transition::l1("IS_I", event));
                 // Use the data once for the pending loads, do not install, and
                 // (in the correct design) tell the load queue about the sunk
@@ -322,6 +322,15 @@ impl L1Protocol for Mesi {
                 l1.serve(ctx, mshr.pending, &mut data.clone(), &mut None);
                 notify_lq(out, ctx, line, Bug::MesiLqIsInv);
                 l1.replay_deferred(out, ctx, mshr.deferred);
+            }
+            (MsgPayload::DataE { data, .. }, Transient::IsI) => {
+                ctx.coverage.record(Transition::l1("IS_I", event));
+                // The sunk invalidation was for a stale sharer entry: an
+                // exclusive grant makes this L1 the directory's owner, so the
+                // line must be installed for the forwards that follow.  The
+                // load queue still hears of the invalidation.
+                notify_lq(out, ctx, line, Bug::MesiLqIsInv);
+                l1.fill(out, ctx, line, data.clone(), None, L1State::Exclusive);
             }
             (MsgPayload::DataX { data, .. }, Transient::IM | Transient::SM) => {
                 ctx.coverage.record(Transition::l1(tstate.name(), "DataX"));
@@ -540,6 +549,102 @@ mod tests {
             );
             assert!(h.errors.is_empty());
         }
+    }
+
+    #[test]
+    fn an_exclusive_grant_after_a_sunk_invalidation_is_installed() {
+        // IS -> Inv -> IS_I -> DataE: the Inv was for a stale sharer entry,
+        // and the directory now records this L1 as the owner, so the forward
+        // that follows must find the line.
+        let line = LineAddr(0x1000);
+        let (mut l1, mut h) = l1_with_harness(BugConfig::none());
+        l1.push_core_request(CoreRequest {
+            tag: 1,
+            addr: Address(0x1000),
+            kind: CoreReqKind::Load,
+        });
+        let l2 = h.tick(&mut l1).to_network[0].dst;
+        l1.push_msg(Msg::new(l2, NodeId(0), MsgPayload::Inv { line }));
+        h.tick(&mut l1);
+        let data_e = MsgPayload::DataE {
+            line,
+            data: data_with(0, 11),
+            ts: None,
+        };
+        l1.push_msg(Msg::new(l2, NodeId(0), data_e));
+        let out = h.tick(&mut l1);
+        assert_eq!(
+            out.lq_notices,
+            vec![line],
+            "the sunk Inv still reaches the LQ"
+        );
+        let resp = h.tick_until(&mut l1, 20, |o| o.responses.first().copied());
+        assert_eq!(resp.kind, CoreRespKind::LoadDone { value: 11 });
+        assert_eq!(l1.resident_lines(), 1, "the exclusive grant is installed");
+
+        l1.push_msg(Msg::new(l2, NodeId(0), MsgPayload::FwdGetS { line }));
+        let out = h.tick(&mut l1);
+        assert!(h.errors.is_empty(), "{:?}", h.errors);
+        assert!(out.to_network.iter().any(|m| m.dst == l2
+            && matches!(m.payload, MsgPayload::WbData { data: ref d, dirty: false, .. } if d.word(0) == 11)));
+        assert!(h.coverage.count(Transition::l1("E", "FwdGetS")) > 0);
+    }
+
+    #[test]
+    fn an_exclusive_fill_that_finds_no_room_is_written_back_clean() {
+        // Four lines of one set (2 ways).  A and B fill it; C's miss evicts
+        // A; D takes the free way; B starts an upgrade (SM), which pins it
+        // as the LRU victim.  C's exclusive data then finds no evictable way:
+        // the line is not cached, and the grant goes back to the directory.
+        let [a, b, c, d] = [0x1000u64, 0x1400, 0x1800, 0x1c00].map(Address);
+        let (mut l1, mut h) = l1_with_harness(BugConfig::none());
+        let mut tag = 0;
+        let mut request = |l1: &mut MesiL1, h: &mut Harness, addr: Address, kind| {
+            tag += 1;
+            l1.push_core_request(CoreRequest { tag, addr, kind });
+            h.tick(l1).to_network.first().map(|m| m.dst)
+        };
+        let data_s = |addr: Address| MsgPayload::DataS {
+            line: LineAddr(addr.0),
+            data: data_with(0, 1),
+            ts: None,
+        };
+        for addr in [a, b] {
+            let home = request(&mut l1, &mut h, addr, CoreReqKind::Load).expect("GetS");
+            l1.push_msg(Msg::new(home, NodeId(0), data_s(addr)));
+            h.tick_until(&mut l1, 20, |o| o.responses.first().copied());
+        }
+        let c_home = request(&mut l1, &mut h, c, CoreReqKind::Load).expect("GetS");
+        let d_home = request(&mut l1, &mut h, d, CoreReqKind::Load).expect("GetS");
+        l1.push_msg(Msg::new(d_home, NodeId(0), data_s(d)));
+        h.tick_until(&mut l1, 20, |o| o.responses.first().copied());
+        request(&mut l1, &mut h, b, CoreReqKind::Store { value: 5 }).expect("GetX");
+
+        let line = LineAddr(c.0);
+        let data_e = MsgPayload::DataE {
+            line,
+            data: data_with(0, 7),
+            ts: None,
+        };
+        l1.push_msg(Msg::new(c_home, NodeId(0), data_e));
+        let out = h.tick(&mut l1);
+        assert!(
+            out.to_network.iter().any(|m| m.dst == c_home
+                && matches!(m.payload, MsgPayload::PutX { line: l, dirty: false, .. } if l == line)),
+            "{:?}",
+            out.to_network
+        );
+        assert!(out.lq_notices.contains(&line));
+        let resp = h.tick_until(&mut l1, 20, |o| o.responses.first().copied());
+        assert_eq!(resp.kind, CoreRespKind::LoadDone { value: 7 });
+        // A forward that races with the writeback is answered from it.
+        l1.push_msg(Msg::new(c_home, NodeId(0), MsgPayload::FwdGetS { line }));
+        let out = h.tick(&mut l1);
+        assert!(out
+            .to_network
+            .iter()
+            .any(|m| matches!(m.payload, MsgPayload::WbData { dirty: false, .. })));
+        assert!(h.errors.is_empty(), "{:?}", h.errors);
     }
 
     #[test]
