@@ -98,10 +98,11 @@ fn fence_orders_stores(kind: FenceKind) -> bool {
     )
 }
 
-/// The per-cycle issue-jitter draw of a core: `false` holds its issue stage
-/// back for one cycle.  Draws nothing when jitter is off.
+/// The issue-jitter draw of a core whose issue stage would act this cycle:
+/// `false` holds the stage back for one cycle.  Draws nothing when jitter is
+/// off.
 #[inline]
-pub fn jitter_lets_issue(issue_jitter: u16, rng: &mut StdRng) -> bool {
+fn jitter_lets_issue(issue_jitter: u16, rng: &mut StdRng) -> bool {
     issue_jitter == 0 || rng.gen_range(0u32..65536) >= u32::from(issue_jitter)
 }
 
@@ -154,13 +155,14 @@ pub struct CoreTickOutput {
     /// Architecturally performed operations for the observer.
     pub observed: Vec<ObservedOp>,
     /// `true` if the core is finished, or if this tick received nothing,
-    /// produced nothing, changed nothing in the core *and* ran its issue
-    /// stage (was not held back by the issue-jitter draw).  Until a response
-    /// or a notice arrives or [`CoreModel::next_delay_expiry`] comes, every
-    /// further tick then changes and counts nothing (a load stall is counted
-    /// when it starts, not per tick): all it does is one jitter draw (none
-    /// once finished).  The system lets such a core sleep and makes just that
-    /// draw in its place.
+    /// produced nothing and changed nothing in the core, and its issue stage
+    /// found nothing to complete or issue (so it drew no issue jitter).
+    /// Until a response or a notice arrives or
+    /// [`CoreModel::next_delay_expiry`] comes, every further tick then
+    /// changes, counts and draws nothing (a load stall is counted when it
+    /// starts, not per tick), so the system lets such a core sleep and owes
+    /// it nothing.  A tick held back by its jitter draw is not quiescent:
+    /// the next one draws again.
     pub quiescent: bool,
 }
 
@@ -585,13 +587,16 @@ impl CoreModel {
         older.all(|o| !o.is_read_like() || o.state == OpState::Done)
     }
 
-    /// The issue stage.  Returns `true` if it ran (was not held back by the
-    /// jitter draw) and left every window slot in the state it found it in
-    /// (a load that starts a stall episode only remembers its reason).
+    /// The issue stage.  Returns `true` if it found nothing to complete or
+    /// issue, and so left every window slot in the state it found it in (a
+    /// load that starts a stall episode only remembers its reason).
     ///
     /// Every decision is made against the window as the stage found it: a
     /// slot that completes or issues this cycle still reads as waiting to the
     /// younger ones.  So the stage decides first and changes slots afterwards.
+    /// The issue-jitter draw comes between the two, and only if there is
+    /// something to change: a stage held back by it changes nothing but the
+    /// stall reasons, and is not idle.
     fn issue(
         &mut self,
         cycle: Cycle,
@@ -599,9 +604,6 @@ impl CoreModel {
         out: &mut CoreTickOutput,
         rng: &mut StdRng,
     ) -> bool {
-        if !jitter_lets_issue(self.issue_jitter, rng) {
-            return false;
-        }
         let mut issued = 0usize;
         let issue_width = 4usize;
         let sb_empty = self.store_buffer.is_empty() && self.outstanding_store.is_none();
@@ -627,7 +629,6 @@ impl CoreModel {
                         continue;
                     }
                     if let Some(value) = self.forwarded_value(op.op.addr, op.idx) {
-                        SB_FORWARDS.incr();
                         completed.push((pos, Some(value)));
                     } else {
                         new_requests.push((pos, CoreReqKind::Load, op.op.addr));
@@ -706,6 +707,10 @@ impl CoreModel {
             }
         }
         let idle = completed.is_empty() && new_requests.is_empty();
+        if !idle && !jitter_lets_issue(self.issue_jitter, rng) {
+            completed.clear();
+            new_requests.clear();
+        }
 
         // Pass 2: change the slots.
         for (pos, stall) in stalled.drain(..) {
@@ -716,6 +721,7 @@ impl CoreModel {
             slot.state = OpState::Done;
             slot.stalled = None;
             if forwarded.is_some() {
+                SB_FORWARDS.incr();
                 slot.read_value = forwarded;
             }
         }
@@ -1459,8 +1465,8 @@ mod tests {
         assert!(core.is_finished());
         assert!(core.tick(9, &bugs, &[], &[], &mut rng).quiescent);
 
-        // A core held back by its jitter draw is not quiescent: the issue
-        // stage it skipped might have done something.
+        // A core held back by its jitter draw is not quiescent: its next
+        // tick has the same work to do, and draws again.
         let mut jittery = cfg;
         jittery.issue_jitter = u16::MAX;
         let mut core = CoreModel::new(program, &jittery);
@@ -1469,6 +1475,39 @@ mod tests {
             .filter(|&cycle| !core.tick(cycle, &bugs, &[], &[], &mut rng).quiescent)
             .count();
         assert!(held > 30, "only {held} of 38 ticks were held back");
+    }
+
+    #[test]
+    fn an_idle_issue_stage_draws_no_jitter() {
+        // RMW x; R y: until the atomic issues, every issue stage has work and
+        // draws; once it has, the load waits for its response, and the issue
+        // stage, finding nothing to do, leaves the generator alone.
+        let mut jittery = cfg();
+        jittery.issue_jitter = 30_000;
+        let program = vec![TestOp::rmw(Address(0x100), 1), TestOp::read(Address(0x200))];
+        let mut core = CoreModel::new(program, &jittery);
+        let (bugs, mut rng) = (BugConfig::none(), rng());
+        let next_draw = |rng: &StdRng| rng.clone().gen::<u64>();
+        let mut cycle = 0;
+        loop {
+            cycle += 1;
+            let before = next_draw(&rng);
+            let out = core.tick(cycle, &bugs, &[], &[], &mut rng);
+            assert_ne!(
+                next_draw(&rng),
+                before,
+                "cycle {cycle}: work to do, no draw"
+            );
+            assert!(!out.quiescent);
+            if !out.requests.is_empty() {
+                break;
+            }
+        }
+        let before = next_draw(&rng);
+        for cycle in cycle + 1..cycle + 50 {
+            assert!(core.tick(cycle, &bugs, &[], &[], &mut rng).quiescent);
+        }
+        assert_eq!(next_draw(&rng), before, "a waiting core drew");
     }
 
     #[test]

@@ -17,17 +17,17 @@
 //! A component whose tick made no progress is therefore put to *sleep* and
 //! not ticked again until something can change its answer: a message or a
 //! core request pushed to it, a response or notice from its L1, or its own
-//! deadline.  What its skipped ticks would still have done is a sleeping
-//! core's issue-jitter draw, made in its place, and a stalled controller's
-//! coverage records, settled lazily when it wakes or the iteration ends; when
-//! nobody is awake the loop jumps straight to the earliest wake time.
-//! Outcomes, coverage counts, the RNG stream and telemetry counters are
-//! exactly those of ticking every component every cycle (`ARCHITECTURE.md`,
-//! "The simulation loop and the inertness contract").
+//! deadline.  All its skipped ticks would still have done is a stalled
+//! controller's coverage records, settled lazily when it wakes or the
+//! iteration ends; when nobody is awake the loop jumps straight to the
+//! earliest wake time.  Outcomes, coverage counts, the RNG stream and
+//! telemetry counters are exactly those of ticking every component every
+//! cycle (`ARCHITECTURE.md`, "The simulation loop and the inertness
+//! contract").
 
 use crate::bugs::BugConfig;
 use crate::config::{ProtocolKind, SystemConfig};
-use crate::core::{cores_for_program, jitter_lets_issue, CoreModel};
+use crate::core::{cores_for_program, CoreModel};
 use crate::coverage::{CoverageMark, CoverageRecorder, Transition};
 use crate::memory::MemoryController;
 use crate::msg::Msg;
@@ -233,27 +233,6 @@ impl ControllerNap {
     }
 }
 
-/// Sleep bookkeeping of one core.
-#[derive(Debug, Default)]
-struct CoreNap {
-    /// As [`ControllerNap::wake_at`], the deadline being the core's
-    /// `next_delay_expiry`.  A response or notice in the L1's output wakes
-    /// the core without going through here.
-    wake_at: Cycle,
-    /// Whether the sleeping core is unfinished, so that each of its ticks
-    /// would start with an issue-jitter draw.
-    draws: bool,
-}
-
-impl CoreNap {
-    /// Stands in for one tick of the sleeping core: its jitter draw.
-    fn doze(&self, jitter: u16, rng: &mut StdRng) {
-        if self.draws {
-            jitter_lets_issue(jitter, rng);
-        }
-    }
-}
-
 /// Component ticks executed, by kind of component.
 #[derive(Debug, Default, Clone, Copy)]
 struct Ticks {
@@ -275,7 +254,10 @@ struct Naps {
     memory: ControllerNap,
     l2s: Vec<ControllerNap>,
     l1s: Vec<ControllerNap>,
-    cores: Vec<CoreNap>,
+    /// `wake_at` of each core, as [`ControllerNap::wake_at`], the deadline
+    /// being the core's `next_delay_expiry`.  A response or notice in the
+    /// L1's output wakes the core without going through here.
+    cores: Vec<Cycle>,
     /// Component ticks executed in the current iteration.
     ticks: Ticks,
 }
@@ -287,7 +269,7 @@ impl Naps {
             memory: ControllerNap::default(),
             l2s: controllers(cfg.l2_banks),
             l1s: controllers(cfg.num_cores),
-            cores: (0..cfg.num_cores).map(|_| CoreNap::default()).collect(),
+            cores: vec![AWAKE; cfg.num_cores],
             ticks: Ticks::default(),
         }
     }
@@ -311,9 +293,7 @@ impl Naps {
             nap.last_tick = now;
             nap.log.clear();
         }
-        for nap in &mut self.cores {
-            *nap = CoreNap::default();
-        }
+        self.cores.fill(AWAKE);
         self.ticks = Ticks::default();
     }
 
@@ -322,26 +302,8 @@ impl Naps {
         let controllers = [&self.memory].into_iter().chain(&self.l2s).chain(&self.l1s);
         controllers
             .map(|nap| nap.wake_at)
-            .chain(self.cores.iter().map(|nap| nap.wake_at))
+            .chain(self.cores.iter().copied())
             .fold(NEVER, Cycle::min)
-    }
-
-    /// Stands in for `cycles` ticks of every core, all asleep: `cycles` rounds
-    /// of [`CoreNap::doze`] in core order, so the RNG stream is consumed as
-    /// stepping through them would.  The generator lives in a local for the
-    /// whole batch, which is what lets it stay in registers.
-    fn doze_all(&self, cycles: u64, jitter: u16, rng: &mut StdRng) {
-        if jitter == 0 {
-            // Nothing is drawn.
-            return;
-        }
-        let mut stream = rng.clone();
-        for _ in 0..cycles {
-            for nap in &self.cores {
-                nap.doze(jitter, &mut stream);
-            }
-        }
-        *rng = stream;
     }
 
     /// Accounts for every controller tick slept through up to and including
@@ -556,9 +518,7 @@ impl System {
     /// whose tick makes no progress, or a core whose tick is quiescent, goes
     /// to sleep until its own deadline; being handed something wakes it — a
     /// message in stage 1, a core request in stage 5 (for the L1's tick of the
-    /// next cycle), a response or notice in the L1's output.  A sleeping core
-    /// still has its issue-jitter draw made at its slot in core order, the
-    /// only RNG use of the tick it would have had.
+    /// next cycle), a response or notice in the L1's output.
     fn step(&mut self, state: &mut ProgramState, errors: &mut Vec<ProtocolError>) {
         let System {
             cfg,
@@ -655,18 +615,15 @@ impl System {
         // 5. Cores.
         for (core_idx, core) in state.cores.iter_mut().enumerate() {
             let from_l1 = &mut l1_outs[core_idx];
-            let nap = &mut naps.cores[core_idx];
-            if nap.wake_at > cycle && from_l1.responses.is_empty() && from_l1.lq_notices.is_empty()
-            {
-                nap.doze(cfg.issue_jitter, rng);
+            let wake_at = &mut naps.cores[core_idx];
+            if *wake_at > cycle && from_l1.responses.is_empty() && from_l1.lq_notices.is_empty() {
                 continue;
             }
             naps.ticks.core += 1;
             let out = core.tick(cycle, bugs, &from_l1.responses, &from_l1.lq_notices, rng);
             from_l1.responses.clear();
             from_l1.lq_notices.clear();
-            nap.draws = !core.is_finished();
-            nap.wake_at = wake_after(!out.quiescent || stay_awake, || core.next_delay_expiry());
+            *wake_at = wake_after(!out.quiescent || stay_awake, || core.next_delay_expiry());
             if !out.requests.is_empty() {
                 naps.l1s[core_idx].wake_at = AWAKE;
             }
@@ -689,13 +646,10 @@ impl System {
     /// these must cover every time-dependent condition in the system: waking
     /// early only costs an executed cycle, waking late would change
     /// behaviour.  The cycles jumped over are cycles every component sleeps
-    /// through, so what they owe is what sleeping owes in any cycle:
-    ///
-    /// * one issue-jitter draw per unfinished core, in core order, made here
-    ///   — the only RNG use, so the stream stays aligned;
-    /// * the coverage records of blocked requests that record before they
-    ///   find out they must stall, settled when the controller wakes or the
-    ///   iteration ends ([`TickLog::replay`]).
+    /// through, so what they owe is what sleeping owes in any cycle: the
+    /// coverage records of blocked requests that record before they find out
+    /// they must stall, settled when the controller wakes or the iteration
+    /// ends ([`TickLog::replay`]).  Nothing is drawn from the RNG.
     fn skip_to_next_wake(&mut self, budget_end: Cycle) {
         let wake = self
             .network
@@ -706,8 +660,6 @@ impl System {
         if skipped == 0 {
             return;
         }
-        self.naps
-            .doze_all(skipped, self.cfg.issue_jitter, &mut self.rng);
         self.cycle += skipped;
         FF_SEGMENTS.incr();
         FF_SKIPPED_CYCLES.add(skipped);
@@ -1389,7 +1341,7 @@ mod tests {
             sys.cycle += 1;
             let cycle = sys.cycle;
             let controllers = controller_naps(&sys.naps);
-            let cores: Vec<Cycle> = sys.naps.cores.iter().map(|nap| nap.wake_at).collect();
+            let cores = sys.naps.cores.clone();
             sys.step(&mut state, &mut errors);
             let ticked = controller_naps(&sys.naps);
             for ((name, wake_at, last_tick), (_, _, now)) in controllers.into_iter().zip(ticked) {
@@ -1408,10 +1360,10 @@ mod tests {
                 };
                 *census.entry((name, cause)).or_default() += 1;
             }
-            for (core, (wake_at, nap)) in cores.into_iter().zip(&sys.naps.cores).enumerate() {
+            for (core, (wake_at, now)) in cores.into_iter().zip(&sys.naps.cores).enumerate() {
                 let cause = if wake_at != AWAKE && wake_at <= cycle {
                     "delay"
-                } else if wake_at > cycle && nap.wake_at == AWAKE {
+                } else if wake_at > cycle && *now == AWAKE {
                     // A tick that received something is not quiescent.
                     "L1 output"
                 } else {
@@ -1520,14 +1472,12 @@ mod tests {
     }
 
     #[test]
-    fn a_core_that_slept_without_jitter_draws_counts_the_stalls_of_the_reference() {
-        // With `issue_jitter = 0` nothing is drawn for a sleeping core, and
-        // every tick it sleeps through would have run the issue stage and
-        // found the load still stalled behind the atomic: one stall episode,
-        // counted when it started, on either system.
+    fn a_sleeping_core_counts_the_stalls_of_the_reference() {
+        // Every tick the core sleeps through would have run the issue stage
+        // and found the load still stalled behind the atomic: one stall
+        // episode, counted when it started, on either system.
         telemetry::enable();
-        let mut cfg = SystemConfig::small(ProtocolKind::Mesi);
-        cfg.issue_jitter = 0;
+        let cfg = SystemConfig::small(ProtocolKind::Mesi);
         let program = TestProgram::new(vec![vec![
             TestOp::rmw(Address(0x1000), 1),
             TestOp::read(Address(0x2000)),
@@ -1550,12 +1500,11 @@ mod tests {
     }
 
     #[test]
-    fn a_jump_draws_like_as_many_rounds_of_dozing() {
+    fn a_jump_leaves_the_rng_untouched() {
         // Core 0 waits out an atomic's miss with a load stalled behind it,
         // core 1 a long delay; core 2 finishes within a few cycles and core 3
-        // has no thread.  Two identical systems are stepped to a cycle that
-        // leaves everybody asleep for a while; one then jumps, the other
-        // dozes through the same cycles one at a time.
+        // has no thread.  The system is stepped to a cycle that leaves
+        // everybody asleep for a while, and then jumps over it.
         let program = TestProgram::new(vec![
             vec![
                 TestOp::rmw(Address(0x1000), 1),
@@ -1567,44 +1516,30 @@ mod tests {
         for jitter in [0u16, 2048, 30_000] {
             let mut cfg = SystemConfig::small(ProtocolKind::Mesi);
             cfg.issue_jitter = jitter;
-            let mut jumping = System::new(cfg.clone(), BugConfig::none(), 7);
-            let mut dozing = System::new(cfg, BugConfig::none(), 7);
-            let mut states = [&mut jumping, &mut dozing].map(|system| {
-                let state = system.program_state_for(&program);
-                system.reset_test_state();
-                state
-            });
+            let mut sys = System::new(cfg, BugConfig::none(), 7);
+            let mut state = sys.program_state_for(&program);
+            sys.reset_test_state();
             let mut errors = Vec::new();
             let asleep_for = |system: &System| {
                 let next_delivery = system.network.next_delivery().into_iter();
                 let wake = next_delivery.fold(system.naps.earliest_wake(), Cycle::min);
                 wake.saturating_sub(system.cycle + 1)
             };
-            while asleep_for(&jumping) < 20 || jumping.naps.cores[2].draws {
-                assert!(jumping.cycle < 10_000, "jitter {jitter}: nobody sleeps");
-                for (system, state) in [&mut jumping, &mut dozing].into_iter().zip(&mut states) {
-                    system.cycle += 1;
-                    system.step(state, &mut errors);
-                }
+            while asleep_for(&sys) < 20 {
+                assert!(sys.cycle < 10_000, "jitter {jitter}: nobody sleeps");
+                sys.cycle += 1;
+                sys.step(&mut state, &mut errors);
                 assert!(errors.is_empty(), "{errors:?}");
             }
-            let cycles = asleep_for(&jumping);
-            let draws: Vec<bool> = jumping.naps.cores.iter().map(|nap| nap.draws).collect();
-            assert_eq!(draws, [true, true, false, false], "jitter {jitter}");
-
-            jumping.skip_to_next_wake(Cycle::MAX);
-            for _ in 0..cycles {
-                for nap in &dozing.naps.cores {
-                    nap.doze(jitter, &mut dozing.rng);
-                }
-            }
-            dozing.cycle += cycles;
-
-            assert_eq!(jumping.cycle, dozing.cycle, "jitter {jitter}");
+            assert!(!state.cores[0].is_finished() && !state.cores[1].is_finished());
+            let (from, cycles) = (sys.cycle, asleep_for(&sys));
+            let next_draw = sys.rng.clone().gen::<u64>();
+            sys.skip_to_next_wake(Cycle::MAX);
+            assert_eq!(sys.cycle, from + cycles, "jitter {jitter}");
             assert_eq!(
-                jumping.rng.gen::<u64>(),
-                dozing.rng.gen::<u64>(),
-                "jitter {jitter}: next RNG draw"
+                sys.rng.gen::<u64>(),
+                next_draw,
+                "jitter {jitter}: a jump drew"
             );
         }
     }
