@@ -68,18 +68,18 @@ impl MemoryController {
     }
 
     /// Advances the controller by one cycle, appending the response messages
-    /// that are due to `out`.  Returns whether it made progress (accepted a
-    /// request or released a response); a tick that did not has changed
-    /// nothing and drawn nothing from `rng`.
+    /// that are due to `out`.  Every queued request is accepted, so the
+    /// controller is idle afterwards: until a message is pushed or
+    /// [`next_release`](Self::next_release) comes, a tick changes nothing and
+    /// draws nothing from `rng`.
     pub fn tick<R: Rng>(
         &mut self,
         cycle: Cycle,
         cfg: &SystemConfig,
         rng: &mut R,
         out: &mut Vec<Msg>,
-    ) -> bool {
+    ) {
         // Accept new requests.
-        let mut progress = !self.inbox.is_empty();
         while let Some(msg) = self.inbox.pop_front() {
             match msg.payload {
                 MsgPayload::MemRead { line } => {
@@ -101,8 +101,7 @@ impl MemoryController {
             }
         }
         // Emit responses that are due.
-        progress |= release_due(&mut self.pending, cycle, out);
-        progress
+        release_due(&mut self.pending, cycle, out);
     }
 }
 
@@ -131,7 +130,8 @@ mod tests {
         let payload = MsgPayload::MemWrite { line, data };
         mem.push_msg(Msg::new(cfg.node_of_l2(1), cfg.node_of_memory(), payload));
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(mem.tick(0, cfg, &mut rng, &mut Vec::new()));
+        mem.tick(0, cfg, &mut rng, &mut Vec::new());
+        assert!(mem.is_idle(), "a writeback is not acknowledged");
     }
 
     #[test]
@@ -158,20 +158,15 @@ mod tests {
         ));
         // Not served before the minimum latency.
         let mut out = Vec::new();
-        assert!(
-            mem.tick(0, &cfg, &mut rng, &mut out),
-            "accepting is progress"
-        );
+        mem.tick(0, &cfg, &mut rng, &mut out);
         assert!(out.is_empty());
         assert!(!mem.is_idle());
         let due = mem.next_release().expect("one response pending");
         assert!((cfg.latency.mem_min..=cfg.latency.mem_max).contains(&due));
-        assert!(
-            !mem.tick(due - 1, &cfg, &mut rng, &mut out),
-            "nothing due yet"
-        );
+        mem.tick(due - 1, &cfg, &mut rng, &mut out);
+        assert!(out.is_empty(), "nothing due yet");
         // Served by the maximum latency.
-        assert!(mem.tick(cfg.latency.mem_max, &cfg, &mut rng, &mut out));
+        mem.tick(cfg.latency.mem_max, &cfg, &mut rng, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dst, l2);
         match &out[0].payload {
@@ -189,7 +184,6 @@ mod tests {
         let (mut mem, cfg, _) = setup();
         write_back(&mut mem, &cfg, LineAddr(0x2000), 0, 7);
         assert_eq!(mem.peek_line(LineAddr(0x2000)).word(0), 7);
-        assert!(mem.is_idle(), "a writeback is not acknowledged");
     }
 
     #[test]

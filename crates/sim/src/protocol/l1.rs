@@ -21,7 +21,7 @@ use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload, TsInfo};
 use crate::protocol::{
     earliest_release, release_due, CoreReqKind, CoreRequest, CoreRespKind, CoreResponse,
-    L1Controller, L1Output, LineTable, TickCtx,
+    L1Controller, L1Output, LineTable, Tick, TickCtx,
 };
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, LineData, NodeId};
@@ -615,7 +615,7 @@ impl<P: L1Protocol> L1Controller for L1<P> {
         self.msg_inbox.push_back(msg);
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool {
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> Tick {
         let emitted = (out.to_network.len(), out.lq_notices.len());
 
         // Protocol messages are never stalled.
@@ -643,7 +643,8 @@ impl<P: L1Protocol> L1Controller for L1<P> {
         // Release responses whose hit latency has elapsed.
         progress |= release_due(&mut self.ready_responses, ctx.cycle, &mut out.responses);
 
-        progress || emitted != (out.to_network.len(), out.lq_notices.len())
+        progress |= emitted != (out.to_network.len(), out.lq_notices.len());
+        Tick::after(progress, !self.core_requests.is_empty())
     }
 
     fn next_release(&self) -> Option<Cycle> {

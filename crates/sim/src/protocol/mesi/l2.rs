@@ -516,7 +516,7 @@ mod tests {
     use crate::bugs::BugConfig;
     use crate::config::ProtocolKind;
     use crate::protocol::harness::Harness;
-    use crate::protocol::L2Controller;
+    use crate::protocol::{L2Controller, Tick};
     use crate::types::NodeId;
 
     fn l1_node(h: &Harness, core: usize) -> NodeId {
@@ -860,19 +860,24 @@ mod tests {
         // it queues for the victim is a state change.
         l2.push_msg(gets(&h, 1, 0x1000 + h.cfg.l2_ways as u64 * stride));
         let mut out = Vec::new();
-        assert!(h.tick_l2(&mut l2, &mut out), "queued a recall");
+        assert_eq!(h.tick_l2(&mut l2, &mut out), Tick::Busy, "queued a recall");
         assert_eq!(recorded(&h), (before.0 + 1, before.1 + 1));
         let release = l2.next_release().expect("the recall is waiting");
         // Until the recall is released every tick retries the request,
         // records the same transition and changes nothing.
         while h.cycle + 1 < release {
             let retried = recorded(&h);
-            assert!(!h.tick_l2(&mut l2, &mut out), "cycle {}", h.cycle);
+            let tick = h.tick_l2(&mut l2, &mut out);
+            assert_eq!(tick, Tick::Stalled, "cycle {}", h.cycle);
             assert_eq!(recorded(&h), (retried.0 + 1, retried.1));
             assert_eq!(l2.next_release(), Some(release));
             assert!(out.is_empty());
         }
-        assert!(h.tick_l2(&mut l2, &mut out), "released the recall");
+        assert_eq!(
+            h.tick_l2(&mut l2, &mut out),
+            Tick::Busy,
+            "released the recall"
+        );
         assert!(matches!(
             out[..],
             [Msg {
@@ -881,7 +886,8 @@ mod tests {
             }]
         ));
         assert_eq!(l2.next_release(), None);
-        assert!(!h.tick_l2(&mut l2, &mut out), "still waiting for the owner");
+        let tick = h.tick_l2(&mut l2, &mut out);
+        assert_eq!(tick, Tick::Stalled, "still waiting for the owner");
     }
 
     #[test]

@@ -122,11 +122,39 @@ pub struct L1Output {
     pub lq_notices: Vec<LineAddr>,
 }
 
+/// What a controller's tick left it with, which decides when it must be
+/// ticked again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tick {
+    /// It made progress and work is still queued, which the next tick may
+    /// make progress on too.
+    Busy,
+    /// Nothing is queued: until something is pushed to the controller or
+    /// its `next_release` comes, a tick finds nothing to do and records
+    /// nothing.
+    Idle,
+    /// Work is queued but none of it could proceed: every later tick repeats
+    /// this one, coverage records included, until something is pushed to
+    /// the controller or its `next_release` comes.
+    Stalled,
+}
+
+impl Tick {
+    /// The end of a tick that made `progress` and left work `queued`.
+    pub(crate) fn after(progress: bool, queued: bool) -> Self {
+        match (progress, queued) {
+            (_, false) => Tick::Idle,
+            (true, true) => Tick::Busy,
+            (false, true) => Tick::Stalled,
+        }
+    }
+}
+
 /// The coverage records of one tick, which is what a stalled request
 /// re-takes every cycle it is retried.  The system keeps one per component;
-/// when the tick made no progress the log is what every tick the component
-/// then sleeps through would have recorded again, and [`TickLog::replay`]
-/// accounts for them in one step.
+/// when the tick [stalled](Tick::Stalled) the log is what every tick the
+/// component then sleeps through would have recorded again, and
+/// [`TickLog::replay`] accounts for them in one step.
 #[derive(Debug, Default)]
 pub struct TickLog {
     records: Vec<Slot>,
@@ -280,22 +308,25 @@ pub trait L1Controller: fmt::Debug {
     fn push_msg(&mut self, msg: Msg);
 
     /// Advances the controller by one cycle, appending what it produces to
-    /// `out`.  Returns whether it made *progress*: consumed a message,
-    /// accepted a core request, released a response or emitted anything.
+    /// `out`.  *Progress* is consuming a message, accepting a core request,
+    /// releasing a response or emitting anything; the tick returns
+    /// [`Tick::Idle`] if it left no core request queued, else
+    /// [`Tick::Busy`] or [`Tick::Stalled`] by whether it made progress.
     ///
-    /// The inertness contract: a tick that returns `false` has left the
+    /// The inertness contract: a tick that made no progress has left the
     /// controller exactly as it found it, has drawn nothing from the RNG and
     /// has bumped no telemetry counter.  All it may have done is record
     /// coverage, through [`TickCtx::coverage`] so that the records land in
     /// the controller's [`TickLog`].  What a tick does may depend only on the
     /// controller's own state, on what was pushed to it and, through
-    /// [`next_release`](Self::next_release), on the cycle.  A tick that made
-    /// no progress would therefore be repeated identically by every later
-    /// one until a message or a core request is pushed or `next_release`
-    /// comes; the system does not execute those ticks but leaves the
-    /// controller asleep and replays the log for them when it wakes
-    /// (`ARCHITECTURE.md`, "The simulation loop and the inertness contract").
-    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool;
+    /// [`next_release`](Self::next_release), on the cycle.  A stalled tick
+    /// would therefore be repeated identically by every later one, and an
+    /// idle controller would tick with nothing to do, until a message or a
+    /// core request is pushed or `next_release` comes; the system does not
+    /// execute those ticks but leaves the controller asleep and replays a
+    /// stalled tick's log for them when it wakes (`ARCHITECTURE.md`, "The
+    /// simulation loop and the inertness contract").
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> Tick;
 
     /// The earliest cycle at which a held-back core response is released.
     fn next_release(&self) -> Option<Cycle>;
@@ -322,12 +353,14 @@ pub trait L2Controller: fmt::Debug {
     fn push_msg(&mut self, msg: Msg);
 
     /// Advances the controller by one cycle, appending the messages it
-    /// injects into the network to `out`.  Returns whether it made progress
-    /// (consumed a response, accepted a request, queued or released a
-    /// message), under the same inertness contract as [`L1Controller::tick`]:
-    /// a bank that made none sleeps until a message is pushed or
+    /// injects into the network to `out`.  Progress is consuming a
+    /// response, accepting a request, queueing or releasing a message; the
+    /// tick returns [`Tick::Idle`] if it left no request queued, else
+    /// [`Tick::Busy`] or [`Tick::Stalled`] by whether it made progress,
+    /// under the same inertness contract as [`L1Controller::tick`]: a bank
+    /// that is not busy sleeps until a message is pushed or
     /// [`next_release`](Self::next_release) comes.
-    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> bool;
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> Tick;
 
     /// The earliest cycle at which a delayed outgoing message is released.
     fn next_release(&self) -> Option<Cycle>;
@@ -424,9 +457,9 @@ pub(crate) mod harness {
             panic!("condition not reached within {max} cycles");
         }
 
-        /// Ticks `l2` once, appending its messages to `out`; returns whether
-        /// it made progress.
-        pub(crate) fn tick_l2(&mut self, l2: &mut impl L2Controller, out: &mut Vec<Msg>) -> bool {
+        /// Ticks `l2` once, appending its messages to `out`; returns how the
+        /// tick ended.
+        pub(crate) fn tick_l2(&mut self, l2: &mut impl L2Controller, out: &mut Vec<Msg>) -> Tick {
             l2.tick(&mut self.next(), out)
         }
 

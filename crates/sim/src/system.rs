@@ -14,13 +14,13 @@
 //! In most simulated cycles most components have nothing to do: every
 //! message is in flight or waiting out a latency, and a core or controller
 //! that re-evaluates the same blocked head-of-line work gets the same result.
-//! A component whose tick made no progress is therefore put to *sleep* and
-//! not ticked again until something can change its answer: a message or a
-//! core request pushed to it, a response or notice from its L1, or its own
-//! deadline.  All its skipped ticks would still have done is a stalled
-//! controller's coverage records, settled lazily when it wakes or the
-//! iteration ends; when nobody is awake the loop jumps straight to the
-//! earliest wake time.  Outcomes, coverage counts, the RNG stream and
+//! A component whose tick left it nothing it can do, or only work that
+//! cannot proceed, is therefore put to *sleep* and not ticked again until
+//! something can change its answer: a message or a core request pushed to
+//! it, a response or notice from its L1, or its own deadline.  All its
+//! skipped ticks would still have done is a stalled controller's coverage
+//! records, settled lazily when it wakes or the iteration ends; when nobody
+//! is awake the loop jumps straight to the earliest wake time.  Outcomes, coverage counts, the RNG stream and
 //! telemetry counters are exactly those of ticking every component every
 //! cycle (`ARCHITECTURE.md`, "The simulation loop and the inertness
 //! contract").
@@ -35,7 +35,7 @@ use crate::network::Network;
 use crate::observer::ExecObserver;
 use crate::program::TestProgram;
 use crate::protocol::{
-    mesi, tsocc, L1Controller, L1Output, L2Controller, TickCoverage, TickCtx, TickLog,
+    mesi, tsocc, L1Controller, L1Output, L2Controller, Tick, TickCoverage, TickCtx, TickLog,
 };
 use crate::types::{Cycle, LineAddr};
 use mcversi_mcm::execution::CandidateExecution;
@@ -207,14 +207,15 @@ const NEVER: Cycle = Cycle::MAX;
 /// Sleep bookkeeping of one controller (memory, an L2 bank or an L1).
 #[derive(Debug, Default)]
 struct ControllerNap {
-    /// The earliest cycle whose tick must be executed: [`AWAKE`] after a tick
-    /// that made progress and whenever something is pushed to the controller,
-    /// its `next_release` (or [`NEVER`]) after a tick that made none.
+    /// The earliest cycle whose tick must be executed: [`AWAKE`] after a
+    /// [busy](Tick::Busy) tick and whenever something is pushed to the
+    /// controller, its `next_release` (or [`NEVER`]) after any other.
     wake_at: Cycle,
     /// The cycle of the last tick executed or settled.
     last_tick: Cycle,
-    /// What the last executed tick logged.  Every tick slept through since
-    /// would have logged the same.
+    /// What the last executed tick logged if it [stalled](Tick::Stalled),
+    /// else nothing.  Every tick slept through since would have logged the
+    /// same.
     log: TickLog,
 }
 
@@ -230,6 +231,21 @@ impl ControllerNap {
     fn begin_tick(&mut self, cycle: Cycle, coverage: &mut CoverageRecorder) {
         self.settle(cycle - 1, coverage);
         self.last_tick = cycle;
+    }
+
+    /// Puts the controller to sleep until `deadline` after a tick that ended
+    /// `tick`, unless it is busy or `stay_awake`.  Only a stalled tick's log
+    /// is kept: an idle controller's ticks would record nothing.
+    fn after_tick(
+        &mut self,
+        tick: Tick,
+        stay_awake: bool,
+        deadline: impl FnOnce() -> Option<Cycle>,
+    ) {
+        if tick != Tick::Stalled {
+            self.log.clear();
+        }
+        self.wake_at = wake_after(tick == Tick::Busy || stay_awake, deadline);
     }
 }
 
@@ -315,10 +331,10 @@ impl Naps {
     }
 }
 
-/// `wake_at` after a tick: awake if it made progress, else asleep until
+/// `wake_at` after a tick: awake if it must tick again, else asleep until
 /// `deadline`.
-fn wake_after(progress: bool, deadline: impl FnOnce() -> Option<Cycle>) -> Cycle {
-    if progress {
+fn wake_after(awake: bool, deadline: impl FnOnce() -> Option<Cycle>) -> Cycle {
+    if awake {
         AWAKE
     } else {
         deadline().unwrap_or(NEVER)
@@ -515,8 +531,8 @@ impl System {
     /// Executes one cycle: network delivery, memory, L2 banks, L1s, cores.
     ///
     /// Only the components that are awake or due are ticked.  A controller
-    /// whose tick makes no progress, or a core whose tick is quiescent, goes
-    /// to sleep until its own deadline; being handed something wakes it — a
+    /// whose tick leaves it idle or stalled, or a core whose tick is
+    /// quiescent, goes to sleep until its own deadline; being handed something wakes it — a
     /// message in stage 1, a core request in stage 5 (for the L1's tick of the
     /// next cycle), a response or notice in the L1's output.
     fn step(&mut self, state: &mut ProgramState, errors: &mut Vec<ProtocolError>) {
@@ -561,13 +577,14 @@ impl System {
             }
         };
 
-        // 2. Memory controller.
+        // 2. Memory controller.  It accepts every request in the tick it
+        // arrives, so it is idle after every tick.
         let nap = &mut naps.memory;
         if nap.wake_at <= cycle {
             nap.begin_tick(cycle, coverage);
             naps.ticks.memory += 1;
-            let progress = memory.tick(cycle, cfg, rng, msgs);
-            nap.wake_at = wake_after(progress || stay_awake, || memory.next_release());
+            memory.tick(cycle, cfg, rng, msgs);
+            nap.after_tick(Tick::Idle, stay_awake, || memory.next_release());
             route(msgs, rng);
         }
 
@@ -586,8 +603,8 @@ impl System {
                 rng,
                 errors,
             };
-            let progress = l2.tick(&mut ctx, msgs);
-            nap.wake_at = wake_after(progress || stay_awake, || l2.next_release());
+            let tick = l2.tick(&mut ctx, msgs);
+            nap.after_tick(tick, stay_awake, || l2.next_release());
             route(msgs, rng);
         }
 
@@ -607,8 +624,8 @@ impl System {
                 rng,
                 errors,
             };
-            let progress = l1.tick(&mut ctx, out);
-            nap.wake_at = wake_after(progress || stay_awake, || l1.next_release());
+            let tick = l1.tick(&mut ctx, out);
+            nap.after_tick(tick, stay_awake, || l1.next_release());
             route(&mut out.to_network, rng);
         }
 
@@ -703,7 +720,11 @@ impl System {
             }
             self.cycle += 1;
             self.step(&mut state, &mut errors);
-            self.skip_to_next_wake(budget_end);
+            // The iteration ends in the cycle of a protocol error, even if
+            // that left everybody asleep.
+            if errors.is_empty() {
+                self.skip_to_next_wake(budget_end);
+            }
         }
         // However the iteration ended, some components may be asleep.
         self.naps.settle_all(self.cycle, &mut self.coverage);
@@ -1603,6 +1624,31 @@ mod tests {
         assert_eq!(outcome.protocol_errors.len(), 1, "{outcome:?}");
         assert_eq!(outcome.protocol_errors[0].controller, "L2[1]");
         assert!(stalled(&reference) > 50, "{} records", stalled(&reference));
+    }
+
+    #[test]
+    fn an_iteration_ends_in_the_cycle_of_its_protocol_error() {
+        // The late-PUTX race faults at an L2 bank in the tick that takes the
+        // stale PutX, which may leave the bank, and everybody else, asleep:
+        // the iteration still ends in that cycle, as the reference's does.
+        let mut cfg = SystemConfig::small(ProtocolKind::Mesi);
+        cfg.core_strength = CoreStrength::Relaxed;
+        let bugs = BugConfig::single(Bug::MesiPutxRace);
+        let mut faults = 0;
+        for seed in 0..12 {
+            let (mut fast, mut reference) = twins(&cfg, &bugs, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let program = random_program(&mut rng, &mut 0, cfg.num_cores);
+            for iteration in 0..10 {
+                let what = format!("seed {seed} iteration {iteration}");
+                let outcome = assert_lockstep(&mut fast, &mut reference, &program, &what);
+                if let Some(error) = outcome.protocol_errors.first() {
+                    assert_eq!(error.cycle, fast.cycle(), "{what}: {error}");
+                    faults += 1;
+                }
+            }
+        }
+        assert!(faults >= 10, "only {faults} iterations faulted");
     }
 
     // ---- Mark and rewind ----
