@@ -494,6 +494,7 @@ impl TestRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcversi_mcm::Address;
     use mcversi_sim::Bug;
     use mcversi_testgen::litmus;
     use mcversi_testgen::{RandomTestGenerator, TestGenParams};
@@ -539,7 +540,8 @@ mod tests {
         // baseline is exercised by the campaign tests and the experiment
         // binaries: as in the paper, litmus tests need far more executions
         // than the GP/random generators to hit a timing window.
-        let suite = litmus::default_suite();
+        let locations = [Address(0x10_0000), Address(0x10_0040), Address(0x10_0080)];
+        let suite = litmus::x86_tso_suite(&locations);
         let shapes: Vec<_> = suite
             .iter()
             .filter(|t| ["MP", "CoRR", "SB", "LB", "WRC", "IRIW"].contains(&t.name.as_str()))

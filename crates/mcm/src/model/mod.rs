@@ -56,8 +56,8 @@
 //!    transitive closure of the stronger neighbour's `ghb` (and vice versa for
 //!    the weaker neighbour).  Add it to the monotonicity property test and pin
 //!    its litmus verdicts in the differential tests.
-//! 4. Give the model a `default_suite` in `mcversi-testgen`'s litmus module if
-//!    it benefits from dedicated fence/dependency flavours.
+//! 4. Give the model its fence/dependency flavours (`model_flavours` in
+//!    `mcversi-testgen`'s litmus module) if it benefits from dedicated ones.
 
 pub mod armish;
 pub mod powerish;

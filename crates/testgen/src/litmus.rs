@@ -633,24 +633,22 @@ pub fn repeat_test(test: &Test, times: usize) -> Test {
     Test::new(genes, test.num_threads())
 }
 
-/// Convenience: the suite over three line-separated default addresses.
-pub fn default_suite() -> Vec<LitmusTest> {
-    x86_tso_suite(&[Address(0x10_0000), Address(0x10_0040), Address(0x10_0080)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Three line-separated addresses for the suites.
+    const LOCATIONS: [Address; 3] = [Address(0x10_0000), Address(0x10_0040), Address(0x10_0080)];
+
     #[test]
     fn suite_has_at_least_38_tests() {
-        let suite = default_suite();
+        let suite = x86_tso_suite(&LOCATIONS);
         assert!(suite.len() >= 38, "only {} litmus tests", suite.len());
     }
 
     #[test]
     fn classic_shapes_are_present_and_well_formed() {
-        let suite = default_suite();
+        let suite = x86_tso_suite(&LOCATIONS);
         for name in ["SB", "MP", "LB", "IRIW", "WRC", "2+2W", "SB+mfences"] {
             let t = suite
                 .iter()
@@ -663,7 +661,7 @@ mod tests {
 
     #[test]
     fn mp_shape_has_expected_structure() {
-        let suite = default_suite();
+        let suite = x86_tso_suite(&LOCATIONS);
         let mp = suite.iter().find(|t| t.name == "MP").unwrap();
         assert_eq!(mp.test.num_threads(), 2);
         let t0 = mp.test.thread_ops(0);
@@ -679,7 +677,7 @@ mod tests {
 
     #[test]
     fn iriw_uses_four_threads() {
-        let suite = default_suite();
+        let suite = x86_tso_suite(&LOCATIONS);
         let iriw = suite.iter().find(|t| t.name == "IRIW").unwrap();
         assert_eq!(iriw.test.num_threads(), 4);
         assert_eq!(iriw.test.ops_per_thread(), vec![1, 1, 2, 2]);
@@ -687,7 +685,7 @@ mod tests {
 
     #[test]
     fn fence_variants_contain_fences() {
-        let suite = default_suite();
+        let suite = x86_tso_suite(&LOCATIONS);
         let fenced = suite.iter().find(|t| t.name == "MP+mfences").unwrap();
         assert!(fenced
             .test
@@ -704,7 +702,7 @@ mod tests {
 
     #[test]
     fn suite_names_are_unique() {
-        let suite = default_suite();
+        let suite = x86_tso_suite(&LOCATIONS);
         let mut names: Vec<&str> = suite.iter().map(|t| t.name.as_str()).collect();
         let before = names.len();
         names.sort();
@@ -720,7 +718,7 @@ mod tests {
 
     #[test]
     fn repeat_test_concatenates_thread_programs() {
-        let suite = default_suite();
+        let suite = x86_tso_suite(&LOCATIONS);
         let mp = suite.iter().find(|t| t.name == "MP").unwrap();
         let repeated = repeat_test(&mp.test, 5);
         assert_eq!(repeated.len(), mp.test.len() * 5);

@@ -10,11 +10,13 @@
 //! regression a protocol designer would run after every change.
 
 use mcversi::core::{McVerSiConfig, TestRunner};
+use mcversi::mcm::Address;
 use mcversi::sim::{BugConfig, ProtocolKind};
 use mcversi::testgen::litmus;
 
 fn main() {
-    let suite = litmus::default_suite();
+    let locations = [Address(0x10_0000), Address(0x10_0040), Address(0x10_0080)];
+    let suite = litmus::x86_tso_suite(&locations);
     println!(
         "running {} litmus shapes on both protocols...\n",
         suite.len()
