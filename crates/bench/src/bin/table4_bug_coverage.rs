@@ -23,7 +23,7 @@
 //! (`crates/bench/src/matrix.rs`) and the end-to-end (core × model)
 //! bug-detectability matrix (`crates/bench/src/core_matrix.rs`).
 
-use mcversi_bench::core_matrix::run_core_matrix;
+use mcversi_bench::core_matrix::{run_core_matrix, PINNED_RUNS};
 use mcversi_bench::matrix::{render_matrix, verify_enumerated_corpus};
 use mcversi_bench::{banner, metrics_summary, table_columns, write_artifact};
 use mcversi_core::report::{aggregate_cell, BugCoverageTable};
@@ -73,7 +73,7 @@ fn main() {
     }
 
     println!("(core strength × model) bug-detectability matrix (directed probes):");
-    let (core_matrix, core_mismatches) = run_core_matrix(24);
+    let (core_matrix, core_mismatches) = run_core_matrix(PINNED_RUNS);
     println!("{core_matrix}");
     if core_mismatches > 0 {
         eprintln!("error: {core_mismatches} cells deviate from the pinned expectations");

@@ -226,6 +226,12 @@ pub fn core_matrix_rows() -> Vec<CoreMatrixRow> {
     ]
 }
 
+/// The test-run budget of each cell of the pinned matrix.  On seeds 1–30 the
+/// slowest expected detections (`SQ+no-data-dep` / `SQ+no-ctrl-dep` on the
+/// relaxed core) take up to 28 runs, and the expected-quiet cells stay quiet
+/// for the whole budget.
+pub const PINNED_RUNS: usize = 48;
+
 /// Runs every pinned cell and renders the matrix; returns
 /// `(rendered table, mismatches)`.
 ///
@@ -291,7 +297,7 @@ mod tests {
     /// the model.
     #[test]
     fn pinned_core_matrix_holds() {
-        let (table, mismatches) = run_core_matrix(24);
+        let (table, mismatches) = run_core_matrix(PINNED_RUNS);
         assert_eq!(mismatches, 0, "matrix:\n{table}");
         assert!(table.contains("LQ+no-addr-dep"));
     }

@@ -155,8 +155,10 @@ pub struct SystemConfig {
     /// TSO-CC: number of accesses allowed to a Shared line before it must be
     /// re-fetched (staleness bound).
     pub tsocc_max_accesses: u32,
-    /// Probability (per core per cycle, in 1/65536 units) of a one-cycle issue
-    /// stall, decorrelating the cores' relative progress across iterations.
+    /// Probability (in 1/65536 units, per cycle in which the issue stage would
+    /// act) of a one-cycle issue stall, decorrelating the cores' relative
+    /// progress across iterations.  A core with nothing to complete or issue
+    /// draws nothing.
     pub issue_jitter: u16,
     /// Upper bound on cycles per iteration before the run is declared hung
     /// (deadlock detection).

@@ -6,18 +6,24 @@
 //! cycle count, retired operations, hang/complete flags, protocol errors and
 //! the whole candidate execution, then the final global cycle and every
 //! cumulative coverage count.  The bug-free digests on the small
-//! configuration ([`GOLDEN`]) were recorded on the commit *before* the
-//! simulation loop learned to fast-forward inert cycles; any change to them
-//! means simulated behaviour changed, which no performance work on the loop
-//! may do.
+//! configuration ([`GOLDEN`]) pin simulated behaviour bit for bit; any
+//! change to them means simulated behaviour changed, which no performance
+//! work on the loop may do.
 //!
 //! [`PROTOCOL_BUGS`] pins every protocol bug of `Bug::ALL` on the protocol it
 //! lives in, on both core strengths, and [`PAPER_SHAPE`] both bug-free
 //! protocols on the 8-core `SystemConfig::paper_default()`, whose programs
-//! give every L2 bank two home lines.  Both tables were recorded on the
-//! commit before the MESI and TSO-CC controllers moved onto one shared L1
-//! and one shared L2 skeleton, so they pin that refactor (and any later one)
-//! on the injected-bug paths and on bank and home mapping at scale.
+//! give every L2 bank two home lines, so they pin the injected-bug paths and
+//! bank and home mapping at scale.
+//!
+//! All three tables were last recorded when two changes of behaviour landed
+//! together: the bug-free MESI L1 installs an exclusive grant that follows a
+//! sunk invalidation, and the core forwards only from writes that have not
+//! left it; and an issue stage draws its jitter only when it would act, which
+//! moved the RNG stream.  The tables before that were recorded before the
+//! loop learned to fast-forward inert cycles (small configuration) and before
+//! the controllers moved onto one shared L1 and L2 skeleton (the other two);
+//! both refactors kept them.
 
 use mcversi::mcm::{Address, FenceKind};
 use mcversi::sim::{Bug, BugConfig, CoreStrength, ProtocolKind, System, SystemConfig};
@@ -114,73 +120,73 @@ const GOLDEN: [(ProtocolKind, CoreStrength, u64, u64); 12] = [
         ProtocolKind::Mesi,
         CoreStrength::Strong,
         1,
-        0x8786_364a_da82_7f5e,
+        0xd6bb_861c_8b64_c25a,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Strong,
         2,
-        0x7227_aa4a_b513_e063,
+        0x33be_f5f2_15fa_bc09,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Strong,
         3,
-        0x00d8_091f_7021_3e59,
+        0xda40_3bf4_4c21_b9b4,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Relaxed,
         1,
-        0x4bab_efe5_df55_0d57,
+        0xfaee_e95b_7835_246b,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Relaxed,
         2,
-        0xbf5d_622a_6d14_dbcd,
+        0x8201_db43_c057_722d,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Relaxed,
         3,
-        0x9ce2_772d_1eb5_5b7c,
+        0xf748_6a28_bd58_0e62,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Strong,
         1,
-        0x8334_eed5_c2d3_a043,
+        0xed7a_d67c_17fe_6f03,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Strong,
         2,
-        0xc713_831a_a7a9_7835,
+        0x1a07_4386_99a0_e7c8,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Strong,
         3,
-        0x99d2_96fc_fb7c_8b6b,
+        0xcd11_ec43_2a6a_9559,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Relaxed,
         1,
-        0x50e8_28b1_21c2_6829,
+        0x8e4a_7cec_bfc3_9ca8,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Relaxed,
         2,
-        0x73b6_06a0_542b_0ce4,
+        0xa447_77d2_e673_77bf,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Relaxed,
         3,
-        0x272b_19e8_540a_a2c2,
+        0x2366_8d46_2f26_2bf3,
     ),
 ];
 
@@ -195,109 +201,109 @@ const PROTOCOL_BUGS: [(Bug, CoreStrength, u64, u64); 18] = [
         Bug::MesiLqIsInv,
         CoreStrength::Strong,
         1,
-        0x3bce_7647_8219_2dca,
+        0x12a4_796b_06fb_768c,
     ),
     (
         Bug::MesiLqSmInv,
         CoreStrength::Strong,
-        49,
-        0xf369_2f28_a650_7a9e,
+        1,
+        0x8807_2f73_6e05_9e21,
     ),
     (
         Bug::MesiLqEInv,
         CoreStrength::Strong,
         1,
-        0xafa4_98af_bdac_ee19,
+        0xdfe3_a8d6_b262_3a6a,
     ),
     (
         Bug::MesiLqMInv,
         CoreStrength::Strong,
         1,
-        0xab22_c089_4930_da7a,
+        0xa478_6623_e69c_6e3b,
     ),
     (
         Bug::MesiLqSReplacement,
         CoreStrength::Strong,
-        4,
-        0x8237_b249_81e9_b2c6,
+        1,
+        0xf8d9_2516_eaf0_9af2,
     ),
     (
         Bug::MesiPutxRace,
         CoreStrength::Strong,
         1,
-        0xc605_61cc_e573_4bee,
+        0x0593_2a60_0b2a_a856,
     ),
     (
         Bug::MesiReplaceRace,
         CoreStrength::Strong,
         1,
-        0xe42e_bf23_ed81_80c5,
+        0x8375_63a5_e578_3403,
     ),
     (
         Bug::TsoCcNoEpochIds,
         CoreStrength::Strong,
         1,
-        0x0965_f3e6_5037_6919,
+        0xd865_9a01_06bf_3b8a,
     ),
     (
         Bug::TsoCcCompare,
         CoreStrength::Strong,
         1,
-        0xc924_2169_99fc_24cf,
+        0xa35b_a120_2441_5f7c,
     ),
     (
         Bug::MesiLqIsInv,
         CoreStrength::Relaxed,
         1,
-        0x4bab_efe5_df55_0d57,
+        0xfaee_e95b_7835_246b,
     ),
     (
         Bug::MesiLqSmInv,
         CoreStrength::Relaxed,
         1,
-        0x4bab_efe5_df55_0d57,
+        0xfaee_e95b_7835_246b,
     ),
     (
         Bug::MesiLqEInv,
         CoreStrength::Relaxed,
         1,
-        0x4bab_efe5_df55_0d57,
+        0xfaee_e95b_7835_246b,
     ),
     (
         Bug::MesiLqMInv,
         CoreStrength::Relaxed,
         1,
-        0x4bab_efe5_df55_0d57,
+        0xfaee_e95b_7835_246b,
     ),
     (
         Bug::MesiLqSReplacement,
         CoreStrength::Relaxed,
         1,
-        0x4bab_efe5_df55_0d57,
+        0xfaee_e95b_7835_246b,
     ),
     (
         Bug::MesiPutxRace,
         CoreStrength::Relaxed,
         1,
-        0xdf9e_f658_9b55_871e,
+        0xf31a_482c_845c_ac18,
     ),
     (
         Bug::MesiReplaceRace,
         CoreStrength::Relaxed,
         1,
-        0xafe1_3c73_8f7b_ceea,
+        0x7caf_1e40_f8e7_cdea,
     ),
     (
         Bug::TsoCcNoEpochIds,
         CoreStrength::Relaxed,
         1,
-        0xe17a_a221_6f50_5618,
+        0x238f_7774_bc1c_aba1,
     ),
     (
         Bug::TsoCcCompare,
         CoreStrength::Relaxed,
-        4,
-        0xafe4_573d_b91c_0f22,
+        1,
+        0x5226_f898_efb6_95ad,
     ),
 ];
 
@@ -307,22 +313,22 @@ const PAPER_SHAPE: [(ProtocolKind, CoreStrength, u64); 4] = [
     (
         ProtocolKind::Mesi,
         CoreStrength::Strong,
-        0xc070_c740_5ba3_79d8,
+        0xa429_d5ef_379c_0147,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Relaxed,
-        0xd0bc_01fe_8841_4fc2,
+        0xb2c4_5a45_9f5a_7b10,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Strong,
-        0x7e67_168c_66ab_f09b,
+        0xc138_f954_b91a_1c30,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Relaxed,
-        0xf164_0baf_34ec_a34c,
+        0x8440_f89f_937e_0a91,
     ),
 ];
 
