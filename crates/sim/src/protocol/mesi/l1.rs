@@ -585,8 +585,11 @@ mod tests {
         l1.push_msg(Msg::new(l2, NodeId(0), MsgPayload::FwdGetS { line }));
         let out = h.tick(&mut l1);
         assert!(h.errors.is_empty(), "{:?}", h.errors);
-        assert!(out.to_network.iter().any(|m| m.dst == l2
-            && matches!(m.payload, MsgPayload::WbData { data: ref d, dirty: false, .. } if d.word(0) == 11)));
+        let answered = |m: &Msg| match &m.payload {
+            MsgPayload::WbData { data, dirty, .. } => m.dst == l2 && !dirty && data.word(0) == 11,
+            _ => false,
+        };
+        assert!(out.to_network.iter().any(answered), "{:?}", out.to_network);
         assert!(h.coverage.count(Transition::l1("E", "FwdGetS")) > 0);
     }
 
@@ -628,9 +631,12 @@ mod tests {
         };
         l1.push_msg(Msg::new(c_home, NodeId(0), data_e));
         let out = h.tick(&mut l1);
+        let written_back = |m: &Msg| match m.payload {
+            MsgPayload::PutX { line: l, dirty, .. } => m.dst == c_home && l == line && !dirty,
+            _ => false,
+        };
         assert!(
-            out.to_network.iter().any(|m| m.dst == c_home
-                && matches!(m.payload, MsgPayload::PutX { line: l, dirty: false, .. } if l == line)),
+            out.to_network.iter().any(written_back),
             "{:?}",
             out.to_network
         );

@@ -20,10 +20,10 @@
 //! it, a response or notice from its L1, or its own deadline.  All its
 //! skipped ticks would still have done is a stalled controller's coverage
 //! records, settled lazily when it wakes or the iteration ends; when nobody
-//! is awake the loop jumps straight to the earliest wake time.  Outcomes, coverage counts, the RNG stream and
-//! telemetry counters are exactly those of ticking every component every
-//! cycle (`ARCHITECTURE.md`, "The simulation loop and the inertness
-//! contract").
+//! is awake the loop jumps straight to the earliest wake time.  Outcomes,
+//! coverage counts, the RNG stream and telemetry counters are exactly those
+//! of ticking every component every cycle (`ARCHITECTURE.md`, "The
+//! simulation loop and the inertness contract").
 
 use crate::bugs::BugConfig;
 use crate::config::{ProtocolKind, SystemConfig};
@@ -532,9 +532,10 @@ impl System {
     ///
     /// Only the components that are awake or due are ticked.  A controller
     /// whose tick leaves it idle or stalled, or a core whose tick is
-    /// quiescent, goes to sleep until its own deadline; being handed something wakes it — a
-    /// message in stage 1, a core request in stage 5 (for the L1's tick of the
-    /// next cycle), a response or notice in the L1's output.
+    /// quiescent, goes to sleep until its own deadline; being handed
+    /// something wakes it — a message in stage 1, a core request in stage 5
+    /// (for the L1's tick of the next cycle), a response or notice in the
+    /// L1's output.
     fn step(&mut self, state: &mut ProgramState, errors: &mut Vec<ProtocolError>) {
         let System {
             cfg,
