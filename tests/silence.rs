@@ -9,10 +9,11 @@
 //! The grid crosses both protocols, both core strengths (each checked
 //! against the model it implements), two test-memory sizes and two test
 //! sizes on the 4-core system, plus a slice of the paper's 8-core,
-//! 1000-operation shape.  A design that hands out a value after losing the
-//! permission to it (the MESI L1 keeping no line for an exclusive grant, or
-//! a core forwarding from a write that already reached its L1) fails here
-//! within a few dozen test-runs.
+//! 1000-operation shape.  A MESI L1 that keeps no line for an exclusive
+//! grant after a sunk invalidation fails here within a few test-runs.  A
+//! core that forwards from a write that already reached its L1 goes wrong
+//! too rarely for a gate of this size; the directed tests in
+//! `crates/sim/src/core.rs` pin that fix.
 
 use mcversi::core::{run_campaign, ScenarioSpec};
 use mcversi::mcm::ModelKind;
