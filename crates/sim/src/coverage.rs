@@ -12,11 +12,11 @@
 //! * the set covered by the *current test-run only*, so each test's fitness is
 //!   independent of previously run tests.
 //!
-//! A stalled request re-records its transition every cycle it is retried.  The
-//! simulation loop does not execute those retries: it keeps what the stalled
-//! controller's last tick recorded and adds it once per tick slept through
-//! (`CoverageRecorder::repeat_slot`), so the cumulative counts come out as if
-//! every cycle had been simulated.
+//! A transition is recorded once each time it is taken: a controller records
+//! it in the arm that takes it, after the arm's stall check, so a request
+//! retried while it stalls is counted when it finally proceeds, not once per
+//! cycle it waited.  A controller that sleeps therefore owes the recorder
+//! nothing.
 //!
 //! Recording is on the path of every controller tick, so it costs a constant
 //! number of array operations: each transition recorded so far owns a dense
@@ -93,11 +93,11 @@ impl fmt::Display for Transition {
     }
 }
 
-/// The number of a transition's slot in a [`CoverageRecorder`], handed out by
-/// [`CoverageRecorder::record_slot`] in the order transitions are first
-/// recorded and valid for as long as the recorder lives.
+/// The number of a transition's slot in a [`CoverageRecorder`], handed out in
+/// the order transitions are first recorded and valid for as long as the
+/// recorder lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Slot(u32);
+struct Slot(u32);
 
 /// What the recorder keeps per transition recorded at least once.
 #[derive(Debug, Clone)]
@@ -235,12 +235,6 @@ impl CoverageRecorder {
 
     /// Records that `transition` was taken once.
     pub fn record(&mut self, transition: Transition) {
-        self.record_slot(transition);
-    }
-
-    /// [`record`](Self::record), returning the transition's slot for
-    /// [`repeat_slot`](Self::repeat_slot).
-    pub(crate) fn record_slot(&mut self, transition: Transition) -> Slot {
         let key = NameKey::of(&transition);
         let slot = match self.memo.get(&key) {
             Some(&slot) => slot,
@@ -252,7 +246,6 @@ impl CoverageRecorder {
             covered.in_run = true;
             self.current_run.insert(covered.transition);
         }
-        slot
     }
 
     /// The miss path of a record: names not seen at these addresses before.
@@ -270,12 +263,6 @@ impl CoverageRecorder {
         });
         self.memo.insert(key, slot);
         slot
-    }
-
-    /// Counts the transition in `slot` `times` more, as `times` repeats of
-    /// the [record](Self::record_slot) that returned `slot` would have.
-    pub(crate) fn repeat_slot(&mut self, slot: Slot, times: u64) {
-        self.slots[slot.0 as usize].count += times;
     }
 
     /// Cumulative count of a transition since simulation start.
@@ -374,13 +361,6 @@ mod tests {
                 self.current_run.insert(transition);
             }
 
-            pub fn record_repeats(&mut self, transition: Transition, times: u64) {
-                *self
-                    .cumulative
-                    .get_mut(&transition)
-                    .expect("a repeated transition has been recorded") += times;
-            }
-
             pub fn count(&self, transition: Transition) -> u64 {
                 self.cumulative.get(&transition).copied().unwrap_or(0)
             }
@@ -429,7 +409,7 @@ mod tests {
         /// transition outside it.
         #[test]
         fn slots_read_like_the_map_and_set_recorder(
-            ops in collection::vec((0u32..100, 0usize..1_000, 1u64..300), 1..600),
+            ops in collection::vec((0u32..100, 0usize..1_000), 1..600),
         ) {
             let universe = crate::protocol::mesi::all_transitions();
             let twin_of = universe[7];
@@ -448,17 +428,12 @@ mod tests {
 
             let mut slots = CoverageRecorder::new();
             let mut model = reference::CoverageRecorder::default();
-            for (op, pick, times) in ops {
+            for (op, pick) in ops {
                 let transition = pool[pick % pool.len()];
                 match op {
                     0..=59 => {
                         slots.record(transition);
                         model.record(transition);
-                    }
-                    60..=79 if model.count(transition) > 0 => {
-                        let slot = slots.slot_of(&transition).expect("recorded");
-                        slots.repeat_slot(slot, times);
-                        model.record_repeats(transition, times);
                     }
                     80..=89 => prop_assert_eq!(slots.finish_run(), model.finish_run()),
                     _ => prop_assert_eq!(slots.count(transition), model.count(transition)),
@@ -495,7 +470,7 @@ mod tests {
         assert_eq!(c.distinct_covered(), 40);
         assert_eq!(c.memo.len(), transitions.len());
         for &t in &transitions {
-            assert_eq!(c.record_slot(t), c.index[&t]);
+            assert_eq!(c.memo[&NameKey::of(&t)], c.index[&t]);
         }
     }
 
@@ -509,8 +484,9 @@ mod tests {
         let twin = c.clone();
         let mark = c.mark();
 
-        let slot = c.record_slot(old);
-        c.repeat_slot(slot, 5);
+        for _ in 0..5 {
+            c.record(old);
+        }
         c.record(new);
         let elsewhere = Transition::l1(leaked("I"), leaked("Load"));
         c.record(elsewhere);
@@ -528,7 +504,7 @@ mod tests {
             recorder.record(elsewhere);
         }
         assert_eq!(format!("{c:?}"), format!("{twin:?}"));
-        assert_eq!(c.record_slot(new), c.index[&new]);
+        assert_eq!(c.memo[&NameKey::of(&new)], c.index[&new]);
     }
 
     #[test]

@@ -165,6 +165,19 @@ impl Network {
 }
 
 #[cfg(test)]
+impl Network {
+    /// The destination of every message [`deliver_due`](Self::deliver_due)
+    /// would deliver at `now`, leaving them in flight.
+    pub(crate) fn due_destinations(&self, now: Cycle) -> Vec<crate::types::NodeId> {
+        let due = self
+            .channels
+            .iter()
+            .flat_map(|channel| channel.iter().take_while(move |&&(ready, _)| ready <= now));
+        due.map(|(_, msg)| msg.dst).collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::MsgPayload;

@@ -16,7 +16,7 @@ use crate::cache::CacheArray;
 use crate::config::SystemConfig;
 use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload, VirtualNetwork};
-use crate::protocol::{earliest_release, release_due, L2Controller, LineTable, Tick, TickCtx};
+use crate::protocol::{earliest_release, release_due, L2Controller, LineTable, TickCtx};
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr, NodeId};
 use rand::Rng;
@@ -216,11 +216,11 @@ impl<P: L2Protocol> L2<P> {
         src_core: Option<usize>,
         exclusive: bool,
     ) -> bool {
-        let event = if exclusive { "GetX" } else { "GetS" };
-        ctx.coverage.record(Transition::l2("NP", event));
         if self.set_has_pending_fetch(line) || !self.make_room(ctx, line) {
             return false;
         }
+        let event = if exclusive { "GetX" } else { "GetS" };
+        ctx.coverage.record(Transition::l2("NP", event));
         let requestor = src_core.expect("GetS and GetX come from an L1");
         self.trans_insert(line, P::fetch(requestor, exclusive));
         self.send_mem(ctx, MsgPayload::MemRead { line });
@@ -286,7 +286,7 @@ impl<P: L2Protocol> L2Controller for L2<P> {
         }
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> Tick {
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> bool {
         let queued = self.pending_out.len();
         // Responses first: they unblock transactions and are never stalled.
         let mut progress = !self.responses.is_empty();
@@ -313,7 +313,7 @@ impl<P: L2Protocol> L2Controller for L2<P> {
         progress |= self.pending_out.len() != queued;
         // Release delayed outgoing messages.
         progress |= release_due(&mut self.pending_out, ctx.cycle, out);
-        Tick::after(progress, !self.requests.is_empty())
+        progress && !self.requests.is_empty()
     }
 
     fn next_release(&self) -> Option<Cycle> {

@@ -108,10 +108,10 @@ impl L1Protocol for Mesi {
                 true
             }
             (CoreReqKind::Load, None) => {
-                ctx.coverage.record(Transition::l1("I", "Load"));
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
+                ctx.coverage.record(Transition::l1("I", "Load"));
                 l1.start_miss(out, ctx, line, Transient::IS, op, false);
                 true
             }
@@ -142,10 +142,10 @@ impl L1Protocol for Mesi {
                 true
             }
             (CoreReqKind::Store { .. }, None) => {
-                ctx.coverage.record(Transition::l1("I", "Store"));
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
+                ctx.coverage.record(Transition::l1("I", "Store"));
                 l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
@@ -170,10 +170,10 @@ impl L1Protocol for Mesi {
                 true
             }
             (CoreReqKind::Rmw { .. }, None) => {
-                ctx.coverage.record(Transition::l1("I", "Rmw"));
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
+                ctx.coverage.record(Transition::l1("I", "Rmw"));
                 l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
@@ -807,6 +807,76 @@ mod tests {
         }
         assert!(out.lq_notices.is_empty(), "downgrade keeps read permission");
         assert_eq!(l1.resident_lines(), 1);
+    }
+
+    #[test]
+    fn a_miss_behind_a_busy_victim_records_nothing_until_it_starts() {
+        // Lines A, B and C share a set (2 ways).  A (Shared, least recently
+        // used) is being upgraded when the load of C needs its way.
+        let (mut l1, mut h) = l1_with_harness(BugConfig::none());
+        let stride = h.cfg.l1_sets() as u64 * h.cfg.line_bytes;
+        let [a, b, c] = [0, 1, 2].map(|i| LineAddr(0x1000 + i * stride));
+        let mut l2 = NodeId(0);
+        for (tag, line) in [(1, a), (2, b)] {
+            l1.push_core_request(CoreRequest {
+                tag,
+                addr: Address(line.0),
+                kind: CoreReqKind::Load,
+            });
+            l2 = h.tick(&mut l1).to_network[0].dst;
+            let data = LineData::zeroed(64);
+            let payload = MsgPayload::DataS {
+                line,
+                data,
+                ts: None,
+            };
+            l1.push_msg(Msg::new(l2, NodeId(0), payload));
+            h.tick_until(&mut l1, 20, |o| o.responses.first().copied());
+        }
+        l1.push_core_request(CoreRequest {
+            tag: 3,
+            addr: Address(a.0),
+            kind: CoreReqKind::Store { value: 1 },
+        });
+        assert!(matches!(
+            h.tick(&mut l1).to_network[..],
+            [Msg {
+                payload: MsgPayload::GetX { .. },
+                ..
+            }]
+        ));
+        let load_c = CoreRequest {
+            tag: 4,
+            addr: Address(c.0),
+            kind: CoreReqKind::Load,
+        };
+        l1.push_core_request(load_c);
+        let counts = |h: &Harness| h.coverage.iter_cumulative().collect::<Vec<_>>();
+        let loads_from_i = h.coverage.count(Transition::l1("I", "Load"));
+        for _ in 0..20 {
+            let stalled = counts(&h);
+            let out = h.tick(&mut l1);
+            assert!(out.to_network.is_empty() && out.lq_notices.is_empty());
+            assert_eq!(counts(&h), stalled, "cycle {}", h.cycle);
+        }
+        // Once the upgrade completes no line of the set is mid-transaction,
+        // and the load of C starts.
+        let data = LineData::zeroed(64);
+        let payload = MsgPayload::DataX {
+            line: a,
+            data,
+            ts: None,
+        };
+        l1.push_msg(Msg::new(l2, NodeId(0), payload));
+        let out = h.tick(&mut l1);
+        assert!(out
+            .to_network
+            .iter()
+            .any(|m| matches!(m.payload, MsgPayload::GetS { line } if line == c)));
+        assert_eq!(
+            h.coverage.count(Transition::l1("I", "Load")),
+            loads_from_i + 1
+        );
     }
 
     #[test]

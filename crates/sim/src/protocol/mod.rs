@@ -31,7 +31,7 @@ pub mod tsocc;
 
 use crate::bugs::BugConfig;
 use crate::config::SystemConfig;
-use crate::coverage::{CoverageRecorder, Slot, Transition};
+use crate::coverage::CoverageRecorder;
 use crate::msg::Msg;
 use crate::system::ProtocolError;
 use crate::types::{Cycle, LineAddr};
@@ -122,84 +122,6 @@ pub struct L1Output {
     pub lq_notices: Vec<LineAddr>,
 }
 
-/// What a controller's tick left it with, which decides when it must be
-/// ticked again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tick {
-    /// It made progress and work is still queued, which the next tick may
-    /// make progress on too.
-    Busy,
-    /// Nothing is queued: until something is pushed to the controller or
-    /// its `next_release` comes, a tick finds nothing to do and records
-    /// nothing.
-    Idle,
-    /// Work is queued but none of it could proceed: every later tick repeats
-    /// this one, coverage records included, until something is pushed to
-    /// the controller or its `next_release` comes.
-    Stalled,
-}
-
-impl Tick {
-    /// The end of a tick that made `progress` and left work `queued`.
-    pub(crate) fn after(progress: bool, queued: bool) -> Self {
-        match (progress, queued) {
-            (_, false) => Tick::Idle,
-            (true, true) => Tick::Busy,
-            (false, true) => Tick::Stalled,
-        }
-    }
-}
-
-/// The coverage records of one tick, which is what a stalled request
-/// re-takes every cycle it is retried.  The system keeps one per component;
-/// when the tick [stalled](Tick::Stalled) the log is what every tick the
-/// component then sleeps through would have recorded again, and
-/// [`TickLog::replay`] accounts for them in one step.
-#[derive(Debug, Default)]
-pub struct TickLog {
-    records: Vec<Slot>,
-}
-
-impl TickLog {
-    /// Counts every record in the log `ticks` more times, as `ticks` further
-    /// ticks that do exactly the same would have.
-    pub fn replay(&self, ticks: u64, coverage: &mut CoverageRecorder) {
-        if ticks == 0 {
-            return;
-        }
-        for &slot in &self.records {
-            coverage.repeat_slot(slot, ticks);
-        }
-    }
-
-    /// Forgets what the last tick logged.
-    pub(crate) fn clear(&mut self) {
-        self.records.clear();
-    }
-}
-
-/// The coverage side of a [`TickCtx`]: records into the system's recorder and
-/// into the ticking component's [`TickLog`].
-#[derive(Debug)]
-pub struct TickCoverage<'a> {
-    recorder: &'a mut CoverageRecorder,
-    log: &'a mut TickLog,
-}
-
-impl<'a> TickCoverage<'a> {
-    /// Starts a tick: `log` is emptied and then holds this tick's records.
-    pub fn new(recorder: &'a mut CoverageRecorder, log: &'a mut TickLog) -> Self {
-        log.clear();
-        TickCoverage { recorder, log }
-    }
-
-    /// Records that `transition` was taken once.
-    pub fn record(&mut self, transition: Transition) {
-        let slot = self.recorder.record_slot(transition);
-        self.log.records.push(slot);
-    }
-}
-
 /// Mutable context shared by all controllers during one tick.
 #[derive(Debug)]
 pub struct TickCtx<'a> {
@@ -210,7 +132,7 @@ pub struct TickCtx<'a> {
     /// Injected bugs.
     pub bugs: &'a BugConfig,
     /// Transition coverage recorder.
-    pub coverage: TickCoverage<'a>,
+    pub coverage: &'a mut CoverageRecorder,
     /// Seeded simulation RNG (latency jitter).
     pub rng: &'a mut StdRng,
     /// Sink for protocol errors (invalid transitions).
@@ -309,24 +231,22 @@ pub trait L1Controller: fmt::Debug {
 
     /// Advances the controller by one cycle, appending what it produces to
     /// `out`.  *Progress* is consuming a message, accepting a core request,
-    /// releasing a response or emitting anything; the tick returns
-    /// [`Tick::Idle`] if it left no core request queued, else
-    /// [`Tick::Busy`] or [`Tick::Stalled`] by whether it made progress.
+    /// releasing a response or emitting anything.  Returns whether the
+    /// controller is *busy*: it made progress and left a core request
+    /// queued, which its next tick may make progress on too.
     ///
     /// The inertness contract: a tick that made no progress has left the
-    /// controller exactly as it found it, has drawn nothing from the RNG and
-    /// has bumped no telemetry counter.  All it may have done is record
-    /// coverage, through [`TickCtx::coverage`] so that the records land in
-    /// the controller's [`TickLog`].  What a tick does may depend only on the
-    /// controller's own state, on what was pushed to it and, through
-    /// [`next_release`](Self::next_release), on the cycle.  A stalled tick
-    /// would therefore be repeated identically by every later one, and an
-    /// idle controller would tick with nothing to do, until a message or a
-    /// core request is pushed or `next_release` comes; the system does not
-    /// execute those ticks but leaves the controller asleep and replays a
-    /// stalled tick's log for them when it wakes (`ARCHITECTURE.md`, "The
+    /// controller exactly as it found it, has recorded no coverage, has drawn
+    /// nothing from the RNG and has bumped no telemetry counter (a transition
+    /// is recorded in the arm that takes it, after its stall check).  What a
+    /// tick does may depend only on the controller's own state, on what was
+    /// pushed to it and, through [`next_release`](Self::next_release), on
+    /// the cycle.  So a controller that is not busy would tick with nothing
+    /// to show for it until a message or a core request is pushed or
+    /// `next_release` comes; the system does not execute those ticks, and
+    /// the controller owes nothing for them (`ARCHITECTURE.md`, "The
     /// simulation loop and the inertness contract").
-    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> Tick;
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut L1Output) -> bool;
 
     /// The earliest cycle at which a held-back core response is released.
     fn next_release(&self) -> Option<Cycle>;
@@ -354,13 +274,12 @@ pub trait L2Controller: fmt::Debug {
 
     /// Advances the controller by one cycle, appending the messages it
     /// injects into the network to `out`.  Progress is consuming a
-    /// response, accepting a request, queueing or releasing a message; the
-    /// tick returns [`Tick::Idle`] if it left no request queued, else
-    /// [`Tick::Busy`] or [`Tick::Stalled`] by whether it made progress,
-    /// under the same inertness contract as [`L1Controller::tick`]: a bank
-    /// that is not busy sleeps until a message is pushed or
-    /// [`next_release`](Self::next_release) comes.
-    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> Tick;
+    /// response, accepting a request, queueing or releasing a message.
+    /// Returns whether the bank is busy: it made progress and left a request
+    /// queued.  The inertness contract of [`L1Controller::tick`] holds: a
+    /// bank that is not busy sleeps until a message is pushed or
+    /// [`next_release`](Self::next_release) comes, and owes nothing for it.
+    fn tick(&mut self, ctx: &mut TickCtx<'_>, out: &mut Vec<Msg>) -> bool;
 
     /// The earliest cycle at which a delayed outgoing message is released.
     fn next_release(&self) -> Option<Cycle>;
@@ -402,7 +321,6 @@ pub(crate) mod harness {
         pub(crate) coverage: CoverageRecorder,
         rng: StdRng,
         pub(crate) errors: Vec<ProtocolError>,
-        log: TickLog,
         pub(crate) cycle: Cycle,
     }
 
@@ -415,7 +333,6 @@ pub(crate) mod harness {
                 coverage: CoverageRecorder::new(),
                 rng: StdRng::seed_from_u64(7),
                 errors: Vec::new(),
-                log: TickLog::default(),
                 cycle: 0,
             }
         }
@@ -427,7 +344,7 @@ pub(crate) mod harness {
                 cycle: self.cycle,
                 cfg: &self.cfg,
                 bugs: &self.bugs,
-                coverage: TickCoverage::new(&mut self.coverage, &mut self.log),
+                coverage: &mut self.coverage,
                 rng: &mut self.rng,
                 errors: &mut self.errors,
             }
@@ -457,9 +374,9 @@ pub(crate) mod harness {
             panic!("condition not reached within {max} cycles");
         }
 
-        /// Ticks `l2` once, appending its messages to `out`; returns how the
-        /// tick ended.
-        pub(crate) fn tick_l2(&mut self, l2: &mut impl L2Controller, out: &mut Vec<Msg>) -> Tick {
+        /// Ticks `l2` once, appending its messages to `out`; returns whether
+        /// the bank is busy.
+        pub(crate) fn tick_l2(&mut self, l2: &mut impl L2Controller, out: &mut Vec<Msg>) -> bool {
             l2.tick(&mut self.next(), out)
         }
 
@@ -495,24 +412,6 @@ mod tests {
         assert!(out.to_network.is_empty());
         assert!(out.responses.is_empty());
         assert!(out.lq_notices.is_empty());
-    }
-
-    #[test]
-    fn replay_multiplies_the_last_tick_only() {
-        let mut coverage = CoverageRecorder::new();
-        let mut log = TickLog::default();
-        let stalled = Transition::l2("NP", "GetS");
-        let earlier = Transition::l1("I", "Load");
-        TickCoverage::new(&mut coverage, &mut log).record(earlier);
-        let mut tick = TickCoverage::new(&mut coverage, &mut log);
-        tick.record(stalled);
-        tick.record(stalled);
-        log.replay(10, &mut coverage);
-        assert_eq!(coverage.count(stalled), 22, "2 records x (1 + 10) ticks");
-        assert_eq!(coverage.count(earlier), 1, "earlier ticks are not replayed");
-        let _idle_tick = TickCoverage::new(&mut coverage, &mut log);
-        log.replay(5, &mut coverage);
-        assert_eq!(coverage.count(stalled), 22, "an empty tick replays nothing");
     }
 
     #[test]

@@ -248,10 +248,10 @@ impl L1Protocol for TsoCc {
                 true
             }
             (CoreReqKind::Load, None) => {
-                ctx.coverage.record(Transition::l1("I", "Load"));
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
+                ctx.coverage.record(Transition::l1("I", "Load"));
                 l1.start_miss(out, ctx, line, Transient::IS, op, false);
                 true
             }
@@ -279,10 +279,10 @@ impl L1Protocol for TsoCc {
                 true
             }
             (CoreReqKind::Store { .. }, None) => {
-                ctx.coverage.record(Transition::l1("I", "Store"));
                 if !l1.make_room(out, ctx, line) {
                     return false;
                 }
+                ctx.coverage.record(Transition::l1("I", "Store"));
                 l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
@@ -305,11 +305,11 @@ impl L1Protocol for TsoCc {
                     }
                     Some(L1State::Shared) | None => {
                         // (The Shared copy, if any, was just self-invalidated.)
-                        ctx.coverage
-                            .record(Transition::l1(st.map_or("I", L1State::name), "Rmw"));
                         if !l1.make_room(out, ctx, line) {
                             return false;
                         }
+                        ctx.coverage
+                            .record(Transition::l1(st.map_or("I", L1State::name), "Rmw"));
                         l1.start_miss(out, ctx, line, Transient::IM, op, true);
                         true
                     }

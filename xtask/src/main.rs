@@ -3,8 +3,8 @@
 //!
 //! Four source-hygiene rules the compiler cannot express, checked textually
 //! over the *production* portion of every `crates/*/src/**.rs` file (each
-//! file is truncated at its first `#[cfg(test)]` line, so test modules are
-//! exempt):
+//! file is truncated at its first line starting with `TEST_MODULE`, so test
+//! modules are exempt):
 //!
 //! 1. **Environment reads are centralised**: `env::var` may appear only in
 //!    `crates/core/src/scenario.rs`.  All `MCVERSI_*` parsing lives there so
@@ -24,10 +24,17 @@
 //!    `mcversi_conformance::trace` rather than growing a second parser or
 //!    hand-rolled emitter for the format.
 //!
+//! It also prints the number of *production lines*, the measure of code size
+//! the change log quotes: non-blank lines not starting with `//`, up to the
+//! first line containing `TEST_CODE`, in every `.rs` file under `crates/`,
+//! `src/` and `xtask/` outside `tests/`, `benches/` and `examples/`, in
+//! total and per crate.
+//!
 //! Exit status: `0` when clean, `1` with `file:line` diagnostics otherwise.
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The single file allowed to read the environment.
@@ -51,6 +58,20 @@ const TRACE_ALLOWED_PREFIX: &str = "crates/conformance/";
 /// The `mcversi-trace` header magic, spelled so this file passes its own
 /// rule.
 const TRACE_MAGIC: &str = concat!("mcversi", "-trace");
+
+/// The directories whose files hold production lines.
+const PRODUCTION_ROOTS: [&str; 3] = ["crates", "src", "xtask"];
+
+/// Directories whose files are not production code, wherever they sit.
+const NOT_PRODUCTION: [&str; 3] = ["tests", "benches", "examples"];
+
+/// The attribute of a test module, where the rules stop checking a file.
+/// This and [`TEST_CODE`] are spelled in pieces so that neither stops the
+/// checks or the count of this file.
+const TEST_MODULE: &str = concat!("#[cfg", "(test)]");
+
+/// Where a file's production lines end: the first line containing this.
+const TEST_CODE: &str = concat!("cfg", "(test");
 
 fn main() -> std::process::ExitCode {
     let root = repo_root();
@@ -76,6 +97,11 @@ fn main() -> std::process::ExitCode {
             .to_string_lossy()
             .replace('\\', "/");
         check_file(&rel, &text, &mut violations);
+    }
+
+    match production_lines(&root) {
+        Ok(lines) => print_production_lines(&lines),
+        Err(e) => violations.push(format!("cannot count production lines: {e}")),
     }
 
     if violations.is_empty() {
@@ -109,6 +135,55 @@ fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()>
     Ok(())
 }
 
+/// Production lines per crate (`crates/<name>`, `src`, `xtask`).
+fn production_lines(root: &Path) -> std::io::Result<BTreeMap<String, usize>> {
+    let mut lines = BTreeMap::new();
+    for dir in PRODUCTION_ROOTS {
+        let mut files = Vec::new();
+        collect_rust_files(&root.join(dir), &mut files)?;
+        for path in files {
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            let parts: Vec<String> = rel
+                .components()
+                .map(|part| part.as_os_str().to_string_lossy().into_owned())
+                .collect();
+            if parts
+                .iter()
+                .any(|part| NOT_PRODUCTION.contains(&part.as_str()))
+            {
+                continue;
+            }
+            let krate = match parts.as_slice() {
+                [first, name, _, ..] if first == "crates" => format!("{first}/{name}"),
+                _ => parts[0].clone(),
+            };
+            *lines.entry(krate).or_default() +=
+                count_production_lines(&std::fs::read_to_string(&path)?);
+        }
+    }
+    Ok(lines)
+}
+
+/// The production lines of one file's text.
+fn count_production_lines(text: &str) -> usize {
+    text.lines()
+        .take_while(|line| !line.contains(TEST_CODE))
+        .filter(|line| {
+            let line = line.trim();
+            !line.is_empty() && !line.starts_with("//")
+        })
+        .count()
+}
+
+/// Prints the total, then one line per crate.
+fn print_production_lines(lines: &BTreeMap<String, usize>) {
+    let total: usize = lines.values().sum();
+    println!("xtask: {total} production lines");
+    for (krate, count) in lines {
+        println!("xtask:   {count:>6} {krate}");
+    }
+}
+
 /// Applies all four rules to one file's production lines.
 fn check_file(rel: &str, text: &str, violations: &mut Vec<String>) {
     let no_panic = NO_PANIC_HELPERS.contains(&rel);
@@ -116,7 +191,7 @@ fn check_file(rel: &str, text: &str, violations: &mut Vec<String>) {
     let clock_allowed = rel.starts_with(CLOCK_ALLOWED_PREFIX) || rel == CLOCK_ALLOWED_FILE;
     let trace_allowed = rel.starts_with(TRACE_ALLOWED_PREFIX);
     for (idx, line) in text.lines().enumerate() {
-        if line.trim_start().starts_with("#[cfg(test)]") {
+        if line.trim_start().starts_with(TEST_MODULE) {
             break; // test code below this point is exempt
         }
         if !env_allowed && line.contains("env::var") {
