@@ -16,9 +16,9 @@
 //!
 //! The classifier is deliberately a *may* analysis of the critical-cycle
 //! vocabulary: same-location (coherence) violations and protocol faults are
-//! outside it.  Its consumers are the `unreachable-exists` lint (and through
-//! it `mcversi-lint`) and the benchmark, which times one classification per
-//! generated test.
+//! outside it.  Its one consumer is the benchmark, which times one
+//! classification per generated test; `tests/static_analysis.rs` pins it
+//! against the enumerator's verdicts.
 
 use crate::dataflow::{Access, Dataflow};
 use mcversi_mcm::{CriticalCycle, CycleEdge, Dir, ModelKind};

@@ -1,10 +1,10 @@
 //! Static dataflow over a lowered test program.
 //!
 //! [`Dataflow`] walks the [`TestProgram`] IR once and produces the facts the
-//! lints and the discrimination classifier consume: the concrete memory
-//! accesses with their event ids, the fence placements, the per-thread
-//! def-use (dependency) edges, and the unique-value → write map (the
-//! write-unique-ID scheme of the paper's §4.1 makes value flow exact).
+//! discrimination classifier consumes: the concrete memory accesses with
+//! their event ids and the unique value each write stores (the
+//! write-unique-ID scheme of the paper's §4.1 makes value flow exact), the
+//! fence placements, and the per-thread def-use (dependency) edges.
 //!
 //! The walk mirrors the simulator's
 //! [`ExecObserver`](mcversi_sim::observer::ExecObserver) event construction
@@ -35,31 +35,17 @@ pub struct Access {
     pub dir: Dir,
     /// Accessed location.
     pub addr: Address,
-    /// `true` for either half of an atomic read-modify-write.
-    pub rmw: bool,
     /// The syntactic dependency kind the op carries, if any (`ReadAddrDp`,
     /// `WriteDataDp`, `WriteCtrlDp`).
     pub dep_kind: Option<DepKind>,
     /// The load event feeding the carried dependency, when one exists: the
     /// thread's most recent load before this op.  `None` for plain accesses
     /// *and* for dependency-carrying ops with no prior load (which degrade
-    /// to plain accesses — see the `degraded-dep` lint in [`lint`](crate::lint)).
+    /// to plain accesses, as in the observer).
     pub dep_source: Option<EventId>,
     /// The globally unique value a write stores (`None` for reads, whose
     /// values are dynamic).
     pub value: Option<u64>,
-}
-
-impl Access {
-    /// Returns `true` for write accesses (including RMW write halves).
-    pub fn is_write(&self) -> bool {
-        self.dir == Dir::W
-    }
-
-    /// Returns `true` for read accesses (including RMW read halves).
-    pub fn is_read(&self) -> bool {
-        self.dir == Dir::R
-    }
 }
 
 /// One fence of the program, with its position in the event-id space.
@@ -113,7 +99,6 @@ impl Dataflow {
                             poi,
                             dir: Dir::R,
                             addr: op.addr,
-                            rmw: false,
                             dep_kind: dep,
                             dep_source: source,
                             value: None,
@@ -131,7 +116,6 @@ impl Dataflow {
                             poi,
                             dir: Dir::W,
                             addr: op.addr,
-                            rmw: false,
                             dep_kind: dep,
                             dep_source: source,
                             value: Some(value),
@@ -150,7 +134,6 @@ impl Dataflow {
                             poi,
                             dir: Dir::R,
                             addr: op.addr,
-                            rmw: true,
                             dep_kind: None,
                             dep_source: None,
                             value: None,
@@ -161,7 +144,6 @@ impl Dataflow {
                             poi,
                             dir: Dir::W,
                             addr: op.addr,
-                            rmw: true,
                             dep_kind: None,
                             dep_source: None,
                             value: Some(value),
@@ -207,41 +189,6 @@ impl Dataflow {
     /// observer-recorded `CandidateExecution::deps` edge for edge.
     pub fn deps(&self) -> &DependencySet {
         &self.deps
-    }
-
-    /// The accesses of one thread, in program order.
-    pub fn thread_accesses(&self, thread: usize) -> impl Iterator<Item = &Access> {
-        self.accesses.iter().filter(move |a| a.thread == thread)
-    }
-
-    /// The distinct addresses the program accesses, sorted.
-    pub fn addresses(&self) -> Vec<Address> {
-        let set: BTreeSet<Address> = self.accesses.iter().map(|a| a.addr).collect();
-        set.into_iter().collect()
-    }
-
-    /// The threads with at least one access to `addr`.
-    pub fn accessors_of(&self, addr: Address) -> BTreeSet<usize> {
-        self.accesses
-            .iter()
-            .filter(|a| a.addr == addr)
-            .map(|a| a.thread)
-            .collect()
-    }
-
-    /// Returns `true` if any op of the program writes `addr`.
-    pub fn is_written(&self, addr: Address) -> bool {
-        self.accesses.iter().any(|a| a.is_write() && a.addr == addr)
-    }
-
-    /// The addresses accessed by more than one thread with at least one
-    /// write among the accesses — the cross-thread conflict locations, the
-    /// raw material of every communication edge.
-    pub fn conflict_addresses(&self) -> Vec<Address> {
-        self.addresses()
-            .into_iter()
-            .filter(|&addr| self.accessors_of(addr).len() >= 2 && self.is_written(addr))
-            .collect()
     }
 
     /// The distinct fence kinds strictly between op indices `lo` and `hi`
@@ -342,7 +289,7 @@ mod tests {
         // data dep of thread 0 is sourced at the plain read, not the RMW.
         assert!(df.deps().of(DepKind::Data).contains(EventId(0), EventId(3)));
         // Thread 1's leading ctrl-dep write has no prior load: degraded.
-        let t1_first = df.thread_accesses(1).next().copied();
+        let t1_first = df.accesses().iter().find(|a| a.thread == 1);
         let t1_first = t1_first.expect("thread 1 has accesses");
         assert_eq!(t1_first.dep_kind, Some(DepKind::Ctrl));
         assert_eq!(t1_first.dep_source, None);
@@ -354,29 +301,17 @@ mod tests {
             static_events,
             "event allocation must mirror the observer"
         );
-    }
-
-    #[test]
-    fn conflict_and_value_queries() {
-        let program = TestProgram::new(vec![
-            vec![TestOp::write(x(), 1), TestOp::read(y())],
-            vec![TestOp::write(y(), 2), TestOp::read(x())],
-            vec![TestOp::read(z())],
-        ]);
-        let df = Dataflow::new(&program);
-        assert_eq!(df.conflict_addresses(), vec![x(), y()]);
-        assert_eq!(df.accessors_of(z()).len(), 1);
-        assert!(!df.is_written(z()));
+        // Each write's unique value names it; the RMW's is on its write half.
         let write_of = |v| {
             df.accesses()
                 .iter()
                 .find(|a| a.value == Some(v))
                 .map(|a| a.id)
         };
-        assert_eq!(write_of(1), Some(EventId(0)));
+        assert_eq!(write_of(7), Some(EventId(2)));
+        assert_eq!(write_of(2), Some(EventId(5)));
         assert_eq!(write_of(9), None);
-        assert_eq!(df.addresses(), vec![x(), y(), z()]);
-        assert_eq!(df.num_threads(), 3);
+        assert_eq!(df.num_threads(), 2);
     }
 
     #[test]

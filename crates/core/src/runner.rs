@@ -355,8 +355,8 @@ impl TestRunner {
 
     /// Maximum total transition coverage achieved so far (Table 6 metric).
     pub fn total_coverage(&self) -> f64 {
-        let universe = self.host.system().coverage_universe().to_vec();
-        self.host.system().coverage().total_coverage(&universe)
+        let system = self.host.system();
+        system.coverage().total_coverage(system.coverage_universe())
     }
 
     /// Access to the underlying host (e.g. for inspecting the system).
@@ -448,10 +448,9 @@ impl TestRunner {
         // run's coverage, NDT analysis from the accumulated conflict orders.
         let fitness_span = PHASE_FITNESS.span();
         let covered = self.host.system_mut().finish_coverage_run();
-        let universe = self.host.system().coverage_universe().to_vec();
-        let fitness = self
-            .adaptive
-            .fitness(&covered, self.host.system().coverage(), &universe);
+        let system = self.host.system();
+        let universe = system.coverage_universe();
+        let fitness = self.adaptive.fitness(&covered, system.coverage(), universe);
         let analysis = conflicts.analyze(test);
         drop(fitness_span);
         self.total_cycles += cycles;

@@ -109,11 +109,11 @@ impl LitmusCorpus {
     /// See [`LitmusCorpus::MAX_THREADS`].
     pub const MAX_EDGES: usize = 8;
 
-    /// Parses a corpus name (case-insensitively; `mcversi-lint`'s corpus
-    /// argument): `handpicked`,
+    /// Parses a corpus name (case-insensitively): `handpicked`,
     /// `enumerated`, or `enumerated:<threads>x<edges>` (e.g.
     /// `enumerated:2x4`).  Bounds outside `2..=6` threads / `4..=8` edges
-    /// are rejected (see [`LitmusCorpus::MAX_THREADS`]).
+    /// are rejected (see [`LitmusCorpus::MAX_THREADS`]); a scenario spec's
+    /// litmus bound and the `corpus_stats` example go through this check.
     pub fn parse(raw: &str) -> Option<LitmusCorpus> {
         let raw = raw.trim().to_ascii_lowercase();
         if raw == "handpicked" {

@@ -3,11 +3,12 @@
 //! Every shape of the diy-style suite must satisfy TSO on the correct MESI and
 //! TSO-CC designs — this is the strongest "no false positives" statement the
 //! repository makes, and it runs the complete simulator + observer + checker
-//! path for every shape.
+//! path for every shape.  One test also shows the other side for a
+//! single-thread shape: `CoWW` catches an injected store-buffer bug.
 
-use mcversi::core::{McVerSiConfig, TestRunner};
+use mcversi::core::{McVerSiConfig, RunVerdict, TestRunner};
 use mcversi::mcm::Address;
-use mcversi::sim::{BugConfig, ProtocolKind};
+use mcversi::sim::{Bug, BugConfig, ProtocolKind};
 use mcversi::testgen::litmus::{self, LitmusTest};
 
 /// The x86-TSO suite over three line-separated addresses.
@@ -50,6 +51,42 @@ fn litmus_suite_passes_on_correct_tsocc() {
 #[test]
 fn suite_has_the_paper_size() {
     assert!(x86_tso_suite().len() >= 38);
+}
+
+/// A one-thread test can still break coherence: `CoWW` (`W x; W x` on one
+/// thread) repeated eight times catches `SQ+no-FIFO`, whose store buffer
+/// drains same-address stores out of order, as an `sc-per-location`
+/// violation, and is silent on the bug-free design.
+#[test]
+fn one_thread_coww_catches_an_out_of_order_store_buffer() {
+    let coww = x86_tso_suite()
+        .into_iter()
+        .find(|t| t.name == "CoWW")
+        .expect("the suite has CoWW");
+    assert_eq!(coww.test.num_threads(), 1);
+    let test = litmus::repeat_test(&coww.test, 8);
+    let config = McVerSiConfig::small().with_iterations(10).with_seed(1);
+
+    let mut buggy = TestRunner::new(config.clone(), BugConfig::single(Bug::SqNoFifo));
+    let violation = (0..3)
+        .find_map(|_| match buggy.run_test(&test).verdict {
+            RunVerdict::McmViolation(v) => Some(v),
+            other => {
+                assert!(!other.is_bug(), "CoWW on SQ+no-FIFO: {other:?}");
+                None
+            }
+        })
+        .expect("SQ+no-FIFO escaped three test-runs of CoWW");
+    assert_eq!(violation.axiom, "sc-per-location");
+
+    let mut correct = TestRunner::new(config, BugConfig::none());
+    for run in 0..50 {
+        let verdict = correct.run_test(&test).verdict;
+        assert!(
+            !verdict.is_bug(),
+            "test-run {run} of CoWW on the correct design: {verdict:?}"
+        );
+    }
 }
 
 /// End-to-end oracle cross-check (sound-by-construction): run the toy-scale

@@ -24,7 +24,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Distinct cache lines, matching the lint binary's location pool.
+/// Distinct cache lines, enough for every corpus bound (cycles of up to
+/// eight edges use at most four location classes).
 const LOCATIONS: [Address; 4] = [
     Address(0x10_0000),
     Address(0x10_0040),
@@ -94,7 +95,11 @@ proptest! {
 }
 
 /// Exhaustive corpus gate at the toy-scale bound: every enumerated test's
-/// static cycle set contains its source cycle with the right verdicts.
+/// static cycle set contains its source cycle with the right verdicts.  A
+/// cycle in the set implies a cross-thread conflict and a statically
+/// reachable outcome, so this is CI's static gate on the `2x4` corpus (it
+/// replaced linting that corpus for conflict-free tests and unreachable
+/// outcomes).
 #[test]
 fn every_toy_corpus_test_statically_contains_its_source_cycle() {
     let corpus = enumerate(&EnumerationBounds::new(2, 4));
