@@ -27,8 +27,11 @@
 //! loop: k+1 counts only once k's verdict has come back valid.  If k violates
 //! the model, the system is rewound to the mark and k+1 is dropped as if it
 //! had never run; a protocol fault or hang of k+1 is decided only after k's
-//! verdict.  The last iteration has nothing to overlap with and is checked
-//! inline, so a one-iteration run never involves the verifier.  Verdicts,
+//! verdict, and a protocol fault outranks a hang.  Jobs and replies travel
+//! over two one-deep [`mpsc`] channels; a panic on the verifier closes its
+//! reply channel and resurfaces on the caller with its payload.  The last
+//! iteration has nothing to overlap with and is checked inline, so a
+//! one-iteration run never involves the verifier.  Verdicts,
 //! iteration counts, cycles, coverage, fitness, NDT and the deterministic
 //! part of the telemetry are exactly those of checking each iteration before
 //! the next one starts.
@@ -44,7 +47,7 @@ use mcversi_testgen::{NdtAnalysis, RunConflicts, Test};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::any::Any;
 use std::collections::BTreeSet;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, RecvError, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -172,132 +175,76 @@ struct Reply {
     metrics: Option<LocalMetrics>,
 }
 
-/// What the caller and the verifier thread hand each other.
-#[derive(Debug, Default)]
-enum Slot {
-    /// Nothing in flight, or a job being checked.
-    #[default]
-    Empty,
-    /// A job the verifier has not started on.
-    Job(Job),
-    /// The answer to the last job.
-    Reply(Reply),
-    /// The verifier thread has ended, or is to end.
-    Closed,
-}
-
-/// One [`Slot`] and the condition both sides wait on.
-#[derive(Debug)]
-struct Handoff {
-    slot: Mutex<Slot>,
-    changed: Condvar,
-}
-
-impl Handoff {
-    fn lock(&self) -> MutexGuard<'_, Slot> {
-        // Every critical section is a single move in or out of the slot, so
-        // a panic elsewhere cannot leave it half-updated.
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Puts `new` in the slot, unless the slot is closed, and wakes the
-    /// other side.
-    fn put(&self, new: Slot) {
-        let mut slot = self.lock();
-        if !matches!(*slot, Slot::Closed) {
-            *slot = new;
-        }
-        self.changed.notify_all();
-    }
-
-    /// Waits until `ready` holds for the slot's content, then takes it out.
-    fn take(&self, ready: impl Fn(&Slot) -> bool) -> Slot {
-        let mut slot = self
-            .changed
-            .wait_while(self.lock(), |slot| !ready(slot))
-            .unwrap_or_else(PoisonError::into_inner);
-        std::mem::take(&mut *slot)
-    }
-}
-
-/// Closes the slot when the verifier thread ends, however it ends, so a
-/// caller waiting for a reply learns that none will come.
-struct Hangup(Arc<Handoff>);
-
-impl Drop for Hangup {
-    fn drop(&mut self) {
-        self.0.put(Slot::Closed);
-    }
-}
-
 /// The thread that checks iteration k while the caller simulates k+1.  At
 /// most one job is in flight.
 #[derive(Debug)]
 struct Verifier {
-    handoff: Arc<Handoff>,
+    /// Dropped first on drop, which ends the thread's loop.
+    jobs: Option<SyncSender<Job>>,
+    replies: Receiver<Reply>,
+    /// Joined by `reply` if the thread died, or on drop.
     thread: Option<JoinHandle<()>>,
 }
 
 impl Verifier {
     fn spawn(model: ModelKind, verify: Verify) -> Self {
-        let handoff = Arc::new(Handoff {
-            slot: Mutex::new(Slot::Empty),
-            changed: Condvar::new(),
-        });
-        let hangup = Hangup(Arc::clone(&handoff));
+        let (jobs, job_queue) = mpsc::sync_channel::<Job>(1);
+        let (reply_to, replies) = mpsc::sync_channel(1);
         let thread = std::thread::Builder::new()
             .name("mcversi-verifier".to_string())
             .spawn(move || {
-                let handoff = &hangup.0;
-                while let Slot::Job(mut job) =
-                    handoff.take(|slot| matches!(slot, Slot::Job(_) | Slot::Closed))
-                {
+                // A panic drops `reply_to`, so a caller waiting for a reply
+                // learns that none will come.
+                for mut job in job_queue {
                     let verdict = verify(model, &mut job.conflicts, &job.execution);
                     // What the check recorded goes back with the verdict,
                     // leaving this thread's metrics empty for the next job.
                     let metrics = telemetry::enabled().then(telemetry::take_local);
-                    handoff.put(Slot::Reply(Reply {
+                    let reply = Reply {
                         verdict,
                         job,
                         metrics,
-                    }));
+                    };
+                    if reply_to.send(reply).is_err() {
+                        break;
+                    }
                 }
             })
             .expect("the verifier thread spawns");
         Verifier {
-            handoff,
+            jobs: Some(jobs),
+            replies,
             thread: Some(thread),
         }
     }
 
     fn submit(&self, job: Job) {
-        self.handoff.put(Slot::Job(job));
+        let jobs = self.jobs.as_ref().expect("a live verifier takes jobs");
+        // A dead verifier drops the job; `reply` reports why it died.
+        let _ = jobs.send(job);
     }
 
     /// The answer to the job in flight and how long the caller waited for
     /// it, or — if the verifier panicked — the panic's payload.
     fn reply(&mut self) -> Result<(Reply, Duration), Box<dyn Any + Send>> {
         let waiting = Stopwatch::start();
-        let taken = self
-            .handoff
-            .take(|slot| matches!(slot, Slot::Reply(_) | Slot::Closed));
+        let reply = self.replies.recv();
         let waited = waiting.elapsed();
-        match taken {
-            Slot::Reply(reply) => Ok((reply, waited)),
-            Slot::Closed => {
+        match reply {
+            Ok(reply) => Ok((reply, waited)),
+            Err(RecvError) => {
                 let thread = self.thread.take().expect("a dead verifier is joined once");
                 Err(thread
                     .join()
                     .expect_err("the verifier ends only when its runner drops it"))
             }
-            Slot::Empty | Slot::Job(_) => unreachable!("only a reply or a hang-up is taken here"),
         }
     }
 }
 
 impl Drop for Verifier {
     fn drop(&mut self) {
-        self.handoff.put(Slot::Closed);
+        drop(self.jobs.take());
         if let Some(thread) = self.thread.take() {
             // A panic payload here belongs to a run that is already unwinding.
             let _ = thread.join();
@@ -409,21 +356,15 @@ impl TestRunner {
             cycles += outcome.cycles;
             retired_ops += outcome.retired_ops;
 
-            // `run_iteration` appends its cycle-budget record after any
-            // invalid transition it saw, so the first error decides: the
-            // budget record alone is a hang, anything earlier a protocol fault.
-            match outcome.protocol_errors.as_slice() {
-                [] => {}
-                [_budget] if outcome.hung => {
-                    SIM_HANG.incr();
-                    verdict = RunVerdict::Hang;
-                    break;
-                }
-                [first, ..] => {
-                    SIM_FAULT.incr();
-                    verdict = RunVerdict::ProtocolFault(first.clone());
-                    break;
-                }
+            if let Some(first) = outcome.protocol_errors.first() {
+                SIM_FAULT.incr();
+                verdict = RunVerdict::ProtocolFault(first.clone());
+                break;
+            }
+            if outcome.hung {
+                SIM_HANG.incr();
+                verdict = RunVerdict::Hang;
+                break;
             }
             if iteration + 1 == iterations {
                 if let Verdict::Invalid(v) =
@@ -633,18 +574,15 @@ mod tests {
             iterations_run += 1;
             cycles += outcome.cycles;
             retired_ops += outcome.retired_ops;
-            match outcome.protocol_errors.as_slice() {
-                [] => {}
-                [_budget] if outcome.hung => {
-                    SIM_HANG.incr();
-                    verdict = RunVerdict::Hang;
-                    break;
-                }
-                [first, ..] => {
-                    SIM_FAULT.incr();
-                    verdict = RunVerdict::ProtocolFault(first.clone());
-                    break;
-                }
+            if let Some(first) = outcome.protocol_errors.first() {
+                SIM_FAULT.incr();
+                verdict = RunVerdict::ProtocolFault(first.clone());
+                break;
+            }
+            if outcome.hung {
+                SIM_HANG.incr();
+                verdict = RunVerdict::Hang;
+                break;
             }
             conflicts.add_iteration(&outcome.execution);
             if let Verdict::Invalid(v) = host.verify_reset_conflict(&outcome) {
@@ -873,11 +811,10 @@ mod tests {
             execution: mcversi_mcm::execution::ExecutionBuilder::new().build(),
             conflicts: RunConflicts::new(),
         });
-        let mut slot = verifier.handoff.lock();
-        while !matches!(*slot, Slot::Closed) {
-            slot = verifier.handoff.changed.wait(slot).expect("not poisoned");
+        let thread = verifier.thread.as_ref().expect("the verifier runs");
+        while !thread.is_finished() {
+            std::thread::yield_now();
         }
-        drop(slot);
         runner.verifier = Some(verifier);
         let params = runner.config.testgen.clone();
         let test = RandomTestGenerator::new(params).generate(&mut StdRng::seed_from_u64(3));

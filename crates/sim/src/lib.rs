@@ -76,7 +76,7 @@ mod smoke {
         let outcome = sys.run_iteration(&program);
         assert!(sys.cycle() > 0, "simulation must consume cycles");
         assert!(
-            !outcome.has_hardware_fault(),
+            outcome.protocol_errors.is_empty() && !outcome.hung,
             "correct design must not fault"
         );
     }

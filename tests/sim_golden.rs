@@ -116,6 +116,11 @@ fn digest(mut cfg: SystemConfig, strength: CoreStrength, bugs: BugConfig, seed: 
     }
     fnv1a(&mut hash, format!("cycle {}\n", sys.cycle()).as_bytes());
     for (transition, count) in sys.coverage().iter_cumulative() {
+        // The universe is the denominator of the GP fitness and of Table 6.
+        assert!(
+            sys.coverage_universe().contains(&transition),
+            "{transition} was recorded outside the coverage universe"
+        );
         fnv1a(&mut hash, format!("{transition} {count}\n").as_bytes());
     }
     hash
