@@ -5,14 +5,15 @@
 //! and the responses waiting out the hit latency.  It serves what MESI and
 //! TSO-CC do alike: the tick (messages first, then core requests with
 //! head-of-line blocking), attaching a core request to a transaction already
-//! in flight, starting a miss, replacement and flush (the writeback
-//! transaction `MI`, including its `WbAck` / `WbStale` and the forwards that
-//! race with it), serving the requests an MSHR collected once the data
-//! arrives, installing lines, replaying the messages deferred meanwhile, and
-//! the reporting of invalid transitions.  A protocol ([`L1Protocol`])
-//! supplies its transient states, what its lines carry, the per-core state
-//! it keeps across resets and its per-(state, event) arms.  Nothing here
-//! branches on the protocol.
+//! in flight, the `Load` and `Store` misses from `I` (into `IS` and `IM`),
+//! every `Flush`, starting a miss, replacement (the writeback transaction
+//! `MI`, including its `WbAck` / `WbStale` and the forwards that race with
+//! it), serving the requests an MSHR collected once the data arrives,
+//! installing lines, replaying the messages deferred meanwhile, and the
+//! reporting of invalid transitions.  A protocol ([`L1Protocol`]) supplies
+//! its transient states, what its lines carry, the per-core state it keeps
+//! across resets and its per-(state, event) arms: hits, upgrades, RMWs,
+//! fences and messages.  Nothing here branches on the protocol.
 
 use crate::bugs::BugConfig;
 use crate::cache::CacheArray;
@@ -49,8 +50,9 @@ pub(crate) trait L1Protocol: Sized + fmt::Debug {
     type Kept: Clone + Default + fmt::Debug + 'static;
 
     /// Processes a core request for `line` (in `state`, `None` if not
-    /// present), which has no transaction in flight.  Returns `false` if it
-    /// must stall.
+    /// present), which has no transaction in flight and which the skeleton
+    /// does not serve itself (a `Load` or `Store` from `I`, a `Flush`).
+    /// Returns `false` if it must stall.
     fn core_request(
         l1: &mut L1<Self>,
         out: &mut L1Output,
@@ -95,6 +97,10 @@ pub(crate) trait L1Protocol: Sized + fmt::Debug {
 
 /// A protocol's transient (MSHR) states.
 pub(crate) trait Transient: Copy + PartialEq + fmt::Debug {
+    /// A load's miss from `I`: `GetS` outstanding.
+    const IS: Self;
+    /// A store's miss from `I`: `GetX` outstanding.
+    const IM: Self;
     /// The writeback transaction: `PutX` outstanding.
     const MI: Self;
 
@@ -377,13 +383,7 @@ impl<P: L1Protocol> L1<P> {
 
     /// Flushes `line` from this L1; the flush completes when its writeback,
     /// if any, is acknowledged.
-    pub(super) fn flush(
-        &mut self,
-        out: &mut L1Output,
-        ctx: &mut TickCtx<'_>,
-        tag: u64,
-        line: LineAddr,
-    ) {
+    fn flush(&mut self, out: &mut L1Output, ctx: &mut TickCtx<'_>, tag: u64, line: LineAddr) {
         let state = self.cache.get(line).map(|l| l.state);
         ctx.coverage
             .record(Transition::l1(state.map_or("I", L1State::name), "Flush"));
@@ -602,7 +602,27 @@ impl<P: L1Protocol> L1<P> {
             return true;
         }
         let state = self.cache.get(line).map(|l| l.state);
-        P::core_request(self, out, ctx, op, line, state)
+        match (req.kind, state) {
+            (CoreReqKind::Load | CoreReqKind::Store { .. }, None) => {
+                if !self.make_room(out, ctx, line) {
+                    return false;
+                }
+                let exclusive = req.kind != CoreReqKind::Load;
+                let (tstate, event) = if exclusive {
+                    (P::Transient::IM, "Store")
+                } else {
+                    (P::Transient::IS, "Load")
+                };
+                ctx.coverage.record(Transition::l1("I", event));
+                self.start_miss(out, ctx, line, tstate, op, exclusive);
+                true
+            }
+            (CoreReqKind::Flush, _) => {
+                self.flush(out, ctx, req.tag, line);
+                true
+            }
+            _ => P::core_request(self, out, ctx, op, line, state),
+        }
     }
 }
 

@@ -1,15 +1,17 @@
 //! The L2 bank skeleton both protocols share.
 //!
 //! [`L2`] is a blocking directory bank: it owns the cache array, the in-flight
-//! transactions (one per line, in a `LineTable`, with per-set counts of the
-//! outstanding memory fetches), the request and response queues and the
-//! delayed outgoing messages.  It serves what MESI and TSO-CC do alike: the
-//! tick (responses first, then requests with head-of-line blocking), the
-//! fetch of a line that is not present (`NP` + `GetS` / `GetX`), the
-//! replacement that makes room for it, the stale-`PutX` answer and the
-//! reporting of invalid transitions.  A protocol ([`L2Protocol`]) supplies
-//! its line and transaction types and its per-(state, event) arms.  Nothing
-//! here branches on the protocol.
+//! transactions (one per line, in a `LineTable`), the memory fetches in
+//! flight (in a `LineTable` of their own), the request and response queues
+//! and the delayed outgoing messages.  It serves what MESI and TSO-CC do
+//! alike: the tick (responses first, then requests with head-of-line
+//! blocking), the memory fetch of a line that is not present from the `NP` +
+//! `GetS` / `GetX` that starts it to the `MemData` that installs the line and
+//! grants it, the replacement that makes room for it, the stale-`PutX` answer
+//! and the reporting of invalid transitions.  A protocol ([`L2Protocol`])
+//! supplies its line and transaction types, what a fetched line is and how it
+//! is granted, and its per-(state, event) arms.  Nothing here branches on the
+//! protocol.
 
 use crate::bugs::BugConfig;
 use crate::cache::CacheArray;
@@ -18,7 +20,7 @@ use crate::coverage::Transition;
 use crate::msg::{Msg, MsgPayload, VirtualNetwork};
 use crate::protocol::{earliest_release, release_due, L2Controller, LineTable, TickCtx};
 use crate::system::ProtocolError;
-use crate::types::{Cycle, LineAddr, NodeId};
+use crate::types::{Cycle, LineAddr, LineData, NodeId};
 use rand::Rng;
 use std::collections::VecDeque;
 use std::fmt;
@@ -36,13 +38,18 @@ pub(crate) trait L2Protocol: Sized + fmt::Debug {
     /// The directory state of a resident line, as coverage names it.
     fn state_name(line: &Self::Line) -> &'static str;
 
-    /// The transaction that fetches a line from memory for `requestor`'s
-    /// `GetS`, or its `GetX` if `exclusive`.
-    fn fetch(requestor: usize, exclusive: bool) -> Self::Trans;
+    /// The transient states of a memory fetch for a `GetS` and for a `GetX`,
+    /// as coverage names them.
+    const FETCHING: [&'static str; 2];
 
-    /// Whether `trans` is one of the transactions [`fetch`](Self::fetch)
-    /// makes.
-    fn is_fetch(trans: &Self::Trans) -> bool;
+    /// The line that memory's `data` installs for `requestor`'s `GetS`, or
+    /// its `GetX` if `exclusive`, and the grant that answers the request.
+    fn fetched(
+        line: LineAddr,
+        data: LineData,
+        requestor: usize,
+        exclusive: bool,
+    ) -> (Self::Line, MsgPayload);
 
     /// Starts evicting the resident line `victim` (its `Replacement` is
     /// already recorded).  Returns `true` if its way is free now, `false` if
@@ -71,18 +78,23 @@ pub(crate) trait L2Protocol: Sized + fmt::Debug {
     }
 }
 
+/// A memory fetch in flight for `requestor`'s `GetS`, or its `GetX` if
+/// `exclusive`.
+#[derive(Debug, Clone, Copy)]
+struct Fetch {
+    requestor: usize,
+    exclusive: bool,
+}
+
 /// A shared L2 bank (directory) of protocol `P`.
 #[derive(Debug)]
 pub(crate) struct L2<P: L2Protocol> {
     bank: usize,
     node: NodeId,
     pub(super) cache: CacheArray<P::Line>,
-    trans: LineTable<P::Trans>,
-    /// Per-set count of outstanding memory fetches (the [`L2Protocol::fetch`]
-    /// entries in `trans`), so [`Self::set_has_pending_fetch`] is O(1)
-    /// instead of a scan over every in-flight transaction.  Maintained
-    /// exclusively by [`Self::trans_insert`] / [`Self::trans_remove`].
-    pending_fetches: Vec<u32>,
+    /// The protocol's transactions in flight on resident lines.
+    pub(super) trans: LineTable<P::Trans>,
+    fetches: LineTable<Fetch>,
     requests: VecDeque<Msg>,
     responses: VecDeque<Msg>,
     pending_out: Vec<(Cycle, Msg)>,
@@ -97,7 +109,7 @@ impl<P: L2Protocol> L2<P> {
             node: cfg.node_of_l2(bank),
             cache: CacheArray::new(cfg.l2_sets(), cfg.l2_ways, cfg.line_bytes),
             trans: LineTable::new(),
-            pending_fetches: vec![0; cfg.l2_sets()],
+            fetches: LineTable::new(),
             requests: VecDeque::new(),
             responses: VecDeque::new(),
             pending_out: Vec::new(),
@@ -138,38 +150,15 @@ impl<P: L2Protocol> L2<P> {
         ));
     }
 
-    /// Starts (or replaces) an in-flight transaction, keeping the per-set
-    /// pending-fetch counters in sync.  A replacement may retire a fetch (the
-    /// old entry counts down before the new one counts up).
-    pub(super) fn trans_insert(&mut self, line: LineAddr, trans: P::Trans) {
-        let set = self.cache.set_index(line);
-        if P::is_fetch(&trans) {
-            self.pending_fetches[set] += 1;
-        }
-        if let Some(old) = self.trans.insert(line, trans) {
-            if P::is_fetch(&old) {
-                self.pending_fetches[set] = self.pending_fetches[set].saturating_sub(1);
-            }
-        }
-    }
-
-    /// Retires an in-flight transaction, keeping the per-set pending-fetch
-    /// counters in sync.
-    pub(super) fn trans_remove(&mut self, line: LineAddr) -> Option<P::Trans> {
-        let old = self.trans.remove(&line)?;
-        if P::is_fetch(&old) {
-            let set = self.cache.set_index(line);
-            self.pending_fetches[set] = self.pending_fetches[set].saturating_sub(1);
-        }
-        Some(old)
-    }
-
     /// Returns `true` if a memory fetch is already outstanding for a line in
     /// the same cache set.  Such a fetch has reserved the set's free way, so
     /// further allocations into the set must wait (otherwise the data arriving
     /// from memory would find the set full again).
     fn set_has_pending_fetch(&self, line: LineAddr) -> bool {
-        self.pending_fetches[self.cache.set_index(line)] > 0
+        let set = self.cache.set_index(line);
+        self.fetches
+            .lines()
+            .any(|fetching| self.cache.set_index(fetching) == set)
     }
 
     /// Reports that this bank has no transition for `event` in `state`.
@@ -222,9 +211,30 @@ impl<P: L2Protocol> L2<P> {
         let event = if exclusive { "GetX" } else { "GetS" };
         ctx.coverage.record(Transition::l2("NP", event));
         let requestor = src_core.expect("GetS and GetX come from an L1");
-        self.trans_insert(line, P::fetch(requestor, exclusive));
+        self.fetches.insert(
+            line,
+            Fetch {
+                requestor,
+                exclusive,
+            },
+        );
         self.send_mem(ctx, MsgPayload::MemRead { line });
         true
+    }
+
+    /// `FETCHING` + `MemData`: installs the fetched line and grants it.
+    fn complete_fetch(&mut self, ctx: &mut TickCtx<'_>, msg: Msg, fetch: Fetch) {
+        let state = P::FETCHING[usize::from(fetch.exclusive)];
+        let MsgPayload::MemData { line, data } = msg.payload else {
+            let line = msg.payload.line();
+            return self.invalid(ctx, line, state, msg.payload.event_name());
+        };
+        ctx.coverage.record(Transition::l2(state, "MemData"));
+        self.fetches.remove(&line);
+        let (entry, grant) = P::fetched(line, data, fetch.requestor, fetch.exclusive);
+        self.cache.insert(line, entry);
+        let dst = ctx.cfg.node_of_l1(fetch.requestor);
+        self.send_response(ctx, dst, grant);
     }
 
     /// A writeback (`PutX`) from a core that is not (or is no longer) the
@@ -249,7 +259,7 @@ impl<P: L2Protocol> L2<P> {
     /// Processes one request message.  Returns `false` if it must stall.
     fn process_request(&mut self, ctx: &mut TickCtx<'_>, msg: &Msg) -> bool {
         let line = msg.payload.line();
-        if self.trans.contains_key(&line) {
+        if self.trans.contains_key(&line) || self.fetches.contains_key(&line) {
             // Blocking directory: the line is busy.
             return false;
         }
@@ -271,6 +281,9 @@ impl<P: L2Protocol> L2<P> {
     /// Processes one response message (never stalled).
     fn process_response(&mut self, ctx: &mut TickCtx<'_>, msg: Msg) {
         let line = msg.payload.line();
+        if let Some(&fetch) = self.fetches.get(&line) {
+            return self.complete_fetch(ctx, msg, fetch);
+        }
         match self.trans.get(&line).cloned() {
             Some(trans) => P::response(self, ctx, msg, trans),
             None => self.invalid(ctx, line, "no-transaction", msg.payload.event_name()),
@@ -322,6 +335,7 @@ impl<P: L2Protocol> L2Controller for L2<P> {
 
     fn is_idle(&self) -> bool {
         self.trans.is_empty()
+            && self.fetches.is_empty()
             && self.requests.is_empty()
             && self.responses.is_empty()
             && self.pending_out.is_empty()
@@ -330,7 +344,7 @@ impl<P: L2Protocol> L2Controller for L2<P> {
     fn hard_reset(&mut self) {
         self.cache.drain_all();
         self.trans.clear();
-        self.pending_fetches.fill(0);
+        self.fetches.clear();
         self.requests.clear();
         self.responses.clear();
         self.pending_out.clear();

@@ -53,6 +53,8 @@ pub(crate) enum Transient {
 }
 
 impl l1::Transient for Transient {
+    const IS: Self = Transient::IS;
+    const IM: Self = Transient::IM;
     const MI: Self = Transient::MI;
 
     fn name(self) -> &'static str {
@@ -107,14 +109,6 @@ impl L1Protocol for Mesi {
                 l1.respond(ctx, op.tag, CoreRespKind::LoadDone { value });
                 true
             }
-            (CoreReqKind::Load, None) => {
-                if !l1.make_room(out, ctx, line) {
-                    return false;
-                }
-                ctx.coverage.record(Transition::l1("I", "Load"));
-                l1.start_miss(out, ctx, line, Transient::IS, op, false);
-                true
-            }
 
             // ---- Stores ----
             (CoreReqKind::Store { value }, Some(L1State::Modified)) => {
@@ -139,14 +133,6 @@ impl L1Protocol for Mesi {
             (CoreReqKind::Store { .. }, Some(L1State::Shared)) => {
                 ctx.coverage.record(Transition::l1("S", "Store"));
                 l1.start_miss(out, ctx, line, Transient::SM, op, true);
-                true
-            }
-            (CoreReqKind::Store { .. }, None) => {
-                if !l1.make_room(out, ctx, line) {
-                    return false;
-                }
-                ctx.coverage.record(Transition::l1("I", "Store"));
-                l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
 
@@ -178,18 +164,16 @@ impl L1Protocol for Mesi {
                 true
             }
 
-            // ---- Flushes ----
-            (CoreReqKind::Flush, _) => {
-                l1.flush(out, ctx, op.tag, line);
-                true
-            }
-
             // ---- Fences ----
             // Under MESI, ordering across a fence is enforced by the core
             // (store buffer drain); the cache has nothing to do.
             (CoreReqKind::Fence, _) => {
                 l1.respond(ctx, op.tag, CoreRespKind::FenceDone);
                 true
+            }
+
+            (CoreReqKind::Load | CoreReqKind::Store { .. }, None) | (CoreReqKind::Flush, _) => {
+                unreachable!("the skeleton serves misses from I and flushes")
             }
         }
     }

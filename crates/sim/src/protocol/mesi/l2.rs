@@ -65,18 +65,6 @@ pub(crate) struct L2Line {
 }
 
 impl L2Line {
-    /// A line just fetched from memory for `requestor`, which owns it.
-    fn fetched(data: &LineData, requestor: usize, dirty_expected: bool) -> Self {
-        L2Line {
-            state: L2State::Owned,
-            data: data.clone(),
-            dirty: false,
-            sharers: BTreeSet::new(),
-            owner: Some(requestor),
-            dirty_expected,
-        }
-    }
-
     /// Makes `requestor` the exclusive owner.
     fn grant_owned(&mut self, requestor: usize, dirty_expected: bool) {
         self.state = L2State::Owned;
@@ -97,16 +85,6 @@ impl L2Line {
 /// In-flight MESI directory transaction states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Trans {
-    /// Fetching from memory to satisfy a GetS.
-    FetchForS {
-        /// The requesting core.
-        requestor: usize,
-    },
-    /// Fetching from memory to satisfy a GetX.
-    FetchForX {
-        /// The requesting core.
-        requestor: usize,
-    },
     /// Collecting invalidation acks to satisfy a GetX.
     InvForX {
         /// The requesting core.
@@ -136,8 +114,6 @@ pub(crate) enum Trans {
 impl Trans {
     fn name(&self) -> &'static str {
         match self {
-            Trans::FetchForS { .. } => "I_S_Mem",
-            Trans::FetchForX { .. } => "I_X_Mem",
             Trans::InvForX { .. } => "SS_X_Inv",
             Trans::FwdForS { .. } => "MT_S_Fwd",
             Trans::FwdForX { .. } => "MT_X_Fwd",
@@ -156,16 +132,38 @@ impl L2Protocol for Mesi {
         line.state.name()
     }
 
-    fn fetch(requestor: usize, exclusive: bool) -> Trans {
-        if exclusive {
-            Trans::FetchForX { requestor }
-        } else {
-            Trans::FetchForS { requestor }
-        }
-    }
+    const FETCHING: [&'static str; 2] = ["I_S_Mem", "I_X_Mem"];
 
-    fn is_fetch(trans: &Trans) -> bool {
-        matches!(trans, Trans::FetchForS { .. } | Trans::FetchForX { .. })
+    fn fetched(
+        line: LineAddr,
+        data: LineData,
+        requestor: usize,
+        exclusive: bool,
+    ) -> (L2Line, MsgPayload) {
+        // The requestor owns the line either way: a GetS is granted
+        // Exclusive, which it may modify silently (dirty_expected = false).
+        let entry = L2Line {
+            state: L2State::Owned,
+            data: data.clone(),
+            dirty: false,
+            sharers: BTreeSet::new(),
+            owner: Some(requestor),
+            dirty_expected: exclusive,
+        };
+        let grant = if exclusive {
+            MsgPayload::DataX {
+                line,
+                data,
+                ts: None,
+            }
+        } else {
+            MsgPayload::DataE {
+                line,
+                data,
+                ts: None,
+            }
+        };
+        (entry, grant)
     }
 
     fn evict(l2: &mut L2<Mesi>, ctx: &mut TickCtx<'_>, victim: LineAddr, entry: L2Line) -> bool {
@@ -185,14 +183,14 @@ impl L2Protocol for Mesi {
                     l2.send_forward(ctx, dst, MsgPayload::Inv { line: victim });
                 }
                 let acks_left = entry.sharers.len();
-                l2.trans_insert(victim, Trans::EvictInv { acks_left });
+                l2.trans.insert(victim, Trans::EvictInv { acks_left });
                 false
             }
             L2State::Owned => {
                 let owner = entry.owner.expect("owned line has owner");
                 let dst = ctx.cfg.node_of_l1(owner);
                 l2.send_forward(ctx, dst, MsgPayload::Recall { line: victim });
-                l2.trans_insert(victim, Trans::EvictRecall);
+                l2.trans.insert(victim, Trans::EvictRecall);
                 false
             }
         }
@@ -260,7 +258,7 @@ impl L2Protocol for Mesi {
                 }
                 let dst = ctx.cfg.node_of_l1(owner);
                 l2.send_forward(ctx, dst, MsgPayload::FwdGetS { line });
-                l2.trans_insert(line, Trans::FwdForS { requestor });
+                l2.trans.insert(line, Trans::FwdForS { requestor });
                 true
             }
 
@@ -293,7 +291,7 @@ impl L2Protocol for Mesi {
                         l2.send_forward(ctx, dst, MsgPayload::Inv { line });
                     }
                     let acks_left = others.len();
-                    l2.trans_insert(
+                    l2.trans.insert(
                         line,
                         Trans::InvForX {
                             requestor,
@@ -322,7 +320,7 @@ impl L2Protocol for Mesi {
                 }
                 let dst = ctx.cfg.node_of_l1(owner);
                 l2.send_forward(ctx, dst, MsgPayload::FwdGetX { line });
-                l2.trans_insert(line, Trans::FwdForX { requestor });
+                l2.trans.insert(line, Trans::FwdForX { requestor });
                 true
             }
 
@@ -352,42 +350,6 @@ impl L2Protocol for Mesi {
     fn response(l2: &mut L2<Mesi>, ctx: &mut TickCtx<'_>, msg: Msg, trans: Trans) {
         let line = msg.payload.line();
         match (&msg.payload, trans) {
-            // ---- Memory data for fetches ----
-            (MsgPayload::MemData { data, .. }, Trans::FetchForS { requestor }) => {
-                ctx.coverage.record(Transition::l2("I_S_Mem", "MemData"));
-                l2.trans_remove(line);
-                l2.cache
-                    .insert(line, L2Line::fetched(data, requestor, false));
-                let dst = ctx.cfg.node_of_l1(requestor);
-                let data = data.clone();
-                l2.send_response(
-                    ctx,
-                    dst,
-                    MsgPayload::DataE {
-                        line,
-                        data,
-                        ts: None,
-                    },
-                );
-            }
-            (MsgPayload::MemData { data, .. }, Trans::FetchForX { requestor }) => {
-                ctx.coverage.record(Transition::l2("I_X_Mem", "MemData"));
-                l2.trans_remove(line);
-                l2.cache
-                    .insert(line, L2Line::fetched(data, requestor, true));
-                let dst = ctx.cfg.node_of_l1(requestor);
-                let data = data.clone();
-                l2.send_response(
-                    ctx,
-                    dst,
-                    MsgPayload::DataX {
-                        line,
-                        data,
-                        ts: None,
-                    },
-                );
-            }
-
             // ---- Invalidation acks ----
             (
                 MsgPayload::InvAck { .. },
@@ -399,7 +361,7 @@ impl L2Protocol for Mesi {
                 ctx.coverage.record(Transition::l2("SS_X_Inv", "InvAck"));
                 if acks_left > 1 {
                     let acks_left = acks_left - 1;
-                    l2.trans_insert(
+                    l2.trans.insert(
                         line,
                         Trans::InvForX {
                             requestor,
@@ -407,7 +369,7 @@ impl L2Protocol for Mesi {
                         },
                     );
                 } else {
-                    l2.trans_remove(line);
+                    l2.trans.remove(&line);
                     let entry = l2.cache.get_mut(line).expect("resident during InvForX");
                     entry.grant_owned(requestor, true);
                     let data = entry.data.clone();
@@ -427,9 +389,9 @@ impl L2Protocol for Mesi {
                 ctx.coverage.record(Transition::l2("SS_Evict", "InvAck"));
                 if acks_left > 1 {
                     let acks_left = acks_left - 1;
-                    l2.trans_insert(line, Trans::EvictInv { acks_left });
+                    l2.trans.insert(line, Trans::EvictInv { acks_left });
                 } else {
-                    l2.trans_remove(line);
+                    l2.trans.remove(&line);
                     let entry = l2.cache.remove(line).expect("resident during eviction");
                     if entry.dirty {
                         let data = entry.data;
@@ -441,7 +403,7 @@ impl L2Protocol for Mesi {
             // ---- Owner writeback data for forwards ----
             (MsgPayload::WbData { data, dirty, .. }, Trans::FwdForS { requestor }) => {
                 ctx.coverage.record(Transition::l2("MT_S_Fwd", "WbData"));
-                l2.trans_remove(line);
+                l2.trans.remove(&line);
                 let old_owner = l2.cache.get(line).and_then(|l| l.owner);
                 let entry = l2.cache.get_mut(line).expect("resident during FwdForS");
                 entry.absorb(data, *dirty);
@@ -467,7 +429,7 @@ impl L2Protocol for Mesi {
             }
             (MsgPayload::WbData { data, dirty, .. }, Trans::FwdForX { requestor }) => {
                 ctx.coverage.record(Transition::l2("MT_X_Fwd", "WbData"));
-                l2.trans_remove(line);
+                l2.trans.remove(&line);
                 let entry = l2.cache.get_mut(line).expect("resident during FwdForX");
                 entry.absorb(data, *dirty);
                 entry.grant_owned(requestor, true);
@@ -485,7 +447,7 @@ impl L2Protocol for Mesi {
             }
             (MsgPayload::WbData { data, dirty, .. }, Trans::EvictRecall) => {
                 ctx.coverage.record(Transition::l2("MT_Evict", "WbData"));
-                l2.trans_remove(line);
+                l2.trans.remove(&line);
                 let entry = l2.cache.remove(line).expect("resident during eviction");
                 let drop_dirty_data = ctx.bugs.has(Bug::MesiReplaceRace) && !entry.dirty_expected;
                 // With the Replace-Race bug and an unexpectedly dirty block,
@@ -838,6 +800,30 @@ mod tests {
         assert!(out
             .iter()
             .any(|m| matches!(m.payload, MsgPayload::FwdGetS { .. }) && m.dst == l1_node(&h, 0)));
+        assert!(h.errors.is_empty());
+    }
+
+    #[test]
+    fn a_fetch_in_flight_stalls_the_next_fetch_into_its_set() {
+        let mut h = Harness::new(ProtocolKind::Mesi, BugConfig::none());
+        let mut l2 = MesiL2::new(0, &h.cfg);
+        let stride = h.cfg.l2_sets() as u64 * h.cfg.line_bytes * h.cfg.l2_banks as u64;
+        let np_gets = Transition::l2("NP", "GetS");
+        let mem_reads = |out: &[Msg]| {
+            out.iter()
+                .filter(|m| matches!(m.payload, MsgPayload::MemRead { .. }))
+                .count()
+        };
+        l2.push_msg(gets(&h, 0, 0x1000));
+        assert_eq!(mem_reads(&h.run(&mut l2, 50)), 1);
+        // Another line of the set is not present either, and the set has a
+        // free way, but the fetch in flight has reserved it.
+        l2.push_msg(gets(&h, 1, 0x1000 + stride));
+        assert_eq!(mem_reads(&h.run(&mut l2, 100)), 0);
+        assert_eq!(h.coverage.count(np_gets), 1);
+        l2.push_msg(mem_data(&h, 0x1000, 0));
+        assert_eq!(mem_reads(&h.run(&mut l2, 100)), 1);
+        assert_eq!(h.coverage.count(np_gets), 2);
         assert!(h.errors.is_empty());
     }
 

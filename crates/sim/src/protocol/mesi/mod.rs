@@ -11,7 +11,11 @@
 //!
 //! Both controllers are the shared skeletons of `crate::protocol::l1` and
 //! `crate::protocol::l2` instantiated with `Mesi`, which supplies the
-//! states and transitions.
+//! states and transitions.  The skeletons serve the rows both protocols
+//! share: the L1's `Load` and `Store` misses from `I` and its flushes, and
+//! the L2's memory fetch (`NP` + `GetS` / `GetX` through `I_S_Mem` /
+//! `I_X_Mem` + `MemData`), for which `Mesi` only says what the fetched line
+//! is and how it is granted.
 //!
 //! The protocol is *functionally accurate*: all data flows through the
 //! messages and cache arrays, so a protocol bug results in stale architectural

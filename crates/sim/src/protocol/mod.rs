@@ -17,9 +17,9 @@
 //! * `l1::L1` — queues, MSHRs, misses, replacement, flush and writeback,
 //!   fills and deferred replay, the tick; a protocol supplies an
 //!   `l1::L1Protocol`;
-//! * `l2::L2` — queues, transactions with per-set pending-fetch counts,
-//!   memory fetch and replacement, stale writebacks, the tick; a protocol
-//!   supplies an `l2::L2Protocol`.
+//! * `l2::L2` — queues, transactions, the memory fetch from the request
+//!   that starts it to the grant, replacement, stale writebacks, the tick; a
+//!   protocol supplies an `l2::L2Protocol`.
 //!
 //! A protocol's files keep only its own states, transitions, bug hooks and
 //! transition universe; the skeletons never branch on the protocol.
@@ -163,10 +163,10 @@ pub(crate) fn earliest_release<T>(pending: &[(Cycle, T)]) -> Option<Cycle> {
     pending.iter().map(|&(ready, _)| ready).min()
 }
 
-/// What a controller has in flight (MSHRs, directory transactions), by line.
-/// That is a handful of entries at a time and nothing iterates over them, so
-/// they sit in a `Vec` in no particular order and a lookup scans it.  The
-/// methods are those of the map this stands in for.
+/// What a controller has in flight (MSHRs, directory transactions, memory
+/// fetches), by line.  That is a handful of entries at a time, so they sit in
+/// a `Vec` in no particular order and a lookup scans it.  The methods are
+/// those of the map this stands in for.
 #[derive(Debug)]
 pub(crate) struct LineTable<T> {
     entries: Vec<(LineAddr, T)>,
@@ -195,6 +195,11 @@ impl<T> LineTable<T> {
 
     pub(crate) fn contains_key(&self, line: &LineAddr) -> bool {
         self.position(line).is_some()
+    }
+
+    /// The lines with an entry, in no particular order.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.entries.iter().map(|&(line, _)| line)
     }
 
     /// Puts `value` in `line`'s entry and returns what was there.

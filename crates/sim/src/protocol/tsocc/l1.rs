@@ -158,6 +158,8 @@ pub(crate) enum Transient {
 }
 
 impl l1::Transient for Transient {
+    const IS: Self = Transient::IS;
+    const IM: Self = Transient::IM;
     const MI: Self = Transient::MI;
 
     fn name(self) -> &'static str {
@@ -247,14 +249,6 @@ impl L1Protocol for TsoCc {
                 l1.respond(ctx, op.tag, CoreRespKind::LoadDone { value });
                 true
             }
-            (CoreReqKind::Load, None) => {
-                if !l1.make_room(out, ctx, line) {
-                    return false;
-                }
-                ctx.coverage.record(Transition::l1("I", "Load"));
-                l1.start_miss(out, ctx, line, Transient::IS, op, false);
-                true
-            }
 
             // ---- Stores ----
             (CoreReqKind::Store { value }, Some(st @ (L1State::Exclusive | L1State::Modified))) => {
@@ -275,14 +269,6 @@ impl L1Protocol for TsoCc {
                 ctx.coverage.record(Transition::l1("S", "Store"));
                 l1.cache.remove(line);
                 out.lq_notices.push(line);
-                l1.start_miss(out, ctx, line, Transient::IM, op, true);
-                true
-            }
-            (CoreReqKind::Store { .. }, None) => {
-                if !l1.make_room(out, ctx, line) {
-                    return false;
-                }
-                ctx.coverage.record(Transition::l1("I", "Store"));
                 l1.start_miss(out, ctx, line, Transient::IM, op, true);
                 true
             }
@@ -316,17 +302,15 @@ impl L1Protocol for TsoCc {
                 }
             }
 
-            // ---- Flushes ----
-            (CoreReqKind::Flush, _) => {
-                l1.flush(out, ctx, op.tag, line);
-                true
-            }
-
             // ---- Fences: self-invalidate all Shared lines ----
             (CoreReqKind::Fence, _) => {
                 self_invalidate_shared(l1, out, ctx);
                 l1.respond(ctx, op.tag, CoreRespKind::FenceDone);
                 true
+            }
+
+            (CoreReqKind::Load | CoreReqKind::Store { .. }, None) | (CoreReqKind::Flush, _) => {
+                unreachable!("the skeleton serves misses from I and flushes")
             }
         }
     }

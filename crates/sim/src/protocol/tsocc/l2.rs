@@ -48,17 +48,6 @@ pub(crate) struct L2Line {
 }
 
 impl L2Line {
-    /// A line just fetched from memory, owned by `owner` if any.
-    fn fetched(state: L2State, data: &LineData, owner: Option<usize>) -> Self {
-        L2Line {
-            state,
-            data: data.clone(),
-            dirty: false,
-            owner,
-            ts: None,
-        }
-    }
-
     /// Takes the owner's writeback: its data if it modified the line, and
     /// its timestamp metadata if it sent any.
     fn absorb(&mut self, data: &LineData, dirty: bool, ts: Option<TsInfo>) {
@@ -75,16 +64,6 @@ impl L2Line {
 /// In-flight TSO-CC directory transaction states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Trans {
-    /// Fetching from memory to satisfy a GetS.
-    FetchForS {
-        /// The requesting core.
-        requestor: usize,
-    },
-    /// Fetching from memory to satisfy a GetX.
-    FetchForX {
-        /// The requesting core.
-        requestor: usize,
-    },
     /// Waiting for the downgraded owner's data to satisfy a GetS.
     DownForS {
         /// The requesting core.
@@ -102,8 +81,6 @@ pub(crate) enum Trans {
 impl Trans {
     fn name(&self) -> &'static str {
         match self {
-            Trans::FetchForS { .. } => "U_S_Mem",
-            Trans::FetchForX { .. } => "U_X_Mem",
             Trans::DownForS { .. } => "EX_S_Down",
             Trans::RecallForX { .. } => "EX_X_Recall",
             Trans::EvictRecall => "EX_Evict",
@@ -120,16 +97,39 @@ impl L2Protocol for TsoCc {
         line.state.name()
     }
 
-    fn fetch(requestor: usize, exclusive: bool) -> Trans {
-        if exclusive {
-            Trans::FetchForX { requestor }
-        } else {
-            Trans::FetchForS { requestor }
-        }
-    }
+    const FETCHING: [&'static str; 2] = ["U_S_Mem", "U_X_Mem"];
 
-    fn is_fetch(trans: &Trans) -> bool {
-        matches!(trans, Trans::FetchForS { .. } | Trans::FetchForX { .. })
+    fn fetched(
+        line: LineAddr,
+        data: LineData,
+        requestor: usize,
+        exclusive: bool,
+    ) -> (L2Line, MsgPayload) {
+        let entry = L2Line {
+            state: if exclusive {
+                L2State::Exclusive
+            } else {
+                L2State::Uncached
+            },
+            data: data.clone(),
+            dirty: false,
+            owner: exclusive.then_some(requestor),
+            ts: None,
+        };
+        let grant = if exclusive {
+            MsgPayload::DataX {
+                line,
+                data,
+                ts: None,
+            }
+        } else {
+            MsgPayload::DataS {
+                line,
+                data,
+                ts: None,
+            }
+        };
+        (entry, grant)
     }
 
     fn evict(l2: &mut L2<TsoCc>, ctx: &mut TickCtx<'_>, victim: LineAddr, entry: L2Line) -> bool {
@@ -146,7 +146,7 @@ impl L2Protocol for TsoCc {
                 let owner = entry.owner.expect("exclusive line has owner");
                 let dst = ctx.cfg.node_of_l1(owner);
                 l2.send_forward(ctx, dst, MsgPayload::Recall { line: victim });
-                l2.trans_insert(victim, Trans::EvictRecall);
+                l2.trans.insert(victim, Trans::EvictRecall);
                 false
             }
         }
@@ -181,7 +181,7 @@ impl L2Protocol for TsoCc {
                 }
                 let dst = ctx.cfg.node_of_l1(owner);
                 l2.send_forward(ctx, dst, MsgPayload::Downgrade { line });
-                l2.trans_insert(line, Trans::DownForS { requestor });
+                l2.trans.insert(line, Trans::DownForS { requestor });
                 true
             }
 
@@ -207,7 +207,7 @@ impl L2Protocol for TsoCc {
                 }
                 let dst = ctx.cfg.node_of_l1(owner);
                 l2.send_forward(ctx, dst, MsgPayload::Recall { line });
-                l2.trans_insert(line, Trans::RecallForX { requestor });
+                l2.trans.insert(line, Trans::RecallForX { requestor });
                 true
             }
 
@@ -241,42 +241,6 @@ impl L2Protocol for TsoCc {
     fn response(l2: &mut L2<TsoCc>, ctx: &mut TickCtx<'_>, msg: Msg, trans: Trans) {
         let line = msg.payload.line();
         match (&msg.payload, trans) {
-            (MsgPayload::MemData { data, .. }, Trans::FetchForS { requestor }) => {
-                ctx.coverage.record(Transition::l2("U_S_Mem", "MemData"));
-                l2.trans_remove(line);
-                l2.cache
-                    .insert(line, L2Line::fetched(L2State::Uncached, data, None));
-                let dst = ctx.cfg.node_of_l1(requestor);
-                let data = data.clone();
-                l2.send_response(
-                    ctx,
-                    dst,
-                    MsgPayload::DataS {
-                        line,
-                        data,
-                        ts: None,
-                    },
-                );
-            }
-            (MsgPayload::MemData { data, .. }, Trans::FetchForX { requestor }) => {
-                ctx.coverage.record(Transition::l2("U_X_Mem", "MemData"));
-                l2.trans_remove(line);
-                l2.cache.insert(
-                    line,
-                    L2Line::fetched(L2State::Exclusive, data, Some(requestor)),
-                );
-                let dst = ctx.cfg.node_of_l1(requestor);
-                let data = data.clone();
-                l2.send_response(
-                    ctx,
-                    dst,
-                    MsgPayload::DataX {
-                        line,
-                        data,
-                        ts: None,
-                    },
-                );
-            }
             (
                 MsgPayload::WbData {
                     data, dirty, ts, ..
@@ -284,7 +248,7 @@ impl L2Protocol for TsoCc {
                 Trans::DownForS { requestor },
             ) => {
                 ctx.coverage.record(Transition::l2("EX_S_Down", "WbData"));
-                l2.trans_remove(line);
+                l2.trans.remove(&line);
                 let entry = l2.cache.get_mut(line).expect("resident");
                 entry.absorb(data, *dirty, *ts);
                 entry.state = L2State::Uncached;
@@ -300,7 +264,7 @@ impl L2Protocol for TsoCc {
                 Trans::RecallForX { requestor },
             ) => {
                 ctx.coverage.record(Transition::l2("EX_X_Recall", "WbData"));
-                l2.trans_remove(line);
+                l2.trans.remove(&line);
                 let entry = l2.cache.get_mut(line).expect("resident");
                 entry.absorb(data, *dirty, *ts);
                 entry.state = L2State::Exclusive;
@@ -311,7 +275,7 @@ impl L2Protocol for TsoCc {
             }
             (MsgPayload::WbData { data, dirty, .. }, Trans::EvictRecall) => {
                 ctx.coverage.record(Transition::l2("EX_Evict", "WbData"));
-                l2.trans_remove(line);
+                l2.trans.remove(&line);
                 let entry = l2.cache.remove(line).expect("resident");
                 if *dirty {
                     let data = data.clone();
@@ -513,6 +477,38 @@ mod tests {
                 .any(|m| matches!(m.payload, MsgPayload::DataS { .. })
                     && m.dst == h.cfg.node_of_l1(2))
         );
+        assert!(h.errors.is_empty());
+    }
+
+    #[test]
+    fn a_fetch_in_flight_stalls_the_next_fetch_into_its_set() {
+        let mut h = Harness::new(ProtocolKind::TsoCc, BugConfig::none());
+        let mut l2 = TsoCcL2::new(0, &h.cfg);
+        let stride = h.cfg.l2_sets() as u64 * h.cfg.line_bytes * h.cfg.l2_banks as u64;
+        let line = |i: u64| LineAddr(0x1000 + i * stride);
+        let np_gets = Transition::l2("NP", "GetS");
+        let mem_reads = |out: &[Msg]| {
+            out.iter()
+                .filter(|m| matches!(m.payload, MsgPayload::MemRead { .. }))
+                .count()
+        };
+        l2.push_msg(msg_from_l1(&h, 0, MsgPayload::GetS { line: line(0) }));
+        assert_eq!(mem_reads(&h.run(&mut l2, 50)), 1);
+        // Another line of the set is not present either, and the set has a
+        // free way, but the fetch in flight has reserved it.
+        l2.push_msg(msg_from_l1(&h, 1, MsgPayload::GetS { line: line(1) }));
+        assert_eq!(mem_reads(&h.run(&mut l2, 100)), 0);
+        assert_eq!(h.coverage.count(np_gets), 1);
+        l2.push_msg(Msg::new(
+            h.cfg.node_of_memory(),
+            h.cfg.node_of_l2(0),
+            MsgPayload::MemData {
+                line: line(0),
+                data: LineData::zeroed(64),
+            },
+        ));
+        assert_eq!(mem_reads(&h.run(&mut l2, 100)), 1);
+        assert_eq!(h.coverage.count(np_gets), 2);
         assert!(h.errors.is_empty());
     }
 

@@ -22,7 +22,11 @@
 //!
 //! Both controllers are the shared skeletons of `crate::protocol::l1` and
 //! `crate::protocol::l2` instantiated with `TsoCc`, which supplies the
-//! states, transitions and the timestamp logic.
+//! states, transitions and the timestamp logic.  The skeletons serve the
+//! rows both protocols share: the L1's `Load` and `Store` misses from `I`
+//! and its flushes, and the L2's memory fetch (`NP` + `GetS` / `GetX`
+//! through `U_S_Mem` / `U_X_Mem` + `MemData`), for which `TsoCc` only says
+//! what the fetched line is and how it is granted.
 
 mod l1;
 mod l2;
