@@ -329,20 +329,12 @@ impl<P: L1Protocol> L1<P> {
     }
 
     /// Evicts `line` if it is resident, starting its writeback if it is held
-    /// exclusively; `reason` is the coverage event.
-    fn evict_line(
-        &mut self,
-        out: &mut L1Output,
-        ctx: &mut TickCtx<'_>,
-        line: LineAddr,
-        reason: &'static str,
-    ) {
-        let Some(entry) = self.cache.get(line) else {
+    /// exclusively.  The caller records why.
+    fn evict_line(&mut self, out: &mut L1Output, ctx: &TickCtx<'_>, line: LineAddr) {
+        let Some(entry) = self.cache.remove(line) else {
             return;
         };
         let state = entry.state;
-        ctx.coverage.record(Transition::l1(state.name(), reason));
-        let entry = self.cache.remove(line).expect("checked resident");
         match state {
             L1State::Shared => {
                 // Silent drop; a directory that tracks sharers keeps a stale
@@ -377,7 +369,10 @@ impl<P: L1Protocol> L1<P> {
         if self.mshrs.contains_key(&victim) {
             return false;
         }
-        self.evict_line(out, ctx, victim, "Replacement");
+        let state = self.cache.get(victim).expect("victim resident").state;
+        ctx.coverage
+            .record(Transition::l1(state.name(), "Replacement"));
+        self.evict_line(out, ctx, victim);
         true
     }
 
@@ -387,7 +382,7 @@ impl<P: L1Protocol> L1<P> {
         let state = self.cache.get(line).map(|l| l.state);
         ctx.coverage
             .record(Transition::l1(state.map_or("I", L1State::name), "Flush"));
-        self.evict_line(out, ctx, line, "Flush");
+        self.evict_line(out, ctx, line);
         if let Some(mshr) = self.mshrs.get_mut(&line) {
             // E/M flush: completion deferred until the writeback acks.
             mshr.pending_flush.push(tag);

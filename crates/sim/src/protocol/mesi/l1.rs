@@ -967,6 +967,57 @@ mod tests {
         assert!(l1.is_idle());
     }
 
+    /// Stores `tag` to `line`, which is not present, and grants it: the
+    /// line ends Modified.
+    fn store_from_i(l1: &mut MesiL1, h: &mut Harness, tag: u64, line: u64) {
+        l1.push_core_request(CoreRequest {
+            tag,
+            addr: Address(line),
+            kind: CoreReqKind::Store { value: tag },
+        });
+        let out = h.tick(l1);
+        let getx = out
+            .to_network
+            .iter()
+            .find(|m| matches!(m.payload, MsgPayload::GetX { .. }))
+            .expect("GetX sent");
+        l1.push_msg(Msg::new(
+            getx.dst,
+            NodeId(0),
+            MsgPayload::DataX {
+                line: LineAddr(line),
+                data: LineData::zeroed(64),
+                ts: None,
+            },
+        ));
+        h.tick_until(l1, 20, |o| o.responses.first().copied());
+    }
+
+    #[test]
+    fn a_flush_and_a_replacement_are_each_recorded_once() {
+        let (mut l1, mut h) = l1_with_harness(BugConfig::none());
+        let flush = Transition::l1("M", "Flush");
+        let replacement = Transition::l1("M", "Replacement");
+        store_from_i(&mut l1, &mut h, 1, 0x1000);
+        l1.push_core_request(CoreRequest {
+            tag: 2,
+            addr: Address(0x1000),
+            kind: CoreReqKind::Flush,
+        });
+        h.tick(&mut l1);
+        assert_eq!(h.coverage.count(flush), 1);
+        assert_eq!(h.coverage.count(replacement), 0);
+        // Fill the set again, then miss on one more line of it: the miss
+        // replaces a Modified line.
+        let stride = h.cfg.l1_sets() as u64 * h.cfg.line_bytes;
+        for i in 1..=h.cfg.l1_ways as u64 + 1 {
+            store_from_i(&mut l1, &mut h, 2 + i, 0x1000 + i * stride);
+        }
+        assert_eq!(h.coverage.count(replacement), 1);
+        assert_eq!(h.coverage.count(flush), 1);
+        assert!(h.errors.is_empty());
+    }
+
     #[test]
     fn forward_during_writeback_served_from_mshr_data() {
         let (mut l1, mut h) = l1_with_harness(BugConfig::none());

@@ -16,20 +16,25 @@
 //! give every L2 bank two home lines, so they pin the injected-bug paths and
 //! bank and home mapping at scale.
 //!
-//! All three tables were last recorded when the controllers began to record
-//! a transition when they take it, after its stall check, rather than every
+//! [`GOLDEN`] and [`PROTOCOL_BUGS`] were last recorded when an L1 flush of
+//! a resident line stopped recording its `Flush` twice (once for the flush,
+//! once more for the eviction it starts).  Only coverage counts moved: with
+//! the counts left out of each digest, all 34 rows hash as they did before,
+//! and every simulated iteration is unchanged.  [`PAPER_SHAPE`] kept its
+//! digests, because none of its flushes finds its line resident.  All three
+//! tables were recorded before that when the controllers began to record a
+//! transition when they take it, after its stall check, rather than every
 //! cycle a stalled request is retried (`I+Load` / `I+Store` / `I+Rmw` behind
 //! a busy L1 victim, `L2:NP+GetS` / `GetX` behind a pending fetch or
-//! eviction).  Only coverage counts moved: with the counts left out of each
-//! digest, the 34 rows hash as they did before, and every simulated
-//! iteration is unchanged.  The tables before that were recorded when two
-//! changes of behaviour landed together: the bug-free MESI L1 installs an
-//! exclusive grant that follows a sunk invalidation, and the core forwards
-//! only from writes that have not left it; and an issue stage draws its
-//! jitter only when it would act, which moved the RNG stream.  Earlier
-//! tables were recorded before the loop learned to fast-forward inert cycles
-//! (small configuration) and before the controllers moved onto one shared L1
-//! and L2 skeleton (the other two); both refactors kept them.
+//! eviction), which also moved only coverage counts.  The tables before that
+//! were recorded when two changes of behaviour landed together: the bug-free
+//! MESI L1 installs an exclusive grant that follows a sunk invalidation, and
+//! the core forwards only from writes that have not left it; and an issue
+//! stage draws its jitter only when it would act, which moved the RNG
+//! stream.  Earlier tables were recorded before the loop learned to
+//! fast-forward inert cycles (small configuration) and before the
+//! controllers moved onto one shared L1 and L2 skeleton (the other two);
+//! both refactors kept them.
 
 use mcversi::mcm::{Address, FenceKind};
 use mcversi::sim::{Bug, BugConfig, CoreStrength, ProtocolKind, System, SystemConfig};
@@ -131,73 +136,73 @@ const GOLDEN: [(ProtocolKind, CoreStrength, u64, u64); 12] = [
         ProtocolKind::Mesi,
         CoreStrength::Strong,
         1,
-        0x3a92_0ab4_b4cb_5225,
+        0x5246_ea5a_e5cf_de16,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Strong,
         2,
-        0x2c85_d976_a543_020c,
+        0xd090_1c04_8052_185c,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Strong,
         3,
-        0x7416_3b48_f2e3_ee58,
+        0x3b9b_04a7_585a_e57f,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Relaxed,
         1,
-        0xc4ae_0842_35b2_07b2,
+        0xb659_a8b1_7628_e2d1,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Relaxed,
         2,
-        0x8a76_8cdc_8eb1_8ac3,
+        0x2521_1c7f_d23f_441c,
     ),
     (
         ProtocolKind::Mesi,
         CoreStrength::Relaxed,
         3,
-        0x32e6_4782_3acf_ee57,
+        0xb50e_0bf4_cfdc_fb91,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Strong,
         1,
-        0x3744_ff31_a5ee_fcaf,
+        0x821e_bc23_6eec_4ed6,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Strong,
         2,
-        0xab11_1c47_2417_2121,
+        0xf528_c5ee_7eb5_8225,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Strong,
         3,
-        0xcecf_e9d6_c0db_0c80,
+        0xf7a6_4613_c4ff_37e4,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Relaxed,
         1,
-        0x61bb_9639_992a_e7af,
+        0x1352_021e_4184_4c70,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Relaxed,
         2,
-        0x32fd_7bae_d8da_bc9f,
+        0xf1ee_e678_290e_6ff8,
     ),
     (
         ProtocolKind::TsoCc,
         CoreStrength::Relaxed,
         3,
-        0x177d_d87e_6174_ad19,
+        0x2639_05b2_f85d_1811,
     ),
 ];
 
@@ -212,109 +217,109 @@ const PROTOCOL_BUGS: [(Bug, CoreStrength, u64, u64); 18] = [
         Bug::MesiLqIsInv,
         CoreStrength::Strong,
         1,
-        0xa4e5_db15_e1b9_64d2,
+        0x457c_98a2_e10e_8889,
     ),
     (
         Bug::MesiLqSmInv,
         CoreStrength::Strong,
         1,
-        0x348e_bfc4_006c_be3b,
+        0x4435_4883_8d3b_0dec,
     ),
     (
         Bug::MesiLqEInv,
         CoreStrength::Strong,
         1,
-        0xc43c_2163_b15d_a5b6,
+        0x4591_b4d4_c157_f5eb,
     ),
     (
         Bug::MesiLqMInv,
         CoreStrength::Strong,
         1,
-        0x665b_3bf9_5662_d711,
+        0xc4a8_0d39_ae0d_9018,
     ),
     (
         Bug::MesiLqSReplacement,
         CoreStrength::Strong,
         1,
-        0x4da3_7d1b_997d_ef4c,
+        0x85a3_cfd3_a71f_ecfa,
     ),
     (
         Bug::MesiPutxRace,
         CoreStrength::Strong,
         1,
-        0xe2bc_f687_b863_dd18,
+        0x32c1_74da_6473_2988,
     ),
     (
         Bug::MesiReplaceRace,
         CoreStrength::Strong,
         1,
-        0x60c0_7b69_cb1a_6530,
+        0x99ac_9868_3c31_b351,
     ),
     (
         Bug::TsoCcNoEpochIds,
         CoreStrength::Strong,
         1,
-        0x194f_9f8e_23ed_4a2b,
+        0x4126_85d9_7311_e026,
     ),
     (
         Bug::TsoCcCompare,
         CoreStrength::Strong,
         1,
-        0xe589_506c_81fd_e2b7,
+        0x584e_b95c_2d26_1f3e,
     ),
     (
         Bug::MesiLqIsInv,
         CoreStrength::Relaxed,
         1,
-        0xc4ae_0842_35b2_07b2,
+        0xb659_a8b1_7628_e2d1,
     ),
     (
         Bug::MesiLqSmInv,
         CoreStrength::Relaxed,
         1,
-        0xc4ae_0842_35b2_07b2,
+        0xb659_a8b1_7628_e2d1,
     ),
     (
         Bug::MesiLqEInv,
         CoreStrength::Relaxed,
         1,
-        0xc4ae_0842_35b2_07b2,
+        0xb659_a8b1_7628_e2d1,
     ),
     (
         Bug::MesiLqMInv,
         CoreStrength::Relaxed,
         1,
-        0xc4ae_0842_35b2_07b2,
+        0xb659_a8b1_7628_e2d1,
     ),
     (
         Bug::MesiLqSReplacement,
         CoreStrength::Relaxed,
         1,
-        0xc4ae_0842_35b2_07b2,
+        0xb659_a8b1_7628_e2d1,
     ),
     (
         Bug::MesiPutxRace,
         CoreStrength::Relaxed,
         1,
-        0xf366_74c2_a64c_43ad,
+        0x98a1_2f45_553a_9f77,
     ),
     (
         Bug::MesiReplaceRace,
         CoreStrength::Relaxed,
         1,
-        0xefdf_b484_e29e_4759,
+        0x1aef_7be7_6ff9_7b02,
     ),
     (
         Bug::TsoCcNoEpochIds,
         CoreStrength::Relaxed,
         1,
-        0x763e_ffb6_6c8a_14ce,
+        0x3832_5286_79a2_61de,
     ),
     (
         Bug::TsoCcCompare,
         CoreStrength::Relaxed,
         1,
-        0xa9f4_5b0c_f7e6_6676,
+        0x6461_67f1_8b1d_2b53,
     ),
 ];
 
