@@ -30,7 +30,7 @@ use mcversi_core::report::{aggregate_cell, BugCoverageTable};
 use mcversi_core::scenario::jsonl_sink_from_env;
 use mcversi_core::sink::NullSink;
 use mcversi_core::{fabric_from_env, grid_from_env, CampaignResult, ScenarioSpec, SeedPolicy};
-use mcversi_fabric::{locate_worker, run_grid, FabricOptions, WorkerFault};
+use mcversi_fabric::{locate_worker, run_grid, FabricOptions};
 use mcversi_sim::Bug;
 
 fn main() {
@@ -157,9 +157,9 @@ fn main() {
 
 /// Runs the whole sweep through the distributed-fabric coordinator
 /// (`MCVERSI_FABRIC` worker processes, optional `MCVERSI_JOURNAL`
-/// checkpoint/resume and `MCVERSI_FABRIC_FAULT` fault injection), returning
-/// per-cell results in grid order.  Any fabric failure aborts the run with
-/// exit status 4 — the journal keeps its progress for a later resume.
+/// checkpoint/resume), returning per-cell results in grid order.  Any fabric
+/// failure, a lost worker included, aborts the run with exit status 4 — the
+/// journal keeps its progress for a later resume.
 fn run_fabric_sweep(
     cells: &[ScenarioSpec],
     env: &mcversi_core::FabricEnv,
@@ -175,25 +175,11 @@ fn run_fabric_sweep(
     let mut options = FabricOptions::new(worker);
     options.workers = env.workers;
     options.journal = env.journal.clone();
-    options.max_redispatch = env.max_redispatch;
-    if let Some(raw) = &env.fault {
-        match WorkerFault::parse(raw) {
-            Some(fault) => options.fault = Some(fault),
-            None => {
-                eprintln!("error: unparseable MCVERSI_FABRIC_FAULT `{raw}`");
-                std::process::exit(4);
-            }
-        }
-    }
     println!(
-        "distributed fabric: {} worker(s){}{}",
+        "distributed fabric: {} worker(s){}",
         options.workers,
         match &options.journal {
             Some(path) => format!(", journal {path}"),
-            None => String::new(),
-        },
-        match &options.fault {
-            Some(fault) => format!(", injected fault {}", fault.spec()),
             None => String::new(),
         },
     );
@@ -204,11 +190,10 @@ fn run_fabric_sweep(
     match report {
         Ok(report) => {
             println!(
-                "fabric: {} dispatch(es), {} stolen, {} re-dispatched, \
+                "fabric: {} dispatch(es), {} stolen, \
                  {} journaled sample(s) skipped{}\n",
                 report.stats.dispatched,
                 report.stats.stolen,
-                report.stats.redispatched,
                 report.stats.resume_skipped,
                 if report.resumed { " (resumed)" } else { "" },
             );

@@ -246,8 +246,6 @@ pub struct FabricTotals {
     pub dispatched: u64,
     /// Dispatches stolen from another worker's queue.
     pub stolen: u64,
-    /// Shards re-dispatched after worker loss.
-    pub redispatched: u64,
     /// Samples skipped thanks to a resume journal.
     pub resume_skipped: u64,
     /// [`CampaignEvent::Resume`] records observed.
@@ -354,12 +352,10 @@ impl MetricsReport {
                 CampaignEvent::FabricStats {
                     dispatched,
                     stolen,
-                    redispatched,
                     resume_skipped,
                 } => {
                     self.fabric.dispatched += dispatched;
                     self.fabric.stolen += stolen;
-                    self.fabric.redispatched += redispatched;
                     // `FabricStats.resume_skipped` restates the per-`Resume`
                     // counts already folded in above; keep the larger so a
                     // journal carrying both records is not double-counted.
@@ -502,10 +498,9 @@ impl MetricsReport {
         out.push('\n');
         let _ = writeln!(
             out,
-            "Distributed fabric: {} shard dispatch(es) ({} stolen, \
-             {} re-dispatched after worker loss), {} cell(s) completed, \
-             {} resume(s) skipping {} journaled sample(s)",
-            f.dispatched, f.stolen, f.redispatched, f.cells_done, f.resumes, f.resume_skipped,
+            "Distributed fabric: {} shard dispatch(es) ({} stolen), \
+             {} cell(s) completed, {} resume(s) skipping {} journaled sample(s)",
+            f.dispatched, f.stolen, f.cells_done, f.resumes, f.resume_skipped,
         );
     }
 }
@@ -1096,7 +1091,6 @@ mod tests {
             CampaignEvent::FabricStats {
                 dispatched: 5,
                 stolen: 2,
-                redispatched: 1,
                 resume_skipped: 3,
             },
         ]);
@@ -1106,7 +1100,6 @@ mod tests {
             FabricTotals {
                 dispatched: 5,
                 stolen: 2,
-                redispatched: 1,
                 resume_skipped: 3,
                 resumes: 1,
                 cells_done: 2,
@@ -1115,9 +1108,8 @@ mod tests {
         let rendered = report.render();
         assert!(
             rendered.contains(
-                "Distributed fabric: 5 shard dispatch(es) (2 stolen, \
-                 1 re-dispatched after worker loss), 2 cell(s) completed, \
-                 1 resume(s) skipping 3 journaled sample(s)"
+                "Distributed fabric: 5 shard dispatch(es) (2 stolen), \
+                 2 cell(s) completed, 1 resume(s) skipping 3 journaled sample(s)"
             ),
             "fabric summary rendered: {rendered}"
         );

@@ -32,12 +32,13 @@
 //! | `MCVERSI_JSONL`        | path; streams campaign events there as JSONL ([`crate::sink::JsonlSink`]) | unset |
 //! | `MCVERSI_FABRIC`       | worker child processes of the distributed fabric (`0` = run in-process) | unset   |
 //! | `MCVERSI_JOURNAL`      | path of the fabric checkpoint journal; an existing journal is resumed | unset   |
-//! | `MCVERSI_FABRIC_FAULT` | fault injected into the first worker dispatch (`kill-after:<n>`, `hang-after:<n>`, `corrupt-tail:<n>`; test/CI only) | unset   |
-//! | `MCVERSI_FABRIC_RETRIES` | re-dispatch attempts per shard after a worker dies | 2       |
 //!
 //! The variables that used to override single spec fields (`REMOVED_VARS`),
 //! and a core count in `MCVERSI_CORES`, are refused by name with the spec
-//! key that replaced them.  When `MCVERSI_SPEC` is set, the spec's `model` /
+//! key that replaced them.  The fabric's removed fault-injection and retry
+//! variables (`REMOVED_FABRIC_VARS`) are refused by name too: a lost worker
+//! ends the run, and rerunning with the same `MCVERSI_JOURNAL` resumes it.
+//! When `MCVERSI_SPEC` is set, the spec's `model` /
 //! `core_strength` become the sweep axes unless `MCVERSI_MODELS` /
 //! `MCVERSI_CORES` name their own (see [`grid_from_env`]).
 
@@ -392,9 +393,9 @@ impl ScenarioSpec {
     /// # Panics
     ///
     /// Panics when `MCVERSI_SPEC` names an unreadable or invalid spec file,
-    /// or when a removed per-field variable (or a core count in
-    /// `MCVERSI_CORES`) is set — a campaign silently run at the default
-    /// scale would be worse than none.
+    /// or when a removed variable (or a core count in `MCVERSI_CORES`) is
+    /// set — a campaign silently run at the default scale, or one that
+    /// expects worker faults to be retried, would be worse than none.
     pub fn from_env() -> Self {
         let lookup = |name: &str| std::env::var(name).ok();
         refuse_removed_vars(lookup).unwrap_or_else(|e| panic!("{e}"));
@@ -422,9 +423,24 @@ const REMOVED_VARS: [(&str, &str); 8] = [
     ("MCVERSI_METRICS", "metrics"),
 ];
 
-/// Refuses a set [`REMOVED_VARS`] entry, or a core count in `MCVERSI_CORES`,
-/// naming the spec key to set instead; `lookup` reads one variable.
+/// Removed fabric variables: worker fault injection and the re-dispatch
+/// budget after a worker loss.
+const REMOVED_FABRIC_VARS: [&str; 2] = ["MCVERSI_FABRIC_FAULT", "MCVERSI_FABRIC_RETRIES"];
+
+/// Refuses a set [`REMOVED_FABRIC_VARS`] entry, saying how a lost worker's
+/// run resumes, or a set [`REMOVED_VARS`] entry or a core count in
+/// `MCVERSI_CORES`, naming the spec key to set instead; `lookup` reads one
+/// variable.
 fn refuse_removed_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<(), SpecError> {
+    let fabric_var = REMOVED_FABRIC_VARS
+        .into_iter()
+        .find(|var| lookup(var).is_some());
+    if let Some(var) = fabric_var {
+        return Err(SpecError(format!(
+            "{var} was removed: a lost fabric worker now ends the run, and rerunning \
+             with the same MCVERSI_JOURNAL resumes it"
+        )));
+    }
     let cores = lookup("MCVERSI_CORES").unwrap_or_default();
     let count_in_cores = cores
         .split(',')
@@ -681,21 +697,6 @@ impl ScenarioGrid {
 // Environment parsing
 // ---------------------------------------------------------------------------
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).map_or(default, |raw| parse_usize_var(name, &raw, default))
-}
-
-/// Parses the value `raw` of the scalar variable `name`; a value that is not
-/// a number keeps `default`, with a once-per-process warning.
-fn parse_usize_var(name: &str, raw: &str, default: usize) -> usize {
-    raw.trim().parse().unwrap_or_else(|_| {
-        warn_once(&format!(
-            "warning: {name}: not a number: '{raw}' ignored (using {default})"
-        ));
-        default
-    })
-}
-
 /// Distinct once-per-process warnings actually emitted (see [`warn_once`]).
 static WARNINGS_EMITTED: telemetry::Counter = telemetry::Counter::new("events.warn_once");
 
@@ -776,15 +777,9 @@ pub struct FabricEnv {
     pub workers: usize,
     /// Journal path for checkpoint/resume (`MCVERSI_JOURNAL`).
     pub journal: Option<String>,
-    /// Fault-injection spec for the first dispatches, e.g. `kill-after:25`
-    /// (`MCVERSI_FABRIC_FAULT`; test/CI only).
-    pub fault: Option<String>,
-    /// Re-dispatch attempts per shard after worker loss
-    /// (`MCVERSI_FABRIC_RETRIES`).
-    pub max_redispatch: usize,
 }
 
-/// Reads the `MCVERSI_FABRIC*` / `MCVERSI_JOURNAL` variables; `None` unless
+/// Reads the `MCVERSI_FABRIC` / `MCVERSI_JOURNAL` variables; `None` unless
 /// `MCVERSI_FABRIC` names a positive worker count.
 pub fn fabric_from_env() -> Option<FabricEnv> {
     let raw = std::env::var("MCVERSI_FABRIC").ok()?;
@@ -801,8 +796,6 @@ pub fn fabric_from_env() -> Option<FabricEnv> {
     Some(FabricEnv {
         workers,
         journal: std::env::var("MCVERSI_JOURNAL").ok(),
-        fault: std::env::var("MCVERSI_FABRIC_FAULT").ok(),
-        max_redispatch: env_usize("MCVERSI_FABRIC_RETRIES", 2),
     })
 }
 
@@ -911,25 +904,6 @@ mod tests {
         }
     }
 
-    /// A scalar variable that is not a number keeps its default and warns
-    /// once per distinct value.
-    #[test]
-    fn scalar_variables_parse_or_warn_and_keep_the_default() {
-        assert_eq!(parse_usize_var("MCVERSI_FABRIC_RETRIES", "5", 2), 5);
-        assert_eq!(parse_usize_var("MCVERSI_FABRIC_RETRIES", " 7 ", 2), 7);
-        telemetry::enable();
-        telemetry::reset_local();
-        for _ in 0..2 {
-            assert_eq!(parse_usize_var("MCVERSI_FABRIC_RETRIES", "2k", 2), 2);
-        }
-        assert_eq!(parse_usize_var("MCVERSI_FABRIC_RETRIES", "-1", 2), 2);
-        assert_eq!(
-            telemetry::local_snapshot().counters["events.warn_once"],
-            2,
-            "one warning per distinct bad value"
-        );
-    }
-
     #[test]
     fn from_json_rejects_malformed_specs() {
         assert!(ScenarioSpec::from_json("{").is_err());
@@ -971,7 +945,9 @@ mod tests {
     }
 
     /// Each removed per-field variable, and a core count in `MCVERSI_CORES`,
-    /// is refused with the spec key that replaced it; strengths alone pass.
+    /// is refused with the spec key that replaced it, and each removed
+    /// fabric variable with how a run that lost a worker resumes; strengths
+    /// alone pass.
     #[test]
     fn removed_variables_are_refused_with_their_spec_key() {
         let only = |name: &'static str, value: &'static str| {
@@ -981,6 +957,15 @@ mod tests {
             let err = refuse_removed_vars(only(var, "1")).unwrap_err();
             assert!(err.0.starts_with(&format!("{var} was removed")), "{err}");
             assert!(err.0.contains(&format!("set \"{key}\"")), "{err}");
+        }
+        for var in REMOVED_FABRIC_VARS {
+            let err = refuse_removed_vars(only(var, "0")).unwrap_err();
+            assert!(err.0.starts_with(&format!("{var} was removed")), "{err}");
+            assert!(
+                err.0.contains("a lost fabric worker now ends the run"),
+                "{err}"
+            );
+            assert!(err.0.contains("same MCVERSI_JOURNAL resumes it"), "{err}");
         }
         assert_eq!(refuse_removed_vars(|_| None), Ok(()));
         assert_eq!(
@@ -1137,6 +1122,23 @@ mod tests {
         );
         // No strength named: empty, so the grid keeps the base's strength.
         assert!(parse_strengths("").is_empty());
+
+        // One warning per distinct unknown entry, however often it recurs
+        // (entries no other test uses: the registry is process-wide).
+        telemetry::enable();
+        telemetry::reset_local();
+        for _ in 0..2 {
+            assert_eq!(
+                parse_strengths("strong,stroong,stroong"),
+                vec![CoreStrength::Strong]
+            );
+        }
+        assert!(parse_strengths("relaxd").is_empty());
+        assert_eq!(
+            telemetry::local_snapshot().counters["events.warn_once"],
+            2,
+            "one warning per distinct bad value"
+        );
     }
 
     #[test]

@@ -130,8 +130,6 @@ pub enum CampaignEvent {
         dispatched: u64,
         /// Dispatches stolen from another worker's queue.
         stolen: u64,
-        /// Shards re-dispatched after a worker died or went silent.
-        redispatched: u64,
         /// Samples skipped thanks to a resume journal.
         resume_skipped: u64,
     },
@@ -251,14 +249,7 @@ pub trait CampaignSink: Send {
     fn on_resume(&mut self, _cells_skipped: usize, _samples_skipped: usize) {}
 
     /// End-of-campaign coordinator statistics arrived.
-    fn on_fabric_stats(
-        &mut self,
-        _dispatched: u64,
-        _stolen: u64,
-        _redispatched: u64,
-        _resume_skipped: u64,
-    ) {
-    }
+    fn on_fabric_stats(&mut self, _dispatched: u64, _stolen: u64, _resume_skipped: u64) {}
 
     /// Dispatches one event to the matching method (the channel-drain entry
     /// point; implementations normally override the specific methods).
@@ -293,9 +284,8 @@ pub trait CampaignSink: Send {
             CampaignEvent::FabricStats {
                 dispatched,
                 stolen,
-                redispatched,
                 resume_skipped,
-            } => self.on_fabric_stats(*dispatched, *stolen, *redispatched, *resume_skipped),
+            } => self.on_fabric_stats(*dispatched, *stolen, *resume_skipped),
         }
     }
 }

@@ -4,57 +4,19 @@
 //! coordinator pipes a shard's JSON to stdin (or names a file) and tails
 //! stdout for the cell-attributed campaign-event stream — `Schema` header,
 //! then per cell `CellStart`, the sample events (`SampleDone` rewritten to
-//! `SampleResult`), and `CellDone`.
+//! `SampleResult`), and `CellDone`.  A stream that ends before the shard is
+//! complete fails the coordinator's campaign; its journal resumes it.
 //!
 //! ```text
 //! mcversi-work <shard.json | ->
 //! ```
 //!
-//! A shard may carry a [`WorkerFault`] for deterministic failure testing;
-//! fault event counts are in emitted events, excluding the schema header.
-//!
-//! Exit status: `0` on success, `1` on a shard error, `2` on usage errors,
-//! `3` when an injected fault terminated the worker.
+//! Exit status: `0` on success, `1` on a shard error, `2` on usage errors.
 
-use mcversi_core::sink::{CampaignEvent, CampaignSink, JsonlSink};
-use mcversi_fabric::{run_shard, GridShard, WorkerFault};
-use std::io::{Read as _, Write as _};
+use mcversi_core::sink::JsonlSink;
+use mcversi_fabric::{run_shard, GridShard};
+use std::io::Read as _;
 use std::process::ExitCode;
-
-/// Wraps the stdout JSONL stream with the shard's injected fault, if any:
-/// after the configured number of emitted events the worker kills itself,
-/// hangs silently, or writes a torn line and dies.
-struct FaultSink {
-    inner: JsonlSink<std::io::Stdout>,
-    fault: Option<WorkerFault>,
-    emitted: u64,
-}
-
-impl CampaignSink for FaultSink {
-    fn on_event(&mut self, event: &CampaignEvent) {
-        self.inner.on_event(event);
-        self.emitted += 1;
-        match self.fault {
-            Some(WorkerFault::KillAfter { events }) if self.emitted >= events => {
-                std::process::exit(3);
-            }
-            Some(WorkerFault::HangAfter { events }) if self.emitted >= events => {
-                // Go silent without exiting: the heartbeat-timeout path.
-                loop {
-                    std::thread::sleep(std::time::Duration::from_secs(3600));
-                }
-            }
-            Some(WorkerFault::CorruptTail { events }) if self.emitted >= events => {
-                // A torn write: half a JSON object, no trailing newline.
-                let mut out = std::io::stdout();
-                let _ = out.write_all(b"{\"SampleResult\":{\"cell\":0,\"resu");
-                let _ = out.flush();
-                std::process::exit(3);
-            }
-            _ => {}
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -87,11 +49,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut sink = FaultSink {
-        inner: JsonlSink::new(std::io::stdout()),
-        fault: shard.fault,
-        emitted: 0,
-    };
+    let mut sink = JsonlSink::new(std::io::stdout());
     match run_shard(&shard, &mut sink) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -1,16 +1,20 @@
 //! The multi-process coordinator: dispatches [`GridShard`]s to a pool of
-//! `mcversi-work` child processes with work stealing across campaigns,
-//! heartbeat-based liveness, automatic re-dispatch after worker loss, and
+//! `mcversi-work` child processes with work stealing across campaigns, and
 //! journal-backed checkpoint/resume.
 //!
 //! Every worker's stdout is a campaign-event JSONL stream.  The coordinator
 //! forwards all events to the caller's live sink, journals the *checkpoint*
 //! records (`CellStart`, `SampleResult`, `CellDone`, plus its own `Resume`
 //! and `FabricStats`) through [`JsonlSink::append`], and deduplicates by
-//! `(cell, seed)` so a re-dispatched shard can never journal a sample twice.
+//! `(cell, seed)` so no sample is journaled twice.
+//!
+//! A worker whose stream ends before its shard is complete fails the
+//! campaign: the journal keeps every sample that finished, and rerunning
+//! with the same journal resumes from there.  There is no liveness timeout:
+//! every run has a cycle budget, which turns a livelock into a `Hang`.
 
 use crate::journal::JournalReplay;
-use crate::shard::{shard_cells, FabricError, GridShard, WorkerFault};
+use crate::shard::{shard_cells, FabricError, GridShard};
 use mcversi_core::sink::{check_schema, CampaignEvent, CampaignSink, JsonlSink};
 use mcversi_core::{CampaignResult, ScenarioSpec};
 use mcversi_telemetry as telemetry;
@@ -19,14 +23,11 @@ use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
-use std::time::Duration;
 
 /// Shard dispatches to worker processes.
 static DISPATCHES: telemetry::Counter = telemetry::Counter::new("fabric.dispatch");
 /// Dispatches taken from another worker's queue.
 static STEALS: telemetry::Counter = telemetry::Counter::new("fabric.steal");
-/// Shards re-dispatched after a worker died or went silent.
-static REDISPATCHES: telemetry::Counter = telemetry::Counter::new("fabric.redispatch");
 /// Samples skipped because a resume journal already held their results.
 static RESUME_SKIPS: telemetry::Counter = telemetry::Counter::new("fabric.resume_skip");
 
@@ -42,28 +43,16 @@ pub struct FabricOptions {
     pub worker_program: PathBuf,
     /// Checkpoint journal path; an existing journal is resumed.
     pub journal: Option<String>,
-    /// A worker silent for longer than this is presumed dead: its process is
-    /// killed and its shard re-dispatched.
-    pub heartbeat_timeout: Duration,
-    /// Re-dispatch attempts per dispatch chain after worker loss; exceeding
-    /// it fails the campaign (`0` = any worker loss is fatal).
-    pub max_redispatch: usize,
-    /// Fault injected into the first dispatched shard (tests/CI only); never
-    /// carried over to re-dispatches.
-    pub fault: Option<WorkerFault>,
 }
 
 impl FabricOptions {
-    /// Defaults: 2 workers, auto shard count, 30 s heartbeat, 2 retries.
+    /// Defaults: 2 workers, auto shard count, no journal.
     pub fn new(worker_program: PathBuf) -> Self {
         FabricOptions {
             workers: 2,
             shards: 0,
             worker_program,
             journal: None,
-            heartbeat_timeout: Duration::from_secs(30),
-            max_redispatch: 2,
-            fault: None,
         }
     }
 }
@@ -76,8 +65,6 @@ pub struct FabricStatsCounts {
     pub dispatched: u64,
     /// Dispatches stolen from another worker's queue.
     pub stolen: u64,
-    /// Shards re-dispatched after worker loss.
-    pub redispatched: u64,
     /// Samples skipped thanks to the resume journal.
     pub resume_skipped: u64,
 }
@@ -121,29 +108,23 @@ enum WorkerMsg {
     Eof,
 }
 
-/// One worker slot of the pool.
-struct Slot {
-    /// The running child, if the slot is busy.
-    child: Option<Child>,
-    /// The shard the child is running, with its re-dispatch count.
-    work: Option<(GridShard, usize)>,
-    /// Dispatch generation: messages from earlier generations are stale.
-    generation: u64,
-    /// Coordinator-clock nanoseconds at the last line from this worker.
-    last_seen_ns: u64,
-}
-
 /// Per-cell bookkeeping the coordinator accumulates.
 #[derive(Default)]
 struct Progress {
-    /// Completed results per cell, keyed `cell id → seed → result`.
+    /// Completed (and journaled) results per cell, keyed
+    /// `cell id → seed → result`.
     results: BTreeMap<u64, BTreeMap<u64, CampaignResult>>,
-    /// `(cell, seed)` pairs already journaled (dedup for re-dispatches).
-    journaled: BTreeSet<(u64, u64)>,
     /// Cells whose `CellStart` was already journaled.
     started: BTreeSet<u64>,
     /// Cells whose `CellDone` was already journaled.
     closed: BTreeSet<u64>,
+}
+
+impl Progress {
+    /// Whether every sample of `cell` has a result.
+    fn complete(&self, cell: &ScenarioSpec) -> bool {
+        self.results.get(&cell.cell_id()).map_or(0, BTreeMap::len) >= cell.samples
+    }
 }
 
 /// Runs `cells` through the worker pool and reassembles their results.
@@ -158,8 +139,8 @@ struct Progress {
 /// # Errors
 ///
 /// Fails when the journal is unusable or names cells outside this grid, when
-/// a worker cannot be spawned, or when a shard exceeds
-/// [`FabricOptions::max_redispatch`] worker losses.
+/// a worker cannot be spawned, or when a worker's stream ends before its
+/// shard is complete ("resume from the journal to continue").
 pub fn run_grid(
     cells: &[ScenarioSpec],
     options: &FabricOptions,
@@ -207,7 +188,6 @@ pub fn run_grid(
                     .entry(cell_id)
                     .or_default()
                     .insert(seed, result.clone());
-                progress.journaled.insert((cell_id, seed));
                 kept += 1;
             }
         }
@@ -233,13 +213,7 @@ pub fn run_grid(
     // ---- shard the remaining work ----
     let pending: Vec<ScenarioSpec> = cells
         .iter()
-        .filter(|cell| {
-            let have = progress
-                .results
-                .get(&cell.cell_id())
-                .map_or(0, BTreeMap::len);
-            have < cell.samples
-        })
+        .filter(|cell| !progress.complete(cell))
         .cloned()
         .collect();
     if !pending.is_empty() {
@@ -263,9 +237,6 @@ pub fn run_grid(
                 }
             }
         }
-        if let Some(first) = shards.first_mut() {
-            first.fault = options.fault;
-        }
         run_pool(
             &mut shards,
             options,
@@ -281,7 +252,6 @@ pub fn run_grid(
     let event = CampaignEvent::FabricStats {
         dispatched: stats.dispatched,
         stolen: stats.stolen,
-        redispatched: stats.redispatched,
         resume_skipped: stats.resume_skipped,
     };
     if let Some(journal) = journal.as_mut() {
@@ -302,8 +272,8 @@ pub fn run_grid(
     })
 }
 
-/// Runs the dispatch/steal/heartbeat loop until every pending shard's cells
-/// are complete (see [`run_grid`]).
+/// Runs the dispatch/steal loop until every pending shard's worker has
+/// finished (see [`run_grid`]).
 #[allow(clippy::too_many_arguments)]
 fn run_pool(
     shards: &mut Vec<GridShard>,
@@ -318,29 +288,20 @@ fn run_pool(
     // Round-robin the shards over the worker slots' queues; an idle slot
     // drains its own queue first and steals from the fullest other queue
     // once it runs dry.
-    let mut queues: Vec<VecDeque<(GridShard, usize)>> =
-        (0..workers).map(|_| VecDeque::new()).collect();
+    let mut queues: Vec<VecDeque<GridShard>> = (0..workers).map(|_| VecDeque::new()).collect();
     for (idx, shard) in shards.drain(..).enumerate() {
-        queues[idx % workers].push_back((shard, 0));
+        queues[idx % workers].push_back(shard);
     }
 
-    let clock = telemetry::Stopwatch::start();
-    let heartbeat_ns = options.heartbeat_timeout.as_nanos() as u64;
-    let (sender, receiver) = mpsc::channel::<(usize, u64, WorkerMsg)>();
-    let mut slots: Vec<Slot> = (0..workers)
-        .map(|_| Slot {
-            child: None,
-            work: None,
-            generation: 0,
-            last_seen_ns: 0,
-        })
-        .collect();
+    let (sender, receiver) = mpsc::channel::<(usize, WorkerMsg)>();
+    // Each busy slot holds its running child and the shard it runs.
+    let mut slots: Vec<Option<(Child, GridShard)>> = (0..workers).map(|_| None).collect();
 
     let outcome = loop {
         // Keep every idle slot fed: own queue first, then steal.
         let mut spawn_error = None;
         for slot_idx in 0..workers {
-            if slots[slot_idx].child.is_some() {
+            if slots[slot_idx].is_some() {
                 continue;
             }
             let work = queues[slot_idx].pop_front().or_else(|| {
@@ -355,24 +316,14 @@ fn run_pool(
                 }
                 stolen
             });
-            let Some((shard, retries)) = work else {
+            let Some(shard) = work else {
                 continue;
             };
-            slots[slot_idx].generation += 1;
-            let generation = slots[slot_idx].generation;
-            slots[slot_idx].last_seen_ns = clock.elapsed().as_nanos() as u64;
-            match spawn_worker(
-                &options.worker_program,
-                &shard,
-                slot_idx,
-                generation,
-                &sender,
-            ) {
+            match spawn_worker(&options.worker_program, &shard, slot_idx, &sender) {
                 Ok(child) => {
                     DISPATCHES.incr();
                     stats.dispatched += 1;
-                    slots[slot_idx].child = Some(child);
-                    slots[slot_idx].work = Some((shard, retries));
+                    slots[slot_idx] = Some((child, shard));
                 }
                 Err(e) => {
                     // Abort the campaign (the journal keeps its progress for
@@ -390,64 +341,33 @@ fn run_pool(
         }
 
         // Done when no queued work and no busy slot remains.
-        if slots.iter().all(|slot| slot.child.is_none()) && queues.iter().all(VecDeque::is_empty) {
+        if slots.iter().all(Option::is_none) && queues.iter().all(VecDeque::is_empty) {
             break Ok(());
         }
 
-        // `recv_timeout` can only time out otherwise: `sender` lives as long
-        // as this loop, so the channel cannot disconnect.
-        if let Ok((slot_idx, generation, msg)) = receiver.recv_timeout(Duration::from_millis(25)) {
-            if slots[slot_idx].generation != generation {
-                continue; // stale message from a killed worker
-            }
-            slots[slot_idx].last_seen_ns = clock.elapsed().as_nanos() as u64;
-            match msg {
-                WorkerMsg::Event(event) => {
-                    if let Err(e) = handle_event(*event, sink, journal, progress, by_id) {
-                        break Err(e);
-                    }
-                }
-                WorkerMsg::BadLine => {
-                    // Torn or corrupt worker output: ignore the line; the
-                    // shard-completion check decides whether anything was
-                    // lost.
-                }
-                WorkerMsg::Eof => {
-                    let slot = &mut slots[slot_idx];
-                    if let Some(mut child) = slot.child.take() {
-                        let _ = child.wait();
-                    }
-                    let Some((shard, retries)) = slot.work.take() else {
-                        continue;
-                    };
-                    if let Some(rest) = unfinished_remainder(&shard, progress) {
-                        if retries >= options.max_redispatch {
-                            break Err(FabricError(format!(
-                                "worker lost shard {:#018x} {} time(s) \
-                                 (max_redispatch {}); resume from the journal \
-                                 to continue",
-                                shard.id,
-                                retries + 1,
-                                options.max_redispatch
-                            )));
-                        }
-                        REDISPATCHES.incr();
-                        stats.redispatched += 1;
-                        queues[slot_idx].push_front((rest, retries + 1));
-                    }
+        // `sender` lives as long as this loop, so `recv` cannot disconnect.
+        let (slot_idx, msg) = receiver.recv().expect("the pool holds a sender");
+        match msg {
+            WorkerMsg::Event(event) => {
+                if let Err(e) = handle_event(*event, sink, journal, progress, by_id) {
+                    break Err(e);
                 }
             }
-        }
-
-        // Heartbeat: a busy worker silent past the timeout is presumed hung;
-        // kill it — its reader thread then reports Eof and the normal
-        // worker-loss path re-dispatches the shard.
-        let now_ns = clock.elapsed().as_nanos() as u64;
-        for slot in &mut slots {
-            if let Some(child) = slot.child.as_mut() {
-                if now_ns.saturating_sub(slot.last_seen_ns) > heartbeat_ns {
-                    let _ = child.kill();
-                    slot.last_seen_ns = now_ns; // one kill per timeout
+            WorkerMsg::BadLine => {
+                // Torn or corrupt worker output: ignore the line; the
+                // completion check at the stream's end decides whether
+                // anything was lost.
+            }
+            WorkerMsg::Eof => {
+                // A reader thread sends its `Eof` last, and the slot takes
+                // new work only after it, so the slot is busy here.
+                let (mut child, shard) = slots[slot_idx].take().expect("busy slot");
+                let _ = child.wait();
+                if !shard.cells.iter().all(|cell| progress.complete(cell)) {
+                    break Err(FabricError(format!(
+                        "worker lost shard {:#018x}; resume from the journal to continue",
+                        shard.id
+                    )));
                 }
             }
         }
@@ -455,11 +375,9 @@ fn run_pool(
 
     // Tear down whatever is still running (error paths; on success the pool
     // is already empty).
-    for slot in &mut slots {
-        if let Some(mut child) = slot.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+    for (mut child, _) in slots.into_iter().flatten() {
+        let _ = child.kill();
+        let _ = child.wait();
     }
     outcome
 }
@@ -470,8 +388,7 @@ fn spawn_worker(
     program: &std::path::Path,
     shard: &GridShard,
     slot_idx: usize,
-    generation: u64,
-    sender: &mpsc::Sender<(usize, u64, WorkerMsg)>,
+    sender: &mpsc::Sender<(usize, WorkerMsg)>,
 ) -> std::io::Result<Child> {
     let mut child = Command::new(program)
         .arg("-")
@@ -499,11 +416,11 @@ fn spawn_worker(
                 Ok(event) => WorkerMsg::Event(Box::new(event)),
                 Err(_) => WorkerMsg::BadLine,
             };
-            if sender.send((slot_idx, generation, msg)).is_err() {
+            if sender.send((slot_idx, msg)).is_err() {
                 return;
             }
         }
-        let _ = sender.send((slot_idx, generation, WorkerMsg::Eof));
+        let _ = sender.send((slot_idx, WorkerMsg::Eof));
     });
     Ok(child)
 }
@@ -530,25 +447,20 @@ fn handle_event(
         }
         CampaignEvent::CellStart { cell, .. } => {
             if !progress.started.insert(*cell) {
-                return Ok(()); // re-dispatch replays the cell start
+                return Ok(()); // a resumed cell's start is already journaled
             }
         }
         CampaignEvent::SampleResult { cell, result } => {
-            if !progress.journaled.insert((*cell, result.seed)) {
-                return Ok(()); // duplicate from an overlapping re-dispatch
+            let by_seed = progress.results.entry(*cell).or_default();
+            if by_seed.contains_key(&result.seed) {
+                return Ok(()); // already journaled
             }
-            progress
-                .results
-                .entry(*cell)
-                .or_default()
-                .insert(result.seed, result.clone());
+            by_seed.insert(result.seed, result.clone());
         }
         CampaignEvent::CellDone { cell, .. } => {
             // Re-synthesized below once the cell is globally complete; the
-            // worker's own record covers only its dispatch.
-            let complete = by_id.get(cell).is_some_and(|spec| {
-                progress.results.get(cell).map_or(0, BTreeMap::len) >= spec.samples
-            });
+            // worker's own record covers only the samples it ran.
+            let complete = by_id.get(cell).is_some_and(|spec| progress.complete(spec));
             if !complete || !progress.closed.insert(*cell) {
                 return Ok(());
             }
@@ -574,41 +486,6 @@ fn handle_event(
     }
     sink.on_event(&event);
     Ok(())
-}
-
-/// The unfinished remainder of a dead worker's shard: its cells minus the
-/// globally completed samples.  `None` when the shard is in fact complete.
-fn unfinished_remainder(shard: &GridShard, progress: &Progress) -> Option<GridShard> {
-    let mut cells = Vec::new();
-    let mut skip = Vec::new();
-    for cell in &shard.cells {
-        let id = cell.cell_id();
-        let done: Vec<usize> = progress
-            .results
-            .get(&id)
-            .map(|by_seed| {
-                by_seed
-                    .keys()
-                    .map(|seed| seed.wrapping_sub(cell.base_seed) as usize)
-                    .filter(|&index| index < cell.samples)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if done.len() < cell.samples {
-            cells.push(cell.clone());
-            skip.push(done);
-        }
-    }
-    if cells.is_empty() {
-        return None;
-    }
-    let ids: Vec<u64> = cells.iter().map(ScenarioSpec::cell_id).collect();
-    Some(GridShard {
-        id: crate::shard::shard_id(&ids),
-        cells,
-        skip,
-        fault: None, // faults fire on the first dispatch only
-    })
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! * [`worker`] is the library half of the `mcversi-work` binary: it runs one
 //!   shard and streams cell-attributed JSONL events;
 //! * [`coordinator`] dispatches shards to a pool of worker child processes
-//!   with work stealing across campaigns, heartbeat-based liveness and
-//!   automatic re-dispatch of shards whose worker dies;
+//!   with work stealing across campaigns; a worker that dies before its
+//!   shard is complete ends the campaign, and the journal resumes it;
 //! * [`journal`] is the checkpoint layer: the coordinator appends
 //!   checkpoint records to a JSONL journal through
 //!   [`mcversi_core::JsonlSink::append`], and [`JournalReplay`] reloads a
@@ -30,5 +30,5 @@ pub mod worker;
 
 pub use coordinator::{locate_worker, run_grid, FabricOptions, FabricReport, FabricStatsCounts};
 pub use journal::JournalReplay;
-pub use shard::{merge_results, shard_cells, FabricError, GridShard, WorkerFault};
+pub use shard::{merge_results, shard_cells, FabricError, GridShard};
 pub use worker::{run_shard, CellScopeSink};

@@ -30,55 +30,6 @@ impl From<std::io::Error> for FabricError {
     }
 }
 
-/// A deterministic fault injected into a worker process — the test harness
-/// for worker-loss and truncated-journal recovery.  Counts are in *emitted
-/// events* (journal lines), so a fault fires at the same point of the stream
-/// on every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkerFault {
-    /// Exit (status 3) immediately after emitting the `events`-th event.
-    KillAfter {
-        /// 1-based event count after which the worker dies.
-        events: u64,
-    },
-    /// Stop emitting and sleep forever after the `events`-th event — the
-    /// heartbeat-timeout path.
-    HangAfter {
-        /// 1-based event count after which the worker goes silent.
-        events: u64,
-    },
-    /// Write a truncated garbage line after the `events`-th event, then exit
-    /// (status 3) — the torn-write path of journal recovery.
-    CorruptTail {
-        /// 1-based event count after which the torn line is written.
-        events: u64,
-    },
-}
-
-impl WorkerFault {
-    /// Parses a fault spec: `kill-after:<n>`, `hang-after:<n>` or
-    /// `corrupt-tail:<n>`.
-    pub fn parse(raw: &str) -> Option<WorkerFault> {
-        let (kind, count) = raw.trim().split_once(':')?;
-        let events: u64 = count.trim().parse().ok()?;
-        match kind.trim().to_ascii_lowercase().as_str() {
-            "kill-after" => Some(WorkerFault::KillAfter { events }),
-            "hang-after" | "hang" => Some(WorkerFault::HangAfter { events }),
-            "corrupt-tail" => Some(WorkerFault::CorruptTail { events }),
-            _ => None,
-        }
-    }
-
-    /// Renders the fault in the [`WorkerFault::parse`] syntax.
-    pub fn spec(&self) -> String {
-        match self {
-            WorkerFault::KillAfter { events } => format!("kill-after:{events}"),
-            WorkerFault::HangAfter { events } => format!("hang-after:{events}"),
-            WorkerFault::CorruptTail { events } => format!("corrupt-tail:{events}"),
-        }
-    }
-}
-
 /// A serialized sub-grid: the unit of dispatch between the coordinator and a
 /// `mcversi-work` process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,8 +41,6 @@ pub struct GridShard {
     /// Per-cell sample indices to *skip* (parallel to `cells`): samples whose
     /// results a resume journal already holds.  All-empty on a fresh run.
     pub skip: Vec<Vec<usize>>,
-    /// Fault injected into the worker running this shard (tests/CI only).
-    pub fault: Option<WorkerFault>,
 }
 
 impl GridShard {
@@ -126,7 +75,7 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
 
 /// A shard's identity: FNV-1a over its members' *sorted* cell ids, so the id
 /// depends on which cells the shard holds and on nothing else.
-pub fn shard_id(cell_ids: &[u64]) -> u64 {
+fn shard_id(cell_ids: &[u64]) -> u64 {
     let mut sorted = cell_ids.to_vec();
     sorted.sort_unstable();
     fnv1a(sorted.iter().flat_map(|id| id.to_le_bytes()))
@@ -170,7 +119,6 @@ pub fn shard_cells(cells: &[ScenarioSpec], shards: usize) -> Result<Vec<GridShar
                 id: shard_id(&ids),
                 cells,
                 skip,
-                fault: None,
             }
         })
         .collect())
@@ -261,26 +209,10 @@ mod tests {
     #[test]
     fn shards_round_trip_through_json() {
         let mut shards = shard_cells(&(0..4).map(cell).collect::<Vec<_>>(), 2).unwrap();
-        shards[0].fault = Some(WorkerFault::KillAfter { events: 7 });
         shards[0].skip[0] = vec![1, 3];
         for shard in &shards {
             let back = GridShard::from_json(&shard.to_json()).unwrap();
             assert_eq!(*shard, back);
         }
-    }
-
-    #[test]
-    fn fault_specs_round_trip() {
-        for spec in ["kill-after:5", "hang-after:9", "corrupt-tail:3"] {
-            let fault = WorkerFault::parse(spec).unwrap();
-            assert_eq!(fault.spec(), spec);
-        }
-        assert_eq!(
-            WorkerFault::parse("hang:4"),
-            Some(WorkerFault::HangAfter { events: 4 })
-        );
-        assert_eq!(WorkerFault::parse("explode:1"), None);
-        assert_eq!(WorkerFault::parse("kill-after"), None);
-        assert_eq!(WorkerFault::parse("kill-after:x"), None);
     }
 }

@@ -1,5 +1,5 @@
 //! Integration tests of the distributed fabric: coordinator vs. in-process
-//! differentials, fault-injected worker loss, and checkpoint/resume.
+//! differentials, worker loss, and checkpoint/resume.
 //!
 //! These spawn real `mcversi-work` child processes (the binary Cargo builds
 //! alongside this test), so they cover the full wire path: shard JSON on
@@ -8,7 +8,7 @@
 use mcversi_core::sink::{read_stream, CampaignEvent, CampaignSink, JsonlSink, NullSink};
 use mcversi_core::{CampaignResult, ScenarioSpec};
 use mcversi_fabric::{
-    merge_results, run_grid, shard_cells, FabricOptions, GridShard, JournalReplay, WorkerFault,
+    merge_results, run_grid, shard_cells, FabricOptions, GridShard, JournalReplay,
 };
 use mcversi_mcm::ModelKind;
 use proptest::prelude::*;
@@ -103,10 +103,14 @@ fn in_process_baseline(cells: &[ScenarioSpec]) -> GridFingerprint {
         .collect()
 }
 
-fn temp_journal(name: &str) -> String {
+fn temp_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mcversi-fabric-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{name}.jsonl"));
+    dir
+}
+
+fn temp_journal(name: &str) -> String {
+    let path = temp_dir().join(format!("{name}.jsonl"));
     let _ = std::fs::remove_file(&path);
     path.to_str().unwrap().to_owned()
 }
@@ -123,114 +127,56 @@ fn coordinator_matches_the_in_process_baseline() {
     assert_eq!(grid_fingerprint(&report.cells), baseline);
     assert!(!report.resumed);
     assert!(report.stats.dispatched >= 1);
-    assert_eq!(report.stats.redispatched, 0);
     assert_eq!(report.stats.resume_skipped, 0);
 }
 
+/// A worker whose stream ends before its shard is complete fails the
+/// campaign, whether the stream ends between lines or inside one; the
+/// journal keeps every sample that finished and no torn line, and a resume
+/// with the real worker finishes with the uninterrupted fingerprint.  The
+/// lost workers are stand-ins that cut the real worker's output short.
+#[cfg(unix)]
 #[test]
-fn killed_workers_are_redispatched_to_completion() {
-    let cells = tiny_grid();
-    let baseline = in_process_baseline(&cells);
-    let journal = temp_journal("kill-redispatch");
+fn lost_workers_fail_the_campaign_and_resume_to_the_uninterrupted_fingerprint() {
+    use std::os::unix::fs::PermissionsExt as _;
 
-    let mut options = FabricOptions::new(worker_program());
-    options.workers = 2;
-    options.journal = Some(journal.clone());
-    options.fault = Some(WorkerFault::KillAfter { events: 3 });
-    options.max_redispatch = 3;
-    let report = run_grid(&cells, &options, &mut NullSink).unwrap();
-
-    assert_eq!(grid_fingerprint(&report.cells), baseline);
-    assert!(
-        report.stats.redispatched >= 1,
-        "the injected kill must cost at least one re-dispatch"
-    );
-
-    // The journal survived the worker loss without duplicate records.
-    let text = std::fs::read_to_string(&journal).unwrap();
-    assert_no_duplicate_checkpoints(&text);
-}
-
-#[test]
-fn hung_workers_are_detected_by_heartbeat_and_redispatched() {
     let cells = tiny_grid();
     let baseline = in_process_baseline(&cells);
 
-    let mut options = FabricOptions::new(worker_program());
-    options.workers = 2;
-    options.fault = Some(WorkerFault::HangAfter { events: 2 });
-    options.heartbeat_timeout = Duration::from_millis(500);
-    options.max_redispatch = 3;
-    let report = run_grid(&cells, &options, &mut NullSink).unwrap();
-
-    assert_eq!(grid_fingerprint(&report.cells), baseline);
-    assert!(
-        report.stats.redispatched >= 1,
-        "the hung worker must be presumed dead and its shard re-dispatched"
-    );
-}
-
-#[test]
-fn torn_worker_output_never_reaches_the_journal() {
-    let cells = tiny_grid();
-    let baseline = in_process_baseline(&cells);
-    let journal = temp_journal("corrupt-tail");
-
-    let mut options = FabricOptions::new(worker_program());
-    options.workers = 2;
-    options.journal = Some(journal.clone());
-    options.fault = Some(WorkerFault::CorruptTail { events: 4 });
-    options.max_redispatch = 3;
-    let report = run_grid(&cells, &options, &mut NullSink).unwrap();
-
-    assert_eq!(grid_fingerprint(&report.cells), baseline);
-
-    // Every journal line parses: the torn line the worker wrote before dying
-    // was dropped at the coordinator, not forwarded.
-    let text = std::fs::read_to_string(&journal).unwrap();
-    let replay = JournalReplay::replay(&text).unwrap();
-    assert!(!replay.truncated_tail, "no torn line may be journaled");
-    assert_no_duplicate_checkpoints(&text);
-}
-
-/// The headline acceptance criterion: a campaign killed mid-run (worker loss
-/// with no re-dispatch budget, as after a coordinator crash) and resumed from
-/// its journal finishes with a final result fingerprint identical to an
-/// uninterrupted run — across three distinct kill points.
-#[test]
-fn killed_campaigns_resume_to_the_uninterrupted_fingerprint() {
-    let cells = tiny_grid();
-    let baseline = in_process_baseline(&cells);
-
-    for kill_after in [2u64, 7, 15] {
-        let journal = temp_journal(&format!("kill-point-{kill_after}"));
-
-        // Phase 1: the campaign dies mid-run.  max_redispatch = 0 makes the
-        // injected worker loss fatal, like a coordinator crash.  One shard
-        // holds the whole grid, so every kill point falls inside the shard
-        // the fault is injected into, whichever way the cell ids hash.
-        let mut options = FabricOptions::new(worker_program());
-        options.workers = 2;
-        options.shards = 1;
-        options.journal = Some(journal.clone());
-        options.fault = Some(WorkerFault::KillAfter { events: kill_after });
-        options.max_redispatch = 0;
-        let err = run_grid(&cells, &options, &mut NullSink)
-            .expect_err("a kill with no re-dispatch budget must fail the campaign");
-        assert!(err.0.contains("resume from the journal"), "{err}");
-
-        // Phase 2: resume from the journal, no fault this time.
-        options.fault = None;
-        options.max_redispatch = 2;
-        let report = run_grid(&cells, &options, &mut NullSink).unwrap();
-        assert!(
-            report.resumed,
-            "kill point {kill_after}: journal must resume"
+    // `head -c 900` ends the stream inside a line.
+    for (name, cut) in [
+        ("lines-3", "-n 3"),
+        ("lines-8", "-n 8"),
+        ("bytes-900", "-c 900"),
+    ] {
+        let stand_in = temp_dir().join(format!("lost-{name}.sh"));
+        let script = format!(
+            "#!/bin/sh\n'{}' \"$@\" | head {cut}\n",
+            worker_program().display()
         );
+        std::fs::write(&stand_in, script).unwrap();
+        std::fs::set_permissions(&stand_in, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let journal = temp_journal(&format!("lost-{name}"));
+
+        let mut options = FabricOptions::new(stand_in);
+        options.workers = 2;
+        options.journal = Some(journal.clone());
+        let err = run_grid(&cells, &options, &mut NullSink)
+            .expect_err("a worker that loses its shard must fail the campaign");
+        assert!(err.0.contains("resume from the journal"), "{name}: {err}");
+        let text = std::fs::read_to_string(&journal).unwrap();
+        assert!(
+            !read_stream(&text).unwrap().torn_tail,
+            "{name}: no torn line may be journaled"
+        );
+
+        options.worker_program = worker_program();
+        let report = run_grid(&cells, &options, &mut NullSink).unwrap();
+        assert!(report.resumed, "{name}: the journal must resume");
         assert_eq!(
             grid_fingerprint(&report.cells),
             baseline,
-            "kill point {kill_after}: resumed fingerprint diverges"
+            "{name}: resumed fingerprint diverges"
         );
 
         let text = std::fs::read_to_string(&journal).unwrap();
@@ -238,11 +184,11 @@ fn killed_campaigns_resume_to_the_uninterrupted_fingerprint() {
         assert_eq!(
             count_events(&text, |e| matches!(e, CampaignEvent::Schema { .. })),
             1,
-            "kill point {kill_after}: one appended journal, one schema header"
+            "{name}: one appended journal, one schema header"
         );
         assert!(
             count_events(&text, |e| matches!(e, CampaignEvent::Resume { .. })) >= 1,
-            "kill point {kill_after}: the resume must be journaled"
+            "{name}: the resume must be journaled"
         );
     }
 }
@@ -328,9 +274,10 @@ fn every_journal_prefix_resumes_to_the_identical_fingerprint() {
 }
 
 /// A journal written before the collective and vc checking modes were
-/// removed carries a `"dedup"` object at the end of every sample result.
-/// Such a journal still replays, and a resume from it skips every journaled
-/// sample and reproduces the uninterrupted results.
+/// removed carries a `"dedup"` object at the end of every sample result,
+/// and one written before re-dispatch was removed a `"redispatched"` count
+/// in its `FabricStats`.  Such a journal still replays, and a resume from it
+/// skips every journaled sample and reproduces the uninterrupted results.
 #[test]
 fn journals_whose_results_carry_dedup_stats_still_resume() {
     let cells = tiny_grid();
@@ -349,6 +296,8 @@ fn journals_whose_results_carry_dedup_stats_still_resume() {
         .map(|line| {
             if line.starts_with("{\"SampleResult\"") {
                 line.replacen("\"metrics\": null}", dedup, 1) + "\n"
+            } else if line.starts_with("{\"FabricStats\"") {
+                line.replacen("\"stolen\"", "\"redispatched\": 1, \"stolen\"", 1) + "\n"
             } else {
                 format!("{line}\n")
             }
@@ -356,6 +305,7 @@ fn journals_whose_results_carry_dedup_stats_still_resume() {
         .collect();
     let samples: usize = cells.iter().map(|c| c.samples).sum();
     assert_eq!(old.matches("\"dedup\"").count(), samples, "{old}");
+    assert_eq!(old.matches("\"redispatched\": 1").count(), 1, "{old}");
     std::fs::write(&path, &old).unwrap();
 
     let replay = JournalReplay::replay(&old).unwrap();
