@@ -130,67 +130,89 @@ fn coordinator_matches_the_in_process_baseline() {
     assert_eq!(report.stats.resume_skipped, 0);
 }
 
-/// A worker whose stream ends before its shard is complete fails the
-/// campaign, whether the stream ends between lines or inside one; the
-/// journal keeps every sample that finished and no torn line, and a resume
-/// with the real worker finishes with the uninterrupted fingerprint.  The
-/// lost workers are stand-ins that cut the real worker's output short.
+/// The headline acceptance criterion: a campaign whose workers are lost
+/// mid-run fails, and resumed from its journal it finishes with a final
+/// result fingerprint identical to an uninterrupted run — across three
+/// distinct points at which the workers' streams end between lines.
 #[cfg(unix)]
 #[test]
-fn lost_workers_fail_the_campaign_and_resume_to_the_uninterrupted_fingerprint() {
-    use std::os::unix::fs::PermissionsExt as _;
-
+fn killed_campaigns_resume_to_the_uninterrupted_fingerprint() {
     let cells = tiny_grid();
     let baseline = in_process_baseline(&cells);
-
-    // `head -c 900` ends the stream inside a line.
-    for (name, cut) in [
-        ("lines-3", "-n 3"),
-        ("lines-8", "-n 8"),
-        ("bytes-900", "-c 900"),
-    ] {
-        let stand_in = temp_dir().join(format!("lost-{name}.sh"));
-        let script = format!(
-            "#!/bin/sh\n'{}' \"$@\" | head {cut}\n",
-            worker_program().display()
-        );
-        std::fs::write(&stand_in, script).unwrap();
-        std::fs::set_permissions(&stand_in, std::fs::Permissions::from_mode(0o755)).unwrap();
-        let journal = temp_journal(&format!("lost-{name}"));
-
-        let mut options = FabricOptions::new(stand_in);
-        options.workers = 2;
-        options.journal = Some(journal.clone());
-        let err = run_grid(&cells, &options, &mut NullSink)
-            .expect_err("a worker that loses its shard must fail the campaign");
-        assert!(err.0.contains("resume from the journal"), "{name}: {err}");
-        let text = std::fs::read_to_string(&journal).unwrap();
-        assert!(
-            !read_stream(&text).unwrap().torn_tail,
-            "{name}: no torn line may be journaled"
-        );
-
-        options.worker_program = worker_program();
-        let report = run_grid(&cells, &options, &mut NullSink).unwrap();
-        assert!(report.resumed, "{name}: the journal must resume");
-        assert_eq!(
-            grid_fingerprint(&report.cells),
-            baseline,
-            "{name}: resumed fingerprint diverges"
-        );
-
-        let text = std::fs::read_to_string(&journal).unwrap();
-        assert_no_duplicate_checkpoints(&text);
-        assert_eq!(
-            count_events(&text, |e| matches!(e, CampaignEvent::Schema { .. })),
-            1,
-            "{name}: one appended journal, one schema header"
-        );
-        assert!(
-            count_events(&text, |e| matches!(e, CampaignEvent::Resume { .. })) >= 1,
-            "{name}: the resume must be journaled"
-        );
+    for lines in [3, 8, 15] {
+        lose_workers_then_resume(&cells, &baseline, &format!("-n {lines}"));
     }
+}
+
+/// A worker stream that ends inside a line (`head -c 900` cuts a `TestRun`
+/// line short) fails the campaign without the torn line reaching the
+/// journal, and the journal still resumes to the uninterrupted fingerprint.
+#[cfg(unix)]
+#[test]
+fn torn_worker_output_never_reaches_the_journal() {
+    let cells = tiny_grid();
+    let baseline = in_process_baseline(&cells);
+    lose_workers_then_resume(&cells, &baseline, "-c 900");
+}
+
+/// Runs `cells` with stand-in workers that pipe the real worker's output
+/// through `head {cut}`, so every worker stream ends before its shard is
+/// complete.  The run must fail asking for a resume and journal every sample
+/// that finished but no torn line; a resume with the real worker must then
+/// reproduce `baseline`, with one `Schema` header, a journaled `Resume` and
+/// no duplicate checkpoint.
+#[cfg(unix)]
+fn lose_workers_then_resume(cells: &[ScenarioSpec], baseline: &GridFingerprint, cut: &str) {
+    use std::os::unix::fs::PermissionsExt as _;
+
+    let name = cut.replace(' ', "");
+    let stand_in = temp_dir().join(format!("lost{name}.sh"));
+    let script = format!(
+        "#!/bin/sh\n'{}' \"$@\" | head {cut}\n",
+        worker_program().display()
+    );
+    std::fs::write(&stand_in, script).unwrap();
+    std::fs::set_permissions(&stand_in, std::fs::Permissions::from_mode(0o755)).unwrap();
+    let journal = temp_journal(&format!("lost{name}"));
+
+    // One shard holds the whole grid, so every cut falls inside it, whichever
+    // way the cell ids hash.
+    let mut options = FabricOptions::new(stand_in);
+    options.workers = 2;
+    options.shards = 1;
+    options.journal = Some(journal.clone());
+    let err = run_grid(cells, &options, &mut NullSink)
+        .expect_err("a worker that loses its shard must fail the campaign");
+    assert!(
+        err.0.contains("resume from the journal"),
+        "head {cut}: {err}"
+    );
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(
+        !read_stream(&text).unwrap().torn_tail,
+        "head {cut}: no torn line may be journaled"
+    );
+
+    options.worker_program = worker_program();
+    let report = run_grid(cells, &options, &mut NullSink).unwrap();
+    assert!(report.resumed, "head {cut}: the journal must resume");
+    assert_eq!(
+        &grid_fingerprint(&report.cells),
+        baseline,
+        "head {cut}: resumed fingerprint diverges"
+    );
+
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert_no_duplicate_checkpoints(&text);
+    assert_eq!(
+        count_events(&text, |e| matches!(e, CampaignEvent::Schema { .. })),
+        1,
+        "head {cut}: one appended journal, one schema header"
+    );
+    assert!(
+        count_events(&text, |e| matches!(e, CampaignEvent::Resume { .. })) >= 1,
+        "head {cut}: the resume must be journaled"
+    );
 }
 
 /// A journal cut inside a line resumes any number of times: the first resume
